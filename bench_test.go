@@ -297,6 +297,45 @@ func BenchmarkValidateN40(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleSlack is the layer number for slack certification: one
+// full validation plus the incremental per-switch walks, on the paper's
+// running example, chronusd's own update, and the first feasible random
+// instance at the benchmark's (n = 10) and the roadmap's (n = 24) size.
+func BenchmarkScheduleSlack(b *testing.B) {
+	firstFeasible := func(n int) *chronus.Instance {
+		rng := rand.New(rand.NewSource(benchSeed))
+		for {
+			in := topo.RandomInstance(rng, topo.DefaultRandomParams(n))
+			if _, err := core.Greedy(in, core.Options{Mode: core.ModeExact}); err == nil {
+				return in
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		in   *chronus.Instance
+	}{
+		{"fig1", chronus.Fig1Example()},
+		{"emulation", topo.EmulationTopo()},
+		{"random10", firstFeasible(10)},
+		{"random24", firstFeasible(24)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			res, err := core.Greedy(c.in, core.Options{Mode: core.ModeExact})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(core.ScheduleSlack(c.in, res.Schedule)) == 0 {
+					b.Fatal("no slack entries")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkTreeFeasible(b *testing.B) {
 	in := chronus.Fig1Example()
 	b.ResetTimer()

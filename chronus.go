@@ -136,8 +136,11 @@ type SwitchSlack = core.SwitchSlack
 
 // ScheduleSlack computes, per scheduled switch, how many ticks its
 // activation may slip before the schedule stops validating clean — the
-// analytic counterpart of the trace-derived critical path the audit
+// plan-side counterpart of the trace-derived critical path the audit
 // tooling reports. Zero-slack switches are the schedule's critical path.
+// The values equal those of re-validating the schedule once per switch
+// and delay tick; they are computed incrementally, re-tracing only the
+// units each extra tick of delay diverts.
 func ScheduleSlack(in *Instance, s *Schedule) []SwitchSlack { return core.ScheduleSlack(in, s) }
 
 // Feasible runs the polynomial tree algorithm (Algorithm 1): it decides

@@ -26,12 +26,19 @@ type SwitchSlack struct {
 }
 
 // ScheduleSlack computes the per-switch slack of a schedule against the
-// dynamic-flow validator: for each scheduled switch it delays that one
-// activation until Validate reports a violation. It answers the
-// operational question behind critical-path analysis — which switches
-// must fire on time, and how much timing error the rest tolerate — and
-// complements the event-based critical path the audit package derives
-// from an execution trace.
+// dynamic-flow validator. It answers the operational question behind
+// critical-path analysis — which switches must fire on time, and how much
+// timing error the rest tolerate — and complements the event-based
+// critical path the audit package derives from an execution trace.
+//
+// The schedule is validated once. Each scheduled switch is then delayed
+// tick by tick up to the horizon, and each step is checked incrementally
+// (dynflow.DelaySlack): only the units the extra tick of delay diverts at
+// that switch are re-traced, and only the link instances whose load rose
+// are compared against capacity. The values are exactly those of
+// re-validating the whole schedule per switch and delay, which is what
+// the tests do as the oracle, at O(switches × horizon × path) instead of
+// O(switches × horizon × window × path).
 //
 // Switches are returned in ascending NodeID order. The result is only
 // meaningful for schedules that validate clean; for a violating schedule
@@ -49,18 +56,8 @@ func ScheduleSlack(in *dynflow.Instance, s *dynflow.Schedule) []SwitchSlack {
 		}
 		return out
 	}
-	horizon := autoMaxTicks(in)
-	for _, v := range ids {
-		slack := horizon
-		trial := s.Clone()
-		for d := dynflow.Tick(1); d <= horizon; d++ {
-			trial.Times[v] = s.Times[v] + d
-			if !dynflow.Validate(in, trial).OK() {
-				slack = d - 1
-				break
-			}
-		}
-		out = append(out, SwitchSlack{V: v, Time: s.Times[v], Slack: slack, Critical: slack == 0})
+	for i, slack := range dynflow.DelaySlack(in, s, ids, autoMaxTicks(in)) {
+		out = append(out, SwitchSlack{V: ids[i], Time: s.Times[ids[i]], Slack: slack, Critical: slack == 0})
 	}
 	return out
 }

@@ -302,16 +302,17 @@ func (s *Schedule) Format(in *Instance) string {
 // and activated by t, otherwise the old rule; Invalid means no matching rule
 // (blackhole).
 func NextHopAt(in *Instance, s *Schedule, v graph.NodeID, t Tick) graph.NodeID {
-	nn := in.NewNext(v)
-	if nn != graph.Invalid {
-		if tv, ok := s.Times[v]; ok && t >= tv {
-			return nn
-		}
+	tv, ok := s.Times[v]
+	return ruleAt(in.NewNext(v), in.OldNext(v), ok && t >= tv)
+}
+
+// ruleAt is the forwarding rule of one switch: its new next hop once it
+// has one and has activated it, otherwise its old next hop. A switch only
+// on the final path that has not yet activated its new rule has no rule
+// for this flow at all (Invalid).
+func ruleAt(newNext, oldNext graph.NodeID, activated bool) graph.NodeID {
+	if activated && newNext != graph.Invalid {
+		return newNext
 	}
-	if on := in.OldNext(v); on != graph.Invalid {
-		return on
-	}
-	// A switch only on the final path that has not yet activated its new
-	// rule has no rule for this flow at all.
-	return graph.Invalid
+	return oldNext
 }

@@ -309,3 +309,35 @@ func TestReportSummary(t *testing.T) {
 		t.Fatal("empty summary for violating report")
 	}
 }
+
+// TestValidateJointCongestionOrder: two links that go over capacity at the
+// same ticks must report in (Depart, From, To) order on every run, not in
+// the iteration order of the load map.
+func TestValidateJointCongestionOrder(t *testing.T) {
+	g := graph.New()
+	v := g.AddNodes("a", "b", "c", "d")
+	g.MustAddLink(v[2], v[3], 1, 1)
+	g.MustAddLink(v[0], v[1], 1, 1)
+	steady := func(name string, from, to graph.NodeID) FlowUpdate {
+		p := graph.Path{from, to}
+		return FlowUpdate{Name: name, In: &Instance{G: g, Demand: 1, Init: p, Fin: p}, S: NewSchedule(0)}
+	}
+	updates := []FlowUpdate{
+		steady("ab1", v[0], v[1]), steady("cd1", v[2], v[3]),
+		steady("ab2", v[0], v[1]), steady("cd2", v[2], v[3]),
+	}
+	for run := 0; run < 50; run++ {
+		r, err := ValidateJoint(updates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Congestion) < 4 {
+			t.Fatalf("want both links congested at two ticks or more, got %+v", r.Congestion)
+		}
+		for i := 1; i < len(r.Congestion); i++ {
+			if !r.Congestion[i-1].Link.before(r.Congestion[i].Link) {
+				t.Fatalf("run %d: %+v reported before %+v", run, r.Congestion[i-1].Link, r.Congestion[i].Link)
+			}
+		}
+	}
+}

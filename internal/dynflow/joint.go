@@ -132,7 +132,9 @@ func ValidateJoint(updates []FlowUpdate) (*JointReport, error) {
 			r.Congestion = append(r.Congestion, JointCongestion{Link: li, Load: load, Cap: l.Cap})
 		}
 	}
-	sort.Slice(r.Congestion, func(i, j int) bool { return r.Congestion[i].Link.Depart < r.Congestion[j].Link.Depart })
+	// loads is a map: without the (From, To) tie-break, links congested at
+	// the same tick would come out in iteration order.
+	sort.Slice(r.Congestion, func(i, j int) bool { return r.Congestion[i].Link.before(r.Congestion[j].Link) })
 	sort.Slice(r.Events, func(i, j int) bool { return r.Events[i].Tick < r.Events[j].Tick })
 	return r, nil
 }

@@ -14,11 +14,22 @@ type validatorMetrics struct {
 	window     *obs.Histogram
 }
 
+const (
+	slackSteps    = "chronus_slack_steps_total"
+	slackRetraced = "chronus_slack_retraced_emissions_total"
+)
+
 // RegisterMetrics pre-registers the validator metric families on r so
 // they appear in expositions before the first validation.
 func RegisterMetrics(r *obs.Registry) {
 	newValidatorMetrics(r)
 	if r != nil {
+		// DelaySlack's work counters; validator runs keep counting full
+		// validations only.
+		r.Help(slackSteps, "delay ticks examined by slack certification")
+		r.Help(slackRetraced, "emissions diverted and re-traced by slack certification")
+		r.Counter(slackSteps)
+		r.Counter(slackRetraced)
 		r.Help("chronus_solver_cache_hits_total", "Solver precomputation cache hits by cache (tracer, precomp, plan).")
 		r.Help("chronus_solver_cache_misses_total", "Solver precomputation cache misses by cache (tracer, precomp, plan).")
 		r.Counter(`chronus_solver_cache_hits_total{cache="tracer"}`)

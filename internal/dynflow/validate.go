@@ -113,6 +113,18 @@ type LinkInstance struct {
 	Depart Tick
 }
 
+// before is the report order of link instances: by departure tick, ties
+// broken by (From, To).
+func (a LinkInstance) before(b LinkInstance) bool {
+	if a.Depart != b.Depart {
+		return a.Depart < b.Depart
+	}
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	return a.To < b.To
+}
+
 // CongestionEvent records a time-extended link whose accumulated load
 // exceeds its capacity.
 type CongestionEvent struct {
@@ -228,8 +240,9 @@ func Validate(in *Instance, s *Schedule) *Report {
 	maxTrace := Tick(tr.nodes+1) * maxDelay
 	tr.beginLoads(int64(end-start) + 2*int64(maxTrace) + 1)
 
+	f := tr.view(s)
 	record := func(e Tick) Tick {
-		status, at, arrive := tr.trace(s, e, start, true)
+		status, at, arrive := tr.trace(f, e, start, nil)
 		switch status {
 		case Looped:
 			r.Loops = append(r.Loops, LoopEvent{Emit: e, At: at, Tick: arrive})
@@ -272,16 +285,7 @@ func Validate(in *Instance, s *Schedule) *Report {
 			r.Congestion = append(r.Congestion, CongestionEvent{Link: li, Load: load, Cap: tr.caps[ordinal]})
 		}
 	}
-	sort.Slice(r.Congestion, func(i, j int) bool {
-		a, b := r.Congestion[i].Link, r.Congestion[j].Link
-		if a.Depart != b.Depart {
-			return a.Depart < b.Depart
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
-	})
+	sort.Slice(r.Congestion, func(i, j int) bool { return r.Congestion[i].Link.before(r.Congestion[j].Link) })
 	sort.Slice(r.Loops, func(i, j int) bool { return r.Loops[i].Emit < r.Loops[j].Emit })
 	sort.Slice(r.Blackholes, func(i, j int) bool { return r.Blackholes[i].Emit < r.Blackholes[j].Emit })
 	return r

@@ -1,6 +1,8 @@
 package dynflow
 
 import (
+	"math"
+
 	"github.com/chronus-sdn/chronus/internal/graph"
 )
 
@@ -31,6 +33,8 @@ type tracer struct {
 	// visit stamps detect revisits without a per-trace map.
 	visit []uint64
 	stamp uint64
+	// times backs the dense schedule view (see view).
+	times []Tick
 
 	// Load accounting scratch, reused across Validate calls. When the
 	// (links × window) product is small the dense epoch-stamped array is
@@ -165,20 +169,70 @@ func (tr *tracer) link(from, to graph.NodeID) (tracerLink, bool) {
 	return tracerLink{}, false
 }
 
-// trace follows one emission, accumulating loads (when record is true) and
-// returning the terminal status with its location and tick.
-func (tr *tracer) trace(s *Schedule, emit Tick, base Tick, record bool) (status TraceStatus, at graph.NodeID, end Tick) {
-	in := tr.in
-	cur := in.Source()
-	t := emit
-	dest := in.Dest()
+// fwd is the dense view of one (instance, schedule) pair that traces run
+// against: per-switch next hops and activation ticks indexed by NodeID,
+// with never standing in for unscheduled switches.
+type fwd struct {
+	idx   *pathIndex
+	times []Tick
+}
+
+// never is the activation tick of a switch the schedule does not touch.
+const never = Tick(math.MaxInt64)
+
+// view resolves s into the tracer's reusable dense schedule view. The
+// view is valid until the next call.
+func (tr *tracer) view(s *Schedule) fwd {
+	if len(tr.times) != len(tr.visit) {
+		tr.times = make([]Tick, len(tr.visit))
+	}
+	for i := range tr.times {
+		tr.times[i] = never
+	}
+	for v, t := range s.Times {
+		if v >= 0 && int(v) < len(tr.times) {
+			tr.times[v] = t
+		}
+	}
+	return fwd{idx: tr.in.ensureIndex(), times: tr.times}
+}
+
+// next is NextHopAt over the dense view.
+func (f fwd) next(v graph.NodeID, t Tick) graph.NodeID {
+	return ruleAt(f.idx.newNext[v], f.idx.oldNext[v], t >= f.times[v])
+}
+
+// traceHop is one forwarding decision of a stored trace: the unit reached
+// node at tick and left on the link with the given ordinal.
+type traceHop struct {
+	node int32
+	ord  int32
+	tick Tick
+}
+
+// trace follows the unit emitted at tick emit from the source (see follow
+// for base and hops) and returns the terminal status with its location
+// and tick.
+func (tr *tracer) trace(f fwd, emit, base Tick, hops *[]traceHop) (status TraceStatus, at graph.NodeID, end Tick) {
+	src := tr.in.Source()
 	tr.stamp++
-	tr.visit[cur] = tr.stamp
+	tr.visit[src] = tr.stamp
+	return tr.follow(f, src, emit, base, hops)
+}
+
+// follow is the one forwarding loop: it carries a unit that is at cur at
+// tick t to its terminal status. Switches stamped with the current
+// tr.stamp count as already visited, so a caller resuming a trace
+// mid-path stamps its prefix first. The decisions taken are appended to
+// *hops when hops is non-nil, and accounted as loads at ticks relative to
+// base otherwise.
+func (tr *tracer) follow(f fwd, cur graph.NodeID, t, base Tick, hops *[]traceHop) (status TraceStatus, at graph.NodeID, end Tick) {
+	dest := tr.in.Dest()
 	for step := 0; step <= len(tr.visit); step++ {
 		if cur == dest {
 			return Delivered, graph.Invalid, t
 		}
-		nh := NextHopAt(in, s, cur, t)
+		nh := f.next(cur, t)
 		if nh == graph.Invalid {
 			return Blackholed, cur, t
 		}
@@ -186,7 +240,9 @@ func (tr *tracer) trace(s *Schedule, emit Tick, base Tick, record bool) (status 
 		if !ok {
 			return Blackholed, cur, t
 		}
-		if record {
+		if hops != nil {
+			*hops = append(*hops, traceHop{node: int32(cur), ord: l.ordinal, tick: t})
+		} else {
 			tr.addLoad(l.ordinal, int64(t-base))
 		}
 		t += l.delay
