@@ -15,7 +15,7 @@ import (
 )
 
 // Per-update cost attribution: every POST /update is metered — CPU
-// time, heap allocations, queue wait, solver cache traffic — and its
+// time, heap allocations, queue wait — and its
 // span tree is folded into per-stage latencies
 // (solve→plan→send→barrier→apply). GET /updates/{span-id} serves the
 // report; the same stage durations feed the
@@ -69,11 +69,6 @@ type updateCost struct {
 	AllocBytes  uint64 `json:"alloc_bytes"`
 	Mallocs     uint64 `json:"mallocs"`
 
-	// Solver cache traffic during the solve (hits/misses summed over
-	// the tracer/precomp/plan caches).
-	SolverCacheHits   int64 `json:"solver_cache_hits"`
-	SolverCacheMisses int64 `json:"solver_cache_misses"`
-
 	// Virtual-time window of the root update span and the per-stage
 	// breakdown derived from its span tree.
 	VTStart int64       `json:"vt_start"`
@@ -89,16 +84,6 @@ type costMeter struct {
 	cpuNs      int64
 	allocBytes uint64
 	mallocs    uint64
-	hits       int64
-	misses     int64
-}
-
-func (s *server) cacheCounters() (hits, misses int64) {
-	for _, cache := range []string{"tracer", "precomp", "plan"} {
-		hits += s.reg.Counter(`chronus_solver_cache_hits_total{cache="` + cache + `"}`).Value()
-		misses += s.reg.Counter(`chronus_solver_cache_misses_total{cache="` + cache + `"}`).Value()
-	}
-	return hits, misses
 }
 
 // beginCost snapshots the meters at execution start; arrived is when
@@ -107,15 +92,12 @@ func (s *server) cacheCounters() (hits, misses int64) {
 func (s *server) beginCost(arrived time.Time) costMeter {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	hits, misses := s.cacheCounters()
 	return costMeter{
 		arrived:    arrived,
 		started:    time.Now(),
 		cpuNs:      processCPUNs(),
 		allocBytes: ms.TotalAlloc,
 		mallocs:    ms.Mallocs,
-		hits:       hits,
-		misses:     misses,
 	}
 }
 
@@ -125,18 +107,15 @@ func (s *server) beginCost(arrived time.Time) costMeter {
 func (s *server) endCost(m costMeter, root chronus.SpanID, method, outcome string) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	hits, misses := s.cacheCounters()
 	cost := &updateCost{
-		Span:              uint64(root),
-		Method:            method,
-		Outcome:           outcome,
-		QueueWaitNs:       m.started.Sub(m.arrived).Nanoseconds(),
-		WallNs:            time.Since(m.started).Nanoseconds(),
-		CPUNs:             processCPUNs() - m.cpuNs,
-		AllocBytes:        ms.TotalAlloc - m.allocBytes,
-		Mallocs:           ms.Mallocs - m.mallocs,
-		SolverCacheHits:   hits - m.hits,
-		SolverCacheMisses: misses - m.misses,
+		Span:        uint64(root),
+		Method:      method,
+		Outcome:     outcome,
+		QueueWaitNs: m.started.Sub(m.arrived).Nanoseconds(),
+		WallNs:      time.Since(m.started).Nanoseconds(),
+		CPUNs:       processCPUNs() - m.cpuNs,
+		AllocBytes:  ms.TotalAlloc - m.allocBytes,
+		Mallocs:     ms.Mallocs - m.mallocs,
 	}
 	s.attachStages(cost, root)
 	for _, st := range cost.Stages {

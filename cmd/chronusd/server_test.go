@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -177,6 +178,32 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(text, "chronus_scheduler_runs_total 1") {
 		t.Fatalf("scheduler run not recorded:\n%s", text)
+	}
+}
+
+// TestDaemonReadmeMetricsExist is the doc guard for metric names: after
+// one update on a journaling daemon, every chronus_* name README.md
+// mentions must occur in the /metrics body (a name ending in "_", like
+// chronus_state_, is a family prefix). Retiring a metric without
+// editing the README fails here.
+func TestDaemonReadmeMetricsExist(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := regexp.MustCompile(`chronus_[a-z_]+`).FindAllString(string(readme), -1)
+	if len(names) == 0 {
+		t.Fatal("README.md names no chronus_* metric; the guard is vacuous")
+	}
+	_, ts := newTestServerOpts(t, serverOptions{Seed: 1, Virtual: true, JournalDir: t.TempDir()})
+	if resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: %s (%v)", resp.Status, result)
+	}
+	text := getBody(t, ts.URL+"/metrics")
+	for _, name := range names {
+		if !strings.Contains(text, name) {
+			t.Errorf("README.md documents %s, which GET /metrics does not expose", name)
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -47,13 +46,10 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced scale for a fast pass")
 	seed := fs.Int64("seed", 1, "experiment seed")
-	runList := fs.String("run", "all", "comma-separated subset: tab2,fig6,fig7,fig8,fig9,fig10,fig11,ablations,solver,skewadv,soak")
+	runList := fs.String("run", "all", "comma-separated subset: tab2,fig6,fig7,fig8,fig9,fig10,fig11,ablations,skewadv,soak")
 	csvDir := fs.String("csv", "", "directory to also write CSV tables into")
 	procs := fs.Int("procs", runtime.GOMAXPROCS(0), "parallel experiment workers; 1 reproduces the serial path byte for byte")
 	benchJSON := fs.String("bench-json", "", "write a machine-readable run summary (per-experiment wall time, per-table rows, audit tallies) to this file")
-	benchTables := fs.String("bench-tables", "", "print the table shapes of an existing -bench-json snapshot (sorted, wall-clock-free) and exit; CI diffs two snapshots this way")
-	benchTrend := fs.String("bench-trend", "", "compare two -bench-json snapshots as old.json,new.json and fail on wall-clock regressions past -trend-threshold")
-	trendThreshold := fs.Float64("trend-threshold", 20, "percent slowdown per experiment that -bench-trend treats as a regression")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,12 +57,6 @@ func run(args []string, w io.Writer) error {
 	if *version {
 		fmt.Fprintln(w, buildinfo.String("experiments"))
 		return nil
-	}
-	if *benchTables != "" {
-		return printBenchTables(w, *benchTables)
-	}
-	if *benchTrend != "" {
-		return benchTrendCompare(w, *benchTrend, *trendThreshold)
 	}
 	cfg := expt.Default(*seed)
 	if *quick {
@@ -221,17 +211,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 	}
-	if selected("solver") {
-		if err := timed("solver", func() error {
-			points, err := expt.SolverCacheBench(cfg)
-			if err != nil {
-				return err
-			}
-			return emit("solver_cache", "Solver cache: repeated same-topology solves, cold vs warm", expt.SolverCacheTable(points))
-		}); err != nil {
-			return err
-		}
-	}
 	if selected("skewadv") {
 		if err := timed("skewadv", func() error {
 			points, err := expt.SkewAdversary(cfg)
@@ -292,28 +271,4 @@ type benchSummary struct {
 type benchTable struct {
 	Columns int `json:"columns"`
 	Rows    int `json:"rows"`
-}
-
-// printBenchTables renders the deterministic part of a -bench-json
-// snapshot — table names and shapes, sorted — so CI can diff a fresh run
-// against the checked-in snapshot without tripping on wall-clock fields.
-func printBenchTables(w io.Writer, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var bench benchSummary
-	if err := json.Unmarshal(data, &bench); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	names := make([]string, 0, len(bench.Tables))
-	for name := range bench.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := bench.Tables[name]
-		fmt.Fprintf(w, "%s %d cols %d rows\n", name, t.Columns, t.Rows)
-	}
-	return nil
 }

@@ -107,3 +107,13 @@ func TestRunBenchJSON(t *testing.T) {
 		t.Fatalf("audit tally = %+v, want full validator/auditor agreement", bench.Audit)
 	}
 }
+
+func TestVersionFlag(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-version"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(buf.String(), "experiments ") {
+		t.Fatalf("version output = %q", buf.String())
+	}
+}

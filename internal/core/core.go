@@ -80,11 +80,6 @@ type Options struct {
 	// Trace receives per-decision scheduler events stamped with the
 	// schedule tick; nil disables tracing.
 	Trace *obs.Tracer
-	// NoCache disables the cross-solve precomputation cache for this solve
-	// (the pooled workspaces stay in use — pooling is invisible to
-	// results). It exists for the cache on/off property tests and as an
-	// escape hatch.
-	NoCache bool
 }
 
 // ErrInfeasible is returned when no congestion- and loop-free schedule was
@@ -125,15 +120,23 @@ func activePath(in *dynflow.Instance, s *dynflow.Schedule, t dynflow.Tick) graph
 // to wait for a full drain of in-flight traffic, and a trace visits each
 // switch at most once with bounded per-hop delay.
 func autoMaxTicks(in *dynflow.Instance) dynflow.Tick {
-	return autoMaxTicksFrom(in, scanMaxDelay(in))
-}
-
-// autoMaxTicksFrom is autoMaxTicks with the topology's maximum link delay
-// already in hand (from the precomputation cache on the solver hot path).
-func autoMaxTicksFrom(in *dynflow.Instance, maxDelay graph.Delay) dynflow.Tick {
-	drain := dynflow.Tick(int64(maxDelay) * int64(in.G.NumNodes()+1))
+	drain := dynflow.Tick(int64(maxLinkDelay(in.G)) * int64(in.G.NumNodes()+1))
 	n := dynflow.Tick(len(in.UpdateSet()) + 1)
 	return n*drain + dynflow.Tick(in.Init.Delay(in.G)) + 4
+}
+
+// maxLinkDelay is the largest link delay in g (at least 1), the quantity
+// behind the automatic tick budgets of both greedy modes.
+func maxLinkDelay(g *graph.Graph) graph.Delay {
+	var maxDelay graph.Delay = 1
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, l := range g.Out(graph.NodeID(v)) {
+			if l.Delay > maxDelay {
+				maxDelay = l.Delay
+			}
+		}
+	}
+	return maxDelay
 }
 
 func minUint(a, b uint) uint {

@@ -92,7 +92,7 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 	pending := in.UpdateSet()
 	maxTicks := opts.MaxTicks
 	if maxTicks <= 0 {
-		maxTicks = autoMaxTicksFrom(in, topoFactsFor(in, opts.Obs, opts.NoCache).maxDelay)
+		maxTicks = autoMaxTicks(in)
 	}
 	pathDrain := dynflow.Tick(in.Init.Delay(in.G) + in.Fin.Delay(in.G))
 	drainHorizon := s.Start + dynflow.Tick(in.Init.Delay(in.G))
@@ -257,7 +257,7 @@ func greedyFast(in *dynflow.Instance, opts Options, sm schedMetrics, res *Result
 	fs := newFastState(in, ws)
 	maxTicks := opts.MaxTicks
 	if maxTicks <= 0 {
-		maxTicks = fastTickBudgetFrom(in, topoFactsFor(in, opts.Obs, opts.NoCache).maxDelay)
+		maxTicks = fastTickBudget(in)
 	}
 
 	pendingCount := 0
@@ -375,14 +375,13 @@ func pendingByState(state map[graph.NodeID]int) []graph.NodeID {
 	return out
 }
 
-// fastTickBudgetFrom bounds the schedule horizon for the fast mode: a
+// fastTickBudget bounds the schedule horizon for the fast mode: a
 // handful of end-to-end drain times. Feasible schedules complete well
 // within it (every wait is bounded by the drain of some earlier
 // redirection); an update needing more is treated as infeasible, which
-// also bounds the running time on adversarial instances. maxDelay is the
-// topology's maximum link delay (from the precomputation cache).
-func fastTickBudgetFrom(in *dynflow.Instance, maxDelay graph.Delay) dynflow.Tick {
-	return 8*dynflow.Tick(in.Init.Delay(in.G)+in.Fin.Delay(in.G)) + 16*dynflow.Tick(maxDelay) + 16
+// also bounds the running time on adversarial instances.
+func fastTickBudget(in *dynflow.Instance) dynflow.Tick {
+	return 8*dynflow.Tick(in.Init.Delay(in.G)+in.Fin.Delay(in.G)) + 16*dynflow.Tick(maxLinkDelay(in.G)) + 16
 }
 
 type candidate struct {

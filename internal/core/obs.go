@@ -25,10 +25,6 @@ type schedMetrics struct {
 func RegisterMetrics(r *obs.Registry) {
 	newSchedMetrics(r)
 	if r != nil {
-		r.Help("chronus_solver_cache_hits_total", "Solver precomputation cache hits by cache (tracer, precomp, plan).")
-		r.Help("chronus_solver_cache_misses_total", "Solver precomputation cache misses by cache (tracer, precomp, plan).")
-		r.Counter(`chronus_solver_cache_hits_total{cache="precomp"}`)
-		r.Counter(`chronus_solver_cache_misses_total{cache="precomp"}`)
 		r.Help("chronus_solver_pool_bytes", "Scratch bytes parked in the pooled solver workspace freelist.")
 		r.GaugeFunc("chronus_solver_pool_bytes", PooledBytes)
 	}

@@ -250,11 +250,11 @@ func TestValidateImmediateLoops(t *testing.T) {
 	}
 }
 
-func TestValidateDetectsCongestion(t *testing.T) {
-	in := fig1(t)
+// congestingSchedule flips v1 and v2 at t0: new flow from v1 meets
+// in-flight old flow on (v5, v6) — the congestion mechanism from the
+// motivating example (load 2 on a capacity-1 link).
+func congestingSchedule(in *Instance) *Schedule {
 	g := in.G
-	// v1 and v2 at t0: new flow from v1 meets in-flight old flow on
-	// (v5, v6) — the congestion mechanism from the motivating example.
 	s := NewSchedule(0)
 	s.Set(g.Lookup("v1"), 0)
 	s.Set(g.Lookup("v2"), 0)
@@ -262,7 +262,13 @@ func TestValidateDetectsCongestion(t *testing.T) {
 	s.Set(g.Lookup("v3"), 10)
 	s.Set(g.Lookup("v4"), 11)
 	s.Set(g.Lookup("v5"), 12)
-	r := Validate(in, s)
+	return s
+}
+
+func TestValidateDetectsCongestion(t *testing.T) {
+	in := fig1(t)
+	g := in.G
+	r := Validate(in, congestingSchedule(in))
 	if len(r.Congestion) == 0 {
 		t.Fatalf("expected congestion, got: %s", r.Summary())
 	}
@@ -339,5 +345,77 @@ func TestValidateJointCongestionOrder(t *testing.T) {
 				t.Fatalf("run %d: %+v reported before %+v", run, r.Congestion[i-1].Link, r.Congestion[i].Link)
 			}
 		}
+	}
+}
+
+// TestValidateHonoursGraphEdits: the per-instance tracer caches the
+// graph's adjacency, so Validate must notice both halves of the (graph
+// pointer, edit count) identity it was built at — an in-place SetCapacity,
+// SetDelay or RemoveLink between two calls on the same *Instance (same
+// pointer, new count), and a different graph at the same edit count
+// assigned to Instance.G (same count, new pointer).
+func TestValidateHonoursGraphEdits(t *testing.T) {
+	in := fig1(t)
+	g := in.G
+	v2, v5, v6 := g.Lookup("v2"), g.Lookup("v5"), g.Lookup("v6")
+	s := congestingSchedule(in)
+	congested := func(r *Report) bool {
+		for _, ev := range r.Congestion {
+			if ev.Link.From == v5 && ev.Link.To == v6 {
+				return true
+			}
+		}
+		return false
+	}
+
+	before := Validate(in, s)
+	if !congested(before) {
+		t.Fatalf("fixture: expected congestion on (v5,v6), got: %s", before.Summary())
+	}
+
+	if err := g.SetCapacity(v5, v6, 2); err != nil {
+		t.Fatal(err)
+	}
+	if r := Validate(in, s); congested(r) {
+		t.Fatalf("in-place SetCapacity(v5,v6,2) ignored: %s", r.Summary())
+	}
+
+	// v2 -> v6 is the last hop of the final path: stretching it by 3
+	// ticks delays the last arrival by as much.
+	if err := g.SetDelay(v2, v6, 4); err != nil {
+		t.Fatal(err)
+	}
+	if r := Validate(in, s); r.LatestArrival != before.LatestArrival+3 {
+		t.Fatalf("in-place SetDelay(v2,v6,4) ignored: LatestArrival = %d, want %d", r.LatestArrival, before.LatestArrival+3)
+	}
+
+	// Swap in a same-revision copy that differs only in the capacity.
+	tight := g.Clone()
+	if err := tight.SetCapacity(v5, v6, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetCapacity(v5, v6, 2); err != nil { // same value: only the count moves
+		t.Fatal(err)
+	}
+	if r := Validate(in, s); congested(r) {
+		t.Fatalf("capacity 2 on (v5,v6) must not congest: %s", r.Summary())
+	}
+	if tight.Edits() != g.Edits() {
+		t.Fatalf("fixture: copy at edit %d, original at %d; the swap must differ in the pointer only", tight.Edits(), g.Edits())
+	}
+	old := in.trc
+	in.G = tight
+	if r := Validate(in, s); !congested(r) {
+		t.Fatalf("graph swapped for a Clone() with capacity 1 on (v5,v6) ignored: %s", r.Summary())
+	}
+	if in.trc == old {
+		t.Fatal("tracer not rebuilt after Instance.G was replaced")
+	}
+
+	if !tight.RemoveLink(v2, v6) {
+		t.Fatal("fixture: no link v2->v6")
+	}
+	if r := Validate(in, s); len(r.Blackholes) == 0 {
+		t.Fatalf("in-place RemoveLink(v2,v6) ignored: %s", r.Summary())
 	}
 }

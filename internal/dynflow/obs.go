@@ -30,10 +30,6 @@ func RegisterMetrics(r *obs.Registry) {
 		r.Help(slackRetraced, "emissions diverted and re-traced by slack certification")
 		r.Counter(slackSteps)
 		r.Counter(slackRetraced)
-		r.Help("chronus_solver_cache_hits_total", "Solver precomputation cache hits by cache (tracer, precomp, plan).")
-		r.Help("chronus_solver_cache_misses_total", "Solver precomputation cache misses by cache (tracer, precomp, plan).")
-		r.Counter(`chronus_solver_cache_hits_total{cache="tracer"}`)
-		r.Counter(`chronus_solver_cache_misses_total{cache="tracer"}`)
 	}
 }
 

@@ -237,7 +237,7 @@ func Validate(in *Instance, s *Schedule) *Report {
 			}
 		}
 	}
-	maxTrace := Tick(tr.nodes+1) * maxDelay
+	maxTrace := Tick(len(tr.out)+1) * maxDelay
 	tr.beginLoads(int64(end-start) + 2*int64(maxTrace) + 1)
 
 	f := tr.view(s)

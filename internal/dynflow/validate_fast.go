@@ -6,30 +6,21 @@ import (
 	"github.com/chronus-sdn/chronus/internal/graph"
 )
 
-// tracerCore is the immutable, instance-independent part of a tracer:
+// tracer is the allocation-light engine behind Validate and TraceEmission:
 // the graph's adjacency resolved into dense per-node slices with link
-// ordinals — the skeleton of the time-expanded network G_T, which depends
-// only on (topology, capacities, delays). It is never mutated after
-// construction, so one core is safely shared by every tracer (and hence
-// every concurrent solve) over graphs with the same fingerprint; see
-// tracerCoreFor in arena.go for the cross-instance cache.
-type tracerCore struct {
+// ordinals (the skeleton of the time-expanded network G_T), per-trace
+// visited sets via stamping, and load accounting keyed by (link ordinal,
+// departure tick) packed into one integer. One tracer belongs to one
+// Instance and is valid for one state of its graph (see tracerFor).
+type tracer struct {
+	in *Instance
+	// g and edits identify the graph state the adjacency was built from.
+	g     *graph.Graph
+	edits uint64
 	// out[v] lists v's outgoing links with their ordinals.
 	out   [][]tracerLink
 	caps  []graph.Capacity  // by ordinal
 	pairs [][2]graph.NodeID // ordinal -> (from, to)
-	// fingerprint detects graph mutations that invalidate a cached tracer.
-	nodes, links int
-	fp           uint64
-}
-
-// tracer is the allocation-light engine behind Validate and TraceEmission:
-// adjacency resolved through the shared tracerCore skeleton, per-trace
-// visited sets via stamping, and load accounting keyed by (link ordinal,
-// departure tick) packed into one integer.
-type tracer struct {
-	in *Instance
-	*tracerCore
 	// visit stamps detect revisits without a per-trace map.
 	visit []uint64
 	stamp uint64
@@ -111,49 +102,40 @@ type tracerLink struct {
 	ordinal int32
 }
 
-// newTracerCore builds the G_T skeleton for a graph: the delay-annotated
-// adjacency with stable link ordinals, plus the fingerprint it is valid
-// for. This is the O(V+E) work the cross-instance cache hoists out of
-// repeated solves over the same topology.
-func newTracerCore(g *graph.Graph, fp uint64) *tracerCore {
+// newTracer builds the instance's tracer from the current state of its
+// graph: the delay-annotated adjacency with stable link ordinals, O(V+E).
+func newTracer(in *Instance) *tracer {
+	g := in.G
 	n := g.NumNodes()
-	c := &tracerCore{
-		out: make([][]tracerLink, n),
-		fp:  fp,
+	tr := &tracer{
+		in:    in,
+		g:     g,
+		edits: g.Edits(),
+		out:   make([][]tracerLink, n),
+		visit: make([]uint64, n),
 	}
 	ord := int32(0)
 	for _, id := range g.Nodes() {
 		for _, l := range g.Out(id) {
-			c.out[id] = append(c.out[id], tracerLink{to: l.To, delay: Tick(l.Delay), ordinal: ord})
-			c.caps = append(c.caps, l.Cap)
-			c.pairs = append(c.pairs, [2]graph.NodeID{id, l.To})
+			tr.out[id] = append(tr.out[id], tracerLink{to: l.To, delay: Tick(l.Delay), ordinal: ord})
+			tr.caps = append(tr.caps, l.Cap)
+			tr.pairs = append(tr.pairs, [2]graph.NodeID{id, l.To})
 			ord++
 		}
 	}
-	c.nodes = n
-	c.links = g.NumLinks()
-	return c
+	return tr
 }
 
-func newTracer(in *Instance, core *tracerCore) *tracer {
-	return &tracer{
-		in:         in,
-		tracerCore: core,
-		visit:      make([]uint64, core.nodes),
-	}
-}
-
-// tracerFor returns the instance's cached tracer, rebuilding it when the
-// graph changed. Skeletons come from the shared fingerprint-keyed cache
-// (see arena.go), so a rebuild over a known topology reuses the adjacency
-// wholesale and only allocates fresh per-instance scratch.
+// tracerFor returns the instance's cached tracer, rebuilding it when
+// in.G was replaced or edited in place since the tracer was built. The
+// (pointer, edit count) comparison is exact: the tracer keeps its graph
+// alive, so the address cannot be reused, and every mutator bumps the
+// count.
 func tracerFor(in *Instance) *tracer {
-	fp := in.G.Fingerprint()
-	if in.trc != nil && in.trc.nodes == in.G.NumNodes() && in.trc.links == in.G.NumLinks() &&
-		in.trc.fp == fp {
-		return in.trc
+	if tr := in.trc; tr != nil && tr.g == in.G && tr.edits == in.G.Edits() {
+		return tr
 	}
-	in.trc = newTracer(in, tracerCoreFor(in.G, fp, in.Obs))
+	in.trc = newTracer(in)
 	return in.trc
 }
 

@@ -42,6 +42,8 @@ type Graph struct {
 	in      [][]Link // reverse adjacency by destination node
 	linkIdx map[[2]NodeID]int
 	links   []Link
+	// edits counts successful mutations; see Edits.
+	edits uint64
 }
 
 // New returns an empty graph.
@@ -71,6 +73,7 @@ func (g *Graph) Clone() *Graph {
 		c.linkIdx[k] = v
 	}
 	c.links = append([]Link(nil), g.links...)
+	c.edits = g.edits
 	return c
 }
 
@@ -89,6 +92,7 @@ func (g *Graph) AddNode(name string) NodeID {
 	g.byName[name] = id
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
+	g.edits++
 	return id
 }
 
@@ -132,6 +136,7 @@ func (g *Graph) AddLink(from, to NodeID, cap Capacity, delay Delay) error {
 	g.links = append(g.links, l)
 	g.out[from] = append(g.out[from], l)
 	g.in[to] = append(g.in[to], l)
+	g.edits++
 	return nil
 }
 
@@ -170,6 +175,7 @@ func (g *Graph) RemoveLink(from, to NodeID) bool {
 	g.links = g.links[:last]
 	g.out[from] = removeLinkTo(g.out[from], to)
 	g.in[to] = removeLinkFrom(g.in[to], from)
+	g.edits++
 	return true
 }
 
@@ -202,6 +208,7 @@ func (g *Graph) SetCapacity(from, to NodeID, cap Capacity) error {
 	}
 	g.links[idx].Cap = cap
 	g.syncAdjacency(from, to, g.links[idx])
+	g.edits++
 	return nil
 }
 
@@ -216,6 +223,7 @@ func (g *Graph) SetDelay(from, to NodeID, delay Delay) error {
 	}
 	g.links[idx].Delay = delay
 	g.syncAdjacency(from, to, g.links[idx])
+	g.edits++
 	return nil
 }
 
@@ -231,6 +239,11 @@ func (g *Graph) syncAdjacency(from, to NodeID, l Link) {
 		}
 	}
 }
+
+// Edits returns how many mutations (AddNode, AddLink, RemoveLink,
+// SetCapacity, SetDelay) g has seen. Anything derived from g stays valid
+// for as long as it holds the same *Graph and the count it was built at.
+func (g *Graph) Edits() uint64 { return g.edits }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.names) }

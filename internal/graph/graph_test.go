@@ -325,3 +325,44 @@ func TestShortestPathProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEditsCountsEveryMutation: Edits moves on each of the five mutators
+// (and on a decode over an existing graph), and on nothing else — failed
+// or no-op calls and reads leave it alone.
+func TestEditsCountsEveryMutation(t *testing.T) {
+	g, ids := buildLine(t, 3) // 3 AddNode + 2 AddLink
+	step := func(what string, moved bool, f func()) {
+		t.Helper()
+		before := g.Edits()
+		f()
+		if got := g.Edits() != before; got != moved {
+			t.Fatalf("%s: Edits %d -> %d, moved = %v, want %v", what, before, g.Edits(), got, moved)
+		}
+	}
+	if g.Edits() != 5 {
+		t.Fatalf("Edits after 3 nodes + 2 links = %d, want 5", g.Edits())
+	}
+	step("AddNode new", true, func() { g.AddNode("extra") })
+	step("AddNode existing", false, func() { g.AddNode("extra") })
+	step("AddLink", true, func() { g.MustAddLink(ids[2], ids[0], 5, 1) })
+	step("AddLink duplicate", false, func() { _ = g.AddLink(ids[2], ids[0], 5, 1) })
+	step("SetCapacity", true, func() { _ = g.SetCapacity(ids[0], ids[1], 7) })
+	step("SetCapacity missing link", false, func() { _ = g.SetCapacity(ids[0], ids[2], 7) })
+	step("SetDelay", true, func() { _ = g.SetDelay(ids[0], ids[1], 3) })
+	step("SetDelay negative", false, func() { _ = g.SetDelay(ids[0], ids[1], -1) })
+	step("RemoveLink", true, func() { g.RemoveLink(ids[2], ids[0]) })
+	step("RemoveLink missing", false, func() { g.RemoveLink(ids[2], ids[0]) })
+	step("reads", false, func() { _, _, _ = g.Links(), g.Clone(), g.String() })
+	if c := g.Clone(); c.Edits() != g.Edits() {
+		t.Fatalf("Clone at edit %d, source at %d", c.Edits(), g.Edits())
+	}
+	data, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("UnmarshalJSON over a live graph", true, func() {
+		if err := json.Unmarshal(data, g); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

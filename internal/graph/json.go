@@ -40,7 +40,9 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return fmt.Errorf("graph: decode: %w", err)
 	}
+	edits := g.edits
 	*g = *New()
+	g.edits = edits + 1 // the reset is itself an edit of whatever g held
 	for _, n := range jg.Nodes {
 		g.AddNode(n)
 	}

@@ -15,10 +15,6 @@ func RegisterMetrics(r *obs.Registry) {
 	for _, name := range Names() {
 		r.Counter(fmt.Sprintf(`chronus_scheme_solve_total{scheme=%q,outcome="ok"}`, name))
 	}
-	r.Help("chronus_solver_cache_hits_total", "Solver precomputation cache hits by cache (tracer, precomp, plan).")
-	r.Help("chronus_solver_cache_misses_total", "Solver precomputation cache misses by cache (tracer, precomp, plan).")
-	r.Counter(`chronus_solver_cache_hits_total{cache="plan"}`)
-	r.Counter(`chronus_solver_cache_misses_total{cache="plan"}`)
 }
 
 // outcomeOf collapses a solve's (result, error) pair into the metric label.

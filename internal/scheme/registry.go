@@ -83,29 +83,10 @@ func All() []Scheme {
 // additionally records a "solve" span (parented under o.Span, stamped
 // at o.VT) so an update's span tree shows which scheme planned it and
 // how it came out.
-//
-// Cacheable solves (no wall-clock budget, no tracer, NoCache unset) are
-// served from the cross-request plan cache when an identical solve
-// already ran; see cache.go for the exact purity rules.
 func Solve(name string, in *dynflow.Instance, o Options) (*Result, error) {
 	s, err := Lookup(name)
 	if err != nil {
 		return nil, err
-	}
-	if planCacheable(o) {
-		key := planKeyFor(name, in, o)
-		if res, hit := planLookup(key); hit {
-			o.Obs.Counter(`chronus_solver_cache_hits_total{cache="plan"}`).Inc()
-			observe(o.Obs, name, res, nil)
-			return res, nil
-		}
-		o.Obs.Counter(`chronus_solver_cache_misses_total{cache="plan"}`).Inc()
-		res, err := s.Solve(in, o)
-		if err == nil {
-			planStore(key, res)
-		}
-		observe(o.Obs, name, res, err)
-		return res, err
 	}
 	sp := o.Trace.StartSpan(o.VT, "solve", o.Span, obs.A("scheme", name))
 	res, err := s.Solve(in, o)

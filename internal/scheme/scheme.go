@@ -69,10 +69,6 @@ type Options struct {
 	// Span is the parent span the solve span is recorded under (zero
 	// for a root); only meaningful when Trace is set.
 	Span obs.SpanID
-	// NoCache disables the cross-request plan cache and the engines'
-	// precomputation caches for this solve: the engine runs from scratch.
-	// Pooled workspaces stay in use — pooling never changes results.
-	NoCache bool
 }
 
 // Diagnostics carries scheme-specific counters (search nodes, validator

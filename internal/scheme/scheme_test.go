@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/chronus-sdn/chronus/internal/dynflow"
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -111,4 +113,66 @@ func TestCrossSchemePropertyValidate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGreedyBudgetKnobIgnoredDiagnostics: the greedy engines honor only
+// Budget.MaxTicks; setting Timeout or MaxNodes on chronus/chronus-fast
+// must be flagged in Diagnostics instead of silently dropped.
+func TestGreedyBudgetKnobIgnoredDiagnostics(t *testing.T) {
+	in := topo.Fig1Example()
+	for _, name := range []string{"chronus", "chronus-fast"} {
+		res, err := Solve(name, in, Options{Budget: Budget{Timeout: time.Second, MaxNodes: 5}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Diagnostics["budget_knob_ignored:timeout"] != 1 {
+			t.Errorf("%s: timeout not flagged as ignored: %v", name, res.Diagnostics)
+		}
+		if res.Diagnostics["budget_knob_ignored:max_nodes"] != 1 {
+			t.Errorf("%s: max_nodes not flagged as ignored: %v", name, res.Diagnostics)
+		}
+
+		res, err = Solve(name, in, Options{Budget: Budget{MaxTicks: 1000}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, k := range []string{"budget_knob_ignored:timeout", "budget_knob_ignored:max_nodes"} {
+			if _, present := res.Diagnostics[k]; present {
+				t.Errorf("%s: %s flagged although the knob was unset", name, k)
+			}
+		}
+	}
+}
+
+// TestCacheConcurrentPooledSolves drives concurrent solves that share the
+// pooled greedy workspaces (the one piece of solver state that outlives a
+// solve); it exists to be run under -race (the CI pins
+// `go test -run ConcurrentPooledSolves -race -count=2`).
+func TestCacheConcurrentPooledSolves(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		// Paired goroutines (g/2) build identical instances, so a
+		// workspace handed from one to the other is resized for the
+		// same shape as often as for a different one.
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(7000 + seed))
+			for trial := 0; trial < 6; trial++ {
+				in := topo.RandomInstance(rng, topo.DefaultRandomParams(12))
+				for _, name := range []string{"chronus", "chronus-fast"} {
+					res, err := Solve(name, in, Options{})
+					if err != nil && !errors.Is(err, ErrInfeasible) {
+						t.Errorf("%s: %v", name, err)
+						return
+					}
+					if err == nil && res.Schedule == nil {
+						t.Errorf("%s: no schedule", name)
+						return
+					}
+				}
+			}
+		}(int64(g / 2))
+	}
+	wg.Wait()
 }

@@ -46,8 +46,11 @@ type SchemeOptions struct {
 	VT int64
 	// Span is the parent span the solve span is recorded under.
 	Span SpanID
-	// NoCache disables the cross-request plan and precomputation caches
-	// for this solve, forcing a from-scratch engine run.
+	// NoCache has no effect.
+	//
+	// Deprecated: there is no cross-solve cache; ignored. The field
+	// stays only because bench/workloads.go sets it and bench/ could not
+	// change in the PR that removed the caches; drop both together.
 	NoCache bool
 }
 
@@ -88,7 +91,6 @@ func SolveWith(name string, in *Instance, o SchemeOptions) (*SchemeResult, error
 		Trace:      o.Trace,
 		VT:         o.VT,
 		Span:       o.Span,
-		NoCache:    o.NoCache,
 	})
 	if err != nil {
 		return nil, err
