@@ -18,9 +18,11 @@ import (
 	"testing"
 
 	chronus "github.com/chronus-sdn/chronus"
+	"github.com/chronus-sdn/chronus/internal/batch"
 	"github.com/chronus-sdn/chronus/internal/core"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
 	"github.com/chronus-sdn/chronus/internal/expt"
+	"github.com/chronus-sdn/chronus/internal/graph"
 	"github.com/chronus-sdn/chronus/internal/topo"
 )
 
@@ -294,6 +296,84 @@ func BenchmarkValidateN40(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dynflow.Validate(in, res.Schedule)
+	}
+}
+
+// merged192 is the admission ruler's topology: sixteen n = 12 pods (demand
+// 4, mostly slack links, delays up to 3) re-rooted into one 192-node graph.
+func merged192() (*graph.Graph, []*chronus.Instance) {
+	rng := rand.New(rand.NewSource(benchSeed))
+	p := topo.DefaultRandomParams(12)
+	p.Demand, p.TightFraction, p.MaxDelay = 4, 0.25, 3
+	g := graph.New()
+	pods := make([]*chronus.Instance, 16)
+	for i := range pods {
+		pods[i], _ = topo.Embed(g, topo.RandomInstance(rng, p), fmt.Sprintf("p%d.", i))
+	}
+	return g, pods
+}
+
+// BenchmarkValidateEmbedded validates one pod's schedule inside the
+// 192-node graph: warm reuses one instance (the greedy loop's case), fresh
+// builds the instance per validation (admission composes one per flow).
+func BenchmarkValidateEmbedded(b *testing.B) {
+	_, pods := merged192()
+	in := pods[0]
+	res, err := core.Greedy(in, core.Options{Mode: core.ModeFast, BestEffort: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dynflow.Validate(in, res.Schedule)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dynflow.Validate(&dynflow.Instance{G: in.G, Demand: in.Demand, Init: in.Init, Fin: in.Fin}, res.Schedule)
+		}
+	})
+}
+
+// BenchmarkValidateJoint3 is the joint check of three unit-demand flows
+// composed in one pod of the 192-node graph, two migrating one way and one
+// the other.
+func BenchmarkValidateJoint3(b *testing.B) {
+	g, pods := merged192()
+	var plan *batch.Plan
+	for _, pod := range pods {
+		flows := []batch.Flow{
+			{Name: "a", Demand: 1, Init: pod.Init, Fin: pod.Fin},
+			{Name: "b", Demand: 1, Init: pod.Fin, Fin: pod.Init},
+			{Name: "c", Demand: 1, Init: pod.Init, Fin: pod.Fin},
+		}
+		if p, err := batch.Solve(g, flows, batch.Options{}); err == nil {
+			plan = p
+			break
+		}
+	}
+	if plan == nil {
+		b.Fatal("no pod composes three flows")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r, err := dynflow.ValidateJoint(plan.Updates); err != nil || !r.OK() {
+			b.Fatal(err, r.Summary())
+		}
+	}
+}
+
+func BenchmarkGraphClone192(b *testing.B) {
+	g, _ := merged192()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g.Clone().NumLinks() != g.NumLinks() {
+			b.Fatal("clone lost links")
+		}
 	}
 }
 

@@ -216,10 +216,3 @@ func sortedKeys(fp Footprint) []linkKey {
 	})
 	return keys
 }
-
-func max64(a, b graph.Capacity) graph.Capacity {
-	if a > b {
-		return a
-	}
-	return b
-}

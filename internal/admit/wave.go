@@ -27,7 +27,6 @@ import (
 // link footprints are transitively connected. Members are in id order.
 type component struct {
 	members []*Update
-	fps     []Footprint
 }
 
 // componentResult is a worker's verdict for one component.
@@ -231,7 +230,6 @@ func conflictComponents(updates []*Update, fps map[uint64]Footprint) []component
 		c := component{}
 		for _, i := range groups[r] {
 			c.members = append(c.members, updates[i])
-			c.fps = append(c.fps, fps[updates[i].ID])
 		}
 		sort.Slice(c.members, func(a, b int) bool { return c.members[a].ID < c.members[b].ID })
 		comps = append(comps, c)

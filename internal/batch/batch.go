@@ -151,7 +151,10 @@ func compose(g *graph.Graph, flows []Flow, opts Options, s scheme.Scheme, name s
 		}
 		// Re-anchor the schedule on the shared graph's instance for joint
 		// validation and for callers executing the plan.
-		full := &dynflow.Instance{G: g, Demand: f.Demand, Init: f.Init, Fin: f.Fin}
+		full := in
+		if residual != g {
+			full = &dynflow.Instance{G: g, Demand: f.Demand, Init: f.Init, Fin: f.Fin}
+		}
 		plan.Updates = append(plan.Updates, dynflow.FlowUpdate{Name: f.Name, In: full, S: res.Schedule})
 
 		// Next flow starts after this one's transients have drained.
@@ -254,14 +257,18 @@ func violatingFlows(report *dynflow.JointReport, flows []Flow) []string {
 
 // residualGraph reduces every link's capacity by the steady loads of the
 // other flows around flow i's migration: flows before i occupy their final
-// paths, flows after i their initial paths.
+// paths, flows after i their initial paths. The result is g itself, not a
+// copy, as long as no other flow occupies a link: schemes only read it.
 func residualGraph(g *graph.Graph, flows []Flow, i int) (*graph.Graph, error) {
-	residual := g.Clone()
+	residual := g
 	occupy := func(p graph.Path, d graph.Capacity, name string) error {
 		for k := 1; k < len(p); k++ {
 			l, ok := residual.Link(p[k-1], p[k])
 			if !ok {
 				return fmt.Errorf("batch: flow %q path uses missing link", name)
+			}
+			if residual == g {
+				residual = g.Clone()
 			}
 			rest := l.Cap - d
 			if rest <= 0 {

@@ -57,6 +57,10 @@ func (r *JointReport) Summary() string {
 // all flows accumulate per time-extended link instance against the link
 // capacity (Definition 3 over the sum of flows). All instances must share
 // one graph.
+//
+// A flow only loads its own footprint (see tracer), so the traces run on
+// the flows' tracers and the loads live in one dense array of (footprint
+// link of any flow) × (tick of the joint window).
 func ValidateJoint(updates []FlowUpdate) (*JointReport, error) {
 	r := &JointReport{}
 	if len(updates) == 0 {
@@ -69,98 +73,98 @@ func ValidateJoint(updates []FlowUpdate) (*JointReport, error) {
 		}
 	}
 
-	loads := make(map[LinkInstance]graph.Capacity)
-	for _, u := range updates {
-		start := u.S.Start - Tick(u.In.Init.Delay(g))
-		end := u.S.End()
-		// Joint validation must cover the whole horizon of all flows: a
-		// steady flow keeps loading its links while another migrates, so
-		// emissions continue to the global latest arrival.
-		latest := end
-		var traces []Trace
-		for e := start; e <= end; e++ {
-			tr := TraceEmission(u.In, u.S, e)
-			traces = append(traces, tr)
-			if a := tr.Arrive(); a > latest {
-				latest = a
+	// Rows of the load array: the union of the flows' footprint links,
+	// with each flow's link ordinals mapped onto them.
+	type jointFlow struct {
+		tr    *tracer
+		rowOf []int32
+		// The flow's own window opens at start and its schedule ends at
+		// end; tail is the latest arrival among the emissions of the last
+		// φ(p_init) ticks up to end, the ones still in flight then.
+		start, end, tail Tick
+	}
+	var (
+		flows = make([]jointFlow, len(updates))
+		links []graph.Link
+		rows  = make(map[[2]graph.NodeID]int32)
+		drain Tick
+		hops  []traceHop
+	)
+	for i, u := range updates {
+		tr := tracerFor(u.In)
+		delay := Tick(u.In.Init.Delay(g))
+		f := jointFlow{tr: tr, rowOf: make([]int32, len(tr.links)), start: u.S.Start - delay, end: u.S.End()}
+		for ord, l := range tr.links {
+			row, ok := rows[[2]graph.NodeID{l.From, l.To}]
+			if !ok {
+				row = int32(len(links))
+				rows[[2]graph.NodeID{l.From, l.To}] = row
+				links = append(links, l)
 			}
+			f.rowOf[ord] = row
 		}
-		for e := end + 1; e <= latest; e++ {
-			traces = append(traces, TraceEmission(u.In, u.S, e))
+		times := tr.view(u.S)
+		f.tail = f.end
+		for e := f.end - delay; e <= f.end; e++ {
+			hops = hops[:0]
+			_, _, arrive := tr.trace(times, e, 0, &hops)
+			f.tail = max(f.tail, arrive)
 		}
-		for _, tr := range traces {
-			for _, h := range tr.Hops {
-				loads[LinkInstance{From: h.From, To: h.To, Depart: h.Depart}] += u.In.Demand
+		drain = max(drain, tr.maxTrace)
+		flows[i] = f
+	}
+
+	// Joint validation must cover the whole horizon of all flows: a steady
+	// flow keeps loading its links while another migrates, and before a
+	// flow's own window opens its units are not modeled. To keep the check
+	// sound, every flow's window is extended to the global one.
+	globalLo, globalHi := flows[0].start, flows[0].tail
+	for _, f := range flows {
+		globalLo, globalHi = min(globalLo, f.start), max(globalHi, f.tail)
+	}
+	// loads[(tick−globalLo)×len(links) + row], sized for the units emitted
+	// up to globalHi to drain; a flow whose own window runs longer grows it.
+	loads := make([]graph.Capacity, len(links)*int(globalHi-globalLo+drain+1))
+	for i, u := range updates {
+		f := flows[i]
+		times := f.tr.view(u.S)
+		emit := func(e Tick, report bool) Tick {
+			hops = hops[:0]
+			status, at, arrive := f.tr.trace(times, e, 0, &hops)
+			for _, h := range hops {
+				key := int(h.tick-globalLo)*len(links) + int(f.rowOf[h.ord])
+				if key >= len(loads) {
+					loads = append(loads, make([]graph.Capacity, key+1-len(loads))...)
+				}
+				loads[key] += u.In.Demand
 			}
-			switch tr.Status {
-			case Looped, Blackholed:
-				r.Events = append(r.Events, JointEvent{Kind: tr.Status, Flow: u.Name, At: tr.At, Tick: tr.Arrive()})
+			if report && status != Delivered {
+				r.Events = append(r.Events, JointEvent{Kind: status, Flow: u.Name, At: at, Tick: arrive})
 			}
+			return arrive
+		}
+		latest := f.end
+		for e := f.start; e <= f.end; e++ {
+			latest = max(latest, emit(e, true))
+		}
+		for e := f.end + 1; e <= latest; e++ {
+			emit(e, true)
+		}
+		for e := globalLo; e < f.start; e++ {
+			emit(e, false)
+		}
+		for e := f.tail + 1; e <= globalHi; e++ {
+			emit(e, false)
 		}
 	}
 
-	// The per-flow windows may differ; congestion is only meaningful on
-	// ticks covered by every involved flow's emission stream. Steady-state
-	// coverage: each flow emits from its own window start; before that its
-	// units are not modeled. To keep the check sound, extend each flow's
-	// window to the global one.
-	globalLo, globalHi := windowBounds(updates)
-	for _, u := range updates {
-		lo := u.S.Start - Tick(u.In.Init.Delay(g))
-		for e := globalLo; e < lo; e++ {
-			tr := TraceEmission(u.In, u.S, e)
-			for _, h := range tr.Hops {
-				loads[LinkInstance{From: h.From, To: h.To, Depart: h.Depart}] += u.In.Demand
-			}
-		}
-		end := u.S.End()
-		latest := latestArrivalOf(u, end)
-		for e := latest + 1; e <= globalHi; e++ {
-			tr := TraceEmission(u.In, u.S, e)
-			for _, h := range tr.Hops {
-				loads[LinkInstance{From: h.From, To: h.To, Depart: h.Depart}] += u.In.Demand
-			}
-		}
-	}
-
-	for li, load := range loads {
-		l, ok := g.Link(li.From, li.To)
-		if !ok {
-			continue
-		}
-		if load > l.Cap {
+	for key, load := range loads {
+		if l := links[key%len(links)]; load > l.Cap {
+			li := LinkInstance{From: l.From, To: l.To, Depart: globalLo + Tick(key/len(links))}
 			r.Congestion = append(r.Congestion, JointCongestion{Link: li, Load: load, Cap: l.Cap})
 		}
 	}
-	// loads is a map: without the (From, To) tie-break, links congested at
-	// the same tick would come out in iteration order.
 	sort.Slice(r.Congestion, func(i, j int) bool { return r.Congestion[i].Link.before(r.Congestion[j].Link) })
 	sort.Slice(r.Events, func(i, j int) bool { return r.Events[i].Tick < r.Events[j].Tick })
 	return r, nil
-}
-
-func windowBounds(updates []FlowUpdate) (Tick, Tick) {
-	g := updates[0].In.G
-	lo := updates[0].S.Start - Tick(updates[0].In.Init.Delay(g))
-	hi := updates[0].S.End()
-	for _, u := range updates {
-		if l := u.S.Start - Tick(u.In.Init.Delay(g)); l < lo {
-			lo = l
-		}
-		if h := latestArrivalOf(u, u.S.End()); h > hi {
-			hi = h
-		}
-	}
-	return lo, hi
-}
-
-func latestArrivalOf(u FlowUpdate, end Tick) Tick {
-	latest := end
-	for e := end - Tick(u.In.Init.Delay(u.In.G)); e <= end; e++ {
-		tr := TraceEmission(u.In, u.S, e)
-		if a := tr.Arrive(); a > latest {
-			latest = a
-		}
-	}
-	return latest
 }

@@ -34,8 +34,8 @@ func DelaySlack(in *Instance, s *Schedule, vs []graph.NodeID, horizon Tick) []Ti
 // traces and loads, plus the scratch one switch's walk edits and undoes.
 type slackCert struct {
 	tr         *tracer
-	f          fwd
-	start, end Tick // emissions start..end are stored; later ones are pure-final
+	times      []Tick // tr's schedule view, edited by walk
+	start, end Tick   // emissions start..end are stored; later ones are pure-final
 	demand     graph.Capacity
 
 	// hops[off[i]:off[i+1]] is the trace of emission start+i under s and
@@ -46,12 +46,9 @@ type slackCert struct {
 	off    []int32
 	arrive []Tick
 
-	// load[(tick−start)×rows + rowOf[ordinal]] is the demand departing on a
-	// link at a tick. Only links of the two paths carry load, so they are
-	// renumbered densely, and the array grows tick by tick as walks reach
-	// further out.
-	rowOf   []int32
-	rowCap  []graph.Capacity
+	// load[(tick−start)×len(tr.links) + ordinal] is the demand departing on
+	// a footprint link at a tick; the array grows tick by tick as walks
+	// reach further out.
 	load    []graph.Capacity
 	base    []graph.Capacity // load under s itself, restored after each walk
 	hi      int              // load[hi:] is untouched since the last restore
@@ -73,22 +70,10 @@ func newSlackCert(in *Instance, s *Schedule) *slackCert {
 	tr := tracerFor(in)
 	c := &slackCert{
 		tr:     tr,
-		f:      tr.view(s),
+		times:  tr.view(s),
 		start:  s.Start - Tick(in.Init.Delay(in.G)),
 		end:    s.End(),
 		demand: in.Demand,
-		rowOf:  make([]int32, len(tr.caps)),
-	}
-	for i := range c.rowOf {
-		c.rowOf[i] = -1
-	}
-	for _, p := range []graph.Path{in.Init, in.Fin} {
-		for i := 0; i+1 < len(p); i++ {
-			if l, ok := tr.link(p[i], p[i+1]); ok && c.rowOf[l.ordinal] < 0 {
-				c.rowOf[l.ordinal] = int32(len(c.rowCap))
-				c.rowCap = append(c.rowCap, tr.caps[l.ordinal])
-			}
-		}
 	}
 
 	n := int(c.end-c.start) + 1
@@ -97,7 +82,7 @@ func newSlackCert(in *Instance, s *Schedule) *slackCert {
 	c.baseTop = c.end
 	for e := c.start; e <= c.end; e++ {
 		c.off = append(c.off, int32(len(c.hops)))
-		_, _, a := tr.trace(c.f, e, 0, &c.hops)
+		_, _, a := tr.trace(c.times, e, 0, &c.hops)
 		c.arrive = append(c.arrive, a)
 		c.baseTop = max(c.baseTop, a)
 	}
@@ -140,17 +125,16 @@ type raisedLoad struct {
 // edit adds or removes the loads of hs shifted by shift ticks, noting the
 // entries it raises and how far into load it reached.
 func (c *slackCert) edit(hs []traceHop, shift Tick, sign graph.Capacity) {
-	rows := len(c.rowCap)
+	rows := len(c.tr.links)
 	for _, h := range hs {
-		row := int(c.rowOf[h.ord])
-		key := int(h.tick+shift-c.start)*rows + row
+		key := int(h.tick+shift-c.start)*rows + int(h.ord)
 		if key >= len(c.load) {
 			c.load = append(c.load, make([]graph.Capacity, max(key+1, 2*len(c.load))-len(c.load))...)
 		}
 		c.load[key] += sign * c.demand
 		c.hi = max(c.hi, key+1)
 		if sign > 0 {
-			c.raised = append(c.raised, raisedLoad{key, c.rowCap[row]})
+			c.raised = append(c.raised, raisedLoad{key, c.tr.links[h.ord].Cap})
 		}
 	}
 }
@@ -159,13 +143,13 @@ func (c *slackCert) edit(hs []traceHop, shift Tick, sign graph.Capacity) {
 // delay before the first violation, or horizon. It leaves the loads as it
 // found them.
 func (c *slackCert) walk(v graph.NodeID, tv, horizon Tick) Tick {
-	inGraph := v >= 0 && int(v) < len(c.f.times)
+	inGraph := v >= 0 && int(v) < len(c.times)
 	defer func() {
 		if inGraph {
-			c.f.times[v] = tv
+			c.times[v] = tv
 		}
 		// A walk only edits departures from tick tv on.
-		if lo := max(0, int(tv-c.start)*len(c.rowCap)); lo < c.hi {
+		if lo := max(0, int(tv-c.start)*len(c.tr.links)); lo < c.hi {
 			n := copy(c.load[lo:c.hi], c.base[min(lo, len(c.base)):])
 			clear(c.load[lo+n : c.hi])
 		}
@@ -204,7 +188,7 @@ func (c *slackCert) walk(v graph.NodeID, tv, horizon Tick) Tick {
 		c.steps++
 		c.raised = c.raised[:0]
 		if inGraph {
-			c.f.times[v] = tv + d
+			c.times[v] = tv + d
 		}
 		// The trial's schedule end moves with v once v is the last to
 		// activate; the emission at the new end joins the ones that decide
@@ -239,7 +223,7 @@ func (c *slackCert) walk(v graph.NodeID, tv, horizon Tick) Tick {
 				c.tr.visit[h.node] = c.tr.stamp
 			}
 			c.retrace = c.retrace[:0]
-			status, _, a := c.tr.follow(c.f, v, hit, 0, &c.retrace)
+			status, _, a := c.tr.follow(c.times, v, hit, 0, &c.retrace)
 			if status != Delivered {
 				return d - 1
 			}

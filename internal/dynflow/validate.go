@@ -220,29 +220,20 @@ func Validate(in *Instance, s *Schedule) *Report {
 	start := s.Start - Tick(in.Init.Delay(in.G))
 	end := s.End()
 	r := &Report{WindowStart: start}
-	var vm validatorMetrics
+	var vm *validatorMetrics
 	if in.Obs != nil {
-		vm = newValidatorMetrics(in.Obs)
+		vm = tr.metrics(in.Obs)
 		vm.runs.Inc()
 	}
 
-	// Departure ticks stay below end + 2 × (max trace duration): the last
+	// Departure ticks stay within end + 2 × (max trace duration): the last
 	// traced emission is at latestArrival <= end + maxTrace, and its own
 	// trace lasts at most maxTrace more.
-	var maxDelay Tick = 1
-	for _, outs := range tr.out {
-		for _, l := range outs {
-			if l.delay > maxDelay {
-				maxDelay = l.delay
-			}
-		}
-	}
-	maxTrace := Tick(len(tr.out)+1) * maxDelay
-	tr.beginLoads(int64(end-start) + 2*int64(maxTrace) + 1)
+	tr.beginLoads(int64(end-start) + 2*int64(tr.maxTrace) + 1)
 
-	f := tr.view(s)
+	times := tr.view(s)
 	record := func(e Tick) Tick {
-		status, at, arrive := tr.trace(f, e, start, nil)
+		status, at, arrive := tr.trace(times, e, start, nil)
 		switch status {
 		case Looped:
 			r.Loops = append(r.Loops, LoopEvent{Emit: e, At: at, Tick: arrive})
@@ -278,11 +269,9 @@ func Validate(in *Instance, s *Schedule) *Report {
 
 	for _, key := range tr.touched {
 		load := tr.loadAt(key)
-		ordinal := int32(key / tr.span)
-		if load > tr.caps[ordinal] {
-			pair := tr.pairs[ordinal]
-			li := LinkInstance{From: pair[0], To: pair[1], Depart: Tick(key%tr.span) + start}
-			r.Congestion = append(r.Congestion, CongestionEvent{Link: li, Load: load, Cap: tr.caps[ordinal]})
+		if l := tr.links[key/tr.span]; load > l.Cap {
+			li := LinkInstance{From: l.From, To: l.To, Depart: Tick(key%tr.span) + start}
+			r.Congestion = append(r.Congestion, CongestionEvent{Link: li, Load: load, Cap: l.Cap})
 		}
 	}
 	sort.Slice(r.Congestion, func(i, j int) bool { return r.Congestion[i].Link.before(r.Congestion[j].Link) })

@@ -83,22 +83,8 @@ func soakTopology(cfg Config) (*graph.Graph, []soakPod) {
 	g := graph.New()
 	pods := make([]soakPod, cfg.SoakPods)
 	for p := 0; p < cfg.SoakPods; p++ {
-		in := topo.RandomInstance(rngFor(cfg, "soak-pod", int64(p)), soakPodParams(cfg.SoakPodSize))
-		remap := make([]graph.NodeID, in.G.NumNodes())
-		for _, id := range in.G.Nodes() {
-			remap[id] = g.AddNode(fmt.Sprintf("p%d.%s", p, in.G.Name(id)))
-		}
-		for _, l := range in.G.Links() {
-			g.MustAddLink(remap[l.From], remap[l.To], l.Cap, l.Delay)
-		}
-		rePath := func(path graph.Path) graph.Path {
-			out := make(graph.Path, len(path))
-			for i, id := range path {
-				out[i] = remap[id]
-			}
-			return out
-		}
-		pods[p] = soakPod{init: rePath(in.Init), fin: rePath(in.Fin), demand: in.Demand}
+		in, _ := topo.Embed(g, topo.RandomInstance(rngFor(cfg, "soak-pod", int64(p)), soakPodParams(cfg.SoakPodSize)), fmt.Sprintf("p%d.", p))
+		pods[p] = soakPod{init: in.Init, fin: in.Fin, demand: in.Demand}
 	}
 	return g, pods
 }

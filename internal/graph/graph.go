@@ -7,6 +7,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -54,27 +56,31 @@ func New() *Graph {
 	}
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g: mutating either graph never shows
+// through the other.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	c.names = append([]string(nil), g.names...)
-	for name, id := range g.byName {
-		c.byName[name] = id
+	return &Graph{
+		names:   slices.Clone(g.names),
+		byName:  maps.Clone(g.byName),
+		out:     cloneAdjacency(g.out, len(g.links)),
+		in:      cloneAdjacency(g.in, len(g.links)),
+		linkIdx: maps.Clone(g.linkIdx),
+		links:   slices.Clone(g.links),
+		edits:   g.edits,
 	}
-	c.out = make([][]Link, len(g.out))
-	for i, ls := range g.out {
-		c.out[i] = append([]Link(nil), ls...)
+}
+
+// cloneAdjacency copies the m links of adj into one backing array. Each
+// row is capped at its length, so appending to a row of the copy
+// reallocates that row instead of running into its neighbour.
+func cloneAdjacency(adj [][]Link, m int) [][]Link {
+	rows, backing := make([][]Link, len(adj)), make([]Link, 0, m)
+	for i, ls := range adj {
+		lo := len(backing)
+		backing = append(backing, ls...)
+		rows[i] = backing[lo:len(backing):len(backing)]
 	}
-	c.in = make([][]Link, len(g.in))
-	for i, ls := range g.in {
-		c.in[i] = append([]Link(nil), ls...)
-	}
-	for k, v := range g.linkIdx {
-		c.linkIdx[k] = v
-	}
-	c.links = append([]Link(nil), g.links...)
-	c.edits = g.edits
-	return c
+	return rows
 }
 
 // AddNode adds a node with the given name and returns its ID. Adding an

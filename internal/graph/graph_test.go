@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -143,6 +144,64 @@ func TestCloneIsDeep(t *testing.T) {
 	c.AddNode("extra")
 	if g.NumNodes() != 3 {
 		t.Fatalf("clone AddNode leaked: n=%d", g.NumNodes())
+	}
+}
+
+// TestCloneIndependence: a clone shares nothing with its original —
+// AddLink (an append into an adjacency row that sits in one backing array
+// with its neighbours), RemoveLink, SetCapacity, SetDelay and AddNode on
+// either never show through the other, whichever side mutates.
+func TestCloneIndependence(t *testing.T) {
+	describe := func(g *Graph) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%v %v|", g, g.Links())
+		for _, v := range g.Nodes() {
+			fmt.Fprintf(&b, "%s=%d out%v in%v|", g.Name(v), g.Lookup(g.Name(v)), g.Out(v), g.In(v))
+		}
+		return b.String()
+	}
+	mutate := func(t *testing.T, g *Graph, ids []NodeID) {
+		t.Helper()
+		// Every row grows, so a row that could spill would hit the next.
+		for i := range ids {
+			if err := g.AddLink(ids[i], ids[(i+2)%len(ids)], 7, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !g.RemoveLink(ids[1], ids[2]) {
+			t.Fatal("no link to remove")
+		}
+		if err := g.SetCapacity(ids[0], ids[1], 99); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetDelay(ids[2], ids[3], 9); err != nil {
+			t.Fatal(err)
+		}
+		g.MustAddLink(g.AddNode("extra"), ids[0], 1, 1)
+	}
+	for _, side := range []string{"clone", "original"} {
+		g, ids := buildLine(t, 5)
+		c := g.Clone()
+		if describe(c) != describe(g) {
+			t.Fatalf("clone differs from its original:\n%s\n%s", describe(c), describe(g))
+		}
+		mutated, kept := c, g
+		if side == "original" {
+			mutated, kept = g, c
+		}
+		before := describe(kept)
+		mutate(t, mutated, ids)
+		if after := describe(kept); after != before {
+			t.Fatalf("mutating the %s showed through:\nbefore %s\nafter  %s", side, before, after)
+		}
+		if describe(mutated) == before {
+			t.Fatal("fixture: the mutations changed nothing")
+		}
+		// Both stay usable and consistent on their own.
+		mutate(t, kept, ids)
+		if describe(kept) != describe(mutated) {
+			t.Fatalf("the same edits gave different graphs:\n%s\n%s", describe(kept), describe(mutated))
+		}
 	}
 }
 

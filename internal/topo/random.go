@@ -130,3 +130,26 @@ func RandomInstances(rng *rand.Rand, p RandomParams, count int) []*dynflow.Insta
 	}
 	return out
 }
+
+// Embed re-roots in into the shared graph g: in's switches are added to g
+// under prefix-qualified names, its links copied, and the instance
+// returned is in on g, with the same demand and its paths mapped through
+// remap (indexed by in's node IDs). Instances embedded under different
+// prefixes share no links.
+func Embed(g *graph.Graph, in *dynflow.Instance, prefix string) (on *dynflow.Instance, remap []graph.NodeID) {
+	remap = make([]graph.NodeID, in.G.NumNodes())
+	for _, id := range in.G.Nodes() {
+		remap[id] = g.AddNode(prefix + in.G.Name(id))
+	}
+	for _, l := range in.G.Links() {
+		g.MustAddLink(remap[l.From], remap[l.To], l.Cap, l.Delay)
+	}
+	rePath := func(p graph.Path) graph.Path {
+		out := make(graph.Path, len(p))
+		for i, id := range p {
+			out[i] = remap[id]
+		}
+		return out
+	}
+	return &dynflow.Instance{G: g, Demand: in.Demand, Init: rePath(in.Init), Fin: rePath(in.Fin)}, remap
+}
