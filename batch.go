@@ -2,7 +2,6 @@ package chronus
 
 import (
 	"github.com/chronus-sdn/chronus/internal/batch"
-	"github.com/chronus-sdn/chronus/internal/core"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
 )
 
@@ -27,12 +26,8 @@ type BatchOptions struct {
 	// Start is the first tick of the batch.
 	Start Tick
 	// Scheme names the per-flow scheduler in the registry (see Schemes());
-	// it must produce timed schedules. Empty derives "chronus" or
-	// "chronus-fast" from Mode.
+	// it must produce timed schedules. Empty means "chronus".
 	Scheme string
-	// Mode selects the greedy acceptance mode when Scheme is empty (zero
-	// value: ModeExact).
-	Mode Mode
 	// Gap inserts idle ticks between consecutive flows' migrations.
 	Gap Tick
 }
@@ -46,7 +41,7 @@ type BatchOptions struct {
 // residual topology, or a mixed configuration saturates a needed link (in
 // which case reordering the flows may help).
 func SolveBatch(g *Network, flows []BatchFlow, o BatchOptions) (*BatchPlan, error) {
-	return batch.Solve(g, flows, batch.Options{Start: o.Start, Scheme: o.Scheme, Mode: core.Mode(o.Mode), Gap: o.Gap})
+	return batch.Solve(g, flows, batch.Options{Start: o.Start, Scheme: o.Scheme, Gap: o.Gap})
 }
 
 // ValidateJoint checks several flows' updates together: per-flow loop- and

@@ -35,11 +35,11 @@ var updateStages = []struct {
 	stage string
 	ops   []string
 }{
-	{"solve", []string{"solve"}},
+	{"solve", []string{obs.OpSolve}},
 	{"plan", []string{"plan"}},
-	{"send", []string{"ctl.send"}},
-	{"barrier", []string{"ctl.barrier", "sw.barrier"}},
-	{"apply", []string{"sw.apply"}},
+	{"send", []string{obs.OpCtlSend}},
+	{"barrier", []string{obs.OpCtlBarrier, obs.EvSwBarrier}},
+	{"apply", []string{obs.EvSwApply}},
 }
 
 // stageCost is one pipeline stage's share of an update: the stage span

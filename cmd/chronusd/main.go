@@ -63,7 +63,6 @@ func main() {
 	journalFsync := flag.String("journal-fsync", "rotate", "journal fsync policy: rotate, never, always")
 	queueCap := flag.Int("queue-cap", 0, "admission queue bound (0 = default 256)")
 	window := flag.Int("window", 0, "admission coalescing window per planning wave (0 = default 64)")
-	stateRing := flag.Int("state-ring", 0, "observed-state per-link timeline ring size (0 = default 1024)")
 	execHeadroom := flag.Int64("exec-headroom", 0, "ticks of headroom before a timed schedule's first activation (0 = default 50)")
 	logLevel := flag.String("log-level", "info", "slog level: debug, info, warn, error")
 	version := flag.Bool("version", false, "print version and exit")
@@ -90,7 +89,7 @@ func main() {
 		Seed: *seed, Virtual: *virtual, Wall: true, Log: log,
 		JournalDir: *journalDir, JournalFsync: fsync,
 		QueueCap: *queueCap, Window: *window,
-		StateRing: *stateRing, ExecHeadroom: *execHeadroom,
+		ExecHeadroom: *execHeadroom,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chronusd:", err)

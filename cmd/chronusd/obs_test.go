@@ -2,11 +2,14 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	chronus "github.com/chronus-sdn/chronus"
@@ -316,6 +319,59 @@ func TestDaemonDashEndpoint(t *testing.T) {
 	for _, want := range []string{"<!DOCTYPE html>", "fetch(\"/health\")", "fetch(\"/clocks\")", "fetch(\"/drift\")", "fetch(\"/spans\")", "chronusd"} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("dashboard missing %q", want)
+		}
+	}
+}
+
+// lockedBuffer is an io.Writer a test can read while handlers still log.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestDaemonPullCountsRingEvictions: when the tracer ring evicts events
+// between two /clocks or two /health reads, the fold that comes up short
+// says by exactly how much. (The state store already did; the clock and
+// health folds used to read tracer.Events and skip the gap silently.)
+func TestDaemonPullCountsRingEvictions(t *testing.T) {
+	var logs lockedBuffer
+	srv, ts := newTestServerOpts(t, serverOptions{
+		Seed: 1, Virtual: true, TraceCap: 32,
+		Log: slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	var discard any
+	getJSON(t, ts.URL+"/clocks", &discard)
+	getJSON(t, ts.URL+"/health", &discard)
+	if resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: %s (%v)", resp.Status, result)
+	}
+	clocksGap := srv.tracer.PageStats(srv.clocks.Cursor(), 0).Skipped
+	healthGap := srv.tracer.PageStats(srv.health.Cursor(), 0).Skipped
+	if clocksGap == 0 || healthGap == 0 {
+		t.Fatal("TraceCap 32 did not force eviction between the reads; the test is vacuous")
+	}
+	before := logs.String()
+	getJSON(t, ts.URL+"/clocks", &discard)
+	getJSON(t, ts.URL+"/health", &discard)
+	after := strings.TrimPrefix(logs.String(), before)
+	for _, want := range []string{
+		fmt.Sprintf("consumer=clocks skipped=%d", clocksGap),
+		fmt.Sprintf("consumer=health skipped=%d", healthGap),
+	} {
+		if strings.Count(after, want) != 1 {
+			t.Errorf("log after the second reads lacks exactly one %q:\n%s", want, after)
 		}
 	}
 }

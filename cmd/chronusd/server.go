@@ -232,7 +232,7 @@ func newServer(o serverOptions) (*server, error) {
 		srv.Close()
 		return nil, fmt.Errorf("clock probe cleanup: %w", err)
 	}
-	srv.clocks.Observe(srv.tracer.Events(srv.clocks.Cursor()))
+	srv.pull(pullClocks)
 	// The admission pipeline: every POST /update goes through this
 	// engine, which debits the shared capacity ledger at plan time,
 	// plans disjoint updates in parallel, and batches conflicting ones
@@ -349,6 +349,46 @@ func (r *statusRecorder) WriteHeader(code int) {
 // Flush (the /watch stream needs it through the logging wrapper).
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
+// consumers names the folds of the trace stream a read pulls forward.
+// Each endpoint keeps the set it has always pulled: health's margins
+// depend on whether an apply is folded before or after SetPlan clears
+// the previous plan's observations.
+type consumers uint8
+
+const (
+	pullClocks consumers = 1 << iota
+	pullHealth
+	pullState
+)
+
+// pull folds the trace events recorded since each named consumer's last
+// look into it — cursor-style, on read, so the update hot path never
+// pays for a fold. Events the ring evicted before a consumer could fold
+// them are lost to it (the journal, when configured, still has them):
+// every such gap is logged, and the state store also reports it as
+// missed_events in its snapshots.
+func (s *server) pull(which consumers) {
+	page := func(consumer string, cursor uint64) obs.PageStats {
+		ps := s.tracer.PageStats(cursor, 0)
+		if ps.Skipped > 0 {
+			s.log.Warn("trace ring evicted events before they were folded",
+				"consumer", consumer, "skipped", ps.Skipped)
+		}
+		return ps
+	}
+	if which&pullClocks != 0 {
+		s.clocks.Observe(page("clocks", s.clocks.Cursor()).Events)
+	}
+	if which&pullHealth != 0 {
+		s.health.Observe(page("health", s.health.Cursor()).Events)
+	}
+	if which&pullState != 0 {
+		ps := page("state", s.state.Cursor())
+		s.state.NoteSkipped(ps.Skipped)
+		s.state.Observe(ps.Events)
+	}
+}
+
 // handleSpans returns the causal span forest reconstructed from the
 // trace ring. ?since= and ?limit= page through the underlying events
 // exactly like /trace (limit bounds events read, not spans returned);
@@ -375,8 +415,7 @@ func (s *server) handleSpans(w http.ResponseWriter, r *http.Request) {
 // into the health engine (and the clock estimator its predictive
 // rules read from) and returns the verdict.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.clocks.Observe(s.tracer.Events(s.clocks.Cursor()))
-	s.health.Observe(s.tracer.Events(s.health.Cursor()))
+	s.pull(pullClocks | pullHealth)
 	writeJSON(w, http.StatusOK, s.health.Verdict())
 }
 
@@ -385,7 +424,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // In deterministic (virtual, no-wall) mode the response bytes are
 // fixed per seed.
 func (s *server) handleClocks(w http.ResponseWriter, r *http.Request) {
-	s.clocks.Observe(s.tracer.Events(s.clocks.Cursor()))
+	s.pull(pullClocks)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"now":    s.tb.Now(),
 		"clocks": s.clocks.Estimates(),
@@ -434,9 +473,8 @@ func (s *server) handleAudit(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Refresh the health and clock gauges so a scrape that never touches
 	// /health or /clocks still sees current margins and estimates.
-	s.clocks.Observe(s.tracer.Events(s.clocks.Cursor()))
+	s.pull(pullClocks | pullHealth)
 	s.clocks.Estimates()
-	s.health.Observe(s.tracer.Events(s.health.Cursor()))
 	s.health.Verdict()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("Cache-Control", "no-store")
@@ -553,7 +591,7 @@ func (s *server) handleLinks(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		s.foldState()
+		s.pull(pullState)
 		snap := s.state.StateBody(at)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"run": snap.Run, "at": snap.At, "links": snap.Links,
@@ -566,7 +604,7 @@ func (s *server) handleLinks(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		s.foldState()
+		s.pull(pullState)
 		type linkHistory struct {
 			Link     string                `json:"link"`
 			Capacity int64                 `json:"capacity"`
@@ -800,18 +838,8 @@ func (s *server) executeUpdate(id uint64, tenant, method string) (chronus.SpanID
 func (s *server) executePlanned(id uint64, tenant, method string, root chronus.SpanID) error {
 	if method == "tp" {
 		s.health.SetPlan(health.Plan{Kind: "twophase", Valid: true})
-		now := int64(s.tb.Now())
 		newTag := s.flow.Tag + 1
-		key := fmt.Sprintf("%s/%d", s.flow.Name, newTag)
-		sws := make([]state.IntentSwitch, 0, len(s.in.Fin))
-		for _, v := range s.in.Fin {
-			next := "host"
-			if nh := s.in.Fin.NextHop(v); nh != chronus.Invalid {
-				next = s.in.G.Name(nh)
-			}
-			sws = append(sws, state.IntentSwitch{Switch: s.in.G.Name(v), Next: next, At: now})
-		}
-		s.emitIntent(id, tenant, method, key, 0, sws)
+		s.emitIntent(id, tenant, method, fmt.Sprintf("%s/%d", s.flow.Name, newTag), 0, nil, int64(s.tb.Now()))
 		return s.ctl.ExecuteTwoPhase(s.in, s.flow, newTag)
 	}
 	res, err := chronus.SolveWith(method, s.in, chronus.SchemeOptions{
@@ -836,10 +864,7 @@ func (s *server) executePlanned(id uint64, tenant, method string, root chronus.S
 		// Headroom past the control latency (configurable so crash
 		// tests can park the applies far in the virtual future).
 		start := chronus.Tick(s.tb.Now()) + chronus.Tick(s.headroom)
-		sched := chronus.NewSchedule(start)
-		for v, tv := range res.Schedule.Times {
-			sched.Set(v, start+(tv-res.Schedule.Start))
-		}
+		sched := res.Schedule.Shifted(start)
 		plan := health.Plan{Kind: "timed", Valid: report.OK(), StartTick: now}
 		for _, sl := range chronus.ScheduleSlack(s.in, res.Schedule) {
 			plan.Switches = append(plan.Switches, health.PlanSwitch{
@@ -856,9 +881,8 @@ func (s *server) executePlanned(id uint64, tenant, method string, root chronus.S
 		s.tracer.EmitSpan("plan", root, now, now,
 			obs.A("kind", "timed"), obs.A("switches", len(sched.Times)),
 			obs.A("start", int64(start)), obs.A("valid", report.OK()))
-		s.emitIntent(id, tenant, method,
-			fmt.Sprintf("%s/%d", s.flow.Name, s.flow.Tag),
-			minPlanSlack(plan), s.intentForSchedule(sched))
+		s.emitIntent(id, tenant, method, fmt.Sprintf("%s/%d", s.flow.Name, s.flow.Tag),
+			minPlanSlack(plan), sched, -1)
 		return s.ctl.ExecuteTimed(s.in, sched, s.flow)
 	case len(res.Rounds) > 0 && res.Feasible == nil:
 		s.health.SetPlan(health.Plan{Kind: "rounds", Valid: true})
@@ -875,16 +899,7 @@ func (s *server) executePlanned(id uint64, tenant, method string, root chronus.S
 		// Barrier-paced rounds carry no per-switch apply ticks; the
 		// intent promises the end-state "as of plan time" and converges
 		// as the rounds execute.
-		sws := make([]state.IntentSwitch, 0, len(sched.Times))
-		for v := range sched.Times {
-			next := "host"
-			if nh := s.in.Fin.NextHop(v); nh != chronus.Invalid {
-				next = s.in.G.Name(nh)
-			}
-			sws = append(sws, state.IntentSwitch{Switch: s.in.G.Name(v), Next: next, At: now})
-		}
-		s.emitIntent(id, tenant, method,
-			fmt.Sprintf("%s/%d", s.flow.Name, s.flow.Tag), 0, sws)
+		s.emitIntent(id, tenant, method, fmt.Sprintf("%s/%d", s.flow.Name, s.flow.Tag), 0, sched, now)
 		return s.ctl.ExecuteBarrierPaced(s.in, sched, s.flow, 1)
 	default:
 		return fmt.Errorf("scheme %q decides feasibility but produces no executable schedule", method)

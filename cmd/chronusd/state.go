@@ -4,8 +4,8 @@ package main
 // /drift (desired-vs-observed classification) and the per-link
 // timeline endpoint, all served from the internal/state store. The
 // store folds the same trace stream the journal records, pulled
-// cursor-style on read (like the clock estimator and health engine) so
-// the update hot path never pays for it.
+// cursor-style on read by server.pull (like the clock estimator and
+// health engine) so the update hot path never pays for it.
 
 import (
 	"errors"
@@ -15,19 +15,8 @@ import (
 
 	chronus "github.com/chronus-sdn/chronus"
 	"github.com/chronus-sdn/chronus/internal/health"
-	"github.com/chronus-sdn/chronus/internal/obs"
 	"github.com/chronus-sdn/chronus/internal/state"
 )
-
-// foldState pulls the trace events recorded since the last look into
-// the observed-state store. Events the ring evicted before they could
-// be folded are accounted as missed (the journal, when configured,
-// still has them).
-func (s *server) foldState() {
-	ps := s.tracer.PageStats(s.state.Cursor(), 0)
-	s.state.NoteSkipped(ps.Skipped)
-	s.state.Observe(ps.Events)
-}
 
 // parseTick reads one non-negative tick query parameter; absent yields
 // the def value.
@@ -54,7 +43,7 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.foldState()
+	s.pull(pullState)
 	writeJSON(w, http.StatusOK, s.state.StateBody(at))
 }
 
@@ -65,7 +54,7 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 // same journal directory are included — a half-executed schedule whose
 // daemon died shows up stranded here after the restart.
 func (s *server) handleDrift(w http.ResponseWriter, r *http.Request) {
-	s.foldState()
+	s.pull(pullState)
 	writeJSON(w, http.StatusOK, s.state.DriftBody())
 }
 
@@ -83,7 +72,7 @@ func (s *server) handleLinkTimeline(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no link %q", name))
 		return
 	}
-	s.foldState()
+	s.pull(pullState)
 	tl, _ := s.state.LinkTimeline(name, since)
 	if tl.Capacity == 0 {
 		// The link exists but has not carried traffic yet; report its
@@ -98,7 +87,7 @@ func (s *server) handleLinkTimeline(w http.ResponseWriter, r *http.Request) {
 type driftAdapter struct{ s *server }
 
 func (d driftAdapter) DriftHealth() health.DriftStats {
-	d.s.foldState()
+	d.s.pull(pullState)
 	rep := d.s.state.DriftBody()
 	out := health.DriftStats{Tracked: rep.Tracked}
 	for _, u := range rep.Updates {
@@ -125,38 +114,16 @@ func (d driftAdapter) DriftHealth() health.DriftStats {
 	return out
 }
 
-// emitIntent records an execute-update's planner-intended end-state as
-// a state.intent trace event at plan time — before the first FlowMod
-// is sent, so a daemon killed mid-schedule still has the intent in its
-// journal and the restarted daemon's drift report can prove what the
-// dead run left unfinished.
-func (s *server) emitIntent(id uint64, tenant, method, key string, slack int64, sws []state.IntentSwitch) {
-	if id == 0 {
-		return
-	}
-	s.tracer.Point(int64(s.tb.Now()), "state.intent",
-		obs.A("id", id), obs.A("tenant", tenant), obs.A("flow", s.flow.Name),
-		obs.A("key", key), obs.A("kind", "execute"), obs.A("method", method),
-		obs.A("slack", slack), obs.A("switches", state.EncodeIntentSwitches(sws)))
-}
-
-// intentForSchedule renders a shifted schedule's per-switch promises
-// the way the drift detector will verify them: final-path next hops at
-// absolute apply ticks.
-func (s *server) intentForSchedule(sched *chronus.Schedule) []state.IntentSwitch {
-	sws := make([]state.IntentSwitch, 0, len(sched.Times))
-	for v, tv := range sched.Times {
-		next := "host"
-		if nh := s.in.Fin.NextHop(v); nh != chronus.Invalid {
-			next = s.in.G.Name(nh)
-		}
-		sws = append(sws, state.IntentSwitch{
-			Switch: s.in.G.Name(v),
-			Next:   next,
-			At:     int64(tv),
-		})
-	}
-	return sws
+// emitIntent records an execute-update's planner-intended end-state
+// (see state.Intent.Emit) before its first FlowMod is sent; sched and
+// asOf select the switches and their due ticks as state.Promises reads
+// them.
+func (s *server) emitIntent(id uint64, tenant, method, key string, slack int64, sched *chronus.Schedule, asOf int64) {
+	state.Intent{
+		ID: id, Tenant: tenant, Flow: s.flow.Name, Key: key, Kind: "execute", Method: method,
+		Slack:    slack,
+		Switches: state.Promises(s.in.G, s.in.Fin, sched, asOf),
+	}.Emit(s.tracer, int64(s.tb.Now()))
 }
 
 // minPlanSlack extracts the tightest per-switch slack of a plan — the

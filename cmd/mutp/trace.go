@@ -36,14 +36,11 @@ func executeOnTestbed(in *chronus.Instance, s *chronus.Schedule, seed int64) (*c
 	tb.AdvanceBy(traceHeadroom)
 
 	start := chronus.Tick(tb.Now()) + traceHeadroom
-	shifted := chronus.NewSchedule(start)
-	for v, tv := range s.Times {
-		shifted.Set(v, start+(tv-s.Start))
-	}
+	shifted := s.Shifted(start)
 	// One "sched" event per switch marks the planned activation instant,
 	// so the timeline shows plan versus execution.
 	for _, v := range sortedSwitches(shifted) {
-		tracer.Point(int64(shifted.Times[v]), "sched", obs.A("switch", in.G.Name(v)))
+		tracer.Point(int64(shifted.Times[v]), obs.EvSched, obs.A(obs.KeySwitch, in.G.Name(v)))
 	}
 	// The whole replay hangs off one root span, same as a chronusd
 	// POST /update, so the recorded trace reconstructs into a single
@@ -111,12 +108,9 @@ func renderTimeline(out io.Writer, events []chronus.TraceEvent) {
 		if e.Name == chronus.SpanEventName {
 			continue
 		}
-		lane := "controller"
-		for _, a := range e.Attrs {
-			if a.K == "switch" {
-				lane = a.V
-				break
-			}
+		lane := e.Attr(obs.KeySwitch)
+		if lane == "" {
+			lane = "controller"
 		}
 		lanes[lane] = append(lanes[lane], e)
 	}
@@ -138,20 +132,18 @@ func renderTimeline(out io.Writer, events []chronus.TraceEvent) {
 func formatEvent(e chronus.TraceEvent) string {
 	label := e.Name
 	switch e.Name {
-	case "ctl.flowmod":
+	case obs.EvCtlFlowMod:
 		label = "send"
-	case "sw.flowmod":
+	case obs.EvSwFlowMod:
 		label = "recv"
-	case "sw.barrier":
+	case obs.EvSwBarrier:
 		label = "barrier"
-	case "sw.apply":
+	case obs.EvSwApply:
 		label = "apply"
 	}
 	var extra string
-	for _, a := range e.Attrs {
-		if a.K == "skew" {
-			extra = "(skew " + a.V + ")"
-		}
+	if skew := e.Attr(obs.KeySkew); skew != "" {
+		extra = "(skew " + skew + ")"
 	}
 	if e.Dur > 0 {
 		extra = fmt.Sprintf("(+%d)", e.Dur)

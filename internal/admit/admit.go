@@ -142,15 +142,9 @@ type Options struct {
 	// Window is the coalescing window: how many queued updates one
 	// planning wave covers (default 64).
 	Window int
-	// Scheme names the per-flow scheduler for plan-only updates
-	// (default "chronus").
-	Scheme string
 	// Procs bounds the parallel component planners (0 = all CPUs,
 	// 1 = the serialized reference path).
 	Procs int
-	// HeadroomTicks is how far past "now" plan-only schedules start
-	// (default 50, the daemon's control-latency headroom).
-	HeadroomTicks int64
 	// Now supplies virtual time; nil pins it to zero.
 	Now func() int64
 	// Execute runs an Execute-flagged update on the data plane and
@@ -203,12 +197,6 @@ func New(g *graph.Graph, o Options) *Engine {
 	}
 	if o.Window <= 0 {
 		o.Window = 64
-	}
-	if o.Scheme == "" {
-		o.Scheme = "chronus"
-	}
-	if o.HeadroomTicks <= 0 {
-		o.HeadroomTicks = 50
 	}
 	if o.Now == nil {
 		o.Now = func() int64 { return 0 }

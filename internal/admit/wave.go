@@ -23,6 +23,13 @@ import (
 	"github.com/chronus-sdn/chronus/internal/state"
 )
 
+// Plan-only updates are scheduled by planScheme, starting planHeadroom
+// ticks past "now" (the daemon's control-latency headroom).
+const (
+	planScheme   = "chronus"
+	planHeadroom = 50
+)
+
 // component is one conflict-graph component of a wave: updates whose
 // link footprints are transitively connected. Members are in id order.
 type component struct {
@@ -164,8 +171,8 @@ func (e *Engine) planComponent(now int64, c component, res *graph.Graph) compone
 		return out
 	}
 	plan, refusals, err := batch.SolveEach(res, flows, batch.Options{
-		Start:  dynflow.Tick(now + e.o.HeadroomTicks),
-		Scheme: e.o.Scheme,
+		Start:  dynflow.Tick(now + planHeadroom),
+		Scheme: planScheme,
 	})
 	if err != nil {
 		for _, f := range flows {
@@ -240,14 +247,10 @@ func conflictComponents(updates []*Update, fps map[uint64]Footprint) []component
 
 // refusalClass buckets a refusal reason into the metric label set.
 func refusalClass(reason string) string {
-	switch {
-	case strings.Contains(reason, "joint validation"):
+	if strings.Contains(reason, "joint validation") {
 		return "joint"
-	case strings.Contains(reason, "deferred"):
-		return "window"
-	default:
-		return "plan"
 	}
+	return "plan"
 }
 
 // resolveRefused terminates u with a refusal.
@@ -300,18 +303,11 @@ func (e *Engine) resolvePlanned(u *Update, now int64, s *dynflow.Schedule, compo
 	// accountable — but the intent is on the record (and in the journal)
 	// for offline inspection.
 	if s != nil {
-		sws := make([]state.IntentSwitch, 0, len(s.Times))
-		for v, tv := range s.Times {
-			next := "host"
-			if nh := u.Req.Fin.NextHop(v); nh != graph.Invalid {
-				next = e.g.Name(nh)
-			}
-			sws = append(sws, state.IntentSwitch{Switch: e.g.Name(v), Next: next, At: int64(tv)})
-		}
-		e.trace(now, "state.intent", obs.A("id", u.ID), obs.A("tenant", u.Req.Tenant),
-			obs.A("flow", u.Req.Flow), obs.A("key", u.Req.Flow), obs.A("kind", "plan"),
-			obs.A("method", e.o.Scheme), obs.A("slack", 0),
-			obs.A("switches", state.EncodeIntentSwitches(sws)))
+		state.Intent{
+			ID: u.ID, Tenant: u.Req.Tenant, Flow: u.Req.Flow, Key: u.Req.Flow,
+			Kind: "plan", Method: planScheme,
+			Switches: state.Promises(e.g, u.Req.Fin, s, -1),
+		}.Emit(e.o.Trace, now)
 	}
 }
 

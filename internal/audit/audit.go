@@ -34,26 +34,9 @@
 // instants, the activation skew, the sched→recv lead, and which switch
 // gated the makespan.
 //
-// # Event contract
-//
-// The auditor consumes the events emitted across internal/emu,
-// internal/switchd and internal/controller (all attribute values are
-// strings; integers in base 10):
-//
-//	emu.inject   switch, key, rate            injection rate change at the source
-//	emu.rate     link (u>v), key, rate, total, cap, delay
-//	                                          per-link per-key utilization change
-//	emu.overload link, peak, cap (span)       the emulator's own overload verdict
-//	emu.drop     switch, key, reason          blackhole/TTL ground truth
-//	sw.flowmod   switch, kind, key, cmd, next [, at]
-//	sw.apply     switch, skew, at, key, cmd, next
-//	sw.barrier   switch
-//	ctl.flowmod  switch, at, key, next
-//	sched        switch                       planned activation (VT = planned tick)
-//
-// Unknown event names are ignored, so the stream may carry additional
-// families (scheduler decisions, barrier spans) without confusing the
-// auditor.
+// The event families and attributes consumed are the rows of the
+// contract table in internal/obs (contract.go) that name audit; unknown
+// event names are ignored.
 //
 // # Determinism
 //
@@ -65,11 +48,9 @@
 package audit
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -96,7 +77,7 @@ func (a *Auditor) Feed(evs ...obs.Event) {
 // error; use ReadJSONLTolerant for captures that may have been cut off
 // mid-write.
 func (a *Auditor) ReadJSONL(r io.Reader) error {
-	_, _, err := a.readJSONL(r, true)
+	_, _, err := a.readJSONL(r, false)
 	return err
 }
 
@@ -108,63 +89,19 @@ func (a *Auditor) ReadJSONL(r io.Reader) error {
 // fails with a line-numbered error, because nothing after a corrupt
 // record can be trusted to be aligned. n is the number of events fed.
 func (a *Auditor) ReadJSONLTolerant(r io.Reader) (n int, warn string, err error) {
-	return a.readJSONL(r, false)
+	return a.readJSONL(r, true)
 }
 
-func (a *Auditor) readJSONL(r io.Reader, strict bool) (n int, warn string, err error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	line := 0
-	for {
-		text, rerr := br.ReadString('\n')
-		if rerr != nil && rerr != io.EOF {
-			return n, warn, rerr
-		}
-		atEOF := rerr == io.EOF
-		if text != "" {
-			line++
-			if t := strings.TrimSpace(text); t != "" {
-				e, uerr := obs.DecodeJSONLine([]byte(t))
-				if uerr != nil {
-					// A bad final line with no terminating newline is a
-					// torn mid-write tail, not corruption.
-					if !strict && atEOF {
-						warn = fmt.Sprintf("line %d: ignoring torn trailing line: %v", line, uerr)
-					} else {
-						return n, warn, fmt.Errorf("audit: line %d: %w", line, uerr)
-					}
-				} else {
-					a.events = append(a.events, e)
-					n++
-				}
-			}
-		}
-		if atEOF {
-			return n, warn, nil
-		}
-	}
-}
-
-// attr returns the value of the named attribute, or "".
-func attr(e obs.Event, k string) string {
-	for _, a := range e.Attrs {
-		if a.K == k {
-			return a.V
-		}
-	}
-	return ""
-}
-
-// attrInt parses the named attribute as a base-10 integer.
-func attrInt(e obs.Event, k string) (int64, bool) {
-	v := attr(e, k)
-	if v == "" {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
+func (a *Auditor) readJSONL(r io.Reader, tolerant bool) (n int, warn string, err error) {
+	warn, err = obs.ReadJSONL(r, tolerant, func(e obs.Event) error {
+		a.events = append(a.events, e)
+		n++
+		return nil
+	})
 	if err != nil {
-		return 0, false
+		err = fmt.Errorf("audit: %w", err)
 	}
-	return n, true
+	return n, warn, err
 }
 
 // splitLink splits a "u>v" link label into its endpoints.

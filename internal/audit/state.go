@@ -106,60 +106,60 @@ func (st *state) lane(sw string) *SwitchLane {
 // ingest dispatches one time-ordered event into the reconstruction.
 func (st *state) ingest(e obs.Event) {
 	switch e.Name {
-	case "sw.flowmod":
-		sw := attr(e, "switch")
-		if attr(e, "kind") == "timed" {
+	case obs.EvSwFlowMod:
+		sw := e.Attr(obs.KeySwitch)
+		if e.Attr(obs.KeyKind) == "timed" {
 			l := st.lane(sw)
 			l.Recv = e.VT
-			if at, ok := attrInt(e, "at"); ok && l.Sched < 0 {
+			if at, ok := e.LookupInt(obs.KeyAt); ok && l.Sched < 0 {
 				l.Sched = at
 			}
 			return // receipt only; the table changes at sw.apply
 		}
-		st.applyRule(e.VT, sw, attr(e, "key"), attr(e, "cmd"), attr(e, "next"))
-	case "sw.apply":
-		sw := attr(e, "switch")
+		st.applyRule(e.VT, sw, e.Attr(obs.KeyKey), e.Attr(obs.KeyCmd), e.Attr(obs.KeyNext))
+	case obs.EvSwApply:
+		sw := e.Attr(obs.KeySwitch)
 		l := st.lane(sw)
 		l.Apply = e.VT
-		if skew, ok := attrInt(e, "skew"); ok {
+		if skew, ok := e.LookupInt(obs.KeySkew); ok {
 			l.Skew = skew
 		}
-		if at, ok := attrInt(e, "at"); ok && l.Sched < 0 {
+		if at, ok := e.LookupInt(obs.KeyAt); ok && l.Sched < 0 {
 			l.Sched = at
 		}
-		st.applyRule(e.VT, sw, attr(e, "key"), attr(e, "cmd"), attr(e, "next"))
-	case "sw.barrier":
-		if l := st.lane(attr(e, "switch")); l.Apply < 0 {
+		st.applyRule(e.VT, sw, e.Attr(obs.KeyKey), e.Attr(obs.KeyCmd), e.Attr(obs.KeyNext))
+	case obs.EvSwBarrier:
+		if l := st.lane(e.Attr(obs.KeySwitch)); l.Apply < 0 {
 			l.Barrier = e.VT
 		}
-	case "ctl.flowmod":
-		if at, ok := attrInt(e, "at"); ok && at > 0 {
-			l := st.lane(attr(e, "switch"))
+	case obs.EvCtlFlowMod:
+		if at, ok := e.LookupInt(obs.KeyAt); ok && at > 0 {
+			l := st.lane(e.Attr(obs.KeySwitch))
 			l.Sent = e.VT
 			l.Sched = at
 		}
-	case "sched":
-		st.lane(attr(e, "switch")).Planned = e.VT
-	case "emu.inject":
-		key := attr(e, "key")
-		rate, _ := attrInt(e, "rate")
+	case obs.EvSched:
+		st.lane(e.Attr(obs.KeySwitch)).Planned = e.VT
+	case obs.EvEmuInject:
+		key := e.Attr(obs.KeyKey)
+		rate := e.AttrInt(obs.KeyRate)
 		st.inject[key] = append(st.inject[key], rateChange{tick: e.VT, rate: rate})
 		if rate > 0 {
-			st.source[key] = attr(e, "switch")
+			st.source[key] = e.Attr(obs.KeySwitch)
 		}
-	case "emu.rate":
+	case obs.EvEmuRate:
 		st.linkRate(e)
-	case "emu.overload":
+	case obs.EvEmuOverload:
 		st.emuOverloads = append(st.emuOverloads, CongestionViolation{
-			Link:  attr(e, "link"),
+			Link:  e.Attr(obs.KeyLink),
 			Start: e.VT,
 			End:   e.VT + e.Dur,
-			Peak:  mustInt(e, "peak"),
-			Cap:   mustInt(e, "cap"),
+			Peak:  e.AttrInt(obs.KeyPeak),
+			Cap:   e.AttrInt(obs.KeyCap),
 		})
-	case "emu.drop":
-		sw, key := attr(e, "switch"), attr(e, "key")
-		if attr(e, "reason") == "ttl_expired" {
+	case obs.EvEmuDrop:
+		sw, key := e.Attr(obs.KeySwitch), e.Attr(obs.KeyKey)
+		if e.Attr(obs.KeyReason) == "ttl_expired" {
 			st.ttlDrops++
 			if _, seen := st.ttlByKey[key]; !seen {
 				st.ttlByKey[key] = e.VT
@@ -170,11 +170,6 @@ func (st *state) ingest(e obs.Event) {
 			st.dropNoRule[[2]string{sw, key}] = e.VT
 		}
 	}
-}
-
-func mustInt(e obs.Event, k string) int64 {
-	v, _ := attrInt(e, k)
-	return v
 }
 
 // applyRule records a forwarding-table change and queues it for the
@@ -286,19 +281,19 @@ func joinCycle(parts []string) string {
 // independently recompute the link total, and track overload intervals
 // with the same open/close/blip semantics the emulator uses.
 func (st *state) linkRate(e obs.Event) {
-	label := attr(e, "link")
+	label := e.Attr(obs.KeyLink)
 	ls, ok := st.links[label]
 	if !ok {
-		ls = &linkState{cap: mustInt(e, "cap"), rates: make(map[string]int64)}
+		ls = &linkState{cap: e.AttrInt(obs.KeyCap), rates: make(map[string]int64)}
 		st.links[label] = ls
 	}
 	if from, to, ok := splitLink(label); ok {
-		if d, ok := attrInt(e, "delay"); ok && d > 0 {
+		if d, ok := e.LookupInt(obs.KeyDelay); ok && d > 0 {
 			st.delays[[2]string{from, to}] = d
 		}
 	}
-	key := attr(e, "key")
-	rate := mustInt(e, "rate")
+	key := e.Attr(obs.KeyKey)
+	rate := e.AttrInt(obs.KeyRate)
 	if rate == 0 {
 		delete(ls.rates, key)
 	} else {
@@ -308,7 +303,7 @@ func (st *state) linkRate(e obs.Event) {
 	for _, r := range ls.rates {
 		total += r
 	}
-	if reported, ok := attrInt(e, "total"); ok && reported != total {
+	if reported, ok := e.LookupInt(obs.KeyTotal); ok && reported != total {
 		st.note("link %s: reconstructed total %d disagrees with emulator total %d at tick %d", label, total, reported, e.VT)
 	}
 

@@ -37,34 +37,27 @@ type Flow struct {
 type Options struct {
 	// Start is the first tick of the whole batch.
 	Start dynflow.Tick
-	// Scheme names the per-flow scheduler in the scheme registry. Empty
-	// derives "chronus" or "chronus-fast" from Mode. The named scheme must
-	// produce a timed schedule for every flow (round-based and
-	// decision-only schemes cannot be sequentially composed).
+	// Scheme names the per-flow scheduler in the scheme registry (empty:
+	// "chronus"). The named scheme must produce a timed schedule for
+	// every flow (round-based and decision-only schemes cannot be
+	// sequentially composed).
 	Scheme string
-	// Mode selects the greedy acceptance mode when Scheme is empty (zero
-	// value: ModeExact).
-	Mode core.Mode
 	// Gap adds idle ticks between consecutive flows' updates on top of the
 	// computed drain spacing.
 	Gap dynflow.Tick
-	// Window caps how many flows SolveEach jointly composes in one
-	// coalescing window; flows beyond it are deferred (refused with a
-	// "deferred" reason) for the caller to resubmit on the next window.
-	// 0 means unbounded. Solve ignores it: an all-or-nothing batch has
-	// no partial-admission window to defer into.
-	Window int
 }
 
-// schemeName resolves the effective registry name.
-func (o Options) schemeName() string {
-	if o.Scheme != "" {
-		return o.Scheme
+// lookupScheme resolves the per-flow scheduler and its registry name.
+func (o Options) lookupScheme() (scheme.Scheme, string, error) {
+	name := o.Scheme
+	if name == "" {
+		name = "chronus"
 	}
-	if o.Mode == core.ModeFast {
-		return "chronus-fast"
+	s, err := scheme.Lookup(name)
+	if err != nil {
+		return nil, "", fmt.Errorf("batch: %w", err)
 	}
-	return "chronus"
+	return s, name, nil
 }
 
 // Plan is a scheduled batch.
@@ -95,10 +88,9 @@ var ErrInfeasible = core.ErrInfeasible
 // the sum of initial paths), and likewise the final configurations; Solve
 // verifies both before scheduling.
 func Solve(g *graph.Graph, flows []Flow, opts Options) (*Plan, error) {
-	name := opts.schemeName()
-	s, err := scheme.Lookup(name)
+	s, name, err := opts.lookupScheme()
 	if err != nil {
-		return nil, fmt.Errorf("batch: %w", err)
+		return nil, err
 	}
 	if len(flows) == 0 {
 		return &Plan{Report: &dynflow.JointReport{}}, nil
@@ -170,10 +162,6 @@ func compose(g *graph.Graph, flows []Flow, opts Options, s scheme.Scheme, name s
 type Refusal struct {
 	Flow   string `json:"flow"`
 	Reason string `json:"reason"`
-	// Deferred marks a flow refused only because the coalescing window
-	// was full — it is admissible as-is on a later window, unlike a flow
-	// refused for infeasibility or oversubscription.
-	Deferred bool `json:"deferred,omitempty"`
 }
 
 // SolveEach is Solve with per-flow admission: instead of failing the
@@ -185,38 +173,31 @@ type Refusal struct {
 // an earlier flow's schedule can stop validating once a newcomer's
 // initial-path load joins the residual accounting, and that refusal
 // must land on the newcomer — so the returned plan is violation-free
-// under the joint validator by construction. With Options.Window > 0
-// at most Window flows are admitted per call and the rest are deferred
-// for the next window.
+// under the joint validator by construction.
 func SolveEach(g *graph.Graph, flows []Flow, opts Options) (*Plan, []Refusal, error) {
-	name := opts.schemeName()
-	s, err := scheme.Lookup(name)
+	s, name, err := opts.lookupScheme()
 	if err != nil {
-		return nil, nil, fmt.Errorf("batch: %w", err)
+		return nil, nil, err
 	}
 	current := &Plan{Report: &dynflow.JointReport{}}
 	var admitted []Flow
 	var refusals []Refusal
-	refuse := func(f Flow, reason string, deferred bool) {
-		refusals = append(refusals, Refusal{Flow: f.Name, Reason: reason, Deferred: deferred})
+	refuse := func(f Flow, reason string) {
+		refusals = append(refusals, Refusal{Flow: f.Name, Reason: reason})
 	}
 	for _, f := range flows {
-		if opts.Window > 0 && len(admitted) >= opts.Window {
-			refuse(f, fmt.Sprintf("deferred: coalescing window full (%d flows)", opts.Window), true)
-			continue
-		}
 		candidate := append(append([]Flow{}, admitted...), f)
 		if err := checkSteadyState(g, candidate, false); err != nil {
-			refuse(f, fmt.Sprintf("initial configuration: %v", err), false)
+			refuse(f, fmt.Sprintf("initial configuration: %v", err))
 			continue
 		}
 		if err := checkSteadyState(g, candidate, true); err != nil {
-			refuse(f, fmt.Sprintf("final configuration: %v", err), false)
+			refuse(f, fmt.Sprintf("final configuration: %v", err))
 			continue
 		}
 		p, err := compose(g, candidate, opts, s, name)
 		if err != nil {
-			refuse(f, err.Error(), false)
+			refuse(f, err.Error())
 			continue
 		}
 		report, err := dynflow.ValidateJoint(p.Updates)
@@ -224,7 +205,7 @@ func SolveEach(g *graph.Graph, flows []Flow, opts Options) (*Plan, []Refusal, er
 			return nil, refusals, err
 		}
 		if !report.OK() {
-			refuse(f, fmt.Sprintf("joint validation with the admitted set fails: %s", report.Summary()), false)
+			refuse(f, fmt.Sprintf("joint validation with the admitted set fails: %s", report.Summary()))
 			continue
 		}
 		p.Report = report

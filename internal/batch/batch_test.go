@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/chronus-sdn/chronus/internal/core"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
 	"github.com/chronus-sdn/chronus/internal/graph"
 	"github.com/chronus-sdn/chronus/internal/scheme"
@@ -100,7 +99,7 @@ func TestBatchEmpty(t *testing.T) {
 
 func TestBatchGapAndMode(t *testing.T) {
 	g, flows := twoFlowNet(t)
-	plan, err := Solve(g, flows, Options{Gap: 25, Mode: core.ModeFast})
+	plan, err := Solve(g, flows, Options{Gap: 25, Scheme: "chronus-fast"})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -180,7 +179,7 @@ func TestBatchRandomJointClean(t *testing.T) {
 			{Name: "fa", Demand: inA.Demand, Init: inA.Init, Fin: inA.Fin},
 			{Name: "fb", Demand: inB.Demand, Init: offsetNames(inB.Init, idMap), Fin: offsetNames(inB.Fin, idMap)},
 		}
-		plan, err := Solve(g, flows, Options{Mode: core.ModeFast})
+		plan, err := Solve(g, flows, Options{Scheme: "chronus-fast"})
 		if err != nil {
 			continue // per-flow infeasibility is fine
 		}
@@ -311,8 +310,8 @@ func TestSolveEachRefusesPerFlow(t *testing.T) {
 	if len(plan.Updates) != 2 || !plan.Report.OK() {
 		t.Fatalf("admitted %d updates (report ok=%v), want the 2 good flows", len(plan.Updates), plan.Report.OK())
 	}
-	if len(refusals) != 1 || refusals[0].Flow != "hog" || refusals[0].Deferred {
-		t.Fatalf("refusals = %+v, want one non-deferred refusal of hog", refusals)
+	if len(refusals) != 1 || refusals[0].Flow != "hog" {
+		t.Fatalf("refusals = %+v, want one refusal of hog", refusals)
 	}
 	if refusals[0].Reason == "" {
 		t.Fatal("refusal carries no reason")
@@ -339,26 +338,5 @@ func TestSolveEachRefusalLandsOnNewcomer(t *testing.T) {
 	}
 	if len(refusals) != 1 || refusals[0].Flow != "f1-clone" {
 		t.Fatalf("refusals = %+v, want f1-clone refused", refusals)
-	}
-}
-
-// TestSolveEachWindowDefers: flows beyond the coalescing window are
-// deferred — marked resubmittable — not refused for cause.
-func TestSolveEachWindowDefers(t *testing.T) {
-	g, flows := twoFlowNet(t)
-	plan, refusals, err := SolveEach(g, flows, Options{Window: 1})
-	if err != nil {
-		t.Fatalf("SolveEach: %v", err)
-	}
-	if len(plan.Updates) != 1 {
-		t.Fatalf("admitted %d flows with window 1", len(plan.Updates))
-	}
-	if len(refusals) != 1 || !refusals[0].Deferred {
-		t.Fatalf("refusals = %+v, want one deferred", refusals)
-	}
-	// The deferred flow is admissible as-is on the next window.
-	plan2, refusals2, err := SolveEach(g, []Flow{flows[1]}, Options{Window: 1})
-	if err != nil || len(plan2.Updates) != 1 || len(refusals2) != 0 {
-		t.Fatalf("resubmission of deferred flow: %v %d updates %d refusals", err, len(plan2.Updates), len(refusals2))
 	}
 }

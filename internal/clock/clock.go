@@ -23,7 +23,6 @@ package clock
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -150,8 +149,8 @@ func (e *Estimator) Cursor() uint64 {
 	return e.cursor
 }
 
-// Observe folds a batch of trace events (as returned by
-// Tracer.Events(estimator.Cursor())) into the windows. It consumes
+// Observe folds a batch of trace events (the page after
+// estimator.Cursor()) into the windows. It consumes
 // sw.apply point events (fire-skew samples) and the ctl.send/sw.barrier
 // span pairs of barrier round trips (latency samples); everything else
 // only moves the cursor.
@@ -166,7 +165,7 @@ func (e *Estimator) Observe(events []obs.Event) {
 			e.cursor = ev.Seq
 		}
 		switch ev.Name {
-		case "sw.apply":
+		case obs.EvSwApply:
 			e.observeApply(ev)
 		case obs.SpanEventName:
 			e.observeSpan(ev)
@@ -177,23 +176,9 @@ func (e *Estimator) Observe(events []obs.Event) {
 // observeApply folds one fire-skew sample. The sw.apply point event
 // carries the switch, the signed skew and the requested tick.
 func (e *Estimator) observeApply(ev obs.Event) {
-	var sw string
-	var skew, at int64
-	var haveSkew, haveAt bool
-	for _, a := range ev.Attrs {
-		switch a.K {
-		case "switch":
-			sw = a.V
-		case "skew":
-			if v, err := strconv.ParseInt(a.V, 10, 64); err == nil {
-				skew, haveSkew = v, true
-			}
-		case "at":
-			if v, err := strconv.ParseInt(a.V, 10, 64); err == nil {
-				at, haveAt = v, true
-			}
-		}
-	}
+	sw := ev.Attr(obs.KeySwitch)
+	skew, haveSkew := ev.LookupInt(obs.KeySkew)
+	at, haveAt := ev.LookupInt(obs.KeyAt)
 	if sw == "" || !haveSkew || !haveAt {
 		return
 	}
@@ -204,22 +189,10 @@ func (e *Estimator) observeApply(ev obs.Event) {
 // sw.barrier span carrying the same xid; the virtual-time difference is
 // a one-way control latency sample.
 func (e *Estimator) observeSpan(ev obs.Event) {
-	var op, sw, xid, kind string
-	for _, a := range ev.Attrs {
-		switch a.K {
-		case "op":
-			op = a.V
-		case "switch":
-			sw = a.V
-		case "xid":
-			xid = a.V
-		case "kind":
-			kind = a.V
-		}
-	}
-	switch op {
-	case "ctl.send":
-		if kind != "barrier" || xid == "" || sw == "" {
+	switch ev.Attr(obs.KeyOp) {
+	case obs.OpCtlSend:
+		xid, sw := ev.Attr(obs.KeyXid), ev.Attr(obs.KeySwitch)
+		if ev.Attr(obs.KeyKind) != "barrier" || xid == "" || sw == "" {
 			return
 		}
 		if len(e.pending) >= maxPending {
@@ -228,10 +201,8 @@ func (e *Estimator) observeSpan(ev obs.Event) {
 			e.pending = map[string]pendingSend{}
 		}
 		e.pending[xid] = pendingSend{sw: sw, vt: ev.VT}
-	case "sw.barrier":
-		if xid == "" {
-			return
-		}
+	case obs.EvSwBarrier:
+		xid := ev.Attr(obs.KeyXid) // "" is never pending
 		snd, ok := e.pending[xid]
 		if !ok {
 			return

@@ -264,8 +264,8 @@ func (c *Controller) sessionClosed(id graph.NodeID, s Session, err error) {
 	cb := c.opts.OnDisconnect
 	c.mu.Unlock()
 	if c.opts.Trace != nil {
-		c.opts.Trace.Point(int64(c.h.Now()), "ctl.disconnect",
-			obs.A("switch", c.h.G.Name(id)), obs.A("err", err.Error()))
+		c.opts.Trace.Point(int64(c.h.Now()), obs.EvCtlDisconnect,
+			obs.A(obs.KeySwitch, c.h.G.Name(id)), obs.A("err", err.Error()))
 	}
 	if cb != nil {
 		cb(id, err)
@@ -444,22 +444,22 @@ func (c *Controller) send(id graph.NodeID, m ofp.Msg) (uint32, error) {
 					next = c.h.G.Name(graph.NodeID(v.NextHop))
 				}
 			}
-			c.opts.Trace.Point(int64(c.h.Now()), "ctl.flowmod",
-				obs.A("switch", c.h.G.Name(id)), obs.A("at", v.ExecuteAt),
-				obs.A("key", fmt.Sprintf("%s/%d", v.Flow, v.Tag)), obs.A("next", next))
+			c.opts.Trace.Point(int64(c.h.Now()), obs.EvCtlFlowMod,
+				obs.A(obs.KeySwitch, c.h.G.Name(id)), obs.A(obs.KeyAt, v.ExecuteAt),
+				obs.A(obs.KeyKey, fmt.Sprintf("%s/%d", v.Flow, v.Tag)), obs.A(obs.KeyNext, next))
 			// The send span's xid is what stitches the switch-side half
 			// of this round-trip (sw.recv/sw.apply) into the tree.
 			now := int64(c.h.Now())
-			c.opts.Trace.EmitSpan("ctl.send", c.curSpan(), now, now,
-				obs.A("switch", c.h.G.Name(id)), obs.A("xid", x),
-				obs.A("kind", "flowmod"), obs.A("at", v.ExecuteAt))
+			c.opts.Trace.EmitSpan(obs.OpCtlSend, c.curSpan(), now, now,
+				obs.A(obs.KeySwitch, c.h.G.Name(id)), obs.A(obs.KeyXid, x),
+				obs.A(obs.KeyKind, "flowmod"), obs.A(obs.KeyAt, v.ExecuteAt))
 		}
 	case *ofp.BarrierRequest:
 		if c.opts.Trace != nil {
 			now := int64(c.h.Now())
-			c.opts.Trace.EmitSpan("ctl.send", c.curSpan(), now, now,
-				obs.A("switch", c.h.G.Name(id)), obs.A("xid", x),
-				obs.A("kind", "barrier"))
+			c.opts.Trace.EmitSpan(obs.OpCtlSend, c.curSpan(), now, now,
+				obs.A(obs.KeySwitch, c.h.G.Name(id)), obs.A(obs.KeyXid, x),
+				obs.A(obs.KeyKind, "barrier"))
 		}
 	case *ofp.StatsRequest:
 		c.met.statsPolls.Inc()
@@ -546,8 +546,8 @@ func checkErrors(replies map[uint32]ofp.Msg) error {
 func (c *Controller) Barrier(ids ...graph.NodeID) error {
 	start := c.h.Now()
 	c.met.barriers.Inc()
-	sp := c.opts.Trace.StartSpan(int64(start), "ctl.barrier", c.curSpan(),
-		obs.A("switches", len(ids)))
+	sp := c.opts.Trace.StartSpan(int64(start), obs.OpCtlBarrier, c.curSpan(),
+		obs.A(obs.KeySwitches, len(ids)))
 	c.pushSpan(sp.SpanID())
 	xids := make([]uint32, 0, len(ids))
 	for _, id := range ids {

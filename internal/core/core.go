@@ -97,25 +97,6 @@ func snapshotNext(in *dynflow.Instance, s *dynflow.Schedule, v graph.NodeID, t d
 	return dynflow.NextHopAt(in, s, v, t)
 }
 
-// activePath returns the path currently taken by freshly emitted flow under
-// the configuration at tick t, stopping at the destination or when a cycle
-// in the static configuration is hit (in which case the returned path ends
-// at the first repeated switch).
-func activePath(in *dynflow.Instance, s *dynflow.Schedule, t dynflow.Tick) graph.Path {
-	var p graph.Path
-	seen := make(map[graph.NodeID]bool, in.G.NumNodes())
-	cur := in.Source()
-	for cur != graph.Invalid && !seen[cur] {
-		p = append(p, cur)
-		seen[cur] = true
-		if cur == in.Dest() {
-			break
-		}
-		cur = snapshotNext(in, s, cur, t)
-	}
-	return p
-}
-
 // autoMaxTicks derives a generous scheduling horizon: every switch may need
 // to wait for a full drain of in-flight traffic, and a trace visits each
 // switch at most once with bounded per-hop delay.

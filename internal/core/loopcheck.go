@@ -26,12 +26,20 @@ import (
 // units on the active path; ModeExact additionally re-validates, covering
 // in-flight units that crossed earlier flips, while ModeFast defers updates
 // of switches still receiving draining traffic (see fastState).
+//
+// TreeFeasible decides with this walk. The greedy engines ask loopChecker
+// instead, which agrees on every switch of the active path but lets a
+// switch off it redirect into a route that leads back to itself, so the
+// two are not interchangeable: Algorithm 1 run over loopChecker changes
+// verdicts (TestLoopCheckerAgainstLoopFree has the numbers).
 func LoopFree(in *dynflow.Instance, s *dynflow.Schedule, v graph.NodeID, t dynflow.Tick) bool {
-	return loopFreeOnPath(in, s, activePath(in, s, t), v, t)
+	ws := getWorkspace(in.G.NumNodes())
+	defer putWorkspace(ws)
+	return loopFreeOnPath(in, s, activePathInto(nil, in, s, t, ws), v, t)
 }
 
 // loopFreeOnPath is LoopFree with the snapshot active path precomputed;
-// the greedy inner loop calls it once per candidate without re-walking the
+// TreeFeasible calls it once per candidate without re-walking the
 // configuration.
 func loopFreeOnPath(in *dynflow.Instance, s *dynflow.Schedule, cur graph.Path, v graph.NodeID, t dynflow.Tick) bool {
 	w := in.NewNext(v)

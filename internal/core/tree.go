@@ -58,15 +58,21 @@ func TreeFeasible(in *dynflow.Instance) (bool, []graph.NodeID, error) {
 	step := dynflow.Tick(in.G.NumNodes())*dynflow.Tick(sigma) + 1
 	now := dynflow.Tick(0)
 
+	ws := getWorkspace(in.G.NumNodes())
+	defer putWorkspace(ws)
 	pending := in.UpdateSet()
 	var order []graph.NodeID
 	for len(pending) > 0 {
 		progressed := false
+		// The configuration only changes when a switch is accepted, which
+		// ends the pass: one active path serves every candidate of it.
+		cur := activePathInto(ws.pathA[:0], in, s, now, ws)
+		ws.pathA = cur
 		for i, v := range pending {
-			if !LoopFree(in, s, v, now) {
+			if !loopFreeOnPath(in, s, cur, v, now) {
 				continue
 			}
-			if !crossingSafe(in, s, v, now) {
+			if !crossingSafe(in, s, cur, v, now) {
 				continue
 			}
 			now += step
@@ -84,9 +90,9 @@ func TreeFeasible(in *dynflow.Instance) (bool, []graph.NodeID, error) {
 }
 
 // crossingSafe checks the congestion conditions (a)/(b) described on
-// TreeFeasible for updating v under the configuration in force at tick now.
-func crossingSafe(in *dynflow.Instance, s *dynflow.Schedule, v graph.NodeID, now dynflow.Tick) bool {
-	cur := activePath(in, s, now)
+// TreeFeasible for updating v under the configuration in force at tick
+// now, whose active path is cur.
+func crossingSafe(in *dynflow.Instance, s *dynflow.Schedule, cur graph.Path, v graph.NodeID, now dynflow.Tick) bool {
 	iv := cur.Index(v)
 	if iv < 0 {
 		// v carries no fresh traffic: flipping its rule affects nobody

@@ -140,8 +140,8 @@ func (ws *workspace) resetSleep() {
 
 // activePathInto appends the path taken by freshly emitted flow under the
 // configuration at tick t to p (normally a recycled buffer sliced to zero),
-// stopping at the destination or the first repeated switch. It is the
-// workspace-backed equivalent of activePath.
+// stopping at the destination or the first repeated switch (where a cycle
+// in the static configuration closes).
 func activePathInto(p graph.Path, in *dynflow.Instance, s *dynflow.Schedule, t dynflow.Tick, ws *workspace) graph.Path {
 	ws.seenGen++
 	cur := in.Source()

@@ -208,6 +208,17 @@ func (s *Schedule) Time(v graph.NodeID) (Tick, bool) {
 	return t, ok
 }
 
+// Shifted returns a copy of s re-based to begin at start: every update
+// keeps its offset from Start, so relative timing (and hence slack) is
+// unchanged.
+func (s *Schedule) Shifted(start Tick) *Schedule {
+	out := NewSchedule(start)
+	for v, tv := range s.Times {
+		out.Set(v, start+(tv-s.Start))
+	}
+	return out
+}
+
 // End returns the latest scheduled tick, or Start when nothing is scheduled.
 func (s *Schedule) End() Tick {
 	end := s.Start

@@ -119,9 +119,9 @@ func (n *Network) Inject(src graph.NodeID, key FlowKey, rate Rate) {
 		// The injection record is what lets a trace consumer (the audit
 		// package) replay emissions: which switch sources the key, at what
 		// rate, from which tick.
-		n.trace.Point(int64(n.K.Now()), "emu.inject",
-			obs.A("switch", sw.Name()), obs.A("key", key.String()),
-			obs.A("rate", int64(rate)))
+		n.trace.Point(int64(n.K.Now()), obs.EvEmuInject,
+			obs.A(obs.KeySwitch, sw.Name()), obs.A(obs.KeyKey, key.String()),
+			obs.A(obs.KeyRate, int64(rate)))
 	}
 	sw.setInput(hostPort, key, DefaultTTL, rate)
 }

@@ -139,13 +139,13 @@ func (l *Link) setContribution(now sim.Time, key FlowKey, ttl int, rate Rate) {
 		for _, r := range l.contrib[key] {
 			keyRate += r
 		}
-		l.net.trace.Point(int64(now), "emu.rate",
-			obs.A("link", l.net.G.Name(l.spec.From)+">"+l.net.G.Name(l.spec.To)),
-			obs.A("key", key.String()),
-			obs.A("rate", int64(keyRate)),
-			obs.A("total", int64(l.total)),
-			obs.A("cap", int64(l.spec.Cap)),
-			obs.A("delay", int64(l.spec.Delay)))
+		l.net.trace.Point(int64(now), obs.EvEmuRate,
+			obs.A(obs.KeyLink, l.net.G.Name(l.spec.From)+">"+l.net.G.Name(l.spec.To)),
+			obs.A(obs.KeyKey, key.String()),
+			obs.A(obs.KeyRate, int64(keyRate)),
+			obs.A(obs.KeyTotal, int64(l.total)),
+			obs.A(obs.KeyCap, int64(l.spec.Cap)),
+			obs.A(obs.KeyDelay, int64(l.spec.Delay)))
 	}
 }
 

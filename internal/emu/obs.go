@@ -47,9 +47,9 @@ func (n *Network) SetObs(r *obs.Registry, tr *obs.Tracer) {
 func (n *Network) overloadClosed(l *Link, start, end sim.Time, peak Rate) {
 	n.met.overloads.Inc()
 	if n.trace != nil {
-		n.trace.Span("emu.overload", int64(start), int64(end),
-			obs.A("link", n.G.Name(l.From())+">"+n.G.Name(l.To())),
-			obs.A("peak", int64(peak)), obs.A("cap", int64(l.Capacity())))
+		n.trace.Span(obs.EvEmuOverload, int64(start), int64(end),
+			obs.A(obs.KeyLink, n.G.Name(l.From())+">"+n.G.Name(l.To())),
+			obs.A(obs.KeyPeak, int64(peak)), obs.A(obs.KeyCap, int64(l.Capacity())))
 	}
 }
 
@@ -61,9 +61,9 @@ func (n *Network) dropStarted(sw *Switch, now sim.Time, key FlowKey, reason Miss
 		n.met.dropNoRule.Inc()
 	}
 	if n.trace != nil {
-		n.trace.Point(int64(now), "emu.drop",
-			obs.A("switch", sw.Name()), obs.A("key", key.String()),
-			obs.A("reason", missReasonString(reason)))
+		n.trace.Point(int64(now), obs.EvEmuDrop,
+			obs.A(obs.KeySwitch, sw.Name()), obs.A(obs.KeyKey, key.String()),
+			obs.A(obs.KeyReason, missReasonString(reason)))
 	}
 }
 

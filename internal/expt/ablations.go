@@ -213,7 +213,7 @@ func AblationExecutionMode(cfg Config) ([]ExecModePoint, error) {
 	run := func(label string, exec executor) (ExecModePoint, error) {
 		in := topo.EmulationTopo()
 		h := controller.NewHarness(in.G)
-		c := controller.New(h, controller.Options{Seed: cfg.Seed, MinLatency: 1, MaxLatency: 8})
+		c := controller.New(h, controller.Options{Seed: cfg.Seed})
 		c.AttachAll(nil)
 		f := controller.FlowSpec{Name: "agg", Tag: 0, Path: in.Init, Rate: emu.Rate(in.Demand)}
 		if err := c.Provision(f); err != nil {

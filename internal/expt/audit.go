@@ -14,16 +14,13 @@ import (
 // timed FlowMods (mirrors cmd/mutp's trace headroom).
 const auditHeadroom = 50
 
-// auditedExecution executes schedule s for the context's instance on a
-// fresh emulated testbed with a deterministic tracer attached, and returns
-// the runtime auditor's report over the recorded events. The drain horizon
-// comes from the shared instance context instead of being rederived per
-// execution. The testbed's only randomness is the controller's seeded
-// latency model, so for a fixed seed the report is identical run to run —
-// the audit columns of Fig. 7 stay byte-deterministic at every worker
-// count.
-func auditedExecution(ctx *instCtx, s *dynflow.Schedule, seed int64) (*audit.Report, error) {
-	in := ctx.in
+// auditedExecution executes schedule s for instance in on a fresh
+// emulated testbed with a deterministic tracer attached, and returns the
+// runtime auditor's report over the recorded events. The testbed's only
+// randomness is the controller's seeded latency model, so for a fixed
+// seed the report is identical run to run — the audit columns of Fig. 7
+// and of the soak stay byte-deterministic at every worker count.
+func auditedExecution(in *dynflow.Instance, s *dynflow.Schedule, seed int64) (*audit.Report, error) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(obs.TracerOptions{})
 	tb := controller.NewHarness(in.G)
@@ -38,11 +35,11 @@ func auditedExecution(ctx *instCtx, s *dynflow.Schedule, seed int64) (*audit.Rep
 	tb.AdvanceBy(auditHeadroom)
 
 	start := dynflow.Tick(tb.Now()) + auditHeadroom
-	shifted := shiftSchedule(s, start)
+	shifted := s.Shifted(start)
 	if err := ctl.ExecuteTimed(in, shifted, flow); err != nil {
 		return nil, err
 	}
-	drain := sim.Time(ctx.pathDelay) + 10
+	drain := sim.Time(in.Init.Delay(in.G)+in.Fin.Delay(in.G)) + 10
 	tb.AdvanceTo(sim.Time(shifted.End()) + drain)
 
 	a := audit.New()

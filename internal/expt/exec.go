@@ -7,22 +7,18 @@ import (
 	"github.com/chronus-sdn/chronus/internal/baseline"
 	"github.com/chronus-sdn/chronus/internal/controller"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
-	"github.com/chronus-sdn/chronus/internal/graph"
 	"github.com/chronus-sdn/chronus/internal/scheme"
 	"github.com/chronus-sdn/chronus/internal/topo"
 )
 
 // instCtx is the shared per-instance context of the quality and timing
 // experiments: the random instance plus the steady-state quantities every
-// scheme at that (size, run, instance) point reuses — the update set and
-// the two path delays are computed once here instead of once per scheme.
+// scheme at that (size, run, instance) point reuses — the update set is
+// computed once here instead of once per scheme.
 type instCtx struct {
 	in *dynflow.Instance
 	// updates is |update set|: the switches whose rules change.
 	updates int
-	// pathDelay is the steady-state end-to-end delay of the initial plus
-	// the final path — the drain horizon the audited executions wait out.
-	pathDelay graph.Delay
 }
 
 // newInstCtx draws one random instance from rng and precomputes its shared
@@ -31,9 +27,8 @@ type instCtx struct {
 func newInstCtx(rng *rand.Rand, p topo.RandomParams) *instCtx {
 	in := topo.RandomInstance(rng, p)
 	return &instCtx{
-		in:        in,
-		updates:   len(in.UpdateSet()),
-		pathDelay: in.Init.Delay(in.G) + in.Fin.Delay(in.G),
+		in:      in,
+		updates: len(in.UpdateSet()),
 	}
 }
 
@@ -61,16 +56,6 @@ func resolveCast(cast []schemeRun) ([]schemeRun, error) {
 	return cast, nil
 }
 
-// shiftSchedule re-bases a relative schedule so its first allowed
-// activation is start.
-func shiftSchedule(s *dynflow.Schedule, start dynflow.Tick) *dynflow.Schedule {
-	out := dynflow.NewSchedule(start)
-	for v, tv := range s.Times {
-		out.Set(v, start+(tv-s.Start))
-	}
-	return out
-}
-
 // executor drives one update strategy onto an emulated testbed: plan (via
 // a registry scheme, where planning applies) and execute. The emulation
 // experiments iterate executors the way the analytic ones iterate scheme
@@ -88,7 +73,7 @@ func timedExecutor(name string, start dynflow.Tick) executor {
 		if res.Schedule == nil {
 			return fmt.Errorf("scheme %q produced no timed schedule", name)
 		}
-		return c.ExecuteTimed(in, shiftSchedule(res.Schedule, start), f)
+		return c.ExecuteTimed(in, res.Schedule.Shifted(start), f)
 	}
 }
 
@@ -104,7 +89,7 @@ func pacedExecutor(name string) executor {
 		if res.Schedule == nil {
 			return fmt.Errorf("scheme %q produced no timed schedule", name)
 		}
-		return c.ExecuteBarrierPaced(in, shiftSchedule(res.Schedule, 0), f, 1)
+		return c.ExecuteBarrierPaced(in, res.Schedule.Shifted(0), f, 1)
 	}
 }
 

@@ -171,7 +171,7 @@ func qualityRun(cfg Config, n, run int) (qualityTally, error) {
 		if k == 0 {
 			execSeed := int64(n)*100_003 + int64(run)
 			if timed != nil && !timed.BestEffort {
-				rep, err := auditedExecution(ctx, timed.Schedule, execSeed)
+				rep, err := auditedExecution(ctx.in, timed.Schedule, execSeed)
 				if err != nil {
 					return t, err
 				}
@@ -184,7 +184,7 @@ func qualityRun(cfg Config, n, run int) (qualityTally, error) {
 			if err != nil {
 				return t, err
 			}
-			rep, err := auditedExecution(ctx, oneShot.Schedule, execSeed+1)
+			rep, err := auditedExecution(ctx.in, oneShot.Schedule, execSeed+1)
 			if err != nil {
 				return t, err
 			}

@@ -123,7 +123,7 @@ func SkewAdversary(cfg Config) ([]SkewAdvPoint, error) {
 		}
 		now := int64(tb.Now())
 		start := dynflow.Tick(now) + auditHeadroom
-		shifted := shiftSchedule(res.Schedule, start)
+		shifted := res.Schedule.Shifted(start)
 		plan := health.Plan{Kind: "timed", Valid: true, StartTick: now}
 		for _, sl := range core.ScheduleSlack(in, res.Schedule) {
 			plan.Switches = append(plan.Switches, health.PlanSwitch{

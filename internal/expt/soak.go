@@ -6,15 +6,11 @@ import (
 	"time"
 
 	"github.com/chronus-sdn/chronus/internal/admit"
-	"github.com/chronus-sdn/chronus/internal/audit"
 	"github.com/chronus-sdn/chronus/internal/batch"
-	"github.com/chronus-sdn/chronus/internal/controller"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
-	"github.com/chronus-sdn/chronus/internal/emu"
 	"github.com/chronus-sdn/chronus/internal/graph"
 	"github.com/chronus-sdn/chronus/internal/metrics"
 	"github.com/chronus-sdn/chronus/internal/obs"
-	"github.com/chronus-sdn/chronus/internal/sim"
 	"github.com/chronus-sdn/chronus/internal/topo"
 )
 
@@ -267,7 +263,7 @@ func soakAudit(cfg Config, g *graph.Graph, e *admit.Engine, reqs map[uint64]admi
 		}
 		req := reqs[id]
 		in := &dynflow.Instance{G: g, Demand: req.Demand, Init: req.Init, Fin: req.Fin}
-		report, err := soakAuditedExecution(in, s, cfg.Seed+int64(id))
+		report, err := auditedExecution(in, s, cfg.Seed+int64(id))
 		if err != nil {
 			return fmt.Errorf("soak: audited execution of update %d: %w", id, err)
 		}
@@ -275,36 +271,6 @@ func soakAudit(cfg Config, g *graph.Graph, e *admit.Engine, reqs map[uint64]admi
 		res.AuditViolations += report.Violations()
 	}
 	return nil
-}
-
-// soakAuditedExecution runs one schedule on an emulated testbed built
-// over the soak graph and returns the runtime auditor's report, exactly
-// like the Fig. 7 audit column but on the merged topology.
-func soakAuditedExecution(in *dynflow.Instance, s *dynflow.Schedule, seed int64) (*audit.Report, error) {
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(obs.TracerOptions{})
-	tb := controller.NewHarness(in.G)
-	tb.Net.SetObs(reg, tracer)
-	ctl := controller.New(tb, controller.Options{Seed: seed, Obs: reg, Trace: tracer})
-	ctl.AttachAll(nil)
-
-	flow := controller.FlowSpec{Name: "f", Tag: 0, Path: in.Init, Rate: emu.Rate(in.Demand)}
-	if err := ctl.Provision(flow); err != nil {
-		return nil, err
-	}
-	tb.AdvanceBy(auditHeadroom)
-
-	start := dynflow.Tick(tb.Now()) + auditHeadroom
-	shifted := shiftSchedule(s, start)
-	if err := ctl.ExecuteTimed(in, shifted, flow); err != nil {
-		return nil, err
-	}
-	drain := sim.Time(in.Init.Delay(in.G)+in.Fin.Delay(in.G)) + 10
-	tb.AdvanceTo(sim.Time(shifted.End()) + drain)
-
-	a := audit.New()
-	a.Feed(tracer.Events(0)...)
-	return a.Report(), nil
 }
 
 // soakThroughput times SoakRepeats rounds of one-update-per-pod — fully

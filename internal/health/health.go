@@ -21,7 +21,6 @@ package health
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -347,8 +346,8 @@ func (e *Engine) Cursor() uint64 {
 	return e.cursor
 }
 
-// Observe folds a batch of trace events (as returned by
-// Tracer.Events(engine.Cursor())) into the margins. It consumes
+// Observe folds a batch of trace events (the page after
+// engine.Cursor()) into the margins. It consumes
 // sw.apply fire skews and ctl.disconnect events; everything else only
 // moves the cursor.
 func (e *Engine) Observe(events []obs.Event) {
@@ -362,20 +361,12 @@ func (e *Engine) Observe(events []obs.Event) {
 			e.cursor = ev.Seq
 		}
 		switch ev.Name {
-		case "sw.apply":
-			var sw string
-			var skew int64
-			for _, a := range ev.Attrs {
-				switch a.K {
-				case "switch":
-					sw = a.V
-				case "skew":
-					skew, _ = strconv.ParseInt(a.V, 10, 64)
-				}
-			}
+		case obs.EvSwApply:
+			sw := ev.Attr(obs.KeySwitch)
 			if sw == "" {
 				continue
 			}
+			skew := ev.AttrInt(obs.KeySkew)
 			if skew < 0 {
 				skew = -skew
 			}
@@ -391,7 +382,7 @@ func (e *Engine) Observe(events []obs.Event) {
 			if p, ok := e.slack[sw]; ok {
 				e.reg.Gauge(fmt.Sprintf("chronus_slack_margin_ticks{switch=%q}", sw)).Set(p.SlackTicks - e.windowedSkew(sw))
 			}
-		case "ctl.disconnect":
+		case obs.EvCtlDisconnect:
 			e.disconnects++
 		}
 	}

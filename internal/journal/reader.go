@@ -1,12 +1,9 @@
 package journal
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"github.com/chronus-sdn/chronus/internal/obs"
 )
@@ -28,7 +25,7 @@ type ReadStats struct {
 
 // Replay streams every complete event with Seq > since, in segment
 // order, through fn; fn returning an error aborts the replay with that
-// error. The reader applies the same tolerance contract as
+// error (wrapped with the segment path). The reader applies the same tolerance contract as
 // `mutp -audit-from`: a malformed final line of a segment that is
 // missing its terminating newline is a torn mid-write tail — it is
 // counted, warned about and skipped — while corruption anywhere
@@ -83,42 +80,21 @@ func ReadAll(dir string, since uint64) ([]obs.Event, ReadStats, error) {
 	return out, stats, err
 }
 
-// replaySegment reads one segment file line by line, decoding through
-// the shared codec, with the torn-tail tolerance described on Replay.
+// replaySegment reads one segment file through the shared line reader,
+// with the torn-tail tolerance described on Replay.
 func replaySegment(path string, stats *ReadStats, fn func(obs.Event) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64*1024)
-	line := 0
-	for {
-		text, rerr := br.ReadString('\n')
-		if rerr != nil && rerr != io.EOF {
-			return fmt.Errorf("%s: %w", path, rerr)
-		}
-		atEOF := rerr == io.EOF
-		if text != "" {
-			line++
-			if t := strings.TrimSpace(text); t != "" {
-				e, derr := obs.DecodeJSONLine([]byte(t))
-				switch {
-				case derr == nil:
-					if err := fn(e); err != nil {
-						return err
-					}
-				case atEOF && !strings.HasSuffix(text, "\n"):
-					stats.Torn++
-					stats.Warnings = append(stats.Warnings, fmt.Sprintf(
-						"%s: line %d: ignoring torn trailing line: %v", filepath.Base(path), line, derr))
-				default:
-					return fmt.Errorf("journal: %s: line %d: %w", path, line, derr)
-				}
-			}
-		}
-		if atEOF {
-			return nil
-		}
+	torn, err := obs.ReadJSONL(f, true, fn)
+	if err != nil {
+		return fmt.Errorf("journal: %s: %w", path, err)
 	}
+	if torn != "" {
+		stats.Torn++
+		stats.Warnings = append(stats.Warnings, filepath.Base(path)+": "+torn)
+	}
+	return nil
 }

@@ -295,36 +295,42 @@ func TestTracerDropsCounter(t *testing.T) {
 	}
 }
 
+// page is one PageStats read, unpacked the way paging clients use it.
+func page(tr *Tracer, since uint64, limit int) ([]Event, uint64) {
+	ps := tr.PageStats(since, limit)
+	return ps.Events, ps.Next
+}
+
 func TestTracerPage(t *testing.T) {
 	tr := NewTracer(TracerOptions{Cap: 16})
 	for i := 0; i < 10; i++ {
 		tr.Point(int64(i), fmt.Sprintf("e%d", i))
 	}
-	page1, next := tr.Page(0, 4)
+	page1, next := page(tr, 0, 4)
 	if len(page1) != 4 || page1[0].Seq != 1 || next != 4 {
 		t.Fatalf("page1 = %+v next = %d", page1, next)
 	}
-	page2, next := tr.Page(next, 4)
+	page2, next := page(tr, next, 4)
 	if len(page2) != 4 || page2[0].Seq != 5 || next != 8 {
 		t.Fatalf("page2 = %+v next = %d", page2, next)
 	}
-	page3, next := tr.Page(next, 4)
+	page3, next := page(tr, next, 4)
 	if len(page3) != 2 || page3[1].Seq != 10 || next != 10 {
 		t.Fatalf("page3 = %+v next = %d", page3, next)
 	}
 	// Exhausted: the cursor stays put and the page is empty.
-	page4, next := tr.Page(next, 4)
+	page4, next := page(tr, next, 4)
 	if len(page4) != 0 || next != 10 {
 		t.Fatalf("page4 = %+v next = %d", page4, next)
 	}
 	// limit <= 0 means everything.
-	all, _ := tr.Page(0, 0)
+	all, _ := page(tr, 0, 0)
 	if len(all) != 10 {
 		t.Fatalf("unbounded page = %d events, want 10", len(all))
 	}
 	// Nil tracer is a no-op.
 	var nilTr *Tracer
-	if evs, next := nilTr.Page(3, 5); evs != nil || next != 3 {
+	if evs, next := page(nilTr, 3, 5); evs != nil || next != 3 {
 		t.Fatalf("nil tracer page = %v, %d", evs, next)
 	}
 }

@@ -26,7 +26,7 @@ const SpanEventName = "span"
 const (
 	spanAttrID     = "span"
 	spanAttrParent = "parent"
-	spanAttrOp     = "op"
+	spanAttrOp     = KeyOp
 )
 
 // SpanCtx is an in-flight span. It is created by StartSpan and records
@@ -114,12 +114,8 @@ type SpanNode struct {
 
 // Attr returns the value of the named user attribute, "" if absent.
 func (n *SpanNode) Attr(key string) string {
-	for _, a := range n.Attrs {
-		if a.K == key {
-			return a.V
-		}
-	}
-	return ""
+	v, _ := lookup(n.Attrs, key)
+	return v
 }
 
 // Walk visits n and every descendant in deterministic (sorted) order.
@@ -173,14 +169,14 @@ func BuildSpanForest(events []Event) []*SpanNode {
 		byID[n.ID] = n
 		nodes = append(nodes, n)
 		if strings.HasPrefix(n.Op, "ctl.") {
-			if xid := n.Attr("xid"); xid != "" {
+			if xid := n.Attr(KeyXid); xid != "" {
 				ctlByXid[xid] = n.ID
 			}
 		}
 	}
 	for _, n := range nodes {
 		if n.Parent == 0 && strings.HasPrefix(n.Op, "sw.") {
-			if xid := n.Attr("xid"); xid != "" {
+			if xid := n.Attr(KeyXid); xid != "" {
 				if pid, ok := ctlByXid[xid]; ok && pid != n.ID {
 					n.Parent = pid
 				}

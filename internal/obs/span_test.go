@@ -160,7 +160,7 @@ func TestTracerPageWhileDropping(t *testing.T) {
 	var cursor uint64
 	var seen int
 	for {
-		evs, next := tr.Page(cursor, 3)
+		evs, next := page(tr, cursor, 3)
 		if len(evs) > 3 {
 			t.Errorf("page returned %d > limit 3", len(evs))
 		}

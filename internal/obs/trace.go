@@ -40,23 +40,39 @@ type Event struct {
 	Attrs []Attr `json:"attrs,omitempty"`
 }
 
-// Attr returns the value of the named attribute, "" when absent — the
-// shared accessor for event-stream consumers (audit, health, the state
-// store) that fold attributes by name.
-func (e Event) Attr(k string) string {
-	for _, a := range e.Attrs {
+// lookup is the one attribute search: the first attribute named k.
+func lookup(attrs []Attr, k string) (string, bool) {
+	for _, a := range attrs {
 		if a.K == k {
-			return a.V
+			return a.V, true
 		}
 	}
-	return ""
+	return "", false
+}
+
+// Attr returns the value of the named attribute, "" when absent. Attr,
+// AttrInt, AttrUint and LookupInt are the only attribute readers: every
+// consumer of the event stream (see contract.go) folds through them.
+func (e Event) Attr(k string) string {
+	v, _ := lookup(e.Attrs, k)
+	return v
 }
 
 // AttrInt returns the named attribute parsed as a base-10 integer, 0
 // when absent or malformed.
 func (e Event) AttrInt(k string) int64 {
-	v, _ := strconv.ParseInt(e.Attr(k), 10, 64)
+	v, _ := e.LookupInt(k)
 	return v
+}
+
+// LookupInt is AttrInt for consumers that must tell a zero from a
+// missing value: ok is false when the attribute is absent or malformed.
+func (e Event) LookupInt(k string) (v int64, ok bool) {
+	v, err := strconv.ParseInt(e.Attr(k), 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return v, true
 }
 
 // AttrUint returns the named attribute parsed as a base-10 unsigned
@@ -180,29 +196,7 @@ func (t *Tracer) Dropped() uint64 {
 
 // Events returns the retained events with Seq > since, oldest first.
 func (t *Tracer) Events(since uint64) []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, t.count)
-	for i := 0; i < t.count; i++ {
-		e := t.events[(t.head+i)%len(t.events)]
-		if e.Seq > since {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Page returns up to limit retained events with Seq > since, oldest
-// first, plus the cursor to pass as since on the next call (the Seq of
-// the last returned event, or since itself when nothing qualified). A
-// limit <= 0 means no bound. It is the building block of paged trace
-// endpoints such as chronusd's /trace?limit=.
-func (t *Tracer) Page(since uint64, limit int) ([]Event, uint64) {
-	ps := t.PageStats(since, limit)
-	return ps.Events, ps.Next
+	return t.PageStats(since, 0).Events
 }
 
 // PageStats is one atomic page read from the ring: the events, the
@@ -232,7 +226,9 @@ type PageStats struct {
 
 // PageStats returns up to limit retained events with Seq > since plus
 // cursor and eviction accounting captured atomically; see the PageStats
-// type for the field contracts. A limit <= 0 means no bound.
+// type for the field contracts. A limit <= 0 means no bound. It is the
+// building block of paged trace endpoints such as chronusd's
+// /trace?limit= and of every cursor-style fold.
 func (t *Tracer) PageStats(since uint64, limit int) PageStats {
 	if t == nil {
 		return PageStats{Next: since}

@@ -88,7 +88,7 @@ func Solve(name string, in *dynflow.Instance, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := o.Trace.StartSpan(o.VT, "solve", o.Span, obs.A("scheme", name))
+	sp := o.Trace.StartSpan(o.VT, obs.OpSolve, o.Span, obs.A("scheme", name))
 	res, err := s.Solve(in, o)
 	sp.End(o.VT, obs.A("outcome", outcomeOf(res, err)))
 	observe(o.Obs, name, res, err)

@@ -95,13 +95,13 @@ func (s *Store) DriftBody() DriftReport {
 		if status == "stranded" {
 			stranded++
 		}
-		if status != "converged" && status != "planned" && u.kind == "execute" && age > worstAge {
+		if status != "converged" && status != "planned" && u.Kind == "execute" && age > worstAge {
 			worstAge = age
 		}
 		rep.Updates = append(rep.Updates, DriftUpdate{
-			Run: u.run, ID: u.id, Tenant: u.tenant, Flow: u.flow, Key: u.key,
-			Kind: u.kind, Method: u.method, Status: status, PlannedAt: u.planned,
-			SlackTicks: u.slack, DriftAgeTicks: age, Switches: sws,
+			Run: u.run, ID: u.ID, Tenant: u.Tenant, Flow: u.Flow, Key: u.Key,
+			Kind: u.Kind, Method: u.Method, Status: status, PlannedAt: u.planned,
+			SlackTicks: u.Slack, DriftAgeTicks: age, Switches: sws,
 		})
 	}
 	if s.o.Obs != nil {
@@ -133,9 +133,9 @@ func (s *Store) driftAge(u *updIntent, status string, deadRun bool, cumNow int64
 		return cumNow - (s.offset(u.run) + s.runEnd(u.run))
 	}
 	var maxAt int64
-	for _, sw := range u.switches {
-		if sw.at > maxAt {
-			maxAt = sw.at
+	for _, sw := range u.Switches {
+		if sw.At > maxAt {
+			maxAt = sw.At
 		}
 	}
 	if maxAt == 0 {
@@ -151,22 +151,22 @@ func (s *Store) driftAge(u *updIntent, status string, deadRun bool, cumNow int64
 // asOf (expressed in the update's own run's coordinates). Callers hold
 // s.mu.
 func (s *Store) classify(u *updIntent, asOf int64) (string, []DriftSwitch) {
-	sws := make([]DriftSwitch, 0, len(u.switches))
+	sws := make([]DriftSwitch, 0, len(u.Switches))
 	var applied, pending, missing, clobbered int
-	for _, in := range u.switches {
-		d := DriftSwitch{Switch: in.sw, IntendedNext: in.next, IntendedAt: in.at}
-		st := s.switches[in.sw]
+	for _, in := range u.Switches {
+		d := DriftSwitch{Switch: in.Switch, IntendedNext: in.Next, IntendedAt: in.At}
+		st := s.switches[in.Switch]
 		if st != nil {
 			if u.run == s.run {
-				if sm, ok := st.sent[u.key]; ok && sm.tick <= asOf {
+				if sm, ok := st.sent[u.Key]; ok && sm.tick <= asOf {
 					d.SentAt = sm.tick
 				}
 			}
-			if cur, ok := ruleAsOf(st.rules[u.key], u.run, asOf); ok {
+			if cur, ok := ruleAsOf(st.rules[u.Key], u.run, asOf); ok {
 				d.ObservedNext = cur.next
 			}
-			for _, c := range st.rules[u.key] {
-				if c.run == u.run && c.tick >= u.planned && c.tick <= asOf && c.next == in.next {
+			for _, c := range st.rules[u.Key] {
+				if c.run == u.run && c.tick >= u.planned && c.tick <= asOf && c.next == in.Next {
 					d.State = "applied"
 					d.AppliedAt = c.tick
 					break
@@ -174,12 +174,12 @@ func (s *Store) classify(u *updIntent, asOf int64) (string, []DriftSwitch) {
 			}
 		}
 		switch {
-		case d.State == "applied" && d.ObservedNext != in.next:
+		case d.State == "applied" && d.ObservedNext != in.Next:
 			d.State = "clobbered"
 			clobbered++
 		case d.State == "applied":
 			applied++
-		case u.run == s.run && (in.at > asOf || holdsPending(st, u.key, asOf)):
+		case u.run == s.run && (in.At > asOf || holdsPending(st, u.Key, asOf)):
 			d.State = "pending"
 			pending++
 		default:
@@ -190,7 +190,7 @@ func (s *Store) classify(u *updIntent, asOf int64) (string, []DriftSwitch) {
 	}
 	var status string
 	switch {
-	case u.kind != "execute":
+	case u.Kind != "execute":
 		status = "planned"
 	case applied == len(sws):
 		status = "converged"

@@ -38,17 +38,17 @@ func replayLinkPoints(dir, link string, since, before int64) []TimelinePoint {
 			pts = pts[:0]
 		}
 		lastSeq = e.Seq
-		if e.Name != "emu.rate" || e.Attr("link") != link {
+		if e.Name != obs.EvEmuRate || e.Attr(obs.KeyLink) != link {
 			return nil
 		}
 		if e.VT < since || (before >= 0 && e.VT >= before) {
 			return nil
 		}
 		if n := len(pts); n > 0 && pts[n-1].At == e.VT {
-			pts[n-1].Total = e.AttrInt("total")
+			pts[n-1].Total = e.AttrInt(obs.KeyTotal)
 			return nil
 		}
-		pts = append(pts, TimelinePoint{At: e.VT, Total: e.AttrInt("total")})
+		pts = append(pts, TimelinePoint{At: e.VT, Total: e.AttrInt(obs.KeyTotal)})
 		return nil
 	})
 	if err != nil {

@@ -137,8 +137,8 @@ func (s *Store) StateBody(at int64) StateSnapshot {
 		}
 		status, sws := s.classify(u, t)
 		ov := UpdateOverlay{
-			Run: u.run, ID: u.id, Tenant: u.tenant, Flow: u.flow, Key: u.key,
-			Kind: u.kind, Method: u.method, Status: status, PlannedAt: u.planned,
+			Run: u.run, ID: u.ID, Tenant: u.Tenant, Flow: u.Flow, Key: u.Key,
+			Kind: u.Kind, Method: u.Method, Status: status, PlannedAt: u.planned,
 		}
 		for _, d := range sws {
 			if d.State != "applied" {

@@ -34,6 +34,8 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/chronus-sdn/chronus/internal/dynflow"
+	"github.com/chronus-sdn/chronus/internal/graph"
 	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
@@ -123,27 +125,12 @@ type updKey struct {
 	id  uint64
 }
 
-// intentSwitch is one switch's slice of a recorded plan: the next hop
-// it must end up forwarding to, and the tick it is scheduled to apply.
-type intentSwitch struct {
-	sw   string
-	next string
-	at   int64
-}
-
-// updIntent is one update's planner-intended end-state, parsed from a
-// state.intent trace event.
+// updIntent is one recorded intent: what Intent.Emit wrote, plus the run
+// and tick the store saw it in.
 type updIntent struct {
-	run      int
-	id       uint64
-	tenant   string
-	flow     string
-	key      string
-	kind     string // "execute" (data-plane) or "plan" (plan-only)
-	method   string
-	slack    int64
-	planned  int64
-	switches []intentSwitch
+	Intent
+	run     int
+	planned int64
 }
 
 // Store folds trace events into the observed-state model. All methods
@@ -317,34 +304,34 @@ func (s *Store) ingest(e obs.Event) {
 		s.lastTick = e.VT
 	}
 	switch e.Name {
-	case "state.intent":
+	case obs.EvStateIntent:
 		s.ingestIntent(e)
-	case "sw.flowmod":
-		st := s.sw(e.Attr("switch"))
-		key := e.Attr("key")
-		cmd := e.Attr("cmd")
-		next := e.Attr("next")
-		if e.Attr("kind") == "timed" {
-			st.pending[key] = pendingMod{recv: e.VT, at: e.AttrInt("at"), next: next, cmd: cmd}
+	case obs.EvSwFlowMod:
+		st := s.sw(e.Attr(obs.KeySwitch))
+		key := e.Attr(obs.KeyKey)
+		cmd := e.Attr(obs.KeyCmd)
+		next := e.Attr(obs.KeyNext)
+		if e.Attr(obs.KeyKind) == "timed" {
+			st.pending[key] = pendingMod{recv: e.VT, at: e.AttrInt(obs.KeyAt), next: next, cmd: cmd}
 			return
 		}
 		s.applyRule(st, key, cmd, next, e.VT, 0)
-	case "sw.apply":
-		st := s.sw(e.Attr("switch"))
-		key := e.Attr("key")
+	case obs.EvSwApply:
+		st := s.sw(e.Attr(obs.KeySwitch))
+		key := e.Attr(obs.KeyKey)
 		recv := int64(0)
 		if p, ok := st.pending[key]; ok {
 			recv = p.recv
 			delete(st.pending, key)
 		}
-		s.applyRule(st, key, e.Attr("cmd"), e.Attr("next"), e.VT, recv)
-	case "ctl.flowmod":
-		st := s.sw(e.Attr("switch"))
-		st.sent[e.Attr("key")] = sentMod{tick: e.VT, at: e.AttrInt("at"), next: e.Attr("next")}
-	case "emu.rate":
-		l := s.link(e.Attr("link"))
-		l.cap = e.AttrInt("cap")
-		total := e.AttrInt("total")
+		s.applyRule(st, key, e.Attr(obs.KeyCmd), e.Attr(obs.KeyNext), e.VT, recv)
+	case obs.EvCtlFlowMod:
+		st := s.sw(e.Attr(obs.KeySwitch))
+		st.sent[e.Attr(obs.KeyKey)] = sentMod{tick: e.VT, at: e.AttrInt(obs.KeyAt), next: e.Attr(obs.KeyNext)}
+	case obs.EvEmuRate:
+		l := s.link(e.Attr(obs.KeyLink))
+		l.cap = e.AttrInt(obs.KeyCap)
+		total := e.AttrInt(obs.KeyTotal)
 		l.total = total
 		if total > l.peak {
 			l.peak = total
@@ -359,9 +346,9 @@ func (s *Store) ingest(e obs.Event) {
 			l.points = append(l.points[:0], l.points[drop:]...)
 			l.evicted += drop
 		}
-	case "emu.drop":
-		st := s.sw(e.Attr("switch"))
-		st.drops = append(st.drops, dropMark{run: s.run, tick: e.VT, key: e.Attr("key")})
+	case obs.EvEmuDrop:
+		st := s.sw(e.Attr(obs.KeySwitch))
+		st.drops = append(st.drops, dropMark{run: s.run, tick: e.VT, key: e.Attr(obs.KeyKey)})
 	}
 }
 
@@ -382,22 +369,20 @@ func intentKeyString(k updKey) string {
 // end-state recorded at plan time. The switches attribute packs the
 // per-switch promises as "SW=NEXT@TICK;..." sorted by switch name.
 func (s *Store) ingestIntent(e obs.Event) {
-	id := e.AttrUint("id")
+	id := e.AttrUint(obs.KeyID)
 	if id == 0 {
 		return
 	}
-	u := &updIntent{
-		run:     s.run,
-		id:      id,
-		tenant:  e.Attr("tenant"),
-		flow:    e.Attr("flow"),
-		key:     e.Attr("key"),
-		kind:    e.Attr("kind"),
-		method:  e.Attr("method"),
-		slack:   e.AttrInt("slack"),
-		planned: e.VT,
-	}
-	if enc := e.Attr("switches"); enc != "" {
+	u := &updIntent{run: s.run, planned: e.VT, Intent: Intent{
+		ID:     id,
+		Tenant: e.Attr(obs.KeyTenant),
+		Flow:   e.Attr(obs.KeyFlow),
+		Key:    e.Attr(obs.KeyKey),
+		Kind:   e.Attr(obs.KeyKind),
+		Method: e.Attr(obs.KeyMethod),
+		Slack:  e.AttrInt(obs.KeySlack),
+	}}
+	if enc := e.Attr(obs.KeySwitches); enc != "" {
 		for _, part := range strings.Split(enc, ";") {
 			eq := strings.IndexByte(part, '=')
 			at := strings.LastIndexByte(part, '@')
@@ -405,14 +390,10 @@ func (s *Store) ingestIntent(e obs.Event) {
 				continue
 			}
 			tick, _ := strconv.ParseInt(part[at+1:], 10, 64)
-			u.switches = append(u.switches, intentSwitch{
-				sw:   part[:eq],
-				next: part[eq+1 : at],
-				at:   tick,
-			})
+			u.Switches = append(u.Switches, IntentSwitch{Switch: part[:eq], Next: part[eq+1 : at], At: tick})
 		}
 	}
-	sort.Slice(u.switches, func(i, j int) bool { return u.switches[i].sw < u.switches[j].sw })
+	sort.Slice(u.Switches, func(i, j int) bool { return u.Switches[i].Switch < u.Switches[j].Switch })
 	k := updKey{run: s.run, id: id}
 	if _, dup := s.updates[k]; !dup {
 		s.order = append(s.order, k)
@@ -441,10 +422,66 @@ func EncodeIntentSwitches(sws []IntentSwitch) string {
 	return b.String()
 }
 
-// IntentSwitch is one switch's promise as emitters hand it to
-// EncodeIntentSwitches.
+// IntentSwitch is one switch's slice of a plan: the next hop it must end
+// up forwarding to, and the tick it is due.
 type IntentSwitch struct {
 	Switch string
 	Next   string
 	At     int64
+}
+
+// Promises renders a plan's per-switch end-state the way the drift
+// detector verifies it: each switch must end up forwarding to its next
+// hop on the final path fin ("host" at the destination). The switches
+// are those s schedules, each due at its tick in s, or all of fin when s
+// is nil. asOf >= 0 overrides the ticks: barrier-paced rounds and
+// two-phase commit carry no per-switch apply tick, their intent holds "as
+// of plan time" and converges as the execution proceeds.
+func Promises(g *graph.Graph, fin graph.Path, s *dynflow.Schedule, asOf int64) []IntentSwitch {
+	sws := make([]IntentSwitch, 0, len(fin))
+	promise := func(v graph.NodeID, at int64) {
+		if asOf >= 0 {
+			at = asOf
+		}
+		next := "host"
+		if nh := fin.NextHop(v); nh != graph.Invalid {
+			next = g.Name(nh)
+		}
+		sws = append(sws, IntentSwitch{Switch: g.Name(v), Next: next, At: at})
+	}
+	if s == nil {
+		for _, v := range fin {
+			promise(v, asOf)
+		}
+		return sws
+	}
+	for v, tv := range s.Times {
+		promise(v, int64(tv))
+	}
+	return sws
+}
+
+// Intent is one update's planner-intended end-state: what emitters hand
+// to Emit and what ingestIntent parses back.
+type Intent struct {
+	ID       uint64
+	Tenant   string
+	Flow     string
+	Key      string // flow key the switches' rules match ("flow/tag")
+	Kind     string // "execute" (data plane) or "plan" (plan-only)
+	Method   string
+	Slack    int64 // tightest per-switch slack of the plan, in ticks
+	Switches []IntentSwitch
+}
+
+// Emit records the intent as a state.intent point event at tick now.
+// Emitters call it at plan time, before the first FlowMod goes out, so
+// a daemon killed mid-schedule leaves the intent in its journal and the
+// restarted daemon's drift report can prove what the dead run left
+// unfinished. The attribute order is part of the wire format.
+func (in Intent) Emit(tr *obs.Tracer, now int64) {
+	tr.Point(now, obs.EvStateIntent,
+		obs.A(obs.KeyID, in.ID), obs.A(obs.KeyTenant, in.Tenant), obs.A(obs.KeyFlow, in.Flow),
+		obs.A(obs.KeyKey, in.Key), obs.A(obs.KeyKind, in.Kind), obs.A(obs.KeyMethod, in.Method),
+		obs.A(obs.KeySlack, in.Slack), obs.A(obs.KeySwitches, EncodeIntentSwitches(in.Switches)))
 }

@@ -2,10 +2,13 @@ package state
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
+	"github.com/chronus-sdn/chronus/internal/dynflow"
 	"github.com/chronus-sdn/chronus/internal/journal"
 	"github.com/chronus-sdn/chronus/internal/obs"
+	"github.com/chronus-sdn/chronus/internal/topo"
 )
 
 func ev(seq uint64, vt int64, name string, attrs ...obs.Attr) obs.Event {
@@ -400,5 +403,40 @@ func TestNoteSkippedSurfacesMissedEvents(t *testing.T) {
 	s.NoteSkipped(7)
 	if got := s.StateBody(-1).MissedEvents; got != 7 {
 		t.Fatalf("missed_events = %d, want 7", got)
+	}
+}
+
+// TestIntentEmitMatchesFrozenWireFormat: bench/plant.go carries its own
+// copy of the state.intent emitter (the benchmark is frozen), so the
+// attribute order and value formatting of Intent.Emit are a wire format
+// two writers must agree on. The golden line was written by the emitter
+// this package replaced, for the same Fig. 1 schedule; Promises covers
+// the three due-tick shapes (per switch, all as of one tick, whole path).
+func TestIntentEmitMatchesFrozenWireFormat(t *testing.T) {
+	want, err := os.ReadFile("testdata/intent.golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := topo.Fig1Example()
+	sched := dynflow.NewSchedule(170)
+	for i, v := range in.Fin[:len(in.Fin)-1] {
+		sched.Set(v, dynflow.Tick(170+2*i))
+	}
+	tr := obs.NewTracer(obs.TracerOptions{})
+	Intent{ID: 7, Tenant: "bench", Flow: "agg", Key: "agg/0", Kind: "execute", Method: "chronus",
+		Slack: 2, Switches: Promises(in.G, in.Fin, sched, -1)}.Emit(tr, 120)
+	var got bytes.Buffer
+	if err := tr.WriteJSONL(&got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("state.intent line drifted from the frozen format:\n got %s\nwant %s", got.Bytes(), want)
+	}
+
+	if enc := EncodeIntentSwitches(Promises(in.G, in.Fin, sched, 9)); enc != "v1=v5@9;v2=v6@9;v3=v2@9;v4=v3@9;v5=v4@9" {
+		t.Fatalf("scheduled switches as of tick 9 = %q", enc)
+	}
+	if enc := EncodeIntentSwitches(Promises(in.G, in.Fin, nil, 9)); enc != "v1=v5@9;v2=v6@9;v3=v2@9;v4=v3@9;v5=v4@9;v6=host@9" {
+		t.Fatalf("whole final path as of tick 9 = %q", enc)
 	}
 }

@@ -101,11 +101,11 @@ func (a *Agent) Handle(m ofp.Msg) []ofp.Msg {
 		a.met.barriers.Inc()
 		if a.trace != nil {
 			now := int64(a.net.K.Now())
-			a.trace.Point(now, "sw.barrier", obs.A("switch", a.sw.Name()))
+			a.trace.Point(now, obs.EvSwBarrier, obs.A(obs.KeySwitch, a.sw.Name()))
 			// Parentless on purpose: the xid links it under the
 			// controller's ctl.send span when the forest is built.
-			a.trace.EmitSpan("sw.barrier", 0, now, now,
-				obs.A("switch", a.sw.Name()), obs.A("xid", req.XID))
+			a.trace.EmitSpan(obs.EvSwBarrier, 0, now, now,
+				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyXid, req.XID))
 		}
 		return []ofp.Msg{&ofp.BarrierReply{XID: req.XID}}
 	case *ofp.StatsRequest:
@@ -166,12 +166,12 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 		a.met.immediate.Inc()
 		if a.trace != nil {
 			now := int64(a.net.K.Now())
-			a.trace.Point(now, "sw.flowmod",
-				obs.A("switch", a.sw.Name()), obs.A("kind", "immediate"),
-				obs.A("key", key.String()), obs.A("cmd", cmd), obs.A("next", next))
+			a.trace.Point(now, obs.EvSwFlowMod,
+				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyKind, "immediate"),
+				obs.A(obs.KeyKey, key.String()), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
 			a.trace.EmitSpan("sw.recv", 0, now, now,
-				obs.A("switch", a.sw.Name()), obs.A("xid", m.XID),
-				obs.A("kind", "immediate"), obs.A("key", key.String()))
+				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyXid, m.XID),
+				obs.A(obs.KeyKind, "immediate"), obs.A(obs.KeyKey, key.String()))
 		}
 		a.scheduled++
 		apply()
@@ -193,12 +193,12 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 	// FlowMod — arrival through scheduled application — and is left
 	// parentless so the xid folds it under the controller's send span.
 	recvSpan := a.trace.StartSpan(int64(now), "sw.recv",
-		0, obs.A("switch", a.sw.Name()), obs.A("xid", m.XID),
-		obs.A("kind", "timed"), obs.A("at", int64(requested)), obs.A("key", key.String()))
+		0, obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyXid, m.XID),
+		obs.A(obs.KeyKind, "timed"), obs.A(obs.KeyAt, int64(requested)), obs.A(obs.KeyKey, key.String()))
 	if a.trace != nil {
-		a.trace.Point(int64(now), "sw.flowmod",
-			obs.A("switch", a.sw.Name()), obs.A("kind", "timed"), obs.A("at", int64(requested)),
-			obs.A("key", key.String()), obs.A("cmd", cmd), obs.A("next", next))
+		a.trace.Point(int64(now), obs.EvSwFlowMod,
+			obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyKind, "timed"), obs.A(obs.KeyAt, int64(requested)),
+			obs.A(obs.KeyKey, key.String()), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
 	}
 	a.scheduled++
 	a.net.K.At(at, func() {
@@ -220,12 +220,12 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 		}
 		if a.trace != nil {
 			fire := int64(a.net.K.Now())
-			a.trace.Point(fire, "sw.apply",
-				obs.A("switch", a.sw.Name()), obs.A("skew", skew),
-				obs.A("at", int64(requested)),
-				obs.A("key", key.String()), obs.A("cmd", cmd), obs.A("next", next))
-			a.trace.EmitSpan("sw.apply", recvSpan.SpanID(), fire, fire,
-				obs.A("switch", a.sw.Name()), obs.A("xid", m.XID), obs.A("skew", skew))
+			a.trace.Point(fire, obs.EvSwApply,
+				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeySkew, skew),
+				obs.A(obs.KeyAt, int64(requested)),
+				obs.A(obs.KeyKey, key.String()), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
+			a.trace.EmitSpan(obs.EvSwApply, recvSpan.SpanID(), fire, fire,
+				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyXid, m.XID), obs.A(obs.KeySkew, skew))
 			recvSpan.End(fire)
 		}
 		apply()
