@@ -43,10 +43,9 @@ func FootprintOf(g *graph.Graph, init, fin graph.Path, demand graph.Capacity) Fo
 // makes impossible, so a non-zero count is a ledger bug, not load.
 type Ledger struct {
 	mu       sync.Mutex
-	caps     map[linkKey]graph.Capacity
+	g        *graph.Graph // the graph the ledger accounts for; read-only
 	reserved map[linkKey]graph.Capacity
 	holds    map[uint64]Footprint
-	names    func(graph.NodeID) string
 
 	overcommits *obs.Counter
 	reservedG   *obs.Gauge
@@ -57,13 +56,9 @@ type Ledger struct {
 // the overcommit counter on reg (nil disables the metric mirror).
 func NewLedger(g *graph.Graph, reg *obs.Registry) *Ledger {
 	l := &Ledger{
-		caps:     make(map[linkKey]graph.Capacity, g.NumLinks()),
+		g:        g,
 		reserved: make(map[linkKey]graph.Capacity, g.NumLinks()),
 		holds:    make(map[uint64]Footprint),
-		names:    g.Name,
-	}
-	for _, lk := range g.Links() {
-		l.caps[linkKey{lk.From, lk.To}] = lk.Cap
 	}
 	if reg != nil {
 		l.overcommits = reg.Counter("chronus_admit_ledger_overcommit_total")
@@ -84,18 +79,18 @@ func (l *Ledger) Reserve(id uint64, fp Footprint) error {
 	}
 	keys := sortedKeys(fp)
 	for _, k := range keys {
-		cap, ok := l.caps[k]
+		lk, ok := l.g.Link(k[0], k[1])
 		if !ok {
-			return fmt.Errorf("admit: link %s->%s not in the ledger", l.names(k[0]), l.names(k[1]))
+			return fmt.Errorf("admit: link %s->%s not in the ledger", l.g.Name(k[0]), l.g.Name(k[1]))
 		}
-		if l.reserved[k]+fp[k] > cap {
+		if l.reserved[k]+fp[k] > lk.Cap {
 			return fmt.Errorf("admit: link %s->%s saturated by in-flight updates (%d + %d > cap %d)",
-				l.names(k[0]), l.names(k[1]), l.reserved[k], fp[k], cap)
+				l.g.Name(k[0]), l.g.Name(k[1]), l.reserved[k], fp[k], lk.Cap)
 		}
 	}
 	for _, k := range keys {
 		l.reserved[k] += fp[k]
-		if l.reserved[k] > l.caps[k] && l.overcommits != nil {
+		if l.reserved[k] > l.cap(k) && l.overcommits != nil {
 			l.overcommits.Inc()
 		}
 	}
@@ -123,11 +118,12 @@ func (l *Ledger) Release(id uint64) {
 	l.mirror()
 }
 
-// Residual clones g with every link's capacity reduced by the ledger's
-// current reservations, except those held by the ids in exclude — the
-// graph a planner must solve against so it cannot double-book what
-// concurrent in-flight updates already hold.
-func (l *Ledger) Residual(g *graph.Graph, exclude ...uint64) *graph.Graph {
+// Residual clones the ledger's graph with every link's capacity reduced
+// by the current reservations, except those held by the ids in exclude —
+// the graph a planner must solve against so it cannot double-book what
+// concurrent in-flight updates already hold. A link fully consumed by
+// in-flight holds is dropped, as in the batch layer's residual.
+func (l *Ledger) Residual(exclude ...uint64) *graph.Graph {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	own := make(map[linkKey]graph.Capacity)
@@ -136,27 +132,16 @@ func (l *Ledger) Residual(g *graph.Graph, exclude ...uint64) *graph.Graph {
 			own[k] += d
 		}
 	}
-	res := g.Clone()
+	res := l.g.Clone()
 	for k, d := range l.reserved {
 		rest := d - own[k]
 		if rest <= 0 {
 			continue
 		}
-		if _, ok := res.Link(k[0], k[1]); !ok {
-			// The ledger was built from g; a missing link means the caller
-			// passed a different graph, which is a programming error.
-			panic(fmt.Sprintf("admit: residual of foreign graph: no link %d->%d", k[0], k[1]))
-		}
-		left := l.caps[k] - rest
-		if left <= 0 {
-			// Fully consumed by in-flight holds: drop the link, matching
-			// the batch layer's residual semantics (a zero-capacity link
-			// is not representable).
-			res.RemoveLink(k[0], k[1])
-			continue
-		}
-		if err := res.SetCapacity(k[0], k[1], left); err != nil {
-			panic(fmt.Sprintf("admit: residual of foreign graph: %v", err))
+		if _, ok := res.Occupy(k[0], k[1], rest); !ok {
+			// Reserve admits only links of l.g; a missing one means the
+			// graph was edited under the ledger, which is a programming error.
+			panic(fmt.Sprintf("admit: reservation on a link the graph lost: %d->%d", k[0], k[1]))
 		}
 	}
 	return res
@@ -190,7 +175,7 @@ func (l *Ledger) mirror() Utilization {
 		}
 		u.ReservedUnits += int64(d)
 		u.ReservedLinks++
-		if cap := l.caps[k]; cap > 0 {
+		if cap := l.cap(k); cap > 0 {
 			if pct := 100 * int64(d) / int64(cap); pct > u.MaxLinkPct {
 				u.MaxLinkPct = pct
 			}
@@ -201,6 +186,12 @@ func (l *Ledger) mirror() Utilization {
 		l.utilG.Set(u.MaxLinkPct)
 	}
 	return u
+}
+
+// cap is the capacity of link k in the ledger's graph, 0 if it has none.
+func (l *Ledger) cap(k linkKey) graph.Capacity {
+	lk, _ := l.g.Link(k[0], k[1])
+	return lk.Cap
 }
 
 func sortedKeys(fp Footprint) []linkKey {

@@ -66,7 +66,7 @@ func TestLedgerCreditsRestoreExactly(t *testing.T) {
 		t.Fatalf("ledger not restored after full release: %+v", u)
 	}
 	// The residual with nothing held must equal the original capacities.
-	res := l.Residual(g)
+	res := l.Residual()
 	for _, lk := range g.Links() {
 		r, ok := res.Link(lk.From, lk.To)
 		if !ok || r.Cap != lk.Cap {
@@ -82,13 +82,13 @@ func TestLedgerResidualExcludesOwnHold(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Excluding the hold restores full capacity for its own planner...
-	res := l.Residual(g, 1)
+	res := l.Residual(1)
 	lk, _ := res.Link(top[0], top[1])
 	if lk.Cap != 10 {
 		t.Fatalf("own residual cap %d, want 10", lk.Cap)
 	}
 	// ...while everyone else plans against the debited graph.
-	res = l.Residual(g)
+	res = l.Residual()
 	lk, _ = res.Link(top[0], top[1])
 	if lk.Cap != 4 {
 		t.Fatalf("foreign residual cap %d, want 4", lk.Cap)

@@ -137,7 +137,7 @@ func (e *Engine) planComponents(now int64, comps []component) []componentResult 
 		for j, u := range c.members {
 			ids[j] = u.ID
 		}
-		residuals[i] = e.ledger.Residual(e.g, ids...)
+		residuals[i] = e.ledger.Residual(ids...)
 	}
 	results, _ := par.Map(context.Background(), e.o.Procs, len(comps), func(_ context.Context, i int) (componentResult, error) {
 		return e.planComponent(now, comps[i], residuals[i]), nil

@@ -242,36 +242,6 @@ func violatingFlows(report *dynflow.JointReport, flows []Flow) []string {
 // copy, as long as no other flow occupies a link: schemes only read it.
 func residualGraph(g *graph.Graph, flows []Flow, i int) (*graph.Graph, error) {
 	residual := g
-	occupy := func(p graph.Path, d graph.Capacity, name string) error {
-		for k := 1; k < len(p); k++ {
-			l, ok := residual.Link(p[k-1], p[k])
-			if !ok {
-				return fmt.Errorf("batch: flow %q path uses missing link", name)
-			}
-			if residual == g {
-				residual = g.Clone()
-			}
-			rest := l.Cap - d
-			if rest <= 0 {
-				// The link is fully consumed by another flow's steady
-				// state. If the migrating flow needs it, the mixed
-				// configuration (that flow settled, this one not) is
-				// oversubscribed — a case neither pure-initial nor
-				// pure-final steady check covers — so the sequential order
-				// is infeasible here.
-				if flowUsesLink(flows[i], p[k-1], p[k]) {
-					return fmt.Errorf("batch: link %s->%s is saturated by flow %q while flow %q migrates; reorder the batch: %w",
-						residual.Name(p[k-1]), residual.Name(p[k]), name, flows[i].Name, core.ErrInfeasible)
-				}
-				residual.RemoveLink(p[k-1], p[k])
-				continue
-			}
-			if err := residual.SetCapacity(p[k-1], p[k], rest); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for j, other := range flows {
 		if j == i {
 			continue
@@ -280,8 +250,24 @@ func residualGraph(g *graph.Graph, flows []Flow, i int) (*graph.Graph, error) {
 		if j < i {
 			p = other.Fin
 		}
-		if err := occupy(p, other.Demand, other.Name); err != nil {
-			return nil, err
+		for k := 1; k < len(p); k++ {
+			if residual == g {
+				residual = g.Clone()
+			}
+			left, ok := residual.Occupy(p[k-1], p[k], other.Demand)
+			if !ok {
+				return nil, fmt.Errorf("batch: flow %q path uses missing link", other.Name)
+			}
+			// A link fully consumed by another flow's steady state is gone
+			// from the residual. If the migrating flow needs it, the mixed
+			// configuration (that flow settled, this one not) is
+			// oversubscribed — a case neither pure-initial nor pure-final
+			// steady check covers — so the sequential order is infeasible
+			// here.
+			if left <= 0 && flowUsesLink(flows[i], p[k-1], p[k]) {
+				return nil, fmt.Errorf("batch: link %s->%s is saturated by flow %q while flow %q migrates; reorder the batch: %w",
+					g.Name(p[k-1]), g.Name(p[k]), other.Name, flows[i].Name, core.ErrInfeasible)
+			}
 		}
 	}
 	return residual, nil

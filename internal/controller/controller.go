@@ -231,14 +231,6 @@ func (c *Controller) AttachSession(id graph.NodeID, s Session) {
 	c.sessions[id] = s
 }
 
-// Detach removes the session for id, if any; subsequent sends to id fail
-// with ErrNoSession rather than blocking on a dead transport.
-func (c *Controller) Detach(id graph.NodeID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.sessions, id)
-}
-
 // Disconnects reports how many attached sessions have been detached
 // because their transport failed (see sessionClosed). It reads the
 // chronus_controller_disconnects_total registry counter.

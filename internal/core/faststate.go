@@ -133,7 +133,7 @@ func (fs *fastState) route(s *dynflow.Schedule, v graph.NodeID, t dynflow.Tick) 
 		if next == graph.Invalid || fs.marked(next) {
 			return nil, nil, false
 		}
-		l, lok := fs.link(cur, next)
+		l, lok := in.G.Link(cur, next)
 		if !lok {
 			return nil, nil, false
 		}
@@ -148,17 +148,6 @@ func (fs *fastState) route(s *dynflow.Schedule, v graph.NodeID, t dynflow.Tick) 
 		fs.mark(cur)
 		next = snapshotNext(in, s, cur, t)
 	}
-}
-
-// link resolves (a, b) by scanning a's adjacency, which beats hashing the
-// node pair on the hot path (degrees are small).
-func (fs *fastState) link(a, b graph.NodeID) (graph.Link, bool) {
-	for _, l := range fs.in.G.Out(a) {
-		if l.To == b {
-			return l, true
-		}
-	}
-	return graph.Link{}, false
 }
 
 func (fs *fastState) mark(v graph.NodeID) {
@@ -226,7 +215,7 @@ func (fs *fastState) tryUpdate(s *dynflow.Schedule, v graph.NodeID, t dynflow.Ti
 	// colliding interval has drained past the tail start.
 	var retryAt dynflow.Tick = -1
 	for i, lk := range links {
-		l, lok := fs.link(lk.from, lk.to)
+		l, lok := in.G.Link(lk.from, lk.to)
 		if !lok {
 			return false, neverTick
 		}

@@ -110,12 +110,10 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 	t := s.Start
 	for len(pending) > 0 {
 		if t-s.Start > maxTicks {
-			if opts.BestEffort {
-				bestEffortFinish(s, pending, t)
-				res.BestEffort = true
-				break
+			if err := res.giveUp(opts, pending, t, fmt.Sprintf("exceeded tick budget %d", maxTicks)); err != nil {
+				return res, err
 			}
-			return res, fmt.Errorf("%w: exceeded tick budget %d", ErrInfeasible, maxTicks)
+			break
 		}
 		res.TicksUsed++
 		order, cycleErr := candidateOrder(in, s, pending, t, ws)
@@ -176,20 +174,12 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 			t++
 			continue
 		}
-		if t > drainHorizon {
-			if opts.BestEffort {
-				bestEffortFinish(s, pending, t)
-				res.BestEffort = true
-				break
-			}
-			return res, fmt.Errorf("%w: static configuration at tick %d with %d switches pending",
-				ErrInfeasible, t, len(pending))
-		}
 		// Nothing accepted: every pending candidate is either backing off
 		// (validator rejection) or loop-parked (configuration-bound, so
 		// only an acceptance can unlock it). Skip ahead to the earliest
-		// backoff wake-up; if nobody is backing off the configuration is
-		// static and the instance is infeasible.
+		// backoff wake-up; if nobody is backing off, or the data plane has
+		// drained, the configuration is static and the instance is
+		// infeasible.
 		next := dynflow.Tick(0)
 		found := false
 		for _, v := range pending {
@@ -200,14 +190,11 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 				}
 			}
 		}
-		if !found {
-			if opts.BestEffort {
-				bestEffortFinish(s, pending, t)
-				res.BestEffort = true
-				break
+		if t > drainHorizon || !found {
+			if err := res.giveUp(opts, pending, t, fmt.Sprintf("static configuration at tick %d with %d switches pending", t, len(pending))); err != nil {
+				return res, err
 			}
-			return res, fmt.Errorf("%w: static configuration at tick %d with %d switches pending",
-				ErrInfeasible, t, len(pending))
+			break
 		}
 		t = next
 		sm.wakeJumps.Inc()
@@ -284,6 +271,9 @@ func greedyFast(in *dynflow.Instance, opts Options, sm schedMetrics, res *Result
 	lc := newLoopChecker(in, s, s.Start, ws)
 
 	t := s.Start
+	giveUp := func(why string) error {
+		return res.giveUp(opts, pendingByState(state), maxTick(t, fs.drainHorizon()+1), why)
+	}
 	for pendingCount > 0 {
 		res.TicksUsed++
 		// Evaluate the ready set to a fixpoint at tick t.
@@ -328,25 +318,20 @@ func greedyFast(in *dynflow.Instance, opts Options, sm schedMetrics, res *Result
 		// Advance to the next wake event.
 		if len(wakes) == 0 {
 			// Static configuration, no drain event pending: infeasible.
-			if opts.BestEffort {
-				bestEffortFinish(s, pendingByState(state), maxTick(t, fs.drainHorizon()+1))
-				res.BestEffort = true
-				break
+			if err := giveUp(fmt.Sprintf("static configuration at tick %d with %d switches pending", t, pendingCount)); err != nil {
+				return res, err
 			}
-			return res, fmt.Errorf("%w: static configuration at tick %d with %d switches pending",
-				ErrInfeasible, t, pendingCount)
+			break
 		}
 		next := wakes[0].at
 		if next <= t {
 			next = t + 1
 		}
 		if next-s.Start > maxTicks {
-			if opts.BestEffort {
-				bestEffortFinish(s, pendingByState(state), maxTick(t, fs.drainHorizon()+1))
-				res.BestEffort = true
-				break
+			if err := giveUp(fmt.Sprintf("exceeded tick budget %d", maxTicks)); err != nil {
+				return res, err
 			}
-			return res, fmt.Errorf("%w: exceeded tick budget %d", ErrInfeasible, maxTicks)
+			break
 		}
 		t = next
 		sm.wakeJumps.Inc()
@@ -428,11 +413,18 @@ func removeAll(pending []graph.NodeID, drop map[graph.NodeID]bool) []graph.NodeI
 	return out
 }
 
-// bestEffortFinish flips every remaining switch at tick t: the data plane
-// has drained, so this minimizes the remaining exposure; the caller reads
-// the resulting violations off Result.Report (the Fig. 8 accounting).
-func bestEffortFinish(s *dynflow.Schedule, pending []graph.NodeID, t dynflow.Tick) {
-	for _, v := range pending {
-		s.Set(v, t)
+// giveUp is the one exit of a solve that cannot finish cleanly: the
+// wrapped ErrInfeasible saying why, or, under Options.BestEffort, nil after
+// flipping every remaining switch at tick t — the data plane has drained,
+// so this minimizes the remaining exposure; the caller reads the resulting
+// violations off Result.Report (the Fig. 8 accounting).
+func (res *Result) giveUp(opts Options, pending []graph.NodeID, t dynflow.Tick, why string) error {
+	if !opts.BestEffort {
+		return fmt.Errorf("%w: %s", ErrInfeasible, why)
 	}
+	for _, v := range pending {
+		res.Schedule.Set(v, t)
+	}
+	res.BestEffort = true
+	return nil
 }

@@ -93,10 +93,6 @@ func (l *Link) Peak() Rate { return l.peak }
 // Bytes returns the integrated traffic volume at time now (unit·ticks).
 func (l *Link) Bytes() float64 { return l.bytes.at(l.net.K.Now()) }
 
-// BytesAt returns the integrated traffic volume at an explicit time; the
-// time must not precede the last rate change.
-func (l *Link) BytesAt(now sim.Time) float64 { return l.bytes.at(now) }
-
 // Timeline returns the total-rate change points in order.
 func (l *Link) Timeline() []RatePoint {
 	return append([]RatePoint(nil), l.timeline...)

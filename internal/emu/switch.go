@@ -158,9 +158,6 @@ func (sw *Switch) Delivered() float64 { return sw.delivered.at(sw.net.K.Now()) }
 // Dropped returns the bytes dropped (no rule / TTL expired) by time now.
 func (sw *Switch) Dropped() float64 { return sw.dropped.at(sw.net.K.Now()) }
 
-// DropRate returns the current drop rate.
-func (sw *Switch) DropRate() Rate { return sw.dropped.rate }
-
 // setInput records that (key, ttl) traffic arrives from inPort at the given
 // rate, then re-evaluates forwarding for key.
 func (sw *Switch) setInput(inPort [2]graph.NodeID, key FlowKey, ttl int, rate Rate) {

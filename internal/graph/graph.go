@@ -5,11 +5,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -38,49 +38,40 @@ type Link struct {
 // at most one link may exist per ordered (from, to) pair. The zero value is
 // an empty graph ready for use.
 type Graph struct {
-	names   []string
-	byName  map[string]NodeID
-	out     [][]Link // adjacency by source node
-	in      [][]Link // reverse adjacency by destination node
-	linkIdx map[[2]NodeID]int
-	links   []Link
+	names  []string
+	byName map[string]NodeID
+	// out is the only link store: out[v] holds v's outgoing links in
+	// insertion order, and every lookup scans one row (out-degrees are
+	// small, so the scan is shorter than a hash of the node pair).
+	out      [][]Link
+	numLinks int
 	// edits counts successful mutations; see Edits.
 	edits uint64
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		byName:  make(map[string]NodeID),
-		linkIdx: make(map[[2]NodeID]int),
-	}
+	return &Graph{byName: make(map[string]NodeID)}
 }
 
 // Clone returns a deep copy of g: mutating either graph never shows
-// through the other.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		names:   slices.Clone(g.names),
-		byName:  maps.Clone(g.byName),
-		out:     cloneAdjacency(g.out, len(g.links)),
-		in:      cloneAdjacency(g.in, len(g.links)),
-		linkIdx: maps.Clone(g.linkIdx),
-		links:   slices.Clone(g.links),
-		edits:   g.edits,
-	}
-}
-
-// cloneAdjacency copies the m links of adj into one backing array. Each
+// through the other. The links are copied into one backing array; each
 // row is capped at its length, so appending to a row of the copy
 // reallocates that row instead of running into its neighbour.
-func cloneAdjacency(adj [][]Link, m int) [][]Link {
-	rows, backing := make([][]Link, len(adj)), make([]Link, 0, m)
-	for i, ls := range adj {
+func (g *Graph) Clone() *Graph {
+	rows, backing := make([][]Link, len(g.out)), make([]Link, 0, g.numLinks)
+	for i, ls := range g.out {
 		lo := len(backing)
 		backing = append(backing, ls...)
 		rows[i] = backing[lo:len(backing):len(backing)]
 	}
-	return rows
+	return &Graph{
+		names:    slices.Clone(g.names),
+		byName:   maps.Clone(g.byName),
+		out:      rows,
+		numLinks: g.numLinks,
+		edits:    g.edits,
+	}
 }
 
 // AddNode adds a node with the given name and returns its ID. Adding an
@@ -88,7 +79,6 @@ func cloneAdjacency(adj [][]Link, m int) [][]Link {
 func (g *Graph) AddNode(name string) NodeID {
 	if g.byName == nil {
 		g.byName = make(map[string]NodeID)
-		g.linkIdx = make(map[[2]NodeID]int)
 	}
 	if id, ok := g.byName[name]; ok {
 		return id
@@ -97,7 +87,6 @@ func (g *Graph) AddNode(name string) NodeID {
 	g.names = append(g.names, name)
 	g.byName[name] = id
 	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	g.edits++
 	return id
 }
@@ -133,16 +122,27 @@ func (g *Graph) AddLink(from, to NodeID, cap Capacity, delay Delay) error {
 	if delay < 0 {
 		return fmt.Errorf("graph: negative delay %d on %s->%s", delay, g.Name(from), g.Name(to))
 	}
-	key := [2]NodeID{from, to}
-	if _, ok := g.linkIdx[key]; ok {
+	if g.find(from, to) != nil {
 		return fmt.Errorf("%w: %s->%s", ErrDuplicateLink, g.Name(from), g.Name(to))
 	}
-	l := Link{From: from, To: to, Cap: cap, Delay: delay}
-	g.linkIdx[key] = len(g.links)
-	g.links = append(g.links, l)
-	g.out[from] = append(g.out[from], l)
-	g.in[to] = append(g.in[to], l)
+	g.out[from] = append(g.out[from], Link{From: from, To: to, Cap: cap, Delay: delay})
+	g.numLinks++
 	g.edits++
+	return nil
+}
+
+// find returns the stored link (from, to), or nil. The pointer is into
+// from's adjacency row and is good until the next AddLink or RemoveLink.
+func (g *Graph) find(from, to NodeID) *Link {
+	if !g.HasNode(from) {
+		return nil
+	}
+	row := g.out[from]
+	for i := range row {
+		if row[i].To == to {
+			return &row[i]
+		}
+	}
 	return nil
 }
 
@@ -165,97 +165,74 @@ func (g *Graph) AddBiLink(a, b NodeID, cap Capacity, delay Delay) error {
 // RemoveLink deletes the link (from, to) if present and reports whether a
 // link was removed. Used by failure-injection scenarios.
 func (g *Graph) RemoveLink(from, to NodeID) bool {
-	key := [2]NodeID{from, to}
-	idx, ok := g.linkIdx[key]
-	if !ok {
+	if g.find(from, to) == nil {
 		return false
 	}
-	delete(g.linkIdx, key)
-	// Remove from the flat slice by swapping with the last element.
-	last := len(g.links) - 1
-	if idx != last {
-		moved := g.links[last]
-		g.links[idx] = moved
-		g.linkIdx[[2]NodeID{moved.From, moved.To}] = idx
-	}
-	g.links = g.links[:last]
-	g.out[from] = removeLinkTo(g.out[from], to)
-	g.in[to] = removeLinkFrom(g.in[to], from)
+	g.out[from] = slices.DeleteFunc(g.out[from], func(l Link) bool { return l.To == to })
+	g.numLinks--
 	g.edits++
 	return true
 }
 
-func removeLinkTo(ls []Link, to NodeID) []Link {
-	for i, l := range ls {
-		if l.To == to {
-			return append(ls[:i], ls[i+1:]...)
-		}
-	}
-	return ls
-}
-
-func removeLinkFrom(ls []Link, from NodeID) []Link {
-	for i, l := range ls {
-		if l.From == from {
-			return append(ls[:i], ls[i+1:]...)
-		}
-	}
-	return ls
-}
-
 // SetCapacity updates the capacity of an existing link.
 func (g *Graph) SetCapacity(from, to NodeID, cap Capacity) error {
-	idx, ok := g.linkIdx[[2]NodeID{from, to}]
-	if !ok {
+	l := g.find(from, to)
+	if l == nil {
 		return fmt.Errorf("graph: no link %s->%s", g.Name(from), g.Name(to))
 	}
 	if cap <= 0 {
 		return fmt.Errorf("graph: non-positive capacity %d", cap)
 	}
-	g.links[idx].Cap = cap
-	g.syncAdjacency(from, to, g.links[idx])
+	l.Cap = cap
 	g.edits++
 	return nil
 }
 
 // SetDelay updates the delay of an existing link.
 func (g *Graph) SetDelay(from, to NodeID, delay Delay) error {
-	idx, ok := g.linkIdx[[2]NodeID{from, to}]
-	if !ok {
+	l := g.find(from, to)
+	if l == nil {
 		return fmt.Errorf("graph: no link %s->%s", g.Name(from), g.Name(to))
 	}
 	if delay < 0 {
 		return fmt.Errorf("graph: negative delay %d", delay)
 	}
-	g.links[idx].Delay = delay
-	g.syncAdjacency(from, to, g.links[idx])
+	l.Delay = delay
 	g.edits++
 	return nil
 }
 
-func (g *Graph) syncAdjacency(from, to NodeID, l Link) {
-	for i := range g.out[from] {
-		if g.out[from][i].To == to {
-			g.out[from][i] = l
-		}
+// Occupy takes d units of the link (from, to) away: it lowers the
+// capacity to left = Cap - d, and removes the link when nothing is left
+// (a zero-capacity link is not representable). This is the residual rule
+// — what remains of a link for a planner once others hold d of it. ok is
+// false, and g unchanged, when there is no such link.
+func (g *Graph) Occupy(from, to NodeID, d Capacity) (left Capacity, ok bool) {
+	l := g.find(from, to)
+	if l == nil {
+		return 0, false
 	}
-	for i := range g.in[to] {
-		if g.in[to][i].From == from {
-			g.in[to][i] = l
-		}
+	left = l.Cap - d
+	if left <= 0 {
+		g.RemoveLink(from, to)
+		return left, true
 	}
+	l.Cap = left
+	g.edits++
+	return left, true
 }
 
 // Edits returns how many mutations (AddNode, AddLink, RemoveLink,
-// SetCapacity, SetDelay) g has seen. Anything derived from g stays valid
-// for as long as it holds the same *Graph and the count it was built at.
+// SetCapacity, SetDelay, Occupy) g has seen. Anything derived from g
+// stays valid for as long as it holds the same *Graph and the count it was
+// built at.
 func (g *Graph) Edits() uint64 { return g.edits }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.names) }
 
 // NumLinks returns the number of links.
-func (g *Graph) NumLinks() int { return len(g.links) }
+func (g *Graph) NumLinks() int { return g.numLinks }
 
 // HasNode reports whether id names a node of g.
 func (g *Graph) HasNode(id NodeID) bool { return id >= 0 && int(id) < len(g.names) }
@@ -278,11 +255,10 @@ func (g *Graph) Lookup(name string) NodeID {
 
 // Link returns the link (from, to) and whether it exists.
 func (g *Graph) Link(from, to NodeID) (Link, bool) {
-	idx, ok := g.linkIdx[[2]NodeID{from, to}]
-	if !ok {
-		return Link{}, false
+	if l := g.find(from, to); l != nil {
+		return *l, true
 	}
-	return g.links[idx], true
+	return Link{}, false
 }
 
 // Out returns the outgoing links of v. The slice must not be modified.
@@ -293,24 +269,15 @@ func (g *Graph) Out(v NodeID) []Link {
 	return g.out[v]
 }
 
-// In returns the incoming links of v. The slice must not be modified.
-func (g *Graph) In(v NodeID) []Link {
-	if !g.HasNode(v) {
-		return nil
-	}
-	return g.in[v]
-}
-
 // Links returns a copy of all links, ordered deterministically by
 // (from, to).
 func (g *Graph) Links() []Link {
-	ls := append([]Link(nil), g.links...)
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].From != ls[j].From {
-			return ls[i].From < ls[j].From
-		}
-		return ls[i].To < ls[j].To
-	})
+	ls := slices.Grow([]Link(nil), g.numLinks)
+	for _, row := range g.out { // out[v] holds From == v, so rows arrive in From order
+		lo := len(ls)
+		ls = append(ls, row...)
+		slices.SortFunc(ls[lo:], func(a, b Link) int { return cmp.Compare(a.To, b.To) })
+	}
 	return ls
 }
 

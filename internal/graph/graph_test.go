@@ -99,9 +99,6 @@ func TestRemoveLink(t *testing.T) {
 	if len(g.Out(ids[1])) != 0 {
 		t.Fatalf("Out(v1) = %v, want empty", g.Out(ids[1]))
 	}
-	if len(g.In(ids[2])) != 0 {
-		t.Fatalf("In(v2) = %v, want empty", g.In(ids[2]))
-	}
 }
 
 func TestSetCapacityAndDelay(t *testing.T) {
@@ -120,14 +117,42 @@ func TestSetCapacityAndDelay(t *testing.T) {
 	if got := g.Out(ids[0])[0]; got.Cap != 42 || got.Delay != 7 {
 		t.Fatalf("Out view stale: %+v", got)
 	}
-	if got := g.In(ids[1])[0]; got.Cap != 42 || got.Delay != 7 {
-		t.Fatalf("In view stale: %+v", got)
-	}
 	if err := g.SetCapacity(ids[1], ids[0], 1); err == nil {
 		t.Fatal("SetCapacity on missing link succeeded")
 	}
 	if err := g.SetDelay(ids[0], ids[1], -2); err == nil {
 		t.Fatal("negative delay accepted")
+	}
+}
+
+// TestOccupy: the residual rule — a partial hold lowers the capacity, a
+// hold of everything (or more) drops the link, a missing link is reported
+// and changes nothing.
+func TestOccupy(t *testing.T) {
+	g, ids := buildLine(t, 3) // caps 10
+	if left, ok := g.Occupy(ids[0], ids[1], 4); !ok || left != 6 {
+		t.Fatalf("partial Occupy = (%d, %v), want (6, true)", left, ok)
+	}
+	if l, ok := g.Link(ids[0], ids[1]); !ok || l.Cap != 6 || l.Delay != 1 {
+		t.Fatalf("after partial Occupy: link = %+v, %v", l, ok)
+	}
+	if left, ok := g.Occupy(ids[0], ids[1], 6); !ok || left != 0 {
+		t.Fatalf("exact Occupy = (%d, %v), want (0, true)", left, ok)
+	}
+	if _, ok := g.Link(ids[0], ids[1]); ok || g.NumLinks() != 1 || len(g.Out(ids[0])) != 0 {
+		t.Fatalf("exact Occupy kept the link: %v out%v", g, g.Out(ids[0]))
+	}
+	if left, ok := g.Occupy(ids[1], ids[2], 25); !ok || left != -15 || g.NumLinks() != 0 {
+		t.Fatalf("over-Occupy = (%d, %v) on %v, want (-15, true) and no links", left, ok, g)
+	}
+	before := g.Edits()
+	for _, pair := range [][2]NodeID{{ids[0], ids[1]}, {ids[2], ids[0]}, {Invalid, ids[0]}, {ids[0], 99}, {99, ids[0]}} {
+		if left, ok := g.Occupy(pair[0], pair[1], 1); ok || left != 0 {
+			t.Fatalf("Occupy(%v) of a missing link = (%d, %v)", pair, left, ok)
+		}
+	}
+	if g.Edits() != before {
+		t.Fatalf("Occupy of missing links moved Edits %d -> %d", before, g.Edits())
 	}
 }
 
@@ -156,7 +181,7 @@ func TestCloneIndependence(t *testing.T) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%v %v|", g, g.Links())
 		for _, v := range g.Nodes() {
-			fmt.Fprintf(&b, "%s=%d out%v in%v|", g.Name(v), g.Lookup(g.Name(v)), g.Out(v), g.In(v))
+			fmt.Fprintf(&b, "%s=%d out%v|", g.Name(v), g.Lookup(g.Name(v)), g.Out(v))
 		}
 		return b.String()
 	}
@@ -385,7 +410,7 @@ func TestShortestPathProperty(t *testing.T) {
 	}
 }
 
-// TestEditsCountsEveryMutation: Edits moves on each of the five mutators
+// TestEditsCountsEveryMutation: Edits moves on each of the six mutators
 // (and on a decode over an existing graph), and on nothing else — failed
 // or no-op calls and reads leave it alone.
 func TestEditsCountsEveryMutation(t *testing.T) {
@@ -409,8 +434,11 @@ func TestEditsCountsEveryMutation(t *testing.T) {
 	step("SetCapacity missing link", false, func() { _ = g.SetCapacity(ids[0], ids[2], 7) })
 	step("SetDelay", true, func() { _ = g.SetDelay(ids[0], ids[1], 3) })
 	step("SetDelay negative", false, func() { _ = g.SetDelay(ids[0], ids[1], -1) })
+	step("Occupy partial", true, func() { g.Occupy(ids[2], ids[0], 2) })
+	step("Occupy missing link", false, func() { g.Occupy(ids[0], ids[2], 2) })
 	step("RemoveLink", true, func() { g.RemoveLink(ids[2], ids[0]) })
 	step("RemoveLink missing", false, func() { g.RemoveLink(ids[2], ids[0]) })
+	step("Occupy to zero", true, func() { g.Occupy(ids[1], ids[2], 10) })
 	step("reads", false, func() { _, _, _ = g.Links(), g.Clone(), g.String() })
 	if c := g.Clone(); c.Edits() != g.Edits() {
 		t.Fatalf("Clone at edit %d, source at %d", c.Edits(), g.Edits())

@@ -49,7 +49,7 @@ func TestEmitSpanAndNilSafety(t *testing.T) {
 		t.Fatal("nil tracer should return nil span")
 	}
 	var nilSpan *SpanCtx
-	nilSpan.End(5)                   // must not panic
+	nilSpan.End(5) // must not panic
 	if id := nilSpan.SpanID(); id != 0 {
 		t.Fatalf("nil span id = %d", id)
 	}

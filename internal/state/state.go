@@ -179,13 +179,6 @@ func (s *Store) Cursor() uint64 {
 	return s.cursor
 }
 
-// LastTick returns the newest tick folded in the current run.
-func (s *Store) LastTick() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastTick
-}
-
 // Observe folds a batch of live tracer events (as returned by
 // Tracer.PageStats(store.Cursor(), 0)) and advances the cursor.
 func (s *Store) Observe(events []obs.Event) {
@@ -358,11 +351,6 @@ func (s *Store) applyRule(st *swState, key, cmd, next string, tick, recv int64) 
 		next = ""
 	}
 	st.rules[key] = append(st.rules[key], ruleChange{run: s.run, tick: tick, next: next, recv: recv})
-}
-
-// intentKeyString renders an update's cross-run identity ("run/id").
-func intentKeyString(k updKey) string {
-	return strconv.Itoa(k.run) + "/" + strconv.FormatUint(k.id, 10)
 }
 
 // ingestIntent parses a state.intent event: the planner-intended

@@ -8,10 +8,10 @@ import (
 // to one registry share the same counters (per-switch breakdown lives in
 // the trace, not the registry, to keep cardinality bounded).
 type agentMetrics struct {
-	immediate *obs.Counter
-	timed     *obs.Counter
-	barriers  *obs.Counter
-	statsReqs *obs.Counter
+	immediate  *obs.Counter
+	timed      *obs.Counter
+	barriers   *obs.Counter
+	statsReqs  *obs.Counter
 	fireSkew   *obs.Histogram
 	skewEarly  *obs.Counter
 	skewLate   *obs.Counter
