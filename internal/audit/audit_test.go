@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,6 +116,46 @@ func TestTransientLoopViaReplay(t *testing.T) {
 	}
 	if r.Replay.Looped == 0 || r.Replay.Delivered == 0 {
 		t.Errorf("replay = %+v, want both delivered and looped emissions", r.Replay)
+	}
+}
+
+// TestReportScratchDoesNotLeak: the emission replay reuses its visited
+// map and path slice. An auditor that reports a looping one-shot trace,
+// then takes a blackhole trace and reports again, must say exactly what
+// a fresh auditor fed everything at once says.
+func TestReportScratchDoesNotLeak(t *testing.T) {
+	looping := []obs.Event{
+		ev(1, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
+		ev(2, 0, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "host"),
+		ev(3, 1, "emu.inject", "switch", "v1", "key", "f/0", "rate", "5"),
+		ev(4, 1, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "5", "total", "5", "cap", "10", "delay", "1"),
+		ev(5, 1, "emu.rate", "link", "v1>v3", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
+		ev(6, 1, "emu.rate", "link", "v3>v1", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
+		// One shot: both switches flip at tick 20.
+		ev(7, 20, "sw.apply", "switch", "v3", "skew", "0", "at", "20", "key", "f/0", "cmd", "add", "next", "v1"),
+		ev(8, 20, "sw.apply", "switch", "v1", "skew", "0", "at", "20", "key", "f/0", "cmd", "mod", "next", "v3"),
+	}
+	blackhole := []obs.Event{
+		ev(9, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "g/0", "cmd", "add", "next", "v2"),
+		ev(10, 1, "emu.inject", "switch", "v1", "key", "g/0", "rate", "5"),
+		ev(11, 1, "emu.rate", "link", "v1>v2", "key", "g/0", "rate", "5", "total", "10", "cap", "10", "delay", "1"),
+		ev(12, 2, "emu.drop", "switch", "v2", "key", "g/0", "reason", "no_rule"),
+	}
+	a := New()
+	a.Feed(looping...)
+	if first := a.Report(); len(first.Loops) == 0 || first.Replay.Looped == 0 {
+		t.Fatalf("looping trace: loops %+v, replay %+v, want a loop", first.Loops, first.Replay)
+	}
+	a.Feed(blackhole...)
+	second := a.Report()
+	fresh := New()
+	fresh.Feed(append(append([]obs.Event(nil), looping...), blackhole...)...)
+	want := fresh.Report()
+	if len(want.Blackholes) == 0 || len(want.Loops) == 0 {
+		t.Fatalf("combined trace: loops %+v, blackholes %+v, want both", want.Loops, want.Blackholes)
+	}
+	if !reflect.DeepEqual(second, want) {
+		t.Fatalf("second report differs from a fresh auditor's:\n%s\nvs\n%s", second, want)
 	}
 }
 

@@ -179,8 +179,9 @@ func (st *state) traceOne(key, src string, t int64, stats *ReplayStats, transien
 	stats.Emissions++
 	emit := t
 	cur := src
-	visited := map[string]int{src: 0}
-	path := []string{src}
+	clear(st.visited)
+	st.visited[src] = 0
+	st.path = append(st.path[:0], src)
 	for {
 		next := st.ruleAt(cur, key, t)
 		switch next {
@@ -203,9 +204,9 @@ func (st *state) traceOne(key, src string, t int64, stats *ReplayStats, transien
 			st.note("link %s>%s: no observed delay; replay assumes 1 tick", cur, next)
 		}
 		t += d
-		if i, ok := visited[next]; ok {
+		if i, ok := st.visited[next]; ok {
 			stats.Looped++
-			cyc := canonicalCycle(path[i:])
+			cyc := canonicalCycle(st.path[i:])
 			id := key + "|" + cyc
 			l, ok := transient[id]
 			if !ok {
@@ -224,8 +225,8 @@ func (st *state) traceOne(key, src string, t int64, stats *ReplayStats, transien
 			}
 			return t
 		}
-		visited[next] = len(path)
-		path = append(path, next)
+		st.visited[next] = len(st.path)
+		st.path = append(st.path, next)
 		cur = next
 	}
 }

@@ -63,6 +63,11 @@ type state struct {
 	lanes map[string]*SwitchLane
 
 	notes map[string]bool
+
+	// traceOne's scratch, reused across emissions: switch -> index in
+	// path, and the hops of the emission being traced.
+	visited map[string]int
+	path    []string
 }
 
 func newState() *state {
@@ -78,6 +83,7 @@ func newState() *state {
 		ttlByKey:   make(map[string]int64),
 		lanes:      make(map[string]*SwitchLane),
 		notes:      make(map[string]bool),
+		visited:    make(map[string]int),
 	}
 }
 

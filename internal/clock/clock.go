@@ -96,9 +96,11 @@ type SwitchClock struct {
 	LastAt  int64 `json:"last_at"`
 }
 
-// pendingSend is an outstanding barrier request: ctl.send observed, the
-// matching sw.barrier not yet.
-type pendingSend struct {
+// halfTrip is the half of a barrier round trip seen first: the ctl.send
+// (sw set) or the sw.barrier reply (sw empty). Over TCP the switch agent
+// can record its reply before the controller records the send, so either
+// half may wait for the other.
+type halfTrip struct {
 	sw string
 	vt int64
 }
@@ -114,7 +116,7 @@ type Estimator struct {
 	reg     *obs.Registry
 	cursor  uint64
 	states  map[string]*switchState
-	pending map[string]pendingSend // barrier xid -> ctl.send
+	pending map[string]halfTrip // barrier xid -> the unmatched half
 }
 
 // RegisterMetrics pre-registers the clock gauge families on r so they
@@ -134,7 +136,7 @@ func New(reg *obs.Registry) *Estimator {
 	return &Estimator{
 		reg:     reg,
 		states:  map[string]*switchState{},
-		pending: map[string]pendingSend{},
+		pending: map[string]halfTrip{},
 	}
 }
 
@@ -186,31 +188,43 @@ func (e *Estimator) observeApply(ev obs.Event) {
 }
 
 // observeSpan pairs barrier ctl.send spans with the switch-side
-// sw.barrier span carrying the same xid; the virtual-time difference is
-// a one-way control latency sample.
+// sw.barrier span carrying the same xid, in either order; the
+// virtual-time difference is a one-way control latency sample.
 func (e *Estimator) observeSpan(ev obs.Event) {
+	var half halfTrip
 	switch ev.Attr(obs.KeyOp) {
 	case obs.OpCtlSend:
-		xid, sw := ev.Attr(obs.KeyXid), ev.Attr(obs.KeySwitch)
-		if ev.Attr(obs.KeyKind) != "barrier" || xid == "" || sw == "" {
+		half = halfTrip{sw: ev.Attr(obs.KeySwitch), vt: ev.VT}
+		if ev.Attr(obs.KeyKind) != "barrier" || half.sw == "" {
 			return
 		}
-		if len(e.pending) >= maxPending {
-			// A reply this old is never coming; drop the table rather
-			// than grow without bound on a disconnect-heavy stream.
-			e.pending = map[string]pendingSend{}
-		}
-		e.pending[xid] = pendingSend{sw: sw, vt: ev.VT}
 	case obs.EvSwBarrier:
-		xid := ev.Attr(obs.KeyXid) // "" is never pending
-		snd, ok := e.pending[xid]
-		if !ok {
-			return
+		half = halfTrip{vt: ev.VT}
+	default:
+		return
+	}
+	xid := ev.Attr(obs.KeyXid)
+	if xid == "" {
+		return
+	}
+	other, ok := e.pending[xid]
+	if !ok || (other.sw == "") == (half.sw == "") {
+		// Nothing to pair with yet, or the same half again: hold this one.
+		if len(e.pending) >= maxPending {
+			// A half this old is never getting its pair; drop the table
+			// rather than grow without bound on a disconnect-heavy stream.
+			e.pending = map[string]halfTrip{}
 		}
-		delete(e.pending, xid)
-		if lat := ev.VT - snd.vt; lat >= 0 {
-			e.state(snd.sw).pushRTT(lat)
-		}
+		e.pending[xid] = half
+		return
+	}
+	delete(e.pending, xid)
+	send, reply := other, half
+	if half.sw != "" {
+		send, reply = half, other
+	}
+	if lat := reply.vt - send.vt; lat >= 0 {
+		e.state(send.sw).pushRTT(lat)
 	}
 }
 

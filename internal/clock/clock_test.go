@@ -132,6 +132,22 @@ func TestEstimatorBarrierRTT(t *testing.T) {
 	}
 }
 
+// TestEstimatorBarrierReplyBeforeSend: over TCP a switch agent can record
+// its sw.barrier before the controller records the ctl.send it answers.
+// The pair still yields one sample, at either end of the stream.
+func TestEstimatorBarrierReplyBeforeSend(t *testing.T) {
+	e := New(nil)
+	e.Observe([]obs.Event{spanEvent(1, 100, "sw.barrier", obs.A("switch", "R1"), obs.A("xid", 7))})
+	e.Observe([]obs.Event{spanEvent(2, 100, "ctl.send", obs.A("switch", "R1"), obs.A("xid", 7), obs.A("kind", "barrier"))})
+	est, ok := e.Estimate("R1")
+	if !ok || est.RTTSamples != 1 || est.RTTTicks != 0 {
+		t.Fatalf("estimate = %+v (ok=%v), want one 0-tick rtt sample", est, ok)
+	}
+	if len(e.pending) != 0 {
+		t.Errorf("%d halves still pending after the pair matched", len(e.pending))
+	}
+}
+
 func TestPredictSkewExtrapolatesDrift(t *testing.T) {
 	e := New(nil)
 	// skew = at/100 with samples at 0..1900: median 9.5 ticks at

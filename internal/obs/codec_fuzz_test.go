@@ -2,25 +2,45 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzDecodeJSONLine: decode∘encode is the identity on every line the
-// codec accepts — the decoded event survives a round trip through the
-// canonical encoding, and the canonical bytes are a fixed point. The
-// checked-in corpus is under testdata/fuzz.
+// FuzzDecodeJSONLine holds the fast path to encoding/json: on any line it
+// either declines or returns exactly what json.Unmarshal returns, and it
+// never declines a canonical line. Beyond that, decode∘encode is the
+// identity on every line the codec accepts — the decoded event survives
+// a round trip through the canonical encoding, and the canonical bytes
+// are a fixed point. The checked-in corpus is under testdata/fuzz.
 func FuzzDecodeJSONLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
+		var want Event
+		jsonErr := json.Unmarshal(line, &want)
+		d := decoder{intern: make(map[string]string)}
+		if fast, ok := d.canonical(line); ok {
+			if jsonErr != nil {
+				t.Fatalf("fast path accepted %q, json.Unmarshal fails: %v", line, jsonErr)
+			}
+			if !reflect.DeepEqual(fast, want) {
+				t.Fatalf("fast path disagrees with json.Unmarshal on %q:\n fast %#v\n json %#v", line, fast, want)
+			}
+		}
 		e, err := DecodeJSONLine(line)
+		if (err == nil) != (jsonErr == nil) {
+			t.Fatalf("DecodeJSONLine err = %v, json.Unmarshal err = %v", err, jsonErr)
+		}
 		if err != nil {
 			return
 		}
 		enc, err := EncodeJSONLine(nil, e)
 		if err != nil {
 			t.Fatalf("accepted %q but cannot encode %+v: %v", line, e, err)
+		}
+		if _, ok := d.canonical(enc); !ok {
+			t.Fatalf("fast path declined the canonical line %q", enc)
 		}
 		back, err := DecodeJSONLine(enc)
 		if err != nil {

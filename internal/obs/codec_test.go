@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -62,6 +64,73 @@ func TestCodecMatchesWriteJSONL(t *testing.T) {
 	if w.String() != string(want) {
 		t.Fatalf("WriteJSONL diverged from codec:\n%q\n%q", w.String(), want)
 	}
+}
+
+// TestCanonicalFastPathScope pins which lines the fast path takes: the
+// shape EncodeJSONLine writes, and nothing encoding/json might read
+// differently. FuzzDecodeJSONLine checks that what it takes is right.
+func TestCanonicalFastPathScope(t *testing.T) {
+	for _, c := range []struct {
+		line  string
+		taken bool
+	}{
+		{`{"seq":1,"vt":0,"name":"a"}`, true},
+		{`{"seq":7,"vt":-40,"wall":5,"name":"emu.rate","dur":2,"attrs":[{"k":"link","v":"R1>R2"}]}`, true},
+		{`{"seq":3,"vt":0,"name":"boot","attrs":[]}`, true},
+		{`{"seq":18446744073709551615,"vt":-9223372036854775808,"name":"a"}` + " \r\n", true},
+		{`{"seq":3,"vt":0,"name":"boot","attrs":null}`, false},
+		{`{"seq":1,"vt":-0,"name":"a"}`, false},
+		{`{"seq":1e3,"vt":0,"name":"a"}`, false},
+		{`{"seq":01,"vt":0,"name":"a"}`, false},
+		{`{"seq":18446744073709551616,"vt":0,"name":"a"}`, false},
+		{`{"seq":1,"vt":9223372036854775808,"name":"a"}`, false},
+		{`{"seq":1,"vt":0,"name":"\ud800"}`, false},
+		{"{\"seq\":1,\"vt\":0,\"name\":\"a\xffb\"}", false},
+		{`{"vt":0,"seq":1,"name":"a"}`, false},
+		{`{"seq":1,"vt":0,"name":"a","name":"b"}`, false},
+		{`{"seq": 1,"vt":0,"name":"a"}`, false},
+		{` {"seq":1,"vt":0,"name":"a"}`, false},
+		{`{"seq":1,"vt":0,"name":"a"}x`, false},
+	} {
+		d := decoder{intern: make(map[string]string)}
+		if _, taken := d.canonical([]byte(c.line)); taken != c.taken {
+			t.Errorf("fast path taken = %v on %q, want %v", taken, c.line, c.taken)
+		}
+	}
+}
+
+// TestReadJSONLConcurrentReaders: readers share nothing (the intern table
+// is per call), so concurrent reads of one stream all see every event —
+// the /watch backfill beside the boot prefeed. Run it under -race.
+func TestReadJSONLConcurrentReaders(t *testing.T) {
+	tr := NewTracer(TracerOptions{})
+	for i := 0; i < 200; i++ {
+		tr.Point(int64(i), EvEmuRate, A(KeyLink, "R1>R2"), A(KeyKey, "f/0"), A(KeyRate, i))
+	}
+	var stream strings.Builder
+	if err := tr.WriteJSONL(&stream, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := tr.Events(0)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var got []Event
+			if _, err := ReadJSONL(strings.NewReader(stream.String()), false, func(e Event) error {
+				got = append(got, e)
+				return nil
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent reader decoded %d events differently from the %d traced", len(got), len(want))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDecodeJSONLineRejectsGarbage(t *testing.T) {

@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -141,14 +142,26 @@ func (n *SpanNode) Walk(f func(*SpanNode)) {
 // (Start, ID), so for a deterministic tracer the forest — and its JSON
 // encoding — is byte-identical run to run.
 func BuildSpanForest(events []Event) []*SpanNode {
-	byID := make(map[SpanID]*SpanNode)
+	// Size the two backing arrays first: every node lives in one
+	// []SpanNode, and its user attributes in an exact-size window of one
+	// shared []Attr.
+	spans, attrCount := 0, 0
+	for _, e := range events {
+		if e.Name == SpanEventName {
+			spans++
+			attrCount += len(e.Attrs)
+		}
+	}
+	store := make([]SpanNode, 0, spans)
+	attrs := make([]Attr, 0, attrCount)
+	byID := make(map[SpanID]*SpanNode, spans)
 	ctlByXid := make(map[string]SpanID)
-	var nodes []*SpanNode
 	for _, e := range events {
 		if e.Name != SpanEventName {
 			continue
 		}
-		n := &SpanNode{Seq: e.Seq, Start: e.VT, End: e.VT + e.Dur}
+		n := SpanNode{Seq: e.Seq, Start: e.VT, End: e.VT + e.Dur}
+		from := len(attrs)
 		for _, a := range e.Attrs {
 			switch a.K {
 			case spanAttrID:
@@ -160,21 +173,26 @@ func BuildSpanForest(events []Event) []*SpanNode {
 			case spanAttrOp:
 				n.Op = a.V
 			default:
-				n.Attrs = append(n.Attrs, a)
+				attrs = append(attrs, a)
 			}
 		}
 		if n.ID == 0 {
+			attrs = attrs[:from]
 			continue // malformed
 		}
-		byID[n.ID] = n
-		nodes = append(nodes, n)
+		if len(attrs) > from {
+			n.Attrs = attrs[from:len(attrs):len(attrs)]
+		}
+		store = append(store, n)
+		byID[n.ID] = &store[len(store)-1]
 		if strings.HasPrefix(n.Op, "ctl.") {
 			if xid := n.Attr(KeyXid); xid != "" {
 				ctlByXid[xid] = n.ID
 			}
 		}
 	}
-	for _, n := range nodes {
+	for i := range store {
+		n := &store[i]
 		if n.Parent == 0 && strings.HasPrefix(n.Op, "sw.") {
 			if xid := n.Attr(KeyXid); xid != "" {
 				if pid, ok := ctlByXid[xid]; ok && pid != n.ID {
@@ -184,24 +202,25 @@ func BuildSpanForest(events []Event) []*SpanNode {
 		}
 	}
 	var roots []*SpanNode
-	for _, n := range nodes {
+	for i := range store {
+		n := &store[i]
 		if p, ok := byID[n.Parent]; ok && n.Parent != n.ID {
 			p.Children = append(p.Children, n)
 		} else {
 			roots = append(roots, n)
 		}
 	}
-	order := func(s []*SpanNode) {
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].Start != s[j].Start {
-				return s[i].Start < s[j].Start
-			}
-			return s[i].ID < s[j].ID
-		})
+	for i := range store {
+		slices.SortFunc(store[i].Children, byStartID)
 	}
-	for _, n := range nodes {
-		order(n.Children)
-	}
-	order(roots)
+	slices.SortFunc(roots, byStartID)
 	return roots
+}
+
+// byStartID orders sibling spans by (Start, ID).
+func byStartID(a, b *SpanNode) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
