@@ -128,11 +128,7 @@ func (s *server) executeAdmitted(u *admit.Update) (obs.SpanID, error) {
 	// handler's response.
 	s.tb.AdvanceBy(chronus.SimTime(2 * (s.in.Init.Delay(s.in.G) + s.in.Fin.Delay(s.in.G))))
 	var drops float64
-	s.tb.Do(func() {
-		for _, id := range s.in.G.Nodes() {
-			drops += s.tb.Net.Switch(id).Dropped()
-		}
-	})
+	s.tb.Do(func() { drops = s.tb.Net.TotalDrops() })
 	s.endCost(meter, root, u.Req.Method, "ok")
 	s.mu.Lock()
 	s.execs[u.ID] = execResult{

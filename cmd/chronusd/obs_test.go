@@ -14,6 +14,7 @@ import (
 
 	chronus "github.com/chronus-sdn/chronus"
 	"github.com/chronus-sdn/chronus/internal/api"
+	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
@@ -300,6 +301,48 @@ func TestDaemonHealthEndpoint(t *testing.T) {
 			t.Fatalf("CRIT reasons do not mention the invalid plan: %v", v.Reasons)
 		}
 	})
+}
+
+// TestDaemonHealthJudgesOnlyThePlan pins that arming a plan folds the
+// trace first: the two boot clock-probe rounds fire a timed no-op on
+// every switch, and those applies (and their skews) belong to no plan.
+// After one chronus update each planned switch has applied exactly once,
+// and its all-time worst skew is that one apply's.
+func TestDaemonHealthJudgesOnlyThePlan(t *testing.T) {
+	srv, ts := newTestServerOpts(t, serverOptions{Seed: 1, Virtual: true})
+	if resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: %s (%v)", resp.Status, result)
+	}
+	var v struct {
+		Switches []struct {
+			Switch    string `json:"switch"`
+			Applies   int64  `json:"applies"`
+			WorstEver int64  `json:"worst_skew_ever_ticks"`
+		} `json:"switches"`
+	}
+	getJSON(t, ts.URL+"/health", &v)
+	if len(v.Switches) == 0 {
+		t.Fatal("no per-switch margins after a timed update")
+	}
+	skew := map[string]int64{}
+	for _, e := range srv.tracer.Events(0) {
+		if e.Name != obs.EvSwApply || e.Attr(obs.KeyKey) != srv.flow.Name+"/0" {
+			continue
+		}
+		s := e.AttrInt(obs.KeySkew)
+		if s < 0 {
+			s = -s
+		}
+		skew[e.Attr(obs.KeySwitch)] = max(skew[e.Attr(obs.KeySwitch)], s)
+	}
+	for _, sw := range v.Switches {
+		if sw.Applies != 1 {
+			t.Errorf("switch %s: applies = %d, want 1 (boot probe fires leaked into the plan)", sw.Switch, sw.Applies)
+		}
+		if sw.WorstEver != skew[sw.Switch] {
+			t.Errorf("switch %s: worst skew ever = %d, want the update's own %d", sw.Switch, sw.WorstEver, skew[sw.Switch])
+		}
+	}
 }
 
 // TestDaemonDashEndpoint checks the embedded dashboard ships and wires

@@ -18,8 +18,10 @@ import (
 	"github.com/chronus-sdn/chronus/internal/admit"
 	"github.com/chronus-sdn/chronus/internal/api"
 	"github.com/chronus-sdn/chronus/internal/audit"
+	"github.com/chronus-sdn/chronus/internal/baseline"
 	"github.com/chronus-sdn/chronus/internal/buildinfo"
 	"github.com/chronus-sdn/chronus/internal/clock"
+	"github.com/chronus-sdn/chronus/internal/controller"
 	"github.com/chronus-sdn/chronus/internal/health"
 	"github.com/chronus-sdn/chronus/internal/journal"
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -67,7 +69,7 @@ type serverOptions struct {
 	StateRing int
 	// ExecHeadroom is how many ticks past "now" a timed schedule's
 	// first activation is shifted to clear the control latency
-	// (0 = the default of 50). Crash tests raise it so a kill lands
+	// (0 = controller.Headroom). Crash tests raise it so a kill lands
 	// mid-schedule deterministically.
 	ExecHeadroom int64
 }
@@ -182,7 +184,7 @@ func newServer(o serverOptions) (*server, error) {
 		execs:    make(map[uint64]execResult),
 	}
 	if srv.headroom = o.ExecHeadroom; srv.headroom <= 0 {
-		srv.headroom = 50
+		srv.headroom = controller.Headroom
 	}
 	srv.state = state.New(state.Options{
 		JournalDir: o.JournalDir,
@@ -232,7 +234,7 @@ func newServer(o serverOptions) (*server, error) {
 		srv.Close()
 		return nil, fmt.Errorf("clock probe cleanup: %w", err)
 	}
-	srv.pull(pullClocks)
+	srv.pull()
 	// The admission pipeline: every POST /update goes through this
 	// engine, which debits the shared capacity ledger at plan time,
 	// plans disjoint updates in parallel, and batches conflicting ones
@@ -349,25 +351,15 @@ func (r *statusRecorder) WriteHeader(code int) {
 // Flush (the /watch stream needs it through the logging wrapper).
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// consumers names the folds of the trace stream a read pulls forward.
-// Each endpoint keeps the set it has always pulled: health's margins
-// depend on whether an apply is folded before or after SetPlan clears
-// the previous plan's observations.
-type consumers uint8
-
-const (
-	pullClocks consumers = 1 << iota
-	pullHealth
-	pullState
-)
-
-// pull folds the trace events recorded since each named consumer's last
-// look into it — cursor-style, on read, so the update hot path never
-// pays for a fold. Events the ring evicted before a consumer could fold
-// them are lost to it (the journal, when configured, still has them):
-// every such gap is logged, and the state store also reports it as
-// missed_events in its snapshots.
-func (s *server) pull(which consumers) {
+// pull folds the trace events recorded since each consumer's last look
+// into it — cursor-style, on read, so the update hot path never pays
+// for a fold. Every read folds every consumer, so what a fold holds
+// never depends on which endpoint was read last. Events the ring
+// evicted before a consumer could fold them are lost to it (the
+// journal, when configured, still has them): every such gap is logged,
+// and the state store also reports it as missed_events in its
+// snapshots.
+func (s *server) pull() {
 	page := func(consumer string, cursor uint64) obs.PageStats {
 		ps := s.tracer.PageStats(cursor, 0)
 		if ps.Skipped > 0 {
@@ -376,17 +368,19 @@ func (s *server) pull(which consumers) {
 		}
 		return ps
 	}
-	if which&pullClocks != 0 {
-		s.clocks.Observe(page("clocks", s.clocks.Cursor()).Events)
-	}
-	if which&pullHealth != 0 {
-		s.health.Observe(page("health", s.health.Cursor()).Events)
-	}
-	if which&pullState != 0 {
-		ps := page("state", s.state.Cursor())
-		s.state.NoteSkipped(ps.Skipped)
-		s.state.Observe(ps.Events)
-	}
+	s.clocks.Observe(page("clocks", s.clocks.Cursor()).Events)
+	s.health.Observe(page("health", s.health.Cursor()).Events)
+	ps := page("state", s.state.Cursor())
+	s.state.NoteSkipped(ps.Skipped)
+	s.state.Observe(ps.Events)
+}
+
+// arm holds the health engine to plan p. Everything recorded before
+// now — boot clock probes, the previous update's applies — is folded
+// first, so it lands in the previous plan's margins and never in p's.
+func (s *server) arm(p health.Plan) {
+	s.pull()
+	s.health.SetPlan(p)
 }
 
 // handleSpans returns the causal span forest reconstructed from the
@@ -415,7 +409,7 @@ func (s *server) handleSpans(w http.ResponseWriter, r *http.Request) {
 // into the health engine (and the clock estimator its predictive
 // rules read from) and returns the verdict.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.pull(pullClocks | pullHealth)
+	s.pull()
 	writeJSON(w, http.StatusOK, s.health.Verdict())
 }
 
@@ -424,7 +418,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // In deterministic (virtual, no-wall) mode the response bytes are
 // fixed per seed.
 func (s *server) handleClocks(w http.ResponseWriter, r *http.Request) {
-	s.pull(pullClocks)
+	s.pull()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"now":    s.tb.Now(),
 		"clocks": s.clocks.Estimates(),
@@ -473,7 +467,7 @@ func (s *server) handleAudit(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Refresh the health and clock gauges so a scrape that never touches
 	// /health or /clocks still sees current margins and estimates.
-	s.pull(pullClocks | pullHealth)
+	s.pull()
 	s.clocks.Estimates()
 	s.health.Verdict()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -591,7 +585,7 @@ func (s *server) handleLinks(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		s.pull(pullState)
+		s.pull()
 		snap := s.state.StateBody(at)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"run": snap.Run, "at": snap.At, "links": snap.Links,
@@ -604,7 +598,7 @@ func (s *server) handleLinks(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		s.pull(pullState)
+		s.pull()
 		type linkHistory struct {
 			Link     string                `json:"link"`
 			Capacity int64                 `json:"capacity"`
@@ -837,7 +831,7 @@ func (s *server) executeUpdate(id uint64, tenant, method string) (chronus.SpanID
 // the journal.
 func (s *server) executePlanned(id uint64, tenant, method string, root chronus.SpanID) error {
 	if method == "tp" {
-		s.health.SetPlan(health.Plan{Kind: "twophase", Valid: true})
+		s.arm(health.Plan{Kind: "twophase", Valid: true})
 		newTag := s.flow.Tag + 1
 		s.emitIntent(id, tenant, method, fmt.Sprintf("%s/%d", s.flow.Name, newTag), 0, nil, int64(s.tb.Now()))
 		return s.ctl.ExecuteTwoPhase(s.in, s.flow, newTag)
@@ -863,21 +857,10 @@ func (s *server) executePlanned(id uint64, tenant, method string, root chronus.S
 		now := int64(s.tb.Now())
 		// Headroom past the control latency (configurable so crash
 		// tests can park the applies far in the virtual future).
-		start := chronus.Tick(s.tb.Now()) + chronus.Tick(s.headroom)
+		start := chronus.Tick(now) + chronus.Tick(s.headroom)
 		sched := res.Schedule.Shifted(start)
-		plan := health.Plan{Kind: "timed", Valid: report.OK(), StartTick: now}
-		for _, sl := range chronus.ScheduleSlack(s.in, res.Schedule) {
-			plan.Switches = append(plan.Switches, health.PlanSwitch{
-				Switch:     s.in.G.Name(sl.V),
-				SlackTicks: int64(sl.Slack),
-				// The slack entry's Time is on the solver's own clock;
-				// shift it the same way the executed schedule is shifted
-				// so the forecast extrapolates to the real fire tick.
-				ApplyTick: int64(start + (sl.Time - res.Schedule.Start)),
-				Critical:  sl.Critical,
-			})
-		}
-		s.health.SetPlan(plan)
+		plan := controller.TimedPlan(s.in, res.Schedule, start, now, report.OK())
+		s.arm(plan)
 		s.tracer.EmitSpan("plan", root, now, now,
 			obs.A("kind", "timed"), obs.A("switches", len(sched.Times)),
 			obs.A("start", int64(start)), obs.A("valid", report.OK()))
@@ -885,13 +868,8 @@ func (s *server) executePlanned(id uint64, tenant, method string, root chronus.S
 			minPlanSlack(plan), sched, -1)
 		return s.ctl.ExecuteTimed(s.in, sched, s.flow)
 	case len(res.Rounds) > 0 && res.Feasible == nil:
-		s.health.SetPlan(health.Plan{Kind: "rounds", Valid: true})
-		sched := chronus.NewSchedule(0)
-		for i, round := range res.Rounds {
-			for _, v := range round {
-				sched.Set(v, chronus.Tick(i))
-			}
-		}
+		s.arm(health.Plan{Kind: "rounds", Valid: true})
+		sched := baseline.ORSchedule(res.Rounds, baseline.ORScheduleOptions{RoundWidth: 1})
 		now := int64(s.tb.Now())
 		s.tracer.EmitSpan("plan", root, now, now,
 			obs.A("kind", "rounds"), obs.A("switches", len(sched.Times)),

@@ -43,7 +43,7 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.pull(pullState)
+	s.pull()
 	writeJSON(w, http.StatusOK, s.state.StateBody(at))
 }
 
@@ -54,7 +54,7 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 // same journal directory are included — a half-executed schedule whose
 // daemon died shows up stranded here after the restart.
 func (s *server) handleDrift(w http.ResponseWriter, r *http.Request) {
-	s.pull(pullState)
+	s.pull()
 	writeJSON(w, http.StatusOK, s.state.DriftBody())
 }
 
@@ -72,7 +72,7 @@ func (s *server) handleLinkTimeline(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no link %q", name))
 		return
 	}
-	s.pull(pullState)
+	s.pull()
 	tl, _ := s.state.LinkTimeline(name, since)
 	if tl.Capacity == 0 {
 		// The link exists but has not carried traffic yet; report its
@@ -83,11 +83,12 @@ func (s *server) handleLinkTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // driftAdapter feeds the state store's drift report to the health
-// rules (the same attach-source pattern as queueAdapter).
+// rules (the same attach-source pattern as queueAdapter). It folds
+// nothing itself: health calls it from Verdict with its lock held, and
+// every Verdict caller has just pulled.
 type driftAdapter struct{ s *server }
 
 func (d driftAdapter) DriftHealth() health.DriftStats {
-	d.s.pull(pullState)
 	rep := d.s.state.DriftBody()
 	out := health.DriftStats{Tracked: rep.Tracked}
 	for _, u := range rep.Updates {

@@ -8,13 +8,9 @@ import (
 	"strings"
 
 	chronus "github.com/chronus-sdn/chronus"
+	"github.com/chronus-sdn/chronus/internal/controller"
 	"github.com/chronus-sdn/chronus/internal/obs"
 )
-
-// traceHeadroom is how many ticks past "now" the schedule is shifted
-// before execution, leaving room for the control latency of the timed
-// FlowMods.
-const traceHeadroom = 50
 
 // executeOnTestbed replays a solved schedule on an emulated testbed with
 // a deterministic tracer attached and returns the tracer once the data
@@ -22,20 +18,15 @@ const traceHeadroom = 50
 // are identical across runs: they carry virtual time only and the
 // control-latency model is seeded.
 func executeOnTestbed(in *chronus.Instance, s *chronus.Schedule, seed int64) (*chronus.Tracer, error) {
-	reg := chronus.NewMetricsRegistry()
 	tracer := chronus.NewTracer(chronus.TracerOptions{})
-	tb := chronus.NewTestbed(in.G)
-	tb.Net.SetObs(reg, tracer)
-	ctl := chronus.NewController(tb, chronus.ControllerOptions{Seed: seed, Obs: reg, Trace: tracer})
-	ctl.AttachAll(nil)
-
-	flow := chronus.FlowSpec{Name: "f", Tag: 0, Path: in.Init, Rate: chronus.Rate(in.Demand)}
-	if err := ctl.Provision(flow); err != nil {
+	tb, ctl, flow, err := controller.Boot(in, "f", nil,
+		controller.Options{Seed: seed, Obs: chronus.NewMetricsRegistry(), Trace: tracer})
+	if err != nil {
 		return nil, err
 	}
-	tb.AdvanceBy(traceHeadroom)
+	tb.AdvanceBy(controller.Headroom)
 
-	start := chronus.Tick(tb.Now()) + traceHeadroom
+	start := chronus.Tick(tb.Now()) + controller.Headroom
 	shifted := s.Shifted(start)
 	// One "sched" event per switch marks the planned activation instant,
 	// so the timeline shows plan versus execution.
@@ -49,7 +40,7 @@ func executeOnTestbed(in *chronus.Instance, s *chronus.Schedule, seed int64) (*c
 	logger.Info("executing schedule on testbed",
 		"span", uint64(root.SpanID()), "switches", len(s.Times), "seed", seed, "start", int64(start))
 	ctl.SetSpan(root.SpanID())
-	err := ctl.ExecuteTimed(in, shifted, flow)
+	err = ctl.ExecuteTimed(in, shifted, flow)
 	ctl.SetSpan(0)
 	if err != nil {
 		root.End(int64(tb.Now()), obs.A("outcome", "error"))

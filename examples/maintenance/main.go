@@ -69,11 +69,7 @@ func main() {
 	fmt.Printf("\nafter the update: R5->R6 carries %d Mbps — safe to power R6 down\n", drained.Rate())
 	fmt.Printf("transient overloads anywhere: %d ticks; drops: ", tb.Net.TotalOverloadTicks())
 	var drops float64
-	tb.Do(func() {
-		for _, id := range in.G.Nodes() {
-			drops += tb.Net.Switch(id).Dropped()
-		}
-	})
+	tb.Do(func() { drops = tb.Net.TotalDrops() })
 	fmt.Printf("%.0f bytes\n", drops)
 	if tb.Net.TotalOverloadTicks() == 0 && drops == 0 {
 		fmt.Println("drain completed hitlessly")

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"github.com/chronus-sdn/chronus/internal/batch"
+	"github.com/chronus-sdn/chronus/internal/controller"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
 	"github.com/chronus-sdn/chronus/internal/graph"
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -23,12 +24,9 @@ import (
 	"github.com/chronus-sdn/chronus/internal/state"
 )
 
-// Plan-only updates are scheduled by planScheme, starting planHeadroom
-// ticks past "now" (the daemon's control-latency headroom).
-const (
-	planScheme   = "chronus"
-	planHeadroom = 50
-)
+// Plan-only updates are scheduled by planScheme, starting the
+// controller's control headroom past "now".
+const planScheme = "chronus"
 
 // component is one conflict-graph component of a wave: updates whose
 // link footprints are transitively connected. Members are in id order.
@@ -171,7 +169,7 @@ func (e *Engine) planComponent(now int64, c component, res *graph.Graph) compone
 		return out
 	}
 	plan, refusals, err := batch.SolveEach(res, flows, batch.Options{
-		Start:  dynflow.Tick(now + planHeadroom),
+		Start:  dynflow.Tick(now) + controller.Headroom,
 		Scheme: planScheme,
 	})
 	if err != nil {

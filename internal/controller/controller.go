@@ -86,9 +86,6 @@ type Options struct {
 	// ticks for virtual sessions (defaults 1..8; the spread is the
 	// data-plane asynchrony of the paper's motivating example).
 	MinLatency, MaxLatency sim.Time
-	// ReplyTimeout bounds real-time waiting for replies (default 5 s);
-	// it matters only for TCP sessions and broken tests.
-	ReplyTimeout time.Duration
 	// OnDisconnect, when set, is called (from the session's reader
 	// goroutine) after a connected session drops and has been detached;
 	// err is the read error that ended the session.
@@ -170,9 +167,6 @@ func New(h *Harness, opts Options) *Controller {
 	}
 	if opts.MinLatency < 0 || opts.MinLatency > opts.MaxLatency {
 		opts.MinLatency = opts.MaxLatency
-	}
-	if opts.ReplyTimeout <= 0 {
-		opts.ReplyTimeout = 5 * time.Second
 	}
 	if opts.Obs == nil {
 		// A private registry keeps the counters behind Disconnects()
@@ -399,6 +393,10 @@ var ErrNoSession = errors.New("controller: no session for switch")
 // ErrTimeout is returned when replies do not arrive.
 var ErrTimeout = errors.New("controller: timed out awaiting replies")
 
+// replyTimeout bounds real-time waiting for replies; it matters only for
+// TCP sessions and broken tests.
+const replyTimeout = 5 * time.Second
+
 func (c *Controller) session(id graph.NodeID) (Session, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -482,7 +480,7 @@ func setXID(m ofp.Msg, x uint32) {
 // needed (virtual sessions) and waiting for the wire (TCP sessions). It
 // returns the replies by xid.
 func (c *Controller) await(xids []uint32) (map[uint32]ofp.Msg, error) {
-	deadline := time.Now().Add(c.opts.ReplyTimeout)
+	deadline := time.Now().Add(replyTimeout)
 	out := make(map[uint32]ofp.Msg, len(xids))
 	for {
 		kernelPending := false

@@ -140,6 +140,16 @@ func (n *Network) TotalOverloadTicks() sim.Time {
 	return total
 }
 
+// TotalDrops sums, over all switches in node order, the bytes dropped
+// (no rule / TTL expired) by now.
+func (n *Network) TotalDrops() float64 {
+	var total float64
+	for _, id := range n.G.Nodes() {
+		total += n.switches[id].Dropped()
+	}
+	return total
+}
+
 // CongestedLinks returns the number of links that ever exceeded capacity.
 func (n *Network) CongestedLinks() int {
 	count := 0

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/chronus-sdn/chronus/internal/controller"
-	"github.com/chronus-sdn/chronus/internal/emu"
 	"github.com/chronus-sdn/chronus/internal/metrics"
 	"github.com/chronus-sdn/chronus/internal/scheme"
 	"github.com/chronus-sdn/chronus/internal/sim"
@@ -45,8 +44,6 @@ func AblationClockSkew(cfg Config) ([]ClockSkewPoint, error) {
 		// Each run builds its own instance: Instance carries lazily-built
 		// lookup caches, so concurrent tasks must not share one.
 		in := topo.EmulationTopo()
-		h := controller.NewHarness(in.G)
-		c := controller.New(h, controller.Options{Seed: cfg.Seed + seed})
 		var ens *timesync.Ensemble
 		if errNs > 0 {
 			ens = timesync.New(timesync.Params{
@@ -56,9 +53,8 @@ func AblationClockSkew(cfg Config) ([]ClockSkewPoint, error) {
 				DriftPPB:       10_000,
 			}, in.G.Nodes())
 		}
-		c.AttachAll(ens)
-		f := controller.FlowSpec{Name: "agg", Tag: 0, Path: in.Init, Rate: emu.Rate(in.Demand)}
-		if err := c.Provision(f); err != nil {
+		h, c, f, err := controller.Boot(in, "agg", ens, controller.Options{Seed: cfg.Seed + seed})
+		if err != nil {
 			return smp, err
 		}
 		h.AdvanceTo(300)
@@ -67,9 +63,7 @@ func AblationClockSkew(cfg Config) ([]ClockSkewPoint, error) {
 		}
 		h.AdvanceTo(900)
 		smp.over = h.Net.TotalOverloadTicks()
-		for _, id := range in.G.Nodes() {
-			smp.drops += h.Net.Switch(id).Dropped()
-		}
+		smp.drops = h.Net.TotalDrops()
 		return smp, nil
 	})
 	if err != nil {
@@ -212,11 +206,8 @@ func AblationExecutionMode(cfg Config) ([]ExecModePoint, error) {
 	// execute the identical update plan.
 	run := func(label string, exec executor) (ExecModePoint, error) {
 		in := topo.EmulationTopo()
-		h := controller.NewHarness(in.G)
-		c := controller.New(h, controller.Options{Seed: cfg.Seed})
-		c.AttachAll(nil)
-		f := controller.FlowSpec{Name: "agg", Tag: 0, Path: in.Init, Rate: emu.Rate(in.Demand)}
-		if err := c.Provision(f); err != nil {
+		h, c, f, err := controller.Boot(in, "agg", nil, controller.Options{Seed: cfg.Seed})
+		if err != nil {
 			return ExecModePoint{}, err
 		}
 		h.AdvanceTo(400)
@@ -226,10 +217,6 @@ func AblationExecutionMode(cfg Config) ([]ExecModePoint, error) {
 		}
 		// Run until the new path carries traffic end to end.
 		h.AdvanceTo(tStart + 600)
-		var drops float64
-		for _, id := range in.G.Nodes() {
-			drops += h.Net.Switch(id).Dropped()
-		}
 		// Transition duration: last rate change on any link.
 		var last sim.Time
 		for _, l := range h.Net.Links() {
@@ -242,7 +229,7 @@ func AblationExecutionMode(cfg Config) ([]ExecModePoint, error) {
 			Scheme:        label,
 			UpdateTicks:   last - tStart,
 			OverloadTicks: h.Net.TotalOverloadTicks(),
-			Drops:         drops,
+			Drops:         h.Net.TotalDrops(),
 		}, nil
 	}
 	// The two executions run on independent harnesses; dispatch both

@@ -4,15 +4,9 @@ import (
 	"github.com/chronus-sdn/chronus/internal/audit"
 	"github.com/chronus-sdn/chronus/internal/controller"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
-	"github.com/chronus-sdn/chronus/internal/emu"
 	"github.com/chronus-sdn/chronus/internal/obs"
 	"github.com/chronus-sdn/chronus/internal/sim"
 )
-
-// auditHeadroom is how many ticks past "now" a schedule is shifted
-// before execution, leaving room for the seeded control latency of the
-// timed FlowMods (mirrors cmd/mutp's trace headroom).
-const auditHeadroom = 50
 
 // auditedExecution executes schedule s for instance in on a fresh
 // emulated testbed with a deterministic tracer attached, and returns the
@@ -21,21 +15,15 @@ const auditHeadroom = 50
 // seed the report is identical run to run — the audit columns of Fig. 7
 // and of the soak stay byte-deterministic at every worker count.
 func auditedExecution(in *dynflow.Instance, s *dynflow.Schedule, seed int64) (*audit.Report, error) {
-	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(obs.TracerOptions{})
-	tb := controller.NewHarness(in.G)
-	tb.Net.SetObs(reg, tracer)
-	ctl := controller.New(tb, controller.Options{Seed: seed, Obs: reg, Trace: tracer})
-	ctl.AttachAll(nil)
-
-	flow := controller.FlowSpec{Name: "f", Tag: 0, Path: in.Init, Rate: emu.Rate(in.Demand)}
-	if err := ctl.Provision(flow); err != nil {
+	tb, ctl, flow, err := controller.Boot(in, "f", nil,
+		controller.Options{Seed: seed, Obs: obs.NewRegistry(), Trace: tracer})
+	if err != nil {
 		return nil, err
 	}
-	tb.AdvanceBy(auditHeadroom)
+	tb.AdvanceBy(controller.Headroom)
 
-	start := dynflow.Tick(tb.Now()) + auditHeadroom
-	shifted := s.Shifted(start)
+	shifted := s.Shifted(dynflow.Tick(tb.Now()) + controller.Headroom)
 	if err := ctl.ExecuteTimed(in, shifted, flow); err != nil {
 		return nil, err
 	}

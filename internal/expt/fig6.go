@@ -64,11 +64,8 @@ func Fig6Bandwidth(cfg Config) (*Fig6Result, error) {
 
 	run := func(label string, execute executor) (runState, error) {
 		in := topo.EmulationTopo()
-		h := controller.NewHarness(in.G)
-		c := controller.New(h, controller.Options{Seed: cfg.Seed})
-		c.AttachAll(nil)
-		f := controller.FlowSpec{Name: "agg", Tag: 0, Path: in.Init, Rate: emu.Rate(in.Demand)}
-		if err := c.Provision(f); err != nil {
+		h, c, f, err := controller.Boot(in, "agg", nil, controller.Options{Seed: cfg.Seed})
+		if err != nil {
 			return runState{}, fmt.Errorf("%s: provision: %w", label, err)
 		}
 		h.AdvanceTo(fig6UpdateAt)
@@ -136,9 +133,7 @@ func Fig6Bandwidth(cfg Config) (*Fig6Result, error) {
 			}
 		}
 		s.OverloadTicks = st.h.Net.TotalOverloadTicks()
-		for _, id := range in.G.Nodes() {
-			s.Drops += st.h.Net.Switch(id).Dropped()
-		}
+		s.Drops = st.h.Net.TotalDrops()
 		res.Series = append(res.Series, s)
 	}
 	return res, nil

@@ -4,9 +4,7 @@ import (
 	"github.com/chronus-sdn/chronus/internal/audit"
 	"github.com/chronus-sdn/chronus/internal/clock"
 	"github.com/chronus-sdn/chronus/internal/controller"
-	"github.com/chronus-sdn/chronus/internal/core"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
-	"github.com/chronus-sdn/chronus/internal/emu"
 	"github.com/chronus-sdn/chronus/internal/health"
 	"github.com/chronus-sdn/chronus/internal/metrics"
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -75,9 +73,6 @@ func SkewAdversary(cfg Config) ([]SkewAdvPoint, error) {
 		in := topo.EmulationTopo()
 		reg := obs.NewRegistry()
 		tracer := obs.NewTracer(obs.TracerOptions{})
-		tb := controller.NewHarness(in.G)
-		tb.Net.SetObs(reg, tracer)
-		ctl := controller.New(tb, controller.Options{Seed: cfg.Seed, Obs: reg, Trace: tracer})
 		var ens *timesync.Ensemble
 		if errTicks > 0 {
 			ens = timesync.New(timesync.Params{
@@ -86,13 +81,12 @@ func SkewAdversary(cfg Config) ([]SkewAdvPoint, error) {
 				SyncErrorNs:    errTicks * timesync.TickNs,
 			}, in.G.Nodes())
 		}
-		ctl.AttachAll(ens)
-
-		flow := controller.FlowSpec{Name: "agg", Tag: 0, Path: in.Init, Rate: emu.Rate(in.Demand)}
-		if err := ctl.Provision(flow); err != nil {
+		tb, ctl, flow, err := controller.Boot(in, "agg", ens,
+			controller.Options{Seed: cfg.Seed, Obs: reg, Trace: tracer})
+		if err != nil {
 			return p, err
 		}
-		tb.AdvanceBy(auditHeadroom)
+		tb.AdvanceBy(controller.Headroom)
 
 		// Probe: timed no-op fires sample each switch's offset across
 		// several sync epochs; the barrier pairs sample control RTT.
@@ -111,29 +105,20 @@ func SkewAdversary(cfg Config) ([]SkewAdvPoint, error) {
 		}
 		est.Observe(tracer.Events(est.Cursor()))
 
-		// Plan the update and arm the health engine. The engine's cursor
-		// is advanced past the probe events first, so the plan's margins
-		// start clean (SetPlan clears observations, not the cursor).
+		// Plan the update and arm the health engine. Arming folds the
+		// probe events first, so the plan's margins start clean (SetPlan
+		// clears observations, not the cursor).
 		hl := health.New(reg)
 		hl.SetClock(est)
-		hl.Observe(tracer.Events(hl.Cursor()))
 		res, err := scheme.Solve("chronus", in, scheme.Options{})
 		if err != nil {
 			return p, err
 		}
 		now := int64(tb.Now())
-		start := dynflow.Tick(now) + auditHeadroom
+		start := dynflow.Tick(now) + controller.Headroom
 		shifted := res.Schedule.Shifted(start)
-		plan := health.Plan{Kind: "timed", Valid: true, StartTick: now}
-		for _, sl := range core.ScheduleSlack(in, res.Schedule) {
-			plan.Switches = append(plan.Switches, health.PlanSwitch{
-				Switch:     in.G.Name(sl.V),
-				SlackTicks: int64(sl.Slack),
-				ApplyTick:  int64(start + (sl.Time - res.Schedule.Start)),
-				Critical:   sl.Critical,
-			})
-		}
-		hl.SetPlan(plan)
+		hl.Observe(tracer.Events(hl.Cursor()))
+		hl.SetPlan(controller.TimedPlan(in, res.Schedule, start, now, true))
 		pre := hl.Verdict()
 		p.PreLevel = pre.Level
 		p.PredictedMarginMilliTicks = pre.PredictedWorstMarginMilliTicks

@@ -60,10 +60,6 @@ type Options struct {
 	// StatusBudget — the paper's "does not complete within the time
 	// limit".
 	Timeout time.Duration
-	// MaxMakespan caps the schedules considered (0 = automatic bound: the
-	// greedy makespan when greedy succeeds, otherwise a drain-derived
-	// bound).
-	MaxMakespan dynflow.Tick
 }
 
 // Result is the outcome of Exact or SolveILP.
@@ -100,7 +96,6 @@ func Exact(in *dynflow.Instance, opts Options) (*Result, error) {
 
 	// Seed the incumbent with the greedy schedule: it provides the upper
 	// bound for iterative deepening and the fallback on budget exhaustion.
-	ub := opts.MaxMakespan
 	// The seed uses the fast greedy: at the scales where Exact is asked to
 	// prove anything it matches the exact greedy, and at Fig. 10 scales the
 	// seeding cost stays a small fraction of the search budget.
@@ -114,14 +109,11 @@ func Exact(in *dynflow.Instance, opts Options) (*Result, error) {
 			greedyRes, greedyErr = exactRes, nil
 		}
 	}
+	// Without a greedy seed the bound is drain-derived.
+	ub := dynflow.Tick(in.Init.Delay(in.G)+in.Fin.Delay(in.G))*2 + dynflow.Tick(len(pending))
 	if greedyErr == nil {
 		res.Schedule = greedyRes.Schedule
-		gm := greedyRes.Schedule.Makespan()
-		if ub == 0 || gm < ub {
-			ub = gm
-		}
-	} else if ub == 0 {
-		ub = dynflow.Tick(in.Init.Delay(in.G)+in.Fin.Delay(in.G))*2 + dynflow.Tick(len(pending))
+		ub = greedyRes.Schedule.Makespan()
 	}
 
 	e := &exactSearch{in: in, start: opts.Start, maxNodes: maxNodes}

@@ -194,3 +194,87 @@ func TestILPMatchesExact(t *testing.T) {
 		}
 	}
 }
+
+// bruteForceMakespan enumerates every tick assignment in [0, horizon] for
+// the update set and returns the smallest makespan dynflow.Validate
+// accepts, or -1 when no assignment within the horizon is clean.
+func bruteForceMakespan(in *dynflow.Instance, horizon dynflow.Tick) dynflow.Tick {
+	pending := in.UpdateSet()
+	best := dynflow.Tick(-1)
+	s := dynflow.NewSchedule(0)
+	var assign func(i int, end dynflow.Tick)
+	assign = func(i int, end dynflow.Tick) {
+		if best >= 0 && end >= best {
+			return
+		}
+		if i == len(pending) {
+			if dynflow.Validate(in, s).OK() {
+				best = end
+			}
+			return
+		}
+		for t := dynflow.Tick(0); t <= horizon; t++ {
+			s.Set(pending[i], t)
+			assign(i+1, max(end, t))
+		}
+		delete(s.Times, pending[i])
+	}
+	assign(0, 0)
+	return best
+}
+
+// TestExactMatchesBruteForce is Exact's optimality oracle: on small
+// random instances (update sets of at most four switches) it enumerates
+// every schedule with ticks in [0, 6] and requires Exact to find the
+// minimum clean makespan, or to find none within the horizon when the
+// enumeration finds none. Unlike TestExactNeverWorseThanGreedy it also
+// fails when Exact stops one tick short of the optimum or never searches
+// the last tick of a makespan.
+func TestExactMatchesBruteForce(t *testing.T) {
+	const horizon, want = 6, 150
+	rng := rand.New(rand.NewSource(1))
+	var checked, suboptimal, infeasible int
+	for i := 0; checked < want; i++ {
+		p := topo.DefaultRandomParams(4 + i%5)
+		p.MaxDelay = graph.Delay(1 + (i/5)%3)
+		in := topo.RandomInstance(rng, p)
+		if len(in.UpdateSet()) > 4 {
+			continue
+		}
+		checked++
+		opt := bruteForceMakespan(in, horizon)
+		// Below the horizon Exact's search is small; past it (the
+		// enumeration found nothing) only a claim within the horizon is
+		// checked, so a budget stop there is no failure.
+		res, err := Exact(in, Options{MaxNodes: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case opt < 0:
+			infeasible++
+			if res.Schedule != nil && res.Schedule.Makespan() <= horizon {
+				t.Fatalf("instance %d: Exact returns makespan %d, no schedule within %d exists",
+					i, res.Schedule.Makespan(), horizon)
+			}
+		case res.Status != StatusOptimal:
+			t.Fatalf("instance %d: Exact says %v, brute force found makespan %d", i, res.Status, opt)
+		case res.Schedule.Makespan() != opt:
+			t.Fatalf("instance %d: Exact makespan %d, brute-force optimum %d", i, res.Schedule.Makespan(), opt)
+		}
+		if res.Schedule != nil {
+			if r := dynflow.Validate(in, res.Schedule); !r.OK() {
+				t.Fatalf("instance %d: Exact schedule violates: %s", i, r.Summary())
+			}
+		}
+		if opt >= 0 {
+			if gr, err := core.Greedy(in, core.Options{Mode: core.ModeExact}); err != nil || gr.Schedule.Makespan() > opt {
+				suboptimal++
+			}
+		}
+	}
+	t.Logf("%d instances: %d greedy-suboptimal, %d infeasible within %d ticks", checked, suboptimal, infeasible, horizon)
+	if suboptimal == 0 || infeasible == 0 {
+		t.Fatalf("corpus drifted: %d greedy-suboptimal, %d infeasible; the oracle no longer separates Exact from greedy", suboptimal, infeasible)
+	}
+}
