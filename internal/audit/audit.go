@@ -40,16 +40,20 @@
 //
 // # Determinism
 //
-// Report construction is a pure function of the fed events: all maps are
-// iterated through sorted key lists, ties are broken by sequence number,
+// Report construction is a pure function of the fed events: every map
+// whose iteration order could reach a report is iterated through sorted
+// key lists, ties are broken by sequence number,
 // and rendering prints virtual ticks only. Feeding the byte-identical
 // trace a fixed-seed execution produces therefore yields byte-identical
-// reports — enforced by the mutp golden test.
+// reports — enforced by the mutp golden test. Reporting in between feeds
+// changes nothing: every Report equals a fresh auditor's over the same
+// events.
 package audit
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,10 +61,27 @@ import (
 )
 
 // Auditor accumulates trace events and derives a consistency Report.
-// Feed order does not matter: Report sorts by virtual time (sequence
-// number as tie-break) before reconstructing.
+// Feed order does not matter: a report describes the fed events sorted
+// by virtual time (sequence number as tie-break).
+//
+// Reports fold forward: the reconstruction is kept between calls, so a
+// Report ingests only the events fed since the previous one and replays
+// only the flows they touched. A fed event that sorts before an already
+// folded event it must follow makes that Report refold every event from
+// scratch instead. An Auditor is not safe for concurrent use.
 type Auditor struct {
 	events []obs.Event
+
+	// seqs holds the sequence numbers fed so far; unsequenced counts the
+	// events that carry none (Seq 0).
+	seqs        seqSet
+	unsequenced int
+
+	// st is the reconstruction over events[:folded].
+	st     *state
+	folded int
+	// rebuilds counts the reports that refolded every event from scratch.
+	rebuilds int
 }
 
 // New returns an empty auditor.
@@ -69,6 +90,17 @@ func New() *Auditor { return &Auditor{} }
 // Feed adds events to the auditor.
 func (a *Auditor) Feed(evs ...obs.Event) {
 	a.events = append(a.events, evs...)
+	for i := range evs {
+		a.countSeq(evs[i].Seq)
+	}
+}
+
+func (a *Auditor) countSeq(seq uint64) {
+	if seq == 0 {
+		a.unsequenced++
+		return
+	}
+	a.seqs.add(seq)
 }
 
 // ReadJSONL feeds every event of a JSON-Lines stream (the format
@@ -95,6 +127,7 @@ func (a *Auditor) ReadJSONLTolerant(r io.Reader) (n int, warn string, err error)
 func (a *Auditor) readJSONL(r io.Reader, tolerant bool) (n int, warn string, err error) {
 	warn, err = obs.ReadJSONL(r, tolerant, func(e obs.Event) error {
 		a.events = append(a.events, e)
+		a.countSeq(e.Seq)
 		n++
 		return nil
 	})
@@ -111,50 +144,74 @@ func splitLink(label string) (string, string, bool) {
 }
 
 // Report reconstructs forwarding and utilization state from the fed
-// events and returns the auditor's verdict.
+// events and returns the auditor's verdict. It folds the events fed since
+// the previous Report into the kept reconstruction, or, if one of them
+// sorts before what it must follow, rebuilds the reconstruction from
+// every fed event; either way the report equals a fresh auditor's.
 func (a *Auditor) Report() *Report {
-	st := newState()
-	evs := append([]obs.Event(nil), a.events...)
-	// Virtual-time order with sequence tie-break: kernel-emitted events
-	// keep their causal order, while plan markers (sched) land at their
-	// planned instant.
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].VT != evs[j].VT {
-			return evs[i].VT < evs[j].VT
+	if a.st == nil || !a.st.fold(a.events[a.folded:]) {
+		if a.st != nil {
+			a.rebuilds++
 		}
-		return evs[i].Seq < evs[j].Seq
-	})
-	for _, e := range evs {
-		st.ingest(e)
+		// One time-ordered pass from an empty state; it cannot fail.
+		a.st = newState()
+		a.st.fold(a.events)
 	}
-	st.flushBatch()
+	a.folded = len(a.events)
 
-	r := &Report{Events: len(a.events)}
-	r.MissingEvents = missingEvents(a.events)
-	st.finishCongestion(r)
-	st.finishLoops(r)
-	st.finishCritical(r)
-	r.Notes = st.sortedNotes()
-	return r
+	notes := make(noteSet)
+	if a.unsequenced > 0 {
+		notes.add("%d event(s) carry no sequence number; gap detection is off for them", a.unsequenced)
+	}
+	return a.st.report(len(a.events), a.seqs.missing(), notes)
 }
 
-// missingEvents infers how many events are absent from the stream via
-// sequence-number gaps (the tracer ring drops oldest-first but keeps Seq
-// monotonic, so every eviction leaves a gap).
-func missingEvents(evs []obs.Event) uint64 {
-	if len(evs) == 0 {
+// seqSet is a set of sequence numbers kept as sorted, disjoint runs of
+// consecutive values. A tracer numbers its events densely and its ring
+// only cuts the stream where it evicted, so feeding a stream in order
+// only ever extends the last run.
+type seqSet struct {
+	runs     []seqRun
+	distinct uint64
+}
+
+type seqRun struct{ lo, hi uint64 }
+
+func (s *seqSet) add(seq uint64) {
+	n := len(s.runs)
+	if n > 0 && seq == s.runs[n-1].hi+1 {
+		s.runs[n-1].hi = seq
+		s.distinct++
+		return
+	}
+	// The first run that ends at or after seq.
+	i := sort.Search(n, func(i int) bool { return s.runs[i].hi >= seq })
+	if i < n && s.runs[i].lo <= seq {
+		return // fed before
+	}
+	s.distinct++
+	joinPrev := i > 0 && s.runs[i-1].hi+1 == seq
+	joinNext := i < n && s.runs[i].lo == seq+1
+	switch {
+	case joinPrev && joinNext:
+		s.runs[i-1].hi = s.runs[i].hi
+		s.runs = slices.Delete(s.runs, i, i+1)
+	case joinPrev:
+		s.runs[i-1].hi = seq
+	case joinNext:
+		s.runs[i].lo = seq
+	default:
+		s.runs = slices.Insert(s.runs, i, seqRun{seq, seq})
+	}
+}
+
+// missing infers how many events are absent from the stream: the tracer
+// numbers events from 1 and keeps Seq monotonic across ring evictions,
+// so every number below the highest one fed that was never fed is a
+// lost event.
+func (s *seqSet) missing() uint64 {
+	if len(s.runs) == 0 {
 		return 0
 	}
-	seqs := make([]uint64, 0, len(evs))
-	for _, e := range evs {
-		seqs = append(seqs, e.Seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	missing := seqs[0] - 1
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] > seqs[i-1] {
-			missing += seqs[i] - seqs[i-1] - 1
-		}
-	}
-	return missing
+	return s.runs[len(s.runs)-1].hi - s.distinct
 }

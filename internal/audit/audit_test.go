@@ -1,7 +1,9 @@
 package audit
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,18 +19,171 @@ func ev(seq uint64, vt int64, name string, attrs ...string) obs.Event {
 	return e
 }
 
-func TestCongestionReconstruction(t *testing.T) {
-	a := New()
+// The hand-built streams of the tests below;
+// TestIncrementalReportMatchesFromScratch replays every one of them.
+var (
 	// One link with cap 10: key f/0 at 8 from tick 5, key g/0 at 8 from
-	// tick 7 (total 16 > 10), g/0 gone at tick 12.
-	a.Feed(
+	// tick 7 (total 16 > 10), g/0 gone at tick 12; then the emulator's
+	// own span for the same overload.
+	congestionStream = []obs.Event{
 		ev(1, 5, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "8", "total", "8", "cap", "10", "delay", "1"),
 		ev(2, 7, "emu.rate", "link", "v1>v2", "key", "g/0", "rate", "8", "total", "16", "cap", "10", "delay", "1"),
 		ev(3, 12, "emu.rate", "link", "v1>v2", "key", "g/0", "rate", "0", "total", "8", "cap", "10", "delay", "1"),
-		// The emulator's own span for the same overload.
-		obs.Event{Seq: 4, VT: 7, Dur: 5, Name: "emu.overload", Attrs: []obs.Attr{
+		{Seq: 4, VT: 7, Dur: 5, Name: "emu.overload", Attrs: []obs.Attr{
 			{K: "link", V: "v1>v2"}, {K: "peak", V: "16"}, {K: "cap", V: "10"}}},
-	)
+	}
+
+	// The emulator claims an overload the rate stream does not support.
+	disagreementStream = []obs.Event{{Seq: 1, VT: 7, Dur: 5, Name: "emu.overload", Attrs: []obs.Attr{
+		{K: "link", V: "v1>v2"}, {K: "peak", V: "16"}, {K: "cap", V: "10"}}}}
+
+	// v1 -> v2 installed, then v2 -> v1 at the same tick: instantaneous
+	// cycle.
+	configCycleStream = []obs.Event{
+		ev(1, 10, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
+		ev(2, 10, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v1"),
+	}
+
+	// Initial path v1->v2->host. At tick 20, v1 flips to v3 and v3 points
+	// back to v1 — but v1's flip lands at 20 while a packet emitted at 19
+	// is still in flight toward v2: no instantaneous cycle ever exists
+	// (v1->v3, v3->v1 *is* one; make it v3 -> v1 installed at 20 and v1
+	// -> v3 at 21 so each instant is acyclic, yet a packet leaving v1 at
+	// 21 reaches v3 at 22 and is sent back to v1, which now points to v3:
+	// an in-flight loop).
+	transientLoopStream = []obs.Event{
+		// Provisioning at tick 0.
+		ev(1, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
+		ev(2, 0, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "host"),
+		ev(3, 1, "emu.inject", "switch", "v1", "key", "f/0", "rate", "5"),
+		// Delays become known from rate events.
+		ev(4, 1, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "5", "total", "5", "cap", "10", "delay", "1"),
+		ev(5, 1, "emu.rate", "link", "v1>v3", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
+		ev(6, 1, "emu.rate", "link", "v3>v1", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
+		// The update: v3 -> v1 at tick 20, v1 -> v3 at tick 21.
+		ev(7, 20, "sw.apply", "switch", "v3", "skew", "0", "at", "20", "key", "f/0", "cmd", "add", "next", "v1"),
+		ev(8, 21, "sw.apply", "switch", "v1", "skew", "0", "at", "21", "key", "f/0", "cmd", "mod", "next", "v3"),
+	}
+
+	// The transient-loop setup, but both switches flip at tick 20: a
+	// one-shot that loops in flight.
+	loopingStream = []obs.Event{
+		ev(1, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
+		ev(2, 0, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "host"),
+		ev(3, 1, "emu.inject", "switch", "v1", "key", "f/0", "rate", "5"),
+		ev(4, 1, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "5", "total", "5", "cap", "10", "delay", "1"),
+		ev(5, 1, "emu.rate", "link", "v1>v3", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
+		ev(6, 1, "emu.rate", "link", "v3>v1", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
+		ev(7, 20, "sw.apply", "switch", "v3", "skew", "0", "at", "20", "key", "f/0", "cmd", "add", "next", "v1"),
+		ev(8, 20, "sw.apply", "switch", "v1", "skew", "0", "at", "20", "key", "f/0", "cmd", "mod", "next", "v3"),
+	}
+
+	// A second flow that v2 blackholes.
+	blackholeStream = []obs.Event{
+		ev(9, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "g/0", "cmd", "add", "next", "v2"),
+		ev(10, 1, "emu.inject", "switch", "v1", "key", "g/0", "rate", "5"),
+		ev(11, 1, "emu.rate", "link", "v1>v2", "key", "g/0", "rate", "5", "total", "10", "cap", "10", "delay", "1"),
+		ev(12, 2, "emu.drop", "switch", "v2", "key", "g/0", "reason", "no_rule"),
+	}
+
+	// A timed flip of v1 to a direct host delivery: recv at 12, apply at
+	// 30.
+	cleanTimedStream = []obs.Event{
+		ev(1, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
+		ev(2, 0, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "host"),
+		ev(3, 1, "emu.inject", "switch", "v1", "key", "f/0", "rate", "5"),
+		ev(4, 1, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "5", "total", "5", "cap", "10", "delay", "1"),
+		ev(5, 10, "sched", "switch", "v1"),
+		ev(6, 11, "ctl.flowmod", "switch", "v1", "at", "30", "key", "f/0", "next", "host"),
+		ev(7, 12, "sw.flowmod", "switch", "v1", "kind", "timed", "at", "30", "key", "f/0", "cmd", "mod", "next", "host"),
+		ev(8, 13, "sw.barrier", "switch", "v1"),
+		ev(9, 30, "sw.apply", "switch", "v1", "skew", "0", "at", "30", "key", "f/0", "cmd", "mod", "next", "host"),
+	}
+
+	// v2 never gets a rule; the emulator confirms the drop.
+	observedDropStream = []obs.Event{
+		ev(1, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
+		ev(2, 1, "emu.inject", "switch", "v1", "key", "f/0", "rate", "5"),
+		ev(3, 1, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "5", "total", "5", "cap", "10", "delay", "1"),
+		ev(4, 2, "emu.drop", "switch", "v2", "key", "f/0", "reason", "no_rule"),
+	}
+
+	// Sequence numbers 3 and 7 only.
+	seqGapStream = []obs.Event{
+		ev(3, 0, "sw.barrier", "switch", "v1"),
+		ev(7, 1, "sw.barrier", "switch", "v1"),
+	}
+
+	// Fed out of (VT, Seq) order.
+	renderStream = []obs.Event{
+		ev(2, 10, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v1"),
+		ev(1, 10, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
+		ev(3, 5, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "15", "total", "15", "cap", "10", "delay", "1"),
+		ev(4, 9, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
+	}
+
+	// configCycleStream with its sequence numbers stripped: both events
+	// share one (VT, Seq) key, so feed order alone orders them.
+	unsequencedStream = []obs.Event{
+		ev(0, 10, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
+		ev(0, 10, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v1"),
+	}
+
+	// The looping one-shot, then five flows whose rules cycle between v6
+	// and v7, one flow per tick from 30 to 70: two switches join the rule
+	// history after f/0's replay ran, widening its window, and closed
+	// config cycles pile up while reports carry the replay's loop.
+	cycleChurnStream = cycleChurn()
+)
+
+func cycleChurn() []obs.Event {
+	evs := slices.Clone(loopingStream)
+	seq := uint64(len(evs))
+	for i, key := range []string{"c1/0", "c2/0", "c3/0", "c4/0", "c5/0"} {
+		vt := int64(30 + 10*i)
+		evs = append(evs,
+			ev(seq+1, vt, "sw.flowmod", "switch", "v6", "kind", "immediate", "key", key, "cmd", "add", "next", "v7"),
+			ev(seq+2, vt, "sw.flowmod", "switch", "v7", "kind", "immediate", "key", key, "cmd", "add", "next", "v6"))
+		seq += 2
+	}
+	return evs
+}
+
+// jsonlStream is configCycleStream as JSON Lines, a blank line between.
+const jsonlStream = `{"seq":1,"vt":10,"name":"sw.flowmod","attrs":[{"k":"switch","v":"v1"},{"k":"kind","v":"immediate"},{"k":"key","v":"f/0"},{"k":"cmd","v":"add"},{"k":"next","v":"v2"}]}
+
+{"seq":2,"vt":10,"name":"sw.flowmod","attrs":[{"k":"switch","v":"v2"},{"k":"kind","v":"immediate"},{"k":"key","v":"f/0"},{"k":"cmd","v":"add"},{"k":"next","v":"v1"}]}
+`
+
+// handBuiltStreams names every hand-built stream, the JSONL one decoded.
+func handBuiltStreams(tb testing.TB) map[string][]obs.Event {
+	tb.Helper()
+	var jsonl []obs.Event
+	if _, err := obs.ReadJSONL(strings.NewReader(jsonlStream), false, func(e obs.Event) error {
+		jsonl = append(jsonl, e)
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return map[string][]obs.Event{
+		"blackhole-observed":    observedDropStream,
+		"clean-timed":           cleanTimedStream,
+		"config-cycle":          configCycleStream,
+		"cycle-churn":           cycleChurnStream,
+		"congestion":            congestionStream,
+		"detector-disagreement": disagreementStream,
+		"jsonl":                 jsonl,
+		"render":                renderStream,
+		"scratch-leak":          slices.Concat(loopingStream, blackholeStream),
+		"seq-gaps":              seqGapStream,
+		"transient-loop":        transientLoopStream,
+		"unsequenced":           unsequencedStream,
+	}
+}
+
+func TestCongestionReconstruction(t *testing.T) {
+	a := New()
+	a.Feed(congestionStream...)
 	r := a.Report()
 	if len(r.Congestion) != 1 {
 		t.Fatalf("congestion = %+v, want 1 interval", r.Congestion)
@@ -50,9 +205,7 @@ func TestCongestionReconstruction(t *testing.T) {
 
 func TestDetectorDisagreementIsNoted(t *testing.T) {
 	a := New()
-	// Emulator claims an overload the rate stream does not support.
-	a.Feed(obs.Event{Seq: 1, VT: 7, Dur: 5, Name: "emu.overload", Attrs: []obs.Attr{
-		{K: "link", V: "v1>v2"}, {K: "peak", V: "16"}, {K: "cap", V: "10"}}})
+	a.Feed(disagreementStream...)
 	r := a.Report()
 	if r.DetectorsAgree {
 		t.Error("detectors must disagree when the rate stream shows no overload")
@@ -64,11 +217,7 @@ func TestDetectorDisagreementIsNoted(t *testing.T) {
 
 func TestConfigCycleDetected(t *testing.T) {
 	a := New()
-	// v1 -> v2 installed, then v2 -> v1 at the same tick: instantaneous cycle.
-	a.Feed(
-		ev(1, 10, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
-		ev(2, 10, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v1"),
-	)
+	a.Feed(configCycleStream...)
 	r := a.Report()
 	if len(r.Loops) != 1 {
 		t.Fatalf("loops = %+v, want 1", r.Loops)
@@ -80,27 +229,8 @@ func TestConfigCycleDetected(t *testing.T) {
 }
 
 func TestTransientLoopViaReplay(t *testing.T) {
-	// Initial path v1->v2->host. At tick 20, v1 flips to v3 and v3 points
-	// back to v1 — but v1's flip lands at 20 while a packet emitted at 19
-	// is still in flight toward v2: no instantaneous cycle ever exists
-	// (v1->v3, v3->v1 *is* one; make it v3 -> v1 installed at 20 and v1
-	// -> v3 at 21 so each instant is acyclic, yet a packet leaving v1 at
-	// 21 reaches v3 at 22 and is sent back to v1, which now points to v3:
-	// an in-flight loop).
 	a := New()
-	a.Feed(
-		// Provisioning at tick 0.
-		ev(1, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
-		ev(2, 0, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "host"),
-		ev(3, 1, "emu.inject", "switch", "v1", "key", "f/0", "rate", "5"),
-		// Delays become known from rate events.
-		ev(4, 1, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "5", "total", "5", "cap", "10", "delay", "1"),
-		ev(5, 1, "emu.rate", "link", "v1>v3", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
-		ev(6, 1, "emu.rate", "link", "v3>v1", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
-		// The update: v3 -> v1 at tick 20, v1 -> v3 at tick 21.
-		ev(7, 20, "sw.apply", "switch", "v3", "skew", "0", "at", "20", "key", "f/0", "cmd", "add", "next", "v1"),
-		ev(8, 21, "sw.apply", "switch", "v1", "skew", "0", "at", "21", "key", "f/0", "cmd", "mod", "next", "v3"),
-	)
+	a.Feed(transientLoopStream...)
 	r := a.Report()
 	var transient []LoopViolation
 	for _, l := range r.Loops {
@@ -124,32 +254,15 @@ func TestTransientLoopViaReplay(t *testing.T) {
 // then takes a blackhole trace and reports again, must say exactly what
 // a fresh auditor fed everything at once says.
 func TestReportScratchDoesNotLeak(t *testing.T) {
-	looping := []obs.Event{
-		ev(1, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
-		ev(2, 0, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "host"),
-		ev(3, 1, "emu.inject", "switch", "v1", "key", "f/0", "rate", "5"),
-		ev(4, 1, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "5", "total", "5", "cap", "10", "delay", "1"),
-		ev(5, 1, "emu.rate", "link", "v1>v3", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
-		ev(6, 1, "emu.rate", "link", "v3>v1", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
-		// One shot: both switches flip at tick 20.
-		ev(7, 20, "sw.apply", "switch", "v3", "skew", "0", "at", "20", "key", "f/0", "cmd", "add", "next", "v1"),
-		ev(8, 20, "sw.apply", "switch", "v1", "skew", "0", "at", "20", "key", "f/0", "cmd", "mod", "next", "v3"),
-	}
-	blackhole := []obs.Event{
-		ev(9, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "g/0", "cmd", "add", "next", "v2"),
-		ev(10, 1, "emu.inject", "switch", "v1", "key", "g/0", "rate", "5"),
-		ev(11, 1, "emu.rate", "link", "v1>v2", "key", "g/0", "rate", "5", "total", "10", "cap", "10", "delay", "1"),
-		ev(12, 2, "emu.drop", "switch", "v2", "key", "g/0", "reason", "no_rule"),
-	}
 	a := New()
-	a.Feed(looping...)
+	a.Feed(loopingStream...)
 	if first := a.Report(); len(first.Loops) == 0 || first.Replay.Looped == 0 {
 		t.Fatalf("looping trace: loops %+v, replay %+v, want a loop", first.Loops, first.Replay)
 	}
-	a.Feed(blackhole...)
+	a.Feed(blackholeStream...)
 	second := a.Report()
 	fresh := New()
-	fresh.Feed(append(append([]obs.Event(nil), looping...), blackhole...)...)
+	fresh.Feed(slices.Concat(loopingStream, blackholeStream)...)
 	want := fresh.Report()
 	if len(want.Blackholes) == 0 || len(want.Loops) == 0 {
 		t.Fatalf("combined trace: loops %+v, blackholes %+v, want both", want.Loops, want.Blackholes)
@@ -161,18 +274,7 @@ func TestReportScratchDoesNotLeak(t *testing.T) {
 
 func TestCleanTimedUpdateAuditsClean(t *testing.T) {
 	a := New()
-	a.Feed(
-		ev(1, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
-		ev(2, 0, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "host"),
-		ev(3, 1, "emu.inject", "switch", "v1", "key", "f/0", "rate", "5"),
-		ev(4, 1, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "5", "total", "5", "cap", "10", "delay", "1"),
-		// Timed flip of v1 to a direct host delivery: recv at 12, apply at 30.
-		ev(5, 10, "sched", "switch", "v1"),
-		ev(6, 11, "ctl.flowmod", "switch", "v1", "at", "30", "key", "f/0", "next", "host"),
-		ev(7, 12, "sw.flowmod", "switch", "v1", "kind", "timed", "at", "30", "key", "f/0", "cmd", "mod", "next", "host"),
-		ev(8, 13, "sw.barrier", "switch", "v1"),
-		ev(9, 30, "sw.apply", "switch", "v1", "skew", "0", "at", "30", "key", "f/0", "cmd", "mod", "next", "host"),
-	)
+	a.Feed(cleanTimedStream...)
 	r := a.Report()
 	if !r.OK() {
 		t.Fatalf("expected clean audit, got:\n%s", r)
@@ -191,13 +293,7 @@ func TestCleanTimedUpdateAuditsClean(t *testing.T) {
 
 func TestBlackholeMergedWithObservedDrops(t *testing.T) {
 	a := New()
-	a.Feed(
-		ev(1, 0, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
-		ev(2, 1, "emu.inject", "switch", "v1", "key", "f/0", "rate", "5"),
-		ev(3, 1, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "5", "total", "5", "cap", "10", "delay", "1"),
-		// v2 never gets a rule; the emulator confirms the drop.
-		ev(4, 2, "emu.drop", "switch", "v2", "key", "f/0", "reason", "no_rule"),
-	)
+	a.Feed(observedDropStream...)
 	r := a.Report()
 	if len(r.Blackholes) != 1 {
 		t.Fatalf("blackholes = %+v, want 1", r.Blackholes)
@@ -210,22 +306,77 @@ func TestBlackholeMergedWithObservedDrops(t *testing.T) {
 
 func TestMissingEventsFromSeqGaps(t *testing.T) {
 	a := New()
-	a.Feed(
-		ev(3, 0, "sw.barrier", "switch", "v1"),
-		ev(7, 1, "sw.barrier", "switch", "v1"),
-	)
+	a.Feed(seqGapStream...)
 	if got := a.Report().MissingEvents; got != 5 {
 		t.Errorf("MissingEvents = %d, want 5 (seq 1,2,4,5,6)", got)
 	}
 }
 
+// TestMissingEventsIgnoresUnsequenced: events without a sequence number
+// (Seq 0, as in a capture whose seq fields were stripped) carry no gap
+// information. They must not wrap the count around, and the report says
+// gap detection is off for them.
+func TestMissingEventsIgnoresUnsequenced(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seqs []uint64
+		want uint64
+	}{
+		{"unsequenced", []uint64{0, 0, 0}, 0},
+		{"mixed", []uint64{0, 2, 3, 0, 5}, 2},
+	} {
+		a := New()
+		for i, seq := range tc.seqs {
+			a.Feed(ev(seq, int64(i), "sw.barrier", "switch", "v1"))
+		}
+		r := a.Report()
+		if r.MissingEvents != tc.want {
+			t.Errorf("%s: MissingEvents = %d, want %d", tc.name, r.MissingEvents, tc.want)
+		}
+		if !strings.Contains(r.String(), "gap detection is off") {
+			t.Errorf("%s: no note that gap detection is off:\n%s", tc.name, r)
+		}
+	}
+}
+
+// TestMissingEventsMatchesSortedCount holds the count kept as events are
+// fed to a sort of every sequence number, over random multisets fed in
+// random order.
+func TestMissingEventsMatchesSortedCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 1000; trial++ {
+		var s seqSet
+		var seqs []uint64
+		for n := rng.Intn(30); n > 0; n-- {
+			seq := 1 + uint64(rng.Intn(40))
+			s.add(seq)
+			seqs = append(seqs, seq)
+			if got, want := s.missing(), sortedMissing(seqs); got != want {
+				t.Fatalf("seqs %v: missing %d, want %d", seqs, got, want)
+			}
+		}
+	}
+}
+
+// sortedMissing counts the gaps below the highest of seqs by sorting.
+func sortedMissing(seqs []uint64) uint64 {
+	if len(seqs) == 0 {
+		return 0
+	}
+	s := slices.Clone(seqs)
+	slices.Sort(s)
+	missing := s[0] - 1
+	for i := 1; i < len(s); i++ {
+		if s[i] > s[i-1] {
+			missing += s[i] - s[i-1] - 1
+		}
+	}
+	return missing
+}
+
 func TestReadJSONL(t *testing.T) {
 	a := New()
-	stream := `{"seq":1,"vt":10,"name":"sw.flowmod","attrs":[{"k":"switch","v":"v1"},{"k":"kind","v":"immediate"},{"k":"key","v":"f/0"},{"k":"cmd","v":"add"},{"k":"next","v":"v2"}]}
-
-{"seq":2,"vt":10,"name":"sw.flowmod","attrs":[{"k":"switch","v":"v2"},{"k":"kind","v":"immediate"},{"k":"key","v":"f/0"},{"k":"cmd","v":"add"},{"k":"next","v":"v1"}]}
-`
-	if err := a.ReadJSONL(strings.NewReader(stream)); err != nil {
+	if err := a.ReadJSONL(strings.NewReader(jsonlStream)); err != nil {
 		t.Fatal(err)
 	}
 	r := a.Report()
@@ -242,12 +393,7 @@ func TestReadJSONL(t *testing.T) {
 func TestReportRenderDeterministic(t *testing.T) {
 	build := func() string {
 		a := New()
-		a.Feed(
-			ev(2, 10, "sw.flowmod", "switch", "v2", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v1"),
-			ev(1, 10, "sw.flowmod", "switch", "v1", "kind", "immediate", "key", "f/0", "cmd", "add", "next", "v2"),
-			ev(3, 5, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "15", "total", "15", "cap", "10", "delay", "1"),
-			ev(4, 9, "emu.rate", "link", "v1>v2", "key", "f/0", "rate", "0", "total", "0", "cap", "10", "delay", "1"),
-		)
+		a.Feed(renderStream...)
 		return a.Report().String()
 	}
 	if a, b := build(), build(); a != b {

@@ -2,100 +2,58 @@ package audit
 
 import "sort"
 
+// keyReplay is one injected key's emission replay: the loops, blackholes,
+// counts and notes it found, and the inputs it read.
+type keyReplay struct {
+	inputs    replayInputs
+	transient []LoopViolation
+	holes     []BlackholeViolation
+	stats     ReplayStats
+	notes     noteSet
+}
+
+// replayInputs stands for everything a key's replay reads, as counters
+// that move whenever it changes: the key's own rule and inject changes,
+// how many switches hold a rule history (the emission window's span),
+// and the learned link delays (maxDelay and every hop).
+type replayInputs struct {
+	changes, switches, delays int
+}
+
+func (s *ReplayStats) add(o ReplayStats) {
+	s.Emissions += o.Emissions
+	s.Delivered += o.Delivered
+	s.Looped += o.Looped
+	s.Blackholed += o.Blackholed
+}
+
 // finishLoops assembles the loop and blackhole verdicts: the
 // instantaneous configuration cycles found while ingesting, plus a
 // dynamic-flow replay of emissions through the reconstructed
 // time-varying tables that catches Definition-2 violations — packets
 // already in flight when rules flip — which no instantaneous check can
 // see.
-func (st *state) finishLoops(r *Report) {
-	loops := append([]LoopViolation(nil), st.cycles...)
-	transient := make(map[string]*LoopViolation)
-	holes := make(map[[2]string]*BlackholeViolation)
+func (st *state) finishLoops(r *Report, notes noteSet) {
+	// The frontier tick's batch is checked as if the trace ended here,
+	// but stays open: a later feed may add flips at the same tick.
+	loops := st.checkBatch(append([]LoopViolation(nil), st.cycles...))
+	var holes []BlackholeViolation
 	var stats ReplayStats
-
-	keys := make([]string, 0, len(st.inject))
-	for k := range st.inject {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	maxDelay := int64(1)
-	for _, d := range st.delays {
-		if d > maxDelay {
-			maxDelay = d
-		}
-	}
-
-	for _, key := range keys {
-		src := st.source[key]
+	for key, src := range st.source {
 		if src == "" {
-			continue // never injected at a positive rate
+			continue // injected from no named switch
 		}
-		injStart := int64(-1)
-		for _, c := range st.inject[key] {
-			if c.rate > 0 {
-				injStart = c.tick
-				break
-			}
-		}
-		if injStart < 0 {
-			continue
-		}
-
-		// Rule changes after injection started are the interesting
-		// instants; anything at or before injStart is provisioning the
-		// flow rode in on from the outset.
-		changeSet := make(map[int64]bool)
-		for _, perKey := range st.ruleHist {
-			for _, c := range perKey[key] {
-				if c.tick > injStart {
-					changeSet[c.tick] = true
-				}
-			}
-		}
-		changes := make([]int64, 0, len(changeSet))
-		for t := range changeSet {
-			changes = append(changes, t)
-		}
-		sort.Slice(changes, func(i, j int) bool { return changes[i] < changes[j] })
-
-		// Emission window, mirroring dynflow.Validate: wide enough before
-		// the first change that any packet still in flight when it lands
-		// is covered, then extended past the last change until the
-		// longest-lived base-window packet has arrived.
-		start, end := injStart, injStart
-		if len(changes) > 0 {
-			span := int64(len(st.ruleHist)+1) * maxDelay
-			start = changes[0] - span
-			if start < injStart {
-				start = injStart
-			}
-			end = changes[len(changes)-1]
-		}
-		latest := end
-		for t := start; t <= end; t++ {
-			if st.rateAt(key, t) <= 0 {
-				continue
-			}
-			if arrival := st.traceOne(key, src, t, &stats, transient, holes); arrival > latest {
-				latest = arrival
-			}
-		}
-		for t := end + 1; t <= latest; t++ {
-			if st.rateAt(key, t) <= 0 {
-				continue
-			}
-			st.traceOne(key, src, t, &stats, transient, holes)
+		kr := st.replayed(key, src)
+		loops = append(loops, kr.transient...)
+		holes = append(holes, kr.holes...)
+		stats.add(kr.stats)
+		for n := range kr.notes {
+			notes[n] = true
 		}
 	}
 
 	loopedKeys := make(map[string]bool)
 	for _, l := range loops {
-		loopedKeys[l.Key] = true
-	}
-	for _, l := range transient {
-		loops = append(loops, *l)
 		loopedKeys[l.Key] = true
 	}
 
@@ -111,11 +69,11 @@ func (st *state) finishLoops(r *Report) {
 	for _, k := range ttlKeys {
 		if !loopedKeys[k] {
 			loops = append(loops, LoopViolation{Kind: "ttl-expired", Key: k, At: "-", Tick: st.ttlByKey[k]})
-			st.note("flow %s: emulator reported TTL expiry but the replay found no loop", k)
+			notes.add("flow %s: emulator reported TTL expiry but the replay found no loop", k)
 		}
 	}
 	if st.ttlDrops > 0 {
-		st.note("emulator dropped %d packet(s) to TTL expiry", st.ttlDrops)
+		notes.add("emulator dropped %d packet(s) to TTL expiry", st.ttlDrops)
 	}
 
 	sort.Slice(loops, func(i, j int) bool {
@@ -135,19 +93,22 @@ func (st *state) finishLoops(r *Report) {
 
 	// Merge the emulator's observed no-rule drops into the replayed
 	// blackholes; drops the replay did not predict still get reported.
-	var bh []BlackholeViolation
-	for at, h := range holes {
+	replayed := make(map[[2]string]bool, len(holes))
+	for i := range holes {
+		h := &holes[i]
+		at := [2]string{h.At, h.Key}
+		replayed[at] = true
 		if t, ok := st.dropNoRule[at]; ok {
 			h.Observed = true
 			if t < h.Tick {
 				h.Tick = t
 			}
 		}
-		bh = append(bh, *h)
 	}
+	bh := holes
 	observedOnly := make([][2]string, 0, len(st.dropNoRule))
 	for at := range st.dropNoRule {
-		if _, ok := holes[at]; !ok {
+		if !replayed[at] {
 			observedOnly = append(observedOnly, at)
 		}
 	}
@@ -159,7 +120,7 @@ func (st *state) finishLoops(r *Report) {
 	})
 	for _, at := range observedOnly {
 		bh = append(bh, BlackholeViolation{At: at[0], Key: at[1], Tick: st.dropNoRule[at], Observed: true})
-		st.note("switch %s: emulator dropped flow %s with no rule but the replay did not predict it", at[0], at[1])
+		notes.add("switch %s: emulator dropped flow %s with no rule but the replay did not predict it", at[0], at[1])
 	}
 	sort.Slice(bh, func(i, j int) bool {
 		if bh[i].At != bh[j].At {
@@ -171,12 +132,105 @@ func (st *state) finishLoops(r *Report) {
 	r.Replay = stats
 }
 
+// replayed returns key's emission replay, rerunning it only when one of
+// its inputs has changed since it last ran.
+func (st *state) replayed(key, src string) *keyReplay {
+	in := replayInputs{changes: st.changes[key], switches: len(st.ruleHist), delays: st.delayEpoch}
+	if kr := st.replays[key]; kr != nil && kr.inputs == in {
+		return kr
+	}
+	kr := &keyReplay{inputs: in}
+	st.replay(key, src, kr)
+	st.replays[key] = kr
+	return kr
+}
+
+// replay traces every emission of key's window, departing src, through
+// the reconstructed time-varying tables into kr.
+func (st *state) replay(key, src string, kr *keyReplay) {
+	injStart := int64(-1)
+	for _, c := range st.inject[key] {
+		if c.rate > 0 {
+			injStart = c.tick
+			break
+		}
+	}
+	if injStart < 0 {
+		return
+	}
+
+	// Rule changes after injection started are the interesting
+	// instants; anything at or before injStart is provisioning the
+	// flow rode in on from the outset.
+	changeSet := make(map[int64]bool)
+	for _, perKey := range st.ruleHist {
+		for _, c := range perKey[key] {
+			if c.tick > injStart {
+				changeSet[c.tick] = true
+			}
+		}
+	}
+	changes := make([]int64, 0, len(changeSet))
+	for t := range changeSet {
+		changes = append(changes, t)
+	}
+	sort.Slice(changes, func(i, j int) bool { return changes[i] < changes[j] })
+
+	// Emission window, mirroring dynflow.Validate: wide enough before
+	// the first change that any packet still in flight when it lands
+	// is covered, then extended past the last change until the
+	// longest-lived base-window packet has arrived.
+	start, end := injStart, injStart
+	if len(changes) > 0 {
+		span := int64(len(st.ruleHist)+1) * st.maxDelay()
+		start = changes[0] - span
+		if start < injStart {
+			start = injStart
+		}
+		end = changes[len(changes)-1]
+	}
+	clear(st.transient)
+	clear(st.holes)
+	latest := end
+	for t := start; t <= end; t++ {
+		if st.rateAt(key, t) <= 0 {
+			continue
+		}
+		if arrival := st.traceOne(key, src, t, kr); arrival > latest {
+			latest = arrival
+		}
+	}
+	for t := end + 1; t <= latest; t++ {
+		if st.rateAt(key, t) <= 0 {
+			continue
+		}
+		st.traceOne(key, src, t, kr)
+	}
+	for _, l := range st.transient {
+		kr.transient = append(kr.transient, *l)
+	}
+	for _, h := range st.holes {
+		kr.holes = append(kr.holes, *h)
+	}
+}
+
+// maxDelay is the longest learned link delay, at least 1.
+func (st *state) maxDelay() int64 {
+	m := int64(1)
+	for _, d := range st.delays {
+		if d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 // traceOne follows a single emission of key, departing src at tick t,
 // through the reconstructed tables, and returns its arrival (or drop)
 // tick. Loops and blackholes it encounters are aggregated per (key,
 // cycle) and (switch, key) respectively.
-func (st *state) traceOne(key, src string, t int64, stats *ReplayStats, transient map[string]*LoopViolation, holes map[[2]string]*BlackholeViolation) int64 {
-	stats.Emissions++
+func (st *state) traceOne(key, src string, t int64, kr *keyReplay) int64 {
+	kr.stats.Emissions++
 	emit := t
 	cur := src
 	clear(st.visited)
@@ -186,32 +240,35 @@ func (st *state) traceOne(key, src string, t int64, stats *ReplayStats, transien
 		next := st.ruleAt(cur, key, t)
 		switch next {
 		case "":
-			stats.Blackholed++
-			h, ok := holes[[2]string{cur, key}]
+			kr.stats.Blackholed++
+			h, ok := st.holes[[2]string{cur, key}]
 			if !ok {
 				h = &BlackholeViolation{At: cur, Key: key, Tick: t}
-				holes[[2]string{cur, key}] = h
+				st.holes[[2]string{cur, key}] = h
 			}
 			h.Count++
 			return t
 		case "host":
-			stats.Delivered++
+			kr.stats.Delivered++
 			return t
 		}
 		d := st.delays[[2]string{cur, next}]
 		if d <= 0 {
 			d = 1
-			st.note("link %s>%s: no observed delay; replay assumes 1 tick", cur, next)
+			if kr.notes == nil {
+				kr.notes = make(noteSet)
+			}
+			kr.notes.add("link %s>%s: no observed delay; replay assumes 1 tick", cur, next)
 		}
 		t += d
 		if i, ok := st.visited[next]; ok {
-			stats.Looped++
+			kr.stats.Looped++
 			cyc := canonicalCycle(st.path[i:])
 			id := key + "|" + cyc
-			l, ok := transient[id]
+			l, ok := st.transient[id]
 			if !ok {
 				l = &LoopViolation{Kind: "transient-loop", Key: key, At: next, Tick: t, Cycle: cyc, FirstEmit: emit, LastEmit: emit}
-				transient[id] = l
+				st.transient[id] = l
 			}
 			l.Count++
 			if emit < l.FirstEmit {

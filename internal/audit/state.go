@@ -1,7 +1,10 @@
 package audit
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -35,9 +38,31 @@ type linkState struct {
 	closed []CongestionViolation
 }
 
-// state is the full reconstruction the auditor builds from one pass over
-// the time-ordered events.
+// foldPos is a folded event's place in the (VT, Seq) order.
+type foldPos struct {
+	vt  int64
+	seq uint64
+}
+
+// admits reports whether e may be folded after the event at p: it sorts
+// at or after it. An equal key sorts after, because the stable sort
+// keeps a later-fed event behind an earlier-fed one.
+func (p *foldPos) admits(e *obs.Event) bool {
+	return e.VT > p.vt || e.VT == p.vt && e.Seq >= p.seq
+}
+
+// nothingFolded sorts before every event.
+var nothingFolded = foldPos{vt: math.MinInt64}
+
+// state is the reconstruction the auditor builds from the time-ordered
+// events. It is kept between reports and extended by fold.
 type state struct {
+	// Fold frontiers: the last event folded of each class (see classOf).
+	kernel    foldPos
+	overloads foldPos
+	planned   map[string]*foldPos // switch -> its last sched marker
+	pending   []obs.Event         // fold's sort scratch
+
 	// Forwarding reconstruction.
 	tables   map[string]map[string]string       // switch -> key -> next
 	ruleHist map[string]map[string][]ruleChange // switch -> key -> changes, tick-ascending
@@ -62,16 +87,32 @@ type state struct {
 	// Control-plane timeline.
 	lanes map[string]*SwitchLane
 
-	notes map[string]bool
+	// notes are the ones written while ingesting; each report writes its
+	// own on top (see report).
+	notes noteSet
+
+	// The replay cache (see replayed): each injected key's last replay,
+	// and the counters its inputs are checked against — per key, its rule
+	// and inject changes so far, and delayEpoch, bumped whenever a
+	// learned link delay changes.
+	replays    map[string]*keyReplay
+	changes    map[string]int
+	delayEpoch int
 
 	// traceOne's scratch, reused across emissions: switch -> index in
-	// path, and the hops of the emission being traced.
-	visited map[string]int
-	path    []string
+	// path, the hops of the emission being traced, and the loops and
+	// blackholes of the key being replayed.
+	visited   map[string]int
+	path      []string
+	transient map[string]*LoopViolation
+	holes     map[[2]string]*BlackholeViolation
 }
 
 func newState() *state {
 	return &state{
+		kernel:     nothingFolded,
+		overloads:  nothingFolded,
+		planned:    make(map[string]*foldPos),
 		tables:     make(map[string]map[string]string),
 		ruleHist:   make(map[string]map[string][]ruleChange),
 		batchVT:    -1 << 62,
@@ -82,19 +123,26 @@ func newState() *state {
 		dropNoRule: make(map[[2]string]int64),
 		ttlByKey:   make(map[string]int64),
 		lanes:      make(map[string]*SwitchLane),
-		notes:      make(map[string]bool),
+		notes:      make(noteSet),
+		replays:    make(map[string]*keyReplay),
+		changes:    make(map[string]int),
 		visited:    make(map[string]int),
+		transient:  make(map[string]*LoopViolation),
+		holes:      make(map[[2]string]*BlackholeViolation),
 	}
 }
 
-func (st *state) note(format string, args ...any) {
-	st.notes[fmt.Sprintf(format, args...)] = true
+// noteSet is a set of report notes.
+type noteSet map[string]bool
+
+func (n noteSet) add(format string, args ...any) {
+	n[fmt.Sprintf(format, args...)] = true
 }
 
-func (st *state) sortedNotes() []string {
-	out := make([]string, 0, len(st.notes))
-	for n := range st.notes {
-		out = append(out, n)
+func (n noteSet) sorted() []string {
+	out := make([]string, 0, len(n))
+	for s := range n {
+		out = append(out, s)
 	}
 	sort.Strings(out)
 	return out
@@ -109,8 +157,110 @@ func (st *state) lane(sw string) *SwitchLane {
 	return l
 }
 
+// foldClass partitions the events the auditor reads by the state they
+// touch. Classes touch disjoint state, so only the order of events
+// within one class matters.
+type foldClass uint8
+
+const (
+	classIgnored  foldClass = iota // not read by the auditor
+	classKernel                    // rules, rates, injections, drops and lanes all interact
+	classOverload                  // emu.overload: only fills the cross-check list
+	classPlanned                   // sched: only sets its switch's planned tick
+)
+
+func classOf(name string) foldClass {
+	switch name {
+	case obs.EvSwFlowMod, obs.EvSwApply, obs.EvSwBarrier, obs.EvCtlFlowMod,
+		obs.EvEmuInject, obs.EvEmuRate, obs.EvEmuDrop:
+		return classKernel
+	case obs.EvEmuOverload:
+		return classOverload
+	case obs.EvSched:
+		return classPlanned
+	}
+	return classIgnored
+}
+
+// frontier returns where e's class was last folded, nil if the auditor
+// does not read e. Each switch's sched markers are a class of their own.
+func (st *state) frontier(e *obs.Event) *foldPos {
+	switch classOf(e.Name) {
+	case classKernel:
+		return &st.kernel
+	case classOverload:
+		return &st.overloads
+	case classPlanned:
+		sw := e.Attr(obs.KeySwitch)
+		at := st.planned[sw]
+		if at == nil {
+			at = &foldPos{vt: nothingFolded.vt}
+			st.planned[sw] = at
+		}
+		return at
+	}
+	return nil
+}
+
+// byTime is the order a report reads events in: virtual time, sequence
+// number as tie-break. Kernel-emitted events keep their causal order,
+// while plan markers (sched) land at their planned instant.
+func byTime(a, b obs.Event) int {
+	if c := cmp.Compare(a.VT, b.VT); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// timeOrdered reports whether the events of evs the auditor reads
+// already appear in byTime order.
+func timeOrdered(evs []obs.Event) bool {
+	last := -1
+	for i := range evs {
+		if classOf(evs[i].Name) == classIgnored {
+			continue
+		}
+		if last >= 0 && byTime(evs[last], evs[i]) > 0 {
+			return false
+		}
+		last = i
+	}
+	return true
+}
+
+// fold ingests evs, the events fed since the previous fold, in byTime
+// order. That is the order a from-scratch pass over every fed event
+// visits them in as long as each sorts at or after the last event folded
+// of its class. fold returns false, leaving the state unusable, at the
+// first event that does not.
+func (st *state) fold(evs []obs.Event) bool {
+	if !timeOrdered(evs) {
+		pend := st.pending[:0]
+		for i := range evs {
+			if classOf(evs[i].Name) != classIgnored {
+				pend = append(pend, evs[i])
+			}
+		}
+		slices.SortStableFunc(pend, byTime)
+		st.pending, evs = pend, pend
+	}
+	for i := range evs {
+		e := &evs[i]
+		at := st.frontier(e)
+		if at == nil {
+			continue
+		}
+		if !at.admits(e) {
+			return false
+		}
+		*at = foldPos{vt: e.VT, seq: e.Seq}
+		st.ingest(e)
+	}
+	return true
+}
+
 // ingest dispatches one time-ordered event into the reconstruction.
-func (st *state) ingest(e obs.Event) {
+func (st *state) ingest(e *obs.Event) {
 	switch e.Name {
 	case obs.EvSwFlowMod:
 		sw := e.Attr(obs.KeySwitch)
@@ -150,6 +300,7 @@ func (st *state) ingest(e obs.Event) {
 		key := e.Attr(obs.KeyKey)
 		rate := e.AttrInt(obs.KeyRate)
 		st.inject[key] = append(st.inject[key], rateChange{tick: e.VT, rate: rate})
+		st.changes[key]++
 		if rate > 0 {
 			st.source[key] = e.Attr(obs.KeySwitch)
 		}
@@ -207,19 +358,27 @@ func (st *state) applyRule(vt int64, sw, key, cmd, next string) {
 		st.ruleHist[sw] = hist
 	}
 	hist[key] = append(hist[key], ruleChange{tick: vt, next: next})
+	st.changes[key]++
 	st.batch = append(st.batch, flip{sw: sw, key: key, next: next})
 }
 
-// flushBatch runs the Algorithm-4-style instantaneous loop check over the
-// batch of rule changes that took effect at the same tick: for each
-// flipped switch v, walk forward from its new next hop through the
-// current tables; reaching v again means the configuration itself has a
-// cycle. (Chronus's scheduler runs the same check backward over the
-// active path before accepting a candidate; here it audits what the
-// switches actually installed.)
+// flushBatch closes the current same-tick batch: every flip of its tick
+// has been applied, so its configuration cycles are final.
 func (st *state) flushBatch() {
+	st.cycles = st.checkBatch(st.cycles)
+	st.batch = st.batch[:0]
+}
+
+// checkBatch runs the Algorithm-4-style instantaneous loop check over the
+// batch of rule changes that took effect at the same tick, appending the
+// cycles it finds to dst: for each flipped switch v, walk forward from
+// its new next hop through the current tables; reaching v again means the
+// configuration itself has a cycle. (Chronus's scheduler runs the same
+// check backward over the active path before accepting a candidate; here
+// it audits what the switches actually installed.)
+func (st *state) checkBatch(dst []LoopViolation) []LoopViolation {
 	if len(st.batch) == 0 {
-		return
+		return dst
 	}
 	seen := make(map[string]bool)
 	for _, f := range st.batch {
@@ -237,7 +396,7 @@ func (st *state) flushBatch() {
 				cyc := canonicalCycle(path)
 				if !seen[cyc] {
 					seen[cyc] = true
-					st.cycles = append(st.cycles, LoopViolation{
+					dst = append(dst, LoopViolation{
 						Kind:  "config-cycle",
 						Key:   f.key,
 						At:    f.sw,
@@ -255,7 +414,7 @@ func (st *state) flushBatch() {
 			cur = st.tables[cur][f.key]
 		}
 	}
-	st.batch = st.batch[:0]
+	return dst
 }
 
 // canonicalCycle renders a cycle rotated to start at its smallest
@@ -286,7 +445,7 @@ func joinCycle(parts []string) string {
 // linkRate processes one emu.rate event: update the per-key rate table,
 // independently recompute the link total, and track overload intervals
 // with the same open/close/blip semantics the emulator uses.
-func (st *state) linkRate(e obs.Event) {
+func (st *state) linkRate(e *obs.Event) {
 	label := e.Attr(obs.KeyLink)
 	ls, ok := st.links[label]
 	if !ok {
@@ -294,8 +453,9 @@ func (st *state) linkRate(e obs.Event) {
 		st.links[label] = ls
 	}
 	if from, to, ok := splitLink(label); ok {
-		if d, ok := e.LookupInt(obs.KeyDelay); ok && d > 0 {
+		if d, ok := e.LookupInt(obs.KeyDelay); ok && d > 0 && st.delays[[2]string{from, to}] != d {
 			st.delays[[2]string{from, to}] = d
+			st.delayEpoch++
 		}
 	}
 	key := e.Attr(obs.KeyKey)
@@ -310,7 +470,7 @@ func (st *state) linkRate(e obs.Event) {
 		total += r
 	}
 	if reported, ok := e.LookupInt(obs.KeyTotal); ok && reported != total {
-		st.note("link %s: reconstructed total %d disagrees with emulator total %d at tick %d", label, total, reported, e.VT)
+		st.notes.add("link %s: reconstructed total %d disagrees with emulator total %d at tick %d", label, total, reported, e.VT)
 	}
 
 	over := total > ls.cap
@@ -349,9 +509,26 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
+// report assembles the verdict over everything folded so far. notes is
+// the report's own: what the finishers write about the trace as a whole
+// (an overload still open, a detector disagreement, a drop nothing
+// explains) holds only for these events, so it is never kept. The report
+// shares no slice or map with the state, which later folds mutate.
+func (st *state) report(events int, missing uint64, notes noteSet) *Report {
+	r := &Report{Events: events, MissingEvents: missing}
+	st.finishCongestion(r, notes)
+	st.finishLoops(r, notes)
+	st.finishCritical(r)
+	for n := range st.notes {
+		notes[n] = true
+	}
+	r.Notes = notes.sorted()
+	return r
+}
+
 // finishCongestion collects the reconstructed overload intervals into
 // the report and cross-checks them against the emulator's own spans.
-func (st *state) finishCongestion(r *Report) {
+func (st *state) finishCongestion(r *Report, notes noteSet) {
 	labels := make([]string, 0, len(st.links))
 	for l := range st.links {
 		labels = append(labels, l)
@@ -360,12 +537,15 @@ func (st *state) finishCongestion(r *Report) {
 	var reconstructed []CongestionViolation
 	for _, label := range labels {
 		ls := st.links[label]
-		reconstructed = append(reconstructed, ls.closed...)
+		for _, c := range ls.closed {
+			c.Keys = slices.Clone(c.Keys)
+			reconstructed = append(reconstructed, c)
+		}
 		if ls.open != nil {
 			still := *ls.open
 			still.Keys = sortedKeys(ls.keys)
 			reconstructed = append(reconstructed, still)
-			st.note("link %s: overload still open when the trace ended", label)
+			notes.add("link %s: overload still open when the trace ended", label)
 		}
 	}
 	sortCongestion(reconstructed)
@@ -395,7 +575,7 @@ func (st *state) finishCongestion(r *Report) {
 		}
 	}
 	if !r.DetectorsAgree {
-		st.note("congestion detectors disagree: %d reconstructed closed intervals vs %d emulator spans", len(closed), len(emu))
+		notes.add("congestion detectors disagree: %d reconstructed closed intervals vs %d emulator spans", len(closed), len(emu))
 	}
 }
 
@@ -422,14 +602,14 @@ func (st *state) finishCritical(r *Report) {
 	cp := CriticalPath{Makespan: -1}
 	minSched, maxApply := int64(-1), int64(-1)
 	for _, n := range names {
-		l := st.lanes[n]
+		l := *st.lanes[n]
 		if l.Sched < 0 && l.Recv < 0 && l.Apply < 0 {
 			continue // no timed-update activity; not part of the critical path
 		}
 		if l.Sched >= 0 && l.Recv >= 0 {
 			l.Lead = l.Sched - l.Recv
 		}
-		cp.Switches = append(cp.Switches, *l)
+		cp.Switches = append(cp.Switches, l)
 		if l.Sched >= 0 && (minSched < 0 || l.Sched < minSched) {
 			minSched = l.Sched
 		}

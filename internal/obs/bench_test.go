@@ -63,3 +63,22 @@ func BenchmarkReadJSONL(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkTracerPage is a cursor fold's read of a long-lived ring: 30
+// updates' worth of events retained, paged from where the previous read
+// stopped, which leaves the last update's events.
+func BenchmarkTracerPage(b *testing.B) {
+	const perUpdate = 335
+	tr := obs.NewTracer(obs.TracerOptions{})
+	for i := 0; i < 30*perUpdate; i++ {
+		tr.Point(int64(i), obs.EvEmuRate, obs.A(obs.KeyLink, "v1>v2"), obs.A(obs.KeyRate, i))
+	}
+	since := tr.PageStats(0, 0).Next - perUpdate
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ps := tr.PageStats(since, 0); len(ps.Events) != perUpdate {
+			b.Fatalf("page of %d events, want %d", len(ps.Events), perUpdate)
+		}
+	}
+}

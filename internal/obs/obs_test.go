@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -332,5 +333,61 @@ func TestTracerPage(t *testing.T) {
 	var nilTr *Tracer
 	if evs, next := page(nilTr, 3, 5); evs != nil || next != 3 {
 		t.Fatalf("nil tracer page = %v, %d", evs, next)
+	}
+}
+
+// pageStatsScan is PageStats as a scan of the whole ring: the oracle for
+// the read that starts at the cursor's ring offset.
+func pageStatsScan(t *Tracer, since uint64, limit int) PageStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ps := PageStats{Next: since, Dropped: t.dropped}
+	if t.count > 0 {
+		if oldest := t.seq - uint64(t.count) + 1; since+1 < oldest {
+			ps.Skipped = oldest - since - 1
+		}
+	}
+	out := make([]Event, 0, t.count)
+	for i := 0; i < t.count; i++ {
+		e := t.events[(t.head+i)%len(t.events)]
+		if e.Seq <= since {
+			continue
+		}
+		out = append(out, e)
+		if limit > 0 && len(out) == limit {
+			break
+		}
+	}
+	ps.Events = out
+	if len(out) > 0 {
+		ps.Next = out[len(out)-1].Seq
+	}
+	return ps
+}
+
+// TestTracerPageMatchesScan holds PageStats to the whole-ring scan:
+// rings empty, partly filled, full and wrapped several times; cursors
+// below, inside and past the retained range; limits 0, 1 and the page
+// size.
+func TestTracerPageMatchesScan(t *testing.T) {
+	for _, ringCap := range []int{1, 4, 7} {
+		for _, written := range []int{0, 1, 3, 7, 9, 30} {
+			tr := NewTracer(TracerOptions{Cap: ringCap})
+			for i := 0; i < written; i++ {
+				tr.Point(int64(i), "e", A("i", i))
+			}
+			sinces := []uint64{math.MaxUint64}
+			for since := uint64(0); since <= uint64(written)+2; since++ {
+				sinces = append(sinces, since)
+			}
+			for _, since := range sinces {
+				for _, limit := range []int{0, 1, 2, ringCap, written} {
+					got, want := tr.PageStats(since, limit), pageStatsScan(tr, since, limit)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("cap %d, %d written, since %d, limit %d:\n got %+v\nwant %+v", ringCap, written, since, limit, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -236,29 +236,33 @@ func (t *Tracer) PageStats(since uint64, limit int) PageStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ps := PageStats{Next: since, Dropped: t.dropped}
-	if t.count > 0 {
-		// Sequence numbers are dense, so the retained ring always holds
-		// the contiguous range [seq-count+1, seq]; anything between the
-		// cursor and that range's start was evicted unseen.
-		if oldest := t.seq - uint64(t.count) + 1; since+1 < oldest {
-			ps.Skipped = oldest - since - 1
-		}
+	// Sequence numbers are dense, so the retained ring always holds the
+	// contiguous range [oldest, seq]: anything between the cursor and
+	// oldest was evicted unseen, and the first event past the cursor sits
+	// at ring offset since-oldest+1.
+	oldest := t.seq - uint64(t.count) + 1
+	if t.count > 0 && since+1 < oldest {
+		ps.Skipped = oldest - since - 1
 	}
-	out := make([]Event, 0, t.count)
-	for i := 0; i < t.count; i++ {
-		e := t.events[(t.head+i)%len(t.events)]
-		if e.Seq <= since {
-			continue
-		}
-		out = append(out, e)
-		if limit > 0 && len(out) == limit {
-			break
-		}
+	var from uint64
+	if since >= oldest {
+		from = since - oldest + 1
+	}
+	n := 0
+	if from < uint64(t.count) {
+		n = t.count - int(from)
+	}
+	if limit > 0 && n > limit {
+		n = limit
+	}
+	out := make([]Event, n)
+	if n > 0 {
+		at := (t.head + int(from)) % len(t.events)
+		copied := copy(out, t.events[at:])
+		copy(out[copied:], t.events)
+		ps.Next = out[n-1].Seq
 	}
 	ps.Events = out
-	if len(out) > 0 {
-		ps.Next = out[len(out)-1].Seq
-	}
 	return ps
 }
 
