@@ -3,6 +3,8 @@ package chronus
 import (
 	"fmt"
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,6 +103,56 @@ func TestDocsMentionEveryScheme(t *testing.T) {
 			if !strings.Contains(text, fmt.Sprintf("`%s`", name)) {
 				t.Errorf("%s does not mention scheme `%s`", doc, name)
 			}
+		}
+	}
+}
+
+// TestDocsListEveryInternalPackage keeps the two package inventories in
+// lockstep with the tree: the README's architecture diagram and DESIGN §3's
+// package table must each name exactly the directories under internal/.
+// Adding, deleting or renaming a package without updating both fails here.
+func TestDocsListEveryInternalPackage(t *testing.T) {
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, e.Name())
+		}
+	}
+	// section returns the text of doc from heading to the next heading.
+	section := func(doc, heading string) string {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		i := strings.Index(text, heading)
+		if i < 0 {
+			t.Fatalf("%s has no %q", doc, heading)
+		}
+		text = text[i+len(heading):]
+		if j := strings.Index(text, "\n## "); j >= 0 {
+			text = text[:j]
+		}
+		return text
+	}
+	var readme []string
+	treeLine := regexp.MustCompile(`(?m)^[├└]── internal/(\w+)`)
+	for _, m := range treeLine.FindAllStringSubmatch(section("README.md", "## Architecture"), -1) {
+		readme = append(readme, m[1])
+	}
+	var design []string
+	tableRow := regexp.MustCompile("(?m)^\\| `internal/([^`]+)` \\|")
+	for _, m := range tableRow.FindAllStringSubmatch(section("DESIGN.md", "## 3. Package inventory"), -1) {
+		design = append(design, m[1])
+	}
+	for doc, listed := range map[string][]string{"README.md architecture tree": readme, "DESIGN.md §3": design} {
+		slices.Sort(listed)
+		if !slices.Equal(listed, dirs) {
+			t.Errorf("%s lists internal packages %v, the tree has %v", doc, listed, dirs)
 		}
 	}
 }

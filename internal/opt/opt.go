@@ -1,14 +1,14 @@
-// Package opt provides exact solvers for the Minimum Update Time Problem:
+// Package opt provides the exact solver for the Minimum Update Time Problem:
 // a combinatorial branch and bound over timed update schedules (the OPT
 // baseline of the paper's evaluation, there obtained by branch and bound on
-// integer program (3)), and a literal encoding of that integer program over
-// enumerated time-extended paths for cross-validation on small instances.
+// integer program (3)). Its tests check it against brute-force enumeration
+// of every schedule on small instances.
 //
-// Exact search is exponential — MUTP is NP-complete (Theorem 1) — so every
-// entry point takes a node budget. Exhausting the budget returns the best
-// incumbent (seeded by the greedy schedule when one exists) with
-// StatusBudget, which is how the evaluation reproduces the paper's Fig. 10
-// "does not complete within the limit" behaviour for OPT.
+// Exact search is exponential — MUTP is NP-complete (Theorem 1) — so Exact
+// takes a node budget. Exhausting the budget returns the best incumbent
+// (seeded by the greedy schedule when one exists) with StatusBudget, which
+// is how the evaluation reproduces the paper's Fig. 10 "does not complete
+// within the limit" behaviour for OPT.
 package opt
 
 import (
@@ -62,7 +62,7 @@ type Options struct {
 	Timeout time.Duration
 }
 
-// Result is the outcome of Exact or SolveILP.
+// Result is the outcome of Exact.
 type Result struct {
 	Status   Status
 	Schedule *dynflow.Schedule // nil unless a schedule was found
@@ -158,8 +158,8 @@ type exactSearch struct {
 	deadline time.Time
 }
 
-// exhaustedBudget reports whether the node or time budget ran out; it
-// checks the clock only every few nodes.
+// exhaustedBudget reports whether the node or time budget ran out; with a
+// timeout set it reads the clock on every node.
 func (e *exactSearch) exhaustedBudget() bool {
 	if e.nodes > e.maxNodes {
 		return true
@@ -229,6 +229,23 @@ func (e *exactSearch) chooseSubset(s *dynflow.Schedule, pending []graph.NodeID, 
 // keep old rules) and accepts it when every violation event is stamped
 // strictly after cutoff — such events may still be repaired by later flips,
 // while events at or before cutoff are final.
+//
+// The cutoff is exact for congestion and blackholes and one tick
+// conservative for loops:
+//   - Congestion is stamped at the departure tick. A load on
+//     (u, old next, cutoff+1) with u not yet flipped is diverted if u
+//     flips at cutoff+1, so pruning it here can lose a clean completion
+//     (TestPruningKeepsRepairableViolations).
+//   - A blackhole is stamped at the tick the unit reaches a switch with no
+//     rule. Flipping that switch at cutoff+1 installs its rule in time, so
+//     the same holds.
+//   - A loop is stamped at the unit's arrival at the revisited switch.
+//     Instance.Validate requires delay >= 1 on both paths, so an arrival
+//     at cutoff+1 follows from departures at or before cutoff, which the
+//     flips already placed fix. Pruning loops at cutoff+1 too would be
+//     sound and return the same makespans; it would only visit fewer
+//     nodes, which moves Result.Nodes and with it where the node budget
+//     runs out (Fig. 10), so the rule stays as it is.
 func violationFreeBefore(in *dynflow.Instance, s *dynflow.Schedule, cutoff dynflow.Tick) bool {
 	r := dynflow.Validate(in, s)
 	for _, ev := range r.Congestion {
@@ -247,22 +264,4 @@ func violationFreeBefore(in *dynflow.Instance, s *dynflow.Schedule, cutoff dynfl
 		}
 	}
 	return true
-}
-
-// Feasible reports whether any congestion- and loop-free schedule exists,
-// within the given node budget. The boolean is meaningful only when the
-// returned status is not StatusBudget.
-func Feasible(in *dynflow.Instance, opts Options) (bool, Status, error) {
-	res, err := Exact(in, opts)
-	if err != nil {
-		return false, 0, err
-	}
-	switch res.Status {
-	case StatusOptimal:
-		return true, res.Status, nil
-	case StatusInfeasible:
-		return false, res.Status, nil
-	default:
-		return res.Schedule != nil, res.Status, nil
-	}
 }
