@@ -14,9 +14,10 @@ import (
 )
 
 // emulationEvents is the stream of one timed chronus update of the
-// EmulationTopo flow, executed on virtual sessions — the same stream
-// internal/obs's BenchmarkReadJSONL decodes.
-func emulationEvents(tb testing.TB) []obs.Event {
+// EmulationTopo flow, executed on virtual sessions after idle ticks of
+// provisioned traffic. At 50 it is the stream internal/obs's
+// BenchmarkReadJSONL decodes.
+func emulationEvents(tb testing.TB, idle sim.Time) []obs.Event {
 	tb.Helper()
 	in := topo.EmulationTopo()
 	tr := obs.NewTracer(obs.TracerOptions{})
@@ -28,7 +29,7 @@ func emulationEvents(tb testing.TB) []obs.Event {
 	if err := c.Provision(f); err != nil {
 		tb.Fatal(err)
 	}
-	h.AdvanceBy(50)
+	h.AdvanceBy(idle)
 	now := int64(h.Now())
 	res, err := scheme.Solve("chronus", in, scheme.Options{Trace: tr, VT: now})
 	if err != nil {
@@ -95,8 +96,14 @@ var reportSink *Report
 
 // BenchmarkAuditReport folds that stream into a report: the reconstruction
 // and the emission replay of every `mutp -audit-from` and /audit call.
-func BenchmarkAuditReport(b *testing.B) {
-	evs := emulationEvents(b)
+func BenchmarkAuditReport(b *testing.B) { benchAuditReport(b, 50) }
+
+// BenchmarkAuditReportIdle is BenchmarkAuditReport after 2 000 ticks of
+// steady traffic instead of 50.
+func BenchmarkAuditReportIdle(b *testing.B) { benchAuditReport(b, 2000) }
+
+func benchAuditReport(b *testing.B, idle sim.Time) {
+	evs := emulationEvents(b, idle)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -125,7 +125,7 @@ func TestIncrementalReportMatchesFromScratch(t *testing.T) {
 	backToBack, perUpdate := backToBackEvents(t, 30)
 	captured := map[string][]obs.Event{
 		"fig1-oneshot": fig1,
-		"emulation":    emulationEvents(t),
+		"emulation":    emulationEvents(t, 50),
 		"back-to-back": backToBack,
 	}
 
@@ -187,7 +187,7 @@ func TestIncrementalReportMatchesFromScratch(t *testing.T) {
 func FuzzAuditSplits(f *testing.F) {
 	streams := handBuiltStreams(f)
 	streams["fig1-oneshot"] = fig1OneShotEvents(f)
-	streams["emulation"] = emulationEvents(f)
+	streams["emulation"] = emulationEvents(f, 50)
 	names := make([]string, 0, len(streams))
 	for name := range streams {
 		names = append(names, name)

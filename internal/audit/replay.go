@@ -1,6 +1,10 @@
 package audit
 
-import "sort"
+import (
+	"math"
+	"slices"
+	"sort"
+)
 
 // keyReplay is one injected key's emission replay: the loops, blackholes,
 // counts and notes it found, and the inputs it read.
@@ -161,57 +165,37 @@ func (st *state) replay(key, src string, kr *keyReplay) {
 
 	// Rule changes after injection started are the interesting
 	// instants; anything at or before injStart is provisioning the
-	// flow rode in on from the outset.
-	changeSet := make(map[int64]bool)
+	// flow rode in on from the outset. first and last bound them.
+	first, last := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, perKey := range st.ruleHist {
 		for _, c := range perKey[key] {
 			if c.tick > injStart {
-				changeSet[c.tick] = true
+				first, last = min(first, c.tick), max(last, c.tick)
 			}
 		}
 	}
-	changes := make([]int64, 0, len(changeSet))
-	for t := range changeSet {
-		changes = append(changes, t)
-	}
-	sort.Slice(changes, func(i, j int) bool { return changes[i] < changes[j] })
 
 	// Emission window, mirroring dynflow.Validate: wide enough before
 	// the first change that any packet still in flight when it lands
 	// is covered, then extended past the last change until the
 	// longest-lived base-window packet has arrived.
 	start, end := injStart, injStart
-	if len(changes) > 0 {
+	if first != math.MaxInt64 {
 		span := int64(len(st.ruleHist)+1) * st.maxDelay()
-		start = changes[0] - span
-		if start < injStart {
-			start = injStart
-		}
-		end = changes[len(changes)-1]
+		start = max(first-span, injStart)
+		end = last
 	}
-	clear(st.transient)
-	clear(st.holes)
-	latest := end
-	for t := start; t <= end; t++ {
-		if st.rateAt(key, t) <= 0 {
-			continue
-		}
-		if arrival := st.traceOne(key, src, t, kr); arrival > latest {
-			latest = arrival
+	rp := &st.rp
+	rp.compile(st, key, src, kr)
+	rp.c0 = first
+	latest := max(end, rp.emit(start, end))
+	rp.emit(end+1, latest)
+	for i := range rp.holes {
+		if rp.holes[i].Count > 0 {
+			kr.holes = append(kr.holes, rp.holes[i])
 		}
 	}
-	for t := end + 1; t <= latest; t++ {
-		if st.rateAt(key, t) <= 0 {
-			continue
-		}
-		st.traceOne(key, src, t, kr)
-	}
-	for _, l := range st.transient {
-		kr.transient = append(kr.transient, *l)
-	}
-	for _, h := range st.holes {
-		kr.holes = append(kr.holes, *h)
-	}
+	kr.transient = append(kr.transient, rp.loops...)
 }
 
 // maxDelay is the longest learned link delay, at least 1.
@@ -225,88 +209,230 @@ func (st *state) maxDelay() int64 {
 	return m
 }
 
-// traceOne follows a single emission of key, departing src at tick t,
-// through the reconstructed tables, and returns its arrival (or drop)
-// tick. Loops and blackholes it encounters are aggregated per (key,
-// cycle) and (switch, key) respectively.
-func (st *state) traceOne(key, src string, t int64, kr *keyReplay) int64 {
-	kr.stats.Emissions++
+// Where a compiled hop sends a packet when it is not to a switch.
+const (
+	toNone int32 = -1 // no rule: the packet is dropped here
+	toHost int32 = -2 // delivered locally
+)
+
+// hop is one compiled rule change of the key being replayed: from tick
+// on, the switch forwards to next (a switch id, toNone or toHost) over a
+// link of delay ticks, 0 while that link's delay is unobserved and not
+// yet noted.
+type hop struct {
+	tick  int64
+	next  int32
+	delay int64
+}
+
+// replayer is one key's emission replay compiled to integer tables, with
+// the scratch its traces reuse from key to key. Switches are numbered in
+// the order the compile reaches them from the source, which is switch 0;
+// a switch with no rule history for the key gets no hops and so
+// blackholes whatever reaches it.
+type replayer struct {
+	kr  *keyReplay
+	key string
+	// c0 is the key's first rule change after injection started
+	// (math.MaxInt64 if none): before it the tables never change.
+	c0 int64
+
+	ids   map[string]int32
+	names []string // id -> switch
+	off   []int32  // id -> its hops are hops[off[id]:off[id+1]], tick-ascending
+	hops  []hop
+
+	rates []rateChange
+	inj   int // the rate change in effect at the tick being emitted, -1 before the first
+
+	stamp uint64   // the emission being traced
+	seen  []uint64 // id -> stamp of the last emission that visited it
+	pos   []int32  // id -> its index in path
+	path  []int32
+	cycle []string
+
+	holes  []BlackholeViolation // id -> the key's blackhole there, Count 0 if none
+	loops  []LoopViolation      // in the order found
+	loopAt map[string]int       // cycle -> its index in loops
+}
+
+// compile numbers src and every switch reachable from it through key's
+// rule history and resolves each one's hops against the learned delays.
+func (rp *replayer) compile(st *state, key, src string, kr *keyReplay) {
+	rp.kr, rp.key = kr, key
+	rp.rates, rp.inj = st.inject[key], -1
+	clear(rp.ids)
+	clear(rp.loopAt)
+	rp.names, rp.off, rp.hops, rp.loops = rp.names[:0], rp.off[:0], rp.hops[:0], rp.loops[:0]
+	rp.id(src)
+	for i := 0; i < len(rp.names); i++ {
+		sw := rp.names[i]
+		rp.off = append(rp.off, int32(len(rp.hops)))
+		for _, c := range st.ruleHist[sw][key] {
+			h := hop{tick: c.tick, next: toNone}
+			switch c.next {
+			case "":
+			case "host":
+				h.next = toHost
+			default:
+				h.next, h.delay = rp.id(c.next), st.delays[[2]string{sw, c.next}]
+			}
+			rp.hops = append(rp.hops, h)
+		}
+	}
+	rp.off = append(rp.off, int32(len(rp.hops)))
+	n := len(rp.names)
+	// Stamps only grow, so a stale entry never matches a later emission.
+	rp.seen = slices.Grow(rp.seen[:0], n)[:n]
+	rp.pos = slices.Grow(rp.pos[:0], n)[:n]
+	rp.holes = slices.Grow(rp.holes[:0], n)[:n]
+	clear(rp.holes)
+}
+
+// id returns sw's number, giving it the next one if it has none.
+func (rp *replayer) id(sw string) int32 {
+	id, ok := rp.ids[sw]
+	if !ok {
+		id = int32(len(rp.names))
+		rp.ids[sw] = id
+		rp.names = append(rp.names, sw)
+	}
+	return id
+}
+
+// outcome is how one traced emission ended: at tick end, counted in
+// status, and aggregated into loop or hole if it looped or blackholed.
+type outcome struct {
+	end    int64
+	status *int
+	loop   *LoopViolation
+	hole   *BlackholeViolation
+}
+
+// emit traces every emission at ticks lo..hi that the injection rate
+// covers, and returns the latest tick one of them ended at
+// (math.MinInt64 if none did).
+//
+// Before c0 the tables are constant, so an emission at e that ends at
+// e+F < c0 took the steady path. Every later emission of the same rate
+// run (no inject change in between) that also ends before c0, that is
+// e' < c0-F, takes it too, shifted by e'-e: only the first is traced and
+// the rest are counted.
+func (rp *replayer) emit(lo, hi int64) int64 {
+	latest := int64(math.MinInt64)
+	for t := lo; t <= hi; t++ {
+		for rp.inj+1 < len(rp.rates) && rp.rates[rp.inj+1].tick <= t {
+			rp.inj++
+		}
+		next := int64(math.MaxInt64) // the next inject change
+		if rp.inj+1 < len(rp.rates) {
+			next = rp.rates[rp.inj+1].tick
+		}
+		if rp.inj < 0 || rp.rates[rp.inj].rate <= 0 {
+			t = next - 1
+			continue
+		}
+		o := rp.trace(t)
+		last := t
+		if o.end < rp.c0 {
+			last = min(hi, next-1, rp.c0-(o.end-t)-1)
+			rp.repeat(o, last-t, last)
+		}
+		latest = max(latest, o.end+last-t)
+		t = last
+	}
+	return latest
+}
+
+// repeat counts k more emissions ending as o did, the last emitted at
+// lastEmit. Each ends later than o, so only the counts and LastEmit move.
+func (rp *replayer) repeat(o outcome, k, lastEmit int64) {
+	n := int(k)
+	rp.kr.stats.Emissions += n
+	*o.status += n
+	if o.loop != nil {
+		o.loop.Count += n
+		o.loop.LastEmit = max(o.loop.LastEmit, lastEmit)
+	}
+	if o.hole != nil {
+		o.hole.Count += n
+	}
+}
+
+// trace follows a single emission departing the source at tick t
+// through the compiled tables. Loops and blackholes it encounters are
+// aggregated per cycle and per switch respectively.
+func (rp *replayer) trace(t int64) outcome {
+	stats := &rp.kr.stats
+	stats.Emissions++
 	emit := t
-	cur := src
-	clear(st.visited)
-	st.visited[src] = 0
-	st.path = append(st.path[:0], src)
+	rp.stamp++
+	cur := int32(0)
+	rp.seen[0], rp.pos[0] = rp.stamp, 0
+	rp.path = append(rp.path[:0], 0)
 	for {
-		next := st.ruleAt(cur, key, t)
-		switch next {
-		case "":
-			kr.stats.Blackholed++
-			h, ok := st.holes[[2]string{cur, key}]
-			if !ok {
-				h = &BlackholeViolation{At: cur, Key: key, Tick: t}
-				st.holes[[2]string{cur, key}] = h
+		h := rp.ruleAt(cur, t)
+		switch {
+		case h == nil || h.next == toNone:
+			stats.Blackholed++
+			hole := &rp.holes[cur]
+			if hole.Count == 0 {
+				*hole = BlackholeViolation{At: rp.names[cur], Key: rp.key, Tick: t}
 			}
-			h.Count++
-			return t
-		case "host":
-			kr.stats.Delivered++
-			return t
+			hole.Count++
+			return outcome{end: t, status: &stats.Blackholed, hole: hole}
+		case h.next == toHost:
+			stats.Delivered++
+			return outcome{end: t, status: &stats.Delivered}
 		}
-		d := st.delays[[2]string{cur, next}]
-		if d <= 0 {
-			d = 1
-			if kr.notes == nil {
-				kr.notes = make(noteSet)
+		if h.delay == 0 {
+			if rp.kr.notes == nil {
+				rp.kr.notes = make(noteSet)
 			}
-			kr.notes.add("link %s>%s: no observed delay; replay assumes 1 tick", cur, next)
+			rp.kr.notes.add("link %s>%s: no observed delay; replay assumes 1 tick", rp.names[cur], rp.names[h.next])
+			h.delay = 1
 		}
-		t += d
-		if i, ok := st.visited[next]; ok {
-			kr.stats.Looped++
-			cyc := canonicalCycle(st.path[i:])
-			id := key + "|" + cyc
-			l, ok := st.transient[id]
-			if !ok {
-				l = &LoopViolation{Kind: "transient-loop", Key: key, At: next, Tick: t, Cycle: cyc, FirstEmit: emit, LastEmit: emit}
-				st.transient[id] = l
-			}
-			l.Count++
-			if emit < l.FirstEmit {
-				l.FirstEmit = emit
-			}
-			if emit > l.LastEmit {
-				l.LastEmit = emit
-			}
-			if t < l.Tick {
-				l.Tick = t
-			}
-			return t
+		t += h.delay
+		next := h.next
+		if rp.seen[next] == rp.stamp {
+			stats.Looped++
+			return outcome{end: t, status: &stats.Looped, loop: rp.loop(rp.path[rp.pos[next]:], next, t, emit)}
 		}
-		st.visited[next] = len(st.path)
-		st.path = append(st.path, next)
+		rp.seen[next], rp.pos[next] = rp.stamp, int32(len(rp.path))
+		rp.path = append(rp.path, next)
 		cur = next
 	}
 }
 
-// rateAt returns key's injection rate in effect at tick t.
-func (st *state) rateAt(key string, t int64) int64 {
-	cs := st.inject[key]
-	for i := len(cs) - 1; i >= 0; i-- {
-		if cs[i].tick <= t {
-			return cs[i].rate
+// ruleAt returns the hop switch id held for the key at tick t, or nil if
+// no rule was installed then.
+func (rp *replayer) ruleAt(id int32, t int64) *hop {
+	for i := rp.off[id+1] - 1; i >= rp.off[id]; i-- {
+		if rp.hops[i].tick <= t {
+			return &rp.hops[i]
 		}
 	}
-	return 0
+	return nil
 }
 
-// ruleAt returns the next hop sw's table held for key at tick t, or ""
-// if no rule was installed then.
-func (st *state) ruleAt(sw, key string, t int64) string {
-	cs := st.ruleHist[sw][key]
-	for i := len(cs) - 1; i >= 0; i-- {
-		if cs[i].tick <= t {
-			return cs[i].next
-		}
+// loop aggregates an emission at emit that, going round cycle, closed it
+// by reaching at again at tick t.
+func (rp *replayer) loop(cycle []int32, at int32, t, emit int64) *LoopViolation {
+	rp.cycle = rp.cycle[:0]
+	for _, id := range cycle {
+		rp.cycle = append(rp.cycle, rp.names[id])
 	}
-	return ""
+	cyc := canonicalCycle(rp.cycle)
+	i, ok := rp.loopAt[cyc]
+	if !ok {
+		i = len(rp.loops)
+		rp.loopAt[cyc] = i
+		rp.loops = append(rp.loops, LoopViolation{Kind: "transient-loop", Key: rp.key, At: rp.names[at], Tick: t, Cycle: cyc, FirstEmit: emit, LastEmit: emit})
+	}
+	l := &rp.loops[i]
+	l.Count++
+	l.FirstEmit = min(l.FirstEmit, emit)
+	l.LastEmit = max(l.LastEmit, emit)
+	l.Tick = min(l.Tick, t)
+	return l
 }

@@ -99,13 +99,8 @@ type state struct {
 	changes    map[string]int
 	delayEpoch int
 
-	// traceOne's scratch, reused across emissions: switch -> index in
-	// path, the hops of the emission being traced, and the loops and
-	// blackholes of the key being replayed.
-	visited   map[string]int
-	path      []string
-	transient map[string]*LoopViolation
-	holes     map[[2]string]*BlackholeViolation
+	// The emission replay's tables and scratch, reused from key to key.
+	rp replayer
 }
 
 func newState() *state {
@@ -126,9 +121,7 @@ func newState() *state {
 		notes:      make(noteSet),
 		replays:    make(map[string]*keyReplay),
 		changes:    make(map[string]int),
-		visited:    make(map[string]int),
-		transient:  make(map[string]*LoopViolation),
-		holes:      make(map[[2]string]*BlackholeViolation),
+		rp:         replayer{ids: make(map[string]int32), loopAt: make(map[string]int)},
 	}
 }
 
