@@ -150,6 +150,9 @@ type Controller struct {
 	// would fire future timed updates early).
 	viaKernel map[uint32]bool
 	packetIns []*ofp.PacketIn
+	// unflushed lists the TCP sessions holding queued messages, in the
+	// order they were first queued on; flush writes them out.
+	unflushed []*tcpSession
 	nextXID   uint32
 	notify    chan struct{}
 	// spanBase and spanStack track the ambient parent span for control
@@ -416,8 +419,13 @@ func (c *Controller) send(id graph.NodeID, m ofp.Msg) (uint32, error) {
 	x := c.xid()
 	setXID(m, x)
 	_, virtual := s.(*virtualSession)
+	ts, _ := s.(*tcpSession)
 	c.mu.Lock()
 	c.viaKernel[x] = virtual
+	if ts != nil && !ts.queued {
+		ts.queued = true
+		c.unflushed = append(c.unflushed, ts)
+	}
 	c.mu.Unlock()
 	if err := s.Send(m); err != nil {
 		return 0, err
@@ -476,10 +484,44 @@ func setXID(m ofp.Msg, x uint32) {
 	}
 }
 
+// flush writes the messages queued on TCP sessions, one write per
+// session, and returns the first write error. A session detached since
+// it queued is still flushed, so its write error surfaces here.
+func (c *Controller) flush() error {
+	c.mu.Lock()
+	pending := c.unflushed
+	c.unflushed = nil
+	for _, s := range pending {
+		s.queued = false
+	}
+	c.mu.Unlock()
+	var first error
+	for _, s := range pending {
+		if err := s.conn.Flush(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// flushOnError is deferred by every exported operation that sends: when
+// the operation fails before its await, the messages it queued still go
+// out, as they did when every Send wrote. A successful operation ends
+// in an await, which flushed. A flush error here is dropped because the
+// operation already fails with its own, the one its caller must see.
+func (c *Controller) flushOnError(err *error) {
+	if *err != nil {
+		_ = c.flush()
+	}
+}
+
 // await blocks until every xid has a reply, advancing virtual time as
 // needed (virtual sessions) and waiting for the wire (TCP sessions). It
-// returns the replies by xid.
+// flushes the queued requests first and returns the replies by xid.
 func (c *Controller) await(xids []uint32) (map[uint32]ofp.Msg, error) {
+	if err := c.flush(); err != nil {
+		return nil, err
+	}
 	deadline := time.Now().Add(replyTimeout)
 	out := make(map[uint32]ofp.Msg, len(xids))
 	for {
@@ -533,7 +575,8 @@ func checkErrors(replies map[uint32]ofp.Msg) error {
 
 // Barrier sends BarrierRequests to the given switches and waits for all
 // replies, advancing virtual time as needed.
-func (c *Controller) Barrier(ids ...graph.NodeID) error {
+func (c *Controller) Barrier(ids ...graph.NodeID) (err error) {
+	defer c.flushOnError(&err)
 	start := c.h.Now()
 	c.met.barriers.Inc()
 	sp := c.opts.Trace.StartSpan(int64(start), obs.OpCtlBarrier, c.curSpan(),

@@ -13,13 +13,15 @@ import (
 )
 
 // beginExecute opens a ctl.execute span for one execution strategy and
-// pushes it as the ambient parent; the returned func pops and ends it,
+// pushes it as the ambient parent; the returned func flushes what a
+// failed executor queued (see flushOnError), pops and ends the span,
 // stamping the outcome from *err (use with a named return and defer).
 func (c *Controller) beginExecute(mode string, switches int, err *error) func() {
 	sp := c.opts.Trace.StartSpan(int64(c.h.Now()), "ctl.execute", c.curSpan(),
 		obs.A("mode", mode), obs.A("switches", switches))
 	c.pushSpan(sp.SpanID())
 	return func() {
+		c.flushOnError(err)
 		c.popSpan()
 		outcome := "ok"
 		if *err != nil {
@@ -40,7 +42,8 @@ type FlowSpec struct {
 // Provision installs the flow's rules destination-first (so no packet ever
 // hits a missing rule), barriers every switch, and starts the injection at
 // the source.
-func (c *Controller) Provision(f FlowSpec) error {
+func (c *Controller) Provision(f FlowSpec) (err error) {
+	defer c.flushOnError(&err)
 	if len(f.Path) < 2 {
 		return fmt.Errorf("controller: flow %q path too short", f.Name)
 	}
@@ -231,7 +234,8 @@ func (c *Controller) ProbeClocks(flow string, at sim.Time, ids ...graph.NodeID) 
 // DeleteFlow removes the named flow's untagged rule from every listed
 // switch and barriers. ProbeClocks callers use it to garbage-collect
 // the probe rules once the scheduled fires have happened.
-func (c *Controller) DeleteFlow(flow string, ids ...graph.NodeID) error {
+func (c *Controller) DeleteFlow(flow string, ids ...graph.NodeID) (err error) {
+	defer c.flushOnError(&err)
 	for _, v := range ids {
 		if _, err := c.send(v, &ofp.FlowMod{
 			Command: ofp.FlowDelete, Flow: flow,

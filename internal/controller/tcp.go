@@ -20,12 +20,20 @@ var ErrTimedUpdatesUnsupported = errors.New("controller: switch does not support
 
 // tcpSession sends messages over a real stream connection; a background
 // reader feeds replies into the controller. Ordering and asynchrony are
-// the transport's own.
+// the transport's own. Send only queues on the connection: the
+// controller flushes every session it queued on before it waits for a
+// reply (and when an operation fails before it waits, see
+// flushOnError), so a switch's FlowMods and its barrier leave in one
+// write.
 type tcpSession struct {
-	conn *ofp.Conn
+	conn   *ofp.Conn
+	queued bool // on c.unflushed; guarded by the controller's mu
 }
 
-func (s *tcpSession) Send(m ofp.Msg) error { return s.conn.Send(m) }
+func (s *tcpSession) Send(m ofp.Msg) error {
+	s.conn.Queue(m)
+	return nil
+}
 
 // AttachTCP registers a switch reachable over conn and starts the reply
 // reader, which runs until the connection closes. It performs the OpenFlow

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -345,5 +346,97 @@ func TestReconnectResumesTimedUpdates(t *testing.T) {
 	}
 	if c.Disconnects() != 1 {
 		t.Fatalf("reconnect added spurious disconnects: %d", c.Disconnects())
+	}
+}
+
+// writeFailConn is a transport whose writes start failing on demand
+// while reads go on, so the failure lands at the controller's flush.
+type writeFailConn struct {
+	net.Conn
+	fail atomic.Bool
+}
+
+var errInjectedWrite = errors.New("injected write failure")
+
+func (c *writeFailConn) Write(p []byte) (int, error) {
+	if c.fail.Load() {
+		return 0, errInjectedWrite
+	}
+	return c.Conn.Write(p)
+}
+
+// attachScripted attaches id over a net.Pipe whose switch end answers the
+// handshake and then reports every message it receives on got.
+func attachScripted(t *testing.T, c *Controller, id graph.NodeID) (*writeFailConn, net.Conn, <-chan ofp.Msg) {
+	t.Helper()
+	cli, srv := net.Pipe()
+	t.Cleanup(func() { cli.Close(); srv.Close() })
+	got := make(chan ofp.Msg, 16)
+	go func() {
+		pc := ofp.NewConn(srv)
+		m, _ := pc.Recv()
+		pc.Send(&ofp.Hello{XID: m.Xid()})
+		m, _ = pc.Recv()
+		pc.Send(&ofp.FeaturesReply{XID: m.Xid(), Name: "s1", TimedUpdates: true})
+		for {
+			m, err := pc.Recv()
+			if err != nil {
+				return
+			}
+			got <- m
+		}
+	}()
+	fc := &writeFailConn{Conn: cli}
+	if _, err := c.AttachTCP(id, ofp.NewConn(fc)); err != nil {
+		t.Fatal(err)
+	}
+	return fc, srv, got
+}
+
+// A TCP session's Send only queues; the write happens when the
+// controller flushes before it waits. A write that fails there must fail
+// the Barrier and the executor around it with that error, and the
+// session must still detach through Disconnects once the switch is gone.
+func TestFlushFailureFailsBarrierAndExecutor(t *testing.T) {
+	c, id := newTCPTestController(t)
+	fc, srv, _ := attachScripted(t, c, id)
+	fc.fail.Store(true)
+
+	if err := c.Barrier(id); !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("Barrier with a failing write: err = %v, want the write error", err)
+	}
+	if err := c.ProbeClocks("probe", 100, id); !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("executor with a failing write: err = %v, want the write error", err)
+	}
+
+	srv.Close() // the switch is gone
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Disconnects() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("disconnects = %d, want 1", c.Disconnects())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.Barrier(id); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("Barrier after the detach: err = %v, want ErrNoSession", err)
+	}
+}
+
+// FlowMods queued before an executor fails mid-schedule still go out:
+// the executor flushes on its way out, as per-message sends did.
+func TestExecutorFlushesQueuedOnError(t *testing.T) {
+	c, id := newTCPTestController(t)
+	_, _, got := attachScripted(t, c, id)
+	missing := id + 1 // never attached
+	if err := c.ProbeClocks("probe", 100, id, missing); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("err = %v, want ErrNoSession", err)
+	}
+	select {
+	case m := <-got:
+		if fm, ok := m.(*ofp.FlowMod); !ok || fm.Flow != "probe" {
+			t.Fatalf("switch received %v, want the probe FlowMod", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the FlowMod queued before the error never reached the switch")
 	}
 }

@@ -5,12 +5,16 @@
 // evicts — land in an append-only file that survives the process.
 //
 // The append path never blocks the tracer hot path: Record hands the
-// event to a bounded buffer and returns; a background goroutine drains
-// the buffer into the current segment file, rotating to a new segment
-// once the size threshold is crossed. When the buffer is full the event
-// is counted as dropped (chronus_journal_dropped_total) — a separate
-// ledger from the tracer ring's eviction counter, so "the ring wrapped"
-// and "the disk could not keep up" are distinguishable.
+// event to a bounded buffer and returns. A background goroutine drains
+// the buffer: each time it wakes it encodes every queued event into one
+// batch and hands the batch to the current segment file in one write,
+// so the syscall is paid per drain, not per event. A batch is split only
+// where a segment fills: the writer rotates to a new segment after the
+// record that brings it to the size threshold, exactly as if it wrote
+// record by record. When the buffer is full the event is counted as
+// dropped (chronus_journal_dropped_total) — a separate ledger from the
+// tracer ring's eviction counter, so "the ring wrapped" and "the disk
+// could not keep up" are distinguishable.
 //
 // Segments use the shared obs JSONL codec, so a journal is bytewise the
 // same format as Tracer.WriteJSONL, the chronusd /trace stream and
@@ -46,13 +50,15 @@ const (
 type Fsync int
 
 const (
-	// FsyncRotate syncs a segment when it is rotated out and on Close —
-	// the default: bounded data at risk on power loss, no per-event
-	// syscall on the drain path.
+	// FsyncRotate syncs a segment when it is rotated out, on every
+	// Flush and on Close — the default: bounded data at risk on power
+	// loss, no sync on the drain path itself.
 	FsyncRotate Fsync = iota
-	// FsyncNever leaves flushing entirely to the OS.
+	// FsyncNever leaves flushing entirely to the OS, Flush and Close
+	// included.
 	FsyncNever
-	// FsyncAlways syncs after every appended record.
+	// FsyncAlways additionally syncs after every batch the drain
+	// goroutine writes, before the batch's events count as appended.
 	FsyncAlways
 )
 
@@ -138,7 +144,8 @@ type Writer struct {
 	f        *os.File
 	segIdx   int
 	segBytes int64
-	buf      []byte
+	buf      []byte // the batch: encoded events not yet written
+	batch    int64  // how many events buf holds
 
 	errMu sync.Mutex
 	err   error // first write/sync error, sticky
@@ -202,9 +209,9 @@ func (w *Writer) Record(e obs.Event) {
 }
 
 // Flush blocks until every event queued before the call has been
-// handed to the OS (and synced, under FsyncAlways), then reports any
-// sticky write error. It is how tests and handlers make the journal
-// catch up with the ring at a known point.
+// handed to the OS and the current segment synced (unless the policy is
+// FsyncNever), then reports any sticky write error. It is how tests and
+// handlers make the journal catch up with the ring at a known point.
 func (w *Writer) Flush() error {
 	if w == nil {
 		return nil
@@ -250,14 +257,15 @@ func (w *Writer) fail(err error) {
 	w.errMu.Unlock()
 }
 
-// run is the drain loop: it moves events from the buffer to the
-// current segment, rotating and syncing per the options.
+// run is the drain loop: it moves queued events to the current segment
+// one batch per wake-up, rotating and syncing per the options.
 func (w *Writer) run() {
 	defer close(w.done)
 	for {
 		select {
 		case e := <-w.ch:
-			w.append(e)
+			w.encode(e)
+			w.drain()
 		case ack := <-w.flush:
 			w.drain()
 			if w.opts.Fsync != FsyncNever && w.f != nil {
@@ -274,16 +282,14 @@ func (w *Writer) run() {
 	}
 }
 
-// drain empties whatever is queued right now without blocking.
+// drain adds every event queued right now to the batch and writes the
+// batch. Only run receives from w.ch, so the queue cannot shrink under
+// it and the batch is bounded by the buffer size.
 func (w *Writer) drain() {
-	for {
-		select {
-		case e := <-w.ch:
-			w.append(e)
-		default:
-			return
-		}
+	for n := len(w.ch); n > 0; n-- {
+		w.encode(<-w.ch)
 	}
+	w.write()
 }
 
 func (w *Writer) finish() {
@@ -301,49 +307,64 @@ func (w *Writer) finish() {
 	w.f = nil
 }
 
-// append encodes one event through the shared codec and writes it to
-// the current segment, opening and rotating segments as needed.
-func (w *Writer) append(e obs.Event) {
+// encode appends one event to the batch through the shared codec. When
+// the event fills the current segment, the batch is written and the
+// segment rotated, so no batch spans two segments.
+func (w *Writer) encode(e obs.Event) {
 	if w.Err() != nil {
 		w.dropped.Inc()
 		return
 	}
 	var err error
-	w.buf, err = obs.EncodeJSONLine(w.buf[:0], e)
-	if err != nil {
+	if w.buf, err = obs.EncodeJSONLine(w.buf, e); err != nil {
 		w.fail(err)
 		w.dropped.Inc()
 		return
 	}
+	w.batch++
+	if w.segBytes+int64(len(w.buf)) >= w.opts.SegmentBytes && w.write() {
+		w.rotate()
+	}
+}
+
+// write hands the batch to the current segment in one write, opening
+// the segment first if none is open. The batch's events count as
+// appended once the write (and, under FsyncAlways, the sync) returned;
+// a failed write counts them all as dropped. It reports whether the
+// batch was written.
+func (w *Writer) write() bool {
+	n := w.batch
+	if n == 0 {
+		return false
+	}
+	buf := w.buf
+	w.buf, w.batch = w.buf[:0], 0
 	if w.f == nil {
 		name := filepath.Join(w.opts.Dir, fmt.Sprintf("%s%06d%s", segPrefix, w.segIdx, segSuffix))
 		f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 		if err != nil {
 			w.fail(err)
-			w.dropped.Inc()
-			return
+			w.dropped.Add(n)
+			return false
 		}
 		w.f = f
-		w.segBytes = 0
 		w.segments.Add(1)
 	}
-	n, err := w.f.Write(w.buf)
-	w.bytes.Add(int64(n))
-	w.segBytes += int64(n)
+	wrote, err := w.f.Write(buf)
+	w.bytes.Add(int64(wrote))
+	w.segBytes += int64(wrote)
 	if err != nil {
 		w.fail(err)
-		w.dropped.Inc()
-		return
+		w.dropped.Add(n)
+		return false
 	}
-	w.appended.Inc()
 	if w.opts.Fsync == FsyncAlways {
 		if err := w.f.Sync(); err != nil {
 			w.fail(err)
 		}
 	}
-	if w.segBytes >= w.opts.SegmentBytes {
-		w.rotate()
-	}
+	w.appended.Add(n)
+	return true
 }
 
 // rotate closes the current segment (syncing it unless the policy is
@@ -359,6 +380,7 @@ func (w *Writer) rotate() {
 	}
 	w.f = nil
 	w.segIdx++
+	w.segBytes = 0
 }
 
 // segmentIndex parses the numeric index out of a segment file name.

@@ -335,3 +335,116 @@ func TestJournalFsyncAlways(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refJournal is the per-event reference writer: it appends each event's
+// line to the current segment with a write of its own and rotates after
+// the record that brings the segment to segBytes or past it. It returns
+// the segment files it would leave (base name → bytes) and the bytes it
+// wrote; the Writer must leave the same files however it batches.
+func refJournal(events []obs.Event, segBytes int64, firstSeg int) (map[string][]byte, int64) {
+	files := make(map[string][]byte)
+	var cur string
+	var total int64
+	idx := firstSeg
+	for _, e := range events {
+		line, _ := obs.EncodeJSONLine(nil, e)
+		if cur == "" {
+			cur = fmt.Sprintf("%s%06d%s", segPrefix, idx, segSuffix)
+		}
+		files[cur] = append(files[cur], line...)
+		total += int64(len(line))
+		if int64(len(files[cur])) >= segBytes {
+			cur = ""
+			idx++
+		}
+	}
+	return files, total
+}
+
+// TestJournalBatchesMatchPerEventReference is the differential for the
+// batched drain: events recorded in bursts of many sizes, with a Flush
+// after each burst, at segment sizes small enough that bursts straddle
+// segment boundaries (and one, 1 byte, that rotates after every record),
+// leave the same segment files with the same bytes and the same counters
+// as refJournal — also when the writer resumes after existing segments.
+func TestJournalBatchesMatchPerEventReference(t *testing.T) {
+	var events []obs.Event
+	for i := 1; i <= 600; i++ {
+		e := event(i)
+		if i%7 == 0 {
+			e.Attrs = append(e.Attrs, obs.Attr{K: "pad", V: strings.Repeat("x", i%97)})
+		}
+		events = append(events, e)
+	}
+	bursts := []int{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 225}
+	for _, segBytes := range []int64{1, 100, 333, 1000, 4096, 1 << 20} {
+		for _, resume := range []bool{false, true} {
+			dir := t.TempDir()
+			first := 1
+			earlier := map[string]bool{}
+			if resume {
+				// An earlier run's segments: numbering continues after them.
+				for _, name := range []string{"journal-000003.jsonl", "journal-000007.jsonl"} {
+					if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					earlier[name] = true
+				}
+				first = 8
+			}
+			reg := obs.NewRegistry()
+			w := mustOpen(t, Options{Dir: dir, SegmentBytes: segBytes, Fsync: FsyncNever, Obs: reg})
+			next := 0
+			for _, b := range bursts {
+				for _, e := range events[next : next+b] {
+					w.Record(e)
+				}
+				next += b
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if next != len(events) {
+				t.Fatalf("bursts cover %d of %d events", next, len(events))
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want, wantBytes := refJournal(events, segBytes, first)
+			segs, err := Segments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[string][]byte)
+			for _, p := range segs {
+				b, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base := filepath.Base(p); !earlier[base] {
+					got[base] = b
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("segment %d, resume %v: %d segment files, reference has %d", segBytes, resume, len(got), len(want))
+			}
+			for name, b := range want {
+				if string(got[name]) != string(b) {
+					t.Fatalf("segment %d, resume %v: %s differs from the reference:\n got %q\nwant %q", segBytes, resume, name, got[name], b)
+				}
+			}
+			for metric, v := range map[string]int64{
+				"chronus_journal_appended_total": int64(len(events)),
+				"chronus_journal_bytes":          wantBytes,
+				"chronus_journal_dropped_total":  0,
+			} {
+				if got := reg.Counter(metric).Value(); got != v {
+					t.Fatalf("segment %d, resume %v: %s = %d, want %d", segBytes, resume, metric, got, v)
+				}
+			}
+			if got := reg.Gauge("chronus_journal_segments").Value(); got != int64(len(want)) {
+				t.Fatalf("segment %d, resume %v: chronus_journal_segments = %v, want %d", segBytes, resume, got, len(want))
+			}
+		}
+	}
+}

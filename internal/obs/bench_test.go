@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"github.com/chronus-sdn/chronus/internal/controller"
@@ -79,6 +80,58 @@ func BenchmarkTracerPage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ps := tr.PageStats(since, 0); len(ps.Events) != perUpdate {
 			b.Fatalf("page of %d events, want %d", len(ps.Events), perUpdate)
+		}
+	}
+}
+
+// BenchmarkEncodeJSONLine encodes the emulation journal's events line by
+// line into one reused buffer: through the codec, and through
+// json.Marshal as the codec did before it had an encoder of its own.
+func BenchmarkEncodeJSONLine(b *testing.B) {
+	var events []obs.Event
+	if _, err := obs.ReadJSONL(bytes.NewReader(emulationJournal(b)), false, func(e obs.Event) error {
+		events = append(events, e)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		encode func([]byte, obs.Event) ([]byte, error)
+	}{
+		{"codec", obs.EncodeJSONLine},
+		{"json.Marshal", func(buf []byte, e obs.Event) ([]byte, error) {
+			line, err := json.Marshal(e)
+			return append(append(buf, line...), '\n'), err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, e := range events {
+					var err error
+					if buf, err = c.encode(buf[:0], e); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+		})
+	}
+}
+
+// BenchmarkTracerShortLived is the tracer of one CLI run or one audited
+// execution: built, 500 events recorded, read once.
+func BenchmarkTracerShortLived(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr := obs.NewTracer(obs.TracerOptions{})
+		for j := 0; j < 500; j++ {
+			tr.Point(int64(j), obs.EvEmuRate, obs.Attr{K: obs.KeyLink, V: "v1>v2"}, obs.Attr{K: obs.KeyRate, V: "7"})
+		}
+		if ps := tr.PageStats(0, 0); len(ps.Events) != 500 {
+			b.Fatalf("page of %d events, want 500", len(ps.Events))
 		}
 	}
 }

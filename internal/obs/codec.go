@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -33,17 +34,110 @@ import (
 // lone surrogates, invalid UTF-8. A declined line goes to encoding/json,
 // which therefore decides every error and its message. encoding/json is
 // also the oracle: FuzzDecodeJSONLine requires the fast path to either
-// decline or return exactly what json.Unmarshal returns.
+// decline or return exactly what json.Unmarshal returns, and
+// FuzzEncodeJSONLine requires EncodeJSONLine to write exactly what
+// json.Marshal writes.
 
 // EncodeJSONLine appends the canonical JSON encoding of e plus a
-// trailing newline to buf and returns the extended slice.
+// trailing newline to buf and returns the extended slice. It writes the
+// bytes json.Marshal(e) would, without reflection or a second buffer:
+// the struct-ordered keys, the omitempty fields (wall, dur, an empty or
+// nil attrs) left out, and every string escaped by appendString.
+// FuzzEncodeJSONLine holds it to json.Marshal byte for byte. The error
+// is always nil.
 func EncodeJSONLine(buf []byte, e Event) ([]byte, error) {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return buf, err
+	buf = append(buf, `{"seq":`...)
+	buf = strconv.AppendUint(buf, e.Seq, 10)
+	buf = append(buf, `,"vt":`...)
+	buf = strconv.AppendInt(buf, e.VT, 10)
+	if e.Wall != 0 {
+		buf = append(buf, `,"wall":`...)
+		buf = strconv.AppendInt(buf, e.Wall, 10)
 	}
-	buf = append(buf, line...)
-	return append(buf, '\n'), nil
+	buf = append(buf, `,"name":`...)
+	buf = appendString(buf, e.Name)
+	if e.Dur != 0 {
+		buf = append(buf, `,"dur":`...)
+		buf = strconv.AppendInt(buf, e.Dur, 10)
+	}
+	if len(e.Attrs) > 0 {
+		buf = append(buf, `,"attrs":[`...)
+		for i, a := range e.Attrs {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, `{"k":`...)
+			buf = appendString(buf, a.K)
+			buf = append(buf, `,"v":`...)
+			buf = appendString(buf, a.V)
+			buf = append(buf, '}')
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, '}', '\n'), nil
+}
+
+// verbatim marks the ASCII bytes appendString copies unescaped.
+var verbatim = func() (t [utf8.RuneSelf]bool) {
+	for c := byte(0x20); c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// appendString appends s as a JSON string the way encoding/json writes
+// it (HTML escaping on): '"' and '\\' backslash-escaped; \b, \f, \n, \r
+// and \t by name; the other control bytes and '<', '>', '&' as \u00XX;
+// each invalid UTF-8 byte as \ufffd; U+2028 and U+2029 as \u2028 and
+// \u2029; everything else verbatim.
+func appendString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if verbatim[c] {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				buf = append(buf, '\\', c)
+			case '\b':
+				buf = append(buf, '\\', 'b')
+			case '\f':
+				buf = append(buf, '\\', 'f')
+			case '\n':
+				buf = append(buf, '\\', 'n')
+			case '\r':
+				buf = append(buf, '\\', 'r')
+			case '\t':
+				buf = append(buf, '\\', 't')
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
 }
 
 // DecodeJSONLine parses one line of the JSONL stream (with or without

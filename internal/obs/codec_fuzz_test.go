@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzDecodeJSONLine holds the fast path to encoding/json: on any line it
@@ -111,6 +112,61 @@ func FuzzReadJSONL(f *testing.F) {
 				!strings.HasPrefix(torn, fmt.Sprintf("line %d: ignoring torn trailing line: ", wantTorn))) {
 				t.Fatalf("tolerant=%v: torn = %q, oracle's torn line is %d", tolerant, torn, wantTorn)
 			}
+		}
+	})
+}
+
+// FuzzEncodeJSONLine holds the encoder to encoding/json: for every event
+// — arbitrary strings, integers and attribute lists, nil and empty attrs
+// alike — EncodeJSONLine writes exactly json.Marshal(e) plus '\n'. When
+// every string is valid UTF-8 (the encoder replaces invalid bytes, so
+// only then can the event survive), decoding the line gives the event
+// back. attrs packs the attribute list as NUL-separated k, v, k, v, …;
+// shape%3 picks nil (0), empty (1) or that list (2). The checked-in
+// corpus is under testdata/fuzz.
+func FuzzEncodeJSONLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seq uint64, vt, wall, dur int64, name, attrs string, shape uint8) {
+		e := Event{Seq: seq, VT: vt, Wall: wall, Name: name, Dur: dur}
+		switch shape % 3 {
+		case 1:
+			e.Attrs = []Attr{}
+		case 2:
+			kv := strings.Split(attrs, "\x00")
+			for i := 0; i < len(kv); i += 2 {
+				a := Attr{K: kv[i]}
+				if i+1 < len(kv) {
+					a.V = kv[i+1]
+				}
+				e.Attrs = append(e.Attrs, a)
+			}
+		}
+		want, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeJSONLine([]byte("prefix"), e)
+		if err != nil {
+			t.Fatalf("encode %+v: %v", e, err)
+		}
+		if string(got) != "prefix"+string(want)+"\n" {
+			t.Fatalf("EncodeJSONLine disagrees with json.Marshal on %+v:\n got %q\nwant %q", e, got[len("prefix"):], append(want, '\n'))
+		}
+		valid := utf8.ValidString(name)
+		for _, a := range e.Attrs {
+			valid = valid && utf8.ValidString(a.K) && utf8.ValidString(a.V)
+		}
+		if !valid {
+			return
+		}
+		back, err := DecodeJSONLine(got[len("prefix"):])
+		if err != nil {
+			t.Fatalf("encoded %q does not decode: %v", got, err)
+		}
+		if len(e.Attrs) == 0 {
+			e.Attrs = nil // "attrs" is omitted for both
+		}
+		if !reflect.DeepEqual(back, e) {
+			t.Fatalf("decode∘encode changed the event:\n was %+v\n now %+v", e, back)
 		}
 	})
 }

@@ -66,6 +66,47 @@ func TestCodecMatchesWriteJSONL(t *testing.T) {
 	}
 }
 
+// countingWriter records how many Write calls it took and the bytes.
+type countingWriter struct {
+	writes int
+	buf    bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}
+
+// TestWriteJSONLWritesInChunks: WriteJSONL hands its writer whole lines
+// in chunks of about 64 KiB, not one Write per event, and the bytes are
+// the codec's, line for line.
+func TestWriteJSONLWritesInChunks(t *testing.T) {
+	tr := NewTracer(TracerOptions{})
+	const n = 5000
+	for i := 0; i < n; i++ {
+		tr.Point(int64(i), "emu.rate", A("link", "v1>v2"), A("rate", i))
+	}
+	var w countingWriter
+	if err := tr.WriteJSONL(&w, 0); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, e := range tr.Events(0) {
+		want, _ = EncodeJSONLine(want, e)
+	}
+	if !bytes.Equal(w.buf.Bytes(), want) {
+		t.Fatal("chunked WriteJSONL diverged from the codec")
+	}
+	if limit := len(want)/writeChunk + 1; w.writes > limit {
+		t.Fatalf("%d events in %d writes, want at most %d", n, w.writes, limit)
+	}
+	// Nothing retained past the cursor: no write at all.
+	w = countingWriter{}
+	if err := tr.WriteJSONL(&w, n); err != nil || w.writes != 0 {
+		t.Fatalf("empty export: %d writes, err %v", w.writes, err)
+	}
+}
+
 // TestCanonicalFastPathScope pins which lines the fast path takes: the
 // shape EncodeJSONLine writes, and nothing encoding/json might read
 // differently. FuzzDecodeJSONLine checks that what it takes is right.

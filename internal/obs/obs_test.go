@@ -365,29 +365,156 @@ func pageStatsScan(t *Tracer, since uint64, limit int) PageStats {
 	return ps
 }
 
-// TestTracerPageMatchesScan holds PageStats to the whole-ring scan:
-// rings empty, partly filled, full and wrapped several times; cursors
-// below, inside and past the retained range; limits 0, 1 and the page
-// size.
+// ringModel checks one PageStats read against the ring's contract for
+// a tracer that was written events 1..written (event s at VT s-1 with
+// attribute i = s-1) under a bound of ringCap: the last min(written,
+// ringCap) events are retained, the rest evicted. It is independent of
+// the ring's layout, so it holds across growth steps.
+func ringModel(t *testing.T, got PageStats, written, ringCap int, since uint64, limit int) {
+	t.Helper()
+	seq := uint64(written)
+	retained := uint64(min(written, ringCap))
+	oldest := seq - retained + 1
+	want := PageStats{Next: since, Dropped: seq - retained}
+	if retained > 0 && since+1 < oldest {
+		want.Skipped = oldest - since - 1
+	}
+	var from uint64
+	if since >= oldest {
+		from = since - oldest + 1
+	}
+	var n uint64
+	if from < retained {
+		n = retained - from
+	}
+	if limit > 0 && n > uint64(limit) {
+		n = uint64(limit)
+	}
+	if n > 0 {
+		want.Next = oldest + from + n - 1
+	}
+	if got.Next != want.Next || got.Skipped != want.Skipped || got.Dropped != want.Dropped || uint64(len(got.Events)) != n {
+		t.Fatalf("cap %d, %d written, since %d, limit %d: got next %d skipped %d dropped %d with %d events, want %d %d %d with %d",
+			ringCap, written, since, limit, got.Next, got.Skipped, got.Dropped, len(got.Events), want.Next, want.Skipped, want.Dropped, n)
+	}
+	for i, e := range got.Events {
+		s := oldest + from + uint64(i)
+		if e.Seq != s || e.VT != int64(s-1) || e.Name != "e" || len(e.Attrs) != 1 || e.AttrUint("i") != s-1 {
+			t.Fatalf("cap %d, %d written, since %d, limit %d: event %d = %+v, want seq %d", ringCap, written, since, limit, i, e, s)
+		}
+	}
+}
+
+// TestTracerPageMatchesScan holds PageStats to the whole-ring scan and
+// to ringModel at caps that straddle the ring's growth steps (it starts
+// at 256 slots and doubles up to the cap): 1, 4, 7, 255, 256, 257, 1000
+// and the default. Events are written one at a time and the ring is
+// checked after the writes on either side of every doubling, of the
+// cap, and of eviction past it; each check reads with cursors below,
+// inside and past the retained range and limits 0, 1, 2 and the cap.
 func TestTracerPageMatchesScan(t *testing.T) {
-	for _, ringCap := range []int{1, 4, 7} {
-		for _, written := range []int{0, 1, 3, 7, 9, 30} {
-			tr := NewTracer(TracerOptions{Cap: ringCap})
-			for i := 0; i < written; i++ {
-				tr.Point(int64(i), "e", A("i", i))
+	for _, optCap := range []int{1, 4, 7, 255, 256, 257, 1000, 0} {
+		ringCap := optCap
+		if ringCap == 0 {
+			ringCap = defaultTracerCap
+		}
+		checkAt := map[int]bool{0: true}
+		for _, n := range []int{ringCap, 2 * ringCap, 2*ringCap + 3} {
+			checkAt[n-1], checkAt[n], checkAt[n+1] = true, true, true
+		}
+		for n := 1; n <= 2*ringCap; n *= 2 {
+			checkAt[n-1], checkAt[n], checkAt[n+1] = true, true, true
+		}
+		if ringCap < 8 {
+			for n := 0; n <= 30; n++ {
+				checkAt[n] = true
 			}
-			sinces := []uint64{math.MaxUint64}
-			for since := uint64(0); since <= uint64(written)+2; since++ {
-				sinces = append(sinces, since)
+		}
+		last := 0
+		for n := range checkAt {
+			last = max(last, n)
+		}
+		tr := NewTracer(TracerOptions{Cap: optCap})
+		for written := 0; written <= last; written++ {
+			if written > 0 {
+				tr.Point(int64(written-1), "e", A("i", written-1))
 			}
+			if !checkAt[written] {
+				continue
+			}
+			seq := uint64(written)
+			oldest := seq - uint64(min(written, ringCap)) + 1
+			sinces := []uint64{math.MaxUint64, 0, 1, oldest - 1, oldest, oldest + 1, (oldest + seq) / 2, seq - 1, seq, seq + 1, seq + 2}
 			for _, since := range sinces {
-				for _, limit := range []int{0, 1, 2, ringCap, written} {
-					got, want := tr.PageStats(since, limit), pageStatsScan(tr, since, limit)
-					if !reflect.DeepEqual(got, want) {
+				if since > seq+2 && since != math.MaxUint64 {
+					continue // oldest-1 or seq-1 wrapped below zero
+				}
+				for _, limit := range []int{0, 1, 2, ringCap} {
+					big := ringCap > 1000
+					if big && since != 0 && (limit == 0 || limit == ringCap) {
+						continue // the default ring is read whole once per check, from 0
+					}
+					got := tr.PageStats(since, limit)
+					ringModel(t, got, written, ringCap, since, limit)
+					if big {
+						continue // the model has checked every event; the scan would only repeat it
+					}
+					if want := pageStatsScan(tr, since, limit); !reflect.DeepEqual(got, want) {
 						t.Fatalf("cap %d, %d written, since %d, limit %d:\n got %+v\nwant %+v", ringCap, written, since, limit, got, want)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestTracerConcurrentGrowth races writers that grow the ring to its
+// cap and evict past it against a reader paging with PageStats (CI runs
+// it under -race): every page is dense and starts where the cursor plus
+// Skipped says, and the reader accounts for every sequence number
+// exactly once.
+func TestTracerConcurrentGrowth(t *testing.T) {
+	const writers, perWriter, ringCap = 4, 600, 1000
+	tr := NewTracer(TracerOptions{Cap: ringCap})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tr.Point(int64(i), "e")
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var since, seen, skipped uint64
+	read := func(limit int) int {
+		ps := tr.PageStats(since, limit)
+		for i, e := range ps.Events {
+			if want := since + ps.Skipped + uint64(i) + 1; e.Seq != want {
+				t.Fatalf("page after cursor %d (skipped %d): event %d has seq %d, want %d", since, ps.Skipped, i, e.Seq, want)
+			}
+		}
+		seen += uint64(len(ps.Events))
+		skipped += ps.Skipped
+		since = ps.Next
+		return len(ps.Events)
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			read(97)
+		}
+	}
+	for read(0) > 0 {
+	}
+	if total := uint64(writers * perWriter); seen+skipped != total || since != total {
+		t.Fatalf("saw %d + skipped %d events up to seq %d, want %d", seen, skipped, since, total)
+	}
+	if got := tr.Dropped(); got != writers*perWriter-ringCap {
+		t.Fatalf("Dropped() = %d, want %d", got, writers*perWriter-ringCap)
 	}
 }

@@ -102,8 +102,9 @@ type TracerOptions struct {
 	// run.
 	Wall func() int64
 	// Cap bounds the number of retained events (default 65536); the
-	// oldest events are dropped first. Sequence numbers stay monotonic
-	// across drops so readers can detect gaps.
+	// oldest events are dropped first. The ring grows to Cap as events
+	// arrive instead of being allocated at it. Sequence numbers stay
+	// monotonic across drops so readers can detect gaps.
 	Cap int
 	// Drops, when set, is incremented once per event evicted from the
 	// ring, so ring overflow shows up in a metrics exposition (e.g. the
@@ -119,9 +120,15 @@ type TracerOptions struct {
 
 // Tracer collects structured events in a bounded in-memory ring.
 // It is safe for concurrent use; a nil *Tracer is a no-op.
+//
+// The ring starts small and doubles, up to cap, each time it fills, so
+// a short-lived tracer (one CLI run, one audited execution) allocates
+// for the events it records rather than for its bound. Only once the
+// ring holds cap events does a new event evict the oldest.
 type Tracer struct {
 	mu      sync.Mutex
 	events  []Event // ring, valid in [head, head+count)
+	cap     int     // the bound len(events) grows to
 	head    int
 	count   int
 	seq     uint64
@@ -132,7 +139,11 @@ type Tracer struct {
 	sink    Sink
 }
 
-const defaultTracerCap = 65536
+const (
+	defaultTracerCap = 65536
+	// initialRing is the ring's first allocation; it doubles from here.
+	initialRing = 256
+)
 
 // NewTracer builds a tracer.
 func NewTracer(o TracerOptions) *Tracer {
@@ -140,7 +151,8 @@ func NewTracer(o TracerOptions) *Tracer {
 	if cap <= 0 {
 		cap = defaultTracerCap
 	}
-	return &Tracer{events: make([]Event, cap), wall: o.Wall, drops: o.Drops, sink: o.Sink}
+	return &Tracer{events: make([]Event, min(cap, initialRing)), cap: cap,
+		wall: o.Wall, drops: o.Drops, sink: o.Sink}
 }
 
 // Point records an instantaneous event at virtual time vt.
@@ -166,8 +178,15 @@ func (t *Tracer) add(e Event) {
 	if t.wall != nil {
 		e.Wall = t.wall()
 	}
+	if t.count == len(t.events) && t.count < t.cap {
+		// Ring full below its bound: double it. It evicts only at its
+		// bound, so it has not wrapped and head is still 0.
+		grown := make([]Event, min(2*t.count, t.cap))
+		copy(grown, t.events)
+		t.events = grown
+	}
 	if t.count == len(t.events) {
-		// Ring full: overwrite the oldest.
+		// Ring full at its bound: overwrite the oldest.
 		t.events[t.head] = e
 		t.head = (t.head + 1) % len(t.events)
 		t.dropped++
@@ -266,21 +285,30 @@ func (t *Tracer) PageStats(since uint64, limit int) PageStats {
 	return ps
 }
 
+// writeChunk is how many encoded bytes WriteJSONL gathers per Write.
+const writeChunk = 64 << 10
+
 // WriteJSONL writes the retained events with Seq > since as one JSON
-// object per line via the shared codec (EncodeJSONLine). In
-// deterministic mode (no wall clock) the output for a fixed seed is
-// byte-identical run to run.
+// object per line via the shared codec (EncodeJSONLine), handing w
+// whole lines in chunks of about 64 KiB. In deterministic mode (no wall
+// clock) the output for a fixed seed is byte-identical run to run.
 func (t *Tracer) WriteJSONL(w io.Writer, since uint64) error {
 	var buf []byte
 	for _, e := range t.Events(since) {
 		var err error
-		buf, err = EncodeJSONLine(buf[:0], e)
-		if err != nil {
+		if buf, err = EncodeJSONLine(buf, e); err != nil {
 			return err
 		}
-		if _, err := w.Write(buf); err != nil {
-			return err
+		if len(buf) >= writeChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
+	}
+	if len(buf) > 0 {
+		_, err := w.Write(buf)
+		return err
 	}
 	return nil
 }

@@ -14,11 +14,20 @@ import (
 // Conn is a message-oriented view of a stream transport. It tallies
 // sent/received messages and bytes; Stats reads the tallies, and
 // SetMeter optionally mirrors them into registry counters.
+//
+// Outgoing messages go through a write queue: Queue encodes a message
+// onto it and Flush hands everything queued to the transport in one
+// write, so a burst (a switch's FlowMods and their barrier, a switch's
+// replies to one read) costs one syscall. Send is Queue plus Flush. A
+// message counts as sent, in Stats and the meter, when the write that
+// carries it returns.
 type Conn struct {
 	rw     io.ReadWriteCloser
 	br     *bufio.Reader
 	cr     countingReader
 	sendMu sync.Mutex
+	out    []byte // queued encoded messages, guarded by sendMu
+	outN   int64  // how many messages out holds
 
 	sentMsgs, sentBytes atomic.Int64
 	recvMsgs, recvBytes atomic.Int64
@@ -71,8 +80,9 @@ func (c countingReader) Read(p []byte) (int, error) {
 }
 
 // NewConn wraps a stream (typically a net.Conn) with the codec. Reads are
-// buffered; writes are whole-message and serialized, so Send is safe for
-// concurrent use. Recv must be called from a single goroutine.
+// buffered; writes are whole-message and serialized, so Send, Queue and
+// Flush are safe for concurrent use. Recv and Buffered must be called
+// from a single goroutine.
 func NewConn(rw io.ReadWriteCloser) *Conn {
 	c := &Conn{rw: rw, br: bufio.NewReader(rw)}
 	c.cr = countingReader{r: c.br, n: &c.recvBytes}
@@ -125,20 +135,41 @@ func (c *Conn) Stats() ConnStats {
 	}
 }
 
-// Send encodes and writes one message.
+// Send encodes and writes one message, together with any queued
+// before it.
 func (c *Conn) Send(m Msg) error {
-	buf := Encode(m)
+	c.Queue(m)
+	return c.Flush()
+}
+
+// Queue encodes m onto the write queue; nothing reaches the transport
+// until the next Flush (or Send). Queued messages keep their order.
+func (c *Conn) Queue(m Msg) {
 	c.sendMu.Lock()
-	_, err := c.rw.Write(buf)
+	c.out = appendMsg(c.out, m)
+	c.outN++
 	c.sendMu.Unlock()
+}
+
+// Flush writes every queued message in one write. On a write error the
+// queue is discarded and none of its messages count as sent.
+func (c *Conn) Flush() error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	if c.outN == 0 {
+		return nil
+	}
+	msgs, size := c.outN, int64(len(c.out))
+	_, err := c.rw.Write(c.out)
+	c.out, c.outN = c.out[:0], 0
 	if err != nil {
 		return err
 	}
-	c.sentMsgs.Add(1)
-	c.sentBytes.Add(int64(len(buf)))
+	c.sentMsgs.Add(msgs)
+	c.sentBytes.Add(size)
 	if mt := c.meterSnapshot(); mt != nil {
-		mt.SentMsgs.Inc()
-		mt.SentBytes.Add(int64(len(buf)))
+		mt.SentMsgs.Add(msgs)
+		mt.SentBytes.Add(size)
 	}
 	return nil
 }
@@ -157,6 +188,11 @@ func (c *Conn) Recv() (Msg, error) {
 	}
 	return m, nil
 }
+
+// Buffered reports how many received bytes are waiting to be decoded
+// without another read from the transport. A server that gets 0 has
+// answered everything its peer sent so far and can Flush.
+func (c *Conn) Buffered() int { return c.br.Buffered() }
 
 // Close closes the transport.
 func (c *Conn) Close() error { return c.rw.Close() }

@@ -101,15 +101,24 @@ var (
 
 // Encode serializes a message into a fresh buffer.
 func Encode(m Msg) []byte {
-	w := &writer{buf: make([]byte, headerLen, headerLen+32)}
+	return appendMsg(make([]byte, 0, headerLen+32), m)
+}
+
+// appendMsg appends the serialization of m to dst and returns the
+// extended slice; it is how a sender queues several messages for one
+// write.
+func appendMsg(dst []byte, m Msg) []byte {
+	start := len(dst)
+	w := &writer{buf: append(dst, make([]byte, headerLen)...)}
 	m.encodeBody(w)
-	if len(w.buf) > MaxMsgLen {
-		panic(fmt.Sprintf("ofp: message of %d bytes exceeds MaxMsgLen", len(w.buf)))
+	msg := w.buf[start:]
+	if len(msg) > MaxMsgLen {
+		panic(fmt.Sprintf("ofp: message of %d bytes exceeds MaxMsgLen", len(msg)))
 	}
-	w.buf[0] = Version
-	w.buf[1] = byte(m.Type())
-	binary.BigEndian.PutUint16(w.buf[2:4], uint16(len(w.buf)))
-	binary.BigEndian.PutUint32(w.buf[4:8], m.Xid())
+	msg[0] = Version
+	msg[1] = byte(m.Type())
+	binary.BigEndian.PutUint16(msg[2:4], uint16(len(msg)))
+	binary.BigEndian.PutUint32(msg[4:8], m.Xid())
 	return w.buf
 }
 

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
 func roundTrip(t *testing.T, m Msg) Msg {
@@ -236,5 +238,92 @@ func TestDecodeValidHeaderRandomBody(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordingRW is an in-memory transport that keeps every Write call.
+type recordingRW struct {
+	writes [][]byte
+	fail   error // returned by Write when set
+}
+
+func (r *recordingRW) Read([]byte) (int, error) { return 0, io.EOF }
+func (r *recordingRW) Close() error             { return nil }
+func (r *recordingRW) Write(p []byte) (int, error) {
+	if r.fail != nil {
+		return 0, r.fail
+	}
+	r.writes = append(r.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestQueuedBurstMatchesSends: a burst queued with Queue and written by
+// one Flush puts on the wire exactly the bytes per-message Send does,
+// in one write instead of one per message; Stats and the meter count the
+// messages when the write returns, not when they are queued. A failed
+// flush discards the queue and counts nothing.
+func TestQueuedBurstMatchesSends(t *testing.T) {
+	burst := []Msg{
+		&FlowMod{XID: 1, Command: FlowModify, Flow: "f", Tag: 2, Action: ActionOutput, NextHop: 4, ExecuteAt: 90},
+		&FlowMod{XID: 2, Command: FlowDelete, Flow: "f", Tag: 1},
+		&StatsRequest{XID: 3, Kind: StatsPorts},
+		&BarrierRequest{XID: 4},
+	}
+	var perMsg recordingRW
+	sender := NewConn(&perMsg)
+	for _, m := range burst {
+		if err := sender.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(perMsg.writes) != len(burst) {
+		t.Fatalf("Send made %d writes for %d messages", len(perMsg.writes), len(burst))
+	}
+
+	var queued recordingRW
+	reg := obs.NewRegistry()
+	c := NewConn(&queued)
+	c.SetMeter(NewConnMeter(reg))
+	for _, m := range burst {
+		c.Queue(m)
+	}
+	if st := c.Stats(); st.SentMsgs != 0 || st.SentBytes != 0 || len(queued.writes) != 0 {
+		t.Fatalf("queued but not flushed: %d writes, stats %+v", len(queued.writes), st)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(queued.writes) != 1 {
+		t.Fatalf("Flush made %d writes, want 1", len(queued.writes))
+	}
+	if want := bytes.Join(perMsg.writes, nil); !bytes.Equal(queued.writes[0], want) {
+		t.Fatalf("flushed burst differs from per-message sends:\n got %x\nwant %x", queued.writes[0], want)
+	}
+	wantBytes := int64(len(queued.writes[0]))
+	if st := c.Stats(); st != sender.Stats() || st.SentMsgs != int64(len(burst)) || st.SentBytes != wantBytes {
+		t.Fatalf("stats after flush %+v, per-message sender %+v", st, sender.Stats())
+	}
+	if m := reg.Counter(`chronus_ofp_messages_total{dir="sent"}`).Value(); m != int64(len(burst)) {
+		t.Fatalf("meter counted %d messages, want %d", m, len(burst))
+	}
+	if b := reg.Counter(`chronus_ofp_bytes_total{dir="sent"}`).Value(); b != wantBytes {
+		t.Fatalf("meter counted %d bytes, want %d", b, wantBytes)
+	}
+	// An empty queue flushes without touching the transport.
+	if err := c.Flush(); err != nil || len(queued.writes) != 1 {
+		t.Fatalf("empty flush: %d writes, err %v", len(queued.writes), err)
+	}
+
+	queued.fail = io.ErrClosedPipe
+	c.Queue(&BarrierRequest{XID: 5})
+	if err := c.Flush(); err != io.ErrClosedPipe {
+		t.Fatalf("failed flush returned %v", err)
+	}
+	if st := c.Stats(); st.SentMsgs != int64(len(burst)) {
+		t.Fatalf("failed flush counted: %+v", st)
+	}
+	queued.fail = nil
+	if err := c.Flush(); err != nil || len(queued.writes) != 1 {
+		t.Fatalf("queue kept after a failed flush: %d writes, err %v", len(queued.writes), err)
 	}
 }

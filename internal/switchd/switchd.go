@@ -260,7 +260,10 @@ func (a *Agent) stats(req *ofp.StatsRequest) ofp.Msg {
 
 // Serve reads messages from conn until EOF, executing each through do
 // (which must serialize into the simulation loop) and writing the replies
-// back. It is the TCP-transport entry point used by cmd/chronusd.
+// back. Replies are queued and flushed once every message already read
+// has been answered, so a burst from the controller (FlowMods plus their
+// barrier) is answered in one write. It is the TCP-transport entry point
+// used by cmd/chronusd.
 func Serve(conn *ofp.Conn, a *Agent, do func(func())) error {
 	for {
 		m, err := conn.Recv()
@@ -270,7 +273,10 @@ func Serve(conn *ofp.Conn, a *Agent, do func(func())) error {
 		var replies []ofp.Msg
 		do(func() { replies = a.Handle(m) })
 		for _, r := range replies {
-			if err := conn.Send(r); err != nil {
+			conn.Queue(r)
+		}
+		if conn.Buffered() == 0 {
+			if err := conn.Flush(); err != nil {
 				return err
 			}
 		}

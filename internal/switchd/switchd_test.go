@@ -1,7 +1,9 @@
 package switchd
 
 import (
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/chronus-sdn/chronus/internal/emu"
@@ -192,5 +194,52 @@ func TestStatsReplies(t *testing.T) {
 	reply = r[0].(*ofp.StatsReply)
 	if len(reply.Flows) != 1 || reply.Flows[0].Flow != "f" || reply.Flows[0].Bytes == 0 {
 		t.Fatalf("flows = %+v", reply.Flows)
+	}
+}
+
+// writeCounter counts the writes made on a transport.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestServeAnswersABurstInOneWrite: Serve queues its replies and flushes
+// once every message already read is answered, so a burst that arrives in
+// one write is answered, in order, in one write.
+func TestServeAnswersABurstInOneWrite(t *testing.T) {
+	a, _, _ := newAgent(t, nil)
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	sw := &writeCounter{Conn: srv}
+	served := make(chan error, 1)
+	go func() { served <- Serve(ofp.NewConn(sw), a, func(f func()) { f() }) }()
+
+	ctl := ofp.NewConn(cli)
+	ctl.Queue(&ofp.EchoRequest{XID: 1, Payload: "a"})
+	ctl.Queue(&ofp.FeaturesRequest{XID: 2})
+	ctl.Queue(&ofp.BarrierRequest{XID: 3})
+	if err := ctl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for xid := uint32(1); xid <= 3; xid++ {
+		m, err := ctl.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Xid() != xid {
+			t.Fatalf("reply %d has xid %d: replies out of order", xid, m.Xid())
+		}
+	}
+	if n := sw.writes.Load(); n != 1 {
+		t.Fatalf("three replies in %d writes, want 1", n)
+	}
+	cli.Close()
+	if err := <-served; err == nil {
+		t.Fatal("Serve returned nil after the peer closed")
 	}
 }
