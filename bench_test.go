@@ -337,6 +337,32 @@ func BenchmarkValidateEmbedded(b *testing.B) {
 	})
 }
 
+// BenchmarkGreedyExactEmbedded solves one pod with the exact engine inside
+// the 192-node graph on a fresh Instance per op: admission's solve shape,
+// so the per-solve set-up (tracer tables, path index, kernel scratch) is
+// paid every time.
+func BenchmarkGreedyExactEmbedded(b *testing.B) {
+	_, pods := merged192()
+	var pod *chronus.Instance
+	for _, p := range pods {
+		if _, err := core.Greedy(p, core.Options{Mode: core.ModeExact}); err == nil {
+			pod = p
+			break
+		}
+	}
+	if pod == nil {
+		b.Fatal("no feasible pod")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := &dynflow.Instance{G: pod.G, Demand: pod.Demand, Init: pod.Init, Fin: pod.Fin}
+		if _, err := core.Greedy(in, core.Options{Mode: core.ModeExact}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkValidateJoint3 is the joint check of three unit-demand flows
 // composed in one pod of the 192-node graph, two migrating one way and one
 // the other.

@@ -171,6 +171,7 @@ func (e *Engine) planComponent(now int64, c component, res *graph.Graph) compone
 	plan, refusals, err := batch.SolveEach(res, flows, batch.Options{
 		Start:  dynflow.Tick(now) + controller.Headroom,
 		Scheme: planScheme,
+		Obs:    e.o.Obs,
 	})
 	if err != nil {
 		for _, f := range flows {

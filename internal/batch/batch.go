@@ -13,13 +13,16 @@
 package batch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"github.com/chronus-sdn/chronus/internal/core"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
 	"github.com/chronus-sdn/chronus/internal/graph"
+	"github.com/chronus-sdn/chronus/internal/obs"
 	"github.com/chronus-sdn/chronus/internal/scheme"
 )
 
@@ -45,6 +48,8 @@ type Options struct {
 	// Gap adds idle ticks between consecutive flows' updates on top of the
 	// computed drain spacing.
 	Gap dynflow.Tick
+	// Obs receives the per-flow solves' counters; nil disables them.
+	Obs *obs.Registry
 }
 
 // lookupScheme resolves the per-flow scheduler and its registry name.
@@ -102,7 +107,7 @@ func Solve(g *graph.Graph, flows []Flow, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("batch: final configuration: %w", err)
 	}
 
-	plan, err := compose(g, flows, opts, s, name)
+	plan, _, err := compose(g, flows, opts, s, name)
 	if err != nil {
 		return nil, err
 	}
@@ -121,26 +126,28 @@ func Solve(g *graph.Graph, flows []Flow, opts Options) (*Plan, error) {
 
 // compose schedules flows in order, each on the residual topology of
 // the others' steady loads, with start times spaced past the previous
-// flow's drain. Errors name the failing flow.
-func compose(g *graph.Graph, flows []Flow, opts Options, s scheme.Scheme, name string) (*Plan, error) {
-	plan := &Plan{}
+// flow's drain. clean reports that every scheme returned a clean Report.
+// Errors name the failing flow.
+func compose(g *graph.Graph, flows []Flow, opts Options, s scheme.Scheme, name string) (plan *Plan, clean bool, err error) {
+	plan, clean = &Plan{}, true
 	start := opts.Start
 	for i, f := range flows {
 		residual, err := residualGraph(g, flows, i)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		in := &dynflow.Instance{G: residual, Demand: f.Demand, Init: f.Init, Fin: f.Fin}
+		in := &dynflow.Instance{G: residual, Demand: f.Demand, Init: f.Init, Fin: f.Fin, Obs: opts.Obs}
 		if err := in.Validate(); err != nil {
-			return nil, fmt.Errorf("batch: flow %q: %w", f.Name, err)
+			return nil, false, fmt.Errorf("batch: flow %q: %w", f.Name, err)
 		}
-		res, err := s.Solve(in, scheme.Options{Start: start})
+		res, err := s.Solve(in, scheme.Options{Start: start, Obs: opts.Obs})
 		if err != nil {
-			return nil, fmt.Errorf("batch: flow %q: %w", f.Name, err)
+			return nil, false, fmt.Errorf("batch: flow %q: %w", f.Name, err)
 		}
 		if res.Schedule == nil {
-			return nil, fmt.Errorf("batch: flow %q: scheme %q produced no timed schedule to compose", f.Name, name)
+			return nil, false, fmt.Errorf("batch: flow %q: scheme %q produced no timed schedule to compose", f.Name, name)
 		}
+		clean = clean && res.Report != nil && res.Report.OK()
 		// Re-anchor the schedule on the shared graph's instance for joint
 		// validation and for callers executing the plan.
 		full := in
@@ -153,7 +160,7 @@ func compose(g *graph.Graph, flows []Flow, opts Options, s scheme.Scheme, name s
 		drain := dynflow.Tick(f.Init.Delay(g) + f.Fin.Delay(g))
 		start = res.Schedule.End() + drain + 1 + opts.Gap
 	}
-	return plan, nil
+	return plan, clean, nil
 }
 
 // Refusal names one flow SolveEach could not admit and why. Reasons are
@@ -195,14 +202,18 @@ func SolveEach(g *graph.Graph, flows []Flow, opts Options) (*Plan, []Refusal, er
 			refuse(f, fmt.Sprintf("final configuration: %v", err))
 			continue
 		}
-		p, err := compose(g, candidate, opts, s, name)
+		p, clean, err := compose(g, candidate, opts, s, name)
 		if err != nil {
 			refuse(f, err.Error())
 			continue
 		}
-		report, err := dynflow.ValidateJoint(p.Updates)
-		if err != nil {
-			return nil, refusals, err
+		// A lone flow's joint check is the validation its scheme just ran
+		// clean on the same graph (no other flow leaves a residual).
+		report := &dynflow.JointReport{}
+		if len(candidate) > 1 || !clean {
+			if report, err = dynflow.ValidateJoint(p.Updates); err != nil {
+				return nil, refusals, err
+			}
 		}
 		if !report.OK() {
 			refuse(f, fmt.Sprintf("joint validation with the admitted set fails: %s", report.Summary()))
@@ -289,45 +300,44 @@ func flowUsesLink(f Flow, from, to graph.NodeID) bool {
 // contributing flows, and links are checked in a fixed order so the first
 // reported violation is deterministic.
 func checkSteadyState(g *graph.Graph, flows []Flow, final bool) error {
-	type linkLoad struct {
-		total graph.Capacity
-		names []string
+	// One entry per (link, flow) use, sorted by link: flows stay in batch
+	// order within a link, and the links in the fixed report order.
+	type use struct {
+		key  [2]graph.NodeID
+		flow int
 	}
-	loads := make(map[[2]graph.NodeID]*linkLoad)
-	var keys [][2]graph.NodeID
-	for _, f := range flows {
+	var uses []use
+	for i, f := range flows {
 		p := f.Init
 		if final {
 			p = f.Fin
 		}
 		for k := 1; k < len(p); k++ {
-			key := [2]graph.NodeID{p[k-1], p[k]}
-			l := loads[key]
-			if l == nil {
-				l = &linkLoad{}
-				loads[key] = l
-				keys = append(keys, key)
-			}
-			l.total += f.Demand
-			l.names = append(l.names, fmt.Sprintf("%q", f.Name))
+			uses = append(uses, use{[2]graph.NodeID{p[k-1], p[k]}, i})
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+	slices.SortStableFunc(uses, func(a, b use) int {
+		return cmp.Or(cmp.Compare(a.key[0], b.key[0]), cmp.Compare(a.key[1], b.key[1]))
 	})
-	for _, key := range keys {
-		d := loads[key]
-		who := strings.Join(d.names, ", ")
+	for lo := 0; lo < len(uses); {
+		key, hi, total := uses[lo].key, lo, graph.Capacity(0)
+		for ; hi < len(uses) && uses[hi].key == key; hi++ {
+			total += flows[uses[hi].flow].Demand
+		}
 		l, ok := g.Link(key[0], key[1])
+		if ok && total <= l.Cap {
+			lo = hi
+			continue
+		}
+		names := make([]string, 0, hi-lo)
+		for _, u := range uses[lo:hi] {
+			names = append(names, fmt.Sprintf("%q", flows[u.flow].Name))
+		}
+		who := strings.Join(names, ", ")
 		if !ok {
 			return fmt.Errorf("missing link %s->%s used by flow(s) %s", g.Name(key[0]), g.Name(key[1]), who)
 		}
-		if d.total > l.Cap {
-			return fmt.Errorf("link %s->%s oversubscribed by flow(s) %s: %d > %d", g.Name(key[0]), g.Name(key[1]), who, d.total, l.Cap)
-		}
+		return fmt.Errorf("link %s->%s oversubscribed by flow(s) %s: %d > %d", g.Name(key[0]), g.Name(key[1]), who, total, l.Cap)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -338,5 +339,65 @@ func TestSolveEachRefusalLandsOnNewcomer(t *testing.T) {
 	}
 	if len(refusals) != 1 || refusals[0].Flow != "f1-clone" {
 		t.Fatalf("refusals = %+v, want f1-clone refused", refusals)
+	}
+}
+
+// TestJointMatchesValidateForOneFlow backs SolveEach's skip of the joint
+// check for a lone flow its scheme validated clean: on one flow,
+// ValidateJoint and Validate give the same verdict. The corpus is soak-
+// shaped pods (twelve switches, demand 4, mostly slack links, delays up to
+// 3) and random pods of 4 to 15 switches, embedded in one graph, migrated
+// either way at every demand the pod carries, under the chronus schedule
+// and under random schedules, clean or not.
+func TestJointMatchesValidateForOneFlow(t *testing.T) {
+	rng := rand.New(rand.NewSource(20170605))
+	g := graph.New()
+	var pods []*dynflow.Instance
+	for p := 0; p < 24; p++ {
+		params := topo.DefaultRandomParams(12)
+		params.Demand, params.TightFraction, params.MaxDelay = 4, 0.25, 3
+		if p%2 == 1 {
+			params = topo.DefaultRandomParams(4 + rng.Intn(12))
+		}
+		on, _ := topo.Embed(g, topo.RandomInstance(rng, params), fmt.Sprintf("p%d.", p))
+		pods = append(pods, on)
+	}
+	var clean, dirty int
+	for p, pod := range pods {
+		for _, swap := range []bool{false, true} {
+			for d := graph.Capacity(1); d <= pod.Demand; d++ {
+				in := &dynflow.Instance{G: g, Demand: d, Init: pod.Init, Fin: pod.Fin}
+				if swap {
+					in.Init, in.Fin = in.Fin, in.Init
+				}
+				var schedules []*dynflow.Schedule
+				if res, err := scheme.Solve("chronus", in, scheme.Options{Start: 3}); err == nil {
+					schedules = append(schedules, res.Schedule)
+				}
+				for r := 0; r < 3; r++ {
+					s := dynflow.NewSchedule(dynflow.Tick(rng.Intn(5)))
+					for _, v := range in.UpdateSet() {
+						s.Set(v, s.Start+dynflow.Tick(rng.Intn(1+4*r)))
+					}
+					schedules = append(schedules, s)
+				}
+				for _, s := range schedules {
+					joint, err := dynflow.ValidateJoint([]dynflow.FlowUpdate{{Name: "f", In: in, S: s}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := dynflow.Validate(in, s); joint.OK() != want.OK() {
+						t.Fatalf("pod %d demand %d swapped %v, schedule %v: joint %s, Validate %s", p, d, swap, s, joint.Summary(), want.Summary())
+					} else if want.OK() {
+						clean++
+					} else {
+						dirty++
+					}
+				}
+			}
+		}
+	}
+	if clean < 100 || dirty < 100 {
+		t.Fatalf("corpus too small: %d clean, %d violating schedules", clean, dirty)
 	}
 }

@@ -103,7 +103,10 @@ func dependencyChains(in *dynflow.Instance, s *dynflow.Schedule, pending []graph
 	comp := components(pending, succ)
 	var chains []Chain
 	for _, members := range comp {
-		chain, ok := topoOrder(members, succ)
+		chain, ok := Chain(members), true
+		if len(members) > 1 {
+			chain, ok = topoOrder(members, succ)
+		}
 		if !ok {
 			return nil, fmt.Errorf("%w: involving %s", ErrDependencyCycle, Chain(members).Format(in.G))
 		}

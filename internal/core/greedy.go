@@ -96,7 +96,11 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 	}
 	pathDrain := dynflow.Tick(in.Init.Delay(in.G) + in.Fin.Delay(in.G))
 	drainHorizon := s.Start + dynflow.Tick(in.Init.Delay(in.G))
-	var lastReport *dynflow.Report
+	// Each trial is one kernel move on the schedule accepted so far; latest
+	// is the LatestArrival of the last accepted schedule.
+	k := dynflow.NewKernel(in, s)
+	defer k.Release()
+	latest, acceptedAny := dynflow.Tick(0), false
 
 	// Validator rejections stem from in-flight collisions that recede over
 	// time but carry no closed-form retry tick, so rejected candidates back
@@ -137,19 +141,21 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 					sm.deferred.Inc()
 					continue
 				}
-				s.Set(cand.v, t)
+				k.Move(cand.v, t)
 				res.Validations++
 				sm.validations.Inc()
-				r := dynflow.Validate(in, s)
-				if !r.OK() {
-					delete(s.Times, cand.v)
+				ok, arrival := k.Check()
+				if !ok {
+					k.Undo()
 					n := ws.bumpStrike(cand.v)
 					backoff := dynflow.Tick(1) << minUint(uint(n)-1, 7)
 					ws.setSleep(cand.v, t+backoff)
 					sm.rejected.Inc()
 					continue
 				}
-				lastReport = r
+				k.Commit()
+				s.Set(cand.v, t)
+				latest, acceptedAny = arrival, true
 				accepted[cand.v] = true
 				changed = true
 				sm.accepted.Inc()
@@ -165,8 +171,8 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 		}
 		if len(accepted) > 0 {
 			pending = removeAll(pending, accepted)
-			if lastReport != nil && lastReport.LatestArrival > drainHorizon {
-				drainHorizon = lastReport.LatestArrival
+			if latest > drainHorizon {
+				drainHorizon = latest
 			}
 			if dh := t + pathDrain; dh > drainHorizon {
 				drainHorizon = dh
@@ -199,15 +205,16 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 		t = next
 		sm.wakeJumps.Inc()
 	}
-	res.Report = lastReport
-	if res.Report == nil || res.BestEffort {
-		res.Report = dynflow.Validate(in, s)
+	// The one full validation of the solve. The trials were the checks, so
+	// Validations counts it only when none passed or the schedule was forced.
+	res.Report = dynflow.Validate(in, s)
+	if !acceptedAny || res.BestEffort {
 		res.Validations++
 		sm.validations.Inc()
 	}
 	if !res.BestEffort && !res.Report.OK() {
-		// Cannot happen: every acceptance was validator-approved and the
-		// validator is deterministic. Guard anyway.
+		// Cannot happen: every acceptance was kernel-approved and the
+		// kernel's verdict is the validator's. Guard anyway.
 		return res, fmt.Errorf("core: internal error: exact-mode schedule failed validation: %s", res.Report.Summary())
 	}
 	return res, nil

@@ -31,13 +31,14 @@ type SwitchSlack struct {
 // timing error the rest tolerate — and complements the event-based
 // critical path the audit package derives from an execution trace.
 //
-// The schedule is validated once. Each scheduled switch is then delayed
-// tick by tick up to the horizon, and each step is checked incrementally
-// (dynflow.DelaySlack): only the units the extra tick of delay diverts at
-// that switch are re-traced, and only the link instances whose load rose
-// are compared against capacity. The values are exactly those of
-// re-validating the whole schedule per switch and delay, which is what
-// the tests do as the oracle, at O(switches × horizon × path) instead of
+// One kernel is built on the schedule (dynflow.Kernel): its trace of the
+// window gives the clean/violating verdict, and each scheduled switch is
+// then delayed tick by tick up to the horizon as a chain of kernel moves:
+// only the units the extra tick of delay diverts at that switch are
+// re-traced, and only the link instances whose load rose are compared
+// against capacity. The values are exactly those of re-validating the
+// whole schedule per switch and delay, which is what the tests do as the
+// oracle, at O(switches × horizon × path) instead of
 // O(switches × horizon × window × path).
 //
 // Switches are returned in ascending NodeID order. The result is only
@@ -50,14 +51,18 @@ func ScheduleSlack(in *dynflow.Instance, s *dynflow.Schedule) []SwitchSlack {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make([]SwitchSlack, 0, len(ids))
-	if !dynflow.Validate(in, s).OK() {
+	k := dynflow.NewKernel(in, s)
+	defer k.Release()
+	if ok, _ := k.Check(); !ok {
 		for _, v := range ids {
 			out = append(out, SwitchSlack{V: v, Time: s.Times[v], Critical: true})
 		}
 		return out
 	}
-	for i, slack := range dynflow.DelaySlack(in, s, ids, autoMaxTicks(in)) {
-		out = append(out, SwitchSlack{V: ids[i], Time: s.Times[ids[i]], Slack: slack, Critical: slack == 0})
+	horizon := autoMaxTicks(in)
+	for _, v := range ids {
+		slack := k.Slack(v, s.Times[v], horizon)
+		out = append(out, SwitchSlack{V: v, Time: s.Times[v], Slack: slack, Critical: slack == 0})
 	}
 	return out
 }

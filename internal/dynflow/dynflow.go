@@ -48,9 +48,12 @@ type Instance struct {
 }
 
 // pathIndex holds per-switch next hops as dense arrays for O(1) lookup on
-// the scheduling hot paths. initLen/finLen and the head pointers detect
-// staleness when a caller swaps the instance's paths.
+// the scheduling hot paths. The arrays span only the node ids of the
+// footprint init ∪ fin, lo through lo+len−1, so a flow embedded in a large
+// graph pays for its own switches, not the graph's. initLen/finLen and the
+// head pointers detect staleness when a caller swaps the instance's paths.
 type pathIndex struct {
+	lo                graph.NodeID
 	oldNext, newNext  []graph.NodeID
 	initHead, finHead *graph.NodeID
 	initLen, finLen   int
@@ -63,10 +66,21 @@ func (in *Instance) ensureIndex() *pathIndex {
 		(idx.finLen == 0 || idx.finHead == &in.Fin[0]) {
 		return idx
 	}
-	n := in.G.NumNodes()
+	// The id range [lo, hi) of the path nodes the graph has (empty if none).
+	n := graph.NodeID(in.G.NumNodes())
+	lo, hi := n, graph.NodeID(0)
+	for _, p := range [...]graph.Path{in.Init, in.Fin} {
+		for _, v := range p {
+			if v >= 0 && v < n {
+				lo, hi = min(lo, v), max(hi, v+1)
+			}
+		}
+	}
+	lo = min(lo, hi)
 	idx = &pathIndex{
-		oldNext: make([]graph.NodeID, n),
-		newNext: make([]graph.NodeID, n),
+		lo:      lo,
+		oldNext: make([]graph.NodeID, hi-lo),
+		newNext: make([]graph.NodeID, hi-lo),
 		initLen: len(in.Init),
 		finLen:  len(in.Fin),
 	}
@@ -81,17 +95,23 @@ func (in *Instance) ensureIndex() *pathIndex {
 		idx.newNext[i] = graph.Invalid
 	}
 	for i := 0; i+1 < len(in.Init); i++ {
-		if v := in.Init[i]; v >= 0 && int(v) < n {
-			idx.oldNext[v] = in.Init[i+1]
+		if k, ok := idx.slot(in.Init[i]); ok {
+			idx.oldNext[k] = in.Init[i+1]
 		}
 	}
 	for i := 0; i+1 < len(in.Fin); i++ {
-		if v := in.Fin[i]; v >= 0 && int(v) < n {
-			idx.newNext[v] = in.Fin[i+1]
+		if k, ok := idx.slot(in.Fin[i]); ok {
+			idx.newNext[k] = in.Fin[i+1]
 		}
 	}
 	in.idx = idx
 	return idx
+}
+
+// slot maps v to its position in the index arrays.
+func (idx *pathIndex) slot(v graph.NodeID) (int, bool) {
+	k := int(v - idx.lo)
+	return k, k >= 0 && k < len(idx.oldNext)
 }
 
 // Validate checks structural well-formedness of the instance.
@@ -114,28 +134,25 @@ func (in *Instance) Validate() error {
 	if in.Init.Dest() != in.Fin.Dest() {
 		return errors.New("dynflow: paths disagree on destination")
 	}
-	for _, l := range in.Init.Links(in.G) {
-		if l.Cap < in.Demand {
-			return fmt.Errorf("dynflow: initial path link %s->%s capacity %d < demand %d",
-				in.G.Name(l.From), in.G.Name(l.To), l.Cap, in.Demand)
+	// Both paths were checked to exist above, so every lookup hits.
+	paths := [...]struct {
+		name string
+		p    graph.Path
+	}{{"initial", in.Init}, {"final", in.Fin}}
+	for _, c := range paths {
+		for i := 1; i < len(c.p); i++ {
+			if l, _ := in.G.Link(c.p[i-1], c.p[i]); l.Cap < in.Demand {
+				return fmt.Errorf("dynflow: %s path link %s->%s capacity %d < demand %d",
+					c.name, in.G.Name(l.From), in.G.Name(l.To), l.Cap, in.Demand)
+			}
 		}
 	}
-	for _, l := range in.Fin.Links(in.G) {
-		if l.Cap < in.Demand {
-			return fmt.Errorf("dynflow: final path link %s->%s capacity %d < demand %d",
-				in.G.Name(l.From), in.G.Name(l.To), l.Cap, in.Demand)
-		}
-	}
-	for i := 1; i < len(in.Init); i++ {
-		if l, _ := in.G.Link(in.Init[i-1], in.Init[i]); l.Delay < 1 {
-			return fmt.Errorf("dynflow: initial path link %s->%s has delay %d (schedulers require >= 1)",
-				in.G.Name(l.From), in.G.Name(l.To), l.Delay)
-		}
-	}
-	for i := 1; i < len(in.Fin); i++ {
-		if l, _ := in.G.Link(in.Fin[i-1], in.Fin[i]); l.Delay < 1 {
-			return fmt.Errorf("dynflow: final path link %s->%s has delay %d (schedulers require >= 1)",
-				in.G.Name(l.From), in.G.Name(l.To), l.Delay)
+	for _, c := range paths {
+		for i := 1; i < len(c.p); i++ {
+			if l, _ := in.G.Link(c.p[i-1], c.p[i]); l.Delay < 1 {
+				return fmt.Errorf("dynflow: %s path link %s->%s has delay %d (schedulers require >= 1)",
+					c.name, in.G.Name(l.From), in.G.Name(l.To), l.Delay)
+			}
 		}
 	}
 	return nil
@@ -149,16 +166,18 @@ func (in *Instance) Dest() graph.NodeID { return in.Init.Dest() }
 
 // OldNext returns v's next hop on the initial path, or Invalid.
 func (in *Instance) OldNext(v graph.NodeID) graph.NodeID {
-	if idx := in.ensureIndex(); v >= 0 && int(v) < len(idx.oldNext) {
-		return idx.oldNext[v]
+	idx := in.ensureIndex()
+	if k, ok := idx.slot(v); ok {
+		return idx.oldNext[k]
 	}
 	return graph.Invalid
 }
 
 // NewNext returns v's next hop on the final path, or Invalid.
 func (in *Instance) NewNext(v graph.NodeID) graph.NodeID {
-	if idx := in.ensureIndex(); v >= 0 && int(v) < len(idx.newNext) {
-		return idx.newNext[v]
+	idx := in.ensureIndex()
+	if k, ok := idx.slot(v); ok {
+		return idx.newNext[k]
 	}
 	return graph.Invalid
 }

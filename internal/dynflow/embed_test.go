@@ -56,7 +56,7 @@ func remapReport(r *dynflow.Report, remap []graph.NodeID) *dynflow.Report {
 // graph and re-rooted into a sixteen-pod one: equal reports (after the id
 // remap; pods keep their relative id order, so the congestion order too)
 // for the greedy schedule and random ones, clean or not, and equal
-// DelaySlack values for the clean ones.
+// slack values (Kernel.Slack) for the clean ones.
 func TestValidateEmbeddingInvariance(t *testing.T) {
 	var pods, clean, dirty int
 	for seed := int64(0); seed < 13; seed++ {
@@ -94,7 +94,7 @@ func TestValidateEmbeddingInvariance(t *testing.T) {
 					continue
 				}
 				clean++
-				if ws, gs := dynflow.DelaySlack(own[p], s, vs, 40), dynflow.DelaySlack(on[p], se, vse, 40); !reflect.DeepEqual(gs, ws) {
+				if ws, gs := delaySlack(own[p], s, vs, 40), delaySlack(on[p], se, vse, 40); !reflect.DeepEqual(gs, ws) {
 					t.Fatalf("seed %d pod %d: slack %v once embedded, %v on the pod's own graph", seed, p, gs, ws)
 				}
 			}
@@ -161,4 +161,15 @@ func TestValidateSeesFootprintChanges(t *testing.T) {
 			t.Fatalf("pod %d: final path cut at %d->%d, no blackhole reported: %s", p, from, to, r.Summary())
 		}
 	}
+}
+
+// delaySlack is each switch's Kernel.Slack on one kernel built on s.
+func delaySlack(in *dynflow.Instance, s *dynflow.Schedule, vs []graph.NodeID, horizon dynflow.Tick) []dynflow.Tick {
+	k := dynflow.NewKernel(in, s)
+	defer k.Release()
+	out := make([]dynflow.Tick, len(vs))
+	for i, v := range vs {
+		out[i] = k.Slack(v, s.Times[v], horizon)
+	}
+	return out
 }

@@ -103,11 +103,11 @@ func ValidateJoint(updates []FlowUpdate) (*JointReport, error) {
 			}
 			f.rowOf[ord] = row
 		}
-		times := tr.view(u.S)
+		times := tr.view(&tr.times, u.S)
 		f.tail = f.end
 		for e := f.end - delay; e <= f.end; e++ {
 			hops = hops[:0]
-			_, _, arrive := tr.trace(times, e, 0, &hops)
+			_, _, arrive := tr.trace(times, e, nil, &hops)
 			f.tail = max(f.tail, arrive)
 		}
 		drain = max(drain, tr.maxTrace)
@@ -127,10 +127,10 @@ func ValidateJoint(updates []FlowUpdate) (*JointReport, error) {
 	loads := make([]graph.Capacity, len(links)*int(globalHi-globalLo+drain+1))
 	for i, u := range updates {
 		f := flows[i]
-		times := f.tr.view(u.S)
+		times := f.tr.view(&f.tr.times, u.S)
 		emit := func(e Tick, report bool) Tick {
 			hops = hops[:0]
-			status, at, arrive := f.tr.trace(times, e, 0, &hops)
+			status, at, arrive := f.tr.trace(times, e, nil, &hops)
 			for _, h := range hops {
 				key := int(h.tick-globalLo)*len(links) + int(f.rowOf[h.ord])
 				if key >= len(loads) {

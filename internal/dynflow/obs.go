@@ -24,7 +24,7 @@ const (
 func RegisterMetrics(r *obs.Registry) {
 	newValidatorMetrics(r)
 	if r != nil {
-		// DelaySlack's work counters; validator runs keep counting full
+		// Kernel.Slack's work counters; validator runs keep counting full
 		// validations only.
 		r.Help(slackSteps, "delay ticks examined by slack certification")
 		r.Help(slackRetraced, "emissions diverted and re-traced by slack certification")

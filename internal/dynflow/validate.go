@@ -220,20 +220,19 @@ func Validate(in *Instance, s *Schedule) *Report {
 	start := s.Start - Tick(in.Init.Delay(in.G))
 	end := s.End()
 	r := &Report{WindowStart: start}
-	var vm *validatorMetrics
-	if in.Obs != nil {
-		vm = tr.metrics(in.Obs)
-		vm.runs.Inc()
-	}
 
 	// Departure ticks stay within end + 2 × (max trace duration): the last
 	// traced emission is at latestArrival <= end + maxTrace, and its own
 	// trace lasts at most maxTrace more.
-	tr.beginLoads(int64(end-start) + 2*int64(tr.maxTrace) + 1)
+	x := getScratch()
+	defer putScratch(x)
+	lw := &x.lw
+	lw.begin(len(tr.links), start, int64(end-start)+2*int64(tr.maxTrace)+1, in.Demand)
+	defer lw.end()
 
-	times := tr.view(s)
+	times := tr.view(&tr.times, s)
 	record := func(e Tick) Tick {
-		status, at, arrive := tr.trace(times, e, start, nil)
+		status, at, arrive := tr.trace(times, e, lw, nil)
 		switch status {
 		case Looped:
 			r.Loops = append(r.Loops, LoopEvent{Emit: e, At: at, Tick: arrive})
@@ -243,34 +242,26 @@ func Validate(in *Instance, s *Schedule) *Report {
 		return arrive
 	}
 	latestArrival := end
-	traced := int64(0)
 	for e := start; e <= end; e++ {
-		traced++
 		if a := record(e); a > latestArrival {
 			latestArrival = a
 		}
 	}
 	// Pure-final emissions that can still overlap the in-flight tail.
 	for e := end + 1; e <= latestArrival; e++ {
-		traced++
 		record(e)
 	}
 	r.WindowEnd = latestArrival
 	r.LatestArrival = latestArrival
-	if in.Obs != nil {
-		vm.traces.Add(traced)
-		vm.window.Observe(float64(latestArrival - start + 1))
-		if tr.dense {
-			vm.denseLoads.Inc()
-		} else {
-			vm.mapLoads.Inc()
-		}
-	}
+	tr.countRun(in.Obs, latestArrival-start+1, lw.dense)
 
-	for _, key := range tr.touched {
-		load := tr.loadAt(key)
-		if l := tr.links[key/tr.span]; load > l.Cap {
-			li := LinkInstance{From: l.From, To: l.To, Depart: Tick(key%tr.span) + start}
+	for _, key := range lw.touched {
+		load := lw.m[key]
+		if lw.dense {
+			load = lw.val[key]
+		}
+		if l := tr.links[key/lw.span]; load > l.Cap {
+			li := LinkInstance{From: l.From, To: l.To, Depart: Tick(key%lw.span) + start}
 			r.Congestion = append(r.Congestion, CongestionEvent{Link: li, Load: load, Cap: l.Cap})
 		}
 	}

@@ -3,20 +3,22 @@ package dynflow
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/chronus-sdn/chronus/internal/graph"
 	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
-// tracer is the allocation-light engine behind Validate, DelaySlack and
-// ValidateJoint. A unit of the flow at switch v can only leave on
+// tracer is the allocation-light engine behind Validate, ValidateJoint and
+// the Kernel. A unit of the flow at switch v can only leave on
 // (v, oldNext[v]) or (v, newNext[v]) — one flow, two rules per switch — so
 // nothing outside init ∪ fin is ever loaded, and the tracer resolves just
 // that footprint: the links the two paths use, numbered by ordinal, and per
-// switch the ordinals its two rules depart on. Load accounting is keyed by
-// (link ordinal, departure tick) packed into one integer, and per-trace
-// visited sets are stamps. One tracer belongs to one Instance and is valid
-// for one state of its graph and paths (see tracerFor).
+// switch the ordinals its two rules depart on. Its per-switch tables span
+// the footprint's node ids (see pathIndex), not the graph. Load accounting
+// is keyed by (link ordinal, departure tick) packed into one integer, and
+// per-trace visited sets are stamps. One tracer belongs to one Instance and
+// is valid for one state of its graph and paths (see tracerFor).
 type tracer struct {
 	in *Instance
 	// g, edits and idx identify the graph state and the paths the tables
@@ -24,10 +26,12 @@ type tracer struct {
 	g     *graph.Graph
 	edits uint64
 	idx   *pathIndex
+	// lo is the node id of slot 0 of the per-switch tables.
+	lo graph.NodeID
 	// links are the footprint links by ordinal: the initial path's in
 	// order, then the final path's that are not on it.
 	links []graph.Link
-	// rules[v] is the ordinal v departs on under its old rule ([0]) and
+	// rules[v−lo] is the ordinal v departs on under its old rule ([0]) and
 	// its new one ([1]), or noRule, or noLink for a rule naming a link the
 	// graph lacks; a unit blackholes on both.
 	rules [][2]int32
@@ -43,71 +47,72 @@ type tracer struct {
 	// vm are the validator's instruments on registry vmReg.
 	vm    validatorMetrics
 	vmReg *obs.Registry
+}
 
-	// Load accounting scratch, reused across Validate calls. When the
-	// (links × window) product is small the dense array is used, all zero
-	// between calls; otherwise loads fall back to a map.
-	loadVal []graph.Capacity
-	touched []int64
+// loadWindow is Validate's load accounting: the demand departing on each
+// footprint link ordinal at each tick offset past base. When the
+// (links × window) product is small the dense array is used, all zero
+// between uses; otherwise loads fall back to a map. It lives in the pooled
+// scratch (see getScratch), so a fresh Instance does not allocate one.
+type loadWindow struct {
+	demand  graph.Capacity
+	base    Tick
 	span    int64
-	loadMap map[int64]graph.Capacity
+	val     []graph.Capacity
+	touched []int64
+	m       map[int64]graph.Capacity
 	dense   bool
 }
 
 // denseLoadLimit caps the dense scratch size (entries).
 const denseLoadLimit = 1 << 22
 
-// beginLoads prepares load accounting for a window of the given span.
-func (tr *tracer) beginLoads(span int64) {
-	tr.span = span
-	if tr.dense { // the previous window's entries
-		for _, key := range tr.touched {
-			tr.loadVal[key] = 0
-		}
-	}
-	tr.touched = tr.touched[:0]
-	need := int64(len(tr.links)) * span
-	if need > 0 && need <= denseLoadLimit {
-		tr.dense = true
-		if int64(len(tr.loadVal)) < need {
-			// Greedy trial schedules grow a tick at a time: half as much
-			// again, so the scratch is not reallocated for each of them.
-			tr.loadVal = make([]graph.Capacity, need+need/2)
-		}
+// begin prepares accounting of rows links over span ticks from base.
+func (lw *loadWindow) begin(rows int, base Tick, span int64, demand graph.Capacity) {
+	lw.demand, lw.base, lw.span = demand, base, span
+	lw.touched = lw.touched[:0]
+	need := int64(rows) * span
+	lw.dense = need > 0 && need <= denseLoadLimit
+	if !lw.dense {
+		lw.m = make(map[int64]graph.Capacity, 1024)
 		return
 	}
-	tr.dense = false
-	tr.loadMap = make(map[int64]graph.Capacity, 1024)
+	if int64(len(lw.val)) < need {
+		// Half as much again: windows that grow a tick at a time reuse it.
+		lw.val = make([]graph.Capacity, need+need/2)
+	}
 }
 
-// addLoad accounts one unit of demand departing on ordinal at offset ticks
-// past the window start.
-func (tr *tracer) addLoad(ordinal int32, offset int64) {
-	if offset < 0 || offset >= tr.span {
+// add accounts one unit of demand departing on ordinal at tick t.
+func (lw *loadWindow) add(ordinal int32, t Tick) {
+	offset := int64(t - lw.base)
+	if offset < 0 || offset >= lw.span {
 		// Dropping the load would under-report congestion; the window is
 		// built from maxTrace so that this cannot happen.
-		panic(fmt.Sprintf("dynflow: departure at offset %d outside the %d-tick load window", offset, tr.span))
+		panic(fmt.Sprintf("dynflow: departure at offset %d outside the %d-tick load window", offset, lw.span))
 	}
-	key := int64(ordinal)*tr.span + offset
-	if tr.dense {
-		if tr.loadVal[key] == 0 {
-			tr.touched = append(tr.touched, key)
+	key := int64(ordinal)*lw.span + offset
+	if lw.dense {
+		if lw.val[key] == 0 {
+			lw.touched = append(lw.touched, key)
 		}
-		tr.loadVal[key] += tr.in.Demand
+		lw.val[key] += lw.demand
 		return
 	}
-	if _, ok := tr.loadMap[key]; !ok {
-		tr.touched = append(tr.touched, key)
+	if _, ok := lw.m[key]; !ok {
+		lw.touched = append(lw.touched, key)
 	}
-	tr.loadMap[key] += tr.in.Demand
+	lw.m[key] += lw.demand
 }
 
-// loadAt reads an accounted load by key.
-func (tr *tracer) loadAt(key int64) graph.Capacity {
-	if tr.dense {
-		return tr.loadVal[key]
+// end zeroes what the window touched, ready for the next begin.
+func (lw *loadWindow) end() {
+	if lw.dense {
+		for _, key := range lw.touched {
+			lw.val[key] = 0
+		}
 	}
-	return tr.loadMap[key]
+	lw.m = nil
 }
 
 const (
@@ -116,21 +121,23 @@ const (
 )
 
 // newTracer resolves the instance's two paths against the current state
-// of its graph: O(V) to lay out the per-switch tables, one link lookup per
-// path hop.
+// of its graph: one table entry per switch of the footprint's id span, one
+// link lookup per path hop.
 func newTracer(in *Instance) *tracer {
 	g, idx := in.G, in.ensureIndex()
-	n := g.NumNodes()
+	span := len(idx.oldNext)
 	tr := &tracer{
 		in:    in,
 		g:     g,
 		edits: g.Edits(),
 		idx:   idx,
-		rules: make([][2]int32, n),
-		visit: make([]uint64, n),
+		lo:    idx.lo,
+		links: make([]graph.Link, 0, len(in.Init)+len(in.Fin)),
+		rules: make([][2]int32, span),
+		visit: make([]uint64, span),
 	}
-	for v := range tr.rules {
-		tr.rules[v] = [2]int32{noRule, noRule}
+	for k := range tr.rules {
+		tr.rules[k] = [2]int32{noRule, noRule}
 	}
 	resolve := func(v, to graph.NodeID) int32 {
 		l, ok := g.Link(v, to)
@@ -141,20 +148,20 @@ func newTracer(in *Instance) *tracer {
 		tr.maxTrace += Tick(l.Delay)
 		return int32(len(tr.links) - 1)
 	}
-	known := min(n, len(idx.oldNext)) // the index is as long as the graph it was built on
 	for _, v := range in.Init {
-		if v >= 0 && int(v) < known && idx.oldNext[v] != graph.Invalid && tr.rules[v][0] == noRule {
-			tr.rules[v][0] = resolve(v, idx.oldNext[v])
+		if k, ok := idx.slot(v); ok && idx.oldNext[k] != graph.Invalid && tr.rules[k][0] == noRule {
+			tr.rules[k][0] = resolve(v, idx.oldNext[k])
 		}
 	}
 	for _, v := range in.Fin {
-		if v < 0 || int(v) >= known || idx.newNext[v] == graph.Invalid || tr.rules[v][1] != noRule {
+		k, ok := idx.slot(v)
+		if !ok || idx.newNext[k] == graph.Invalid || tr.rules[k][1] != noRule {
 			continue
 		}
-		if idx.newNext[v] == idx.oldNext[v] {
-			tr.rules[v][1] = tr.rules[v][0]
+		if idx.newNext[k] == idx.oldNext[k] {
+			tr.rules[k][1] = tr.rules[k][0]
 		} else {
-			tr.rules[v][1] = resolve(v, idx.newNext[v])
+			tr.rules[k][1] = resolve(v, idx.newNext[k])
 		}
 	}
 	return tr
@@ -174,35 +181,44 @@ func tracerFor(in *Instance) *tracer {
 	return in.trc
 }
 
-// metrics returns the validator's instruments on r, built once per
-// (tracer, registry) rather than on every validation.
-func (tr *tracer) metrics(r *obs.Registry) *validatorMetrics {
+// countRun records one full validation of a window of the given ticks on
+// r, with the instruments built once per (tracer, registry).
+func (tr *tracer) countRun(r *obs.Registry, ticks Tick, dense bool) {
+	if r == nil {
+		return
+	}
 	if tr.vmReg != r {
 		tr.vm, tr.vmReg = newValidatorMetrics(r), r
 	}
-	return &tr.vm
+	tr.vm.runs.Inc()
+	tr.vm.traces.Add(int64(ticks))
+	tr.vm.window.Observe(float64(ticks))
+	if dense {
+		tr.vm.denseLoads.Inc()
+	} else {
+		tr.vm.mapLoads.Inc()
+	}
 }
 
 // never is the activation tick of a switch the schedule does not touch.
 const never = Tick(math.MaxInt64)
 
-// view resolves s into the tracer's reusable dense schedule view that
-// traces run against: activation ticks indexed by NodeID, with never
-// standing in for unscheduled switches. The view is valid until the next
-// call.
-func (tr *tracer) view(s *Schedule) []Tick {
-	if len(tr.times) != len(tr.visit) {
-		tr.times = make([]Tick, len(tr.visit))
+// view resolves s into *times, a dense schedule view of the tracer's span
+// that traces run against: activation ticks by slot, with never standing
+// in for unscheduled switches. Switches outside the span have no rule for
+// the flow, so their entries only matter to the window (Schedule.End).
+func (tr *tracer) view(times *[]Tick, s *Schedule) []Tick {
+	v := slices.Grow((*times)[:0], len(tr.rules))[:len(tr.rules)]
+	for k := range v {
+		v[k] = never
 	}
-	for i := range tr.times {
-		tr.times[i] = never
-	}
-	for v, t := range s.Times {
-		if v >= 0 && int(v) < len(tr.times) {
-			tr.times[v] = t
+	for n, t := range s.Times {
+		if k := int(n - tr.lo); k >= 0 && k < len(v) {
+			v[k] = t
 		}
 	}
-	return tr.times
+	*times = v
+	return v
 }
 
 // traceHop is one forwarding decision of a stored trace: the unit reached
@@ -214,22 +230,22 @@ type traceHop struct {
 }
 
 // trace follows the unit emitted at tick emit from the source (see follow
-// for base and hops) and returns the terminal status with its location
-// and tick.
-func (tr *tracer) trace(times []Tick, emit, base Tick, hops *[]traceHop) (status TraceStatus, at graph.NodeID, end Tick) {
+// for lw and hops) and returns the terminal status with its location and
+// tick.
+func (tr *tracer) trace(times []Tick, emit Tick, lw *loadWindow, hops *[]traceHop) (status TraceStatus, at graph.NodeID, end Tick) {
 	src := tr.in.Source()
 	tr.stamp++
-	tr.visit[src] = tr.stamp
-	return tr.follow(times, src, emit, base, hops)
+	tr.visit[src-tr.lo] = tr.stamp
+	return tr.follow(times, src, emit, lw, hops)
 }
 
 // follow is the one forwarding loop: it carries a unit that is at cur at
-// tick t to its terminal status. Switches stamped with the current
+// tick t to its terminal status. cur must be in the tracer's span, as the
+// source and every link end are. Switches stamped with the current
 // tr.stamp count as already visited, so a caller resuming a trace
 // mid-path stamps its prefix first. The decisions taken are appended to
-// *hops when hops is non-nil, and accounted as loads at ticks relative to
-// base otherwise.
-func (tr *tracer) follow(times []Tick, cur graph.NodeID, t, base Tick, hops *[]traceHop) (status TraceStatus, at graph.NodeID, end Tick) {
+// *hops when hops is non-nil, and accounted in lw otherwise.
+func (tr *tracer) follow(times []Tick, cur graph.NodeID, t Tick, lw *loadWindow, hops *[]traceHop) (status TraceStatus, at graph.NodeID, end Tick) {
 	dest := tr.in.Dest()
 	for step := 0; step <= len(tr.visit); step++ {
 		if cur == dest {
@@ -237,8 +253,9 @@ func (tr *tracer) follow(times []Tick, cur graph.NodeID, t, base Tick, hops *[]t
 		}
 		// ruleAt over the resolved rules: the new one once cur has it and
 		// has activated it, otherwise the old one.
-		ord := tr.rules[cur][0]
-		if nw := tr.rules[cur][1]; nw != noRule && t >= times[cur] {
+		k := cur - tr.lo
+		ord := tr.rules[k][0]
+		if nw := tr.rules[k][1]; nw != noRule && t >= times[k] {
 			ord = nw
 		}
 		if ord < 0 {
@@ -247,14 +264,14 @@ func (tr *tracer) follow(times []Tick, cur graph.NodeID, t, base Tick, hops *[]t
 		if hops != nil {
 			*hops = append(*hops, traceHop{node: int32(cur), ord: ord, tick: t})
 		} else {
-			tr.addLoad(ord, int64(t-base))
+			lw.add(ord, t)
 		}
 		t += Tick(tr.links[ord].Delay)
 		cur = tr.links[ord].To
-		if tr.visit[cur] == tr.stamp {
+		if tr.visit[cur-tr.lo] == tr.stamp {
 			return Looped, cur, t
 		}
-		tr.visit[cur] = tr.stamp
+		tr.visit[cur-tr.lo] = tr.stamp
 	}
 	return Looped, cur, t
 }

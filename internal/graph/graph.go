@@ -11,6 +11,7 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // NodeID identifies a switch. IDs are dense small integers assigned by the
@@ -38,8 +39,11 @@ type Link struct {
 // at most one link may exist per ordered (from, to) pair. The zero value is
 // an empty graph ready for use.
 type Graph struct {
-	names  []string
-	byName map[string]NodeID
+	// names and the name index are append-only, so Clone shares them:
+	// the copy's names are capped at their length, and the index is
+	// copied by whichever graph adds a node first (see nameIndex).
+	names []string
+	index *nameIndex
 	// out is the only link store: out[v] holds v's outgoing links in
 	// insertion order, and every lookup scans one row (out-degrees are
 	// small, so the scan is shorter than a hash of the node pair).
@@ -49,15 +53,23 @@ type Graph struct {
 	edits uint64
 }
 
+// nameIndex maps node names to ids. Once shared by Clone it is never
+// written again: a graph adding a node copies it first.
+type nameIndex struct {
+	byName map[string]NodeID
+	shared atomic.Bool
+}
+
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{byName: make(map[string]NodeID)}
+	return &Graph{}
 }
 
 // Clone returns a deep copy of g: mutating either graph never shows
 // through the other. The links are copied into one backing array; each
 // row is capped at its length, so appending to a row of the copy
-// reallocates that row instead of running into its neighbour.
+// reallocates that row instead of running into its neighbour. The name
+// tables are shared copy-on-write.
 func (g *Graph) Clone() *Graph {
 	rows, backing := make([][]Link, len(g.out)), make([]Link, 0, g.numLinks)
 	for i, ls := range g.out {
@@ -65,9 +77,12 @@ func (g *Graph) Clone() *Graph {
 		backing = append(backing, ls...)
 		rows[i] = backing[lo:len(backing):len(backing)]
 	}
+	if g.index != nil {
+		g.index.shared.Store(true)
+	}
 	return &Graph{
-		names:    slices.Clone(g.names),
-		byName:   maps.Clone(g.byName),
+		names:    g.names[:len(g.names):len(g.names)],
+		index:    g.index,
 		out:      rows,
 		numLinks: g.numLinks,
 		edits:    g.edits,
@@ -77,15 +92,18 @@ func (g *Graph) Clone() *Graph {
 // AddNode adds a node with the given name and returns its ID. Adding an
 // existing name returns the existing ID.
 func (g *Graph) AddNode(name string) NodeID {
-	if g.byName == nil {
-		g.byName = make(map[string]NodeID)
-	}
-	if id, ok := g.byName[name]; ok {
+	if id := g.Lookup(name); id != Invalid {
 		return id
+	}
+	switch {
+	case g.index == nil:
+		g.index = &nameIndex{byName: make(map[string]NodeID)}
+	case g.index.shared.Load():
+		g.index = &nameIndex{byName: maps.Clone(g.index.byName)}
 	}
 	id := NodeID(len(g.names))
 	g.names = append(g.names, name)
-	g.byName[name] = id
+	g.index.byName[name] = id
 	g.out = append(g.out, nil)
 	g.edits++
 	return id
@@ -247,7 +265,10 @@ func (g *Graph) Name(id NodeID) string {
 
 // Lookup returns the node with the given name, or Invalid.
 func (g *Graph) Lookup(name string) NodeID {
-	if id, ok := g.byName[name]; ok {
+	if g.index == nil {
+		return Invalid
+	}
+	if id, ok := g.index.byName[name]; ok {
 		return id
 	}
 	return Invalid

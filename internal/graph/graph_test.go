@@ -172,8 +172,8 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence: a clone shares nothing with its original —
-// AddLink (an append into an adjacency row that sits in one backing array
+// TestCloneIndependence: nothing shows through between a clone and its
+// original — AddLink (an append into an adjacency row that sits in one backing array
 // with its neighbours), RemoveLink, SetCapacity, SetDelay and AddNode on
 // either never show through the other, whichever side mutates.
 func TestCloneIndependence(t *testing.T) {
@@ -227,6 +227,40 @@ func TestCloneIndependence(t *testing.T) {
 		if describe(kept) != describe(mutated) {
 			t.Fatalf("the same edits gave different graphs:\n%s\n%s", describe(kept), describe(mutated))
 		}
+	}
+}
+
+// TestCloneSharedNamesConcurrent: clones share the name tables until one
+// adds a node, so goroutines cloning one graph and growing their clones
+// each see only their own names. CI runs it under -race.
+func TestCloneSharedNamesConcurrent(t *testing.T) {
+	g, ids := buildLine(t, 4)
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		go func() {
+			c := g.Clone()
+			for i := 0; i < 50; i++ {
+				name := fmt.Sprintf("w%d.%d", w, i)
+				if id := c.AddNode(name); c.Lookup(name) != id || c.Name(id) != name {
+					errs <- fmt.Errorf("clone %d: %s -> %d, named %s", w, name, c.Lookup(name), c.Name(id))
+					return
+				}
+				c = c.Clone()
+			}
+			if c.Lookup(g.Name(ids[2])) != ids[2] || c.Lookup("w9.0") != Invalid {
+				errs <- fmt.Errorf("clone %d sees the wrong names", w)
+				return
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < 8; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if g.NumNodes() != 4 || g.Lookup("w0.0") != Invalid {
+		t.Fatalf("a clone's nodes showed through: %v", g)
 	}
 }
 
