@@ -38,6 +38,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -46,6 +48,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"github.com/chronus-sdn/chronus/internal/buildinfo"
@@ -105,11 +109,49 @@ func main() {
 		fmt.Printf("chronusd: pprof and expvar on http://%s/debug/\n", ln.Addr())
 		go func() { _ = http.Serve(ln, debugHandler()) }()
 	}
-	fmt.Printf("chronusd: %d switch agents, REST on http://%s\n", srv.agentCount(), *addr)
-	if err := http.ListenAndServe(*addr, srv.handler()); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err == nil {
+		fmt.Printf("chronusd: %d switch agents, REST on http://%s\n", srv.agentCount(), ln.Addr())
+		err = serve(&http.Server{Handler: srv.handler()}, ln, log)
+	}
+	if err != nil {
+		srv.Close()
 		fmt.Fprintln(os.Stderr, "chronusd:", err)
 		os.Exit(1)
 	}
+}
+
+// shutdownGrace bounds how long a SIGINT or SIGTERM waits for in-flight
+// requests; a /watch stream never finishes by itself and is cut.
+const shutdownGrace = 5 * time.Second
+
+// serve runs hs on ln until it fails or the process gets SIGINT or
+// SIGTERM. On a signal it stops accepting, lets in-flight requests
+// finish for up to shutdownGrace, cuts the rest and returns nil, so
+// main's deferred srv.Close drains the journal before the process exits
+// 0.
+func serve(hs *http.Server, ln net.Listener, log *slog.Logger) error {
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case sig := <-sigs:
+		log.Info("shutting down", "signal", sig)
+	}
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(grace); err != nil {
+		log.Warn("cutting requests still open", "err", err)
+		_ = hs.Close() // the shutdown error is already logged
+	}
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }
 
 // debugHandler serves the stdlib profiling and variable endpoints on an

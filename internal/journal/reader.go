@@ -1,9 +1,12 @@
 package journal
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/chronus-sdn/chronus/internal/obs"
 )
@@ -41,6 +44,12 @@ type ReadStats struct {
 // warned about, since the cursor only filters within one run's
 // numbering.
 func Replay(dir string, since uint64, fn func(obs.Event) error) (ReadStats, error) {
+	return replay(dir, since, nil, fn)
+}
+
+// replay is Replay with a hook that sees each segment file, before it
+// is decoded, and must leave it positioned at its start.
+func replay(dir string, since uint64, before func(*os.File) error, fn func(obs.Event) error) (ReadStats, error) {
 	var stats ReadStats
 	segs, err := Segments(dir)
 	if err != nil {
@@ -50,7 +59,7 @@ func Replay(dir string, since uint64, fn func(obs.Event) error) (ReadStats, erro
 	warnedRegress := false
 	for _, seg := range segs {
 		stats.Segments++
-		if err := replaySegment(seg, &stats, func(e obs.Event) error {
+		if err := replaySegment(seg, &stats, before, func(e obs.Event) error {
 			if e.Seq < lastSeq && !warnedRegress {
 				stats.Warnings = append(stats.Warnings, fmt.Sprintf(
 					"%s: sequence regressed from %d to %d (multiple runs in one journal dir?)",
@@ -70,24 +79,55 @@ func Replay(dir string, since uint64, fn func(obs.Event) error) (ReadStats, erro
 	return stats, nil
 }
 
-// ReadAll replays the journal into a slice.
+// ReadAll replays the journal into a slice. Before each segment is
+// decoded its lines are counted, and the slice grown once to hold that
+// many more events, instead of doubling as they arrive.
 func ReadAll(dir string, since uint64) ([]obs.Event, ReadStats, error) {
 	var out []obs.Event
-	stats, err := Replay(dir, since, func(e obs.Event) error {
+	buf := make([]byte, 64<<10)
+	stats, err := replay(dir, since, func(f *os.File) error {
+		n, err := countLines(f, buf)
+		out = slices.Grow(out, n)
+		return err
+	}, func(e obs.Event) error {
 		out = append(out, e)
 		return nil
 	})
 	return out, stats, err
 }
 
+// countLines counts the lines of f, a final one without its newline
+// included, reading through buf, and seeks f back to its start.
+func countLines(f *os.File, buf []byte) (int, error) {
+	n := 1
+	for {
+		k, err := f.Read(buf)
+		n += bytes.Count(buf[:k], []byte{'\n'})
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	_, err := f.Seek(0, io.SeekStart)
+	return n, err
+}
+
 // replaySegment reads one segment file through the shared line reader,
-// with the torn-tail tolerance described on Replay.
-func replaySegment(path string, stats *ReadStats, fn func(obs.Event) error) error {
+// with the torn-tail tolerance described on Replay, after the before
+// hook when there is one.
+func replaySegment(path string, stats *ReadStats, before func(*os.File) error, fn func(obs.Event) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	if before != nil {
+		if err := before(f); err != nil {
+			return fmt.Errorf("journal: %s: %w", path, err)
+		}
+	}
 	torn, err := obs.ReadJSONL(f, true, fn)
 	if err != nil {
 		return fmt.Errorf("journal: %s: %w", path, err)

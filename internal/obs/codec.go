@@ -156,11 +156,19 @@ func DecodeJSONLine(line []byte) (Event, error) {
 // by more data, always fails — nothing after a corrupt record can be
 // trusted to be aligned. Read errors and fn's errors are returned as
 // they are.
+//
+// The events fn receives share storage within one call: their Attrs are
+// windows onto attribute blocks of at most 32 KiB, each capped at its
+// own length, so writing to one event's attributes or appending to them
+// never touches another event's. An event fn retains keeps at most one
+// block alive (a line with more than 1 024 attributes gets a slice
+// of its own), plus its strings; short ones come from a per-call intern
+// cache that is dropped when the call returns.
 func ReadJSONL(r io.Reader, tolerant bool, fn func(Event) error) (torn string, err error) {
 	br := bufio.NewReaderSize(r, 64*1024)
-	// The intern table belongs to this call: readers run concurrently
+	// The intern cache belongs to this call: readers run concurrently
 	// (a /watch backfill beside a boot prefeed).
-	d := decoder{intern: make(map[string]string)}
+	d := decoder{intern: new(internCache)}
 	var long []byte // a line longer than br's buffer, accumulated
 	for line := 1; ; line++ {
 		text, rerr := br.ReadSlice('\n')
@@ -195,21 +203,38 @@ func ReadJSONL(r io.Reader, tolerant bool, fn func(Event) error) (torn string, e
 	}
 }
 
-// Strings up to internMaxLen bytes are interned: event names, attribute
-// keys, switch names, flow keys and small numbers repeat on nearly every
-// line. The table is dropped when it reaches internMaxEntries, so a
-// stream of distinct ids (span, xid) cannot grow it without bound.
+// Strings of plain ASCII up to internMaxLen bytes are interned: event
+// names, attribute keys, switch names, flow keys and small numbers repeat
+// on nearly every line. The cache is direct-mapped — one slot per
+// string, picked by the FNV-1a hash str computes as it scans — so a hit
+// costs one compare, a miss one allocation that overwrites the slot, and
+// a stream of distinct ids (span, xid) evicts entries rather than
+// growing anything: at worst interning stops paying, never more than
+// one probe per string. internSlots strings are 64 KiB per read.
+//
+// Attributes are copied out of the scratch into blocks of blockAttrs
+// (32 KiB) shared by the lines of one read, instead of one allocation
+// per line.
 const (
-	internMaxLen     = 32
-	internMaxEntries = 1 << 14
+	internMaxLen = 32
+	internSlots  = 1 << 12
+	blockAttrs   = 1 << 10
+
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
 )
 
+// internCache is the intern table of one read.
+type internCache [internSlots]string
+
 // decoder decodes event lines. Its scratch is reused from line to line;
-// nothing it returns aliases the line or the scratch.
+// nothing it returns aliases the line or the scratch. The zero decoder,
+// for one-off lines, neither interns nor shares attribute blocks.
 type decoder struct {
-	intern map[string]string // nil: no interning
-	buf    []byte            // unescaped string bytes
-	attrs  []Attr            // attributes of the line being parsed
+	intern *internCache // nil: a one-off decoder
+	buf    []byte       // unescaped string bytes
+	attrs  []Attr       // attributes of the line being parsed
+	block  []Attr       // the attribute block the read is filling
 }
 
 func (d *decoder) decode(line []byte) (Event, error) {
@@ -254,8 +279,8 @@ func (d *decoder) canonical(line []byte) (e Event, ok bool) {
 	}
 	if p.lit(`,"attrs":[`) {
 		attrs := d.attrs[:0]
-		for !p.lit("]") {
-			if len(attrs) > 0 && !p.lit(",") {
+		for !p.char(']') {
+			if len(attrs) > 0 && !p.char(',') {
 				return Event{}, false
 			}
 			var a Attr
@@ -265,17 +290,15 @@ func (d *decoder) canonical(line []byte) (e Event, ok bool) {
 			if a.K, ok = d.str(&p); !ok || !p.lit(`,"v":`) {
 				return Event{}, false
 			}
-			if a.V, ok = d.str(&p); !ok || !p.lit("}") {
+			if a.V, ok = d.str(&p); !ok || !p.char('}') {
 				return Event{}, false
 			}
 			attrs = append(attrs, a)
 		}
-		// Exact size, and non-nil when empty: json.Unmarshal turns
-		// "attrs":[] into an empty slice, not nil.
-		e.Attrs = append(make([]Attr, 0, len(attrs)), attrs...)
 		d.attrs = attrs
+		e.Attrs = d.keep(attrs)
 	}
-	if !p.lit("}") {
+	if !p.char('}') {
 		return Event{}, false
 	}
 	for _, c := range line[p.i:] {
@@ -286,23 +309,43 @@ func (d *decoder) canonical(line []byte) (e Event, ok bool) {
 	return e, true
 }
 
+// keep copies one line's attributes out of the scratch: into the read's
+// current block, as a window capped at its own length, or for a one-off
+// decoder and an oversized line into a slice of their own. The result is
+// non-nil when empty: json.Unmarshal turns "attrs":[] into an empty
+// slice, not nil.
+func (d *decoder) keep(attrs []Attr) []Attr {
+	n := len(attrs)
+	if d.intern == nil || n == 0 || n > blockAttrs {
+		return append(make([]Attr, 0, n), attrs...)
+	}
+	if cap(d.block)-len(d.block) < n {
+		d.block = make([]Attr, 0, blockAttrs)
+	}
+	start := len(d.block)
+	d.block = append(d.block, attrs...)
+	return d.block[start:len(d.block):len(d.block)]
+}
+
 // str parses a JSON string at p: valid UTF-8, the escapes of RFC 8259,
 // and no surrogate \u escape (encoding/json never writes one; a lone one
 // would be replaced, not kept).
 func (d *decoder) str(p *scanner) (string, bool) {
-	if !p.lit(`"`) {
+	if !p.char('"') {
 		return "", false
 	}
 	start := p.i
+	h := uint32(fnvOffset)
 	for p.i < len(p.b) {
 		c := p.b[p.i]
 		if c == '"' {
 			p.i++
-			return d.string(p.b[start : p.i-1]), true
+			return d.string(p.b[start:p.i-1], h), true
 		}
 		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
 			break
 		}
+		h = (h ^ uint32(c)) * fnvPrime
 		p.i++
 	}
 	buf := append(d.buf[:0], p.b[start:p.i]...)
@@ -311,7 +354,7 @@ func (d *decoder) str(p *scanner) (string, bool) {
 		case c == '"':
 			p.i++
 			d.buf = buf
-			return d.string(buf), true
+			return string(buf), true
 		case c < 0x20:
 			return "", false
 		case c == '\\':
@@ -357,20 +400,17 @@ func (d *decoder) str(p *scanner) (string, bool) {
 	return "", false
 }
 
-// string returns b as a string, from the intern table when b is short.
-func (d *decoder) string(b []byte) string {
+// string returns b, a plain ASCII string hashing to h, as a string:
+// from the intern cache when b is short and the decoder has one.
+func (d *decoder) string(b []byte, h uint32) string {
 	if d.intern == nil || len(b) > internMaxLen {
 		return string(b)
 	}
-	if s, ok := d.intern[string(b)]; ok {
-		return s
+	slot := &d.intern[h%internSlots]
+	if *slot != string(b) {
+		*slot = string(b)
 	}
-	if len(d.intern) == internMaxEntries {
-		clear(d.intern)
-	}
-	s := string(b)
-	d.intern[s] = s
-	return s
+	return *slot
 }
 
 // hex4 parses the four hex digits of a \u escape at the start of b.
@@ -410,6 +450,16 @@ func (p *scanner) lit(s string) bool {
 	return true
 }
 
+// char consumes c if the input continues with it: lit for one byte,
+// without a string compare.
+func (p *scanner) char(c byte) bool {
+	if p.i < len(p.b) && p.b[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
 // uint parses a JSON integer without sign, leading zeros or overflow.
 func (p *scanner) uint() (uint64, bool) {
 	start := p.i
@@ -431,7 +481,7 @@ func (p *scanner) uint() (uint64, bool) {
 
 // int parses a JSON integer that fits an int64; "-0" is declined.
 func (p *scanner) int() (int64, bool) {
-	neg := p.lit("-")
+	neg := p.char('-')
 	v, ok := p.uint()
 	switch {
 	case !ok:

@@ -20,7 +20,7 @@ func FuzzDecodeJSONLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var want Event
 		jsonErr := json.Unmarshal(line, &want)
-		d := decoder{intern: make(map[string]string)}
+		d := decoder{intern: new(internCache)}
 		if fast, ok := d.canonical(line); ok {
 			if jsonErr != nil {
 				t.Fatalf("fast path accepted %q, json.Unmarshal fails: %v", line, jsonErr)

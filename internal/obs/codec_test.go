@@ -2,10 +2,14 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestCodecRoundTripByteIdentity pins the single-serializer contract:
@@ -133,7 +137,7 @@ func TestCanonicalFastPathScope(t *testing.T) {
 		{` {"seq":1,"vt":0,"name":"a"}`, false},
 		{`{"seq":1,"vt":0,"name":"a"}x`, false},
 	} {
-		d := decoder{intern: make(map[string]string)}
+		d := decoder{intern: new(internCache)}
 		if _, taken := d.canonical([]byte(c.line)); taken != c.taken {
 			t.Errorf("fast path taken = %v on %q, want %v", taken, c.line, c.taken)
 		}
@@ -205,3 +209,138 @@ func TestTracerSinkSeesEveryEvent(t *testing.T) {
 type sinkFunc func(Event)
 
 func (f sinkFunc) Record(e Event) { f(e) }
+
+// readStream decodes stream through ReadJSONL, strictly.
+func readStream(t *testing.T, stream []byte) []Event {
+	t.Helper()
+	var evs []Event
+	if _, err := ReadJSONL(bytes.NewReader(stream), false, func(e Event) error {
+		evs = append(evs, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// encodeStream encodes evs as one JSONL stream.
+func encodeStream(evs []Event) []byte {
+	var stream []byte
+	for _, e := range evs {
+		stream, _ = EncodeJSONLine(stream, e)
+	}
+	return stream
+}
+
+// TestDecodedEventsDoNotAlias: the events of one read share attribute
+// blocks, each event's Attrs a window capped at its own length, so
+// writing to an event's attributes or appending to them leaves every
+// other event as it was. Every event is tried, so the last event of
+// each block is too (the test checks the stream crosses several).
+func TestDecodedEventsDoNotAlias(t *testing.T) {
+	var src []Event
+	for i := 0; i < 2000; i++ {
+		e := Event{Seq: uint64(i + 1), VT: int64(i), Name: "emu.rate"}
+		for k := 0; k < i%7; k++ { // 0 to 6 attributes: blocks end part-filled
+			e.Attrs = append(e.Attrs, Attr{K: "k" + strconv.Itoa(k), V: strconv.Itoa(i)})
+		}
+		src = append(src, e)
+	}
+	stream := encodeStream(src)
+	evs, want := readStream(t, stream), readStream(t, stream)
+	size := unsafe.Sizeof(Attr{})
+	boundaries := 0
+	for i := 1; i+1 < len(evs); i++ {
+		a := evs[i].Attrs
+		if len(a) == 0 {
+			continue
+		}
+		if cap(a) != len(a) {
+			t.Fatalf("event %d: Attrs has cap %d beyond its %d attributes", i, cap(a), len(a))
+		}
+		if next := evs[i+1].Attrs; len(next) > 0 &&
+			uintptr(unsafe.Pointer(&next[0])) != uintptr(unsafe.Pointer(&a[0]))+uintptr(len(a))*size {
+			boundaries++
+		}
+		a[0].V = "overwritten"
+		_ = append(a, Attr{K: "extra", V: "appended"})
+		for _, j := range []int{i - 1, i + 1} {
+			if !reflect.DeepEqual(evs[j], want[j]) {
+				t.Fatalf("changing event %d changed event %d:\n got %+v\nwant %+v", i, j, evs[j], want[j])
+			}
+		}
+		a[0].V = want[i].Attrs[0].V
+	}
+	if boundaries < 3 {
+		t.Fatalf("stream crossed %d attribute blocks, want several", boundaries)
+	}
+}
+
+// internSlot is the cache slot str picks for a plain ASCII string.
+func internSlot(s string) uint32 {
+	h := uint32(fnvOffset)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * fnvPrime
+	}
+	return h % internSlots
+}
+
+// collidingStream is a stream of over 10k distinct strings of up to 33
+// bytes, 500 of which share one intern slot and keep evicting each
+// other, each line repeating a few of them.
+func collidingStream() []byte {
+	var colliding []string
+	for i := 0; len(colliding) < 500; i++ {
+		if s := "c" + strconv.Itoa(i); internSlot(s) == 0 {
+			colliding = append(colliding, s)
+		}
+	}
+	var evs []Event
+	for i := 0; i < 12000; i++ {
+		distinct := strconv.Itoa(i)
+		c := colliding[i%len(colliding)]
+		evs = append(evs, Event{Seq: uint64(i + 1), VT: int64(i), Name: c, Attrs: []Attr{
+			{K: distinct, V: colliding[(i*7)%len(colliding)]},
+			{K: c, V: strings.Repeat("x", 32-len(distinct)) + distinct},
+			{K: "long", V: strings.Repeat("y", 33-len(distinct)) + distinct},
+		}})
+	}
+	return encodeStream(evs)
+}
+
+// TestInternCollisions: on a stream whose strings collide in the intern
+// cache, every line decodes exactly as json.Unmarshal decodes it.
+func TestInternCollisions(t *testing.T) {
+	stream := collidingStream()
+	evs := readStream(t, stream)
+	lines := bytes.Split(bytes.TrimSuffix(stream, []byte("\n")), []byte("\n"))
+	if len(evs) != len(lines) {
+		t.Fatalf("decoded %d events from %d lines", len(evs), len(lines))
+	}
+	for i, line := range lines {
+		var want Event
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(evs[i], want) {
+			t.Fatalf("line %d decodes differently from json.Unmarshal:\n got %+v\nwant %+v", i+1, evs[i], want)
+		}
+	}
+}
+
+// TestReadJSONLAllocsRepeat: interning is deterministic — no seed drawn
+// per read — so two reads of one stream allocate exactly alike. The
+// collector is off while they run: a cycle starting mid-read allocates
+// a few objects of its own.
+func TestReadJSONLAllocsRepeat(t *testing.T) {
+	stream := collidingStream()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	read := func() {
+		if _, err := ReadJSONL(bytes.NewReader(stream), false, func(Event) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first, second := testing.AllocsPerRun(1, read), testing.AllocsPerRun(1, read); first != second {
+		t.Fatalf("two reads of one stream made %v and %v allocations", first, second)
+	}
+}

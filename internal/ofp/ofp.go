@@ -91,6 +91,11 @@ const headerLen = 8
 // of allocating unboundedly.
 const MaxMsgLen = 1 << 16
 
+// maxStrLen bounds a string field: the writer truncates to it and the
+// reader refuses longer ones, so every message Decode accepts encodes
+// back to itself.
+const maxStrLen = 1 << 12
+
 // Errors.
 var (
 	ErrBadVersion = errors.New("ofp: bad protocol version")
@@ -226,8 +231,8 @@ func (w *writer) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v)
 func (w *writer) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
 func (w *writer) str(s string) {
-	if len(s) > 1<<12 {
-		s = s[:1<<12]
+	if len(s) > maxStrLen {
+		s = s[:maxStrLen]
 	}
 	w.u16(uint16(len(s)))
 	w.buf = append(w.buf, s...)
@@ -291,6 +296,9 @@ func (r *reader) str() (string, error) {
 	n, err := r.u16()
 	if err != nil {
 		return "", err
+	}
+	if n > maxStrLen {
+		return "", fmt.Errorf("%w: string of %d bytes", ErrBadLength, n)
 	}
 	if err := r.need(int(n)); err != nil {
 		return "", err

@@ -2,9 +2,12 @@ package ofp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,8 +114,8 @@ func TestBackToBackMessages(t *testing.T) {
 // TestFlowModRoundTripProperty fuzzes FlowMod fields through the codec.
 func TestFlowModRoundTripProperty(t *testing.T) {
 	f := func(xid uint32, cmd uint8, flow string, tag uint16, action uint8, nh int32, at int64) bool {
-		if len(flow) > 1<<12 {
-			flow = flow[:1<<12]
+		if len(flow) > maxStrLen {
+			flow = flow[:maxStrLen]
 		}
 		m := &FlowMod{
 			XID:       xid,
@@ -325,5 +328,23 @@ func TestQueuedBurstMatchesSends(t *testing.T) {
 	queued.fail = nil
 	if err := c.Flush(); err != nil || len(queued.writes) != 1 {
 		t.Fatalf("queue kept after a failed flush: %d writes, err %v", len(queued.writes), err)
+	}
+}
+
+// TestDecodeRefusesOverlongString: the writer truncates a string field
+// to maxStrLen, so the reader refuses a longer one rather than accept a
+// message that would not encode back to itself.
+func TestDecodeRefusesOverlongString(t *testing.T) {
+	msg := Encode(&EchoRequest{XID: 1, Payload: strings.Repeat("x", maxStrLen)})
+	if _, err := Decode(bytes.NewReader(msg)); err != nil {
+		t.Fatalf("string of maxStrLen bytes: %v", err)
+	}
+	// One byte more, announced in both the string and the header length.
+	body := append(msg[headerLen+2:], 'x')
+	long := binary.BigEndian.AppendUint16(append([]byte(nil), msg[:headerLen]...), maxStrLen+1)
+	long = append(long, body...)
+	binary.BigEndian.PutUint16(long[2:4], uint16(len(long)))
+	if _, err := Decode(bytes.NewReader(long)); !errors.Is(err, ErrBadLength) {
+		t.Fatalf("string of maxStrLen+1 bytes: err = %v, want ErrBadLength", err)
 	}
 }
