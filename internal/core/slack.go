@@ -17,8 +17,10 @@ type SwitchSlack struct {
 	Time dynflow.Tick
 	// Slack is the largest delay d such that activating v at Time+d (all
 	// other switches unchanged) still validates clean. It is capped at
-	// the instance's scheduling horizon (autoMaxTicks); a switch whose
-	// delay never broke the schedule within the horizon reports the cap.
+	// the instance's scheduling horizon (autoMaxTicks); a switch that
+	// reports the cap validates clean at every delay up to the horizon,
+	// proven once further delay only repeats the schedule shifted in time
+	// (see dynflow.Kernel.Slack) rather than walked tick by tick.
 	Slack dynflow.Tick
 	// Critical marks zero-slack switches: any slip at all breaks one of
 	// the invariants, so these gate the correctness of the makespan.
@@ -33,12 +35,15 @@ type SwitchSlack struct {
 //
 // One kernel is built on the schedule (dynflow.Kernel): its trace of the
 // window gives the clean/violating verdict, and each scheduled switch is
-// then delayed tick by tick up to the horizon as a chain of kernel moves:
-// only the units the extra tick of delay diverts at that switch are
-// re-traced, and only the link instances whose load rose are compared
-// against capacity. The values are exactly those of re-validating the
-// whole schedule per switch and delay, which is what the tests do as the
-// oracle, at O(switches × horizon × path) instead of
+// then delayed tick by tick as a chain of kernel moves: only the units the
+// extra tick of delay diverts at that switch are re-traced, and only the
+// link instances whose load rose are compared against capacity. The walk
+// stops at the first violation, or once the rest of the horizon is proven
+// clean: past every other activation and the longest trace, one more tick
+// of delay only shifts the schedule's traces. The values are exactly those
+// of re-validating the whole schedule per switch and delay, which is what
+// the tests do as the oracle, at O(switches × (T_o − τ(v) + 2L) × path)
+// (T_o the last other activation, L the longest trace) instead of
 // O(switches × horizon × window × path).
 //
 // Switches are returned in ascending NodeID order. The result is only

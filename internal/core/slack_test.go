@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -241,24 +242,138 @@ func TestScheduleSlackHandBuilt(t *testing.T) {
 	}
 }
 
+// slackCase is a named instance and a schedule of it that validates clean.
+type slackCase struct {
+	name string
+	in   *dynflow.Instance
+	s    *dynflow.Schedule
+}
+
+// exitSteps is the number of delay steps Kernel.Slack walks for v, derived
+// from its exit rule with full validations: the walk stops at the first
+// delay d that does not validate clean, or at the first clean one where
+// τ(v)+d − a > T_o + L. a is v's offset on the pure final route (0 off it),
+// T_o the latest activation of another switch or the window's first
+// emission, and L the longest trace, emission to arrival, under the base
+// schedule or the delayed one.
+func exitSteps(in *dynflow.Instance, s *dynflow.Schedule, v graph.NodeID, horizon dynflow.Tick) int64 {
+	start := s.Start - dynflow.Tick(in.Init.Delay(in.G))
+	others := start
+	for u, t := range s.Times {
+		if u != v {
+			others = max(others, t)
+		}
+	}
+	longest := func(sch *dynflow.Schedule) dynflow.Tick {
+		l := dynflow.Tick(0)
+		for e := start; e <= sch.End(); e++ {
+			tr := dynflow.TraceEmission(in, sch, e)
+			l = max(l, tr.Arrive()-e)
+		}
+		return l
+	}
+	a := dynflow.Tick(0)
+	final := dynflow.TraceEmission(in, s, s.End())
+	for _, h := range final.Hops {
+		if h.From == v {
+			a = h.Depart - final.Emit
+		}
+	}
+	base := longest(s)
+	trial := s.Clone()
+	for d := dynflow.Tick(1); d <= horizon; d++ {
+		trial.Times[v] = s.Times[v] + d
+		if !dynflow.Validate(in, trial).OK() || trial.Times[v]-a > others+max(base, longest(trial)) {
+			return int64(d)
+		}
+	}
+	return int64(horizon)
+}
+
+// TestScheduleSlackWorkCounters checks the slack counters: steps are the
+// delays actually walked, which the exit rule makes fewer than the walk to
+// the horizon (min(slack+1, horizon) per switch) whenever a switch reports
+// the cap.
 func TestScheduleSlackWorkCounters(t *testing.T) {
-	in := topo.Fig1Example()
-	s := topo.PaperSchedule(in)
-	ScheduleSlack(in, s) // nil registry: counters are no-ops
-	in.Obs = obs.NewRegistry()
-	slacks := ScheduleSlack(in, s)
-	var steps int64
-	for _, sl := range slacks {
-		steps += int64(min(sl.Slack+1, autoMaxTicks(in)))
+	fig1 := topo.Fig1Example()
+	emu := topo.EmulationTopo()
+	res, err := Greedy(emu, Options{Mode: ModeExact})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := in.Obs.Counter("chronus_slack_steps_total").Value(); got != steps {
-		t.Errorf("chronus_slack_steps_total = %d, want %d", got, steps)
+	// The fuzz seed n12-delay6-divert-longest: during one walk a trace
+	// diverted at the delayed switch outgrows every trace stored before it.
+	p := topo.DefaultRandomParams(12)
+	p.MaxDelay = 6
+	long := topo.RandomInstance(rand.New(rand.NewSource(42)), p)
+	longRes, err := Greedy(long, Options{Mode: ModeExact})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := in.Obs.Counter("chronus_slack_retraced_emissions_total").Value(); got <= 0 || got > steps {
-		t.Errorf("chronus_slack_retraced_emissions_total = %d, want in (0, %d]: fig1 diverts at most one unit per step", got, steps)
+	for _, c := range []slackCase{
+		{"fig1", fig1, topo.PaperSchedule(fig1)},
+		{"emulation", emu, res.Schedule},
+		{"diverted longest", long, longRes.Schedule},
+	} {
+		c.in.Obs = nil
+		ScheduleSlack(c.in, c.s) // nil registry: counters are no-ops
+		c.in.Obs = obs.NewRegistry()
+		slacks := ScheduleSlack(c.in, c.s)
+		got := c.in.Obs.Counter("chronus_slack_steps_total").Value()
+		retraced := c.in.Obs.Counter("chronus_slack_retraced_emissions_total").Value()
+		if runs := c.in.Obs.Counter("chronus_validator_runs_total").Value(); runs != 1 {
+			t.Errorf("%s: chronus_validator_runs_total = %d, want 1 full validation per call", c.name, runs)
+		}
+		c.in.Obs = nil // exitSteps validates in full
+		horizon := autoMaxTicks(c.in)
+		var steps, walk int64
+		capped := false
+		for _, sl := range slacks {
+			steps += exitSteps(c.in, c.s, sl.V, horizon)
+			walk += int64(min(sl.Slack+1, horizon))
+			capped = capped || sl.Slack == horizon
+		}
+		if got != steps {
+			t.Errorf("%s: chronus_slack_steps_total = %d, the exit rule walks %d", c.name, got, steps)
+		}
+		if !capped {
+			t.Errorf("%s: no switch reports the cap", c.name)
+		} else if got >= walk {
+			t.Errorf("%s: %d steps, the walk to the horizon takes %d: the exit saved nothing", c.name, got, walk)
+		}
+		t.Logf("%s: %d steps, %d without the exit", c.name, got, walk)
+		if c.name == "fig1" && (retraced <= 0 || retraced > steps) {
+			t.Errorf("fig1: chronus_slack_retraced_emissions_total = %d, want in (0, %d]: fig1 diverts at most one unit per step", retraced, steps)
+		}
 	}
-	if got := in.Obs.Counter("chronus_validator_runs_total").Value(); got != 1 {
-		t.Errorf("chronus_validator_runs_total = %d, want 1 full validation per call", got)
+}
+
+// TestScheduleSlackKeepsScratch pins what the exit saves in memory: with
+// the walk short, the kernel's scratch stays small enough to go back to
+// the freelist, so after a warm-up call certification allocates next to
+// nothing (a walk to the horizon outgrew it and allocated megabytes).
+func TestScheduleSlackKeepsScratch(t *testing.T) {
+	emu := topo.EmulationTopo()
+	res, err := Greedy(emu, Options{Mode: ModeExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []slackCase{{"emulation", emu, res.Schedule}}
+	slackCorpus(t, 24, 1, func(label string, in *dynflow.Instance, s *dynflow.Schedule) {
+		cases = append(cases, slackCase{label, in, s})
+	})
+	const calls, budget = 8, 4 << 10
+	for _, c := range cases {
+		ScheduleSlack(c.in, c.s)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			ScheduleSlack(c.in, c.s)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > budget {
+			t.Errorf("%s: ScheduleSlack allocates %d B per call, want at most %d", c.name, per, budget)
+		}
 	}
 }
 

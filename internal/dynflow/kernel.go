@@ -469,7 +469,9 @@ func (k *Kernel) endMove() {
 // Slack delays v, scheduled at tv, one tick at a time and returns the
 // largest d ≤ horizon such that every delay 1..d validates clean. Each
 // step is one move: it diverts the units reaching v in the tick the step
-// uncovers. The kernel is left as it was.
+// uncovers. The walk stops at the first violation, or returns the horizon
+// as soon as the rest of it is proven clean (see settled) without stepping
+// it. The kernel is left as it was.
 func (k *Kernel) Slack(v graph.NodeID, tv, horizon Tick) Tick {
 	steps, retraced := int64(0), k.retraced
 	defer func() {
@@ -477,12 +479,59 @@ func (k *Kernel) Slack(v graph.NodeID, tv, horizon Tick) Tick {
 		k.in.Obs.Counter(slackSteps).Add(steps)
 		k.in.Obs.Counter(slackRetraced).Add(k.retraced - retraced)
 	}()
+	x := k.x
+	others := k.start
+	for slot, t := range x.times {
+		if t != never && slot != int(v-k.tr.lo) {
+			others = max(others, t)
+		}
+	}
+	// longest bounds every stored trace's time from emission to arrival:
+	// the base's, then those of the units each step diverts, which the
+	// step's undo log names.
+	longest, logged := Tick(0), 0
+	for i, em := range x.ems {
+		longest = max(longest, em.arrive-k.start-Tick(i))
+	}
 	for d := Tick(1); d <= horizon; d++ {
 		steps++
 		k.Move(v, tv+d)
 		if ok, _ := k.Check(); !ok {
 			return d - 1
 		}
+		for _, u := range x.undo[logged:] {
+			longest = max(longest, x.ems[u.i].arrive-k.start-Tick(u.i))
+		}
+		logged = len(x.undo)
+		if k.settled(tv+d, others, longest) {
+			return horizon
+		}
 	}
 	return horizon
+}
+
+// settled reports whether a clean pending move of mv to act stays clean
+// when delayed further, one tick at a time, for ever. others is the latest
+// activation of any other switch of the tracer's span (no other switch has
+// a rule for the flow), or the window's first emission if later; longest
+// (L below) bounds every stored trace's time from emission to arrival.
+//
+// A unit emitted at e ≥ others takes every other switch's new rule, so its
+// trace depends only on act − e: delaying mv one tick turns the traces of
+// those units into the next emission's, shifted one tick later. The one
+// unit that changes route is the one reaching mv at act; it is emitted a
+// ticks earlier, a being mv's offset on the pure final route. Every unit
+// emitted before others reaches mv, if at all, by others + L, and no unit
+// loads a link later than L after its emission. So when act − a > others +
+// L, the delayed schedule's load on a link instance before act − a is the
+// current one, and at or after it the current one a tick earlier (all the
+// units loading it were emitted from others on), and every trace is a
+// current trace or one shifted: it is clean, and by induction so is every
+// longer delay.
+func (k *Kernel) settled(act, others, longest Tick) bool {
+	a := Tick(0)
+	if k.mvHop >= 0 {
+		a = k.mvAfter
+	}
+	return act-a > others+longest
 }

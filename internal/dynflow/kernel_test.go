@@ -164,3 +164,103 @@ func FuzzIncrementalValidate(f *testing.F) {
 		runKernelOps(t, in, s, ops, map[string]bool{})
 	})
 }
+
+// slackWalk is Kernel.Slack without its periodic exit, the oracle the exit
+// is held to: delay v one tick at a time, up to the horizon, until a step
+// fails to validate clean.
+func slackWalk(k *dynflow.Kernel, v graph.NodeID, tv, horizon dynflow.Tick) dynflow.Tick {
+	defer k.Undo()
+	for d := dynflow.Tick(1); d <= horizon; d++ {
+		k.Move(v, tv+d)
+		if ok, _ := k.Check(); !ok {
+			return d - 1
+		}
+	}
+	return horizon
+}
+
+// slackHorizon is the cap core.ScheduleSlack walks to (autoMaxTicks): one
+// drain of the graph per update switch and one more, plus the initial path.
+func slackHorizon(in *dynflow.Instance) dynflow.Tick {
+	maxDelay := graph.Delay(1)
+	for v := 0; v < in.G.NumNodes(); v++ {
+		for _, l := range in.G.Out(graph.NodeID(v)) {
+			maxDelay = max(maxDelay, l.Delay)
+		}
+	}
+	drain := dynflow.Tick(int64(maxDelay) * int64(in.G.NumNodes()+1))
+	return dynflow.Tick(len(in.UpdateSet())+1)*drain + dynflow.Tick(in.Init.Delay(in.G)) + 4
+}
+
+// slackExitAgainstWalk holds Kernel.Slack to slackWalk for every switch of a
+// clean schedule, both on one kernel, and returns how many switches report
+// the horizon.
+func slackExitAgainstWalk(t *testing.T, label string, in *dynflow.Instance, s *dynflow.Schedule) (capped int) {
+	t.Helper()
+	k := dynflow.NewKernel(in, s)
+	defer k.Release()
+	if ok, _ := k.Check(); !ok {
+		t.Fatalf("%s: the schedule must validate clean", label)
+	}
+	horizon := slackHorizon(in)
+	for v, tv := range s.Times {
+		got, want := k.Slack(v, tv, horizon), slackWalk(k, v, tv, horizon)
+		if got != want {
+			t.Errorf("%s: switch %d at %d: Slack = %d, the walk %d (horizon %d)", label, v, tv, got, want, horizon)
+		}
+		if want == horizon {
+			capped++
+		}
+	}
+	return capped
+}
+
+// TestSlackExitMatchesWalk holds the periodic exit of Kernel.Slack to the
+// walk to the horizon on greedy schedules of random instances, on the same
+// schedules stretched threefold (room in them, so more switches reach the
+// cap), and on fig1 and the emulation topology.
+func TestSlackExitMatchesWalk(t *testing.T) {
+	// The walk is the slow side (about ten times slower under -race), so
+	// -short runs a tenth of the corpus.
+	count := 300
+	if testing.Short() {
+		count = 30
+	}
+	capped := 0
+	for _, n := range []int{6, 10, 16, 24} {
+		done := 0
+		for seed := int64(0); done < count; seed++ {
+			if seed > int64(40*count) {
+				t.Fatalf("n=%d: only %d feasible instances in %d draws", n, done, seed)
+			}
+			in := topo.RandomInstance(rand.New(rand.NewSource(seed<<8+int64(n))), topo.DefaultRandomParams(n))
+			res, err := core.Greedy(in, core.Options{Mode: core.ModeExact})
+			if err != nil {
+				continue
+			}
+			done++
+			label := fmt.Sprintf("n=%d seed=%d", n, seed)
+			s := res.Schedule
+			capped += slackExitAgainstWalk(t, label, in, s)
+			loose := dynflow.NewSchedule(s.Start + 5)
+			for v, tv := range s.Times {
+				loose.Set(v, loose.Start+3*(tv-s.Start))
+			}
+			if dynflow.Validate(in, loose).OK() {
+				capped += slackExitAgainstWalk(t, label+" stretched", in, loose)
+			}
+		}
+	}
+	fig1 := topo.Fig1Example()
+	capped += slackExitAgainstWalk(t, "fig1 paper", fig1, topo.PaperSchedule(fig1))
+	for name, in := range map[string]*dynflow.Instance{"fig1": fig1, "emulation": topo.EmulationTopo()} {
+		res, err := core.Greedy(in, core.Options{Mode: core.ModeExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		capped += slackExitAgainstWalk(t, name, in, res.Schedule)
+	}
+	if capped == 0 {
+		t.Error("no switch reached the horizon: the exit was never taken")
+	}
+}

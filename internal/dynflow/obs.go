@@ -26,7 +26,7 @@ func RegisterMetrics(r *obs.Registry) {
 	if r != nil {
 		// Kernel.Slack's work counters; validator runs keep counting full
 		// validations only.
-		r.Help(slackSteps, "delay ticks examined by slack certification")
+		r.Help(slackSteps, "delay ticks walked by slack certification (a walk ends at the first violation or once the rest of the horizon is proven clean)")
 		r.Help(slackRetraced, "emissions diverted and re-traced by slack certification")
 		r.Counter(slackSteps)
 		r.Counter(slackRetraced)
