@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	chronus "github.com/chronus-sdn/chronus"
+	"github.com/chronus-sdn/chronus/internal/baseline"
 	"github.com/chronus-sdn/chronus/internal/batch"
 	"github.com/chronus-sdn/chronus/internal/core"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
@@ -456,7 +457,7 @@ func BenchmarkOrderReplacement(b *testing.B) {
 	in := benchInstance(40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := chronus.OrderReplacementRounds(in); err != nil {
+		if _, err := baseline.ORGreedy(in); err != nil {
 			b.Fatal(err)
 		}
 	}

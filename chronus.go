@@ -18,8 +18,8 @@
 //	fmt.Println(plan.Schedule.Format(in)) // switch -> activation tick
 //
 // Schedules can be verified against the dynamic-flow model (Validate),
-// compared against the exact optimum (SolveOptimal) and the baselines from
-// the paper's evaluation (OrderReplacementRounds, CountRules), and executed
+// compared against the exact optimum (SolveOptimal) and the two-phase
+// rule accounting from the paper's evaluation (CountRules), and executed
 // on the bundled emulated data plane through the controller packages — see
 // the examples directory and cmd/chronusd.
 package chronus
@@ -187,13 +187,6 @@ func SolveOptimal(in *Instance, o OptimalOptions) (*OptimalPlan, error) {
 		}
 		return &OptimalPlan{Schedule: res.Schedule, Exact: false, Nodes: res.Nodes}, nil
 	}
-}
-
-// OrderReplacementRounds computes the OR baseline: loop-free update rounds
-// that ignore capacities and delays (Ludwig et al.), useful for comparison
-// and as the paper's Fig. 6-8 straw man.
-func OrderReplacementRounds(in *Instance) ([][]NodeID, error) {
-	return baseline.ORGreedy(in)
 }
 
 // RuleAccounting quantifies flow-table usage for Chronus versus two-phase

@@ -158,3 +158,34 @@ func getBody(t *testing.T, url string) string {
 	}
 	return string(body)
 }
+
+// TestDaemonWatchBackfillOneLife restarts a daemon on the journal of an
+// earlier one. The second life's tracer numbers its events from 1 again,
+// so a /watch subscriber from zero must be backfilled from this life's
+// segments only: frame ids 1…N, contiguous, with no gap frame and no
+// event of the first life.
+func TestDaemonWatchBackfillOneLife(t *testing.T) {
+	opts := serverOptions{Seed: 1, Virtual: true, Wall: false, TraceCap: 64, JournalDir: t.TempDir()}
+	first, err := newServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+
+	srv, ts := newTestServerOpts(t, opts)
+	if srv.tracer.Dropped() == 0 {
+		t.Fatal("TraceCap 64 did not force ring eviction at boot; the test is vacuous")
+	}
+	last := srv.tracer.PageStats(0, 0).Next
+	c := dialWatch(t, ts.URL+"/watch?since=0", nil)
+	want := uint64(1)
+	for _, f := range c.collect(t, last) {
+		if f.event == "gap" {
+			t.Fatalf("gap frame on a journaled daemon: %+v", f)
+		}
+		if f.id != want {
+			t.Fatalf("frame id %d, want %d: the backfill crossed into the first life", f.id, want)
+		}
+		want++
+	}
+}

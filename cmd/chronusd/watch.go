@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/chronus-sdn/chronus/internal/journal"
 	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
@@ -134,10 +133,12 @@ func writeEventFrame(w http.ResponseWriter, buf *[]byte, e obs.Event) error {
 	return err
 }
 
-// journalEvents reads events with lo < Seq < hi back from the journal,
-// flushing the writer first so the read sees everything the tracer has
-// recorded. Returns nil when no journal is attached or the read fails
-// (the watch stream then reports the range as a gap).
+// journalEvents reads this daemon's events with lo < Seq < hi back from
+// its journal, flushing the writer first so the read sees everything
+// the tracer has recorded. An earlier daemon's segments in the same
+// directory are not read: its sequence numbers overlap this one's.
+// Returns nil when no journal is attached or the read fails (the watch
+// stream then reports the range as a gap).
 func (s *server) journalEvents(lo, hi uint64) []obs.Event {
 	if s.journal == nil {
 		return nil
@@ -146,7 +147,7 @@ func (s *server) journalEvents(lo, hi uint64) []obs.Event {
 		return nil
 	}
 	var out []obs.Event
-	_, err := journal.Replay(s.journal.Dir(), lo, func(e obs.Event) error {
+	_, err := s.journal.Replay(lo, func(e obs.Event) error {
 		if e.Seq < hi {
 			out = append(out, e)
 		}

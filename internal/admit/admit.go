@@ -517,12 +517,7 @@ func (e *Engine) ScheduleOf(id uint64) (*dynflow.Schedule, bool) {
 
 // Complete credits a held update's reservation and marks it done. It
 // is a no-op for unknown ids and already-terminal updates.
-func (e *Engine) Complete(id uint64) { e.finishHold(id, StateDone, "") }
-
-// Fail credits a held update's reservation and marks it failed.
-func (e *Engine) Fail(id uint64, reason string) { e.finishHold(id, StateFailed, reason) }
-
-func (e *Engine) finishHold(id uint64, s State, reason string) {
+func (e *Engine) Complete(id uint64) {
 	now := e.o.Now()
 	e.mu.Lock()
 	u, ok := e.updates[id]
@@ -530,11 +525,11 @@ func (e *Engine) finishHold(id uint64, s State, reason string) {
 		e.mu.Unlock()
 		return
 	}
-	u.State = s
-	u.Reason = reason
+	u.State = StateDone
+	u.Reason = ""
 	u.DoneVT = now
 	u.notify()
 	e.mu.Unlock()
 	e.ledger.Release(id)
-	e.trace(now, "admit.complete", obs.A("id", id), obs.A("state", string(s)))
+	e.trace(now, "admit.complete", obs.A("id", id), obs.A("state", string(StateDone)))
 }

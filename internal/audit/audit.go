@@ -103,29 +103,17 @@ func (a *Auditor) countSeq(seq uint64) {
 	a.seqs.add(seq)
 }
 
-// ReadJSONL feeds every event of a JSON-Lines stream (the format
-// obs.Tracer.WriteJSONL and the chronusd /trace endpoint emit). Any
-// malformed line — including a torn trailing one — is a line-numbered
-// error; use ReadJSONLTolerant for captures that may have been cut off
-// mid-write.
-func (a *Auditor) ReadJSONL(r io.Reader) error {
-	_, _, err := a.readJSONL(r, false)
-	return err
-}
-
-// ReadJSONLTolerant is ReadJSONL for captures taken from a live writer:
-// a final line missing its terminating newline that fails to parse is a
-// torn mid-write tail, reported in warn and skipped rather than failing
-// the whole read. Corruption anywhere else — a malformed line that IS
-// newline-terminated, or a malformed line followed by more data — still
-// fails with a line-numbered error, because nothing after a corrupt
-// record can be trusted to be aligned. n is the number of events fed.
+// ReadJSONLTolerant feeds every event of a JSON-Lines stream (the format
+// obs.Tracer.WriteJSONL and the chronusd /trace endpoint emit), as
+// captured from a live writer: a final line missing its terminating
+// newline that fails to parse is a torn mid-write tail, reported in warn
+// and skipped rather than failing the whole read. Corruption anywhere
+// else — a malformed line that IS newline-terminated, or a malformed line
+// followed by more data — fails with a line-numbered error, because
+// nothing after a corrupt record can be trusted to be aligned. n is the
+// number of events fed.
 func (a *Auditor) ReadJSONLTolerant(r io.Reader) (n int, warn string, err error) {
-	return a.readJSONL(r, true)
-}
-
-func (a *Auditor) readJSONL(r io.Reader, tolerant bool) (n int, warn string, err error) {
-	warn, err = obs.ReadJSONL(r, tolerant, func(e obs.Event) error {
+	warn, err = obs.ReadJSONL(r, true, func(e obs.Event) error {
 		a.events = append(a.events, e)
 		a.countSeq(e.Seq)
 		n++

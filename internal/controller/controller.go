@@ -206,7 +206,7 @@ func (c *Controller) Attach(id graph.NodeID, clock *timesync.Ensemble) {
 	// the same virtual channel as replies. The miss handler fires inside a
 	// kernel event, so scheduling the delivery is safe here.
 	agent.SetNotify(func(m ofp.Msg) {
-		c.h.K.After(c.latency(), func() { c.RecordReply(m) })
+		c.h.K.At(c.h.K.Now()+c.latency(), func() { c.RecordReply(m) })
 	})
 	c.mu.Lock()
 	defer c.mu.Unlock()

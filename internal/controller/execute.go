@@ -72,13 +72,6 @@ func (c *Controller) Provision(f FlowSpec) (err error) {
 	return nil
 }
 
-// StopFlow halts the injection at the flow's source.
-func (c *Controller) StopFlow(f FlowSpec) {
-	key := emu.FlowKey{Flow: f.Name, Tag: f.Tag}
-	src := f.Path.Source()
-	c.h.Do(func() { c.h.Net.Inject(src, key, 0) })
-}
-
 // ExecuteTimed performs the Chronus update (Algorithm 5, time-triggered
 // variant): every switch in the schedule receives one timed FlowMod whose
 // ExecuteAt is the scheduled tick, followed by a barrier confirming that

@@ -9,7 +9,7 @@
 //
 //   - Greedy (Algorithm 2): per-tick maximal updates driven by
 //     dependency-relation sets and a loop check;
-//   - DependencyChains (Algorithm 3): the congestion-induced update order;
+//   - dependencyChains (Algorithm 3): the congestion-induced update order;
 //   - LoopFree (Algorithm 4): the backward walk detecting transient loops;
 //   - TreeFeasible (Algorithm 1): the polynomial feasibility check for
 //     identical link delays.

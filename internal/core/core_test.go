@@ -150,7 +150,9 @@ func TestGreedyInstallBeforeUse(t *testing.T) {
 func TestDependencyChainsFig1AtT0(t *testing.T) {
 	in := topo.Fig1Example()
 	s := dynflow.NewSchedule(0)
-	chains, err := DependencyChains(in, s, in.UpdateSet(), 0)
+	ws := getWorkspace(in.G.NumNodes())
+	defer putWorkspace(ws)
+	chains, err := dependencyChains(in, s, in.UpdateSet(), 0, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +167,8 @@ func TestDependencyChainsFig1AtT0(t *testing.T) {
 	if got != "v2=>v4=>v1=>v3=>v5" {
 		t.Fatalf("chain = %s", got)
 	}
-	heads := Heads(chains)
-	if len(heads) != 1 || in.G.Name(heads[0]) != "v2" {
-		t.Fatalf("heads = %v, want [v2]", heads)
+	if head := in.G.Name(chains[0][0]); head != "v2" {
+		t.Fatalf("head = %s, want v2", head)
 	}
 }
 
@@ -178,7 +179,9 @@ func TestDependencyChainsAfterV2(t *testing.T) {
 	pending := []graph.NodeID{
 		in.G.Lookup("v1"), in.G.Lookup("v3"), in.G.Lookup("v4"), in.G.Lookup("v5"),
 	}
-	chains, err := DependencyChains(in, s, pending, 1)
+	ws := getWorkspace(in.G.NumNodes())
+	defer putWorkspace(ws)
+	chains, err := dependencyChains(in, s, pending, 1, ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func (c Chain) Format(g *graph.Graph) string {
 	return strings.Join(parts, "=>")
 }
 
-// DependencyChains computes the dependency relation set O_t of Algorithm 3
+// dependencyChains computes the dependency relation set O_t of Algorithm 3
 // at tick t for the pending (not yet scheduled) switches.
 //
 // For each pending switch vi, consider updating it at t: its new flow
@@ -38,16 +38,8 @@ func (c Chain) Format(g *graph.Graph) string {
 // weakly connected components are returned in topological order. A cyclic
 // dependency yields ErrDependencyCycle (Algorithm 2 lines 7-8: no
 // congestion-free update order exists under the paper's local reasoning).
-func DependencyChains(in *dynflow.Instance, s *dynflow.Schedule, pending []graph.NodeID, t dynflow.Tick) ([]Chain, error) {
-	ws := getWorkspace(in.G.NumNodes())
-	defer putWorkspace(ws)
-	return dependencyChains(in, s, pending, t, ws)
-}
-
-// dependencyChains is DependencyChains over a caller-supplied workspace;
-// the scheduler's per-tick calls go through here so the node-indexed
-// scratch (pending marks, active-path positions) is stamped, not
-// reallocated.
+// The node-indexed scratch (pending marks, active-path positions) lives in
+// ws, stamped rather than reallocated per call.
 func dependencyChains(in *dynflow.Instance, s *dynflow.Schedule, pending []graph.NodeID, t dynflow.Tick, ws *workspace) ([]Chain, error) {
 	ws.pendGen++
 	for _, v := range pending {
@@ -201,16 +193,4 @@ func topoOrder(members []graph.NodeID, succ map[graph.NodeID][]graph.NodeID) (Ch
 		return nil, false
 	}
 	return order, true
-}
-
-// Heads returns the first element of each chain: the switches Algorithm 2
-// may update at the current tick.
-func Heads(chains []Chain) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(chains))
-	for _, c := range chains {
-		if len(c) > 0 {
-			out = append(out, c[0])
-		}
-	}
-	return out
 }

@@ -267,8 +267,9 @@ func exitSteps(in *dynflow.Instance, s *dynflow.Schedule, v graph.NodeID, horizo
 	longest := func(sch *dynflow.Schedule) dynflow.Tick {
 		l := dynflow.Tick(0)
 		for e := start; e <= sch.End(); e++ {
-			tr := dynflow.TraceEmission(in, sch, e)
-			l = max(l, tr.Arrive()-e)
+			if hops := dynflow.TraceEmission(in, sch, e).Hops; len(hops) > 0 {
+				l = max(l, hops[len(hops)-1].Arrive-e)
+			}
 		}
 		return l
 	}

@@ -37,7 +37,7 @@ func validateJointReference(updates []FlowUpdate) (*JointReport, error) {
 		for e := start; e <= end; e++ {
 			tr := TraceEmission(u.In, u.S, e)
 			traces = append(traces, tr)
-			if a := tr.Arrive(); a > latest {
+			if a := arrival(&tr); a > latest {
 				latest = a
 			}
 		}
@@ -50,7 +50,7 @@ func validateJointReference(updates []FlowUpdate) (*JointReport, error) {
 			}
 			switch tr.Status {
 			case Looped, Blackholed:
-				r.Events = append(r.Events, JointEvent{Kind: tr.Status, Flow: u.Name, At: tr.At, Tick: tr.Arrive()})
+				r.Events = append(r.Events, JointEvent{Kind: tr.Status, Flow: u.Name, At: tr.At, Tick: arrival(&tr)})
 			}
 		}
 	}
@@ -114,7 +114,7 @@ func latestArrivalOfReference(u FlowUpdate, end Tick) Tick {
 	latest := end
 	for e := end - Tick(u.In.Init.Delay(u.In.G)); e <= end; e++ {
 		tr := TraceEmission(u.In, u.S, e)
-		if a := tr.Arrive(); a > latest {
+		if a := arrival(&tr); a > latest {
 			latest = a
 		}
 	}

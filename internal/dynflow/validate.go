@@ -50,15 +50,6 @@ type Trace struct {
 	At graph.NodeID
 }
 
-// Arrive returns the tick at which the trace terminated (delivery tick, or
-// the arrival tick at the violating switch).
-func (tr *Trace) Arrive() Tick {
-	if len(tr.Hops) == 0 {
-		return tr.Emit
-	}
-	return tr.Hops[len(tr.Hops)-1].Arrive
-}
-
 // TraceEmission follows the flow unit emitted at tick emit from the source
 // through the time-varying configuration induced by s.
 func TraceEmission(in *Instance, s *Schedule, emit Tick) Trace {
@@ -175,28 +166,6 @@ func (r *Report) OK() bool {
 // time-extended links (the quantity plotted in the paper's Fig. 8).
 func (r *Report) CongestedLinkInstances() int { return len(r.Congestion) }
 
-// CongestedPhysicalLinks returns the number of distinct physical links that
-// were over capacity at any tick.
-func (r *Report) CongestedPhysicalLinks() int {
-	seen := make(map[[2]graph.NodeID]struct{})
-	for _, ev := range r.Congestion {
-		seen[[2]graph.NodeID{ev.Link.From, ev.Link.To}] = struct{}{}
-	}
-	return len(seen)
-}
-
-// PeakOverload returns the maximum load−capacity excess observed, in demand
-// units; zero when congestion-free.
-func (r *Report) PeakOverload() graph.Capacity {
-	var peak graph.Capacity
-	for _, ev := range r.Congestion {
-		if over := ev.Load - ev.Cap; over > peak {
-			peak = over
-		}
-	}
-	return peak
-}
-
 // Summary renders a one-line human-readable result.
 func (r *Report) Summary() string {
 	if r.OK() {
@@ -269,15 +238,4 @@ func Validate(in *Instance, s *Schedule) *Report {
 	sort.Slice(r.Loops, func(i, j int) bool { return r.Loops[i].Emit < r.Loops[j].Emit })
 	sort.Slice(r.Blackholes, func(i, j int) bool { return r.Blackholes[i].Emit < r.Blackholes[j].Emit })
 	return r
-}
-
-// ValidateImmediate is a convenience: validate the schedule that flips every
-// switch in the update set at Start simultaneously (the "no coordination"
-// straw man from the paper's Fig. 2(a)).
-func ValidateImmediate(in *Instance, start Tick) *Report {
-	s := NewSchedule(start)
-	for _, v := range in.UpdateSet() {
-		s.Set(v, start)
-	}
-	return Validate(in, s)
 }

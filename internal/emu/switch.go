@@ -52,7 +52,6 @@ type Switch struct {
 	delivered counter // traffic handed to the local host
 	dropped   counter // traffic without a matching rule or with expired TTL
 	hostByKey map[FlowKey]hostRates
-	flowMods  int64
 
 	// missHandler, when set, fires once each time a key transitions from
 	// not-dropping to dropping — the emulator's PacketIn hook.
@@ -90,9 +89,6 @@ func newSwitch(n *Network, id graph.NodeID) *Switch {
 	}
 }
 
-// ID returns the switch's node ID.
-func (sw *Switch) ID() graph.NodeID { return sw.id }
-
 // Name returns the switch's topology name.
 func (sw *Switch) Name() string { return sw.net.G.Name(sw.id) }
 
@@ -108,7 +104,6 @@ func (sw *Switch) InstallRule(key FlowKey, action Action) {
 	now := sw.net.K.Now()
 	r.bytes.setRate(now, 0) // close the old integration segment
 	r.Action = action
-	sw.flowMods++
 	sw.reroute(key)
 }
 
@@ -118,15 +113,8 @@ func (sw *Switch) RemoveRule(key FlowKey) {
 		return
 	}
 	delete(sw.rules, key)
-	sw.flowMods++
 	sw.reroute(key)
 }
-
-// RuleCount returns the number of resident entries.
-func (sw *Switch) RuleCount() int { return len(sw.rules) }
-
-// FlowMods returns how many table modifications the switch has applied.
-func (sw *Switch) FlowMods() int64 { return sw.flowMods }
 
 // RuleInfo is a dump entry for displaying flow tables (the paper's
 // Table II).

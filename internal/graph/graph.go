@@ -172,14 +172,6 @@ func (g *Graph) MustAddLink(from, to NodeID, cap Capacity, delay Delay) {
 	}
 }
 
-// AddBiLink adds links in both directions with the same capacity and delay.
-func (g *Graph) AddBiLink(a, b NodeID, cap Capacity, delay Delay) error {
-	if err := g.AddLink(a, b, cap, delay); err != nil {
-		return err
-	}
-	return g.AddLink(b, a, cap, delay)
-}
-
 // RemoveLink deletes the link (from, to) if present and reports whether a
 // link was removed. Used by failure-injection scenarios.
 func (g *Graph) RemoveLink(from, to NodeID) bool {

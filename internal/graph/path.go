@@ -81,15 +81,6 @@ func (p Path) NextHop(v NodeID) NodeID {
 	return p[i+1]
 }
 
-// PrevHop returns the predecessor of v on the path, or Invalid.
-func (p Path) PrevHop(v NodeID) NodeID {
-	i := p.Index(v)
-	if i <= 0 {
-		return Invalid
-	}
-	return p[i-1]
-}
-
 // Delay returns the total propagation delay φ(p) along the path. It panics
 // if the path uses a missing link; call Validate first.
 func (p Path) Delay(g *Graph) Delay {
@@ -102,16 +93,6 @@ func (p Path) Delay(g *Graph) Delay {
 		total += l.Delay
 	}
 	return total
-}
-
-// SuffixDelay returns the delay from v to the end of the path, or -1 if v is
-// not on the path.
-func (p Path) SuffixDelay(g *Graph, v NodeID) Delay {
-	i := p.Index(v)
-	if i < 0 {
-		return -1
-	}
-	return Path(p[i:]).Delay(g)
 }
 
 // MinCapacity returns the bottleneck capacity along the path.
@@ -129,19 +110,6 @@ func (p Path) MinCapacity(g *Graph) Capacity {
 	return min
 }
 
-// Links returns the links of the path in order.
-func (p Path) Links(g *Graph) []Link {
-	out := make([]Link, 0, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		l, ok := g.Link(p[i-1], p[i])
-		if !ok {
-			panic(fmt.Sprintf("graph: path uses missing link %s->%s", g.Name(p[i-1]), g.Name(p[i])))
-		}
-		out = append(out, l)
-	}
-	return out
-}
-
 // Equal reports whether p and q are the same node sequence.
 func (p Path) Equal(q Path) bool {
 	if len(p) != len(q) {
@@ -154,9 +122,6 @@ func (p Path) Equal(q Path) bool {
 	}
 	return true
 }
-
-// Clone returns a copy of the path.
-func (p Path) Clone() Path { return append(Path(nil), p...) }
 
 // String renders the path with node IDs, e.g. "0->3->5".
 func (p Path) String() string {

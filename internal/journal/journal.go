@@ -140,6 +140,9 @@ type Writer struct {
 	bytes    *obs.Counter
 	segments *obs.Gauge
 
+	// first is the segment index Open started this run on.
+	first int
+
 	// Drain-goroutine state (touched only by run, except err).
 	f        *os.File
 	segIdx   int
@@ -184,6 +187,7 @@ func Open(o Options) (*Writer, error) {
 		flush:    make(chan chan struct{}),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
+		first:    next,
 		segIdx:   next,
 		appended: o.Obs.Counter("chronus_journal_appended_total"),
 		dropped:  o.Obs.Counter("chronus_journal_dropped_total"),
@@ -245,9 +249,6 @@ func (w *Writer) Err() error {
 	defer w.errMu.Unlock()
 	return w.err
 }
-
-// Dir returns the journal directory.
-func (w *Writer) Dir() string { return w.opts.Dir }
 
 func (w *Writer) fail(err error) {
 	w.errMu.Lock()

@@ -42,14 +42,23 @@ type ReadStats struct {
 // events appended after it, with no duplicates. A sequence number that
 // regresses mid-journal (two daemon runs sharing one directory) is
 // warned about, since the cursor only filters within one run's
-// numbering.
+// numbering; Writer.Replay reads one run alone.
 func Replay(dir string, since uint64, fn func(obs.Event) error) (ReadStats, error) {
-	return replay(dir, since, nil, fn)
+	return replay(dir, 0, since, nil, fn)
 }
 
-// replay is Replay with a hook that sees each segment file, before it
-// is decoded, and must leave it positioned at its start.
-func replay(dir string, since uint64, before func(*os.File) error, fn func(obs.Event) error) (ReadStats, error) {
+// Replay is journal.Replay over this writer's own run: the segments
+// from the one Open started on. Earlier runs sharing the directory
+// number their events from 1 too, so they are skipped rather than
+// filtered by since. Call Flush first to see every recorded event.
+func (w *Writer) Replay(since uint64, fn func(obs.Event) error) (ReadStats, error) {
+	return replay(w.opts.Dir, w.first, since, nil, fn)
+}
+
+// replay is Replay over the segments numbered first or later, with a
+// hook that sees each segment file, before it is decoded, and must
+// leave it positioned at its start.
+func replay(dir string, first int, since uint64, before func(*os.File) error, fn func(obs.Event) error) (ReadStats, error) {
 	var stats ReadStats
 	segs, err := Segments(dir)
 	if err != nil {
@@ -58,6 +67,9 @@ func replay(dir string, since uint64, before func(*os.File) error, fn func(obs.E
 	var lastSeq uint64
 	warnedRegress := false
 	for _, seg := range segs {
+		if n, _ := segmentIndex(filepath.Base(seg)); n < first {
+			continue
+		}
 		stats.Segments++
 		if err := replaySegment(seg, &stats, before, func(e obs.Event) error {
 			if e.Seq < lastSeq && !warnedRegress {
@@ -85,7 +97,7 @@ func replay(dir string, since uint64, before func(*os.File) error, fn func(obs.E
 func ReadAll(dir string, since uint64) ([]obs.Event, ReadStats, error) {
 	var out []obs.Event
 	buf := make([]byte, 64<<10)
-	stats, err := replay(dir, since, func(f *os.File) error {
+	stats, err := replay(dir, 0, since, func(f *os.File) error {
 		n, err := countLines(f, buf)
 		out = slices.Grow(out, n)
 		return err

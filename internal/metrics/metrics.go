@@ -41,17 +41,8 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
+// quantileSorted returns the q-quantile of the sorted, non-empty s by
+// linear interpolation between order statistics; q is clamped to [0, 1].
 func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
@@ -80,9 +71,6 @@ func NewCDF(xs []float64) *CDF {
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
-
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.sorted) }
 
 // At returns P[X <= x].
 func (c *CDF) At(x float64) float64 {

@@ -331,7 +331,10 @@ func TestInternCollisions(t *testing.T) {
 // TestReadJSONLAllocsRepeat: interning is deterministic — no seed drawn
 // per read — so two reads of one stream allocate exactly alike. The
 // collector is off while they run: a cycle starting mid-read allocates
-// a few objects of its own.
+// a few objects of its own. AllocsPerRun also counts what the runtime
+// allocates on other goroutines meanwhile, which only ever adds, so each
+// side is the minimum of five measurements; the sides must still be
+// equal.
 func TestReadJSONLAllocsRepeat(t *testing.T) {
 	stream := collidingStream()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -340,7 +343,14 @@ func TestReadJSONLAllocsRepeat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if first, second := testing.AllocsPerRun(1, read), testing.AllocsPerRun(1, read); first != second {
+	least := func() float64 {
+		m := testing.AllocsPerRun(1, read)
+		for range 4 {
+			m = min(m, testing.AllocsPerRun(1, read))
+		}
+		return m
+	}
+	if first, second := least(), least(); first != second {
 		t.Fatalf("two reads of one stream made %v and %v allocations", first, second)
 	}
 }

@@ -3,7 +3,7 @@ package obs
 // The trace-event contract: every event family that one package emits
 // and another folds, spelled once. Emitters and consumers use these
 // constants; each carries its row of the table — emitter → consumers:
-// attributes, optional ones in brackets — and DESIGN.md §9 holds the same
+// attributes, optional ones in brackets — and DESIGN.md §12 holds the same
 // table with prose. Attribute values are strings, integers in base 10.
 // Consumers ignore names they do not know, so the stream may carry more
 // (admit.*, sched.accept, other span ops) that only humans and the span

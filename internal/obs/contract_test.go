@@ -105,7 +105,7 @@ func TestEventContract(t *testing.T) {
 			return err
 		}
 		h.AdvanceBy(20)
-		c.StopFlow(g)
+		h.Do(func() { h.Net.Inject(g.Path.Source(), emu.FlowKey{Flow: g.Name, Tag: g.Tag}, 0) })
 		return c.DeleteFlow(f.Name, in.Init[1])
 	})
 	events = append(events, disconnectEvents(t, in.G)...)

@@ -65,18 +65,6 @@ func Names() []string {
 	return names
 }
 
-// All returns the registered schemes in Names order.
-func All() []Scheme {
-	names := Names()
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Scheme, len(names))
-	for i, name := range names {
-		out[i] = registry[name]
-	}
-	return out
-}
-
 // Solve looks up name and runs it, recording a scheme-labelled solve
 // counter on o.Obs (when set) regardless of which scheme ran — the one
 // instrumentation point every consumer shares. When o.Trace is set it

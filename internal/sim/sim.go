@@ -56,9 +56,6 @@ func NewKernel() *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.queue) }
-
 // At schedules fn at absolute time t. Scheduling in the past panics: it
 // indicates a causality bug in the caller.
 func (k *Kernel) At(t Time, fn func()) {
@@ -67,14 +64,6 @@ func (k *Kernel) At(t Time, fn func()) {
 	}
 	k.seq++
 	heap.Push(&k.queue, &event{at: t, seq: k.seq, fn: fn})
-}
-
-// After schedules fn d ticks from now.
-func (k *Kernel) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	k.At(k.now+d, fn)
 }
 
 // Step executes the next event; it reports false when the queue is empty.
@@ -88,24 +77,15 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains, with a safety cap on the
-// number of events to turn runaway feedback loops into a panic rather than
-// a hang.
-func (k *Kernel) Run() {
+// RunUntil executes events with time <= t, then advances the clock to t.
+// A safety cap on the number of events turns a runaway feedback loop into
+// a panic rather than a hang.
+func (k *Kernel) RunUntil(t Time) {
 	const cap = 50_000_000
-	for i := 0; ; i++ {
+	for i := 0; len(k.queue) > 0 && k.queue[0].at <= t; i++ {
 		if i >= cap {
 			panic("sim: event cap exceeded; runaway event loop")
 		}
-		if !k.Step() {
-			return
-		}
-	}
-}
-
-// RunUntil executes events with time <= t, then advances the clock to t.
-func (k *Kernel) RunUntil(t Time) {
-	for len(k.queue) > 0 && k.queue[0].at <= t {
 		k.Step()
 	}
 	if t > k.now {

@@ -5,13 +5,19 @@ import (
 	"testing/quick"
 )
 
+// drain runs k until its queue is empty.
+func drain(k *Kernel) {
+	for k.Step() {
+	}
+}
+
 func TestOrdering(t *testing.T) {
 	k := NewKernel()
 	var got []int
 	k.At(5, func() { got = append(got, 2) })
 	k.At(3, func() { got = append(got, 1) })
 	k.At(9, func() { got = append(got, 3) })
-	k.Run()
+	drain(k)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
 	}
@@ -27,7 +33,7 @@ func TestFIFOWithinSameTime(t *testing.T) {
 		i := i
 		k.At(7, func() { got = append(got, i) })
 	}
-	k.Run()
+	drain(k)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events reordered: %v", got)
@@ -35,14 +41,14 @@ func TestFIFOWithinSameTime(t *testing.T) {
 	}
 }
 
-func TestAfterAndNesting(t *testing.T) {
+func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
 	k.At(2, func() {
 		fired = append(fired, k.Now())
-		k.After(3, func() { fired = append(fired, k.Now()) })
+		k.At(k.Now()+3, func() { fired = append(fired, k.Now()) })
 	})
-	k.Run()
+	drain(k)
 	if len(fired) != 2 || fired[0] != 2 || fired[1] != 5 {
 		t.Fatalf("fired = %v", fired)
 	}
@@ -51,23 +57,13 @@ func TestAfterAndNesting(t *testing.T) {
 func TestPastSchedulingPanics(t *testing.T) {
 	k := NewKernel()
 	k.At(5, func() {})
-	k.Run()
+	drain(k)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for past scheduling")
 		}
 	}()
 	k.At(1, func() {})
-}
-
-func TestNegativeAfterPanics(t *testing.T) {
-	k := NewKernel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for negative delay")
-		}
-	}()
-	k.After(-1, func() {})
 }
 
 func TestRunUntil(t *testing.T) {
@@ -84,10 +80,11 @@ func TestRunUntil(t *testing.T) {
 	if k.Now() != 5 {
 		t.Fatalf("now = %d, want 5", k.Now())
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", k.Pending())
+	k.RunUntil(7)
+	if len(fired) != 2 || k.Now() != 7 {
+		t.Fatalf("fired = %v now = %d, want the event at 8 still queued", fired, k.Now())
 	}
-	k.Run()
+	drain(k)
 	if len(fired) != 3 || k.Now() != 8 {
 		t.Fatalf("fired = %v now = %d", fired, k.Now())
 	}
@@ -104,11 +101,11 @@ func TestClockMonotonic(t *testing.T) {
 			k.At(d, func() {
 				times = append(times, k.Now())
 				if d%3 == 0 {
-					k.After(Time(d%5), func() { times = append(times, k.Now()) })
+					k.At(k.Now()+Time(d%5), func() { times = append(times, k.Now()) })
 				}
 			})
 		}
-		k.Run()
+		drain(k)
 		for i := 1; i < len(times); i++ {
 			if times[i] < times[i-1] {
 				return false

@@ -28,10 +28,6 @@ type Agent struct {
 	id    graph.NodeID
 	clock *timesync.Ensemble // nil means a perfect clock
 
-	// scheduled counts timed FlowMods accepted but not yet applied.
-	scheduled int
-	applied   int
-
 	notify func(ofp.Msg)
 
 	met   agentMetrics
@@ -67,13 +63,6 @@ func New(net *emu.Network, id graph.NodeID, clock *timesync.Ensemble) *Agent {
 // SetNotify installs the asynchronous switch-to-controller channel used for
 // PacketIn notifications (nil disables them).
 func (a *Agent) SetNotify(send func(ofp.Msg)) { a.notify = send }
-
-// ID returns the switch's node ID.
-func (a *Agent) ID() graph.NodeID { return a.id }
-
-// PendingTimed returns how many timed FlowMods are scheduled but not yet
-// applied.
-func (a *Agent) PendingTimed() int { return a.scheduled - a.applied }
 
 // Handle processes one control message and returns the replies to send.
 // It must run inside a simulation event.
@@ -154,7 +143,6 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 	}
 
 	apply := func() {
-		a.applied++
 		switch m.Command {
 		case ofp.FlowAdd, ofp.FlowModify:
 			a.sw.InstallRule(key, action)
@@ -173,7 +161,6 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyXid, m.XID),
 				obs.A(obs.KeyKind, "immediate"), obs.A(obs.KeyKey, key.String()))
 		}
-		a.scheduled++
 		apply()
 		return nil
 	}
@@ -200,7 +187,6 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 			obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyKind, "timed"), obs.A(obs.KeyAt, int64(requested)),
 			obs.A(obs.KeyKey, key.String()), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
 	}
-	a.scheduled++
 	a.net.K.At(at, func() {
 		// Fire skew is measured against the controller's requested tick, so
 		// it folds in both the local clock offset and any lateness clamp.

@@ -107,11 +107,6 @@ func (e *Ensemble) OffsetNs(v graph.NodeID, refNs int64) int64 {
 	return e.epochBase(v, epoch) + e.drifts[v]*sinceSync/1_000_000_000
 }
 
-// LocalNs returns v's clock reading at the given reference time.
-func (e *Ensemble) LocalNs(v graph.NodeID, refNs int64) int64 {
-	return refNs + e.OffsetNs(v, refNs)
-}
-
 // GlobalForLocal returns the reference time at which v's clock reads
 // localNs. Offsets change slowly (drift is ppb-scale), so two rounds of
 // fixed-point iteration suffice to sub-nanosecond accuracy.
@@ -134,29 +129,4 @@ func (e *Ensemble) ApplyTick(v graph.NodeID, scheduled sim.Time) sim.Time {
 		return sim.Time((refNs + TickNs/2) / TickNs)
 	}
 	return sim.Time((refNs - TickNs/2) / TickNs)
-}
-
-// MaxAbsOffsetNs returns the worst-case |offset| over a reference window,
-// sampled at sync boundaries and window edges (offset is piecewise linear,
-// so extremes occur there).
-func (e *Ensemble) MaxAbsOffsetNs(nodes []graph.NodeID, fromNs, toNs int64) int64 {
-	var worst int64
-	check := func(v graph.NodeID, t int64) {
-		off := e.OffsetNs(v, t)
-		if off < 0 {
-			off = -off
-		}
-		if off > worst {
-			worst = off
-		}
-	}
-	for _, v := range nodes {
-		check(v, fromNs)
-		check(v, toNs)
-		for t := (fromNs/e.p.SyncIntervalNs + 1) * e.p.SyncIntervalNs; t < toNs; t += e.p.SyncIntervalNs {
-			check(v, t-1) // end of previous epoch: maximum drift accumulation
-			check(v, t)   // fresh sync
-		}
-	}
-	return worst
 }

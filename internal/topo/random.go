@@ -121,16 +121,6 @@ func RandomInstance(rng *rand.Rand, p RandomParams) *dynflow.Instance {
 	return &dynflow.Instance{G: g, Demand: p.Demand, Init: init, Fin: fin}
 }
 
-// RandomInstances generates count independent instances with the same
-// parameters.
-func RandomInstances(rng *rand.Rand, p RandomParams, count int) []*dynflow.Instance {
-	out := make([]*dynflow.Instance, count)
-	for i := range out {
-		out[i] = RandomInstance(rng, p)
-	}
-	return out
-}
-
 // Embed re-roots in into the shared graph g: in's switches are added to g
 // under prefix-qualified names, its links copied, and the instance
 // returned is in on g, with the same demand and its paths mapped through

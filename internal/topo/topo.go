@@ -26,43 +26,6 @@ func Line(n int, cap graph.Capacity, delay graph.Delay) (*graph.Graph, []graph.N
 	return g, ids
 }
 
-// Ring returns a directed ring over n nodes with uniform capacity and delay.
-func Ring(n int, cap graph.Capacity, delay graph.Delay) (*graph.Graph, []graph.NodeID) {
-	g, ids := Line(n, cap, delay)
-	if n > 2 {
-		g.MustAddLink(ids[n-1], ids[0], cap, delay)
-	}
-	return g, ids
-}
-
-// Grid returns a w×h bidirectional grid with uniform capacity and delay.
-// Node (x, y) is named "gX.Y".
-func Grid(w, h int, cap graph.Capacity, delay graph.Delay) (*graph.Graph, [][]graph.NodeID) {
-	g := graph.New()
-	ids := make([][]graph.NodeID, h)
-	for y := 0; y < h; y++ {
-		ids[y] = make([]graph.NodeID, w)
-		for x := 0; x < w; x++ {
-			ids[y][x] = g.AddNode(fmt.Sprintf("g%d.%d", x, y))
-		}
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x+1 < w {
-				if err := g.AddBiLink(ids[y][x], ids[y][x+1], cap, delay); err != nil {
-					panic(err)
-				}
-			}
-			if y+1 < h {
-				if err := g.AddBiLink(ids[y][x], ids[y+1][x], cap, delay); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	return g, ids
-}
-
 // Fig1Example returns the paper's six-switch running example: unit demand,
 // unit link capacities and delays, initial path v1→v2→v3→v4→v5→v6 and final
 // path reversing through the intermediate switches (v1→v5→v4→v3→v2→v6).

@@ -21,34 +21,6 @@ func TestLine(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	g, ids := Ring(4, 1, 1)
-	if g.NumLinks() != 4 {
-		t.Fatalf("ring(4) links = %d", g.NumLinks())
-	}
-	if _, ok := g.Link(ids[3], ids[0]); !ok {
-		t.Fatal("closing link missing")
-	}
-}
-
-func TestGrid(t *testing.T) {
-	g, ids := Grid(3, 2, 5, 1)
-	if g.NumNodes() != 6 {
-		t.Fatalf("grid nodes = %d", g.NumNodes())
-	}
-	// 3x2 grid: horizontal 2 per row × 2 rows + vertical 3 = 7 undirected
-	// edges = 14 directed links.
-	if g.NumLinks() != 14 {
-		t.Fatalf("grid links = %d, want 14", g.NumLinks())
-	}
-	if _, ok := g.Link(ids[0][0], ids[0][1]); !ok {
-		t.Fatal("horizontal link missing")
-	}
-	if _, ok := g.Link(ids[1][2], ids[0][2]); !ok {
-		t.Fatal("upward vertical link missing")
-	}
-}
-
 func TestFig1ExampleValid(t *testing.T) {
 	in := Fig1Example()
 	if err := in.Validate(); err != nil {
@@ -85,7 +57,11 @@ func TestEmulationTopoValid(t *testing.T) {
 	}
 	// The naive simultaneous update must misbehave (that is the point of
 	// the Fig. 6 experiment).
-	if r := dynflow.ValidateImmediate(in, 0); r.OK() {
+	flip := dynflow.NewSchedule(0)
+	for _, v := range in.UpdateSet() {
+		flip.Set(v, 0)
+	}
+	if r := dynflow.Validate(in, flip); r.OK() {
 		t.Fatal("simultaneous flip of the emulation topology is clean; experiment would be vacuous")
 	}
 }
@@ -145,11 +121,13 @@ func TestRandomInstanceDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandomInstances: successive draws from one rng are independent
+// instances, not repeats.
 func TestRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ins := RandomInstances(rng, DefaultRandomParams(10), 7)
-	if len(ins) != 7 {
-		t.Fatalf("count = %d", len(ins))
+	ins := make([]*dynflow.Instance, 7)
+	for i := range ins {
+		ins[i] = RandomInstance(rng, DefaultRandomParams(10))
 	}
 	distinct := false
 	for i := 1; i < len(ins); i++ {
