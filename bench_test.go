@@ -266,6 +266,22 @@ func BenchmarkGreedyExactN40(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedyExactBig is the exact engine at Fig. 10's smallest size:
+// n = 200 with Fig. 10's instance shape (a shallower final path, delays of
+// at most 2).
+func BenchmarkGreedyExactBig(b *testing.B) {
+	p := topo.DefaultRandomParams(200)
+	p.FinalInclude, p.MaxDelay = 0.3, 2
+	in := topo.RandomInstance(rand.New(rand.NewSource(benchSeed)), p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := core.Greedy(in, core.Options{Mode: core.ModeExact, BestEffort: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGreedyFastN40(b *testing.B) {
 	in := benchInstance(40)
 	b.ResetTimer()

@@ -3,7 +3,6 @@ package dynflow
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/chronus-sdn/chronus/internal/graph"
@@ -15,10 +14,15 @@ import (
 // Move(v, t) re-traces from v only the stored units that reach v between
 // its old and new activation, and loads the pure-final tail up to the new
 // latest arrival; Check reports a loop or blackhole on a diverted unit,
-// congestion on the load entries the move raised (no other entry holds
+// congestion on the link instances the move raised (no other one holds
 // more than under the clean base) and the exact LatestArrival — the
 // verdict Validate gives the moved schedule; Undo restores the base
 // schedule, Commit makes the moved one the base.
+//
+// The window is stored as emission runs (see run): consecutive units that
+// meet every switch on the same side of its activation take one route,
+// each a tick after the last, so a run keeps one trace and a move re-traces
+// the runs it splits, not their units.
 //
 // Moves chain, but only for one switch between an Undo or Commit and the
 // next, and only later: t may not precede v's current activation unless v
@@ -28,65 +32,78 @@ type Kernel struct {
 	in    *Instance
 	tr    *tracer
 	x     *scratch
-	rows  int  // footprint links: the load entries per tick
 	start Tick // the window's first emission: Start − φ(p_init)
 	ok    bool // the base validates clean
 	w     window
 
-	moving bool // a move of mv is pending; Undo puts the saved state back
-	mv     graph.NodeID
-	// A pure-final unit reaches mv mvAfter ticks after its emission, as hop
-	// mvHop (−1: never), and after mv's activation, so it cannot stop there.
-	mvHop                int32
-	mvAfter              Tick
-	saved                window
-	savedAct             Tick
-	savedEms, savedArena int
+	moving   bool // a move of mv is pending; Undo puts the saved state back
+	mv       graph.NodeID
+	saved    window
+	savedAct Tick
+	// savedArena is the arena's length before the move; divLongest is the
+	// longest trace, emission to arrival, of a unit the move diverted.
+	savedArena int
+	divLongest Tick
 
 	retraced int64 // units diverted, for the slack counters
+	stats    runStats
+	tailAt   int // where tail last found the tail run
 }
 
 // window is what a move changes: the schedule's end, the LatestArrival
-// (the latest arrival of an emission up to end), the last emission the
-// loads cover (past start), and the stored traces that loop or blackhole.
+// (the latest arrival of an emission up to end), and top, the last stored
+// emission. Every stored unit is loaded, and top ≥ latest.
 type window struct {
-	end, latest Tick
-	loaded, bad int
+	end, latest, top Tick
 }
 
-// emission is the stored trace of one unit: its hops, arena[lo:lo+n],
-// each shift ticks later than recorded (copies of one pure-final trace
-// share its hops), its terminal status and the tick it terminated.
-// Offsets rather than slices keep the scratch free of pointers, so
-// storing and undoing traces costs no write barriers.
-type emission struct {
-	lo, n  int32
+// run is the stored trace of the emissions e0 .. e0+n−1: unit e0+i takes
+// the hops arena[lo:lo+nh], each shift+i ticks later than recorded, and
+// ends with status at arrive+i. Offsets rather than slices keep the
+// scratch free of pointers, so storing and undoing runs costs no write
+// barriers. A run with n = 0 is dead: a move merged or diverted all of it.
+type run struct {
+	e0, n  Tick
+	lo, nh int32
 	shift  Tick
 	arrive Tick
 	status TraceStatus
 }
 
-// reach is emission i arriving at a switch at tick, where hop j of its trace
-// departs (or would, had it not stopped there).
-type reach struct {
-	tick Tick
-	i, j int32
+// reach is run r meeting a switch, where its hop j departs (or would, had
+// the run stopped there).
+type reach struct{ r, j int32 }
+
+// span is a base run's load on a link: one unit of demand at each
+// departure tick in [a, b).
+type span struct{ a, b Tick }
+
+// delta is a pending move's change to a link's load: sign units of demand
+// at each tick in [a, b); next chains the link's deltas, newest first.
+type delta struct {
+	a, b       Tick
+	sign, next int32
 }
 
-func byTick(a, b reach) int { return cmp.Compare(a.tick, b.tick) }
-
-// loadEdit is the loads of arena[lo:lo+n], shift ticks later, added
-// (sign +1) or removed (−1). A pending move only appends to the arena, so
-// the hops stay put until it is undone or committed.
-type loadEdit struct {
-	lo, n int32
-	shift Tick
-	sign  graph.Capacity
+// region is link instances of ordinal ord, ticks [a, b), whose load a move
+// raised and Check has not yet compared against capacity.
+type region struct {
+	ord  int32
+	a, b Tick
 }
 
-type emissionUndo struct {
-	i  int
-	em emission
+// piece is n consecutive units, the first emitted at e, that reach cur at
+// tick t (the first unit) after the hops arena[lo:lo+nh], shift ticks
+// later than recorded: what traceRuns carries on.
+type piece struct {
+	e, n, t, shift Tick
+	cur            graph.NodeID
+	lo, nh         int32
+}
+
+type event struct {
+	t Tick
+	d graph.Capacity
 }
 
 // scratch is the working memory of Validate and Kernel, recycled through
@@ -94,27 +111,40 @@ type emissionUndo struct {
 type scratch struct {
 	lw    loadWindow
 	times []Tick
-	// ems[i] is the trace of emission start+i. Every emission of the window
-	// is stored, and at least those up to end; each later one is the last
-	// stored trace shifted in time (they all follow the pure final route).
-	ems   []emission
-	arena []traceHop
-	// load[(tick−start)×rows + ordinal] is the demand departing on a
-	// footprint link at a tick; load[loadHi:] is all zero.
-	load   []graph.Capacity
-	loadHi int
-	// index[indexOff[k]:indexOff[k+1]] are the reaches of slot k's switch;
-	// extra are the moving switch's reaches in emissions stored during the
-	// move. A move sorts the ones it reads by tick.
+	// runs cover the emissions start .. top, each once; arena holds their
+	// hops (arena2 is the spare a commit compacts them into).
+	runs, savedRuns []run
+	arena, arena2   []traceHop
+	// index[indexOff[k]:indexOff[k+1]] are the base runs reaching slot k's
+	// switch; atV are the runs reaching the moving switch.
 	index    []reach
 	indexOff []int32
-	extra    []reach
-	// The pending move's undo log, and the load additions not yet checked
-	// against capacity.
-	journal []loadEdit
-	undo    []emissionUndo
-	raised  []loadEdit
+	atV      []reach
+	// loads[loadOff[o]:loadOff[o+1]] are the base runs' spans on link
+	// ordinal o; a move's deltas chain from head[o] (−1: none), and touched
+	// lists the ordinals with a chain.
+	loads   []span
+	loadOff []int32
+	deltas  []delta
+	head    []int32
+	touched []int32
+	raised  []region
+	work    []piece
+	events  []event
+	byLo    []int32
 }
+
+// runStats counts a kernel's work in runs and in the units they hold: the
+// runs and units stored at each commit, those each trial diverted, and the
+// events of the run bookkeeping. Tests read them to pin the cost model.
+type runStats struct {
+	Commits, StoredRuns, StoredUnits          int64
+	Trials, DivertedRuns, DivertedUnits       int64
+	SplitsAt, SplitsDown, Merges, TailResizes int64
+}
+
+// statsSink, when set, receives the counters of every released kernel.
+var statsSink func(runStats)
 
 var scratchPool struct {
 	sync.Mutex
@@ -137,7 +167,7 @@ func getScratch() *scratch {
 }
 
 func putScratch(x *scratch) {
-	if max(cap(x.lw.val), cap(x.load), cap(x.arena)) > scratchKeep {
+	if max(cap(x.lw.val), cap(x.arena), cap(x.arena2), cap(x.loads)) > scratchKeep {
 		return
 	}
 	scratchPool.Lock()
@@ -147,153 +177,357 @@ func putScratch(x *scratch) {
 	}
 }
 
-// NewKernel traces s's validation window once and stores it.
+// NewKernel traces s's validation window once, one unit per run, and
+// stores it.
 func NewKernel(in *Instance, s *Schedule) *Kernel {
 	tr := tracerFor(in)
-	k := &Kernel{in: in, tr: tr, x: getScratch(), rows: len(tr.links), start: s.Start - Tick(in.Init.Delay(in.G))}
+	k := &Kernel{in: in, tr: tr, x: getScratch(), start: s.Start - Tick(in.Init.Delay(in.G))}
 	x := k.x
 	tr.view(&x.times, s)
-	k.w = window{end: s.End(), latest: s.End(), loaded: -1}
-	for e := k.start; e <= k.w.end; e++ {
-		lo := len(x.arena)
-		status, _, a := tr.trace(x.times, e, nil, &x.arena)
-		x.ems = append(x.ems, emission{lo: int32(lo), n: int32(len(x.arena) - lo), arrive: a, status: status})
-		k.w.latest = max(k.w.latest, a)
-		if status != Delivered {
-			k.w.bad++
+	x.head = slices.Grow(x.head[:0], len(tr.links))[:len(tr.links)]
+	for o := range x.head {
+		x.head[o] = -1
+	}
+	end := s.End()
+	k.w = window{end: end, latest: end, top: end}
+	k.traceRuns(piece{e: k.start, n: end - k.start + 1, t: k.start, cur: in.Source()})
+	k.settle()
+	k.reindex()
+	for _, r := range x.runs {
+		for _, h := range x.hops(r) {
+			k.raise(h.ord, h.tick+r.shift, h.tick+r.shift+r.n)
 		}
 	}
-	k.settle()
 	k.ok = k.clean()
-	k.reindex()
+	k.endMove()
 	return k
 }
 
 // Release returns the kernel's scratch to the pool; k is unusable after.
 func (k *Kernel) Release() {
 	x := k.x
-	clear(x.load[:x.loadHi])
-	x.ems, x.arena, x.loadHi = x.ems[:0], x.arena[:0], 0
 	k.endMove()
+	x.runs, x.arena = x.runs[:0], x.arena[:0]
+	if statsSink != nil {
+		statsSink(k.stats)
+	}
 	k.x = nil
 	putScratch(x)
 }
 
-func (x *scratch) hops(em emission) []traceHop { return x.arena[em.lo : em.lo+em.n] }
+func (x *scratch) hops(r run) []traceHop { return x.arena[r.lo : r.lo+r.nh] }
 
-// extend stores emissions up to e as copies of the last stored trace,
-// shifted: past the schedule's end every unit takes the same route. The
-// moving switch's reaches in them join extra.
+// traceRuns carries the units of p on from p.cur to their terminal status
+// and stores them as runs, appended to x.runs: follow over a group of
+// units. Where a switch's activation falls inside the group's arrival
+// interval there, and its two rules differ, the group splits; the later
+// units go on as a piece of their own, after the same hops. It returns the
+// number of splits.
+func (k *Kernel) traceRuns(first piece) (splits int) {
+	x, tr := k.x, k.tr
+	dest := tr.in.Dest()
+	x.work = append(x.work[:0], first)
+	for len(x.work) > 0 {
+		p := x.work[len(x.work)-1]
+		x.work = x.work[:len(x.work)-1]
+		tr.stamp++
+		lo := int32(len(x.arena))
+		for i := p.lo; i < p.lo+p.nh; i++ {
+			h := x.arena[i]
+			h.tick += p.shift
+			tr.visit[graph.NodeID(h.node)-tr.lo] = tr.stamp
+			x.arena = append(x.arena, h)
+		}
+		cur, t, n := p.cur, p.t, p.n
+		tr.visit[cur-tr.lo] = tr.stamp
+		status := Looped
+		for step := 0; step <= len(tr.visit); step++ {
+			if cur == dest {
+				status = Delivered
+				break
+			}
+			s := cur - tr.lo
+			ord := tr.rules[s][0]
+			if nw := tr.rules[s][1]; nw != noRule && nw != ord {
+				if act := x.times[s]; act <= t {
+					ord = nw
+				} else if act < t+n {
+					off := act - t
+					x.work = append(x.work, piece{e: p.e + off, n: n - off, t: act, shift: off, cur: cur, lo: lo, nh: int32(len(x.arena)) - lo})
+					n = off
+					splits++
+				}
+			}
+			if ord < 0 {
+				status = Blackholed
+				break
+			}
+			x.arena = append(x.arena, traceHop{node: int32(cur), ord: ord, tick: t})
+			t += Tick(tr.links[ord].Delay)
+			cur = tr.links[ord].To
+			if tr.visit[cur-tr.lo] == tr.stamp {
+				break
+			}
+			tr.visit[cur-tr.lo] = tr.stamp
+		}
+		x.runs = append(x.runs, run{e0: p.e, n: n, lo: lo, nh: int32(len(x.arena)) - lo, arrive: t, status: status})
+	}
+	return splits
+}
+
+// tail is the run holding the last stored unit.
+func (k *Kernel) tail() int {
+	runs := k.x.runs
+	if i := k.tailAt; i < len(runs) && runs[i].n > 0 && runs[i].e0+runs[i].n-1 == k.w.top {
+		return i
+	}
+	for i, r := range runs {
+		if r.n > 0 && r.e0+r.n-1 == k.w.top {
+			k.tailAt = i
+			return i
+		}
+	}
+	panic("dynflow: Kernel without a tail run")
+}
+
+// extend stores the emissions up to e in the tail run: past the schedule's
+// end every unit takes the same route, a tick after the last.
 func (k *Kernel) extend(e Tick) {
-	x := k.x
-	last := len(x.ems) - 1
-	tmpl := x.ems[last]
-	for i := last + 1; i <= int(e-k.start); i++ {
-		d := Tick(i - last)
-		em := tmpl
-		em.shift += d
-		em.arrive += d
-		x.ems = append(x.ems, em)
-		if em.status != Delivered {
-			k.w.bad++
-		}
-		if k.moving && k.mvHop >= 0 {
-			x.extra = append(x.extra, reach{tick: k.start + Tick(i) + k.mvAfter, i: int32(i), j: k.mvHop})
-		}
+	i := k.tail()
+	r := &k.x.runs[i]
+	grow := e - k.w.top
+	r.n += grow
+	k.w.top = e
+	if k.moving {
+		k.stats.TailResizes++
+		k.load(*r, 0, r.n-grow, r.n, 1)
 	}
 }
 
-// edit adds (sign +1) or removes (−1) the loads of em's hops from the j-th.
-func (k *Kernel) edit(em emission, j int, sign graph.Capacity) {
-	if j >= int(em.n) {
+// settle recomputes the LatestArrival, per run, and stores and loads more
+// of the pure-final tail if the window outgrew it. Loads of emissions past
+// a window that shrank stay: such a unit leaves the source after every
+// mixed unit has arrived, and pure-final units never share a link
+// instance, so it shares none with any unit (the argument that bounds
+// Validate's window).
+func (k *Kernel) settle() {
+	latest := k.w.end
+	for _, r := range k.x.runs {
+		if r.n > 0 && r.e0 <= k.w.end {
+			latest = max(latest, r.arrive+min(r.n-1, k.w.end-r.e0))
+		}
+	}
+	k.w.latest = latest
+	if latest > k.w.top {
+		k.extend(latest)
+	}
+}
+
+// load adds sign units of demand for the units i0 .. i1−1 of r on its hops
+// from the j-th, as deltas of the pending move; added load is raised.
+func (k *Kernel) load(r run, j int, i0, i1 Tick, sign int32) {
+	x := k.x
+	lo, hi := r.shift+i0, r.shift+i1
+	head, deltas := x.head, x.deltas
+	for _, h := range x.arena[int(r.lo)+j : r.lo+r.nh] {
+		a, b := h.tick+lo, h.tick+hi
+		if sign > 0 {
+			k.raise(h.ord, a, b)
+		}
+		// A slack walk diverts one unit a step: its deltas extend the last
+		// steps' on the same link.
+		d, n := head[h.ord], 0
+		for ; d >= 0 && n < coalesceDepth; d, n = deltas[d].next, n+1 {
+			if e := &deltas[d]; e.sign == sign && (e.b == a || e.a == b) {
+				e.a, e.b = min(e.a, a), max(e.b, b)
+				break
+			}
+		}
+		if d >= 0 && n < coalesceDepth {
+			continue
+		}
+		if head[h.ord] < 0 {
+			x.touched = append(x.touched, h.ord)
+		}
+		deltas = append(deltas, delta{a: a, b: b, sign: sign, next: head[h.ord]})
+		head[h.ord] = int32(len(deltas) - 1)
+	}
+	x.deltas = deltas
+}
+
+// coalesceDepth is how many of a link's latest deltas a new one may
+// extend: a slack step past the end adds three to a tail link (the tail's
+// growth, the diverted unit's removal and its new route's load).
+const coalesceDepth = 8
+
+// raise marks the link instances of ordinal ord, ticks [a, b), raised.
+func (k *Kernel) raise(ord int32, a, b Tick) {
+	x := k.x
+	if n := len(x.raised) - 1; n >= 0 && x.raised[n].ord == ord && x.raised[n].b == a {
+		x.raised[n].b = b
 		return
 	}
-	x := k.x
-	e := loadEdit{lo: em.lo + int32(j), n: em.n - int32(j), shift: em.shift, sign: sign}
-	// A trace departs later at every hop: the last hop has the largest key.
-	if hi := (int(x.arena[e.lo+e.n-1].tick+e.shift-k.start) + 1) * k.rows; hi > x.loadHi {
-		if hi > len(x.load) {
-			grown := make([]graph.Capacity, max(hi, 2*len(x.load)))
-			copy(grown, x.load[:x.loadHi])
-			x.load = grown
-		}
-		x.loadHi = hi
-	}
-	k.apply(e, sign*k.in.Demand)
-	if k.moving {
-		x.journal = append(x.journal, e)
-	}
-	if sign > 0 {
-		x.raised = append(x.raised, e)
-	}
+	x.raised = append(x.raised, region{ord: ord, a: a, b: b})
 }
 
-// apply adds delta to the loads of e's hops.
-func (k *Kernel) apply(e loadEdit, delta graph.Capacity) {
-	load, base, rows := k.x.load, k.start-e.shift, k.rows
-	for _, h := range k.x.arena[e.lo : e.lo+e.n] {
-		load[int(h.tick-base)*rows+int(h.ord)] += delta
-	}
-}
-
-// settle loads the emissions up to latest, storing more of the pure-final
-// tail first if the window outgrew it. Loads of emissions past a window
-// that shrank stay: such a unit leaves the source after every mixed unit
-// has arrived, and pure-final units never share a link instance, so it
-// shares none with any unit (the argument that bounds Validate's window).
-func (k *Kernel) settle() {
-	x := k.x
-	top := int(k.w.latest - k.start)
-	if top >= len(x.ems) {
-		k.extend(k.w.latest)
-	}
-	for ; k.w.loaded < top; k.w.loaded++ {
-		k.edit(x.ems[k.w.loaded+1], 0, 1)
-	}
-}
-
-// clean checks the raised entries against capacity and reports whether the
-// current schedule validates clean; once it does, no entry is over.
+// clean checks the raised link instances against capacity and reports
+// whether the current schedule validates clean; once it does, no link
+// instance is over.
 func (k *Kernel) clean() bool {
 	x := k.x
-	if k.w.bad > 0 {
-		return false
+	// A move starts on a clean base, and the runs it kept or grew keep their
+	// status: only those it appended can loop or blackhole.
+	for _, r := range x.runs[len(x.savedRuns):] {
+		if r.n > 0 && r.status != Delivered {
+			return false
+		}
 	}
-	for _, e := range x.raised {
-		base := k.start - e.shift
-		for _, h := range x.arena[e.lo : e.lo+e.n] {
-			if x.load[int(h.tick-base)*k.rows+int(h.ord)] > k.tr.links[h.ord].Cap {
-				return false
-			}
+	for _, g := range x.raised {
+		if k.over(g) {
+			return false
 		}
 	}
 	x.raised = x.raised[:0]
 	return true
 }
 
-// reindex lists, per switch of the footprint, the stored units reaching it:
-// a counting sort of every stored hop by its switch's slot.
+// over reports whether a link instance of g holds more than the link's
+// capacity: the base spans plus the pending deltas meeting g, swept in
+// tick order once more of them meet g than the capacity could carry.
+func (k *Kernel) over(g region) bool {
+	x := k.x
+	capacity, demand := k.tr.links[g.ord].Cap, k.in.Demand
+	base := x.loads[x.loadOff[g.ord]:x.loadOff[g.ord+1]]
+	if g.b-g.a == 1 {
+		// One tick, a slack step's: its load.
+		n := int32(0)
+		for _, s := range base {
+			if s.a <= g.a && g.a < s.b {
+				n++
+			}
+		}
+		for d := x.head[g.ord]; d >= 0; d = x.deltas[d].next {
+			if e := &x.deltas[d]; e.a <= g.a && g.a < e.b {
+				n += e.sign
+			}
+		}
+		return graph.Capacity(n)*demand > capacity
+	}
+	// upper counts the positive spans and deltas meeting g.
+	upper := graph.Capacity(0)
+	for _, s := range base {
+		if s.a < g.b && s.b > g.a {
+			upper += demand
+		}
+	}
+	for d := x.head[g.ord]; d >= 0; d = x.deltas[d].next {
+		if e := &x.deltas[d]; e.sign > 0 && e.a < g.b && e.b > g.a {
+			upper += demand
+		}
+	}
+	if upper <= capacity {
+		return false
+	}
+	ev := x.events[:0]
+	add := func(a, b Tick, d graph.Capacity) {
+		if a < g.b && b > g.a {
+			ev = append(ev, event{max(a, g.a), d})
+			if b < g.b {
+				ev = append(ev, event{b, -d})
+			}
+		}
+	}
+	for _, s := range base {
+		add(s.a, s.b, demand)
+	}
+	for d := x.head[g.ord]; d >= 0; d = x.deltas[d].next {
+		e := x.deltas[d]
+		add(e.a, e.b, graph.Capacity(e.sign)*demand)
+	}
+	slices.SortFunc(ev, func(a, b event) int { return cmp.Compare(a.t, b.t) })
+	x.events = ev
+	sum := graph.Capacity(0)
+	for n, e := range ev {
+		sum += e.d
+		if (n+1 == len(ev) || ev[n+1].t != e.t) && sum > capacity {
+			return true
+		}
+	}
+	return false
+}
+
+// reindex makes the stored runs the base: it drops dead runs, compacts the
+// arena once it holds more dead hops than live ones, and lists per switch
+// of the footprint the runs reaching it and per footprint link their
+// loads (counting sorts of every stored hop by slot and by ordinal).
 func (k *Kernel) reindex() {
 	x := k.x
-	span := len(x.times)
-	off := append(x.indexOff[:0], make([]int32, span+2)...)
-	for _, em := range x.ems {
-		for _, h := range x.hops(em) {
+	live, hops := x.runs[:0], 0
+	for _, r := range x.runs {
+		if r.n > 0 {
+			live = append(live, r)
+			hops += int(r.nh)
+		}
+	}
+	x.runs = live
+	if len(x.arena) > 2*hops+64 {
+		k.compact()
+	}
+	slots := len(x.times)
+	off := slices.Grow(x.indexOff[:0], slots+2)[:slots+2]
+	lo := slices.Grow(x.loadOff[:0], len(k.tr.links)+2)[:len(k.tr.links)+2]
+	clear(off)
+	clear(lo)
+	for _, r := range x.runs {
+		for _, h := range x.hops(r) {
 			off[int(graph.NodeID(h.node)-k.tr.lo)+2]++
+			lo[h.ord+2]++
 		}
 	}
 	for s := 2; s < len(off); s++ {
 		off[s] += off[s-1]
 	}
-	x.index = slices.Grow(x.index[:0], int(off[span+1]))[:off[span+1]]
-	for i, em := range x.ems {
-		for j, h := range x.hops(em) {
+	for o := 2; o < len(lo); o++ {
+		lo[o] += lo[o-1]
+	}
+	x.index = slices.Grow(x.index[:0], hops)[:hops]
+	x.loads = slices.Grow(x.loads[:0], hops)[:hops]
+	for i, r := range x.runs {
+		for j, h := range x.hops(r) {
 			s := int(graph.NodeID(h.node)-k.tr.lo) + 1
-			x.index[off[s]] = reach{tick: h.tick + em.shift, i: int32(i), j: int32(j)}
+			x.index[off[s]] = reach{r: int32(i), j: int32(j)}
 			off[s]++
+			t := h.tick + r.shift
+			x.loads[lo[h.ord+1]] = span{a: t, b: t + r.n}
+			lo[h.ord+1]++
 		}
 	}
-	x.indexOff = off[:span+1]
+	x.indexOff, x.loadOff = off[:slots+1], lo[:len(k.tr.links)+1]
+	k.stats.Commits++
+	k.stats.StoredRuns += int64(len(x.runs))
+	k.stats.StoredUnits += int64(k.w.top - k.start + 1)
+}
+
+// compact copies the live runs' hops into the spare arena, once per hop
+// list (runs split from one trace share it), and swaps the two.
+func (k *Kernel) compact() {
+	x := k.x
+	x.byLo = x.byLo[:0]
+	for i := range x.runs {
+		x.byLo = append(x.byLo, int32(i))
+	}
+	slices.SortFunc(x.byLo, func(a, b int32) int { return cmp.Compare(x.runs[a].lo, x.runs[b].lo) })
+	to := x.arena2[:0]
+	prev, at := int32(-1), int32(0)
+	for _, i := range x.byLo {
+		r := &x.runs[i]
+		if r.lo != prev {
+			prev, at = r.lo, int32(len(to))
+			to = append(to, x.hops(*r)...)
+		}
+		r.lo = at
+	}
+	x.arena, x.arena2 = to, x.arena[:0]
 }
 
 // Move sets v's activation to t (see Kernel for what may move).
@@ -311,18 +545,12 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 	switch {
 	case !k.moving:
 		k.moving, k.mv = true, v
-		k.saved, k.savedAct, k.savedEms, k.savedArena = k.w, act, len(x.ems), len(x.arena)
-		last := x.ems[len(x.ems)-1]
-		k.mvHop = -1
-		for n, h := range x.hops(last) {
-			if graph.NodeID(h.node) == v {
-				k.mvHop, k.mvAfter = int32(n), h.tick+last.shift-k.start-Tick(len(x.ems)-1)
-				break
-			}
-		}
+		k.saved, k.savedAct, k.savedArena = k.w, act, len(x.arena)
+		x.savedRuns = append(x.savedRuns[:0], x.runs...)
 		if onPath {
-			slices.SortFunc(x.index[x.indexOff[slot]:x.indexOff[slot+1]], byTick)
+			x.atV = append(x.atV[:0], x.index[x.indexOff[slot]:x.indexOff[slot+1]]...)
 		}
+		k.stats.Trials++
 	case v != k.mv:
 		panic("dynflow: Kernel.Move of a second switch before Undo or Commit")
 	}
@@ -333,87 +561,214 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 	// The window's end moves with t: the emissions up to it join the ones
 	// that decide the latest arrival.
 	if t > k.w.end {
-		k.extend(t)
-		for _, em := range x.ems[k.w.end-k.start+1 : t-k.start+1] {
-			k.w.latest = max(k.w.latest, em.arrive)
+		if t > k.w.top {
+			k.extend(t)
 		}
-		k.w.end = t // the emission at t arrives no earlier than t
+		k.w.end = t
 	}
 	if onPath {
 		x.times[slot] = t
-		// Units reaching v in [lo, hi) take the other rule there now. Past
-		// the end every unit takes one route: the first such unit is traced,
-		// the others are copies of it.
+		// Units reaching v in [lo, hi) take the other rule there now; a run
+		// meets that interval in one stretch of its units.
 		lo, hi := min(act, t), max(act, t)
-		rescan, final := false, -1
-		for _, rs := range [][]reach{x.index[x.indexOff[slot]:x.indexOff[slot+1]], x.extra} {
-			for n := sort.Search(len(rs), func(n int) bool { return rs[n].tick >= lo }); n < len(rs) && rs[n].tick < hi; n++ {
-				rescan = k.divert(rs[n], &final) || rescan
-			}
+		first, n := len(x.runs), len(x.atV)
+		for i := 0; i < n; i++ {
+			k.divert(x.atV[i], lo, hi)
 		}
-		if rescan {
-			k.w.latest = k.w.end
-			for _, em := range x.ems[:k.w.end-k.start+1] {
-				k.w.latest = max(k.w.latest, em.arrive)
-			}
+		// Merge only once every run is diverted, so a run that grew by a
+		// merge is not diverted twice.
+		for i := first; i < len(x.runs); i++ {
+			k.merge(i)
+			k.popDead()
 		}
 	}
 	k.settle()
 }
 
-// divert re-traces the unit of r from the moving switch on, or copies
-// *final, the first unit past the end this move re-traced. It reports
-// whether the unit's arrival fell from the latest one, which then needs a
-// rescan.
-func (k *Kernel) divert(r reach, final *int) (rescan bool) {
-	x, tr := k.x, k.tr
-	i, j := int(r.i), int(r.j)
-	old := x.ems[i]
-	if i <= k.w.loaded {
-		k.edit(old, j, -1)
+// divert re-traces from the moving switch the units of run c.r that reach
+// it in [lo, hi), as runs of their own; the units before and after them
+// keep their run's trace.
+func (k *Kernel) divert(c reach, lo, hi Tick) {
+	x := k.x
+	r, j := x.runs[c.r], int(c.j)
+	if r.n == 0 {
+		return
 	}
-	x.undo = append(x.undo, emissionUndo{i, old})
-	if old.status != Delivered {
-		k.w.bad--
+	at := r.arrive // a run that stopped at the switch reaches it there
+	if j < int(r.nh) {
+		at = x.arena[r.lo+c.j].tick + r.shift
+	}
+	i0, i1 := max(lo-at, 0), r.n
+	if hi != never {
+		i1 = min(hi-at, r.n)
+	}
+	if i0 >= i1 {
+		return
+	}
+	k.stats.DivertedRuns++
+	k.stats.DivertedUnits += int64(i1 - i0)
+	k.retraced += int64(i1 - i0)
+	if i0 > 0 || i1 < r.n {
+		k.stats.SplitsAt++
+	}
+	if r.e0+r.n-1 == k.w.top {
+		k.stats.TailResizes++
+	}
+	k.load(r, j, i0, i1, -1)
+
+	rest := r
+	rest.e0, rest.n, rest.shift, rest.arrive = r.e0+i1, r.n-i1, r.shift+i1, r.arrive+i1
+	switch {
+	case i0 > 0:
+		x.runs[c.r].n = i0
+		if rest.n > 0 {
+			x.runs = append(x.runs, rest)
+			x.atV = append(x.atV, reach{r: int32(len(x.runs) - 1), j: c.j})
+		}
+	case rest.n > 0:
+		x.runs[c.r] = rest
+	default:
+		x.runs[c.r].n = 0
 	}
 
-	pureFinal := i >= int(k.w.end-k.start)
-	em := x.ems[max(*final, 0)]
-	if pureFinal && *final >= 0 {
-		em.shift += Tick(i - *final)
-		em.arrive += Tick(i - *final)
+	if i0 == 0 {
+		if l := k.continued(r, j, i1); l >= 0 {
+			// The units continue the run before them, shifted: a slack step
+			// grows that run by its one unit instead of tracing it.
+			o := &x.runs[l]
+			k.load(*o, j, o.n, o.n+i1, 1)
+			o.n += i1
+			k.divLongest = max(k.divLongest, o.arrive-o.e0)
+			k.stats.Merges++
+			return
+		}
+	}
+	first := len(x.runs)
+	k.stats.SplitsDown += int64(k.traceRuns(piece{e: r.e0 + i0, n: i1 - i0, t: at + i0, shift: r.shift + i0, cur: k.mv, lo: r.lo, nh: c.j}))
+	for i := first; i < len(x.runs); i++ {
+		p := x.runs[i]
+		k.load(p, j, 0, p.n, 1)
+		k.divLongest = max(k.divLongest, p.arrive-p.e0)
+		x.atV = append(x.atV, reach{r: int32(i), j: c.j})
+	}
+}
+
+// continued returns the live run whose units end right before r's and
+// whose route r's first m units take, shifted, now that they reach v (r's
+// hop j) at its new activation, or −1. They do when the two share the
+// hops to v and no switch of that run's route from v on activates between
+// its last unit's arrival and theirs. It judges delivered runs only.
+func (k *Kernel) continued(r run, j int, m Tick) int {
+	x := k.x
+	l := -1
+	for i, o := range x.runs {
+		if o.n > 0 && o.e0+o.n == r.e0 {
+			l = i
+			break
+		}
+	}
+	if l < 0 {
+		return -1
+	}
+	o := x.runs[l]
+	if o.status != Delivered || int(o.nh) <= j {
+		return -1
+	}
+	d := o.n // r's first unit is o's first, d ticks later
+	if o.lo == r.lo {
+		if r.shift != o.shift+d {
+			return -1
+		}
 	} else {
-		tr.stamp++
-		tr.visit[k.mv-tr.lo] = tr.stamp
-		lo := len(x.arena)
-		for _, h := range x.hops(old)[:j] {
-			tr.visit[graph.NodeID(h.node)-tr.lo] = tr.stamp
-			h.tick += old.shift
-			x.arena = append(x.arena, h)
-		}
-		em = emission{lo: int32(lo)}
-		em.status, _, em.arrive = tr.follow(x.times, k.mv, r.tick, nil, &x.arena)
-		em.n = int32(len(x.arena) - lo)
-		if pureFinal {
-			*final = i
+		hr := x.hops(r)
+		for n, h := range x.hops(o)[:j] {
+			if g := hr[n]; g.node != h.node || g.ord != h.ord || g.tick+r.shift != h.tick+o.shift+d {
+				return -1
+			}
 		}
 	}
-	x.ems[i] = em
-	if em.status != Delivered {
-		k.w.bad++
+	tr := k.tr
+	for _, h := range x.hops(o)[j:] {
+		s := graph.NodeID(h.node) - tr.lo
+		if nw := tr.rules[s][1]; nw != noRule && nw != tr.rules[s][0] {
+			// o's last unit reaches the switch at last, r's units after it.
+			last := h.tick + o.shift + d - 1
+			if act := x.times[s]; act > last && act <= last+m {
+				return -1
+			}
+		}
 	}
-	if i <= k.w.loaded {
-		k.edit(em, j, 1)
+	return l
+}
+
+// merge joins run i to the live runs just before and after it where they
+// continue one another shifted (continues), so a slack walk, which diverts
+// one unit per run a step, grows a run instead of leaving a run per unit.
+func (k *Kernel) merge(i int) {
+	x := k.x
+	if x.runs[i].n == 0 {
+		return
 	}
-	k.retraced++
-	switch {
-	case i > int(k.w.end-k.start): // past the end: it does not set the window
+	for l := range x.runs {
+		if l != i && x.runs[l].n > 0 && x.runs[l].e0+x.runs[l].n == x.runs[i].e0 && k.continues(x.runs[l], x.runs[i]) {
+			x.runs[l].n += x.runs[i].n
+			x.runs[i].n = 0
+			k.stats.Merges++
+			i = l
+			break
+		}
+	}
+	next := x.runs[i].e0 + x.runs[i].n
+	for rr := range x.runs {
+		if rr != i && x.runs[rr].n > 0 && x.runs[rr].e0 == next && k.continues(x.runs[i], x.runs[rr]) {
+			x.runs[i].n += x.runs[rr].n
+			x.runs[rr].n = 0
+			k.stats.Merges++
+			return
+		}
+	}
+}
+
+// popDead drops the dead runs this move appended from the end of the
+// list, with their entries in atV (which lists them in the same order)
+// and, when no other run shares them, their hops at the arena's end.
+func (k *Kernel) popDead() {
+	x := k.x
+	for n := len(x.runs) - 1; n >= len(x.savedRuns) && x.runs[n].n == 0; n-- {
+		r := x.runs[n]
+		x.runs = x.runs[:n]
+		x.atV = x.atV[:len(x.atV)-1]
+		if int(r.lo+r.nh) != len(x.arena) || int(r.lo) < k.savedArena {
+			continue
+		}
+		shared := false
+		for _, o := range x.runs {
+			shared = shared || o.lo == r.lo
+		}
+		if !shared {
+			x.arena = x.arena[:r.lo]
+		}
+	}
+}
+
+// continues reports whether b's units take a's route, shifted: b starts
+// where a ends, and its first unit's trace is a's first unit's, a.n ticks
+// later.
+func (k *Kernel) continues(a, b run) bool {
+	d := a.n
+	if b.e0 != a.e0+d || b.nh != a.nh || b.status != a.status || b.arrive != a.arrive+d {
 		return false
-	case em.arrive >= k.w.latest:
-		k.w.latest = em.arrive
-		return false
 	}
-	return old.arrive == k.w.latest
+	if a.lo == b.lo {
+		return b.shift == a.shift+d
+	}
+	hb := k.x.hops(b)
+	for n, h := range k.x.hops(a) {
+		if g := hb[n]; g.node != h.node || g.ord != h.ord || g.tick+b.shift != h.tick+a.shift+d {
+			return false
+		}
+	}
+	return true
 }
 
 // Check reports whether the kernel's schedule validates clean and its
@@ -434,15 +789,8 @@ func (k *Kernel) Undo() {
 		return
 	}
 	x := k.x
-	for n := len(x.journal) - 1; n >= 0; n-- {
-		k.apply(x.journal[n], -x.journal[n].sign*k.in.Demand)
-	}
-	for n := len(x.undo) - 1; n >= 0; n-- {
-		if u := x.undo[n]; u.i < k.savedEms {
-			x.ems[u.i] = u.em
-		}
-	}
-	x.ems, x.arena = x.ems[:k.savedEms], x.arena[:k.savedArena]
+	x.runs = append(x.runs[:0], x.savedRuns...)
+	x.arena = x.arena[:k.savedArena]
 	if slot := int(k.mv - k.tr.lo); slot >= 0 && slot < len(x.times) {
 		x.times[slot] = k.savedAct
 	}
@@ -462,16 +810,20 @@ func (k *Kernel) Commit() {
 
 func (k *Kernel) endMove() {
 	x := k.x
-	x.extra, x.journal, x.undo, x.raised = x.extra[:0], x.journal[:0], x.undo[:0], x.raised[:0]
-	k.moving = false
+	for _, o := range x.touched {
+		x.head[o] = -1
+	}
+	x.atV, x.deltas, x.touched, x.raised = x.atV[:0], x.deltas[:0], x.touched[:0], x.raised[:0]
+	x.savedRuns = x.savedRuns[:0]
+	k.moving, k.divLongest = false, 0
 }
 
 // Slack delays v, scheduled at tv, one tick at a time and returns the
 // largest d ≤ horizon such that every delay 1..d validates clean. Each
 // step is one move: it diverts the units reaching v in the tick the step
-// uncovers. The walk stops at the first violation, or returns the horizon
-// as soon as the rest of it is proven clean (see settled) without stepping
-// it. The kernel is left as it was.
+// uncovers, at most one per run. The walk stops at the first violation,
+// or returns the horizon as soon as the rest of it is proven clean (see
+// settled) without stepping it. The kernel is left as it was.
 func (k *Kernel) Slack(v graph.NodeID, tv, horizon Tick) Tick {
 	steps, retraced := int64(0), k.retraced
 	defer func() {
@@ -487,11 +839,18 @@ func (k *Kernel) Slack(v graph.NodeID, tv, horizon Tick) Tick {
 		}
 	}
 	// longest bounds every stored trace's time from emission to arrival:
-	// the base's, then those of the units each step diverts, which the
-	// step's undo log names.
-	longest, logged := Tick(0), 0
-	for i, em := range x.ems {
-		longest = max(longest, em.arrive-k.start-Tick(i))
+	// the base's, then those of the units the steps divert. a is v's offset
+	// on the pure final route, the tail run's.
+	longest, a := Tick(0), Tick(0)
+	for _, r := range x.runs {
+		longest = max(longest, r.arrive-r.e0)
+	}
+	tail := x.runs[k.tail()]
+	for _, h := range x.hops(tail) {
+		if graph.NodeID(h.node) == v {
+			a = h.tick + tail.shift - tail.e0
+			break
+		}
 	}
 	for d := Tick(1); d <= horizon; d++ {
 		steps++
@@ -499,39 +858,32 @@ func (k *Kernel) Slack(v graph.NodeID, tv, horizon Tick) Tick {
 		if ok, _ := k.Check(); !ok {
 			return d - 1
 		}
-		for _, u := range x.undo[logged:] {
-			longest = max(longest, x.ems[u.i].arrive-k.start-Tick(u.i))
-		}
-		logged = len(x.undo)
-		if k.settled(tv+d, others, longest) {
+		longest = max(longest, k.divLongest)
+		if settled(tv+d, a, others, longest) {
 			return horizon
 		}
 	}
 	return horizon
 }
 
-// settled reports whether a clean pending move of mv to act stays clean
-// when delayed further, one tick at a time, for ever. others is the latest
+// settled reports whether a clean pending move of the switch to act stays
+// clean when delayed further, one tick at a time, for ever. a is the
+// switch's offset on the pure final route (0 off it), others the latest
 // activation of any other switch of the tracer's span (no other switch has
 // a rule for the flow), or the window's first emission if later; longest
 // (L below) bounds every stored trace's time from emission to arrival.
 //
 // A unit emitted at e ≥ others takes every other switch's new rule, so its
-// trace depends only on act − e: delaying mv one tick turns the traces of
-// those units into the next emission's, shifted one tick later. The one
-// unit that changes route is the one reaching mv at act; it is emitted a
-// ticks earlier, a being mv's offset on the pure final route. Every unit
-// emitted before others reaches mv, if at all, by others + L, and no unit
-// loads a link later than L after its emission. So when act − a > others +
-// L, the delayed schedule's load on a link instance before act − a is the
-// current one, and at or after it the current one a tick earlier (all the
-// units loading it were emitted from others on), and every trace is a
-// current trace or one shifted: it is clean, and by induction so is every
-// longer delay.
-func (k *Kernel) settled(act, others, longest Tick) bool {
-	a := Tick(0)
-	if k.mvHop >= 0 {
-		a = k.mvAfter
-	}
+// trace depends only on act − e: delaying the switch one tick turns the
+// traces of those units into the next emission's, shifted one tick later.
+// The one unit that changes route is the one reaching the switch at act;
+// it is emitted a ticks earlier. Every unit emitted before others reaches
+// the switch, if at all, by others + L, and no unit loads a link later
+// than L after its emission. So when act − a > others + L, the delayed
+// schedule's load on a link instance before act − a is the current one,
+// and at or after it the current one a tick earlier (all the units loading
+// it were emitted from others on), and every trace is a current trace or
+// one shifted: it is clean, and by induction so is every longer delay.
+func settled(act, a, others, longest Tick) bool {
 	return act-a > others+longest
 }

@@ -3,7 +3,11 @@ package dynflow_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/chronus-sdn/chronus/internal/core"
@@ -97,9 +101,21 @@ func runKernelOps(t *testing.T, in *dynflow.Instance, s *dynflow.Schedule, ops [
 			if !onPath[v] {
 				seen["switch off the path"] = true
 			}
+			before := dynflow.KernelRunStats(k)
 			k.Move(v, at)
+			after := dynflow.KernelRunStats(k)
+			prevAt, chained := cur.Times[v]
+			chained = chained && moving == v
 			cur.Set(v, at)
 			moving = v
+			for what, hit := range map[string]bool{
+				"split at v":                after.SplitsAt > before.SplitsAt,
+				"split downstream of v":     after.SplitsDown > before.SplitsDown,
+				"slack step merge":          chained && at == prevAt+1 && after.Merges > before.Merges,
+				"tail run grows or shrinks": after.TailResizes > before.TailResizes,
+			} {
+				seen[what] = seen[what] || hit
+			}
 			r := check(fmt.Sprintf("op %d: move %d to %d", n/2, v, at))
 			switch {
 			case len(r.Loops) > 0:
@@ -130,6 +146,21 @@ func runKernelOps(t *testing.T, in *dynflow.Instance, s *dynflow.Schedule, ops [
 	}
 }
 
+// kernelCases are the situations runKernelOps names, by the name of the
+// fuzz corpus file that reaches each.
+var kernelCases = map[string]string{
+	"loop":             "loop",
+	"blackhole":        "blackhole",
+	"tail-shrink":      "tail shrink",
+	"tail-growth":      "tail growth",
+	"move-past-end":    "move past End",
+	"switch-off-path":  "switch off the path",
+	"split-at-v":       "split at v",
+	"split-downstream": "split downstream of v",
+	"slack-step-merge": "slack step merge",
+	"tail-run-resized": "tail run grows or shrinks",
+}
+
 // TestKernelMatchesValidate runs random move, undo and commit sequences on
 // random instances, from greedy schedules and from empty ones, against
 // Validate, and requires the corpus to reach every situation the fuzz
@@ -147,11 +178,64 @@ func TestKernelMatchesValidate(t *testing.T) {
 		rng.Read(ops)
 		runKernelOps(t, in, s, ops, seen)
 	}
-	for _, what := range []string{"loop", "blackhole", "tail shrink", "tail growth", "move past End", "switch off the path"} {
+	for _, what := range kernelCases {
 		if !seen[what] {
 			t.Errorf("no run reached %q", what)
 		}
 	}
+}
+
+// TestKernelCorpusReachesItsCase replays each checked-in input of
+// FuzzIncrementalValidate and requires it to reach the situation its file
+// is named after, so the corpus keeps covering every case as the kernel
+// changes.
+func TestKernelCorpusReachesItsCase(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzIncrementalValidate")
+	for file, what := range kernelCases {
+		b, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed, n, greedy, ops := parseKernelCorpus(t, string(b))
+		in, s := kernelInstance(seed, n, greedy)
+		seen := map[string]bool{}
+		runKernelOps(t, in, s, ops, seen)
+		if !seen[what] {
+			t.Errorf("%s does not reach %q", file, what)
+		}
+	}
+}
+
+// parseKernelCorpus reads a corpus file of FuzzIncrementalValidate: the
+// "go test fuzz v1" header, then an int64, a byte, a bool and a []byte.
+func parseKernelCorpus(t *testing.T, text string) (seed int64, n uint8, greedy bool, ops []byte) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(text), "\n")
+	if len(lines) != 5 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("not a corpus file of four values: %q", text)
+	}
+	arg := func(line, typ string) string {
+		if !strings.HasPrefix(line, typ+"(") || !strings.HasSuffix(line, ")") {
+			t.Fatalf("%q is not a %s", line, typ)
+		}
+		return line[len(typ)+1 : len(line)-1]
+	}
+	var err error
+	if seed, err = strconv.ParseInt(arg(lines[1], "int64"), 10, 64); err != nil {
+		t.Fatal(err)
+	}
+	r, _, _, err := strconv.UnquoteChar(strings.Trim(arg(lines[2], "byte"), "'"), '\'')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if greedy, err = strconv.ParseBool(arg(lines[3], "bool")); err != nil {
+		t.Fatal(err)
+	}
+	q, err := strconv.Unquote(arg(lines[4], "[]byte"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seed, uint8(r), greedy, []byte(q)
 }
 
 // FuzzIncrementalValidate holds the kernel to Validate on generated
@@ -262,5 +346,36 @@ func TestSlackExitMatchesWalk(t *testing.T) {
 	}
 	if capped == 0 {
 		t.Error("no switch reached the horizon: the exit was never taken")
+	}
+}
+
+// TestKernelRunsStayFew pins the kernel's cost model on Fig. 10's
+// instance shape at n = 200: per greedy solve, the runs stored at a commit
+// and the runs a trial diverts are each at most a twentieth of the units
+// they hold, so a kernel that stored or re-traced units one by one fails.
+func TestKernelRunsStayFew(t *testing.T) {
+	p := topo.DefaultRandomParams(200)
+	p.FinalInclude, p.MaxDelay = 0.3, 2
+	for seed := int64(1); seed <= 2; seed++ {
+		in := topo.RandomInstance(rand.New(rand.NewSource(seed)), p)
+		var st dynflow.RunStats
+		stop := dynflow.CollectRunStats(&st)
+		_, err := core.Greedy(in, core.Options{Mode: core.ModeExact, BestEffort: true})
+		stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Commits == 0 || st.Trials == 0 {
+			t.Fatalf("seed %d: %d commits, %d trials: the solve never moved the kernel", seed, st.Commits, st.Trials)
+		}
+		t.Logf("seed %d: %d commits, %.1f runs of %.1f units stored; %d trials, %.2f runs of %.1f units diverted",
+			seed, st.Commits, float64(st.StoredRuns)/float64(st.Commits), float64(st.StoredUnits)/float64(st.Commits),
+			st.Trials, float64(st.DivertedRuns)/float64(st.Trials), float64(st.DivertedUnits)/float64(st.Trials))
+		if 20*st.StoredRuns > st.StoredUnits {
+			t.Errorf("seed %d: %d runs stored for %d units: more than one run per 20 units", seed, st.StoredRuns, st.StoredUnits)
+		}
+		if 20*st.DivertedRuns > st.DivertedUnits {
+			t.Errorf("seed %d: %d runs diverted for %d units: more than one run per 20 units", seed, st.DivertedRuns, st.DivertedUnits)
+		}
 	}
 }

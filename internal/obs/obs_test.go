@@ -518,3 +518,26 @@ func TestTracerConcurrentGrowth(t *testing.T) {
 		t.Fatalf("Dropped() = %d, want %d", got, writers*perWriter-ringCap)
 	}
 }
+
+// TestAFormatsLikeSprintf holds A's strconv fast path to the %v it
+// replaces: every builtin integer kind at 0, ±1, its min and max, and bool.
+func TestAFormatsLikeSprintf(t *testing.T) {
+	vals := []any{
+		int(0), int(1), int(-1), int(math.MinInt), int(math.MaxInt),
+		int8(0), int8(1), int8(-1), int8(math.MinInt8), int8(math.MaxInt8),
+		int16(0), int16(1), int16(-1), int16(math.MinInt16), int16(math.MaxInt16),
+		int32(0), int32(1), int32(-1), int32(math.MinInt32), int32(math.MaxInt32),
+		int64(0), int64(1), int64(-1), int64(math.MinInt64), int64(math.MaxInt64),
+		uint(0), uint(1), uint(math.MaxUint),
+		uint8(0), uint8(1), uint8(math.MaxUint8),
+		uint16(0), uint16(1), uint16(math.MaxUint16),
+		uint32(0), uint32(1), uint32(math.MaxUint32),
+		uint64(0), uint64(1), uint64(math.MaxUint64),
+		true, false,
+	}
+	for _, v := range vals {
+		if got, want := A("k", v).V, fmt.Sprintf("%v", v); got != want {
+			t.Errorf("A(%T %v) = %q, want %q", v, v, got, want)
+		}
+	}
+}

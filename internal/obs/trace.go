@@ -15,12 +15,35 @@ type Attr struct {
 	V string `json:"v"`
 }
 
-// A formats an attribute value deterministically: integers and strings
-// verbatim, everything else through %v.
+// A formats an attribute value deterministically: strings verbatim, the
+// builtin integer kinds and bool through strconv, everything else (named
+// types included) through %v, which the strconv forms equal.
 func A(k string, v any) Attr {
 	switch x := v.(type) {
 	case string:
 		return Attr{K: k, V: x}
+	case int:
+		return Attr{K: k, V: strconv.FormatInt(int64(x), 10)}
+	case int8:
+		return Attr{K: k, V: strconv.FormatInt(int64(x), 10)}
+	case int16:
+		return Attr{K: k, V: strconv.FormatInt(int64(x), 10)}
+	case int32:
+		return Attr{K: k, V: strconv.FormatInt(int64(x), 10)}
+	case int64:
+		return Attr{K: k, V: strconv.FormatInt(x, 10)}
+	case uint:
+		return Attr{K: k, V: strconv.FormatUint(uint64(x), 10)}
+	case uint8:
+		return Attr{K: k, V: strconv.FormatUint(uint64(x), 10)}
+	case uint16:
+		return Attr{K: k, V: strconv.FormatUint(uint64(x), 10)}
+	case uint32:
+		return Attr{K: k, V: strconv.FormatUint(uint64(x), 10)}
+	case uint64:
+		return Attr{K: k, V: strconv.FormatUint(x, 10)}
+	case bool:
+		return Attr{K: k, V: strconv.FormatBool(x)}
 	default:
 		return Attr{K: k, V: fmt.Sprintf("%v", x)}
 	}

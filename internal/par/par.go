@@ -105,11 +105,3 @@ func Map[T any](ctx context.Context, procs, n int, f func(ctx context.Context, i
 	}
 	return out, ctx.Err()
 }
-
-// Do is Map for tasks without results.
-func Do(ctx context.Context, procs, n int, f func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, procs, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, f(ctx, i)
-	})
-	return err
-}

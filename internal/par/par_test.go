@@ -152,19 +152,6 @@ func TestMapZeroTasks(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var sum atomic.Int64
-	if err := Do(context.Background(), 4, 100, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
-
 func TestProcsDefault(t *testing.T) {
 	if got := Procs(0); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Procs(0) = %d", got)
