@@ -22,7 +22,9 @@ import (
 // The window is stored as emission runs (see run): consecutive units that
 // meet every switch on the same side of its activation take one route,
 // each a tick after the last, so a run keeps one trace and a move re-traces
-// the runs it splits, not their units.
+// the runs it splits, not their units. A link's load is read off the runs
+// crossing it as they stand, so a run that shrinks, grows or dies needs no
+// load update.
 //
 // Moves chain, but only for one switch between an Undo or Commit and the
 // next, and only later: t may not precede v's current activation unless v
@@ -74,15 +76,12 @@ type run struct {
 // the run stopped there).
 type reach struct{ r, j int32 }
 
-// span is a base run's load on a link: one unit of demand at each
-// departure tick in [a, b).
-type span struct{ a, b Tick }
-
-// delta is a pending move's change to a link's load: sign units of demand
-// at each tick in [a, b); next chains the link's deltas, newest first.
-type delta struct {
-	a, b       Tick
-	sign, next int32
+// crossing is run r loading a link from tick+shift on, its units a tick
+// apart (tick is the hop's, as recorded); next chains a link's crossings
+// by runs a move appended, newest first.
+type crossing struct {
+	tick    Tick
+	r, next int32
 }
 
 // region is link instances of ordinal ord, ticks [a, b), whose load a move
@@ -120,18 +119,19 @@ type scratch struct {
 	index    []reach
 	indexOff []int32
 	atV      []reach
-	// loads[loadOff[o]:loadOff[o+1]] are the base runs' spans on link
-	// ordinal o; a move's deltas chain from head[o] (−1: none), and touched
-	// lists the ordinals with a chain.
-	loads   []span
-	loadOff []int32
-	deltas  []delta
-	head    []int32
-	touched []int32
-	raised  []region
-	work    []piece
-	events  []event
-	byLo    []int32
+	// A link's load is that of the runs crossing it, as they stand:
+	// byLink[byLinkOff[o]:byLinkOff[o+1]] are the base runs crossing link
+	// ordinal o, and the runs a move appended chain from head[o] (−1:
+	// none) through added; touched lists the ordinals with a chain.
+	byLink    []crossing
+	byLinkOff []int32
+	added     []crossing
+	head      []int32
+	touched   []int32
+	raised    []region
+	work      []piece
+	events    []event
+	byLo      []int32
 }
 
 // runStats counts a kernel's work in runs and in the units they hold: the
@@ -167,7 +167,7 @@ func getScratch() *scratch {
 }
 
 func putScratch(x *scratch) {
-	if max(cap(x.lw.val), cap(x.arena), cap(x.arena2), cap(x.loads)) > scratchKeep {
+	if max(cap(x.lw.val), cap(x.arena), cap(x.arena2), cap(x.byLink)) > scratchKeep {
 		return
 	}
 	scratchPool.Lock()
@@ -194,9 +194,7 @@ func NewKernel(in *Instance, s *Schedule) *Kernel {
 	k.settle()
 	k.reindex()
 	for _, r := range x.runs {
-		for _, h := range x.hops(r) {
-			k.raise(h.ord, h.tick+r.shift, h.tick+r.shift+r.n)
-		}
+		k.raise(r, 0, 0, r.n)
 	}
 	k.ok = k.clean()
 	k.endMove()
@@ -300,7 +298,7 @@ func (k *Kernel) extend(e Tick) {
 	k.w.top = e
 	if k.moving {
 		k.stats.TailResizes++
-		k.load(*r, 0, r.n-grow, r.n, 1)
+		k.raise(*r, 0, r.n-grow, r.n)
 	}
 }
 
@@ -323,51 +321,30 @@ func (k *Kernel) settle() {
 	}
 }
 
-// load adds sign units of demand for the units i0 .. i1−1 of r on its hops
-// from the j-th, as deltas of the pending move; added load is raised.
-func (k *Kernel) load(r run, j int, i0, i1 Tick, sign int32) {
+// enter chains run i, which the move appended, to every link it crosses.
+func (k *Kernel) enter(i int) {
 	x := k.x
-	lo, hi := r.shift+i0, r.shift+i1
-	head, deltas := x.head, x.deltas
-	for _, h := range x.arena[int(r.lo)+j : r.lo+r.nh] {
-		a, b := h.tick+lo, h.tick+hi
-		if sign > 0 {
-			k.raise(h.ord, a, b)
-		}
-		// A slack walk diverts one unit a step: its deltas extend the last
-		// steps' on the same link.
-		d, n := head[h.ord], 0
-		for ; d >= 0 && n < coalesceDepth; d, n = deltas[d].next, n+1 {
-			if e := &deltas[d]; e.sign == sign && (e.b == a || e.a == b) {
-				e.a, e.b = min(e.a, a), max(e.b, b)
-				break
-			}
-		}
-		if d >= 0 && n < coalesceDepth {
-			continue
-		}
-		if head[h.ord] < 0 {
+	for _, h := range x.hops(x.runs[i]) {
+		if x.head[h.ord] < 0 {
 			x.touched = append(x.touched, h.ord)
 		}
-		deltas = append(deltas, delta{a: a, b: b, sign: sign, next: head[h.ord]})
-		head[h.ord] = int32(len(deltas) - 1)
+		x.added = append(x.added, crossing{tick: h.tick, r: int32(i), next: x.head[h.ord]})
+		x.head[h.ord] = int32(len(x.added) - 1)
 	}
-	x.deltas = deltas
 }
 
-// coalesceDepth is how many of a link's latest deltas a new one may
-// extend: a slack step past the end adds three to a tail link (the tail's
-// growth, the diverted unit's removal and its new route's load).
-const coalesceDepth = 8
-
-// raise marks the link instances of ordinal ord, ticks [a, b), raised.
-func (k *Kernel) raise(ord int32, a, b Tick) {
+// raise marks the link instances the units i0 .. i1−1 of r load from its
+// hop j on as raised: their load rose.
+func (k *Kernel) raise(r run, j int, i0, i1 Tick) {
 	x := k.x
-	if n := len(x.raised) - 1; n >= 0 && x.raised[n].ord == ord && x.raised[n].b == a {
-		x.raised[n].b = b
-		return
+	for _, h := range x.arena[int(r.lo)+j : r.lo+r.nh] {
+		a, b := h.tick+r.shift+i0, h.tick+r.shift+i1
+		if n := len(x.raised) - 1; n >= 0 && x.raised[n].ord == h.ord && x.raised[n].b == a {
+			x.raised[n].b = b
+			continue
+		}
+		x.raised = append(x.raised, region{ord: h.ord, a: a, b: b})
 	}
-	x.raised = append(x.raised, region{ord: ord, a: a, b: b})
 }
 
 // clean checks the raised link instances against capacity and reports
@@ -392,57 +369,54 @@ func (k *Kernel) clean() bool {
 }
 
 // over reports whether a link instance of g holds more than the link's
-// capacity: the base spans plus the pending deltas meeting g, swept in
-// tick order once more of them meet g than the capacity could carry.
+// capacity: the units of the runs crossing the link, counted per tick
+// once more of them meet g than the capacity could carry.
 func (k *Kernel) over(g region) bool {
 	x := k.x
 	capacity, demand := k.tr.links[g.ord].Cap, k.in.Demand
-	base := x.loads[x.loadOff[g.ord]:x.loadOff[g.ord+1]]
-	if g.b-g.a == 1 {
-		// One tick, a slack step's: its load.
-		n := int32(0)
-		for _, s := range base {
-			if s.a <= g.a && g.a < s.b {
-				n++
-			}
-		}
-		for d := x.head[g.ord]; d >= 0; d = x.deltas[d].next {
-			if e := &x.deltas[d]; e.a <= g.a && g.a < e.b {
-				n += e.sign
-			}
-		}
-		return graph.Capacity(n)*demand > capacity
+	base := x.byLink[x.byLinkOff[g.ord]:x.byLinkOff[g.ord+1]]
+	// A run loads a link at most once a tick: a link fewer runs cross than
+	// its capacity carries units is never over.
+	upper := graph.Capacity(len(base)) * demand
+	for d := x.head[g.ord]; d >= 0; d = x.added[d].next {
+		upper += demand
 	}
-	// upper counts the positive spans and deltas meeting g.
-	upper := graph.Capacity(0)
-	for _, s := range base {
-		if s.a < g.b && s.b > g.a {
+	if upper <= capacity {
+		return false
+	}
+	upper = 0
+	for _, c := range base {
+		if r := &x.runs[c.r]; c.tick+r.shift < g.b && c.tick+r.shift+r.n > g.a {
 			upper += demand
 		}
 	}
-	for d := x.head[g.ord]; d >= 0; d = x.deltas[d].next {
-		if e := &x.deltas[d]; e.sign > 0 && e.a < g.b && e.b > g.a {
+	for d := x.head[g.ord]; d >= 0; d = x.added[d].next {
+		c := &x.added[d]
+		if r := &x.runs[c.r]; c.tick+r.shift < g.b && c.tick+r.shift+r.n > g.a {
 			upper += demand
 		}
 	}
 	if upper <= capacity {
 		return false
 	}
+	if g.b-g.a == 1 {
+		return true // every run meeting g loads its one tick
+	}
 	ev := x.events[:0]
-	add := func(a, b Tick, d graph.Capacity) {
-		if a < g.b && b > g.a {
-			ev = append(ev, event{max(a, g.a), d})
+	add := func(c crossing) {
+		r := &x.runs[c.r]
+		if a, b := c.tick+r.shift, c.tick+r.shift+r.n; a < g.b && b > g.a {
+			ev = append(ev, event{max(a, g.a), demand})
 			if b < g.b {
-				ev = append(ev, event{b, -d})
+				ev = append(ev, event{b, -demand})
 			}
 		}
 	}
-	for _, s := range base {
-		add(s.a, s.b, demand)
+	for _, c := range base {
+		add(c)
 	}
-	for d := x.head[g.ord]; d >= 0; d = x.deltas[d].next {
-		e := x.deltas[d]
-		add(e.a, e.b, graph.Capacity(e.sign)*demand)
+	for d := x.head[g.ord]; d >= 0; d = x.added[d].next {
+		add(x.added[d])
 	}
 	slices.SortFunc(ev, func(a, b event) int { return cmp.Compare(a.t, b.t) })
 	x.events = ev
@@ -475,7 +449,7 @@ func (k *Kernel) reindex() {
 	}
 	slots := len(x.times)
 	off := slices.Grow(x.indexOff[:0], slots+2)[:slots+2]
-	lo := slices.Grow(x.loadOff[:0], len(k.tr.links)+2)[:len(k.tr.links)+2]
+	lo := slices.Grow(x.byLinkOff[:0], len(k.tr.links)+2)[:len(k.tr.links)+2]
 	clear(off)
 	clear(lo)
 	for _, r := range x.runs {
@@ -491,18 +465,17 @@ func (k *Kernel) reindex() {
 		lo[o] += lo[o-1]
 	}
 	x.index = slices.Grow(x.index[:0], hops)[:hops]
-	x.loads = slices.Grow(x.loads[:0], hops)[:hops]
+	x.byLink = slices.Grow(x.byLink[:0], hops)[:hops]
 	for i, r := range x.runs {
 		for j, h := range x.hops(r) {
 			s := int(graph.NodeID(h.node)-k.tr.lo) + 1
 			x.index[off[s]] = reach{r: int32(i), j: int32(j)}
 			off[s]++
-			t := h.tick + r.shift
-			x.loads[lo[h.ord+1]] = span{a: t, b: t + r.n}
+			x.byLink[lo[h.ord+1]] = crossing{tick: h.tick, r: int32(i)}
 			lo[h.ord+1]++
 		}
 	}
-	x.indexOff, x.loadOff = off[:slots+1], lo[:len(k.tr.links)+1]
+	x.indexOff, x.byLinkOff = off[:slots+1], lo[:len(k.tr.links)+1]
 	k.stats.Commits++
 	k.stats.StoredRuns += int64(len(x.runs))
 	k.stats.StoredUnits += int64(k.w.top - k.start + 1)
@@ -573,7 +546,15 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 		lo, hi := min(act, t), max(act, t)
 		first, n := len(x.runs), len(x.atV)
 		for i := 0; i < n; i++ {
-			k.divert(x.atV[i], lo, hi)
+			c := x.atV[i]
+			r := &x.runs[c.r]
+			at := r.arrive // a run that stopped at the switch reaches it there
+			if c.j < r.nh {
+				at = x.arena[r.lo+c.j].tick + r.shift
+			}
+			if r.n > 0 && at < hi && at+r.n > lo {
+				k.divert(c, at, lo, hi)
+			}
 		}
 		// Merge only once every run is diverted, so a run that grew by a
 		// merge is not diverted twice.
@@ -585,25 +566,15 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 	k.settle()
 }
 
-// divert re-traces from the moving switch the units of run c.r that reach
-// it in [lo, hi), as runs of their own; the units before and after them
-// keep their run's trace.
-func (k *Kernel) divert(c reach, lo, hi Tick) {
+// divert re-traces from the moving switch the units of run c.r, whose
+// first unit reaches it at at, that reach it in [lo, hi), as runs of their
+// own; the units before and after them keep their run's trace.
+func (k *Kernel) divert(c reach, at, lo, hi Tick) {
 	x := k.x
 	r, j := x.runs[c.r], int(c.j)
-	if r.n == 0 {
-		return
-	}
-	at := r.arrive // a run that stopped at the switch reaches it there
-	if j < int(r.nh) {
-		at = x.arena[r.lo+c.j].tick + r.shift
-	}
 	i0, i1 := max(lo-at, 0), r.n
 	if hi != never {
 		i1 = min(hi-at, r.n)
-	}
-	if i0 >= i1 {
-		return
 	}
 	k.stats.DivertedRuns++
 	k.stats.DivertedUnits += int64(i1 - i0)
@@ -614,8 +585,6 @@ func (k *Kernel) divert(c reach, lo, hi Tick) {
 	if r.e0+r.n-1 == k.w.top {
 		k.stats.TailResizes++
 	}
-	k.load(r, j, i0, i1, -1)
-
 	rest := r
 	rest.e0, rest.n, rest.shift, rest.arrive = r.e0+i1, r.n-i1, r.shift+i1, r.arrive+i1
 	switch {
@@ -624,6 +593,7 @@ func (k *Kernel) divert(c reach, lo, hi Tick) {
 		if rest.n > 0 {
 			x.runs = append(x.runs, rest)
 			x.atV = append(x.atV, reach{r: int32(len(x.runs) - 1), j: c.j})
+			k.enter(len(x.runs) - 1)
 		}
 	case rest.n > 0:
 		x.runs[c.r] = rest
@@ -636,7 +606,7 @@ func (k *Kernel) divert(c reach, lo, hi Tick) {
 			// The units continue the run before them, shifted: a slack step
 			// grows that run by its one unit instead of tracing it.
 			o := &x.runs[l]
-			k.load(*o, j, o.n, o.n+i1, 1)
+			k.raise(*o, j, o.n, o.n+i1)
 			o.n += i1
 			k.divLongest = max(k.divLongest, o.arrive-o.e0)
 			k.stats.Merges++
@@ -647,7 +617,8 @@ func (k *Kernel) divert(c reach, lo, hi Tick) {
 	k.stats.SplitsDown += int64(k.traceRuns(piece{e: r.e0 + i0, n: i1 - i0, t: at + i0, shift: r.shift + i0, cur: k.mv, lo: r.lo, nh: c.j}))
 	for i := first; i < len(x.runs); i++ {
 		p := x.runs[i]
-		k.load(p, j, 0, p.n, 1)
+		k.enter(i)
+		k.raise(p, j, 0, p.n)
 		k.divLongest = max(k.divLongest, p.arrive-p.e0)
 		x.atV = append(x.atV, reach{r: int32(i), j: c.j})
 	}
@@ -738,6 +709,10 @@ func (k *Kernel) popDead() {
 		r := x.runs[n]
 		x.runs = x.runs[:n]
 		x.atV = x.atV[:len(x.atV)-1]
+		for j := r.nh - 1; j >= 0; j-- {
+			x.head[x.arena[r.lo+j].ord] = x.added[len(x.added)-1].next
+			x.added = x.added[:len(x.added)-1]
+		}
 		if int(r.lo+r.nh) != len(x.arena) || int(r.lo) < k.savedArena {
 			continue
 		}
@@ -813,7 +788,7 @@ func (k *Kernel) endMove() {
 	for _, o := range x.touched {
 		x.head[o] = -1
 	}
-	x.atV, x.deltas, x.touched, x.raised = x.atV[:0], x.deltas[:0], x.touched[:0], x.raised[:0]
+	x.atV, x.added, x.touched, x.raised = x.atV[:0], x.added[:0], x.touched[:0], x.raised[:0]
 	x.savedRuns = x.savedRuns[:0]
 	k.moving, k.divLongest = false, 0
 }
