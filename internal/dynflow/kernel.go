@@ -40,6 +40,9 @@ type Kernel struct {
 
 	moving   bool // a move of mv is pending; Undo puts the saved state back
 	mv       graph.NodeID
+	// newFinal: the move changes the pure-final route (it schedules a
+	// switch on the path), so the units it stores past the top are checked.
+	newFinal bool
 	saved    window
 	savedAct Tick
 	// savedArena is the arena's length before the move; divLongest is the
@@ -298,7 +301,9 @@ func (k *Kernel) extend(e Tick) {
 	k.w.top = e
 	if k.moving {
 		k.stats.TailResizes++
-		k.raise(*r, 0, r.n-grow, r.n)
+		if k.newFinal {
+			k.raise(*r, 0, r.n-grow, r.n)
+		}
 	}
 }
 
@@ -530,6 +535,14 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 	if act != never && t < act {
 		panic("dynflow: Kernel.Move may only delay a scheduled switch")
 	}
+	// Units stored past the top take the pure-final route. Unless this step
+	// changes that route, they share no link instance with a unit whose
+	// trace is the base's: such a unit is on the same route, shifted, or
+	// arrived by the base's latest arrival, before they leave. Nor with a
+	// unit an earlier step diverted, which arrived by that step's latest,
+	// before the top. Only this step's diverted units, whose link instances
+	// are checked anyway, can meet them, so they are not checked again.
+	k.newFinal = onPath && act == never
 
 	// The window's end moves with t: the emissions up to it join the ones
 	// that decide the latest arrival.
