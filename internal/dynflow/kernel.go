@@ -38,9 +38,9 @@ type Kernel struct {
 	ok    bool // the base validates clean
 	w     window
 
-	moving   bool // a move of mv is pending; Undo puts the saved state back
-	mv       graph.NodeID
-	// newFinal: the move changes the pure-final route (it schedules a
+	moving bool // a move of mv is pending; Undo puts the saved state back
+	mv     graph.NodeID
+	// newFinal: the step changes the pure-final route (it schedules a
 	// switch on the path), so the units it stores past the top are checked.
 	newFinal bool
 	saved    window
@@ -536,12 +536,11 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 		panic("dynflow: Kernel.Move may only delay a scheduled switch")
 	}
 	// Units stored past the top take the pure-final route. Unless this step
-	// changes that route, they share no link instance with a unit whose
-	// trace is the base's: such a unit is on the same route, shifted, or
-	// arrived by the base's latest arrival, before they leave. Nor with a
-	// unit an earlier step diverted, which arrived by that step's latest,
-	// before the top. Only this step's diverted units, whose link instances
-	// are checked anyway, can meet them, so they are not checked again.
+	// changes that route, they share no link instance with a unit the step
+	// does not divert: one emitted by the end arrived by the latest arrival,
+	// at most the top, before they leave; a later one takes the same route
+	// a tick apart. This step's diverted units are checked anyway, so the
+	// stored units are not.
 	k.newFinal = onPath && act == never
 
 	// The window's end moves with t: the emissions up to it join the ones
