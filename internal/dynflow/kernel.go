@@ -728,11 +728,7 @@ func (k *Kernel) popDead() {
 		if int(r.lo+r.nh) != len(x.arena) || int(r.lo) < k.savedArena {
 			continue
 		}
-		shared := false
-		for _, o := range x.runs {
-			shared = shared || o.lo == r.lo
-		}
-		if !shared {
+		if !slices.ContainsFunc(x.runs, func(o run) bool { return o.lo == r.lo }) {
 			x.arena = x.arena[:r.lo]
 		}
 	}
