@@ -108,6 +108,13 @@ type event struct {
 	d graph.Capacity
 }
 
+// hit is a run a move's window meets: c, its first unit reaching the
+// moving switch at at, n units, as it stood before the move diverted any.
+type hit struct {
+	c     reach
+	at, n Tick
+}
+
 // scratch is the working memory of Validate and Kernel, recycled through
 // a bounded freelist, so a solve on a fresh Instance allocates none of it.
 type scratch struct {
@@ -133,6 +140,7 @@ type scratch struct {
 	touched   []int32
 	raised    []region
 	work      []piece
+	hits      []hit
 	events    []event
 	byLo      []int32
 }
@@ -556,17 +564,22 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 		// Units reaching v in [lo, hi) take the other rule there now; a run
 		// meets that interval in one stretch of its units.
 		lo, hi := min(act, t), max(act, t)
-		first, n := len(x.runs), len(x.atV)
-		for i := 0; i < n; i++ {
-			c := x.atV[i]
+		// The runs are found first: a run that grows by a continuation
+		// (see divert) is not diverted again.
+		first := len(x.runs)
+		x.hits = x.hits[:0]
+		for _, c := range x.atV {
 			r := &x.runs[c.r]
 			at := r.arrive // a run that stopped at the switch reaches it there
 			if c.j < r.nh {
 				at = x.arena[r.lo+c.j].tick + r.shift
 			}
 			if r.n > 0 && at < hi && at+r.n > lo {
-				k.divert(c, at, lo, hi)
+				x.hits = append(x.hits, hit{c: c, at: at, n: r.n})
 			}
+		}
+		for _, h := range x.hits {
+			k.divert(h, lo, hi)
 		}
 		// Merge only once every run is diverted, so a run that grew by a
 		// merge is not diverted twice.
@@ -578,15 +591,16 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 	k.settle()
 }
 
-// divert re-traces from the moving switch the units of run c.r, whose
-// first unit reaches it at at, that reach it in [lo, hi), as runs of their
-// own; the units before and after them keep their run's trace.
-func (k *Kernel) divert(c reach, at, lo, hi Tick) {
+// divert re-traces from the moving switch the units of h's run that reach
+// it in [lo, hi), as runs of their own; the units before and after them
+// keep their run's trace.
+func (k *Kernel) divert(h hit, lo, hi Tick) {
 	x := k.x
+	c, at := h.c, h.at
 	r, j := x.runs[c.r], int(c.j)
-	i0, i1 := max(lo-at, 0), r.n
+	i0, i1 := max(lo-at, 0), h.n
 	if hi != never {
-		i1 = min(hi-at, r.n)
+		i1 = min(hi-at, h.n)
 	}
 	k.stats.DivertedRuns++
 	k.stats.DivertedUnits += int64(i1 - i0)
@@ -614,7 +628,7 @@ func (k *Kernel) divert(c reach, at, lo, hi Tick) {
 	}
 
 	if i0 == 0 {
-		if l := k.continued(r, j, i1); l >= 0 {
+		if l := k.continued(r, j, i1, lo); l >= 0 {
 			// The units continue the run before them, shifted: a slack step
 			// grows that run by its one unit instead of tracing it.
 			o := &x.runs[l]
@@ -640,8 +654,10 @@ func (k *Kernel) divert(c reach, at, lo, hi Tick) {
 // whose route r's first m units take, shifted, now that they reach v (r's
 // hop j) at its new activation, or −1. They do when the two share the
 // hops to v and no switch of that run's route from v on activates between
-// its last unit's arrival and theirs. It judges delivered runs only.
-func (k *Kernel) continued(r run, j int, m Tick) int {
+// its last unit's arrival and theirs. It judges delivered runs only, and
+// only those whose units all reach v before lo, the window's start: a run
+// with units in the window is itself diverted, so its route may be stale.
+func (k *Kernel) continued(r run, j int, m, lo Tick) int {
 	x := k.x
 	l := -1
 	for i, o := range x.runs {
@@ -658,6 +674,9 @@ func (k *Kernel) continued(r run, j int, m Tick) int {
 		return -1
 	}
 	d := o.n // r's first unit is o's first, d ticks later
+	if x.arena[o.lo+int32(j)].tick+o.shift+d-1 >= lo {
+		return -1
+	}
 	if o.lo == r.lo {
 		if r.shift != o.shift+d {
 			return -1
