@@ -69,19 +69,6 @@ func NewNetwork() *Network { return graph.New() }
 // NewSchedule returns an empty schedule starting at the given tick.
 func NewSchedule(start Tick) *Schedule { return dynflow.NewSchedule(start) }
 
-// Mode selects the greedy scheduler's acceptance test.
-type Mode = core.Mode
-
-// Scheduler modes.
-const (
-	// ModeExact re-validates each tentative update against the dynamic-
-	// flow model: highest solution quality, cost grows with the instance.
-	ModeExact = core.ModeExact
-	// ModeFast uses closed-form in-flight accounting: linear-time checks,
-	// suitable for thousands of switches; slightly more conservative.
-	ModeFast = core.ModeFast
-)
-
 // ErrInfeasible reports that no congestion- and loop-free schedule exists
 // (or none within the configured budget).
 var ErrInfeasible = core.ErrInfeasible
@@ -90,14 +77,12 @@ var ErrInfeasible = core.ErrInfeasible
 type SolveOptions struct {
 	// Start is t0, the first tick at which updates may activate.
 	Start Tick
-	// Mode selects the acceptance test (zero value: ModeExact).
-	Mode Mode
 	// BestEffort returns a complete schedule even when no violation-free
 	// one exists: the stragglers flip after the drain and the Report
 	// carries the damage.
 	BestEffort bool
 	// Obs receives scheduler counters (candidates accepted, deferred and
-	// rejected, validator runs, wake jumps); nil disables instrumentation.
+	// rejected, validator runs); nil disables instrumentation.
 	Obs *MetricsRegistry
 	// Trace receives per-decision scheduler events stamped with the
 	// candidate activation tick; nil disables tracing.
@@ -107,9 +92,7 @@ type SolveOptions struct {
 // Plan is a solved update: the schedule plus scheduling diagnostics.
 type Plan struct {
 	Schedule *Schedule
-	// Report validates the schedule; nil when Mode is ModeFast and
-	// BestEffort did not fire (fast schedules are clean by construction;
-	// call Validate for the certificate).
+	// Report validates the schedule; Solve always sets it.
 	Report *Report
 	// BestEffort marks a schedule that includes forced flips after the
 	// scheduler got stuck.
@@ -117,9 +100,11 @@ type Plan struct {
 }
 
 // Solve computes a timed update schedule with the Chronus greedy scheduler
-// (Algorithm 2 of the paper).
+// (Algorithm 2 of the paper), accepting each switch only after the
+// dynamic-flow model validates it. SolveWith("chronus-fast", …) runs the
+// closed-form engine instead.
 func Solve(in *Instance, o SolveOptions) (*Plan, error) {
-	res, err := core.Greedy(in, core.Options{Start: o.Start, Mode: o.Mode, BestEffort: o.BestEffort, Obs: o.Obs, Trace: o.Trace})
+	res, err := core.Greedy(in, core.Options{Start: o.Start, BestEffort: o.BestEffort, Obs: o.Obs, Trace: o.Trace})
 	if err != nil {
 		return nil, err
 	}

@@ -27,11 +27,11 @@ func TestFacadeSolveFig1(t *testing.T) {
 
 func TestFacadeSolveFast(t *testing.T) {
 	in := chronus.Fig1Example()
-	plan, err := chronus.Solve(in, chronus.SolveOptions{Mode: chronus.ModeFast})
+	res, err := chronus.SolveWith("chronus-fast", in, chronus.SchemeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := chronus.Validate(in, plan.Schedule); !r.OK() {
+	if r := chronus.Validate(in, res.Schedule); !r.OK() {
 		t.Fatalf("fast plan violates: %s", r.Summary())
 	}
 }
@@ -91,7 +91,7 @@ func TestFacadeRandomInstances(t *testing.T) {
 	solved := 0
 	for i := 0; i < 20; i++ {
 		in := chronus.RandomInstance(rng, chronus.DefaultRandomInstanceParams(12))
-		plan, err := chronus.Solve(in, chronus.SolveOptions{Mode: chronus.ModeFast})
+		res, err := chronus.SolveWith("chronus-fast", in, chronus.SchemeOptions{})
 		if errors.Is(err, chronus.ErrInfeasible) {
 			continue
 		}
@@ -99,7 +99,7 @@ func TestFacadeRandomInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 		solved++
-		if r := chronus.Validate(in, plan.Schedule); !r.OK() {
+		if r := chronus.Validate(in, res.Schedule); !r.OK() {
 			t.Fatalf("instance %d: %s", i, r.Summary())
 		}
 	}

@@ -184,16 +184,25 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 // TestDaemonReadmeMetricsExist is the doc guard for metric names: after
 // one update on a journaling daemon, every chronus_* name README.md
 // mentions must occur in the /metrics body (a name ending in "_", like
-// chronus_state_, is a family prefix). Retiring a metric without
-// editing the README fails here.
+// chronus_state_, is a family prefix), and the README metrics table must
+// list exactly the families /metrics registers, each with its type.
+// Retiring a metric without editing the README fails here, and so does
+// registering one without a row.
 func TestDaemonReadmeMetricsExist(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	names := regexp.MustCompile(`chronus_[a-z_]+`).FindAllString(string(readme), -1)
-	if len(names) == 0 {
-		t.Fatal("README.md names no chronus_* metric; the guard is vacuous")
+	rows := map[string]string{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(chronus_[a-z_]+)` \\| ([a-z]+) \\|").FindAllStringSubmatch(string(readme), -1) {
+		if _, dup := rows[m[1]]; dup {
+			t.Errorf("README.md metrics table lists %s twice", m[1])
+		}
+		rows[m[1]] = m[2]
+	}
+	if len(names) == 0 || len(rows) == 0 {
+		t.Fatal("README.md names no chronus_* metric or has no metrics table; the guard is vacuous")
 	}
 	_, ts := newTestServerOpts(t, serverOptions{Seed: 1, Virtual: true, JournalDir: t.TempDir()})
 	if resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`); resp.StatusCode != http.StatusOK {
@@ -203,6 +212,23 @@ func TestDaemonReadmeMetricsExist(t *testing.T) {
 	for _, name := range names {
 		if !strings.Contains(text, name) {
 			t.Errorf("README.md documents %s, which GET /metrics does not expose", name)
+		}
+	}
+	registered := map[string]string{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) (\S+)$`).FindAllStringSubmatch(text, -1) {
+		registered[m[1]] = m[2]
+	}
+	for name, typ := range registered {
+		switch row, ok := rows[name]; {
+		case !ok:
+			t.Errorf("GET /metrics registers %s (%s), which the README.md metrics table has no row for", name, typ)
+		case row != typ:
+			t.Errorf("README.md metrics table types %s as %s; GET /metrics registers a %s", name, row, typ)
+		}
+	}
+	for name := range rows {
+		if _, ok := registered[name]; !ok {
+			t.Errorf("README.md metrics table lists %s, which GET /metrics does not register", name)
 		}
 	}
 }

@@ -152,7 +152,7 @@ type Options struct {
 	// the executor owns solve, spans and cost — but hold ledger
 	// capacity like everyone else. Nil refuses Execute requests.
 	Execute func(*Update) (obs.SpanID, error)
-	// Obs receives the chronus_admit_* metrics; nil disables them.
+	// Obs receives the ledger's overcommit self-check; nil disables it.
 	Obs *obs.Registry
 	// Trace receives admit.* lifecycle events; nil disables tracing.
 	Trace *obs.Tracer
@@ -184,8 +184,6 @@ type Engine struct {
 	tenants   map[string]*tenantStats
 	order     []uint64 // ids in submission order (bounded reporting)
 
-	waitH *obs.Histogram
-
 	planMu sync.Mutex
 }
 
@@ -202,64 +200,24 @@ func New(g *graph.Graph, o Options) *Engine {
 		o.Now = func() int64 { return 0 }
 	}
 	RegisterMetrics(o.Obs)
-	e := &Engine{
+	return &Engine{
 		g:       g,
 		ledger:  NewLedger(g, o.Obs),
 		o:       o,
 		updates: make(map[uint64]*Update),
 		tenants: make(map[string]*tenantStats),
 	}
-	if o.Obs != nil {
-		e.waitH = o.Obs.Histogram("chronus_admit_queue_wait_ticks",
-			[]float64{0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000})
-	}
-	return e
 }
 
-// RegisterMetrics pre-registers every chronus_admit_* family on reg so
-// the exposition is complete before the first submission. Safe on nil.
+// RegisterMetrics pre-registers the ledger's overcommit self-check on
+// reg so the exposition is complete before the first submission. Safe
+// on nil.
 func RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Help("chronus_admit_submitted_total", "Update requests accepted into the admission queue, by tenant.")
-	reg.Help("chronus_admit_refused_total", "Update requests refused, by reason class (queue_full, preempted, ledger, plan, joint, invalid).")
-	reg.Help("chronus_admit_preempted_total", "Queued updates evicted by higher-priority submissions, by tenant.")
-	reg.Help("chronus_admit_planned_total", "Updates planned successfully by admission waves.")
-	reg.Help("chronus_admit_executed_total", "Updates executed on the data plane through the admission pipeline.")
-	reg.Help("chronus_admit_waves_total", "Planning waves drained from the admission queue.")
-	reg.Help("chronus_admit_conflicts_total", "Updates planned inside multi-flow conflict components (jointly validated).")
-	reg.Help("chronus_admit_queue_depth", "Updates currently queued for admission.")
-	reg.Help("chronus_admit_queue_oldest_wait_ticks", "Virtual-time age of the oldest queued update.")
-	reg.Help("chronus_admit_queue_wait_ticks", "Virtual-time queue wait from enqueue to wave pickup.")
 	reg.Help("chronus_admit_ledger_overcommit_total", "Ledger self-check: debits that left a link above capacity. Must stay zero.")
-	reg.Help("chronus_admit_ledger_reserved_units", "Capacity units currently reserved by in-flight updates.")
-	reg.Help("chronus_admit_ledger_utilization_pct", "Highest per-link reservation percentage in the ledger.")
 	reg.Counter("chronus_admit_ledger_overcommit_total")
-	reg.Counter("chronus_admit_planned_total")
-	reg.Counter("chronus_admit_executed_total")
-	reg.Counter("chronus_admit_waves_total")
-	reg.Counter("chronus_admit_conflicts_total")
-	reg.Gauge("chronus_admit_queue_depth")
-	reg.Gauge("chronus_admit_queue_oldest_wait_ticks")
-	reg.Gauge("chronus_admit_ledger_reserved_units")
-	reg.Gauge("chronus_admit_ledger_utilization_pct")
-}
-
-func (e *Engine) counter(name, labelKey, labelVal string) *obs.Counter {
-	if e.o.Obs == nil {
-		return nil
-	}
-	if labelKey == "" {
-		return e.o.Obs.Counter(name)
-	}
-	return e.o.Obs.Counter(fmt.Sprintf("%s{%s=%q}", name, labelKey, labelVal))
-}
-
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }
 
 // Ledger exposes the engine's capacity ledger (read-side: utilization,
@@ -274,7 +232,6 @@ func (e *Engine) Ledger() *Ledger { return e.ledger }
 // the request's priority beats nobody.
 func (e *Engine) Submit(req Request) (uint64, error) {
 	if err := e.validate(req); err != nil {
-		inc(e.counter("chronus_admit_refused_total", "reason", "invalid"))
 		return 0, err
 	}
 	now := e.o.Now()
@@ -286,7 +243,6 @@ func (e *Engine) Submit(req Request) (uint64, error) {
 			e.satStreak++
 			depth := len(e.queue)
 			e.mu.Unlock()
-			inc(e.counter("chronus_admit_refused_total", "reason", "queue_full"))
 			return 0, fmt.Errorf("%w (depth %d)", ErrQueueFull, depth)
 		}
 		preempted = victim
@@ -318,13 +274,7 @@ func (e *Engine) Submit(req Request) (uint64, error) {
 	depth := len(e.queue)
 	e.mu.Unlock()
 
-	inc(e.counter("chronus_admit_submitted_total", "tenant", req.Tenant))
-	if e.o.Obs != nil {
-		e.o.Obs.Gauge("chronus_admit_queue_depth").Set(int64(depth))
-	}
 	if preempted != nil {
-		inc(e.counter("chronus_admit_preempted_total", "tenant", preempted.Req.Tenant))
-		inc(e.counter("chronus_admit_refused_total", "reason", "preempted"))
 		e.trace(now, "admit.refuse", obs.A("id", preempted.ID), obs.A("tenant", preempted.Req.Tenant),
 			obs.A("flow", preempted.Req.Flow), obs.A("reason", "preempted"))
 	}

@@ -48,12 +48,10 @@ type Ledger struct {
 	holds    map[uint64]Footprint
 
 	overcommits *obs.Counter
-	reservedG   *obs.Gauge
-	utilG       *obs.Gauge
 }
 
-// NewLedger builds a ledger over g's links, exporting its gauges and
-// the overcommit counter on reg (nil disables the metric mirror).
+// NewLedger builds a ledger over g's links, exporting the overcommit
+// counter on reg (nil disables it).
 func NewLedger(g *graph.Graph, reg *obs.Registry) *Ledger {
 	l := &Ledger{
 		g:        g,
@@ -62,8 +60,6 @@ func NewLedger(g *graph.Graph, reg *obs.Registry) *Ledger {
 	}
 	if reg != nil {
 		l.overcommits = reg.Counter("chronus_admit_ledger_overcommit_total")
-		l.reservedG = reg.Gauge("chronus_admit_ledger_reserved_units")
-		l.utilG = reg.Gauge("chronus_admit_ledger_utilization_pct")
 	}
 	return l
 }
@@ -95,7 +91,6 @@ func (l *Ledger) Reserve(id uint64, fp Footprint) error {
 		}
 	}
 	l.holds[id] = fp
-	l.mirror()
 	return nil
 }
 
@@ -115,7 +110,6 @@ func (l *Ledger) Release(id uint64) {
 			delete(l.reserved, k)
 		}
 	}
-	l.mirror()
 }
 
 // Residual clones the ledger's graph with every link's capacity reduced
@@ -157,16 +151,10 @@ type Utilization struct {
 	MaxLinkPct    int64 `json:"max_link_pct"`
 }
 
-// Utilization snapshots the ledger load and refreshes its gauges.
+// Utilization snapshots the ledger load.
 func (l *Ledger) Utilization() Utilization {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.mirror()
-}
-
-// mirror recomputes the summary and pushes it to the gauges. Callers
-// hold l.mu.
-func (l *Ledger) mirror() Utilization {
 	var u Utilization
 	u.Holds = len(l.holds)
 	for k, d := range l.reserved {
@@ -180,10 +168,6 @@ func (l *Ledger) mirror() Utilization {
 				u.MaxLinkPct = pct
 			}
 		}
-	}
-	if l.reservedG != nil {
-		l.reservedG.Set(u.ReservedUnits)
-		l.utilG.Set(u.MaxLinkPct)
 	}
 	return u
 }

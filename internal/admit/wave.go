@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/chronus-sdn/chronus/internal/batch"
 	"github.com/chronus-sdn/chronus/internal/controller"
@@ -75,7 +74,6 @@ func (e *Engine) planWaveLocked() bool {
 	}
 	e.mu.Unlock()
 
-	inc(e.counter("chronus_admit_waves_total", "", ""))
 	e.trace(now, "admit.wave", obs.A("wave", waveNo), obs.A("size", n))
 
 	// Debit the ledger in pick order: all-or-nothing per update, so a
@@ -85,7 +83,7 @@ func (e *Engine) planWaveLocked() bool {
 	for _, u := range wave {
 		fp := FootprintOf(e.g, u.Req.Init, u.Req.Fin, u.Req.Demand)
 		if err := e.ledger.Reserve(u.ID, fp); err != nil {
-			e.resolveRefused(u, now, "ledger", err.Error())
+			e.resolveRefused(u, now, err.Error())
 			continue
 		}
 		fps[u.ID] = fp
@@ -107,7 +105,7 @@ func (e *Engine) planWaveLocked() bool {
 			}
 			if reason, refused := res.refusals[u.ID]; refused {
 				e.ledger.Release(u.ID)
-				e.resolveRefused(u, now, refusalClass(reason), reason)
+				e.resolveRefused(u, now, reason)
 				continue
 			}
 			e.resolvePlanned(u, now, res.schedules[u.ID], len(c.members))
@@ -121,7 +119,6 @@ func (e *Engine) planWaveLocked() bool {
 		e.runExecutor(u)
 	}
 
-	e.refreshQueueGauges()
 	return true
 }
 
@@ -244,16 +241,8 @@ func conflictComponents(updates []*Update, fps map[uint64]Footprint) []component
 	return comps
 }
 
-// refusalClass buckets a refusal reason into the metric label set.
-func refusalClass(reason string) string {
-	if strings.Contains(reason, "joint validation") {
-		return "joint"
-	}
-	return "plan"
-}
-
 // resolveRefused terminates u with a refusal.
-func (e *Engine) resolveRefused(u *Update, now int64, class, reason string) {
+func (e *Engine) resolveRefused(u *Update, now int64, reason string) {
 	e.mu.Lock()
 	u.State = StateRefused
 	u.Reason = reason
@@ -261,14 +250,13 @@ func (e *Engine) resolveRefused(u *Update, now int64, class, reason string) {
 	e.tenant(u.Req.Tenant).Refused++
 	u.notify()
 	e.mu.Unlock()
-	inc(e.counter("chronus_admit_refused_total", "reason", class))
 	e.trace(now, "admit.refuse", obs.A("id", u.ID), obs.A("tenant", u.Req.Tenant),
 		obs.A("flow", u.Req.Flow), obs.A("reason", reason))
 }
 
-// resolvePlanned applies a successful plan: the schedule is recorded,
-// the wait histogram observes the queue time, and the capacity hold is
-// credited back unless the request asked to keep it open.
+// resolvePlanned applies a successful plan: the schedule is recorded
+// and the capacity hold is credited back unless the request asked to
+// keep it open.
 func (e *Engine) resolvePlanned(u *Update, now int64, s *dynflow.Schedule, componentSize int) {
 	e.mu.Lock()
 	u.Schedule = s
@@ -285,13 +273,6 @@ func (e *Engine) resolvePlanned(u *Update, now int64, s *dynflow.Schedule, compo
 	e.mu.Unlock()
 	if !u.Req.Hold {
 		e.ledger.Release(u.ID)
-	}
-	inc(e.counter("chronus_admit_planned_total", "", ""))
-	if componentSize > 1 {
-		inc(e.counter("chronus_admit_conflicts_total", "", ""))
-	}
-	if e.waitH != nil {
-		e.waitH.Observe(float64(now - u.EnqueuedVT))
 	}
 	e.trace(now, "admit.plan", obs.A("id", u.ID), obs.A("tenant", u.Req.Tenant),
 		obs.A("flow", u.Req.Flow), obs.A("wave", u.Wave), obs.A("component", componentSize),
@@ -335,31 +316,6 @@ func (e *Engine) runExecutor(u *Update) {
 	u.notify()
 	e.mu.Unlock()
 	e.ledger.Release(u.ID)
-	if err == nil {
-		inc(e.counter("chronus_admit_executed_total", "", ""))
-	}
-	if e.waitH != nil {
-		e.waitH.Observe(float64(u.PlannedVT - u.EnqueuedVT))
-	}
-}
-
-// refreshQueueGauges mirrors queue depth and oldest wait after a wave.
-func (e *Engine) refreshQueueGauges() {
-	if e.o.Obs == nil {
-		return
-	}
-	now := e.o.Now()
-	e.mu.Lock()
-	depth := len(e.queue)
-	oldest := int64(0)
-	for _, u := range e.queue {
-		if w := now - u.EnqueuedVT; w > oldest {
-			oldest = w
-		}
-	}
-	e.mu.Unlock()
-	e.o.Obs.Gauge("chronus_admit_queue_depth").Set(int64(depth))
-	e.o.Obs.Gauge("chronus_admit_queue_oldest_wait_ticks").Set(oldest)
 }
 
 // TenantView is one tenant's admission accounting in a Snapshot.

@@ -165,58 +165,6 @@ func TestORIncursViolationsOnFig1(t *testing.T) {
 	}
 }
 
-func TestTwoPhaseNeverLoops(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := 4 + int(nRaw%12)
-		rng := rand.New(rand.NewSource(seed))
-		in := topo.RandomInstance(rng, topo.DefaultRandomParams(n))
-		r := TwoPhase{FlipTick: 0}.Validate(in)
-		return len(r.Loops) == 0 && len(r.Blackholes) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTwoPhaseCatchUpCongestion(t *testing.T) {
-	// Old route to the shared link is slower than the new one: two-phase
-	// still congests because old units are in flight when new ones launch.
-	g := graph.New()
-	v := g.AddNodes("s", "a", "m", "d")
-	g.MustAddLink(v[0], v[1], 1, 1)
-	g.MustAddLink(v[1], v[2], 1, 1)
-	g.MustAddLink(v[2], v[3], 1, 1)
-	g.MustAddLink(v[0], v[2], 1, 1)
-	in := &dynflow.Instance{
-		G:      g,
-		Demand: 1,
-		Init:   graph.Path{v[0], v[1], v[2], v[3]},
-		Fin:    graph.Path{v[0], v[2], v[3]},
-	}
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	r := TwoPhase{FlipTick: 5}.Validate(in)
-	if len(r.Congestion) == 0 {
-		t.Fatal("expected transient congestion on (m,d)")
-	}
-	for _, ev := range r.Congestion {
-		if ev.Link.From != v[2] || ev.Link.To != v[3] {
-			t.Fatalf("unexpected congested link %+v", ev)
-		}
-	}
-}
-
-func TestTwoPhaseCleanWhenNewRouteSlower(t *testing.T) {
-	in := topo.Fig1Example()
-	r := TwoPhase{FlipTick: 0}.Validate(in)
-	// Old path v1..v6 and reversal share no same-direction link, so the
-	// per-packet-consistent transition is congestion-free here.
-	if !r.OK() {
-		t.Fatalf("two-phase on Fig1: %s", r.Summary())
-	}
-}
-
 func TestCountRules(t *testing.T) {
 	in := topo.Fig1Example()
 	acc := CountRules(in, 6)

@@ -2,64 +2,7 @@ package baseline
 
 import (
 	"github.com/chronus-sdn/chronus/internal/dynflow"
-	"github.com/chronus-sdn/chronus/internal/graph"
 )
-
-// TwoPhase models the two-phase commit update: version-tagged copies of the
-// final path's rules are installed first (inert), then the ingress stamping
-// rule flips at FlipTick, after which every newly emitted unit carries the
-// new tag and travels the final path end-to-end. Units emitted earlier
-// travel the initial path end-to-end — per-packet consistency by
-// construction, no loops and no blackholes ever.
-type TwoPhase struct {
-	// FlipTick is the tick at which the ingress begins stamping the new
-	// version tag.
-	FlipTick dynflow.Tick
-}
-
-// Validate traces the two-phase transition on the dynamic-flow model:
-// per-packet consistency removes loops by construction, but old units are
-// still in flight when new units launch, so links reachable faster via the
-// final path can transiently carry both flows. The returned report uses the
-// same congestion accounting as dynflow.Validate.
-func (tp TwoPhase) Validate(in *dynflow.Instance) *dynflow.Report {
-	r := &dynflow.Report{Loads: make(map[dynflow.LinkInstance]graph.Capacity)}
-	phiInit := dynflow.Tick(in.Init.Delay(in.G))
-	phiFin := dynflow.Tick(in.Fin.Delay(in.G))
-	start := tp.FlipTick - phiInit
-	end := tp.FlipTick + phiInit + phiFin
-	r.WindowStart, r.WindowEnd = start, end
-	r.LatestArrival = end
-
-	addPath := func(p graph.Path, emit dynflow.Tick) {
-		t := emit
-		for i := 1; i < len(p); i++ {
-			l, ok := in.G.Link(p[i-1], p[i])
-			if !ok {
-				continue
-			}
-			r.Loads[dynflow.LinkInstance{From: p[i-1], To: p[i], Depart: t}] += in.Demand
-			t += dynflow.Tick(l.Delay)
-		}
-	}
-	for e := start; e <= end; e++ {
-		if e < tp.FlipTick {
-			addPath(in.Init, e)
-		} else {
-			addPath(in.Fin, e)
-		}
-	}
-	for li, load := range r.Loads {
-		l, ok := in.G.Link(li.From, li.To)
-		if !ok {
-			continue
-		}
-		if load > l.Cap {
-			r.Congestion = append(r.Congestion, dynflow.CongestionEvent{Link: li, Load: load, Cap: l.Cap})
-		}
-	}
-	return r
-}
 
 // RuleAccounting quantifies flow-table usage for one update instance under
 // Chronus and under two-phase commit. The model follows the paper's

@@ -91,9 +91,7 @@ type Options struct {
 	// err is the read error that ended the session.
 	OnDisconnect func(id graph.NodeID, err error)
 	// Obs receives controller counters (FlowMods sent, barrier round
-	// trips and their virtual-time latency, disconnects, stats polls,
-	// PacketIns). When nil the controller creates a private registry, so
-	// the tallies behind Disconnects() always exist.
+	// trips and their virtual-time latency); nil disables them.
 	Obs *obs.Registry
 	// Trace receives control-plane events (FlowMod sends, barrier spans,
 	// disconnects) stamped with virtual time; nil disables tracing.
@@ -108,28 +106,19 @@ func RegisterMetrics(r *obs.Registry) {
 
 // ctlMetrics bundles the controller's registry instruments.
 type ctlMetrics struct {
-	flowMods    *obs.Counter
-	barriers    *obs.Counter
-	barrierRTT  *obs.Histogram
-	disconnects *obs.Counter
-	statsPolls  *obs.Counter
-	packetIns   *obs.Counter
+	flowMods   *obs.Counter
+	barriers   *obs.Counter
+	barrierRTT *obs.Histogram
 }
 
 func newCtlMetrics(r *obs.Registry) ctlMetrics {
 	r.Help("chronus_controller_flowmods_sent_total", "FlowMod messages sent to switches")
 	r.Help("chronus_controller_barriers_total", "barrier rounds issued")
 	r.Help("chronus_controller_barrier_rtt_ticks", "barrier round-trip latency in virtual ticks")
-	r.Help("chronus_controller_disconnects_total", "sessions detached after transport failure")
-	r.Help("chronus_controller_stats_polls_total", "port-statistics polls")
-	r.Help("chronus_controller_packetins_total", "asynchronous PacketIn notifications received")
 	return ctlMetrics{
-		flowMods:    r.Counter("chronus_controller_flowmods_sent_total"),
-		barriers:    r.Counter("chronus_controller_barriers_total"),
-		barrierRTT:  r.Histogram("chronus_controller_barrier_rtt_ticks", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		disconnects: r.Counter("chronus_controller_disconnects_total"),
-		statsPolls:  r.Counter("chronus_controller_stats_polls_total"),
-		packetIns:   r.Counter("chronus_controller_packetins_total"),
+		flowMods:   r.Counter("chronus_controller_flowmods_sent_total"),
+		barriers:   r.Counter("chronus_controller_barriers_total"),
+		barrierRTT: r.Histogram("chronus_controller_barrier_rtt_ticks", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 	}
 }
 
@@ -150,6 +139,8 @@ type Controller struct {
 	// would fire future timed updates early).
 	viaKernel map[uint32]bool
 	packetIns []*ofp.PacketIn
+	// disconnects counts sessions detached by sessionClosed.
+	disconnects int
 	// unflushed lists the TCP sessions holding queued messages, in the
 	// order they were first queued on; flush writes them out.
 	unflushed []*tcpSession
@@ -170,12 +161,6 @@ func New(h *Harness, opts Options) *Controller {
 	}
 	if opts.MinLatency < 0 || opts.MinLatency > opts.MaxLatency {
 		opts.MinLatency = opts.MaxLatency
-	}
-	if opts.Obs == nil {
-		// A private registry keeps the counters behind Disconnects()
-		// (and the rest of the tallies) alive without requiring every
-		// caller to care about telemetry.
-		opts.Obs = obs.NewRegistry()
 	}
 	return &Controller{
 		h:         h,
@@ -229,10 +214,11 @@ func (c *Controller) AttachSession(id graph.NodeID, s Session) {
 }
 
 // Disconnects reports how many attached sessions have been detached
-// because their transport failed (see sessionClosed). It reads the
-// chronus_controller_disconnects_total registry counter.
+// because their transport failed (see sessionClosed).
 func (c *Controller) Disconnects() int {
-	return int(c.met.disconnects.Value())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.disconnects
 }
 
 // sessionClosed detaches a dead session: called by a session's reader
@@ -249,7 +235,7 @@ func (c *Controller) sessionClosed(id graph.NodeID, s Session, err error) {
 		return
 	}
 	delete(c.sessions, id)
-	c.met.disconnects.Inc()
+	c.disconnects++
 	cb := c.opts.OnDisconnect
 	c.mu.Unlock()
 	if c.opts.Trace != nil {
@@ -276,7 +262,6 @@ func (c *Controller) RecordReply(m ofp.Msg) {
 	switch v := m.(type) {
 	case *ofp.PacketIn:
 		c.packetIns = append(c.packetIns, v)
-		c.met.packetIns.Inc()
 	case *ofp.ErrorMsg:
 		c.replies[m.Xid()] = m
 		c.asyncErrs = append(c.asyncErrs, v)
@@ -459,8 +444,6 @@ func (c *Controller) send(id graph.NodeID, m ofp.Msg) (uint32, error) {
 				obs.A(obs.KeySwitch, c.h.G.Name(id)), obs.A(obs.KeyXid, x),
 				obs.A(obs.KeyKind, "barrier"))
 		}
-	case *ofp.StatsRequest:
-		c.met.statsPolls.Inc()
 	}
 	return x, nil
 }

@@ -78,9 +78,6 @@ func Greedy(in *dynflow.Instance, opts Options) (*Result, error) {
 	} else {
 		res, err = greedyExact(in, opts, sm, res, ws)
 	}
-	if err == nil {
-		sm.makespan.Observe(float64(res.Schedule.Makespan()))
-	}
 	return res, err
 }
 
@@ -123,7 +120,6 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 		order, cycleErr := candidateOrder(in, s, pending, t, ws)
 		if cycleErr != nil {
 			res.DependencyCycles++
-			sm.cycles.Inc()
 		}
 		lc := newLoopChecker(in, s, t, ws)
 		accepted := make(map[graph.NodeID]bool)
@@ -165,7 +161,6 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 				lc = newLoopChecker(in, s, t, ws)
 				if ws.sleepCount > 0 {
 					ws.resetSleep()
-					sm.backoffResets.Inc()
 				}
 			}
 		}
@@ -203,7 +198,6 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 			break
 		}
 		t = next
-		sm.wakeJumps.Inc()
 	}
 	// The one full validation of the solve. The trials were the checks, so
 	// Validations counts it only when none passed or the schedule was forced.
@@ -267,7 +261,6 @@ func greedyFast(in *dynflow.Instance, opts Options, sm schedMetrics, res *Result
 	order, cycleErr := candidateOrder(in, s, in.UpdateSet(), s.Start, ws)
 	if cycleErr != nil {
 		res.DependencyCycles++
-		sm.cycles.Inc()
 	}
 	ready := make([]graph.NodeID, 0, len(order))
 	for _, c := range order {
@@ -341,7 +334,6 @@ func greedyFast(in *dynflow.Instance, opts Options, sm schedMetrics, res *Result
 			break
 		}
 		t = next
-		sm.wakeJumps.Inc()
 		for len(wakes) > 0 && wakes[0].at <= t {
 			ev := heap.Pop(&wakes).(wakeEvent)
 			if state[ev.v] == 1 {

@@ -68,7 +68,6 @@ func greedyExactRef(in *dynflow.Instance, opts Options, sm schedMetrics, res *Re
 		order, cycleErr := candidateOrder(in, s, pending, t, ws)
 		if cycleErr != nil {
 			res.DependencyCycles++
-			sm.cycles.Inc()
 		}
 		lc := newLoopChecker(in, s, t, ws)
 		accepted := make(map[graph.NodeID]bool)
@@ -108,7 +107,6 @@ func greedyExactRef(in *dynflow.Instance, opts Options, sm schedMetrics, res *Re
 				lc = newLoopChecker(in, s, t, ws)
 				if ws.sleepCount > 0 {
 					ws.resetSleep()
-					sm.backoffResets.Inc()
 				}
 			}
 		}
@@ -146,7 +144,6 @@ func greedyExactRef(in *dynflow.Instance, opts Options, sm schedMetrics, res *Re
 			break
 		}
 		t = next
-		sm.wakeJumps.Inc()
 	}
 	res.Report = lastReport
 	if res.Report == nil || res.BestEffort {

@@ -88,18 +88,6 @@ func newWorkspace(n int) *workspace {
 	}
 }
 
-// bytes reports the workspace's retained scratch capacity, the quantity the
-// pooled-bytes gauge accounts for parked workspaces.
-func (ws *workspace) bytes() int64 {
-	b := int64(cap(ws.seen)+cap(ws.posStamp)+cap(ws.resStamp)+cap(ws.walkMark)+cap(ws.sleepStamp)+cap(ws.pend)+cap(ws.visit)) * 8
-	b += int64(cap(ws.pos)+cap(ws.resPos)+cap(ws.activePos)) * 4
-	b += int64(cap(ws.resKind))
-	b += int64(cap(ws.sleep)) * 8
-	b += int64(cap(ws.strikes)) * 4
-	b += int64(cap(ws.trail)+cap(ws.pathA)+cap(ws.pathB)) * int64(8)
-	return b
-}
-
 // sleepOf returns v's backoff deadline and whether any backoff entry exists
 // for v in the current epoch (mirroring the map's two-value read).
 func (ws *workspace) sleepOf(v graph.NodeID) (dynflow.Tick, bool) {
@@ -161,12 +149,11 @@ func activePathInto(p graph.Path, in *dynflow.Instance, s *dynflow.Schedule, t d
 
 // wsPool is the bounded freelist recycling workspaces across solves. A
 // plain mutex-guarded slice instead of sync.Pool: the GC never evicts
-// entries behind our back, so the pooled-bytes gauge is exact and the
-// retained memory is strictly bounded by wsPoolCap arenas.
+// entries behind our back, and the retained memory is strictly bounded
+// by wsPoolCap arenas.
 var wsPool struct {
 	sync.Mutex
-	free  []*workspace
-	bytes int64
+	free []*workspace
 }
 
 // wsPoolCap bounds how many idle workspaces the freelist retains.
@@ -179,7 +166,6 @@ func getWorkspace(n int) *workspace {
 	if len(wsPool.free) > 0 {
 		ws := wsPool.free[len(wsPool.free)-1]
 		wsPool.free = wsPool.free[:len(wsPool.free)-1]
-		wsPool.bytes -= ws.bytes()
 		wsPool.Unlock()
 		if ws.n < n {
 			grown := newWorkspace(n)
@@ -206,15 +192,6 @@ func putWorkspace(ws *workspace) {
 	wsPool.Lock()
 	if len(wsPool.free) < wsPoolCap {
 		wsPool.free = append(wsPool.free, ws)
-		wsPool.bytes += ws.bytes()
 	}
 	wsPool.Unlock()
-}
-
-// PooledBytes reports the scratch bytes currently parked in the workspace
-// freelist — the value behind the chronus_solver_pool_bytes gauge.
-func PooledBytes() int64 {
-	wsPool.Lock()
-	defer wsPool.Unlock()
-	return wsPool.bytes
 }

@@ -33,10 +33,10 @@ type Instance struct {
 	Init   graph.Path
 	Fin    graph.Path
 
-	// Obs, when set, receives validator telemetry (runs, traces walked,
-	// window sizes, dense-vs-map load accounting); nil disables it. The
-	// registry travels with the instance because Validate's signature is
-	// fixed across every scheduler and test.
+	// Obs, when set, receives validator telemetry (runs and traces
+	// walked); nil disables it. The registry travels with the instance
+	// because Validate's signature is fixed across every scheduler and
+	// test.
 	Obs *obs.Registry
 
 	// idx caches O(1) next-hop lookups; it is rebuilt whenever the paths

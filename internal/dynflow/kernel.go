@@ -781,7 +781,7 @@ func (k *Kernel) Check() (ok bool, latest Tick) {
 	if k.moving {
 		return k.clean(), k.w.latest
 	}
-	k.tr.countRun(k.in.Obs, k.w.latest-k.start+1, true)
+	k.tr.countRun(k.in.Obs, k.w.latest-k.start+1)
 	return k.ok, k.w.latest
 }
 

@@ -7,11 +7,8 @@ import (
 // validatorMetrics bundles the validator's instruments; built from a
 // possibly-nil registry (nil instruments are no-ops).
 type validatorMetrics struct {
-	runs       *obs.Counter
-	traces     *obs.Counter
-	denseLoads *obs.Counter
-	mapLoads   *obs.Counter
-	window     *obs.Histogram
+	runs   *obs.Counter
+	traces *obs.Counter
 }
 
 const (
@@ -37,14 +34,9 @@ func newValidatorMetrics(r *obs.Registry) validatorMetrics {
 	if r != nil {
 		r.Help("chronus_validator_runs_total", "ground-truth validations")
 		r.Help("chronus_validator_traces_total", "emission traces walked")
-		r.Help("chronus_validator_load_accounting_total", "load-accounting runs by backend (dense array vs map fallback)")
-		r.Help("chronus_validator_window_ticks", "validation window size in ticks")
 	}
 	return validatorMetrics{
-		runs:       r.Counter("chronus_validator_runs_total"),
-		traces:     r.Counter("chronus_validator_traces_total"),
-		denseLoads: r.Counter(`chronus_validator_load_accounting_total{backend="dense"}`),
-		mapLoads:   r.Counter(`chronus_validator_load_accounting_total{backend="map"}`),
-		window:     r.Histogram("chronus_validator_window_ticks", []float64{8, 16, 32, 64, 128, 256, 512, 1024, 4096}),
+		runs:   r.Counter("chronus_validator_runs_total"),
+		traces: r.Counter("chronus_validator_traces_total"),
 	}
 }

@@ -222,7 +222,7 @@ func Validate(in *Instance, s *Schedule) *Report {
 	}
 	r.WindowEnd = latestArrival
 	r.LatestArrival = latestArrival
-	tr.countRun(in.Obs, latestArrival-start+1, lw.dense)
+	tr.countRun(in.Obs, latestArrival-start+1)
 
 	for _, key := range lw.touched {
 		load := lw.m[key]

@@ -183,7 +183,7 @@ func tracerFor(in *Instance) *tracer {
 
 // countRun records one full validation of a window of the given ticks on
 // r, with the instruments built once per (tracer, registry).
-func (tr *tracer) countRun(r *obs.Registry, ticks Tick, dense bool) {
+func (tr *tracer) countRun(r *obs.Registry, ticks Tick) {
 	if r == nil {
 		return
 	}
@@ -192,12 +192,6 @@ func (tr *tracer) countRun(r *obs.Registry, ticks Tick, dense bool) {
 	}
 	tr.vm.runs.Inc()
 	tr.vm.traces.Add(int64(ticks))
-	tr.vm.window.Observe(float64(ticks))
-	if dense {
-		tr.vm.denseLoads.Inc()
-	} else {
-		tr.vm.mapLoads.Inc()
-	}
 }
 
 // never is the activation tick of a switch the schedule does not touch.

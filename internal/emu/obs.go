@@ -8,9 +8,7 @@ import (
 // emuMetrics bundles the data-plane instruments shared by every switch
 // and link of one network.
 type emuMetrics struct {
-	overloads  *obs.Counter
-	dropNoRule *obs.Counter
-	dropTTL    *obs.Counter
+	overloads *obs.Counter
 }
 
 // RegisterMetrics pre-registers the emulator metric families on r so they
@@ -22,17 +20,14 @@ func RegisterMetrics(r *obs.Registry) {
 func newEmuMetrics(r *obs.Registry) emuMetrics {
 	if r != nil {
 		r.Help("chronus_emu_overloads_total", "link overload intervals recorded (congestion events)")
-		r.Help("chronus_emu_drop_starts_total", "keys that started blackholing, by miss reason")
 	}
 	return emuMetrics{
-		overloads:  r.Counter("chronus_emu_overloads_total"),
-		dropNoRule: r.Counter(`chronus_emu_drop_starts_total{reason="no_rule"}`),
-		dropTTL:    r.Counter(`chronus_emu_drop_starts_total{reason="ttl_expired"}`),
+		overloads: r.Counter("chronus_emu_overloads_total"),
 	}
 }
 
-// SetObs attaches telemetry sinks to the network: congestion and
-// blackhole counters on r, and per-event trace records on tr. Either
+// SetObs attaches telemetry sinks to the network: the congestion counter
+// on r, and per-event trace records on tr. Either
 // argument may be nil. Like all emulator mutations it must be called
 // from outside (or before) any running simulation events.
 func (n *Network) SetObs(r *obs.Registry, tr *obs.Tracer) {
@@ -55,11 +50,6 @@ func (n *Network) overloadClosed(l *Link, start, end sim.Time, peak Rate) {
 
 // dropStarted records a key transitioning into blackholing at a switch.
 func (n *Network) dropStarted(sw *Switch, now sim.Time, key FlowKey, reason MissReason) {
-	if reason == MissTTLExpired {
-		n.met.dropTTL.Inc()
-	} else {
-		n.met.dropNoRule.Inc()
-	}
 	if n.trace != nil {
 		n.trace.Point(int64(now), obs.EvEmuDrop,
 			obs.A(obs.KeySwitch, sw.Name()), obs.A(obs.KeyKey, key.String()),

@@ -75,9 +75,9 @@ func TestFig10DeterministicInstancePopulation(t *testing.T) {
 	}
 	for i := range rs.Points {
 		s, p := rs.Points[i], rp.Points[i]
-		// The measured seconds are wall-clock; the instance population and
-		// the budget outcomes must match exactly.
-		if s.N != p.N || s.ORBudget != p.ORBudget || s.OPTBudget != p.OPTBudget {
+		// The measured seconds are wall-clock; the instance population,
+		// the give-ups and the budget outcomes must match exactly.
+		if s.N != p.N || s.ChronusInfeasible != p.ChronusInfeasible || s.ORBudget != p.ORBudget || s.OPTBudget != p.OPTBudget {
 			t.Errorf("point %d diverged: procs=1 %+v, procs=8 %+v", i, s, p)
 		}
 	}

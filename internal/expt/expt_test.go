@@ -1,9 +1,11 @@
 package expt
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"github.com/chronus-sdn/chronus/internal/scheme"
 	"github.com/chronus-sdn/chronus/internal/topo"
 )
 
@@ -130,13 +132,31 @@ func TestFig10Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fast, err := scheme.Lookup("chronus-fast")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range res.Points {
-		// Chronus completes while the exact searches burn their budgets.
+		// The exact searches burn their budgets.
 		if p.OPTBudget == 0 {
 			t.Fatalf("n=%d: OPT never hit its budget", p.N)
 		}
 		if p.Chronus <= 0 {
 			t.Fatalf("n=%d: chronus time not measured", p.N)
+		}
+		// The give-up column counts what a fresh solve of the same
+		// instances gives up on.
+		gaveUp := 0
+		for k := 0; k < cfg.BigInstances; k++ {
+			ctx := newInstCtx(rngFor(cfg, "fig10", int64(p.N)*100+int64(k)), bigParams(p.N))
+			if _, err := fast.Solve(ctx.in, scheme.Options{}); errors.Is(err, scheme.ErrInfeasible) {
+				gaveUp++
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if p.ChronusInfeasible != gaveUp {
+			t.Fatalf("n=%d: chronus_infeasible = %d, a recount gives %d", p.N, p.ChronusInfeasible, gaveUp)
 		}
 	}
 	if res.Table().String() == "" {

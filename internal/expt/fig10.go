@@ -11,8 +11,12 @@ import (
 // Fig10Point is the running-time comparison at one switch count.
 type Fig10Point struct {
 	N int
-	// Seconds per scheme, averaged over BigInstances.
+	// Seconds per scheme, averaged over BigInstances. A solve that
+	// gives up is timed too, up to the give-up.
 	Chronus, OR, OPT float64
+	// ChronusInfeasible counts the instances on which chronus-fast gave
+	// up (scheme.ErrInfeasible) instead of returning a schedule.
+	ChronusInfeasible int
 	// ORBudget / OPTBudget report how many instances exhausted the search
 	// budget (the paper's "does not complete within the time limit").
 	ORBudget, OPTBudget int
@@ -40,8 +44,9 @@ func fig10Cast(cfg Config) ([]schemeRun, error) {
 
 // fig10Sample is one (size, instance) timing task's outcome, per scheme.
 type fig10Sample struct {
-	seconds map[string]float64
-	budget  map[string]int
+	seconds    map[string]float64
+	budget     map[string]int
+	infeasible map[string]int
 }
 
 // fig10Instance times the cast on one random instance; the RNG key is per
@@ -49,7 +54,7 @@ type fig10Sample struct {
 // worker count (the measured seconds, like any wall-clock quantity, are
 // not — run with Procs = 1 for uncontended timings).
 func fig10Instance(cfg Config, n, k int) (fig10Sample, error) {
-	s := fig10Sample{seconds: map[string]float64{}, budget: map[string]int{}}
+	s := fig10Sample{seconds: map[string]float64{}, budget: map[string]int{}, infeasible: map[string]int{}}
 	cast, err := fig10Cast(cfg)
 	if err != nil {
 		return s, err
@@ -63,6 +68,7 @@ func fig10Instance(cfg Config, n, k int) (fig10Sample, error) {
 		s.seconds[r.name] = time.Since(start).Seconds()
 		if err != nil {
 			if errors.Is(err, scheme.ErrInfeasible) {
+				s.infeasible[r.name]++
 				continue
 			}
 			return s, err
@@ -88,6 +94,7 @@ func Fig10RunningTime(cfg Config) (*Fig10Result, error) {
 		for k := 0; k < cfg.BigInstances; k++ {
 			s := samples[si*cfg.BigInstances+k]
 			point.Chronus += s.seconds["chronus-fast"]
+			point.ChronusInfeasible += s.infeasible["chronus-fast"]
 			point.OR += s.seconds["or"]
 			point.OPT += s.seconds["opt"]
 			point.ORBudget += s.budget["or"]
@@ -104,9 +111,9 @@ func Fig10RunningTime(cfg Config) (*Fig10Result, error) {
 
 // Table renders Fig. 10.
 func (r *Fig10Result) Table() *metrics.Table {
-	t := &metrics.Table{Header: []string{"switches", "chronus_s", "or_s", "or_budget_hit", "opt_s", "opt_budget_hit"}}
+	t := &metrics.Table{Header: []string{"switches", "chronus_s", "chronus_infeasible", "or_s", "or_budget_hit", "opt_s", "opt_budget_hit"}}
 	for _, p := range r.Points {
-		t.AddRowf(p.N, p.Chronus, p.OR, p.ORBudget, p.OPT, p.OPTBudget)
+		t.AddRowf(p.N, p.Chronus, p.ChronusInfeasible, p.OR, p.ORBudget, p.OPT, p.OPTBudget)
 	}
 	return t
 }

@@ -267,7 +267,6 @@ func New(reg *obs.Registry) *Engine {
 	reg.Help("chronus_slack_margin_ticks", "Per-switch remaining scheduling tolerance: planned slack minus worst observed fire skew.")
 	reg.Help("chronus_health_level", "Overall health verdict: 0 OK, 1 WARN, 2 CRIT.")
 	reg.Help("chronus_health_worst_margin_ticks", "Smallest per-switch slack margin (the live gating switch).")
-	reg.Help("chronus_health_burn_worst_pct", "Largest per-switch slack burn percentage.")
 	reg.Help("chronus_health_predicted_worst_margin_ticks", "Smallest forecast slack margin from the clock estimator, extrapolated to each switch's scheduled apply tick.")
 	return &Engine{
 		reg:      reg,
@@ -486,7 +485,7 @@ func (e *Engine) Verdict() Verdict {
 			v.Reasons = []string{"OK: idle (no update planned yet)"}
 		}
 		v.Level = level.String()
-		e.setSummaryGauges(level, 0, 0)
+		e.setSummaryGauges(level, 0)
 		return v
 	}
 	plan := *e.plan
@@ -507,7 +506,7 @@ func (e *Engine) Verdict() Verdict {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	worstMargin, worstBurn := int64(0), int64(0)
+	worstMargin := int64(0)
 	predWorst, anyForecast := int64(0), false
 	first := true
 	for _, name := range names {
@@ -554,9 +553,6 @@ func (e *Engine) Verdict() Verdict {
 			v.WorstSwitch = name
 			first = false
 		}
-		if burn > worstBurn {
-			worstBurn = burn
-		}
 		if p.SlackTicks-ever < 0 {
 			raise(Crit, fmt.Sprintf("switch %s skewed %d ticks past its %d-tick slack", name, ever, p.SlackTicks))
 		} else if burn >= warnBurnPct {
@@ -572,7 +568,7 @@ func (e *Engine) Verdict() Verdict {
 		raise(OK, "all margins inside slack")
 	}
 	v.Level = level.String()
-	e.setSummaryGauges(level, worstMargin, worstBurn)
+	e.setSummaryGauges(level, worstMargin)
 	if anyForecast {
 		e.reg.Gauge("chronus_health_predicted_worst_margin_ticks").Set(roundMilli(predWorst))
 	}
@@ -588,8 +584,7 @@ func roundMilli(m int64) int64 {
 	return -((-m + 500) / 1000)
 }
 
-func (e *Engine) setSummaryGauges(level Level, worstMargin, worstBurn int64) {
+func (e *Engine) setSummaryGauges(level Level, worstMargin int64) {
 	e.reg.Gauge("chronus_health_level").Set(int64(level))
 	e.reg.Gauge("chronus_health_worst_margin_ticks").Set(worstMargin)
-	e.reg.Gauge("chronus_health_burn_worst_pct").Set(worstBurn)
 }

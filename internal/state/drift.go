@@ -80,8 +80,6 @@ func (s *Store) DriftBody() DriftReport {
 		Updates: []DriftUpdate{},
 	}
 	cumNow := s.offset(s.run) + s.lastTick
-	var stranded int
-	var worstAge int64
 	for _, k := range s.order {
 		u := s.updates[k]
 		asOf := s.lastTick
@@ -92,12 +90,6 @@ func (s *Store) DriftBody() DriftReport {
 		status, sws := s.classify(u, asOf)
 		age := s.driftAge(u, status, deadRun, cumNow)
 		rep.Counts[status]++
-		if status == "stranded" {
-			stranded++
-		}
-		if status != "converged" && status != "planned" && u.Kind == "execute" && age > worstAge {
-			worstAge = age
-		}
 		rep.Updates = append(rep.Updates, DriftUpdate{
 			Run: u.run, ID: u.ID, Tenant: u.Tenant, Flow: u.Flow, Key: u.Key,
 			Kind: u.Kind, Method: u.Method, Status: status, PlannedAt: u.planned,
@@ -106,8 +98,7 @@ func (s *Store) DriftBody() DriftReport {
 	}
 	if s.o.Obs != nil {
 		s.o.Obs.Gauge("chronus_state_tracked_updates").Set(int64(len(s.order)))
-		s.o.Obs.Gauge("chronus_state_stranded_updates").Set(int64(stranded))
-		s.o.Obs.Gauge("chronus_state_drift_age_ticks").Set(worstAge)
+		s.o.Obs.Gauge("chronus_state_stranded_updates").Set(int64(rep.Counts["stranded"]))
 	}
 	return rep
 }

@@ -53,8 +53,7 @@ type Options struct {
 	// RingCap bounds the per-link timeline ring (0 = DefaultRingCap).
 	RingCap int
 	// Obs, when set, receives the chronus_state_* gauges (tracked
-	// updates, stranded count, worst drift age), refreshed on every
-	// drift report.
+	// updates, stranded count), refreshed on every drift report.
 	Obs *obs.Registry
 }
 
@@ -161,7 +160,6 @@ func New(o Options) *Store {
 	if o.Obs != nil {
 		o.Obs.Help("chronus_state_tracked_updates", "Updates with a recorded planner intent in the observed-state store.")
 		o.Obs.Help("chronus_state_stranded_updates", "Updates stranded mid-schedule: half-executed with no further applies pending.")
-		o.Obs.Help("chronus_state_drift_age_ticks", "Worst drift age across non-converged executed updates (ticks since the observed state should have matched the intent).")
 	}
 	return &Store{
 		o:        o,

@@ -87,7 +87,6 @@ func (a *Agent) Handle(m ofp.Msg) []ofp.Msg {
 	case *ofp.BarrierRequest:
 		// Timed FlowMods count as processed once scheduled: the barrier
 		// confirms receipt and scheduling, per the Time4 model.
-		a.met.barriers.Inc()
 		if a.trace != nil {
 			now := int64(a.net.K.Now())
 			a.trace.Point(now, obs.EvSwBarrier, obs.A(obs.KeySwitch, a.sw.Name()))
@@ -98,7 +97,6 @@ func (a *Agent) Handle(m ofp.Msg) []ofp.Msg {
 		}
 		return []ofp.Msg{&ofp.BarrierReply{XID: req.XID}}
 	case *ofp.StatsRequest:
-		a.met.statsReqs.Inc()
 		return []ofp.Msg{a.stats(req)}
 	default:
 		return []ofp.Msg{&ofp.ErrorMsg{XID: m.Xid(), Code: ofp.ErrCodeBadRequest, Message: fmt.Sprintf("unexpected %v", m.Type())}}
@@ -188,24 +186,12 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 			obs.A(obs.KeyKey, key.String()), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
 	}
 	a.net.K.At(at, func() {
-		// Fire skew is measured against the controller's requested tick, so
-		// it folds in both the local clock offset and any lateness clamp.
-		skew := int64(a.net.K.Now()) - int64(requested)
-		abs := skew
-		if abs < 0 {
-			abs = -abs
-		}
-		a.met.fireSkew.Observe(float64(abs))
-		switch {
-		case skew < 0:
-			a.met.skewEarly.Inc()
-		case skew > 0:
-			a.met.skewLate.Inc()
-		default:
-			a.met.skewOnTime.Inc()
-		}
 		if a.trace != nil {
+			// Fire skew is measured against the controller's requested
+			// tick, so it folds in both the local clock offset and any
+			// lateness clamp.
 			fire := int64(a.net.K.Now())
+			skew := fire - int64(requested)
 			a.trace.Point(fire, obs.EvSwApply,
 				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeySkew, skew),
 				obs.A(obs.KeyAt, int64(requested)),
