@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/chronus-sdn/chronus/internal/admit"
+	"github.com/chronus-sdn/chronus/internal/health"
 )
 
 // planOnlyBody is a tenant plan-only update on the emulation topology:
@@ -118,7 +120,9 @@ func TestDaemonQueueEndpoint(t *testing.T) {
 }
 
 // TestDaemonBackpressure429: a full admission queue refuses an
-// equal-priority submission with 429 Too Many Requests.
+// equal-priority submission with 429 Too Many Requests, and /health's
+// backpressure rules see it: the queue at capacity, refusals in a row,
+// and a queue head left waiting past the age threshold.
 func TestDaemonBackpressure429(t *testing.T) {
 	srv, ts := newTestServerOpts(t, serverOptions{Seed: 1, Wall: true, QueueCap: 1})
 	// Occupy the only queue slot directly on the engine — no waiter, so
@@ -129,14 +133,30 @@ func TestDaemonBackpressure429(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, ts.URL+"/update", planOnlyBody("late"))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("submission against full queue: %s (%v)", resp.Status, body)
+	for range health.SaturationStreakWarn {
+		resp, body := postJSON(t, ts.URL+"/update", planOnlyBody("late"))
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("submission against full queue: %s (%v)", resp.Status, body)
+		}
+	}
+	if resp, body := postJSON(t, ts.URL+"/advance", fmt.Sprintf(`{"ticks": %d}`, health.QueueWaitWarnTicks+1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("advance: %s (%v)", resp.Status, body)
+	}
+	var v struct {
+		Level   string   `json:"level"`
+		Reasons []string `json:"reasons"`
+	}
+	getJSON(t, ts.URL+"/health", &v)
+	reasons := strings.Join(v.Reasons, "; ")
+	for _, want := range []string{"admission queue at 100% of capacity", "sustained admission saturation", "oldest queued update waiting"} {
+		if v.Level != "WARN" || !strings.Contains(reasons, want) {
+			t.Errorf("health with a full, refusing, stale queue: level %s, reasons %q lack %q", v.Level, reasons, want)
+		}
 	}
 	// The refusal is backpressure, not state: draining frees the slot
 	// and the same request then succeeds.
 	srv.admit.Drain()
-	if resp, body = postJSON(t, ts.URL+"/update", planOnlyBody("late")); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/update", planOnlyBody("late")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("resubmission after drain: %s (%v)", resp.Status, body)
 	}
 }

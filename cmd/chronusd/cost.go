@@ -79,6 +79,8 @@ type updateCost struct {
 // costMeter snapshots the process counters an update's cost is the
 // delta of.
 type costMeter struct {
+	// cursor is the fold cursor at execution start; the update's spans follow it.
+	cursor     uint64
 	arrived    time.Time
 	started    time.Time
 	cpuNs      int64
@@ -86,13 +88,16 @@ type costMeter struct {
 	mallocs    uint64
 }
 
-// beginCost snapshots the meters at execution start; arrived is when
-// the HTTP request entered the handler, so started-arrived is the
-// queue wait (decode + serialization on the update lock).
+// beginCost folds everything recorded so far, then snapshots the
+// meters at execution start; arrived is when the HTTP request entered
+// the handler, so started-arrived is the queue wait (decode +
+// serialization on the update lock).
 func (s *server) beginCost(arrived time.Time) costMeter {
+	cursor := s.pull()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return costMeter{
+		cursor:     cursor,
 		arrived:    arrived,
 		started:    time.Now(),
 		cpuNs:      processCPUNs(),
@@ -117,7 +122,7 @@ func (s *server) endCost(m costMeter, root chronus.SpanID, method, outcome strin
 		AllocBytes:  ms.TotalAlloc - m.allocBytes,
 		Mallocs:     ms.Mallocs - m.mallocs,
 	}
-	s.attachStages(cost, root)
+	s.attachStages(cost, root, m.cursor)
 	for _, st := range cost.Stages {
 		series := fmt.Sprintf(`chronus_update_stage_seconds{stage=%q}`, st.Stage)
 		s.stageHist(st.Stage).Observe(st.Seconds)
@@ -146,11 +151,12 @@ func (s *server) registerStageMetrics() {
 	}
 }
 
-// attachStages reconstructs the update's span tree from the trace ring
-// (falling back to the journal when the ring has already evicted it)
-// and folds each stage's spans into one interval.
-func (s *server) attachStages(cost *updateCost, root chronus.SpanID) {
-	forest := chronus.BuildSpanForest(s.traceEvents())
+// attachStages reconstructs the update's span tree from the events
+// recorded since cursor (tracePage fills what the ring evicted from the
+// journal) and folds each stage's spans into one interval.
+func (s *server) attachStages(cost *updateCost, root chronus.SpanID, cursor uint64) {
+	evs, _, _ := s.tracePage(cursor, 0)
+	forest := chronus.BuildSpanForest(evs)
 	var node *chronus.SpanNode
 	for _, n := range forest {
 		if n.ID == root {
@@ -203,25 +209,6 @@ func (s *server) attachStages(cost *updateCost, root chronus.SpanID) {
 		sc.Seconds = float64(sc.Ticks) * tickSeconds
 		cost.Stages = append(cost.Stages, *sc)
 	}
-}
-
-// traceEvents returns the ring's events, extended with any older
-// events only the journal still holds (ring eviction must not cost an
-// update its stage breakdown).
-func (s *server) traceEvents() []chronus.TraceEvent {
-	ring := s.tracer.Events(0)
-	if s.journal == nil || s.tracer.Dropped() == 0 {
-		return ring
-	}
-	var oldest uint64
-	if len(ring) > 0 {
-		oldest = ring[0].Seq
-	}
-	older := s.journalEvents(0, oldest)
-	if len(older) == 0 {
-		return ring
-	}
-	return append(older, ring...)
 }
 
 // handleUpdates serves GET /updates/{id}. Admission ids resolve to the

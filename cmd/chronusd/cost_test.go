@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,9 @@ import (
 // virtual-time window, the stage histograms ship on /metrics with the
 // span id attached as an exemplar, and the error surface behaves. One
 // update feeds every subtest — updates are the expensive operation
-// here, especially under -race.
+// here, especially under -race — except evicted-ring, which runs the
+// same update on a 32-event ring with a journal and must get the same
+// breakdown.
 func TestDaemonUpdateCostReport(t *testing.T) {
 	_, ts := newTestServerOpts(t, serverOptions{Seed: 1, Virtual: true, Wall: false})
 	resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`)
@@ -27,7 +30,7 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 		t.Fatalf("update response carries no span id: %v", result)
 	}
 
-	var cost struct {
+	type costBody struct {
 		Span        uint64 `json:"span"`
 		Method      string `json:"method"`
 		Outcome     string `json:"outcome"`
@@ -47,6 +50,7 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 			Spans     int     `json:"spans"`
 		} `json:"stages"`
 	}
+	var cost costBody
 
 	t.Run("report", func(t *testing.T) {
 		r, err := http.Get(fmt.Sprintf("%s/updates/%d", ts.URL, uint64(span)))
@@ -119,6 +123,25 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 			if !seen[stage] {
 				t.Errorf("stage breakdown missing %q: %+v", stage, cost.Stages)
 			}
+		}
+	})
+
+	t.Run("evicted-ring", func(t *testing.T) {
+		srv, ts := newTestServerOpts(t, serverOptions{
+			Seed: 1, Virtual: true, Wall: false, TraceCap: 32, JournalDir: t.TempDir(),
+		})
+		resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("update: %s (%v)", resp.Status, result)
+		}
+		if srv.tracer.Dropped() == 0 {
+			t.Fatal("TraceCap 32 did not force ring eviction; the input is vacuous")
+		}
+		var got costBody
+		getJSON(t, fmt.Sprintf("%s/updates/%v", ts.URL, result["span"]), &got)
+		if got.VTStart != cost.VTStart || got.VTEnd != cost.VTEnd || !reflect.DeepEqual(got.Stages, cost.Stages) {
+			t.Errorf("evicted ring: window [%d, %d] stages %+v\nwant [%d, %d] stages %+v",
+				got.VTStart, got.VTEnd, got.Stages, cost.VTStart, cost.VTEnd, cost.Stages)
 		}
 	})
 

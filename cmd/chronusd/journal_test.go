@@ -94,51 +94,67 @@ func TestDaemonJournalRetainsEvictedEvents(t *testing.T) {
 // contract: a journal captured from a live run, replayed offline, must
 // reproduce the /audit report and the /spans forest byte for byte (the
 // daemon runs in deterministic virtual mode, so both are pure functions
-// of the event stream).
+// of the event stream). With a 32-event ring the daemon's auditor must
+// still have folded every event of its life, the evicted ones read back
+// from the journal; /spans serves the ring alone, so only the default
+// ring is held to the journal's forest.
 func TestDaemonJournalReplayMatchesLiveEndpoints(t *testing.T) {
-	dir := t.TempDir()
-	srv, ts := newTestServerOpts(t, serverOptions{
-		Seed: 1, Virtual: true, Wall: false,
-		JournalDir: dir, JournalSegmentBytes: 4096,
-	})
-	resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("update: %s (%v)", resp.Status, result)
-	}
-	liveAudit := getBody(t, ts.URL+"/audit")
-	liveSpans := getBody(t, ts.URL+"/spans")
+	for _, tc := range []struct {
+		name     string
+		traceCap int
+	}{{"default-ring", 0}, {"ring-32", 32}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, ts := newTestServerOpts(t, serverOptions{
+				Seed: 1, Virtual: true, Wall: false, TraceCap: tc.traceCap,
+				JournalDir: dir, JournalSegmentBytes: 4096,
+			})
+			resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("update: %s (%v)", resp.Status, result)
+			}
+			if tc.traceCap > 0 && srv.tracer.Dropped() == 0 {
+				t.Fatalf("TraceCap %d did not force ring eviction; the input is vacuous", tc.traceCap)
+			}
+			liveAudit := getBody(t, ts.URL+"/audit")
+			liveSpans := getBody(t, ts.URL+"/spans")
 
-	if err := srv.journal.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, stats, err := journal.ReadAll(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Warnings) > 0 {
-		t.Fatalf("clean journal produced warnings: %v", stats.Warnings)
-	}
-	if len(events) == 0 {
-		t.Fatal("journal is empty")
-	}
+			if err := srv.journal.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			events, stats, err := journal.ReadAll(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(stats.Warnings) > 0 {
+				t.Fatalf("clean journal produced warnings: %v", stats.Warnings)
+			}
+			if len(events) == 0 {
+				t.Fatal("journal is empty")
+			}
 
-	a := audit.New()
-	a.Feed(events...)
-	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, a.Report())
-	if got := rec.Body.String(); got != liveAudit {
-		t.Errorf("offline audit of the journal != live /audit:\n--- journal ---\n%s\n--- live ---\n%s", got, liveAudit)
-	}
+			a := audit.New()
+			a.Feed(events...)
+			rec := httptest.NewRecorder()
+			writeJSON(rec, http.StatusOK, a.Report())
+			if got := rec.Body.String(); got != liveAudit {
+				t.Errorf("offline audit of the journal != live /audit:\n--- journal ---\n%s\n--- live ---\n%s", got, liveAudit)
+			}
+			if tc.traceCap > 0 {
+				return
+			}
 
-	rec = httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]any{
-		"spans":   chronus.BuildSpanForest(events),
-		"next":    events[len(events)-1].Seq,
-		"skipped": 0,
-		"dropped": 0,
-	})
-	if got := rec.Body.String(); got != liveSpans {
-		t.Errorf("span forest from the journal != live /spans:\n--- journal ---\n%s\n--- live ---\n%s", got, liveSpans)
+			rec = httptest.NewRecorder()
+			writeJSON(rec, http.StatusOK, map[string]any{
+				"spans":   chronus.BuildSpanForest(events),
+				"next":    events[len(events)-1].Seq,
+				"skipped": 0,
+				"dropped": 0,
+			})
+			if got := rec.Body.String(); got != liveSpans {
+				t.Errorf("span forest from the journal != live /spans:\n--- journal ---\n%s\n--- live ---\n%s", got, liveSpans)
+			}
+		})
 	}
 }
 

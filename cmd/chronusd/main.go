@@ -18,7 +18,7 @@
 //	GET  /spans?since=42&limit=100   causal span forest built from the trace
 //	GET  /health                     live SLO verdict: slack margins vs observed skew
 //	GET  /dash                       self-contained HTML dashboard over /health and /spans
-//	GET  /audit                      consistency-audit report over the recorded trace
+//	GET  /audit                      consistency-audit report over this daemon life's trace
 //	GET  /schemes                    registered scheduler names and accepted update methods
 //	GET  /watch                      live SSE stream of trace events, resumable by cursor
 //	GET  /queue                      admission queue, tenants, capacity-ledger utilization

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	chronus "github.com/chronus-sdn/chronus"
 	"github.com/chronus-sdn/chronus/internal/api"
+	"github.com/chronus-sdn/chronus/internal/health"
 	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
@@ -385,9 +387,11 @@ func (l *lockedBuffer) String() string {
 }
 
 // TestDaemonPullCountsRingEvictions: when the tracer ring evicts events
-// between two /clocks or two /health reads, the fold that comes up short
-// says by exactly how much. (The state store already did; the clock and
-// health folds used to read tracer.Events and skip the gap silently.)
+// between two reads on a daemon without a journal, the one pull that
+// comes up short logs one line with the exact gap, and the state store
+// counts the same gap as missed_events. Every fold reads the one page
+// after the one cursor, so a gap is logged once per pull, not once per
+// fold, and a second read right after it logs nothing.
 func TestDaemonPullCountsRingEvictions(t *testing.T) {
 	var logs lockedBuffer
 	srv, ts := newTestServerOpts(t, serverOptions{
@@ -396,25 +400,86 @@ func TestDaemonPullCountsRingEvictions(t *testing.T) {
 	})
 	var discard any
 	getJSON(t, ts.URL+"/clocks", &discard)
-	getJSON(t, ts.URL+"/health", &discard)
 	if resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("update: %s (%v)", resp.Status, result)
 	}
-	clocksGap := srv.tracer.PageStats(srv.clocks.Cursor(), 0).Skipped
-	healthGap := srv.tracer.PageStats(srv.health.Cursor(), 0).Skipped
-	if clocksGap == 0 || healthGap == 0 {
+	srv.foldMu.Lock()
+	cursor := srv.cursor
+	srv.foldMu.Unlock()
+	gap := srv.tracer.PageStats(cursor, 0).Skipped
+	if gap == 0 {
 		t.Fatal("TraceCap 32 did not force eviction between the reads; the test is vacuous")
 	}
+	missed := srv.state.StateBody(-1).MissedEvents
 	before := logs.String()
 	getJSON(t, ts.URL+"/clocks", &discard)
 	getJSON(t, ts.URL+"/health", &discard)
 	after := strings.TrimPrefix(logs.String(), before)
-	for _, want := range []string{
-		fmt.Sprintf("consumer=clocks skipped=%d", clocksGap),
-		fmt.Sprintf("consumer=health skipped=%d", healthGap),
+	want := fmt.Sprintf("after=%d skipped=%d", cursor, gap)
+	if strings.Count(after, "skipped=") != 1 || !strings.Contains(after, want) {
+		t.Errorf("log after the second reads lacks exactly one gap line %q:\n%s", want, after)
+	}
+	if got := srv.state.StateBody(-1).MissedEvents; got != missed+gap {
+		t.Errorf("missed_events = %d after the read, want %d + %d", got, missed, gap)
+	}
+}
+
+// TestDaemonConcurrentPullFoldsEachEventOnce: every read endpoint pulls,
+// and reads race each other. Round after round of fresh sw.apply
+// events, eight concurrent pulls must leave health, the clock estimates
+// and the state store exactly where one serial pull leaves an identical
+// daemon fed the same events: no event folded twice, none skipped.
+func TestDaemonConcurrentPullFoldsEachEventOnce(t *testing.T) {
+	opts := serverOptions{Seed: 1, Virtual: true}
+	conc, _ := newTestServerOpts(t, opts)
+	serial, _ := newTestServerOpts(t, opts)
+	var names []string
+	plan := health.Plan{Kind: "timed", Valid: true}
+	for _, id := range conc.in.G.Nodes() {
+		name := conc.in.G.Name(id)
+		names = append(names, name)
+		plan.Switches = append(plan.Switches, health.PlanSwitch{Switch: name, SlackTicks: 4})
+	}
+	conc.arm(plan)
+	serial.arm(plan)
+	for round := range 200 {
+		for _, srv := range []*server{conc, serial} {
+			for i, name := range names {
+				at := int64(1000 + 20*round + i)
+				srv.tracer.Point(at+int64(i%3), obs.EvSwApply,
+					obs.A(obs.KeySwitch, name), obs.A(obs.KeySkew, int64(i%3)), obs.A(obs.KeyAt, at),
+					obs.A(obs.KeyKey, "agg/0"), obs.A(obs.KeyCmd, "mod"), obs.A(obs.KeyNext, names[(i+1)%len(names)]))
+			}
+		}
+		var wg sync.WaitGroup
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				conc.pull()
+			}()
+		}
+		wg.Wait()
+		serial.pull()
+	}
+	for _, fold := range []struct {
+		name      string
+		got, want any
+	}{
+		{"health", conc.health.Verdict(), serial.health.Verdict()},
+		{"clocks", conc.clocks.Estimates(), serial.clocks.Estimates()},
+		{"state", conc.state.StateBody(-1), serial.state.StateBody(-1)},
 	} {
-		if strings.Count(after, want) != 1 {
-			t.Errorf("log after the second reads lacks exactly one %q:\n%s", want, after)
+		got, err := json.Marshal(fold.got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(fold.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s after concurrent pulls differs from a serial fold:\n got %s\nwant %s", fold.name, got, want)
 		}
 	}
 }

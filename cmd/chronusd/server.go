@@ -91,7 +91,13 @@ type server struct {
 	journal *journal.Writer
 	admit   *admit.Engine
 	state   *state.Store
+	auditor *audit.Auditor
 	log     *slog.Logger
+
+	// foldMu guards cursor and auditor: pull reads one page after cursor
+	// and folds it into every consumer before the next pull may start.
+	foldMu sync.Mutex
+	cursor uint64
 
 	// linkCaps maps directed link names ("A>B") to provisioned
 	// capacity — the timeline endpoint's existence check.
@@ -176,6 +182,7 @@ func newServer(o serverOptions) (*server, error) {
 		meter:    ofp.NewConnMeter(reg),
 		health:   health.New(reg),
 		clocks:   clock.New(reg),
+		auditor:  audit.New(),
 		journal:  jw,
 		log:      o.Log,
 		virtual:  o.Virtual,
@@ -351,28 +358,67 @@ func (r *statusRecorder) WriteHeader(code int) {
 // Flush (the /watch stream needs it through the logging wrapper).
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// pull folds the trace events recorded since each consumer's last look
-// into it — cursor-style, on read, so the update hot path never pays
-// for a fold. Every read folds every consumer, so what a fold holds
-// never depends on which endpoint was read last. Events the ring
-// evicted before a consumer could fold them are lost to it (the
-// journal, when configured, still has them): every such gap is logged,
-// and the state store also reports it as missed_events in its
-// snapshots.
-func (s *server) pull() {
-	page := func(consumer string, cursor uint64) obs.PageStats {
-		ps := s.tracer.PageStats(cursor, 0)
-		if ps.Skipped > 0 {
-			s.log.Warn("trace ring evicted events before they were folded",
-				"consumer", consumer, "skipped", ps.Skipped)
-		}
-		return ps
+// pull folds the trace events recorded since the last pull into every
+// consumer — clocks, health, the state store and the auditor — on read,
+// so recording an event never pays for a fold. One cursor and one page
+// under foldMu: each event is folded once, in order, whichever endpoint
+// reads. Events neither the ring nor this life's journal held are logged
+// with the exact gap and counted as the state store's missed_events.
+// Returns the cursor every fold now stands at.
+func (s *server) pull() uint64 {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
+	evs, next, missed := s.tracePage(s.cursor, 0)
+	if missed > 0 {
+		s.log.Warn("trace events lost before they were folded", "after", s.cursor, "skipped", missed)
+		s.state.NoteSkipped(missed)
 	}
-	s.clocks.Observe(page("clocks", s.clocks.Cursor()).Events)
-	s.health.Observe(page("health", s.health.Cursor()).Events)
-	ps := page("state", s.state.Cursor())
-	s.state.NoteSkipped(ps.Skipped)
-	s.state.Observe(ps.Events)
+	s.cursor = next
+	s.clocks.Observe(evs)
+	s.health.Observe(evs)
+	s.state.Observe(evs)
+	s.auditor.Feed(evs...)
+	return next
+}
+
+// tracePage is the daemon's one reader of its trace stream: up to limit
+// (0 = all) ring events with Seq > since, preceded by whatever part of
+// that range the ring evicted and this life's journal still holds.
+// missed counts the events after since that neither source held.
+func (s *server) tracePage(since uint64, limit int) (evs []obs.Event, next, missed uint64) {
+	ps := s.tracer.PageStats(since, limit)
+	if ps.Skipped == 0 {
+		return ps.Events, ps.Next, 0
+	}
+	older := s.journalEvents(since, since+ps.Skipped+1)
+	return append(older, ps.Events...), ps.Next, ps.Skipped - uint64(len(older))
+}
+
+// errJournalRead stops a journal replay once it passes the wanted range.
+var errJournalRead = errors.New("journal range read")
+
+// journalEvents reads this daemon's events with lo < Seq < hi back from
+// its journal, flushing the writer first so the read sees everything
+// the tracer has recorded. An earlier daemon's segments in the same
+// directory are not read: its sequence numbers overlap this one's.
+// Returns nil when no journal is attached or the read fails (the range
+// then counts as missed).
+func (s *server) journalEvents(lo, hi uint64) []obs.Event {
+	if s.journal == nil || s.journal.Flush() != nil {
+		return nil
+	}
+	var out []obs.Event
+	_, err := s.journal.Replay(lo, func(e obs.Event) error {
+		if e.Seq >= hi {
+			return errJournalRead
+		}
+		out = append(out, e)
+		return nil
+	})
+	if err != nil && !errors.Is(err, errJournalRead) {
+		return nil
+	}
+	return out
 }
 
 // arm holds the health engine to plan p. Everything recorded before
@@ -453,15 +499,18 @@ func (s *server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleAudit replays the full recorded trace through the consistency
-// auditor and returns its report: reconstructed congestion intervals and
-// forwarding loops with per-violation evidence, the cross-check against
-// the emulator's own overload spans, and the critical path of the last
-// timed update.
+// handleAudit returns the consistency auditor's report over every event
+// of this daemon life: reconstructed congestion intervals and forwarding
+// loops with per-violation evidence, the cross-check against the
+// emulator's own overload spans, and the critical path of the last
+// timed update. The auditor is folded forward by pull, so a read costs
+// only the events since the last one.
 func (s *server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	a := audit.New()
-	a.Feed(s.tracer.Events(0)...)
-	writeJSON(w, http.StatusOK, a.Report())
+	s.pull()
+	s.foldMu.Lock()
+	rep := s.auditor.Report()
+	s.foldMu.Unlock()
+	writeJSON(w, http.StatusOK, rep)
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -304,6 +304,15 @@ func TestDaemonORUpdateShowsTransients(t *testing.T) {
 	if result["overload_ticks"].(float64) == 0 {
 		t.Fatalf("or update showed no transient overload: %v", result)
 	}
+	// Barrier-paced rounds promise no slack: /health says so (WARN).
+	var v struct {
+		Level   string   `json:"level"`
+		Reasons []string `json:"reasons"`
+	}
+	getJSON(t, ts.URL+"/health", &v)
+	if v.Level != "WARN" || !strings.Contains(strings.Join(v.Reasons, "; "), "barrier-paced execution") {
+		t.Fatalf("health after an or update: %+v, want WARN for barrier-paced execution", v)
+	}
 }
 
 func TestDaemonRejectsBadRequests(t *testing.T) {

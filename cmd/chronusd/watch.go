@@ -18,11 +18,11 @@ import (
 //
 // Resume survives ring eviction: when the cursor points below the
 // ring's oldest retained event, the gap is backfilled from the durable
-// journal (same Seq coordinates — journal offsets and ring cursors are
-// one namespace). Only events that are in neither — journal-disabled
-// daemons, or events the journal itself had to drop — surface as a
-// "gap" frame carrying the skipped count, the same accounting /trace
-// pages report.
+// journal by tracePage, the reader every fold shares (same Seq
+// coordinates — journal offsets and ring cursors are one namespace).
+// Only events that are in neither — journal-disabled daemons, or events
+// the journal itself had to drop — surface as a "gap" frame carrying the
+// skipped count, the same accounting /trace pages report.
 const (
 	watchBatch        = 256
 	watchPollInterval = 25 * time.Millisecond
@@ -50,30 +50,19 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ticker := time.NewTicker(watchPollInterval)
 	defer ticker.Stop()
 	for {
-		ps := s.tracer.PageStats(cursor, watchBatch)
-		if ps.Skipped > 0 {
-			// The ring evicted events past the cursor before we served
-			// them; recover what the journal still holds and report the
-			// irrecoverable remainder.
-			backfill := s.journalEvents(cursor, cursor+ps.Skipped+1)
-			for _, e := range backfill {
-				if err := writeEventFrame(w, &buf, e); err != nil {
-					return
-				}
-			}
-			if gap := ps.Skipped - uint64(len(backfill)); gap > 0 {
-				if _, err := fmt.Fprintf(w, "event: gap\ndata: {\"after\": %d, \"skipped\": %d}\n\n", cursor, gap); err != nil {
-					return
-				}
+		evs, next, missed := s.tracePage(cursor, watchBatch)
+		if missed > 0 {
+			if _, err := fmt.Fprintf(w, "event: gap\ndata: {\"after\": %d, \"skipped\": %d}\n\n", cursor, missed); err != nil {
+				return
 			}
 		}
-		for _, e := range ps.Events {
+		for _, e := range evs {
 			if err := writeEventFrame(w, &buf, e); err != nil {
 				return
 			}
 		}
-		cursor = ps.Next
-		if len(ps.Events) > 0 || ps.Skipped > 0 {
+		cursor = next
+		if len(evs) > 0 || missed > 0 {
 			if err := fl.Flush(); err != nil {
 				return
 			}
@@ -131,30 +120,4 @@ func writeEventFrame(w http.ResponseWriter, buf *[]byte, e obs.Event) error {
 	// more newline closes the frame.
 	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n", e.Seq, kind, line)
 	return err
-}
-
-// journalEvents reads this daemon's events with lo < Seq < hi back from
-// its journal, flushing the writer first so the read sees everything
-// the tracer has recorded. An earlier daemon's segments in the same
-// directory are not read: its sequence numbers overlap this one's.
-// Returns nil when no journal is attached or the read fails (the watch
-// stream then reports the range as a gap).
-func (s *server) journalEvents(lo, hi uint64) []obs.Event {
-	if s.journal == nil {
-		return nil
-	}
-	if err := s.journal.Flush(); err != nil {
-		return nil
-	}
-	var out []obs.Event
-	_, err := s.journal.Replay(lo, func(e obs.Event) error {
-		if e.Seq < hi {
-			out = append(out, e)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil
-	}
-	return out
 }

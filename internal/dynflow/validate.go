@@ -143,11 +143,6 @@ type Report struct {
 	Congestion []CongestionEvent
 	Loops      []LoopEvent
 	Blackholes []BlackholeEvent
-	// Loads is the accumulated demand per time-extended link instance over
-	// the validation window. Validate leaves it nil (it accounts loads in
-	// reusable scratch and reports only violations); producers that build
-	// reports by hand, like the two-phase baseline, may fill it in.
-	Loads map[LinkInstance]graph.Capacity
 	// Window is the emission tick range that was traced, inclusive.
 	WindowStart, WindowEnd Tick
 	// LatestArrival is the latest tick at which any traced unit was still

@@ -423,8 +423,8 @@ func (e *Engine) windowedSkew(sw string) int64 {
 //	WARN  an update's drift age exceeds its schedule slack (the
 //	      observed state is lagging the planner's intent longer than
 //	      the plan tolerated)
-//	OK    otherwise (per-tenant preemption counts are surfaced in the
-//	      queue stats either way)
+//	OK    otherwise (per-tenant preemption counts are in the queue
+//	      stats; preemption is the queue working, not a rule)
 //
 // Queue and drift rules are independent of the plan: a saturated
 // admission queue or a stranded past update degrades an otherwise idle
@@ -458,11 +458,6 @@ func (e *Engine) Verdict() Verdict {
 		if qs.OldestWaitTicks > QueueWaitWarnTicks {
 			raise(Warn, fmt.Sprintf("oldest queued update waiting %d ticks (threshold %d)",
 				qs.OldestWaitTicks, QueueWaitWarnTicks))
-		}
-		for _, t := range qs.Tenants {
-			if t.Preempted > 0 {
-				raise(OK, fmt.Sprintf("tenant %s: %d update(s) preempted by higher-priority submissions", t.Tenant, t.Preempted))
-			}
 		}
 	}
 

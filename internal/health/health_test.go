@@ -311,20 +311,18 @@ func TestOldestWaitWarns(t *testing.T) {
 }
 
 func TestTenantPreemptionSurfaces(t *testing.T) {
-	// Preemption is informational — surfaced per tenant without
-	// degrading the verdict level.
+	// Preemption is the queue working, not a rule: the per-tenant counts
+	// surface in the verdict's queue stats, and no reason line and no
+	// level change comes of them.
 	v, joined := queueReasons(t, QueueStats{Depth: 1, Cap: 100, Tenants: []TenantQueue{
 		{Tenant: "bulk", Submitted: 9, Preempted: 2},
 		{Tenant: "urgent", Submitted: 3},
 	}})
-	if v.Level != "OK" {
-		t.Fatalf("preemption degraded the verdict: level=%s reasons=%s", v.Level, joined)
+	if v.Level != "OK" || joined != "OK: idle (no update planned yet)" {
+		t.Fatalf("preemption reached the rules: level=%s reasons=%s", v.Level, joined)
 	}
-	if !strings.Contains(joined, "tenant bulk: 2 update(s) preempted") {
-		t.Fatalf("missing preemption reason: %s", joined)
-	}
-	if strings.Contains(joined, "tenant urgent") {
-		t.Fatalf("unpreempted tenant surfaced: %s", joined)
+	if len(v.Queue.Tenants) != 2 || v.Queue.Tenants[0].Preempted != 2 {
+		t.Fatalf("preemption counts missing from the queue stats: %+v", v.Queue.Tenants)
 	}
 }
 
