@@ -12,8 +12,8 @@ package main
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
-	"time"
 
 	chronus "github.com/chronus-sdn/chronus"
 	"github.com/chronus-sdn/chronus/internal/admit"
@@ -37,15 +37,6 @@ type updateRequest struct {
 	Priority int      `json:"priority"`
 }
 
-// execResult is what the executor leaves behind for the synchronous
-// handler's legacy response fields.
-type execResult struct {
-	Now           int64
-	Congested     any
-	OverloadTicks int64
-	Drops         float64
-}
-
 // admitRequest translates the HTTP body into an admission request.
 func (s *server) admitRequest(req *updateRequest) (admit.Request, error) {
 	tenant := req.Tenant
@@ -59,7 +50,11 @@ func (s *server) admitRequest(req *updateRequest) (admit.Request, error) {
 	if req.Flow == "" {
 		// The legacy one-shot migration of the emulated aggregate flow:
 		// executed on the data plane, with its real link footprint held
-		// in the ledger for the duration.
+		// in the ledger for the duration. An unknown method is refused
+		// here, before it can claim the migration.
+		if names := chronus.Schemes(); method != "tp" && !slices.Contains(names, method) {
+			return admit.Request{}, fmt.Errorf("unknown method %q (want tp or a scheme: %s)", method, strings.Join(names, ", "))
+		}
 		return admit.Request{
 			Tenant:   tenant,
 			Flow:     s.flow.Name,
@@ -109,19 +104,16 @@ func (s *server) resolvePath(names []string) (graph.Path, error) {
 // executeAdmitted is the admit engine's executor: it runs the legacy
 // update path — root span, solve, timed/two-phase/barrier execution,
 // settling advance, cost attribution — for an Execute-flagged update
-// that reached the head of its wave.
+// that reached the head of its wave, and files everything on the record
+// handleUpdate created for it.
 func (s *server) executeAdmitted(u *admit.Update) (obs.SpanID, error) {
 	s.mu.Lock()
-	arrived, ok := s.arrivals[u.ID]
-	delete(s.arrivals, u.ID)
+	rec := s.costs[u.ID]
 	s.mu.Unlock()
-	if !ok {
-		arrived = time.Now()
-	}
-	meter := s.beginCost(arrived)
-	root, err := s.executeUpdate(u.ID, u.Req.Tenant, u.Req.Method)
+	s.beginCost(rec)
+	root, err := s.executeUpdate(rec, u.ID, u.Req.Tenant, u.Req.Method)
 	if err != nil {
-		s.endCost(meter, root, u.Req.Method, "error")
+		s.endCost(rec, root, u.Req.Method, "error")
 		return root, err
 	}
 	// Let the transition complete, then record ground truth for the
@@ -129,16 +121,26 @@ func (s *server) executeAdmitted(u *admit.Update) (obs.SpanID, error) {
 	s.tb.AdvanceBy(chronus.SimTime(2 * (s.in.Init.Delay(s.in.G) + s.in.Fin.Delay(s.in.G))))
 	var drops float64
 	s.tb.Do(func() { drops = s.tb.Net.TotalDrops() })
-	s.endCost(meter, root, u.Req.Method, "ok")
+	s.endCost(rec, root, u.Req.Method, "ok")
 	s.mu.Lock()
-	s.execs[u.ID] = execResult{
-		Now:           int64(s.tb.Now()),
-		Congested:     s.tb.Net.CongestedLinks(),
-		OverloadTicks: int64(s.tb.Net.TotalOverloadTicks()),
-		Drops:         drops,
-	}
+	rec.now, rec.congested = int64(s.tb.Now()), s.tb.Net.CongestedLinks()
+	rec.overloadTicks, rec.drops = int64(s.tb.Net.TotalOverloadTicks()), drops
 	s.mu.Unlock()
 	return root, nil
+}
+
+// claimedLocked reports whether an execute update holds the daemon's one
+// migration of the aggregate flow: it was armed, or it has not settled
+// yet. One refused or failed before it was armed gives the claim back.
+// Callers hold s.mu.
+func (s *server) claimedLocked() bool {
+	for id, rec := range s.costs {
+		v, _ := s.admit.View(id)
+		if rec.armed || (v.State != string(admit.StateRefused) && v.State != string(admit.StateFailed)) {
+			return true
+		}
+	}
+	return false
 }
 
 // handleQueue serves GET /queue: the admission queue, per-tenant

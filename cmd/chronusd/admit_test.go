@@ -1,10 +1,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,6 +85,64 @@ func TestDaemonPlanOnlyTenantUpdate(t *testing.T) {
 	resp, body = postJSON(t, ts.URL+"/update", `{"method": "chronus"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("aggregate update after plan-only: %s (%v)", resp.Status, body)
+	}
+}
+
+// TestDaemonConcurrentExecuteClaimsOnce: eight async execute updates
+// race for the daemon's one migration of the aggregate flow. Exactly one
+// is admitted, the other seven get the 409, and one record is filed.
+func TestDaemonConcurrentExecuteClaimsOnce(t *testing.T) {
+	srv, ts := newTestServerOpts(t, serverOptions{Seed: 1, Virtual: true})
+	codes := make([]int, 8)
+	ids := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/update", "application/json",
+				strings.NewReader(`{"method": "chronus", "async": true}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var body struct {
+				ID uint64 `json:"id"`
+			}
+			_ = json.NewDecoder(resp.Body).Decode(&body)
+			codes[i], ids[i] = resp.StatusCode, body.ID
+		}()
+	}
+	wg.Wait()
+	var admitted uint64
+	conflicts := 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusAccepted:
+			if admitted != 0 {
+				t.Fatalf("two execute updates admitted: %d and %d", admitted, ids[i])
+			}
+			admitted = ids[i]
+		case http.StatusConflict:
+			conflicts++
+		default:
+			t.Fatalf("execute update %d: status %d", i, code)
+		}
+	}
+	if admitted == 0 || conflicts != 7 {
+		t.Fatalf("statuses %v: want one 202 and seven 409s", codes)
+	}
+	// Let the admitted update finish before the daemon is torn down.
+	view, err := srv.admit.Wait(context.Background(), admitted)
+	if err != nil || view.State != "done" {
+		t.Fatalf("admitted update %d: %+v (%v), want done", admitted, view, err)
+	}
+	srv.mu.Lock()
+	records := len(srv.costs)
+	srv.mu.Unlock()
+	if records != 1 {
+		t.Fatalf("%d update records, want 1", records)
 	}
 }
 

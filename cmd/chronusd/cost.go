@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	chronus "github.com/chronus-sdn/chronus"
@@ -14,13 +12,13 @@ import (
 	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
-// Per-update cost attribution: every POST /update is metered — CPU
-// time, heap allocations, queue wait — and its
-// span tree is folded into per-stage latencies
-// (solve→plan→send→barrier→apply). GET /updates/{span-id} serves the
-// report; the same stage durations feed the
-// chronus_update_stage_seconds{stage} histograms, whose exposition
-// carries the update's span-id as an exemplar comment.
+// Per-update cost attribution: every executed update is metered — CPU
+// time, heap allocations, queue wait — and its span tree is folded into
+// per-stage latencies (solve→plan→send→barrier→apply). GET /updates/{id}
+// serves the report under the update's admission id; the same stage
+// durations feed the chronus_update_stage_seconds{stage} histograms,
+// whose exposition carries the update's root span id as an exemplar
+// comment.
 
 // tickSeconds converts virtual ticks to nominal wall seconds for the
 // stage histograms. The emulation has no native wall mapping — ticks
@@ -60,9 +58,9 @@ type updateCost struct {
 	Method  string `json:"method"`
 	Outcome string `json:"outcome"`
 
-	// Control-plane resource attribution, measured across the whole
-	// POST /update handler (the daemon executes one update at a time,
-	// so process-wide deltas are this update's).
+	// Control-plane resource attribution, measured across the executor
+	// (the daemon executes one update at a time, so process-wide deltas
+	// are this update's); the queue wait runs from the request's arrival.
 	QueueWaitNs int64  `json:"queue_wait_ns"`
 	WallNs      int64  `json:"wall_ns"`
 	CPUNs       int64  `json:"cpu_ns"`
@@ -76,12 +74,24 @@ type updateCost struct {
 	Stages  []stageCost `json:"stages"`
 }
 
-// costMeter snapshots the process counters an update's cost is the
-// delta of.
-type costMeter struct {
-	// cursor is the fold cursor at execution start; the update's spans follow it.
+// updateRecord is all the daemon keeps of one execute update, under its
+// admission id in server.costs: handleUpdate files it with the arrival
+// time, the executor adds meters, cost report and data-plane outcome.
+// The meters are the executor's alone; server.mu guards the rest.
+type updateRecord struct {
+	arrived time.Time
+	// armed: the executor armed health for its plan, as every branch does
+	// before its intent and first FlowMod, so the migration is spent.
+	armed bool
+	cost  *updateCost
+
+	// The data plane after the settling advance, for the sync response.
+	now, overloadTicks int64
+	congested          int
+	drops              float64
+
+	// Meters at execution start; cursor is the fold cursor the spans follow.
 	cursor     uint64
-	arrived    time.Time
 	started    time.Time
 	cpuNs      int64
 	allocBytes uint64
@@ -89,47 +99,41 @@ type costMeter struct {
 }
 
 // beginCost folds everything recorded so far, then snapshots the
-// meters at execution start; arrived is when the HTTP request entered
-// the handler, so started-arrived is the queue wait (decode +
-// serialization on the update lock).
-func (s *server) beginCost(arrived time.Time) costMeter {
-	cursor := s.pull()
+// meters at execution start; started-arrived is the queue wait (decode,
+// admission and the wave ahead of the update).
+func (s *server) beginCost(rec *updateRecord) {
+	rec.cursor = s.pull()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return costMeter{
-		cursor:     cursor,
-		arrived:    arrived,
-		started:    time.Now(),
-		cpuNs:      processCPUNs(),
-		allocBytes: ms.TotalAlloc,
-		mallocs:    ms.Mallocs,
-	}
+	rec.started = time.Now()
+	rec.cpuNs = processCPUNs()
+	rec.allocBytes, rec.mallocs = ms.TotalAlloc, ms.Mallocs
 }
 
 // endCost computes the deltas, folds in the span-tree stage breakdown,
-// stores the report, and feeds the stage histograms (with the span-id
-// exemplar).
-func (s *server) endCost(m costMeter, root chronus.SpanID, method, outcome string) {
+// files the report on the record, and feeds the stage histograms (with
+// the span-id exemplar).
+func (s *server) endCost(rec *updateRecord, root chronus.SpanID, method, outcome string) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	cost := &updateCost{
 		Span:        uint64(root),
 		Method:      method,
 		Outcome:     outcome,
-		QueueWaitNs: m.started.Sub(m.arrived).Nanoseconds(),
-		WallNs:      time.Since(m.started).Nanoseconds(),
-		CPUNs:       processCPUNs() - m.cpuNs,
-		AllocBytes:  ms.TotalAlloc - m.allocBytes,
-		Mallocs:     ms.Mallocs - m.mallocs,
+		QueueWaitNs: rec.started.Sub(rec.arrived).Nanoseconds(),
+		WallNs:      time.Since(rec.started).Nanoseconds(),
+		CPUNs:       processCPUNs() - rec.cpuNs,
+		AllocBytes:  ms.TotalAlloc - rec.allocBytes,
+		Mallocs:     ms.Mallocs - rec.mallocs,
 	}
-	s.attachStages(cost, root, m.cursor)
+	s.attachStages(cost, root, rec.cursor)
 	for _, st := range cost.Stages {
 		series := fmt.Sprintf(`chronus_update_stage_seconds{stage=%q}`, st.Stage)
 		s.stageHist(st.Stage).Observe(st.Seconds)
 		s.reg.Exemplar(series, fmt.Sprintf("span_id=%d value=%g", uint64(root), st.Seconds))
 	}
 	s.mu.Lock()
-	s.costs[uint64(root)] = cost
+	rec.cost = cost
 	s.mu.Unlock()
 }
 
@@ -155,8 +159,7 @@ func (s *server) registerStageMetrics() {
 // recorded since cursor (tracePage fills what the ring evicted from the
 // journal) and folds each stage's spans into one interval.
 func (s *server) attachStages(cost *updateCost, root chronus.SpanID, cursor uint64) {
-	evs, _, _ := s.tracePage(cursor, 0)
-	forest := chronus.BuildSpanForest(evs)
+	forest := chronus.BuildSpanForest(s.tracePage(cursor, 0).Events)
 	var node *chronus.SpanNode
 	for _, n := range forest {
 		if n.ID == root {
@@ -211,46 +214,28 @@ func (s *server) attachStages(cost *updateCost, root chronus.SpanID, cursor uint
 	}
 }
 
-// handleUpdates serves GET /updates/{id}. Admission ids resolve to the
-// update's lifecycle view (queued/planning/executing/done/refused/
-// failed), with the cost report attached once the update has a root
-// span; root span ids keep resolving to the bare cost report, so
-// clients that saved a span id from POST /update keep working. 404
-// only for ids known to neither space.
+// handleUpdates serves GET /updates/{id}: the admission engine's
+// lifecycle view of the update (queued/planning/executing/done/refused/
+// failed), with the cost report attached once an execute update has one.
 func (s *server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad update id: %w", err))
 		return
 	}
-	if view, ok := s.admit.View(id); ok {
-		resp := struct {
-			admit.UpdateView
-			Cost *updateCost `json:"cost,omitempty"`
-		}{UpdateView: view}
-		if view.Span != 0 {
-			s.mu.Lock()
-			resp.Cost = s.costs[view.Span]
-			s.mu.Unlock()
-		}
-		writeJSON(w, http.StatusOK, resp)
+	view, ok := s.admit.View(id)
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("no update with id %d", id))
 		return
 	}
+	resp := struct {
+		admit.UpdateView
+		Cost *updateCost `json:"cost,omitempty"`
+	}{UpdateView: view}
 	s.mu.Lock()
-	cost, ok := s.costs[id]
-	ids := make([]uint64, 0, len(s.costs))
-	for k := range s.costs {
-		ids = append(ids, k)
+	if rec := s.costs[id]; rec != nil {
+		resp.Cost = rec.cost
 	}
 	s.mu.Unlock()
-	if !ok {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		parts := make([]string, len(ids))
-		for i, v := range ids {
-			parts[i] = strconv.FormatUint(v, 10)
-		}
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no update with span id %d (known: %s)", id, strings.Join(parts, ", ")))
-		return
-	}
-	writeJSON(w, http.StatusOK, cost)
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -10,15 +10,16 @@ import (
 )
 
 // TestDaemonUpdateCostReport drives one update and checks its cost
-// attribution end to end: the span id returned by POST /update resolves
-// on GET /updates/{id}, the resource meters moved, the span tree folded
-// into per-stage latencies in pipeline order inside the update's
-// virtual-time window, the stage histograms ship on /metrics with the
-// span id attached as an exemplar, and the error surface behaves. One
-// update feeds every subtest — updates are the expensive operation
-// here, especially under -race — except evicted-ring, which runs the
-// same update on a 32-event ring with a journal and must get the same
-// breakdown.
+// attribution end to end: the admission id returned by POST /update
+// resolves on GET /updates/{id} with the report under "cost", filed
+// under the root span id the response also names; the resource meters
+// moved, the span tree folded into per-stage latencies in pipeline
+// order inside the update's virtual-time window, the stage histograms
+// ship on /metrics with the span id attached as an exemplar, and the
+// error surface behaves. One update feeds every subtest — updates are
+// the expensive operation here, especially under -race — except
+// evicted-ring, which runs the same update on a 32-event ring with a
+// journal and must get the same breakdown.
 func TestDaemonUpdateCostReport(t *testing.T) {
 	_, ts := newTestServerOpts(t, serverOptions{Seed: 1, Virtual: true, Wall: false})
 	resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`)
@@ -28,6 +29,10 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 	span, ok := result["span"].(float64)
 	if !ok || span == 0 {
 		t.Fatalf("update response carries no span id: %v", result)
+	}
+	id, ok := result["id"].(float64)
+	if !ok || id == 0 {
+		t.Fatalf("update response carries no admission id: %v", result)
 	}
 
 	type costBody struct {
@@ -50,10 +55,15 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 			Spans     int     `json:"spans"`
 		} `json:"stages"`
 	}
+	type viewBody struct {
+		ID   uint64    `json:"id"`
+		Flow string    `json:"flow"`
+		Cost *costBody `json:"cost"`
+	}
 	var cost costBody
 
 	t.Run("report", func(t *testing.T) {
-		r, err := http.Get(fmt.Sprintf("%s/updates/%d", ts.URL, uint64(span)))
+		r, err := http.Get(fmt.Sprintf("%s/updates/%d", ts.URL, uint64(id)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,9 +77,14 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 		if got := r.Header.Get("Cache-Control"); got != "no-store" {
 			t.Errorf("Cache-Control = %q", got)
 		}
-		if err := json.NewDecoder(r.Body).Decode(&cost); err != nil {
+		var view viewBody
+		if err := json.NewDecoder(r.Body).Decode(&view); err != nil {
 			t.Fatal(err)
 		}
+		if view.Cost == nil {
+			t.Fatalf("update %d has no cost report", uint64(id))
+		}
+		cost = *view.Cost
 
 		if cost.Span != uint64(span) || cost.Method != "chronus" || cost.Outcome != "ok" {
 			t.Fatalf("cost identity = %d/%s/%s, want %d/chronus/ok", cost.Span, cost.Method, cost.Outcome, uint64(span))
@@ -137,8 +152,12 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 		if srv.tracer.Dropped() == 0 {
 			t.Fatal("TraceCap 32 did not force ring eviction; the input is vacuous")
 		}
-		var got costBody
-		getJSON(t, fmt.Sprintf("%s/updates/%v", ts.URL, result["span"]), &got)
+		var view viewBody
+		getJSON(t, fmt.Sprintf("%s/updates/%v", ts.URL, result["id"]), &view)
+		if view.Cost == nil {
+			t.Fatalf("update %v has no cost report", result["id"])
+		}
+		got := *view.Cost
 		if got.VTStart != cost.VTStart || got.VTEnd != cost.VTEnd || !reflect.DeepEqual(got.Stages, cost.Stages) {
 			t.Errorf("evicted ring: window [%d, %d] stages %+v\nwant [%d, %d] stages %+v",
 				got.VTStart, got.VTEnd, got.Stages, cost.VTStart, cost.VTEnd, cost.Stages)
@@ -168,25 +187,28 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 		}
 	})
 
+	// A root span id is not an update id: /updates/{span} is a 404 while
+	// fewer updates than that were admitted, and the view of whichever
+	// update is admitted under that number afterwards.
 	t.Run("unknown-id", func(t *testing.T) {
-		r, err := http.Get(ts.URL + "/updates/999999999")
+		url := fmt.Sprintf("%s/updates/%d", ts.URL, uint64(span))
+		r, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Body.Close()
+		r.Body.Close()
 		if r.StatusCode != http.StatusNotFound {
-			t.Fatalf("unknown id: %s", r.Status)
+			t.Fatalf("span id %d before %d admissions: %s, want 404", uint64(span), uint64(span), r.Status)
 		}
-		var e struct {
-			Error string `json:"error"`
+		for n := uint64(id) + 1; n <= uint64(span); n++ {
+			if resp, body := postJSON(t, ts.URL+"/update", planOnlyBody(fmt.Sprintf("u%d", n))); resp.StatusCode != http.StatusOK {
+				t.Fatalf("plan-only update %d: %s (%v)", n, resp.Status, body)
+			}
 		}
-		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
-			t.Fatal(err)
-		}
-		// The 404 lists the ids that DO have reports, so a probe after a
-		// daemon restart is self-explaining.
-		if !strings.Contains(e.Error, fmt.Sprintf("known: %d", uint64(span))) {
-			t.Fatalf("404 body should list the known span ids: %q", e.Error)
+		var view viewBody
+		getJSON(t, url, &view)
+		if view.ID != uint64(span) || view.Flow != fmt.Sprintf("u%d", uint64(span)) || view.Cost != nil {
+			t.Fatalf("/updates/%d = %+v, want plan-only update %d without a cost report", uint64(span), view, uint64(span))
 		}
 	})
 }

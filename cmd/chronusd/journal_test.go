@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -92,12 +93,12 @@ func TestDaemonJournalRetainsEvictedEvents(t *testing.T) {
 
 // TestDaemonJournalReplayMatchesLiveEndpoints is the durability
 // contract: a journal captured from a live run, replayed offline, must
-// reproduce the /audit report and the /spans forest byte for byte (the
-// daemon runs in deterministic virtual mode, so both are pure functions
-// of the event stream). With a 32-event ring the daemon's auditor must
-// still have folded every event of its life, the evicted ones read back
-// from the journal; /spans serves the ring alone, so only the default
-// ring is held to the journal's forest.
+// reproduce the /audit report, the /spans forest and a /trace page byte
+// for byte (the daemon runs in deterministic virtual mode, so all three
+// are pure functions of the event stream). With a 32-event ring every
+// endpoint must still serve every event of the daemon's life, the
+// evicted ones read back from the journal: nothing is skipped, and
+// "dropped" is the ring's own eviction count.
 func TestDaemonJournalReplayMatchesLiveEndpoints(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -118,6 +119,7 @@ func TestDaemonJournalReplayMatchesLiveEndpoints(t *testing.T) {
 			}
 			liveAudit := getBody(t, ts.URL+"/audit")
 			liveSpans := getBody(t, ts.URL+"/spans")
+			liveTrace := getBody(t, ts.URL+"/trace?since=0&limit=1000")
 
 			if err := srv.journal.Flush(); err != nil {
 				t.Fatal(err)
@@ -140,19 +142,56 @@ func TestDaemonJournalReplayMatchesLiveEndpoints(t *testing.T) {
 			if got := rec.Body.String(); got != liveAudit {
 				t.Errorf("offline audit of the journal != live /audit:\n--- journal ---\n%s\n--- live ---\n%s", got, liveAudit)
 			}
-			if tc.traceCap > 0 {
-				return
+			if len(events) > 1000 {
+				t.Fatalf("journal holds %d events; the /trace page of 1000 cannot cover it", len(events))
 			}
 
+			last, dropped := events[len(events)-1].Seq, srv.tracer.Dropped()
 			rec = httptest.NewRecorder()
 			writeJSON(rec, http.StatusOK, map[string]any{
 				"spans":   chronus.BuildSpanForest(events),
-				"next":    events[len(events)-1].Seq,
+				"next":    last,
 				"skipped": 0,
-				"dropped": 0,
+				"dropped": dropped,
 			})
 			if got := rec.Body.String(); got != liveSpans {
 				t.Errorf("span forest from the journal != live /spans:\n--- journal ---\n%s\n--- live ---\n%s", got, liveSpans)
+			}
+			rec = httptest.NewRecorder()
+			writeJSON(rec, http.StatusOK, map[string]any{
+				"events":  events,
+				"next":    last,
+				"skipped": 0,
+				"dropped": dropped,
+			})
+			if got := rec.Body.String(); got != liveTrace {
+				t.Errorf("journal events != live /trace page:\n--- journal ---\n%s\n--- live ---\n%s", got, liveTrace)
+			}
+
+			// Small pages walk the same events: never more than limit per
+			// page, each resuming at the last Seq served.
+			var cursor uint64
+			for served := 0; served < len(events); {
+				var p struct {
+					Events []struct {
+						Seq uint64 `json:"seq"`
+					} `json:"events"`
+					Next    uint64 `json:"next"`
+					Skipped uint64 `json:"skipped"`
+				}
+				getJSON(t, fmt.Sprintf("%s/trace?since=%d&limit=50", ts.URL, cursor), &p)
+				if len(p.Events) == 0 || len(p.Events) > 50 || served+len(p.Events) > len(events) || p.Skipped != 0 {
+					t.Fatalf("page after %d: %d events, skipped %d; want 1..50 events, none skipped", cursor, len(p.Events), p.Skipped)
+				}
+				for i, e := range p.Events {
+					if e.Seq != events[served+i].Seq {
+						t.Fatalf("page after %d: event %d has seq %d, want %d", cursor, i, e.Seq, events[served+i].Seq)
+					}
+				}
+				served += len(p.Events)
+				if cursor = p.Next; cursor != p.Events[len(p.Events)-1].Seq {
+					t.Fatalf("next %d != last seq served %d", cursor, p.Events[len(p.Events)-1].Seq)
+				}
 			}
 		})
 	}

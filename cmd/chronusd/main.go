@@ -22,7 +22,7 @@
 //	GET  /schemes                    registered scheduler names and accepted update methods
 //	GET  /watch                      live SSE stream of trace events, resumable by cursor
 //	GET  /queue                      admission queue, tenants, capacity-ledger utilization
-//	GET  /updates/{id}               update lifecycle by admission id, or cost report by span id
+//	GET  /updates/{id}               update lifecycle and cost report by admission id
 //	GET  /state?at=1234              time-travel observed-state snapshot (omit at for now)
 //	GET  /drift                      desired-vs-observed drift report per update
 //	GET  /links/R1/R2/timeline?since=0   one link's utilization timeseries
@@ -31,7 +31,9 @@
 //
 // Update methods come from the scheme registry (internal/scheme): the
 // daemon plans with the named scheme and executes whatever shape it
-// returns — timed schedules time-triggered, round sequences barrier-paced.
+// returns — timed schedules time-triggered, round sequences barrier-paced —
+// once per daemon life (an update refused or failed before arming leaves
+// that migration unspent).
 //
 // With -debug-addr a second listener additionally serves net/http/pprof
 // and expvar on the standard /debug/ paths.

@@ -440,8 +440,8 @@ func TestDaemonConcurrentPullFoldsEachEventOnce(t *testing.T) {
 		names = append(names, name)
 		plan.Switches = append(plan.Switches, health.PlanSwitch{Switch: name, SlackTicks: 4})
 	}
-	conc.arm(plan)
-	serial.arm(plan)
+	conc.arm(&updateRecord{}, plan)
+	serial.arm(&updateRecord{}, plan)
 	for round := range 200 {
 		for _, srv := range []*server{conc, serial} {
 			for i, name := range names {

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -107,14 +106,9 @@ type server struct {
 
 	virtual bool
 	mu      sync.Mutex
-	updated bool
-	costs   map[uint64]*updateCost
-	// arrivals records when an admitted execute-update's HTTP request
-	// entered the handler (the cost meter's queue-wait origin); execs
-	// holds the executor's ground-truth outcome for the synchronous
-	// handler's response. Both are keyed by admission id.
-	arrivals map[uint64]time.Time
-	execs    map[uint64]execResult
+	// costs holds one record per execute update, keyed by admission id;
+	// the one-migration claim and /status's "updated" derive from it.
+	costs map[uint64]*updateRecord
 
 	listeners []net.Listener
 	conns     []*ofp.Conn
@@ -172,23 +166,21 @@ func newServer(o serverOptions) (*server, error) {
 	})
 	in.Obs = reg
 	srv := &server{
-		in:       in,
-		tb:       tb,
-		ctl:      chronus.NewController(tb, chronus.ControllerOptions{Seed: o.Seed, Obs: reg, Trace: tracer}),
-		clock:    chronus.NewClockEnsemble(chronus.DefaultClockParams(o.Seed), in.G.Nodes()),
-		flow:     chronus.FlowSpec{Name: "agg", Tag: 0, Path: in.Init, Rate: chronus.Rate(in.Demand)},
-		reg:      reg,
-		tracer:   tracer,
-		meter:    ofp.NewConnMeter(reg),
-		health:   health.New(reg),
-		clocks:   clock.New(reg),
-		auditor:  audit.New(),
-		journal:  jw,
-		log:      o.Log,
-		virtual:  o.Virtual,
-		costs:    make(map[uint64]*updateCost),
-		arrivals: make(map[uint64]time.Time),
-		execs:    make(map[uint64]execResult),
+		in:      in,
+		tb:      tb,
+		ctl:     chronus.NewController(tb, chronus.ControllerOptions{Seed: o.Seed, Obs: reg, Trace: tracer}),
+		clock:   chronus.NewClockEnsemble(chronus.DefaultClockParams(o.Seed), in.G.Nodes()),
+		flow:    chronus.FlowSpec{Name: "agg", Tag: 0, Path: in.Init, Rate: chronus.Rate(in.Demand)},
+		reg:     reg,
+		tracer:  tracer,
+		meter:   ofp.NewConnMeter(reg),
+		health:  health.New(reg),
+		clocks:  clock.New(reg),
+		auditor: audit.New(),
+		journal: jw,
+		log:     o.Log,
+		virtual: o.Virtual,
+		costs:   make(map[uint64]*updateRecord),
 	}
 	if srv.headroom = o.ExecHeadroom; srv.headroom <= 0 {
 		srv.headroom = controller.Headroom
@@ -368,81 +360,77 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 func (s *server) pull() uint64 {
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
-	evs, next, missed := s.tracePage(s.cursor, 0)
-	if missed > 0 {
-		s.log.Warn("trace events lost before they were folded", "after", s.cursor, "skipped", missed)
-		s.state.NoteSkipped(missed)
+	ps := s.tracePage(s.cursor, 0)
+	if ps.Skipped > 0 {
+		s.log.Warn("trace events lost before they were folded", "after", s.cursor, "skipped", ps.Skipped)
+		s.state.NoteSkipped(ps.Skipped)
 	}
-	s.cursor = next
-	s.clocks.Observe(evs)
-	s.health.Observe(evs)
-	s.state.Observe(evs)
-	s.auditor.Feed(evs...)
-	return next
+	s.cursor = ps.Next
+	s.clocks.Observe(ps.Events)
+	s.health.Observe(ps.Events)
+	s.state.Observe(ps.Events)
+	s.auditor.Feed(ps.Events...)
+	return ps.Next
 }
 
 // tracePage is the daemon's one reader of its trace stream: up to limit
-// (0 = all) ring events with Seq > since, preceded by whatever part of
-// that range the ring evicted and this life's journal still holds.
-// missed counts the events after since that neither source held.
-func (s *server) tracePage(since uint64, limit int) (evs []obs.Event, next, missed uint64) {
+// (0 = all) events with Seq > since, the range the ring evicted read back
+// from this life's journal (flushed first, so the read sees everything
+// the tracer recorded; an earlier daemon's segments are not read, as its
+// sequence numbers overlap this one's). Skipped counts the events up to
+// Next that neither source held; Dropped is the ring's eviction count.
+func (s *server) tracePage(since uint64, limit int) obs.PageStats {
 	ps := s.tracer.PageStats(since, limit)
 	if ps.Skipped == 0 {
-		return ps.Events, ps.Next, 0
+		return ps
 	}
-	older := s.journalEvents(since, since+ps.Skipped+1)
-	return append(older, ps.Events...), ps.Next, ps.Skipped - uint64(len(older))
+	var evs []obs.Event
+	if s.journal != nil && s.journal.Flush() == nil {
+		// io.EOF ends the read past the range; what a failed read misses is skipped.
+		hi := since + ps.Skipped + 1
+		_, _ = s.journal.Replay(since, func(e obs.Event) error {
+			if e.Seq >= hi || (limit > 0 && len(evs) == limit) {
+				return io.EOF
+			}
+			evs = append(evs, e)
+			return nil
+		})
+	}
+	// The ring's events follow the journal's; a page keeps the first limit.
+	if evs = append(evs, ps.Events...); limit > 0 && len(evs) > limit {
+		evs = evs[:limit]
+	}
+	ps.Events, ps.Next = evs, evs[len(evs)-1].Seq
+	ps.Skipped = ps.Next - since - uint64(len(evs))
+	return ps
 }
 
-// errJournalRead stops a journal replay once it passes the wanted range.
-var errJournalRead = errors.New("journal range read")
-
-// journalEvents reads this daemon's events with lo < Seq < hi back from
-// its journal, flushing the writer first so the read sees everything
-// the tracer has recorded. An earlier daemon's segments in the same
-// directory are not read: its sequence numbers overlap this one's.
-// Returns nil when no journal is attached or the read fails (the range
-// then counts as missed).
-func (s *server) journalEvents(lo, hi uint64) []obs.Event {
-	if s.journal == nil || s.journal.Flush() != nil {
-		return nil
-	}
-	var out []obs.Event
-	_, err := s.journal.Replay(lo, func(e obs.Event) error {
-		if e.Seq >= hi {
-			return errJournalRead
-		}
-		out = append(out, e)
-		return nil
-	})
-	if err != nil && !errors.Is(err, errJournalRead) {
-		return nil
-	}
-	return out
-}
-
-// arm holds the health engine to plan p. Everything recorded before
-// now — boot clock probes, the previous update's applies — is folded
-// first, so it lands in the previous plan's margins and never in p's.
-func (s *server) arm(p health.Plan) {
+// arm marks rec as having spent the migration and holds the health
+// engine to plan p. Everything recorded before now — boot clock probes,
+// the previous update's applies — is folded first, so it lands in the
+// previous plan's margins and never in p's.
+func (s *server) arm(rec *updateRecord, p health.Plan) {
+	s.mu.Lock()
+	rec.armed = true
+	s.mu.Unlock()
 	s.pull()
 	s.health.SetPlan(p)
 }
 
 // handleSpans returns the causal span forest reconstructed from the
-// trace ring. ?since= and ?limit= page through the underlying events
-// exactly like /trace (limit bounds events read, not spans returned);
-// the next cursor resumes where this page stopped, and "skipped"
-// reports how many events between the cursor and this page the ring
-// evicted before they could be served. In deterministic (virtual,
-// no-wall) mode the response bytes are fixed per seed.
+// trace. ?since= and ?limit= page through the underlying events exactly
+// like /trace (limit bounds events read, not spans returned); the next
+// cursor resumes where this page stopped, and "skipped" reports how many
+// events up to it neither the ring nor the journal held. In
+// deterministic (virtual, no-wall) mode the response bytes are fixed per
+// seed.
 func (s *server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	since, limit, err := parsePaging(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ps := s.tracer.PageStats(since, limit)
+	ps := s.tracePage(since, limit)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"spans":   chronus.BuildSpanForest(ps.Events),
 		"next":    ps.Next,
@@ -525,21 +513,21 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace streams the recorded trace events as JSON Lines; ?since=N
-// skips events with sequence numbers <= N, so pollers can tail the ring
+// skips events with sequence numbers <= N, so pollers can tail the trace
 // incrementally. With ?limit=N the response is instead a JSON envelope
 // holding at most N events, the cursor to pass as since on the next
-// page, the count of events between the cursor and this page that the
-// ring evicted unserved ("skipped"), and the tracer's total eviction
-// count — all captured atomically, so a client summing skipped across
-// pages accounts for every sequence number it never received.
+// page, the count of events up to that cursor that neither the ring nor
+// the journal held ("skipped"), and the ring's total eviction count —
+// all from one read, so a client summing skipped across pages accounts
+// for every sequence number it never received.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	since, limit, err := parsePaging(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	ps := s.tracePage(since, limit)
 	if limit > 0 {
-		ps := s.tracer.PageStats(since, limit)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"events":  ps.Events,
 			"next":    ps.Next,
@@ -550,8 +538,16 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Chronus-Trace-Dropped", strconv.FormatUint(s.tracer.Dropped(), 10))
-	_ = s.tracer.WriteJSONL(w, since)
+	w.Header().Set("X-Chronus-Trace-Dropped", strconv.FormatUint(ps.Dropped, 10))
+	var buf []byte
+	for _, e := range ps.Events {
+		if buf, err = obs.EncodeJSONLine(buf[:0], e); err == nil {
+			_, err = w.Write(buf)
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -594,7 +590,7 @@ func (s *server) handlePacketIns(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	updated := s.updated
+	updated := s.claimedLocked()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"now":             s.tb.Now(),
@@ -772,37 +768,32 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	var id uint64
 	if areq.Execute {
-		// The emulated aggregate flow migrates once per daemon life; the
-		// slot is claimed at enqueue so a concurrent second POST gets the
-		// 409 before it can double-migrate.
+		// The aggregate flow migrates once per daemon life. Claim check,
+		// Submit and filing the record share one critical section: a
+		// racing second POST gets the 409 before it can double-migrate,
+		// and the executor always finds the record.
 		s.mu.Lock()
-		if s.updated {
+		if s.claimedLocked() {
 			s.mu.Unlock()
 			writeErr(w, http.StatusConflict, errors.New("flow already migrated; restart the daemon"))
 			return
 		}
-		s.updated = true
-		s.mu.Unlock()
-	}
-	id, err := s.admit.Submit(areq)
-	if err != nil {
-		if areq.Execute {
-			s.mu.Lock()
-			s.updated = false
-			s.mu.Unlock()
+		if id, err = s.admit.Submit(areq); err == nil {
+			s.costs[id] = &updateRecord{arrived: arrived}
 		}
+		s.mu.Unlock()
+	} else {
+		id, err = s.admit.Submit(areq)
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, admit.ErrQueueFull) {
 			status = http.StatusTooManyRequests
 		}
 		writeErr(w, status, err)
 		return
-	}
-	if areq.Execute {
-		s.mu.Lock()
-		s.arrivals[id] = arrived
-		s.mu.Unlock()
 	}
 	if req.Async {
 		w.Header().Set("Location", fmt.Sprintf("/updates/%d", id))
@@ -817,29 +808,27 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	switch view.State {
-	case "failed":
+	switch {
+	case view.State == "failed":
 		writeErr(w, http.StatusBadRequest, errors.New(view.Reason))
-	case "refused":
+	case view.State == "refused":
 		writeErr(w, http.StatusConflict, fmt.Errorf("refused: %s", view.Reason))
-	default:
-		if areq.Execute {
-			s.mu.Lock()
-			out := s.execs[id]
-			delete(s.execs, id)
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, map[string]any{
-				"id":              id,
-				"state":           view.State,
-				"method":          req.Method,
-				"span":            view.Span,
-				"now":             out.Now,
-				"congested_links": out.Congested,
-				"overload_ticks":  out.OverloadTicks,
-				"drops":           out.Drops,
-			})
-			return
+	case areq.Execute:
+		s.mu.Lock()
+		rec := s.costs[id]
+		body := map[string]any{
+			"id":              id,
+			"state":           view.State,
+			"method":          req.Method,
+			"span":            view.Span,
+			"now":             rec.now,
+			"congested_links": rec.congested,
+			"overload_ticks":  rec.overloadTicks,
+			"drops":           rec.drops,
 		}
+		s.mu.Unlock()
+		writeJSON(w, http.StatusOK, body)
+	default:
 		writeJSON(w, http.StatusOK, view)
 	}
 }
@@ -848,11 +837,11 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // one root span and logs the outcome; see executePlanned for the
 // actual dispatch. The admission id and tenant identify the update in
 // the state.intent record the drift detector verifies against. Returns
-// the root span id (the key the update's cost report is filed under).
-func (s *server) executeUpdate(id uint64, tenant, method string) (chronus.SpanID, error) {
+// the root span id (the exemplar of the update's stage histograms).
+func (s *server) executeUpdate(rec *updateRecord, id uint64, tenant, method string) (chronus.SpanID, error) {
 	root := s.tracer.StartSpan(int64(s.tb.Now()), "update", 0, obs.A("method", method))
 	s.ctl.SetSpan(root.SpanID())
-	err := s.executePlanned(id, tenant, method, root.SpanID())
+	err := s.executePlanned(rec, id, tenant, method, root.SpanID())
 	s.ctl.SetSpan(0)
 	outcome := "ok"
 	if err != nil {
@@ -878,9 +867,9 @@ func (s *server) executeUpdate(id uint64, tenant, method string) (chronus.SpanID
 // planner-intended end-state (a state.intent event) before the first
 // FlowMod goes out so a crash mid-execution leaves provable intent in
 // the journal.
-func (s *server) executePlanned(id uint64, tenant, method string, root chronus.SpanID) error {
+func (s *server) executePlanned(rec *updateRecord, id uint64, tenant, method string, root chronus.SpanID) error {
 	if method == "tp" {
-		s.arm(health.Plan{Kind: "twophase", Valid: true})
+		s.arm(rec, health.Plan{Kind: "twophase", Valid: true})
 		newTag := s.flow.Tag + 1
 		s.emitIntent(id, tenant, method, fmt.Sprintf("%s/%d", s.flow.Name, newTag), 0, nil, int64(s.tb.Now()))
 		return s.ctl.ExecuteTwoPhase(s.in, s.flow, newTag)
@@ -888,9 +877,6 @@ func (s *server) executePlanned(id uint64, tenant, method string, root chronus.S
 	res, err := chronus.SolveWith(method, s.in, chronus.SchemeOptions{
 		Obs: s.reg, Trace: s.tracer, VT: int64(s.tb.Now()), Span: root,
 	})
-	if errors.Is(err, chronus.ErrUnknownScheme) {
-		return fmt.Errorf("unknown method %q (want tp or a scheme: %s)", method, strings.Join(chronus.Schemes(), ", "))
-	}
 	if err != nil {
 		return err
 	}
@@ -909,7 +895,7 @@ func (s *server) executePlanned(id uint64, tenant, method string, root chronus.S
 		start := chronus.Tick(now) + chronus.Tick(s.headroom)
 		sched := res.Schedule.Shifted(start)
 		plan := controller.TimedPlan(s.in, res.Schedule, start, now, report.OK())
-		s.arm(plan)
+		s.arm(rec, plan)
 		s.tracer.EmitSpan("plan", root, now, now,
 			obs.A("kind", "timed"), obs.A("switches", len(sched.Times)),
 			obs.A("start", int64(start)), obs.A("valid", report.OK()))
@@ -917,7 +903,7 @@ func (s *server) executePlanned(id uint64, tenant, method string, root chronus.S
 			minPlanSlack(plan), sched, -1)
 		return s.ctl.ExecuteTimed(s.in, sched, s.flow)
 	case len(res.Rounds) > 0 && res.Feasible == nil:
-		s.arm(health.Plan{Kind: "rounds", Valid: true})
+		s.arm(rec, health.Plan{Kind: "rounds", Valid: true})
 		sched := baseline.ORSchedule(res.Rounds, baseline.ORScheduleOptions{RoundWidth: 1})
 		now := int64(s.tb.Now())
 		s.tracer.EmitSpan("plan", root, now, now,

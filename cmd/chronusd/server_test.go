@@ -92,6 +92,21 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("samples = %v", samples)
 	}
 
+	// An update that ends before touching the data plane does not use up
+	// the daemon's one migration: a typo is refused at the door, and tree
+	// plans nothing executable.
+	for _, method := range []string{"chronos", "tree"} {
+		resp, result := postJSON(t, ts.URL+"/update", fmt.Sprintf(`{"method": %q}`, method))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s update: %s (%v), want 400", method, resp.Status, result)
+		}
+	}
+	var status1 map[string]any
+	getJSON(t, ts.URL+"/status", &status1)
+	if status1["updated"] != false {
+		t.Fatalf("status after two refused updates = %v, want updated false", status1)
+	}
+
 	resp, result := postJSON(t, ts.URL+"/update", `{"method": "chronus"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update: %s (%v)", resp.Status, result)

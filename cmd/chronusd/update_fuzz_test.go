@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
+	chronus "github.com/chronus-sdn/chronus"
 	"github.com/chronus-sdn/chronus/internal/admit"
 	"github.com/chronus-sdn/chronus/internal/graph"
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -14,12 +16,15 @@ import (
 // the handler: decode into updateRequest, translate with admitRequest, and
 // validate as the admission engine does on Submit (on a fresh engine over
 // the daemon's graph, so nothing queues on the server's own). Nothing may
-// panic, and every body that validates names only switches of the
-// topology: a plan-only update's paths are its names resolved in order.
+// panic, every body that validates names only switches of the topology
+// (a plan-only update's paths are its names resolved in order), and an
+// execute update it accepts names tp or a registered scheme.
 func FuzzUpdateRequest(f *testing.F) {
 	for _, body := range []string{
 		`{}`,
 		`{"method": "chronus", "async": true}`,
+		`{"method": "chronos"}`,
+		`{"method": "TP"}`,
 		planOnlyBody("f1"),
 		`{"flow": "f", "demand": 1, "init": ["R1", "R10"], "fin": ["R1", "R2", "R10"]}`,
 		`{"flow": "f", "demand": -5, "init": ["R1"], "fin": []}`,
@@ -50,6 +55,9 @@ func FuzzUpdateRequest(f *testing.F) {
 		}
 		if _, err := admit.New(g, admit.Options{Execute: execute}).Submit(areq); err != nil {
 			return
+		}
+		if areq.Execute && areq.Method != "tp" && !slices.Contains(chronus.Schemes(), areq.Method) {
+			t.Fatalf("body %q: execute update accepted with method %q, neither tp nor a scheme", body, areq.Method)
 		}
 		for _, p := range []graph.Path{areq.Init, areq.Fin} {
 			for _, v := range p {

@@ -22,9 +22,10 @@ import (
 // coordinates — journal offsets and ring cursors are one namespace).
 // Only events that are in neither — journal-disabled daemons, or events
 // the journal itself had to drop — surface as a "gap" frame carrying the
-// skipped count, the same accounting /trace pages report.
+// skipped count, the same accounting /trace pages report. Each poll
+// reads everything after the cursor unpaged: the journal has no index,
+// so a bounded page would re-read this life's segments for every batch.
 const (
-	watchBatch        = 256
 	watchPollInterval = 25 * time.Millisecond
 	watchPingInterval = 15 * time.Second
 )
@@ -50,19 +51,19 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ticker := time.NewTicker(watchPollInterval)
 	defer ticker.Stop()
 	for {
-		evs, next, missed := s.tracePage(cursor, watchBatch)
-		if missed > 0 {
-			if _, err := fmt.Fprintf(w, "event: gap\ndata: {\"after\": %d, \"skipped\": %d}\n\n", cursor, missed); err != nil {
+		ps := s.tracePage(cursor, 0)
+		if ps.Skipped > 0 {
+			if _, err := fmt.Fprintf(w, "event: gap\ndata: {\"after\": %d, \"skipped\": %d}\n\n", cursor, ps.Skipped); err != nil {
 				return
 			}
 		}
-		for _, e := range evs {
+		for _, e := range ps.Events {
 			if err := writeEventFrame(w, &buf, e); err != nil {
 				return
 			}
 		}
-		cursor = next
-		if len(evs) > 0 || missed > 0 {
+		cursor = ps.Next
+		if len(ps.Events) > 0 || ps.Skipped > 0 {
 			if err := fl.Flush(); err != nil {
 				return
 			}

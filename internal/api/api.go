@@ -17,7 +17,7 @@ type Endpoint struct {
 // Endpoints lists every chronusd route, GETs first, each group in
 // registration order.
 var Endpoints = []Endpoint{
-	{"GET", "/status", "daemon status: virtual time, switch count, last update outcome"},
+	{"GET", "/status", "daemon status: virtual time, switch and link counts, congested links, whether the one migration is claimed"},
 	{"GET", "/topology", "topology as adjacency (switch names and links)"},
 	{"GET", "/links", "per-link load, capacity and utilization"},
 	{"GET", "/switches/{name}/rules", "one switch's forwarding rules"},
@@ -28,12 +28,12 @@ var Endpoints = []Endpoint{
 	{"GET", "/spans", "causal span forest of recent updates, with ?since=/?limit= paging"},
 	{"GET", "/health", "live SLO verdict: slack margins, burn, OK/WARN/CRIT rules"},
 	{"GET", "/clocks", "per-switch clock-quality estimates: offset, drift, jitter, barrier RTT"},
-	{"GET", "/audit", "consistency audit of the trace ring (violations, critical path)"},
+	{"GET", "/audit", "consistency audit of every trace event of this daemon life (violations, critical path)"},
 	{"GET", "/schemes", "registered update schemes"},
 	{"GET", "/dash", "self-contained HTML dashboard (spans timeline + health tiles)"},
 	{"GET", "/watch", "live SSE stream of trace events and spans, resumable with ?since= or Last-Event-ID"},
 	{"GET", "/queue", "admission queue: depth, waves, per-tenant accounting, capacity-ledger utilization"},
-	{"GET", "/updates/{id}", "update lifecycle (queued/planning/executing/done states) by admission id, or cost report by root span id"},
+	{"GET", "/updates/{id}", "update lifecycle (queued/planning/executing/done states) by admission id, with an execute update's cost report"},
 	{"GET", "/state", "time-travel observed-state snapshot (tables, pending FlowMods, link rates, update overlays) at ?at=<tick>"},
 	{"GET", "/drift", "desired-vs-observed drift: each update's planned end-state diffed against the observed tables (converging/stranded/diverged) with per-switch evidence"},
 	{"GET", "/links/{from}/{to}/timeline", "one link's utilization timeseries from ?since=<tick>, ring-served with journal backfill for older ticks"},
