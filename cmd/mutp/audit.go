@@ -9,7 +9,6 @@ import (
 	chronus "github.com/chronus-sdn/chronus"
 	"github.com/chronus-sdn/chronus/internal/audit"
 	"github.com/chronus-sdn/chronus/internal/journal"
-	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
 // runAudit executes the schedule on the emulated testbed, feeds the
@@ -82,18 +81,15 @@ func auditFromFile(out io.Writer, path, jsonPath string) error {
 }
 
 // auditFromJournal replays a chronusd journal directory — every
-// segment, in order — through the auditor.
+// segment, in order — through the auditor, as one batch.
 func auditFromJournal(out io.Writer, dir, jsonPath string) error {
-	a := audit.New()
-	n := 0
-	stats, err := journal.Replay(dir, 0, func(e obs.Event) error {
-		a.Feed(e)
-		n++
-		return nil
-	})
+	evs, stats, err := journal.ReadAll(dir, 0)
 	if err != nil {
 		return err
 	}
+	a := audit.New()
+	a.Feed(evs...)
+	n := len(evs)
 	for _, w := range stats.Warnings {
 		fmt.Fprintf(out, "warning: %s\n", w)
 	}

@@ -69,15 +69,21 @@ import (
 // only the flows they touched. A fed event that sorts before an already
 // folded event it must follow makes that Report refold every event from
 // scratch instead. An Auditor is not safe for concurrent use.
+//
+// The auditor keeps the slices it is fed rather than copies of them, so
+// a tracer page (a window onto the tracer's storage) is fed for free.
 type Auditor struct {
-	events []obs.Event
+	// batches are the fed slices in feed order, each cap-clipped so that
+	// nothing appends into its caller's array; n counts their events.
+	batches [][]obs.Event
+	n       int
 
 	// seqs holds the sequence numbers fed so far; unsequenced counts the
 	// events that carry none (Seq 0).
 	seqs        seqSet
 	unsequenced int
 
-	// st is the reconstruction over events[:folded].
+	// st is the reconstruction over batches[:folded].
 	st     *state
 	folded int
 	// rebuilds counts the reports that refolded every event from scratch.
@@ -87,9 +93,15 @@ type Auditor struct {
 // New returns an empty auditor.
 func New() *Auditor { return &Auditor{} }
 
-// Feed adds events to the auditor.
+// Feed adds events to the auditor. It keeps evs itself, not a copy: the
+// caller must not modify the fed events afterwards. Tracer pages (see
+// obs.PageStats) are read-only and so may be fed as they are.
 func (a *Auditor) Feed(evs ...obs.Event) {
-	a.events = append(a.events, evs...)
+	if len(evs) == 0 {
+		return
+	}
+	a.batches = append(a.batches, evs[:len(evs):len(evs)])
+	a.n += len(evs)
 	for i := range evs {
 		a.countSeq(evs[i].Seq)
 	}
@@ -113,16 +125,16 @@ func (a *Auditor) countSeq(seq uint64) {
 // nothing after a corrupt record can be trusted to be aligned. n is the
 // number of events fed.
 func (a *Auditor) ReadJSONLTolerant(r io.Reader) (n int, warn string, err error) {
+	var evs []obs.Event
 	warn, err = obs.ReadJSONL(r, true, func(e obs.Event) error {
-		a.events = append(a.events, e)
-		a.countSeq(e.Seq)
-		n++
+		evs = append(evs, e)
 		return nil
 	})
+	a.Feed(evs...)
 	if err != nil {
 		err = fmt.Errorf("audit: %w", err)
 	}
-	return n, warn, err
+	return len(evs), warn, err
 }
 
 // splitLink splits a "u>v" link label into its endpoints.
@@ -132,26 +144,27 @@ func splitLink(label string) (string, string, bool) {
 }
 
 // Report reconstructs forwarding and utilization state from the fed
-// events and returns the auditor's verdict. It folds the events fed since
-// the previous Report into the kept reconstruction, or, if one of them
-// sorts before what it must follow, rebuilds the reconstruction from
-// every fed event; either way the report equals a fresh auditor's.
+// events and returns the auditor's verdict. It folds the batches fed
+// since the previous Report, in feed order, into the kept
+// reconstruction, or, if one of their events sorts before what it must
+// follow, rebuilds the reconstruction from every fed batch; either way
+// the report equals a fresh auditor's.
 func (a *Auditor) Report() *Report {
-	if a.st == nil || !a.st.fold(a.events[a.folded:]) {
+	if a.st == nil || !a.st.fold(a.batches[a.folded:]) {
 		if a.st != nil {
 			a.rebuilds++
 		}
 		// One time-ordered pass from an empty state; it cannot fail.
 		a.st = newState()
-		a.st.fold(a.events)
+		a.st.fold(a.batches)
 	}
-	a.folded = len(a.events)
+	a.folded = len(a.batches)
 
 	notes := make(noteSet)
 	if a.unsequenced > 0 {
 		notes.add("%d event(s) carry no sequence number; gap detection is off for them", a.unsequenced)
 	}
-	return a.st.report(len(a.events), a.seqs.missing(), notes)
+	return a.st.report(a.n, a.seqs.missing(), notes)
 }
 
 // seqSet is a set of sequence numbers kept as sorted, disjoint runs of

@@ -215,3 +215,55 @@ func FuzzAuditSplits(f *testing.F) {
 		checkSplits(t, evs, cuts)
 	})
 }
+
+// TestFeedTracerPagesWhileRecording feeds an auditor the tracer's own
+// pages — windows onto its storage, kept as batches rather than copied —
+// while another goroutine records 30 back-to-back updates into a
+// 64-event tracer, so pages are read while the tracer appends and
+// evicts (CI runs it under -race). Every report equals a fresh auditor's
+// over copies of the pages fed so far: no batch the auditor keeps
+// changed under the writer.
+func TestFeedTracerPagesWhileRecording(t *testing.T) {
+	src, _ := backToBackEvents(t, 30)
+	tr := obs.NewTracer(obs.TracerOptions{Cap: 64})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, e := range src {
+			if e.Dur != 0 {
+				tr.Span(e.Name, e.VT, e.VT+e.Dur, e.Attrs...)
+			} else {
+				tr.Point(e.VT, e.Name, e.Attrs...)
+			}
+		}
+	}()
+	a := New()
+	var fed []obs.Event
+	var cursor uint64
+	check := func() {
+		ps := tr.PageStats(cursor, 0)
+		cursor = ps.Next
+		a.Feed(ps.Events...)
+		for _, e := range ps.Events {
+			e.Attrs = slices.Clone(e.Attrs)
+			fed = append(fed, e)
+		}
+		fresh := New()
+		fresh.Feed(slices.Clone(fed)...)
+		if got, want := a.Report(), fresh.Report(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d events fed, the report differs from a fresh auditor's:\n%s\nvs\n%s", len(fed), got, want)
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			check()
+		}
+	}
+	check()
+	if cursor != uint64(len(src)) {
+		t.Fatalf("paged up to seq %d of %d", cursor, len(src))
+	}
+}

@@ -205,38 +205,55 @@ func byTime(a, b obs.Event) int {
 	return cmp.Compare(a.Seq, b.Seq)
 }
 
-// timeOrdered reports whether the events of evs the auditor reads
-// already appear in byTime order.
-func timeOrdered(evs []obs.Event) bool {
-	last := -1
-	for i := range evs {
-		if classOf(evs[i].Name) == classIgnored {
-			continue
+// timeOrdered reports whether the events of batches the auditor reads,
+// taken in feed order, already appear in byTime order.
+func timeOrdered(batches [][]obs.Event) bool {
+	var last *obs.Event
+	for _, evs := range batches {
+		for i := range evs {
+			if classOf(evs[i].Name) == classIgnored {
+				continue
+			}
+			if last != nil && byTime(*last, evs[i]) > 0 {
+				return false
+			}
+			last = &evs[i]
 		}
-		if last >= 0 && byTime(evs[last], evs[i]) > 0 {
-			return false
-		}
-		last = i
 	}
 	return true
 }
 
-// fold ingests evs, the events fed since the previous fold, in byTime
-// order. That is the order a from-scratch pass over every fed event
-// visits them in as long as each sorts at or after the last event folded
-// of its class. fold returns false, leaving the state unusable, at the
-// first event that does not.
-func (st *state) fold(evs []obs.Event) bool {
-	if !timeOrdered(evs) {
+// fold ingests batches, the events fed since the previous fold in feed
+// order, in byTime order. That is the order a from-scratch pass over
+// every fed event visits them in as long as each sorts at or after the
+// last event folded of its class. fold returns false, leaving the state
+// unusable, at the first event that does not. It never writes to the
+// batches: when their events are out of order, it sorts one
+// concatenation of the ones it reads.
+func (st *state) fold(batches [][]obs.Event) bool {
+	if !timeOrdered(batches) {
 		pend := st.pending[:0]
-		for i := range evs {
-			if classOf(evs[i].Name) != classIgnored {
-				pend = append(pend, evs[i])
+		for _, evs := range batches {
+			for i := range evs {
+				if classOf(evs[i].Name) != classIgnored {
+					pend = append(pend, evs[i])
+				}
 			}
 		}
 		slices.SortStableFunc(pend, byTime)
-		st.pending, evs = pend, pend
+		st.pending = pend
+		return st.foldOrdered(pend)
 	}
+	for _, evs := range batches {
+		if !st.foldOrdered(evs) {
+			return false
+		}
+	}
+	return true
+}
+
+// foldOrdered is fold over time-ordered events.
+func (st *state) foldOrdered(evs []obs.Event) bool {
 	for i := range evs {
 		e := &evs[i]
 		at := st.frontier(e)

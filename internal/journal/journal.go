@@ -149,9 +149,32 @@ type Writer struct {
 	segBytes int64
 	buf      []byte // the batch: encoded events not yet written
 	batch    int64  // how many events buf holds
+	lines    int    // events encoded this run
+	lastSeq  uint64 // the Seq of the last event encoded
+	marks    []mark // seek points of the lines in buf
 
 	errMu sync.Mutex
 	err   error // first write/sync error, sticky
+
+	// index is this run's seek index for Replay: a mark every
+	// indexEvery lines, Seq-ascending, added once the batch holding its
+	// line is written. unordered is set, and the index abandoned, once
+	// an event's Seq fails to exceed the previous one's.
+	idxMu     sync.Mutex
+	index     []mark
+	unordered bool
+}
+
+// indexEvery is how many lines apart Replay's seek points lie: the most
+// lines a Replay decodes before it reaches its cursor.
+const indexEvery = 256
+
+// mark is one seek point: the line of event seq starts off bytes into
+// segment seg.
+type mark struct {
+	seq uint64
+	seg int
+	off int64
 }
 
 // Open creates (or re-opens) the journal directory and starts the drain
@@ -316,6 +339,7 @@ func (w *Writer) encode(e obs.Event) {
 		w.dropped.Inc()
 		return
 	}
+	off := w.segBytes + int64(len(w.buf))
 	var err error
 	if w.buf, err = obs.EncodeJSONLine(w.buf, e); err != nil {
 		w.fail(err)
@@ -323,6 +347,16 @@ func (w *Writer) encode(e obs.Event) {
 		return
 	}
 	w.batch++
+	if w.lines > 0 && e.Seq <= w.lastSeq {
+		w.idxMu.Lock()
+		w.unordered = true
+		w.idxMu.Unlock()
+	}
+	if w.lines%indexEvery == 0 && e.Seq > 0 {
+		w.marks = append(w.marks, mark{seq: e.Seq, seg: w.segIdx, off: off})
+	}
+	w.lines++
+	w.lastSeq = e.Seq
 	if w.segBytes+int64(len(w.buf)) >= w.opts.SegmentBytes && w.write() {
 		w.rotate()
 	}
@@ -338,8 +372,8 @@ func (w *Writer) write() bool {
 	if n == 0 {
 		return false
 	}
-	buf := w.buf
-	w.buf, w.batch = w.buf[:0], 0
+	buf, marks := w.buf, w.marks
+	w.buf, w.batch, w.marks = w.buf[:0], 0, w.marks[:0]
 	if w.f == nil {
 		name := filepath.Join(w.opts.Dir, fmt.Sprintf("%s%06d%s", segPrefix, w.segIdx, segSuffix))
 		f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
@@ -365,7 +399,28 @@ func (w *Writer) write() bool {
 		}
 	}
 	w.appended.Add(n)
+	if len(marks) > 0 {
+		w.idxMu.Lock()
+		w.index = append(w.index, marks...)
+		w.idxMu.Unlock()
+	}
 	return true
+}
+
+// seek returns where a Replay of this run with cursor since may start
+// reading: the last mark whose line, and every line before it, has a
+// Seq at most since+1, or the run's first segment from its start.
+func (w *Writer) seek(since uint64) mark {
+	w.idxMu.Lock()
+	defer w.idxMu.Unlock()
+	if w.unordered {
+		return mark{seg: w.first}
+	}
+	i := sort.Search(len(w.index), func(i int) bool { return w.index[i].seq-1 > since })
+	if i == 0 {
+		return mark{seg: w.first}
+	}
+	return w.index[i-1]
 }
 
 // rotate closes the current segment (syncing it unless the policy is

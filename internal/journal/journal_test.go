@@ -448,3 +448,95 @@ func TestJournalBatchesMatchPerEventReference(t *testing.T) {
 		}
 	}
 }
+
+// replaySeqs is Writer.Replay(since) as the sequence numbers it yields.
+func replaySeqs(t *testing.T, w *Writer, since uint64) ([]uint64, ReadStats) {
+	t.Helper()
+	var seqs []uint64
+	stats, err := w.Replay(since, func(e obs.Event) error {
+		seqs = append(seqs, e.Seq)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seqs, stats
+}
+
+// TestWriterReplaySeeks: a Replay of the writer's own run near the end
+// of a multi-segment journal decodes at most indexEvery lines it then
+// filters out, from the segment holding its seek point on, where a read
+// from the run's first line would decode every line of every segment;
+// and from every cursor, on either side of each seek point and of the
+// run's ends, it yields exactly the events past the cursor.
+func TestWriterReplaySeeks(t *testing.T) {
+	dir := t.TempDir()
+	// An earlier run in the same directory, whose numbering overlaps.
+	w0 := mustOpen(t, Options{Dir: dir})
+	w0.Record(event(1))
+	if err := w0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	w := mustOpen(t, Options{Dir: dir, SegmentBytes: 16 << 10, Buffer: n})
+	defer w.Close()
+	for i := 1; i <= n; i++ {
+		w.Record(event(i))
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 8 {
+		t.Fatalf("%d segments; the run must span several", len(segs))
+	}
+
+	seqs, stats := replaySeqs(t, w, n-10)
+	if len(seqs) != 10 || seqs[0] != n-9 {
+		t.Fatalf("replay from %d yielded %v", n-10, seqs)
+	}
+	if stats.Lines > indexEvery+10 || stats.Segments > 2 {
+		t.Fatalf("replay from %d decoded %d lines in %d of %d segments, want at most %d lines in 2",
+			n-10, stats.Lines, stats.Segments, len(segs)-1, indexEvery+10)
+	}
+
+	sinces := []uint64{0, 1, n - 1, n, n + 1}
+	for k := uint64(indexEvery); k < n; k += indexEvery {
+		sinces = append(sinces, k-1, k, k+1)
+	}
+	for _, since := range sinces {
+		seqs, stats := replaySeqs(t, w, since)
+		want := int(max(0, n-int(since)))
+		if len(seqs) != want || stats.Events != want {
+			t.Fatalf("replay from %d yielded %d events (stats %d), want %d", since, len(seqs), stats.Events, want)
+		}
+		for i, s := range seqs {
+			if s != since+uint64(i)+1 {
+				t.Fatalf("replay from %d: event %d has seq %d", since, i, s)
+			}
+		}
+	}
+}
+
+// TestWriterReplayUnordered: once a run's sequence numbers stop rising
+// (two tracers sharing one writer), Replay reads the whole run again,
+// so it yields every event past the cursor, duplicates included.
+func TestWriterReplayUnordered(t *testing.T) {
+	w := mustOpen(t, Options{Dir: t.TempDir(), Buffer: 2000})
+	defer w.Close()
+	for run := 0; run < 2; run++ {
+		for i := 1; i <= 600; i++ {
+			w.Record(event(i))
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seqs, stats := replaySeqs(t, w, 550)
+	if len(seqs) != 100 || stats.Lines != 1200 {
+		t.Fatalf("replay from 550 yielded %d events from %d lines, want 100 from 1200", len(seqs), stats.Lines)
+	}
+}

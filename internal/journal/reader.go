@@ -18,6 +18,9 @@ type ReadStats struct {
 	// Events is how many complete events were decoded (after the since
 	// filter the caller asked for).
 	Events int
+	// Lines is how many complete lines were decoded, the ones the since
+	// filter passed over included: what the read cost.
+	Lines int
 	// Torn counts torn trailing lines that were skipped — the partial
 	// record a crash mid-append leaves behind, at most one per segment.
 	Torn int
@@ -44,21 +47,26 @@ type ReadStats struct {
 // warned about, since the cursor only filters within one run's
 // numbering; Writer.Replay reads one run alone.
 func Replay(dir string, since uint64, fn func(obs.Event) error) (ReadStats, error) {
-	return replay(dir, 0, since, nil, fn)
+	return replay(dir, mark{}, since, nil, fn)
 }
 
 // Replay is journal.Replay over this writer's own run: the segments
 // from the one Open started on. Earlier runs sharing the directory
 // number their events from 1 too, so they are skipped rather than
 // filtered by since. Call Flush first to see every recorded event.
+//
+// The writer indexes the lines it writes, so the read starts at most
+// indexEvery lines before the first event past since rather than at
+// the run's first line, and Segments counts the segments from there.
 func (w *Writer) Replay(since uint64, fn func(obs.Event) error) (ReadStats, error) {
-	return replay(w.opts.Dir, w.first, since, nil, fn)
+	return replay(w.opts.Dir, w.seek(since), since, nil, fn)
 }
 
-// replay is Replay over the segments numbered first or later, with a
-// hook that sees each segment file, before it is decoded, and must
-// leave it positioned at its start.
-func replay(dir string, first int, since uint64, before func(*os.File) error, fn func(obs.Event) error) (ReadStats, error) {
+// replay is Replay from the line at from: the segments numbered from.seg
+// or later, the first of them from byte from.off. The before hook sees
+// each segment file, before it is decoded, and must leave it positioned
+// at its start.
+func replay(dir string, from mark, since uint64, before func(*os.File) error, fn func(obs.Event) error) (ReadStats, error) {
 	var stats ReadStats
 	segs, err := Segments(dir)
 	if err != nil {
@@ -67,11 +75,17 @@ func replay(dir string, first int, since uint64, before func(*os.File) error, fn
 	var lastSeq uint64
 	warnedRegress := false
 	for _, seg := range segs {
-		if n, _ := segmentIndex(filepath.Base(seg)); n < first {
+		n, _ := segmentIndex(filepath.Base(seg))
+		if n < from.seg {
 			continue
 		}
+		var off int64
+		if n == from.seg {
+			off = from.off
+		}
 		stats.Segments++
-		if err := replaySegment(seg, &stats, before, func(e obs.Event) error {
+		if err := replaySegment(seg, off, &stats, before, func(e obs.Event) error {
+			stats.Lines++
 			if e.Seq < lastSeq && !warnedRegress {
 				stats.Warnings = append(stats.Warnings, fmt.Sprintf(
 					"%s: sequence regressed from %d to %d (multiple runs in one journal dir?)",
@@ -97,7 +111,7 @@ func replay(dir string, first int, since uint64, before func(*os.File) error, fn
 func ReadAll(dir string, since uint64) ([]obs.Event, ReadStats, error) {
 	var out []obs.Event
 	buf := make([]byte, 64<<10)
-	stats, err := replay(dir, 0, since, func(f *os.File) error {
+	stats, err := replay(dir, mark{}, since, func(f *os.File) error {
 		n, err := countLines(f, buf)
 		out = slices.Grow(out, n)
 		return err
@@ -126,10 +140,10 @@ func countLines(f *os.File, buf []byte) (int, error) {
 	return n, err
 }
 
-// replaySegment reads one segment file through the shared line reader,
-// with the torn-tail tolerance described on Replay, after the before
-// hook when there is one.
-func replaySegment(path string, stats *ReadStats, before func(*os.File) error, fn func(obs.Event) error) error {
+// replaySegment reads one segment file from byte off through the shared
+// line reader, with the torn-tail tolerance described on Replay, after
+// the before hook when there is one.
+func replaySegment(path string, off int64, stats *ReadStats, before func(*os.File) error, fn func(obs.Event) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -137,6 +151,11 @@ func replaySegment(path string, stats *ReadStats, before func(*os.File) error, f
 	defer f.Close()
 	if before != nil {
 		if err := before(f); err != nil {
+			return fmt.Errorf("journal: %s: %w", path, err)
+		}
+	}
+	if off > 0 {
+		if _, err := f.Seek(off, io.SeekStart); err != nil {
 			return fmt.Errorf("journal: %s: %w", path, err)
 		}
 	}

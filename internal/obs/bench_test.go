@@ -3,6 +3,8 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
 	"testing"
 
 	"github.com/chronus-sdn/chronus/internal/controller"
@@ -14,11 +16,19 @@ import (
 	"github.com/chronus-sdn/chronus/internal/topo"
 )
 
-// emulationJournal is the journal of one timed chronus update of the
+// emulationFixture holds the journal of one timed chronus update of the
 // EmulationTopo flow, executed on virtual sessions: the event mix
-// `mutp -audit-from` and the daemon's boot prefeed read back.
-func emulationJournal(b *testing.B) []byte {
-	b.Helper()
+// `mutp -audit-from` and the daemon's boot prefeed read back, and the
+// page the read-only contract test feeds to every page reader.
+// TestEmulationFixture keeps it equal to what recordEmulation records;
+// `go test -run EmulationFixture ./internal/obs -update` rewrites it.
+const emulationFixture = "testdata/emulation.jsonl"
+
+var updateFixture = flag.Bool("update", false, "rewrite "+emulationFixture+" from current output")
+
+// recordEmulation records that update and returns its journal.
+func recordEmulation(tb testing.TB) []byte {
+	tb.Helper()
 	in := topo.EmulationTopo()
 	tr := obs.NewTracer(obs.TracerOptions{})
 	h := controller.NewHarness(in.G)
@@ -27,24 +37,52 @@ func emulationJournal(b *testing.B) []byte {
 	c.AttachAll(nil)
 	f := controller.FlowSpec{Name: "f", Path: in.Init, Rate: emu.Rate(in.Demand)}
 	if err := c.Provision(f); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	h.AdvanceBy(50)
 	now := int64(h.Now())
 	res, err := scheme.Solve("chronus", in, scheme.Options{Trace: tr, VT: now})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sched := res.Schedule.Shifted(dynflow.Tick(now) + 50)
 	if err := c.ExecuteTimed(in, sched, f); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	h.AdvanceTo(sim.Time(sched.End()) + sim.Time(in.Init.Delay(in.G)+in.Fin.Delay(in.G)) + 10)
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf, 0); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestEmulationFixture: the checked-in emulation journal is what the
+// update records today.
+func TestEmulationFixture(t *testing.T) {
+	got := recordEmulation(t)
+	if *updateFixture {
+		if err := os.WriteFile(emulationFixture, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(emulationFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs from the recorded update; rerun with -update if the change is intended", emulationFixture)
+	}
+}
+
+// emulationJournal is the checked-in emulation journal.
+func emulationJournal(b *testing.B) []byte {
+	b.Helper()
+	data, err := os.ReadFile(emulationFixture)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return data
 }
 
 // BenchmarkReadJSONL decodes that journal through the one line reader.

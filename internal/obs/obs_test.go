@@ -336,8 +336,8 @@ func TestTracerPage(t *testing.T) {
 	}
 }
 
-// pageStatsScan is PageStats as a scan of the whole ring: the oracle for
-// the read that starts at the cursor's ring offset.
+// pageStatsScan is PageStats as a scan of every segment: the oracle for
+// the read that starts at the cursor's offset.
 func pageStatsScan(t *Tracer, since uint64, limit int) PageStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -348,14 +348,16 @@ func pageStatsScan(t *Tracer, since uint64, limit int) PageStats {
 		}
 	}
 	out := make([]Event, 0, t.count)
-	for i := 0; i < t.count; i++ {
-		e := t.events[(t.head+i)%len(t.events)]
-		if e.Seq <= since {
-			continue
-		}
-		out = append(out, e)
-		if limit > 0 && len(out) == limit {
-			break
+scan:
+	for _, seg := range t.segs {
+		for _, e := range seg.ev {
+			if e.Seq <= since {
+				continue
+			}
+			out = append(out, e)
+			if limit > 0 && len(out) == limit {
+				break scan
+			}
 		}
 	}
 	ps.Events = out
@@ -405,15 +407,19 @@ func ringModel(t *testing.T, got PageStats, written, ringCap int, since uint64, 
 	}
 }
 
-// TestTracerPageMatchesScan holds PageStats to the whole-ring scan and
-// to ringModel at caps that straddle the ring's growth steps (it starts
-// at 256 slots and doubles up to the cap): 1, 4, 7, 255, 256, 257, 1000
-// and the default. Events are written one at a time and the ring is
-// checked after the writes on either side of every doubling, of the
-// cap, and of eviction past it; each check reads with cursors below,
-// inside and past the retained range and limits 0, 1, 2 and the cap.
+// TestTracerPageMatchesScan holds PageStats to the whole-storage scan
+// and to ringModel at caps that straddle the storage's growth steps (the
+// first segment starts at 256 slots and doubles up to S = min(cap,
+// 4096); later segments hold S slots, or fewer where S more would pass
+// cap + S): 1, 4, 7, 255, 256, 257, 1000, 4097, 10000 and the default.
+// Events are written one at a time and the tracer is checked after the
+// writes on either side of every doubling, of the cap, of eviction past
+// it, and of the multiples of S near the start, where segments begin,
+// and near the cap, where they are released. Each check reads with
+// cursors below, inside and past the retained range and limits 0, 1, 2
+// and the cap, so pages start, end and cross at segment boundaries.
 func TestTracerPageMatchesScan(t *testing.T) {
-	for _, optCap := range []int{1, 4, 7, 255, 256, 257, 1000, 0} {
+	for _, optCap := range []int{1, 4, 7, 255, 256, 257, 1000, 4097, 10000, 0} {
 		ringCap := optCap
 		if ringCap == 0 {
 			ringCap = defaultTracerCap
@@ -424,6 +430,11 @@ func TestTracerPageMatchesScan(t *testing.T) {
 		}
 		for n := 1; n <= 2*ringCap; n *= 2 {
 			checkAt[n-1], checkAt[n], checkAt[n+1] = true, true, true
+		}
+		for s, n := min(ringCap, maxSegment), min(ringCap, maxSegment); n <= 2*ringCap+3; n += s {
+			if n <= 3*s || n >= ringCap-s && n <= ringCap+3*s {
+				checkAt[n-1], checkAt[n], checkAt[n+1] = true, true, true
+			}
 		}
 		if ringCap < 8 {
 			for n := 0; n <= 30; n++ {
@@ -451,8 +462,8 @@ func TestTracerPageMatchesScan(t *testing.T) {
 				}
 				for _, limit := range []int{0, 1, 2, ringCap} {
 					big := ringCap > 1000
-					if big && since != 0 && (limit == 0 || limit == ringCap) {
-						continue // the default ring is read whole once per check, from 0
+					if big && (limit == ringCap || since != 0 && limit == 0) {
+						continue // a big tracer is read whole once per check, from 0
 					}
 					got := tr.PageStats(since, limit)
 					ringModel(t, got, written, ringCap, since, limit)

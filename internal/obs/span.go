@@ -101,7 +101,8 @@ func (s *SpanCtx) End(vt int64, attrs ...Attr) {
 
 // SpanNode is one reconstructed span in a forest. Attrs holds only the
 // user attributes; the structural ones (span/parent/op) are lifted
-// into fields.
+// into fields. Attrs is read-only: it may be a window of the span
+// event's own attributes, and so of a tracer page.
 type SpanNode struct {
 	ID       SpanID      `json:"id"`
 	Parent   SpanID      `json:"parent,omitempty"`
@@ -142,18 +143,18 @@ func (n *SpanNode) Walk(f func(*SpanNode)) {
 // (Start, ID), so for a deterministic tracer the forest — and its JSON
 // encoding — is byte-identical run to run.
 func BuildSpanForest(events []Event) []*SpanNode {
-	// Size the two backing arrays first: every node lives in one
-	// []SpanNode, and its user attributes in an exact-size window of one
-	// shared []Attr.
-	spans, attrCount := 0, 0
+	spans := 0
 	for _, e := range events {
 		if e.Name == SpanEventName {
 			spans++
-			attrCount += len(e.Attrs)
 		}
 	}
+	// Every node lives in one []SpanNode. Its user attributes are a
+	// window of its event's own attributes when the structural ones lead
+	// them, as they do in every span End records; otherwise they are
+	// copied into an exact-size window of one shared []Attr.
 	store := make([]SpanNode, 0, spans)
-	attrs := make([]Attr, 0, attrCount)
+	var copied []Attr
 	byID := make(map[SpanID]*SpanNode, spans)
 	ctlByXid := make(map[string]SpanID)
 	for _, e := range events {
@@ -161,8 +162,8 @@ func BuildSpanForest(events []Event) []*SpanNode {
 			continue
 		}
 		n := SpanNode{Seq: e.Seq, Start: e.VT, End: e.VT + e.Dur}
-		from := len(attrs)
-		for _, a := range e.Attrs {
+		lead, user := 0, 0 // structural attributes leading e.Attrs; user ones
+		for i, a := range e.Attrs {
 			switch a.K {
 			case spanAttrID:
 				v, _ := strconv.ParseUint(a.V, 10, 64)
@@ -173,15 +174,28 @@ func BuildSpanForest(events []Event) []*SpanNode {
 			case spanAttrOp:
 				n.Op = a.V
 			default:
-				attrs = append(attrs, a)
+				user++
+				continue
+			}
+			if lead == i {
+				lead++
 			}
 		}
 		if n.ID == 0 {
-			attrs = attrs[:from]
 			continue // malformed
 		}
-		if len(attrs) > from {
-			n.Attrs = attrs[from:len(attrs):len(attrs)]
+		switch {
+		case user == 0:
+		case lead+user == len(e.Attrs):
+			n.Attrs = e.Attrs[lead:len(e.Attrs):len(e.Attrs)]
+		default:
+			from := len(copied)
+			for _, a := range e.Attrs {
+				if a.K != spanAttrID && a.K != spanAttrParent && a.K != spanAttrOp {
+					copied = append(copied, a)
+				}
+			}
+			n.Attrs = copied[from:len(copied):len(copied)]
 		}
 		store = append(store, n)
 		byID[n.ID] = &store[len(store)-1]

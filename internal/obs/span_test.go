@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -136,6 +137,34 @@ func TestBuildSpanForestIgnoresOtherEvents(t *testing.T) {
 	forest := BuildSpanForest(tr.Events(0))
 	if len(forest) != 1 || forest[0].Op != "update" {
 		t.Fatalf("forest = %+v", forest)
+	}
+}
+
+// TestBuildSpanForestSharesAttrs: a tracer-written span's node reads its
+// user attributes through a window of the event's own (the structural
+// ones lead them), while a hand-built event whose structural attributes
+// do not all lead gets the same node from a copy, its event untouched.
+func TestBuildSpanForestSharesAttrs(t *testing.T) {
+	tr := NewTracer(TracerOptions{})
+	root := tr.EmitSpan("update", 0, 0, 9, A("method", "chronus"))
+	tr.EmitSpan("solve", root, 1, 2, A("scheme", "chronus"), A("n", 6))
+	evs := tr.Events(0)
+	forest := BuildSpanForest(evs)
+	solve := forest[0].Children[0]
+	if &solve.Attrs[0] != &evs[1].Attrs[3] || cap(solve.Attrs) != len(solve.Attrs) {
+		t.Fatalf("solve's attrs %v are not a capped window of its event's %v", solve.Attrs, evs[1].Attrs)
+	}
+
+	mixed := []Event{{Seq: 1, Name: SpanEventName, Attrs: []Attr{
+		{K: spanAttrID, V: "4"}, {K: "scheme", V: "or"}, {K: spanAttrOp, V: "solve"}, {K: "n", V: "6"}}}}
+	before := deepCopy(mixed)
+	got := BuildSpanForest(mixed)
+	want := &SpanNode{ID: 4, Op: "solve", Seq: 1, Attrs: []Attr{{K: "scheme", V: "or"}, {K: "n", V: "6"}}}
+	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("forest of an interleaved span = %+v, want %+v", got[0], want)
+	}
+	if !reflect.DeepEqual(mixed, before) {
+		t.Fatal("BuildSpanForest modified its input")
 	}
 }
 

@@ -106,10 +106,10 @@ func (e Event) AttrUint(k string) uint64 {
 }
 
 // A Sink receives every event a Tracer records, in sequence order, at
-// the moment it enters the ring. It is the durability hook: the ring is
-// a bounded in-memory window, a sink can be a crash-safe journal (see
+// the moment it is stored. It is the durability hook: the tracer keeps a
+// bounded in-memory window, a sink can be a crash-safe journal (see
 // internal/journal). Record is called with the tracer lock held so the
-// sink sees events in exactly ring order; implementations must never
+// sink sees events in exactly store order; implementations must never
 // block (hand off to a bounded buffer and count what overflows) and
 // must not call back into the tracer.
 type Sink interface {
@@ -125,34 +125,44 @@ type TracerOptions struct {
 	// run.
 	Wall func() int64
 	// Cap bounds the number of retained events (default 65536); the
-	// oldest events are dropped first. The ring grows to Cap as events
-	// arrive instead of being allocated at it. Sequence numbers stay
+	// oldest events are dropped first. Storage grows as events arrive
+	// instead of being allocated at Cap. Sequence numbers stay
 	// monotonic across drops so readers can detect gaps.
 	Cap int
 	// Drops, when set, is incremented once per event evicted from the
-	// ring, so ring overflow shows up in a metrics exposition (e.g. the
+	// tracer, so overflow shows up in a metrics exposition (e.g. the
 	// chronus_trace_dropped_events_total family) instead of having to be
 	// inferred from sequence gaps.
 	Drops *Counter
 	// Sink, when set, additionally receives every recorded event in
 	// sequence order — the attachment point for a durable journal.
-	// Eviction from the ring does not remove an event from the sink, so
-	// a journal-backed sink retains events the ring has long dropped.
+	// Eviction from the tracer does not remove an event from the sink,
+	// so a journal-backed sink retains events the tracer has long
+	// dropped.
 	Sink Sink
 }
 
-// Tracer collects structured events in a bounded in-memory ring.
-// It is safe for concurrent use; a nil *Tracer is a no-op.
+// Tracer collects structured events in bounded in-memory storage that
+// is written once: a slot, once it holds an event, is never written
+// again. Readers are therefore handed windows onto the storage instead
+// of copies (see PageStats). It is safe for concurrent use; a nil
+// *Tracer is a no-op.
 //
-// The ring starts small and doubles, up to cap, each time it fills, so
-// a short-lived tracer (one CLI run, one audited execution) allocates
-// for the events it records rather than for its bound. Only once the
-// ring holds cap events does a new event evict the oldest.
+// Events live in segments of at most S = min(cap, 4096) slots, oldest
+// first. The first segment starts small and doubles up to S, copying
+// forward into a new array and leaving the old one to any page still
+// holding it, so a short-lived tracer (one CLI run, one audited
+// execution) allocates for the events it records rather than for its
+// bound. Later segments are allocated whole and never copied. Once cap
+// events are retained, each new event evicts the oldest: the oldest
+// segment's window moves up one slot, and the segment is released when
+// its window is empty. Storage stays within cap + S slots.
 type Tracer struct {
 	mu      sync.Mutex
-	events  []Event // ring, valid in [head, head+count)
-	cap     int     // the bound len(events) grows to
-	head    int
+	segs    []segment // oldest first; only the last one is written
+	seg     int       // S, the slot count a segment grows to
+	slots   int       // storage: the slots of every segment's array
+	cap     int       // the bound count never exceeds
 	count   int
 	seq     uint64
 	spanID  uint64
@@ -162,10 +172,21 @@ type Tracer struct {
 	sink    Sink
 }
 
+// segment is one array of storage. ev is the window of it that holds
+// retained events: its start moves up as the tracer evicts, and its end
+// as the tracer records; the array's slots past the end are unwritten.
+type segment struct {
+	ev   []Event
+	size int // the array's length in slots
+}
+
 const (
 	defaultTracerCap = 65536
-	// initialRing is the ring's first allocation; it doubles from here.
-	initialRing = 256
+	// maxSegment bounds S, a segment's slot count.
+	maxSegment = 4096
+	// initialSegment is the first segment's first allocation; it
+	// doubles from here up to S.
+	initialSegment = 256
 )
 
 // NewTracer builds a tracer.
@@ -174,7 +195,7 @@ func NewTracer(o TracerOptions) *Tracer {
 	if cap <= 0 {
 		cap = defaultTracerCap
 	}
-	return &Tracer{events: make([]Event, min(cap, initialRing)), cap: cap,
+	return &Tracer{cap: cap, seg: min(cap, maxSegment),
 		wall: o.Wall, drops: o.Drops, sink: o.Sink}
 }
 
@@ -201,32 +222,58 @@ func (t *Tracer) add(e Event) {
 	if t.wall != nil {
 		e.Wall = t.wall()
 	}
-	if t.count == len(t.events) && t.count < t.cap {
-		// Ring full below its bound: double it. It evicts only at its
-		// bound, so it has not wrapped and head is still 0.
-		grown := make([]Event, min(2*t.count, t.cap))
-		copy(grown, t.events)
-		t.events = grown
-	}
-	if t.count == len(t.events) {
-		// Ring full at its bound: overwrite the oldest.
-		t.events[t.head] = e
-		t.head = (t.head + 1) % len(t.events)
+	if t.count == t.cap {
+		// At the bound: evict the oldest before making room, so the
+		// storage a new segment may take is counted without it.
+		old := &t.segs[0]
+		old.ev = old.ev[1:]
+		if len(old.ev) == 0 {
+			t.slots -= old.size
+			*old = segment{} // release the array to the pages still holding it
+			t.segs = t.segs[1:]
+		}
+		t.count--
 		t.dropped++
 		t.drops.Inc()
-	} else {
-		t.events[(t.head+t.count)%len(t.events)] = e
-		t.count++
 	}
+	n := len(t.segs)
+	if n == 0 || len(t.segs[n-1].ev) == cap(t.segs[n-1].ev) {
+		t.room()
+		n = len(t.segs)
+	}
+	last := &t.segs[n-1]
+	last.ev = append(last.ev, e) // into an unwritten slot: room left one
+	t.count++
 	if t.sink != nil {
-		// Under the lock so the sink observes ring order; the Sink
+		// Under the lock so the sink observes store order; the Sink
 		// contract forbids blocking here.
 		t.sink.Record(e)
 	}
 	t.mu.Unlock()
 }
 
-// Dropped reports how many events were evicted from the ring.
+// room gives the full (or missing) newest segment a free slot. The
+// first segment, while it still holds every event recorded, doubles up
+// to S; otherwise a new segment of S slots is started, or of fewer when
+// S more would take storage past cap + S.
+func (t *Tracer) room() {
+	if n := len(t.segs); n == 1 && t.dropped == 0 && t.segs[0].size < t.seg {
+		size := min(2*t.segs[0].size, t.seg)
+		grown := make([]Event, len(t.segs[0].ev), size)
+		copy(grown, t.segs[0].ev)
+		t.slots += size - t.segs[0].size
+		t.segs[0] = segment{ev: grown, size: size}
+		return
+	}
+	size := min(t.seg, t.cap+t.seg-t.slots)
+	if t.slots == 0 && t.dropped == 0 {
+		size = min(t.seg, initialSegment)
+	}
+	t.slots += size
+	t.segs = append(t.segs, segment{ev: make([]Event, 0, size), size: size})
+}
+
+// Dropped reports how many events were evicted from the tracer.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -237,31 +284,37 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // Events returns the retained events with Seq > since, oldest first.
+// The slice is a read-only page: see PageStats.Events.
 func (t *Tracer) Events(since uint64) []Event {
 	return t.PageStats(since, 0).Events
 }
 
-// PageStats is one atomic page read from the ring: the events, the
+// PageStats is one atomic page read from the tracer: the events, the
 // resume cursor, and the eviction accounting taken under the same lock
 // so all four numbers describe the same instant. Reading Dropped() in
 // a separate call can disagree with the page it is reported next to
 // when writers race the reader between the two lock acquisitions.
 type PageStats struct {
 	// Events are up to limit retained events with Seq > since, oldest
-	// first.
+	// first. They are read-only: a page that lies inside one segment
+	// is a window onto the tracer's storage, shared with every other
+	// reader of those events, so neither the slice's elements nor the
+	// events' Attrs may be modified. Its capacity ends at its length,
+	// so appending to it copies rather than reaching a slot the tracer
+	// writes next. A page of no events is empty, not nil.
 	Events []Event
 	// Next is the cursor to pass as since on the next call: the Seq of
 	// the last returned event, or since itself when nothing qualified.
 	Next uint64
-	// Skipped counts the events with Seq > since that the ring evicted
-	// before this read could return them — the exact gap between the
-	// caller's cursor and the first event of this page. A paging client
-	// that sums Skipped across pages accounts for every sequence number
-	// it never saw; without it the only signal is the global Dropped
-	// total, which also counts evictions of events the client DID see
-	// on earlier pages.
+	// Skipped counts the events with Seq > since that the tracer
+	// evicted before this read could return them — the exact gap
+	// between the caller's cursor and the first event of this page. A
+	// paging client that sums Skipped across pages accounts for every
+	// sequence number it never saw; without it the only signal is the
+	// global Dropped total, which also counts evictions of events the
+	// client DID see on earlier pages.
 	Skipped uint64
-	// Dropped is the ring's total eviction count at the moment of the
+	// Dropped is the tracer's total eviction count at the moment of the
 	// read.
 	Dropped uint64
 }
@@ -271,17 +324,20 @@ type PageStats struct {
 // type for the field contracts. A limit <= 0 means no bound. It is the
 // building block of paged trace endpoints such as chronusd's
 // /trace?limit= and of every cursor-style fold.
+//
+// A page inside one segment is returned as a window, without copying
+// or allocating; only a page that crosses segments is copied.
 func (t *Tracer) PageStats(since uint64, limit int) PageStats {
 	if t == nil {
 		return PageStats{Next: since}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ps := PageStats{Next: since, Dropped: t.dropped}
-	// Sequence numbers are dense, so the retained ring always holds the
-	// contiguous range [oldest, seq]: anything between the cursor and
-	// oldest was evicted unseen, and the first event past the cursor sits
-	// at ring offset since-oldest+1.
+	ps := PageStats{Events: []Event{}, Next: since, Dropped: t.dropped}
+	// Sequence numbers are dense, so storage always holds the contiguous
+	// range [oldest, seq]: anything between the cursor and oldest was
+	// evicted unseen, and the first event past the cursor is the
+	// (since-oldest+1)-th retained one.
 	oldest := t.seq - uint64(t.count) + 1
 	if t.count > 0 && since+1 < oldest {
 		ps.Skipped = oldest - since - 1
@@ -290,21 +346,29 @@ func (t *Tracer) PageStats(since uint64, limit int) PageStats {
 	if since >= oldest {
 		from = since - oldest + 1
 	}
-	n := 0
-	if from < uint64(t.count) {
-		n = t.count - int(from)
+	if from >= uint64(t.count) {
+		return ps
 	}
+	n := t.count - int(from)
 	if limit > 0 && n > limit {
 		n = limit
 	}
-	out := make([]Event, n)
-	if n > 0 {
-		at := (t.head + int(from)) % len(t.events)
-		copied := copy(out, t.events[at:])
-		copy(out[copied:], t.events)
-		ps.Next = out[n-1].Seq
+	at, i := int(from), 0
+	for at >= len(t.segs[i].ev) {
+		at -= len(t.segs[i].ev)
+		i++
 	}
-	ps.Events = out
+	if seg := t.segs[i].ev; at+n <= len(seg) {
+		ps.Events = seg[at : at+n : at+n]
+	} else {
+		out := make([]Event, 0, n)
+		for ; len(out) < n; i, at = i+1, 0 {
+			seg := t.segs[i].ev[at:]
+			out = append(out, seg[:min(len(seg), n-len(out))]...)
+		}
+		ps.Events = out
+	}
+	ps.Next = ps.Events[n-1].Seq
 	return ps
 }
 
