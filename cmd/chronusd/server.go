@@ -375,17 +375,18 @@ func (s *server) pull() uint64 {
 
 // tracePage is the daemon's one reader of its trace stream: up to limit
 // (0 = all) events with Seq > since, the range the ring evicted read back
-// from this life's journal (flushed first, so the read sees everything
-// the tracer recorded; an earlier daemon's segments are not read, as its
-// sequence numbers overlap this one's). Skipped counts the events up to
-// Next that neither source held; Dropped is the ring's eviction count.
+// from this life's journal (drained first, without a sync, so the read
+// sees everything the tracer recorded; an earlier daemon's segments are
+// not read, as its sequence numbers overlap this one's). Skipped counts
+// the events up to Next that neither source held; Dropped is the ring's
+// eviction count.
 func (s *server) tracePage(since uint64, limit int) obs.PageStats {
 	ps := s.tracer.PageStats(since, limit)
 	if ps.Skipped == 0 {
 		return ps
 	}
 	var evs []obs.Event
-	if s.journal != nil && s.journal.Flush() == nil {
+	if s.journal != nil && s.journal.Drain() == nil {
 		// io.EOF ends the read past the range; what a failed read misses is skipped.
 		hi := since + ps.Skipped + 1
 		_, _ = s.journal.Replay(since, func(e obs.Event) error {

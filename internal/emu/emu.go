@@ -23,7 +23,7 @@ package emu
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"github.com/chronus-sdn/chronus/internal/graph"
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -44,7 +44,7 @@ type FlowKey struct {
 	Tag  Tag
 }
 
-func (k FlowKey) String() string { return fmt.Sprintf("%s/%d", k.Flow, k.Tag) }
+func (k FlowKey) String() string { return k.Flow + "/" + strconv.FormatUint(uint64(k.Tag), 10) }
 
 // DefaultTTL is the hop budget of injected traffic; looping fluid dies
 // after DefaultTTL hops, like TTL-expired packets.
@@ -54,11 +54,25 @@ const DefaultTTL = 64
 type Network struct {
 	G        *graph.Graph
 	K        *sim.Kernel
-	switches map[graph.NodeID]*Switch
-	links    map[[2]graph.NodeID]*Link
+	switches []*Switch // indexed by node ID (graph IDs are dense)
+	links    []*Link   // ordered by (from, to)
+
+	// names caches FlowKey.String for the keys some switch holds a
+	// record of, so a key is formatted once while it carries traffic.
+	names map[FlowKey]keyName
+	// free holds released switch records for reuse, with their bands'
+	// storage: a key often stops and resumes arriving at a switch within
+	// one update.
+	free []*keyState
 
 	met   emuMetrics
 	trace *obs.Tracer
+}
+
+// keyName is a cached key name and the number of switch records using it.
+type keyName struct {
+	s    string
+	refs int
 }
 
 // New builds the emulated network: one Switch per graph node, one Link per
@@ -67,43 +81,76 @@ func New(g *graph.Graph, k *sim.Kernel) *Network {
 	n := &Network{
 		G:        g,
 		K:        k,
-		switches: make(map[graph.NodeID]*Switch, g.NumNodes()),
-		links:    make(map[[2]graph.NodeID]*Link, g.NumLinks()),
+		switches: make([]*Switch, g.NumNodes()),
+		links:    make([]*Link, 0, g.NumLinks()),
+		names:    make(map[FlowKey]keyName),
 	}
 	for _, id := range g.Nodes() {
 		n.switches[id] = newSwitch(n, id)
 	}
-	for _, l := range g.Links() {
-		n.links[[2]graph.NodeID{l.From, l.To}] = newLink(n, l)
+	for _, spec := range g.Links() { // ordered by (from, to)
+		l := newLink(n, spec)
+		n.links = append(n.links, l)
+		sw := n.switches[spec.From]
+		sw.ports = append(sw.ports, l)
 	}
 	return n
 }
 
 // Switch returns the switch for a node; nil if unknown.
-func (n *Network) Switch(id graph.NodeID) *Switch { return n.switches[id] }
+func (n *Network) Switch(id graph.NodeID) *Switch {
+	if id < 0 || int(id) >= len(n.switches) {
+		return nil
+	}
+	return n.switches[id]
+}
 
 // Link returns the link (from, to); nil if absent.
 func (n *Network) Link(from, to graph.NodeID) *Link {
-	return n.links[[2]graph.NodeID{from, to}]
+	if sw := n.Switch(from); sw != nil {
+		return sw.port(to)
+	}
+	return nil
 }
 
 // Links returns all links in deterministic order.
 func (n *Network) Links() []*Link {
-	keys := make([][2]graph.NodeID, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
+	return append([]*Link(nil), n.links...)
+}
+
+// newKeyState returns an empty switch record of key, reusing a released
+// one, with key's name from the cache.
+func (n *Network) newKeyState(key FlowKey) *keyState {
+	kn, ok := n.names[key]
+	if !ok {
+		kn.s = key.String()
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]*Link, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, n.links[k])
+	kn.refs++
+	n.names[key] = kn
+
+	var ks *keyState
+	if last := len(n.free) - 1; last >= 0 {
+		ks = n.free[last]
+		n.free = n.free[:last]
+	} else {
+		ks = new(keyState)
 	}
-	return out
+	ks.name = kn.s
+	return ks
+}
+
+// releaseKeyState takes back a switch record of key that holds no
+// traffic, keeping its storage for newKeyState and dropping key's name
+// with its last record.
+func (n *Network) releaseKeyState(key FlowKey, ks *keyState) {
+	if kn := n.names[key]; kn.refs > 1 {
+		kn.refs--
+		n.names[key] = kn
+	} else {
+		delete(n.names, key)
+	}
+	*ks = keyState{in: ks.in[:0], out: ks.out[:0], next: ks.next[:0]}
+	n.free = append(n.free, ks)
 }
 
 // Inject sets the rate at which the host attached to src emits traffic for
@@ -111,29 +158,30 @@ func (n *Network) Links() []*Link {
 // Re-tagging traffic (the two-phase ingress stamp) is Inject(old tag, 0)
 // plus Inject(new tag, rate) in the same event.
 func (n *Network) Inject(src graph.NodeID, key FlowKey, rate Rate) {
-	sw := n.switches[src]
+	sw := n.Switch(src)
 	if sw == nil {
 		panic(fmt.Sprintf("emu: inject at unknown switch %d", src))
 	}
+	ks := sw.state(key)
 	if n.trace != nil {
 		// The injection record is what lets a trace consumer (the audit
 		// package) replay emissions: which switch sources the key, at what
 		// rate, from which tick.
 		n.trace.Point(int64(n.K.Now()), obs.EvEmuInject,
-			obs.A(obs.KeySwitch, sw.Name()), obs.A(obs.KeyKey, key.String()),
+			obs.A(obs.KeySwitch, sw.Name()), obs.A(obs.KeyKey, ks.name),
 			obs.A(obs.KeyRate, int64(rate)))
 	}
-	sw.setInput(hostPort, key, DefaultTTL, rate)
+	sw.arrive(key, ks, hostPort, DefaultTTL, rate)
 }
 
-// hostPort is the pseudo in-link identifier for host-injected traffic.
-var hostPort = [2]graph.NodeID{-2, -2}
+// hostPort is the pseudo upstream switch of host-injected traffic.
+const hostPort graph.NodeID = -2
 
 // TotalOverloadTicks sums, over all links, the time spent above capacity.
 func (n *Network) TotalOverloadTicks() sim.Time {
 	var total sim.Time
-	for _, l := range n.Links() {
-		for _, iv := range l.Overloads() {
+	for _, l := range n.links {
+		for _, iv := range l.overloads {
 			total += iv.Duration(n.K.Now())
 		}
 	}
@@ -144,8 +192,8 @@ func (n *Network) TotalOverloadTicks() sim.Time {
 // (no rule / TTL expired) by now.
 func (n *Network) TotalDrops() float64 {
 	var total float64
-	for _, id := range n.G.Nodes() {
-		total += n.switches[id].Dropped()
+	for _, sw := range n.switches {
+		total += sw.Dropped()
 	}
 	return total
 }
@@ -153,8 +201,8 @@ func (n *Network) TotalDrops() float64 {
 // CongestedLinks returns the number of links that ever exceeded capacity.
 func (n *Network) CongestedLinks() int {
 	count := 0
-	for _, l := range n.Links() {
-		if len(l.Overloads()) > 0 {
+	for _, l := range n.links {
+		if len(l.overloads) > 0 {
 			count++
 		}
 	}

@@ -324,3 +324,70 @@ func TestEmuAgreesOnRandomSchedules(t *testing.T) {
 		t.Fatalf("only %d schedules checked", checked)
 	}
 }
+
+// TestRecordsOnlyForLiveKeys: emulator memory follows the traffic, not the
+// history. Thirty back-to-back two-phase updates, each under a new tag and
+// alternating between the two paths, leave each switch a record only for
+// the key that still arrives there, and the name cache only that key.
+func TestRecordsOnlyForLiveKeys(t *testing.T) {
+	in := topo.EmulationTopo()
+	k := sim.NewKernel()
+	n := New(in.G, k)
+	program := func(p graph.Path, key FlowKey) {
+		for i := 0; i+1 < len(p); i++ {
+			n.Switch(p[i]).InstallRule(key, Action{NextHop: p[i+1]})
+		}
+		n.Switch(p.Dest()).InstallRule(key, Action{ToHost: true})
+	}
+	drain := sim.Time(in.Init.Delay(in.G)+in.Fin.Delay(in.G)) + 10
+	rate := Rate(in.Demand)
+
+	cur, path := FlowKey{Flow: "f", Tag: 0}, in.Init
+	program(path, cur)
+	k.At(0, func() { n.Inject(in.Source(), cur, rate) })
+	k.RunUntil(drain)
+	for u := 1; u <= 30; u++ {
+		old, oldPath := cur, path
+		cur = FlowKey{Flow: "f", Tag: Tag(u)}
+		if path = in.Fin; u%2 == 0 {
+			path = in.Init
+		}
+		program(path, cur)
+		now := k.Now()
+		k.At(now, func() {
+			n.Inject(in.Source(), old, 0)
+			n.Inject(in.Source(), cur, rate)
+		})
+		k.RunUntil(now + drain)
+		for _, v := range oldPath {
+			n.Switch(v).RemoveRule(old)
+		}
+	}
+
+	onPath := make(map[graph.NodeID]bool)
+	for _, v := range path {
+		onPath[v] = true
+	}
+	for _, id := range in.G.Nodes() {
+		sw := n.Switch(id)
+		for key, ks := range sw.keys {
+			if key != cur || len(ks.in) == 0 {
+				t.Errorf("%s keeps a record of %v (%d arrival bands); only %v carries traffic",
+					sw.Name(), key, len(ks.in), cur)
+			}
+		}
+		want := 0
+		if onPath[id] {
+			want = 1
+		}
+		if len(sw.keys) != want {
+			t.Errorf("%s holds %d records, want %d", sw.Name(), len(sw.keys), want)
+		}
+	}
+	if len(n.names) != 1 {
+		t.Errorf("name cache holds %d keys, want 1", len(n.names))
+	}
+	if got, want := n.Switch(in.Dest()).Delivered(), float64(rate)*float64(k.Now()-sim.Time(in.Init.Delay(in.G))); got != want {
+		t.Fatalf("delivered %f, want %f: the updates lost traffic", got, want)
+	}
+}

@@ -53,14 +53,16 @@ func (o Overload) Duration(now sim.Time) sim.Time {
 }
 
 // Link is an emulated unidirectional link: capacity, propagation delay,
-// per-flow-key contributions, a byte counter and an overload recorder.
+// the total offered rate, a byte counter and an overload recorder. The
+// per-key contributions live with the upstream switch, the only sender
+// onto the link (keyState.out).
 type Link struct {
-	net  *Network
-	spec graph.Link
+	net   *Network
+	spec  graph.Link
+	label string // "from>to", the trace's link attribute
 
-	contrib map[FlowKey]map[int]Rate
-	total   Rate
-	bytes   counter
+	total Rate
+	bytes counter
 
 	timeline  []RatePoint
 	overloads []Overload
@@ -69,9 +71,9 @@ type Link struct {
 
 func newLink(n *Network, spec graph.Link) *Link {
 	return &Link{
-		net:     n,
-		spec:    spec,
-		contrib: make(map[FlowKey]map[int]Rate),
+		net:   n,
+		spec:  spec,
+		label: n.G.Name(spec.From) + ">" + n.G.Name(spec.To),
 	}
 }
 
@@ -103,41 +105,19 @@ func (l *Link) Overloads() []Overload {
 	return append([]Overload(nil), l.overloads...)
 }
 
-// setContribution updates the (key, ttl) contribution at time now.
-func (l *Link) setContribution(now sim.Time, key FlowKey, ttl int, rate Rate) {
-	byTTL, ok := l.contrib[key]
-	if !ok {
-		if rate == 0 {
-			return
-		}
-		byTTL = make(map[int]Rate)
-		l.contrib[key] = byTTL
-	}
-	old := byTTL[ttl]
-	if old == rate {
-		return
-	}
-	if rate == 0 {
-		delete(byTTL, ttl)
-		if len(byTTL) == 0 {
-			delete(l.contrib, key)
-		}
-	} else {
-		byTTL[ttl] = rate
-	}
-	l.setTotal(now, l.total-old+rate)
+// change records that one (ttl) band of the key named key changed on the
+// link at time now: the total moves by delta, and keyRate of the key is
+// left on the link.
+func (l *Link) change(now sim.Time, key string, delta, keyRate Rate) {
+	l.setTotal(now, l.total+delta)
 	if l.net.trace != nil {
 		// One utilization record per contribution change: the key's
 		// aggregate rate (across TTL bands) plus the link total, capacity
 		// and delay. Trace consumers reconstruct per-link load and the
 		// in-flight hop timing from these (see internal/audit).
-		var keyRate Rate
-		for _, r := range l.contrib[key] {
-			keyRate += r
-		}
 		l.net.trace.Point(int64(now), obs.EvEmuRate,
-			obs.A(obs.KeyLink, l.net.G.Name(l.spec.From)+">"+l.net.G.Name(l.spec.To)),
-			obs.A(obs.KeyKey, key.String()),
+			obs.A(obs.KeyLink, l.label),
+			obs.A(obs.KeyKey, key),
 			obs.A(obs.KeyRate, int64(keyRate)),
 			obs.A(obs.KeyTotal, int64(l.total)),
 			obs.A(obs.KeyCap, int64(l.spec.Cap)),

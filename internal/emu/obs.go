@@ -43,16 +43,16 @@ func (n *Network) overloadClosed(l *Link, start, end sim.Time, peak Rate) {
 	n.met.overloads.Inc()
 	if n.trace != nil {
 		n.trace.Span(obs.EvEmuOverload, int64(start), int64(end),
-			obs.A(obs.KeyLink, n.G.Name(l.From())+">"+n.G.Name(l.To())),
+			obs.A(obs.KeyLink, l.label),
 			obs.A(obs.KeyPeak, int64(peak)), obs.A(obs.KeyCap, int64(l.Capacity())))
 	}
 }
 
 // dropStarted records a key transitioning into blackholing at a switch.
-func (n *Network) dropStarted(sw *Switch, now sim.Time, key FlowKey, reason MissReason) {
+func (n *Network) dropStarted(sw *Switch, now sim.Time, key string, reason MissReason) {
 	if n.trace != nil {
 		n.trace.Point(int64(now), obs.EvEmuDrop,
-			obs.A(obs.KeySwitch, sw.Name()), obs.A(obs.KeyKey, key.String()),
+			obs.A(obs.KeySwitch, sw.Name()), obs.A(obs.KeyKey, key),
 			obs.A(obs.KeyReason, missReasonString(reason)))
 	}
 }

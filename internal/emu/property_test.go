@@ -1,53 +1,63 @@
 package emu
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/chronus-sdn/chronus/internal/graph"
+	"github.com/chronus-sdn/chronus/internal/obs"
 	"github.com/chronus-sdn/chronus/internal/sim"
 	"github.com/chronus-sdn/chronus/internal/topo"
 )
+
+// randomFlips is the scenario of the property tests below: a random
+// instance carries one flow, and a random subset of the switches to update
+// flips to its new next hop at a random tick, which can create loops
+// (fluid dies by TTL) and blackholes. The host injects rate from tick 0 to
+// stop; the kernel then runs until everything drained. tr may be nil.
+func randomFlips(seed int64, tr *obs.Tracer) (net *Network, injected float64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 4 + rng.Intn(8)
+	in := topo.RandomInstance(rng, topo.DefaultRandomParams(n))
+	k := sim.NewKernel()
+	net = New(in.G, k)
+	net.SetObs(nil, tr)
+	key := FlowKey{Flow: "f", Tag: 0}
+
+	// Program the initial path; randomly mutate some switches midway
+	// to new rules (possibly creating loops or blackholes).
+	for i := 0; i+1 < len(in.Init); i++ {
+		net.Switch(in.Init[i]).InstallRule(key, Action{NextHop: in.Init[i+1]})
+	}
+	net.Switch(in.Dest()).InstallRule(key, Action{ToHost: true})
+
+	const rate = 8
+	const stop = 200
+	k.At(0, func() { net.Inject(in.Source(), key, rate) })
+	for _, v := range in.UpdateSet() {
+		v := v
+		if rng.Intn(2) == 0 {
+			at := sim.Time(20 + rng.Intn(100))
+			k.At(at, func() {
+				net.Switch(v).InstallRule(key, Action{NextHop: in.Fin.NextHop(v)})
+			})
+		}
+	}
+	k.At(stop, func() { net.Inject(in.Source(), key, 0) })
+	k.RunUntil(5000)
+	return net, float64(rate * stop)
+}
 
 // TestConservationProperty: after all traffic drains, every injected byte
 // was either delivered to a host or dropped (blackhole/TTL) — the fluid
 // emulator conserves traffic.
 func TestConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(8)
-		in := topo.RandomInstance(rng, topo.DefaultRandomParams(n))
-		g := in.G
-		k := sim.NewKernel()
-		net := New(g, k)
-		key := FlowKey{Flow: "f", Tag: 0}
-
-		// Program the initial path; randomly mutate some switches midway
-		// to new rules (possibly creating loops or blackholes).
-		for i := 0; i+1 < len(in.Init); i++ {
-			net.Switch(in.Init[i]).InstallRule(key, Action{NextHop: in.Init[i+1]})
-		}
-		net.Switch(in.Dest()).InstallRule(key, Action{ToHost: true})
-
-		const rate = 8
-		const stop = 200
-		k.At(0, func() { net.Inject(in.Source(), key, rate) })
-		for _, v := range in.UpdateSet() {
-			v := v
-			if rng.Intn(2) == 0 {
-				at := sim.Time(20 + rng.Intn(100))
-				k.At(at, func() {
-					net.Switch(v).InstallRule(key, Action{NextHop: in.Fin.NextHop(v)})
-				})
-			}
-		}
-		k.At(stop, func() { net.Inject(in.Source(), key, 0) })
-		k.RunUntil(5000)
-
-		injected := float64(rate * stop)
+		net, injected := randomFlips(seed, nil)
 		var accounted float64
-		for _, id := range g.Nodes() {
+		for _, id := range net.G.Nodes() {
 			accounted += net.Switch(id).Delivered() + net.Switch(id).Dropped()
 		}
 		// Everything drained: no link still carries traffic.
@@ -64,6 +74,33 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmuTraceDeterministic: the emulator's trace is a function of its
+// inputs. Loops put many TTL bands of one key on a link at once, so this
+// catches any emission order taken from map iteration: six runs of every
+// seed must serialize to the same bytes.
+func TestEmuTraceDeterministic(t *testing.T) {
+	const seeds, runs = 500, 6
+	for seed := int64(0); seed < seeds; seed++ {
+		var want []byte
+		for run := 0; run < runs; run++ {
+			tr := obs.NewTracer(obs.TracerOptions{Cap: 1 << 20})
+			randomFlips(seed, tr)
+			var b bytes.Buffer
+			if err := tr.WriteJSONL(&b, 0); err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				want = b.Bytes()
+				continue
+			}
+			if !bytes.Equal(b.Bytes(), want) {
+				t.Fatalf("seed %d: run %d traced differently from run 0 (%d vs %d bytes)",
+					seed, run, b.Len(), len(want))
+			}
+		}
 	}
 }
 

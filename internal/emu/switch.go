@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/chronus-sdn/chronus/internal/graph"
@@ -38,24 +39,52 @@ func (r *Rule) Bytes(now sim.Time) float64 { return r.bytes.at(now) }
 // Switch is an emulated OpenFlow-style switch: an exact-match flow table,
 // per-key arrival bookkeeping and delivery/drop counters.
 type Switch struct {
-	net *Network
-	id  graph.NodeID
+	net   *Network
+	id    graph.NodeID
+	ports []*Link // outgoing links, ordered by downstream ID
 
 	rules map[FlowKey]*Rule
-	// in[inPort][key][ttl] is the arrival rate of (key, ttl) traffic from
-	// inPort (a link's endpoint pair, or hostPort).
-	in map[[2]graph.NodeID]map[FlowKey]map[int]Rate
-	// out[key][ttl] is the currently forwarded contribution, to diff when
-	// rules or arrivals change.
-	out map[FlowKey]map[int]outContribution
+	// keys holds a record for each key whose traffic arrives here.
+	keys map[FlowKey]*keyState
 
 	delivered counter // traffic handed to the local host
 	dropped   counter // traffic without a matching rule or with expired TTL
-	hostByKey map[FlowKey]hostRates
 
 	// missHandler, when set, fires once each time a key transitions from
-	// not-dropping to dropping — the emulator's PacketIn hook.
+	// not-dropping to dropping — the emulator's PacketIn hook. It runs
+	// inside the switch's reroute and must not mutate the network; it may
+	// schedule events that do.
 	missHandler func(key FlowKey, reason MissReason)
+}
+
+// keyState is one switch's record of one key: what arrives, what it
+// forwards and what it hands to the host or drops. It exists while any
+// traffic of the key arrives; out and host derive from the arrivals, so
+// with the last arrival band gone they are empty too and the record is
+// released.
+type keyState struct {
+	name string // FlowKey.String, from the network's cache
+	// in holds one band per (upstream switch, ttl) with a positive rate,
+	// in no particular order.
+	in []inBand
+	// out is the forwarded contribution on via, one band per ttl in
+	// ascending ttl order. It is also the (via, key) record of the link:
+	// only this switch sends key's traffic onto its own out-links. next
+	// is out's double buffer, rebuilt by each reroute.
+	out, next []ttlRate
+	via       *Link
+	host      hostRates
+}
+
+type inBand struct {
+	from graph.NodeID // upstream switch, or hostPort
+	ttl  int
+	rate Rate
+}
+
+type ttlRate struct {
+	ttl  int
+	rate Rate
 }
 
 // MissReason classifies why a switch started dropping a key's traffic.
@@ -74,19 +103,23 @@ func (sw *Switch) SetMissHandler(h func(key FlowKey, reason MissReason)) {
 	sw.missHandler = h
 }
 
-type outContribution struct {
-	action Action
-	rate   Rate
-}
-
 func newSwitch(n *Network, id graph.NodeID) *Switch {
 	return &Switch{
 		net:   n,
 		id:    id,
 		rules: make(map[FlowKey]*Rule),
-		in:    make(map[[2]graph.NodeID]map[FlowKey]map[int]Rate),
-		out:   make(map[FlowKey]map[int]outContribution),
+		keys:  make(map[FlowKey]*keyState),
 	}
+}
+
+// port returns the outgoing link toward next; nil if not adjacent.
+func (sw *Switch) port(next graph.NodeID) *Link {
+	for _, l := range sw.ports {
+		if l.spec.To == next {
+			return l
+		}
+	}
+	return nil
 }
 
 // Name returns the switch's topology name.
@@ -104,7 +137,7 @@ func (sw *Switch) InstallRule(key FlowKey, action Action) {
 	now := sw.net.K.Now()
 	r.bytes.setRate(now, 0) // close the old integration segment
 	r.Action = action
-	sw.reroute(key)
+	sw.reroute(key, sw.keys[key])
 }
 
 // RemoveRule deletes the entry for key.
@@ -113,7 +146,7 @@ func (sw *Switch) RemoveRule(key FlowKey) {
 		return
 	}
 	delete(sw.rules, key)
-	sw.reroute(key)
+	sw.reroute(key, sw.keys[key])
 }
 
 // RuleInfo is a dump entry for displaying flow tables (the paper's
@@ -146,107 +179,153 @@ func (sw *Switch) Delivered() float64 { return sw.delivered.at(sw.net.K.Now()) }
 // Dropped returns the bytes dropped (no rule / TTL expired) by time now.
 func (sw *Switch) Dropped() float64 { return sw.dropped.at(sw.net.K.Now()) }
 
-// setInput records that (key, ttl) traffic arrives from inPort at the given
-// rate, then re-evaluates forwarding for key.
-func (sw *Switch) setInput(inPort [2]graph.NodeID, key FlowKey, ttl int, rate Rate) {
-	byKey, ok := sw.in[inPort]
-	if !ok {
-		byKey = make(map[FlowKey]map[int]Rate)
-		sw.in[inPort] = byKey
+// state returns key's record, creating it if key has none.
+func (sw *Switch) state(key FlowKey) *keyState {
+	ks := sw.keys[key]
+	if ks == nil {
+		ks = sw.net.newKeyState(key)
+		sw.keys[key] = ks
 	}
-	byTTL, ok := byKey[key]
-	if !ok {
-		byTTL = make(map[int]Rate)
-		byKey[key] = byTTL
-	}
-	if rate == 0 {
-		delete(byTTL, ttl)
-	} else {
-		byTTL[ttl] = rate
-	}
-	sw.reroute(key)
+	return ks
 }
 
-// arrivalByTTL aggregates the arrival rate for key across in-ports.
-func (sw *Switch) arrivalByTTL(key FlowKey) map[int]Rate {
-	agg := make(map[int]Rate)
-	for _, byKey := range sw.in {
-		for ttl, rate := range byKey[key] {
-			agg[ttl] += rate
+// arrive records that (key, ttl) traffic arrives from upstream switch from
+// at the given rate, then re-evaluates forwarding for key.
+func (sw *Switch) arrive(key FlowKey, ks *keyState, from graph.NodeID, ttl int, rate Rate) {
+	i := slices.IndexFunc(ks.in, func(b inBand) bool { return b.from == from && b.ttl == ttl })
+	switch {
+	case i < 0:
+		if rate != 0 {
+			ks.in = append(ks.in, inBand{from: from, ttl: ttl, rate: rate})
 		}
+	case rate == 0:
+		last := len(ks.in) - 1
+		ks.in[i] = ks.in[last]
+		ks.in = ks.in[:last]
+	default:
+		ks.in[i].rate = rate
 	}
-	return agg
+	sw.reroute(key, ks)
 }
 
 // reroute recomputes the forwarding of key's traffic after an arrival or
 // rule change, diffing against the previous contribution and propagating
-// rate-change fronts downstream with the link delay.
-func (sw *Switch) reroute(key FlowKey) {
+// rate-change fronts downstream with the link delay. ks is key's record,
+// nil when no traffic of key arrives here.
+//
+// The diff emits in a fixed order: first a zero for every band of the old
+// contribution that is gone or changed (onto the old via link, ascending
+// ttl), then the new rate of every band that is new or changed (onto the
+// new via link, ascending ttl). A changed band is thus withdrawn before
+// its new rate is added, and the trace and the events scheduled
+// downstream follow from the inputs alone.
+func (sw *Switch) reroute(key FlowKey, ks *keyState) {
 	now := sw.net.K.Now()
-	arr := sw.arrivalByTTL(key)
 	rule := sw.rules[key]
+	if ks == nil {
+		if rule != nil {
+			rule.bytes.setRate(now, 0)
+		}
+		return
+	}
 
-	prev := sw.out[key]
-	next := make(map[int]outContribution, len(arr))
+	// Aggregate the arrivals by ttl, ascending, into the double buffer.
+	next := ks.next[:0]
+	var matched Rate
+	for _, b := range ks.in {
+		matched += b.rate
+		next = addBand(next, b.ttl, b.rate)
+	}
+	var via *Link
 	var droppedRate, deliveredRate Rate
 	missReason := MissReason(0)
-	for ttl, rate := range arr {
+	switch {
+	case rule == nil:
+		droppedRate, missReason = matched, MissNoRule
+		next = next[:0]
+	case rule.Action.ToHost:
+		deliveredRate = matched
+		next = next[:0]
+	default:
+		// Expired bands lead the ascending order.
+		expired := 0
+		for expired < len(next) && next[expired].ttl <= 0 {
+			droppedRate += next[expired].rate
+			expired++
+		}
+		if expired > 0 {
+			missReason = MissTTLExpired
+		}
+		via = sw.port(rule.Action.NextHop)
 		switch {
-		case rule == nil:
-			droppedRate += rate
-			missReason = MissNoRule
-		case rule.Action.ToHost:
-			deliveredRate += rate
-		case ttl <= 0:
-			droppedRate += rate
-			if missReason == 0 {
-				missReason = MissTTLExpired
-			}
-		case sw.net.Link(sw.id, rule.Action.NextHop) == nil:
+		case via == nil:
 			// Dangling rule (non-adjacent next hop): port drop.
-			droppedRate += rate
-			missReason = MissNoRule
-		default:
-			next[ttl] = outContribution{action: rule.Action, rate: rate}
+			if expired < len(next) {
+				missReason = MissNoRule
+			}
+			droppedRate = matched
+			next = next[:0]
+		case expired > 0:
+			next = next[:copy(next, next[expired:])]
 		}
 	}
 
 	// Rule byte counter integrates all matched traffic.
 	if rule != nil {
-		var matched Rate
-		for _, rate := range arr {
-			matched += rate
-		}
 		rule.bytes.setRate(now, matched)
 	}
-	startedDropping := sw.updateHostCounters(now, key, deliveredRate, droppedRate)
+	startedDropping := sw.updateHostCounters(now, ks, deliveredRate, droppedRate)
 	if startedDropping {
-		sw.net.dropStarted(sw, now, key, missReason)
+		sw.net.dropStarted(sw, now, ks.name, missReason)
 		if sw.missHandler != nil {
 			sw.missHandler(key, missReason)
 		}
 	}
 
-	// Diff previous vs next per (ttl, action) and emit changes.
-	for ttl, pc := range prev {
-		nc, ok := next[ttl]
-		if ok && nc.action == pc.action && nc.rate == pc.rate {
+	// Diff the old contribution against the new one. onOld and onNew
+	// are key's rate on the old and the new via link as the diff
+	// proceeds.
+	prev := ks.out
+	same := via == ks.via
+	var onOld Rate
+	for _, b := range prev {
+		onOld += b.rate
+	}
+	for _, pb := range prev {
+		if same && slices.Contains(next, pb) {
 			continue
 		}
-		sw.emit(now, key, ttl, pc.action, 0)
+		onOld -= pb.rate
+		sw.emit(now, key, ks.name, ks.via, pb.ttl, 0, -pb.rate, onOld)
 	}
-	for ttl, nc := range next {
-		pc, ok := prev[ttl]
-		if ok && pc.action == nc.action && pc.rate == nc.rate {
+	var onNew Rate
+	if same {
+		onNew = onOld
+	}
+	for _, nb := range next {
+		if same && slices.Contains(prev, nb) {
 			continue
 		}
-		sw.emit(now, key, ttl, nc.action, nc.rate)
+		onNew += nb.rate
+		sw.emit(now, key, ks.name, via, nb.ttl, nb.rate, nb.rate, onNew)
 	}
-	if len(next) == 0 {
-		delete(sw.out, key)
-	} else {
-		sw.out[key] = next
+	ks.out, ks.next, ks.via = next, prev[:0], via
+
+	if len(ks.in) == 0 {
+		delete(sw.keys, key)
+		sw.net.releaseKeyState(key, ks)
 	}
+}
+
+// addBand adds rate to the band of ttl in bands, which is in ascending ttl
+// order, inserting the band if absent.
+func addBand(bands []ttlRate, ttl int, rate Rate) []ttlRate {
+	i, found := slices.BinarySearchFunc(bands, ttl, func(b ttlRate, ttl int) int { return b.ttl - ttl })
+	if found {
+		bands[i].rate += rate
+		return bands
+	}
+	return slices.Insert(bands, i, ttlRate{ttl: ttl, rate: rate})
 }
 
 // hostRates tracks the per-key delivered/dropped rates so aggregate
@@ -256,40 +335,27 @@ type hostRates struct {
 	dropped   Rate
 }
 
-// updateHostCounters reconciles the per-key delivered/dropped rates and
-// reports whether the key just transitioned into dropping.
-func (sw *Switch) updateHostCounters(now sim.Time, key FlowKey, delivered, dropped Rate) bool {
-	if sw.hostByKey == nil {
-		sw.hostByKey = make(map[FlowKey]hostRates)
-	}
-	prev := sw.hostByKey[key]
+// updateHostCounters reconciles key's delivered/dropped rates and reports
+// whether the key just transitioned into dropping.
+func (sw *Switch) updateHostCounters(now sim.Time, ks *keyState, delivered, dropped Rate) bool {
+	prev := ks.host
 	if prev.delivered == delivered && prev.dropped == dropped {
 		return false
 	}
 	sw.delivered.setRate(now, sw.delivered.rate-prev.delivered+delivered)
 	sw.dropped.setRate(now, sw.dropped.rate-prev.dropped+dropped)
-	if delivered == 0 && dropped == 0 {
-		delete(sw.hostByKey, key)
-	} else {
-		sw.hostByKey[key] = hostRates{delivered: delivered, dropped: dropped}
-	}
+	ks.host = hostRates{delivered: delivered, dropped: dropped}
 	return prev.dropped == 0 && dropped > 0
 }
 
-// emit updates the outgoing link contribution for (key, ttl) and schedules
-// the arrival-front at the downstream switch.
-func (sw *Switch) emit(now sim.Time, key FlowKey, ttl int, action Action, rate Rate) {
-	link := sw.net.Link(sw.id, action.NextHop)
-	if link == nil {
-		// A rule pointing at a non-adjacent switch: traffic is dropped at
-		// the port. Count it.
-		return
-	}
-	link.setContribution(now, key, ttl, rate)
-	peer := sw.net.Switch(action.NextHop)
-	port := [2]graph.NodeID{sw.id, action.NextHop}
-	delay := sim.Time(link.spec.Delay)
-	sw.net.K.At(now+delay, func() {
-		peer.setInput(port, key, ttl-1, rate)
+// emit changes the (key, ttl) band on link to rate, which moves the link's
+// total by delta and leaves keyRate of key on it, and schedules the
+// arrival front at the downstream switch.
+func (sw *Switch) emit(now sim.Time, key FlowKey, name string, link *Link, ttl int, rate, delta, keyRate Rate) {
+	link.change(now, name, delta, keyRate)
+	peer := sw.net.switches[link.spec.To]
+	from := sw.id
+	sw.net.K.At(now+sim.Time(link.spec.Delay), func() {
+		peer.arrive(key, peer.state(key), from, ttl-1, rate)
 	})
 }

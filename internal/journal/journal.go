@@ -52,7 +52,7 @@ type Fsync int
 const (
 	// FsyncRotate syncs a segment when it is rotated out, on every
 	// Flush and on Close — the default: bounded data at risk on power
-	// loss, no sync on the drain path itself.
+	// loss, no sync on the drain path itself or on Drain.
 	FsyncRotate Fsync = iota
 	// FsyncNever leaves flushing entirely to the OS, Flush and Close
 	// included.
@@ -130,7 +130,7 @@ func RegisterMetrics(r *obs.Registry) {
 type Writer struct {
 	opts   Options
 	ch     chan obs.Event
-	flush  chan chan struct{}
+	flush  chan flushReq
 	quit   chan struct{}
 	done   chan struct{}
 	closed atomic.Bool
@@ -156,6 +156,8 @@ type Writer struct {
 	errMu sync.Mutex
 	err   error // first write/sync error, sticky
 
+	syncs atomic.Int64 // segment syncs issued, so tests can count them
+
 	// index is this run's seek index for Replay: a mark every
 	// indexEvery lines, Seq-ascending, added once the batch holding its
 	// line is written. unordered is set, and the index abandoned, once
@@ -163,6 +165,13 @@ type Writer struct {
 	idxMu     sync.Mutex
 	index     []mark
 	unordered bool
+}
+
+// flushReq asks the drain goroutine to write everything queued, and to
+// sync the segment when sync is set, then to close ack.
+type flushReq struct {
+	ack  chan struct{}
+	sync bool
 }
 
 // indexEvery is how many lines apart Replay's seek points lie: the most
@@ -207,7 +216,7 @@ func Open(o Options) (*Writer, error) {
 	w := &Writer{
 		opts:     o,
 		ch:       make(chan obs.Event, o.Buffer),
-		flush:    make(chan chan struct{}),
+		flush:    make(chan flushReq),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		first:    next,
@@ -238,15 +247,24 @@ func (w *Writer) Record(e obs.Event) {
 // Flush blocks until every event queued before the call has been
 // handed to the OS and the current segment synced (unless the policy is
 // FsyncNever), then reports any sticky write error. It is how tests and
-// handlers make the journal catch up with the ring at a known point.
-func (w *Writer) Flush() error {
+// handlers make the journal durable at a known point.
+func (w *Writer) Flush() error { return w.request(true) }
+
+// Drain blocks until every event queued before the call has been handed
+// to the OS, then reports any sticky write error. It never syncs: a
+// reader of the segments needs the events in the files, not on stable
+// storage, so Drain is how readers make the journal catch up with the
+// ring.
+func (w *Writer) Drain() error { return w.request(false) }
+
+func (w *Writer) request(sync bool) error {
 	if w == nil {
 		return nil
 	}
-	ack := make(chan struct{})
+	req := flushReq{ack: make(chan struct{}), sync: sync}
 	select {
-	case w.flush <- ack:
-		<-ack
+	case w.flush <- req:
+		<-req.ack
 	case <-w.done:
 	}
 	return w.Err()
@@ -290,14 +308,12 @@ func (w *Writer) run() {
 		case e := <-w.ch:
 			w.encode(e)
 			w.drain()
-		case ack := <-w.flush:
+		case req := <-w.flush:
 			w.drain()
-			if w.opts.Fsync != FsyncNever && w.f != nil {
-				if err := w.f.Sync(); err != nil {
-					w.fail(err)
-				}
+			if req.sync && w.opts.Fsync != FsyncNever && w.f != nil {
+				w.sync()
 			}
-			close(ack)
+			close(req.ack)
 		case <-w.quit:
 			w.drain()
 			w.finish()
@@ -321,14 +337,20 @@ func (w *Writer) finish() {
 		return
 	}
 	if w.opts.Fsync != FsyncNever {
-		if err := w.f.Sync(); err != nil {
-			w.fail(err)
-		}
+		w.sync()
 	}
 	if err := w.f.Close(); err != nil {
 		w.fail(err)
 	}
 	w.f = nil
+}
+
+// sync flushes the current segment to stable storage.
+func (w *Writer) sync() {
+	w.syncs.Add(1)
+	if err := w.f.Sync(); err != nil {
+		w.fail(err)
+	}
 }
 
 // encode appends one event to the batch through the shared codec. When
@@ -394,9 +416,7 @@ func (w *Writer) write() bool {
 		return false
 	}
 	if w.opts.Fsync == FsyncAlways {
-		if err := w.f.Sync(); err != nil {
-			w.fail(err)
-		}
+		w.sync()
 	}
 	w.appended.Add(n)
 	if len(marks) > 0 {
@@ -427,9 +447,7 @@ func (w *Writer) seek(since uint64) mark {
 // never) and arranges for the next append to open a fresh one.
 func (w *Writer) rotate() {
 	if w.opts.Fsync != FsyncNever {
-		if err := w.f.Sync(); err != nil {
-			w.fail(err)
-		}
+		w.sync()
 	}
 	if err := w.f.Close(); err != nil {
 		w.fail(err)

@@ -540,3 +540,47 @@ func TestWriterReplayUnordered(t *testing.T) {
 		t.Fatalf("replay from 550 yielded %d events from %d lines, want 100 from 1200", len(seqs), stats.Lines)
 	}
 }
+
+// TestJournalDrainDoesNotSync: Drain makes queued events readable without
+// a sync of its own under every policy (under always the written batch
+// still syncs, as every batch does), while Flush keeps its durability
+// contract and syncs once under rotate and always.
+func TestJournalDrainDoesNotSync(t *testing.T) {
+	for _, policy := range []Fsync{FsyncRotate, FsyncNever, FsyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			w := mustOpen(t, Options{Dir: dir, Fsync: policy})
+			defer w.Close()
+			var batchSyncs int64
+			if policy == FsyncAlways {
+				batchSyncs = 1
+			}
+			for i := 1; i <= 3; i++ {
+				w.Record(event(i))
+			}
+			if err := w.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Drain(); err != nil { // nothing queued: no write
+				t.Fatal(err)
+			}
+			if got := w.syncs.Load(); got != batchSyncs {
+				t.Fatalf("two Drains synced %d times, want %d", got, batchSyncs)
+			}
+			evs, _, err := ReadAll(dir, 0)
+			if err != nil || len(evs) != 3 {
+				t.Fatalf("after Drain: %d events readable, %v; want 3", len(evs), err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			want := batchSyncs + 1
+			if policy == FsyncNever {
+				want = 0
+			}
+			if got := w.syncs.Load(); got != want {
+				t.Fatalf("after Flush: %d syncs, want %d", got, want)
+			}
+		})
+	}
+}

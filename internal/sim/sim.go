@@ -5,10 +5,7 @@
 // makes the Mininet-substitute experiments reproducible run to run.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is virtual time in emulator ticks (the emulator interprets one tick
 // as one millisecond).
@@ -17,9 +14,11 @@ type Time int64
 // Kernel is a discrete-event scheduler. The zero value is not usable; call
 // NewKernel.
 type Kernel struct {
-	now   Time
-	seq   uint64
-	queue eventQueue
+	now Time
+	seq uint64
+	// queue is a binary min-heap of events ordered by (at, seq), held by
+	// value.
+	queue []event
 }
 
 type event struct {
@@ -28,24 +27,11 @@ type event struct {
 	fn  func()
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+	return e.seq < o.seq
 }
 
 // NewKernel returns a kernel with the clock at zero.
@@ -63,7 +49,20 @@ func (k *Kernel) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, k.now))
 	}
 	k.seq++
-	heap.Push(&k.queue, &event{at: t, seq: k.seq, fn: fn})
+	q := append(k.queue, event{at: t, seq: k.seq, fn: fn})
+	// Sift the new event up.
+	i := len(q) - 1
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+	k.queue = q
 }
 
 // Step executes the next event; it reports false when the queue is empty.
@@ -71,9 +70,34 @@ func (k *Kernel) Step() bool {
 	if len(k.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&k.queue).(*event)
-	k.now = ev.at
-	ev.fn()
+	q := k.queue
+	top := q[0]
+	last := len(q) - 1
+	ev := q[last]
+	q[last] = event{} // release the closure
+	q = q[:last]
+	// Sift the last event down from the root.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&ev) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if last > 0 {
+		q[i] = ev
+	}
+	k.queue = q
+	k.now = top.at
+	top.fn()
 	return true
 }
 

@@ -117,3 +117,46 @@ func TestClockMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOrderIsTimeThenSeq: under random insertion, nested scheduling
+// included, events run in ascending (time, scheduling order) — the order
+// the kernel promises, not only a non-decreasing clock.
+func TestOrderIsTimeThenSeq(t *testing.T) {
+	f := func(delays []uint8) bool {
+		k := NewKernel()
+		type stamp struct {
+			at Time
+			id int
+		}
+		var ran []stamp
+		next := 0
+		var schedule func(at Time, nest bool)
+		schedule = func(at Time, nest bool) {
+			id := next
+			next++
+			k.At(at, func() {
+				ran = append(ran, stamp{k.Now(), id})
+				if nest {
+					schedule(k.Now()+Time(id%4), false)
+				}
+			})
+		}
+		for i, d := range delays {
+			schedule(Time(d%16), i%3 == 0)
+		}
+		drain(k)
+		if len(ran) != next {
+			return false
+		}
+		for i := 1; i < len(ran); i++ {
+			a, b := ran[i-1], ran[i]
+			if b.at < a.at || (b.at == a.at && b.id < a.id) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -120,6 +120,7 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 		}
 	}
 	key := emu.FlowKey{Flow: m.Flow, Tag: emu.Tag(m.Tag)}
+	name := key.String()
 
 	// Rule-content attributes carried by sw.flowmod and sw.apply events:
 	// enough for a trace consumer to rebuild the forwarding table without
@@ -154,10 +155,10 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 			now := int64(a.net.K.Now())
 			a.trace.Point(now, obs.EvSwFlowMod,
 				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyKind, "immediate"),
-				obs.A(obs.KeyKey, key.String()), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
+				obs.A(obs.KeyKey, name), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
 			a.trace.EmitSpan("sw.recv", 0, now, now,
 				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyXid, m.XID),
-				obs.A(obs.KeyKind, "immediate"), obs.A(obs.KeyKey, key.String()))
+				obs.A(obs.KeyKind, "immediate"), obs.A(obs.KeyKey, name))
 		}
 		apply()
 		return nil
@@ -179,11 +180,11 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 	// parentless so the xid folds it under the controller's send span.
 	recvSpan := a.trace.StartSpan(int64(now), "sw.recv",
 		0, obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyXid, m.XID),
-		obs.A(obs.KeyKind, "timed"), obs.A(obs.KeyAt, int64(requested)), obs.A(obs.KeyKey, key.String()))
+		obs.A(obs.KeyKind, "timed"), obs.A(obs.KeyAt, int64(requested)), obs.A(obs.KeyKey, name))
 	if a.trace != nil {
 		a.trace.Point(int64(now), obs.EvSwFlowMod,
 			obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyKind, "timed"), obs.A(obs.KeyAt, int64(requested)),
-			obs.A(obs.KeyKey, key.String()), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
+			obs.A(obs.KeyKey, name), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
 	}
 	a.net.K.At(at, func() {
 		if a.trace != nil {
@@ -195,7 +196,7 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 			a.trace.Point(fire, obs.EvSwApply,
 				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeySkew, skew),
 				obs.A(obs.KeyAt, int64(requested)),
-				obs.A(obs.KeyKey, key.String()), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
+				obs.A(obs.KeyKey, name), obs.A(obs.KeyCmd, cmd), obs.A(obs.KeyNext, next))
 			a.trace.EmitSpan(obs.EvSwApply, recvSpan.SpanID(), fire, fire,
 				obs.A(obs.KeySwitch, a.sw.Name()), obs.A(obs.KeyXid, m.XID), obs.A(obs.KeySkew, skew))
 			recvSpan.End(fire)
