@@ -249,6 +249,36 @@ func TestTransientLoopViaReplay(t *testing.T) {
 	}
 }
 
+// TestReplayWindowCountsRuleSwitchesOnly: the replay window reaches back
+// from the first change by one longest link delay per switch that holds
+// a rule history, plus one. A switch the trace shows only a control lane
+// for (a sched marker, a sent FlowMod, a barrier) changes the critical
+// path and nothing else; a switch with a rule change, even for another
+// key, widens the window.
+func TestReplayWindowCountsRuleSwitchesOnly(t *testing.T) {
+	report := func(extra ...obs.Event) *Report {
+		a := New()
+		a.Feed(slices.Concat(transientLoopStream, extra)...)
+		return a.Report()
+	}
+	base := report()
+	lane := report(
+		ev(9, 15, "sched", "switch", "v9"),
+		ev(10, 16, "ctl.flowmod", "switch", "v9", "at", "25", "key", "f/0", "next", "v1"),
+		ev(11, 17, "sw.barrier", "switch", "v9"),
+	)
+	if reflect.DeepEqual(lane.Critical, base.Critical) {
+		t.Fatalf("critical path %+v ignores v9's lane", lane.Critical)
+	}
+	if !reflect.DeepEqual(lane.Loops, base.Loops) || !reflect.DeepEqual(lane.Blackholes, base.Blackholes) || lane.Replay != base.Replay {
+		t.Errorf("a lane-only switch moved the verdict:\n%s\nvs\n%s", lane, base)
+	}
+	rule := report(ev(9, 15, "sw.flowmod", "switch", "v9", "kind", "immediate", "key", "g/0", "cmd", "add", "next", "host"))
+	if rule.Replay.Emissions != base.Replay.Emissions+1 {
+		t.Errorf("a switch with a rule change replays %d emissions, want one more than %d", rule.Replay.Emissions, base.Replay.Emissions)
+	}
+}
+
 // TestReportScratchDoesNotLeak: the emission replay reuses its visited
 // map and path slice. An auditor that reports a looping one-shot trace,
 // then takes a blackhole trace and reports again, must say exactly what

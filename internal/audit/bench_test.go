@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"os"
 	"testing"
 
 	"github.com/chronus-sdn/chronus/internal/controller"
@@ -130,5 +131,38 @@ func BenchmarkAuditReportBackToBack(b *testing.B) {
 			prev = cut
 			reportSink = a.Report()
 		}
+	}
+}
+
+// emulationFixture is the stream emulationEvents(tb, 50) records, as
+// internal/obs keeps it.
+const emulationFixture = "../obs/testdata/emulation.jsonl"
+
+// auditAllocCeiling bounds the allocations of a fresh auditor's Feed and
+// Report over emulationFixture: 160 on the per-switch and per-key
+// records, so a margin of 10 (6 %). The string maps of maps they replaced
+// took 246.
+const auditAllocCeiling = 170
+
+// TestAuditAllocs holds the audit fold of one update to its allocation
+// ceiling.
+func TestAuditAllocs(t *testing.T) {
+	a := New()
+	f, err := os.Open(emulationFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, _, err := a.ReadJSONLTolerant(f); err != nil {
+		t.Fatal(err)
+	}
+	evs := a.batches[0]
+	n := testing.AllocsPerRun(20, func() {
+		a := New()
+		a.Feed(evs...)
+		a.Report()
+	})
+	if n > auditAllocCeiling {
+		t.Errorf("the audit fold of %s takes %.0f allocations, the ceiling is %d", emulationFixture, n, auditAllocCeiling)
 	}
 }

@@ -43,11 +43,11 @@ func (st *state) finishLoops(r *Report, notes noteSet) {
 	loops := st.checkBatch(append([]LoopViolation(nil), st.cycles...))
 	var holes []BlackholeViolation
 	var stats ReplayStats
-	for key, src := range st.source {
-		if src == "" {
-			continue // injected from no named switch
+	for _, fr := range st.flows {
+		if fr.source == "" {
+			continue // never injected, or from no named switch
 		}
-		kr := st.replayed(key, src)
+		kr := st.replayed(fr)
 		loops = append(loops, kr.transient...)
 		holes = append(holes, kr.holes...)
 		stats.add(kr.stats)
@@ -136,16 +136,22 @@ func (st *state) finishLoops(r *Report, notes noteSet) {
 	r.Replay = stats
 }
 
-// replayed returns key's emission replay, rerunning it only when one of
-// its inputs has changed since it last ran.
-func (st *state) replayed(key, src string) *keyReplay {
-	in := replayInputs{changes: st.changes[key], switches: len(st.ruleHist), delays: st.delayEpoch}
-	if kr := st.replays[key]; kr != nil && kr.inputs == in {
+// replayed returns the flow's emission replay, rerunning it, in the
+// storage of the last one, only when one of its inputs has changed since
+// it last ran.
+func (st *state) replayed(fr *flowRec) *keyReplay {
+	in := replayInputs{changes: fr.changes, switches: st.ruleSwitches, delays: st.delayEpoch}
+	kr := fr.replay
+	if kr != nil && kr.inputs == in {
 		return kr
 	}
-	kr := &keyReplay{inputs: in}
-	st.replay(key, src, kr)
-	st.replays[key] = kr
+	if kr == nil {
+		kr = new(keyReplay)
+		fr.replay = kr
+	}
+	clear(kr.notes)
+	*kr = keyReplay{inputs: in, transient: kr.transient[:0], holes: kr.holes[:0], notes: kr.notes}
+	st.replay(fr.key, fr.source, kr)
 	return kr
 }
 
@@ -153,7 +159,7 @@ func (st *state) replayed(key, src string) *keyReplay {
 // the reconstructed time-varying tables into kr.
 func (st *state) replay(key, src string, kr *keyReplay) {
 	injStart := int64(-1)
-	for _, c := range st.inject[key] {
+	for _, c := range st.injects(key) {
 		if c.rate > 0 {
 			injStart = c.tick
 			break
@@ -167,10 +173,12 @@ func (st *state) replay(key, src string, kr *keyReplay) {
 	// instants; anything at or before injStart is provisioning the
 	// flow rode in on from the outset. first and last bound them.
 	first, last := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, perKey := range st.ruleHist {
-		for _, c := range perKey[key] {
-			if c.tick > injStart {
-				first, last = min(first, c.tick), max(last, c.tick)
+	for _, sr := range st.switches {
+		if r := sr.rule(key); r != nil {
+			for _, c := range r.hist {
+				if c.tick > injStart {
+					first, last = min(first, c.tick), max(last, c.tick)
+				}
 			}
 		}
 	}
@@ -181,7 +189,7 @@ func (st *state) replay(key, src string, kr *keyReplay) {
 	// longest-lived base-window packet has arrived.
 	start, end := injStart, injStart
 	if first != math.MaxInt64 {
-		span := int64(len(st.ruleHist)+1) * st.maxDelay()
+		span := int64(st.ruleSwitches+1) * st.maxDelay()
 		start = max(first-span, injStart)
 		end = last
 	}
@@ -201,10 +209,8 @@ func (st *state) replay(key, src string, kr *keyReplay) {
 // maxDelay is the longest learned link delay, at least 1.
 func (st *state) maxDelay() int64 {
 	m := int64(1)
-	for _, d := range st.delays {
-		if d > m {
-			m = d
-		}
+	for _, ls := range st.links {
+		m = max(m, ls.delay)
 	}
 	return m
 }
@@ -237,7 +243,6 @@ type replayer struct {
 	// (math.MaxInt64 if none): before it the tables never change.
 	c0 int64
 
-	ids   map[string]int32
 	names []string // id -> switch
 	off   []int32  // id -> its hops are hops[off[id]:off[id+1]], tick-ascending
 	hops  []hop
@@ -251,31 +256,28 @@ type replayer struct {
 	path  []int32
 	cycle []string
 
-	holes  []BlackholeViolation // id -> the key's blackhole there, Count 0 if none
-	loops  []LoopViolation      // in the order found
-	loopAt map[string]int       // cycle -> its index in loops
+	holes []BlackholeViolation // id -> the key's blackhole there, Count 0 if none
+	loops []LoopViolation      // in the order found, one per cycle
 }
 
 // compile numbers src and every switch reachable from it through key's
 // rule history and resolves each one's hops against the learned delays.
 func (rp *replayer) compile(st *state, key, src string, kr *keyReplay) {
 	rp.kr, rp.key = kr, key
-	rp.rates, rp.inj = st.inject[key], -1
-	clear(rp.ids)
-	clear(rp.loopAt)
+	rp.rates, rp.inj = st.injects(key), -1
 	rp.names, rp.off, rp.hops, rp.loops = rp.names[:0], rp.off[:0], rp.hops[:0], rp.loops[:0]
 	rp.id(src)
 	for i := 0; i < len(rp.names); i++ {
 		sw := rp.names[i]
 		rp.off = append(rp.off, int32(len(rp.hops)))
-		for _, c := range st.ruleHist[sw][key] {
+		for _, c := range st.hist(sw, key) {
 			h := hop{tick: c.tick, next: toNone}
 			switch c.next {
 			case "":
 			case "host":
 				h.next = toHost
 			default:
-				h.next, h.delay = rp.id(c.next), st.delays[[2]string{sw, c.next}]
+				h.next, h.delay = rp.id(c.next), st.delay(sw, c.next)
 			}
 			rp.hops = append(rp.hops, h)
 		}
@@ -289,15 +291,14 @@ func (rp *replayer) compile(st *state, key, src string, kr *keyReplay) {
 	clear(rp.holes)
 }
 
-// id returns sw's number, giving it the next one if it has none.
+// id returns sw's number, giving it the next one if it has none. A key's
+// path reaches a handful of switches, so a scan beats a map.
 func (rp *replayer) id(sw string) int32 {
-	id, ok := rp.ids[sw]
-	if !ok {
-		id = int32(len(rp.names))
-		rp.ids[sw] = id
-		rp.names = append(rp.names, sw)
+	if i := slices.Index(rp.names, sw); i >= 0 {
+		return int32(i)
 	}
-	return id
+	rp.names = append(rp.names, sw)
+	return int32(len(rp.names) - 1)
 }
 
 // outcome is how one traced emission ended: at tick end, counted in
@@ -423,10 +424,9 @@ func (rp *replayer) loop(cycle []int32, at int32, t, emit int64) *LoopViolation 
 		rp.cycle = append(rp.cycle, rp.names[id])
 	}
 	cyc := canonicalCycle(rp.cycle)
-	i, ok := rp.loopAt[cyc]
-	if !ok {
+	i := slices.IndexFunc(rp.loops, func(l LoopViolation) bool { return l.Cycle == cyc })
+	if i < 0 {
 		i = len(rp.loops)
-		rp.loopAt[cyc] = i
 		rp.loops = append(rp.loops, LoopViolation{Kind: "transient-loop", Key: rp.key, At: rp.names[at], Tick: t, Cycle: cyc, FirstEmit: emit, LastEmit: emit})
 	}
 	l := &rp.loops[i]

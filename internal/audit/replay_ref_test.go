@@ -42,7 +42,7 @@ func newRefReplay(st *state) *refReplay {
 // the reconstructed time-varying tables into kr.
 func (st *refReplay) replay(key, src string, kr *keyReplay) {
 	injStart := int64(-1)
-	for _, c := range st.inject[key] {
+	for _, c := range st.injects(key) {
 		if c.rate > 0 {
 			injStart = c.tick
 			break
@@ -56,8 +56,8 @@ func (st *refReplay) replay(key, src string, kr *keyReplay) {
 	// instants; anything at or before injStart is provisioning the
 	// flow rode in on from the outset.
 	changeSet := make(map[int64]bool)
-	for _, perKey := range st.ruleHist {
-		for _, c := range perKey[key] {
+	for _, sr := range st.switches {
+		for _, c := range st.hist(sr.name, key) {
 			if c.tick > injStart {
 				changeSet[c.tick] = true
 			}
@@ -75,7 +75,7 @@ func (st *refReplay) replay(key, src string, kr *keyReplay) {
 	// longest-lived base-window packet has arrived.
 	start, end := injStart, injStart
 	if len(changes) > 0 {
-		span := int64(len(st.ruleHist)+1) * st.maxDelay()
+		span := int64(historySwitches(st.state)+1) * st.maxDelay()
 		start = changes[0] - span
 		if start < injStart {
 			start = injStart
@@ -134,7 +134,7 @@ func (st *refReplay) traceOne(key, src string, t int64, kr *keyReplay) int64 {
 			kr.stats.Delivered++
 			return t
 		}
-		d := st.delays[[2]string{cur, next}]
+		d := st.delay(cur, next)
 		if d <= 0 {
 			d = 1
 			if kr.notes == nil {
@@ -170,9 +170,21 @@ func (st *refReplay) traceOne(key, src string, t int64, kr *keyReplay) int64 {
 	}
 }
 
+// historySwitches counts the switches that hold a rule history for some
+// key, by looking, not from the count the auditor keeps.
+func historySwitches(st *state) int {
+	n := 0
+	for _, sr := range st.switches {
+		if len(sr.rules) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // rateAt returns key's injection rate in effect at tick t.
 func (st *refReplay) rateAt(key string, t int64) int64 {
-	cs := st.inject[key]
+	cs := st.injects(key)
 	for i := len(cs) - 1; i >= 0; i-- {
 		if cs[i].tick <= t {
 			return cs[i].rate
@@ -184,7 +196,7 @@ func (st *refReplay) rateAt(key string, t int64) int64 {
 // ruleAt returns the next hop sw's table held for key at tick t, or ""
 // if no rule was installed then.
 func (st *refReplay) ruleAt(sw, key string, t int64) string {
-	cs := st.ruleHist[sw][key]
+	cs := st.hist(sw, key)
 	for i := len(cs) - 1; i >= 0; i-- {
 		if cs[i].tick <= t {
 			return cs[i].next
@@ -214,17 +226,12 @@ func checkReplayAgainstReference(tb testing.TB, evs []obs.Event) {
 	a.Feed(evs...)
 	got := a.Report()
 	st := a.st
-	keys := make([]string, 0, len(st.source))
-	for key := range st.source {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		src := st.source[key]
+	for _, fr := range st.flows {
+		key, src := fr.key, fr.source
 		if src == "" {
 			continue
 		}
-		in := st.replays[key].inputs
+		in := fr.replay.inputs
 		fast := &keyReplay{inputs: in}
 		st.replay(key, src, fast)
 		ref := &keyReplay{inputs: in}
@@ -232,7 +239,7 @@ func checkReplayAgainstReference(tb testing.TB, evs []obs.Event) {
 		if f, r := sortedReplay(fast), sortedReplay(ref); !reflect.DeepEqual(f, r) {
 			tb.Fatalf("flow %s: replay differs from the reference:\n%+v\nvs\n%+v", key, f, r)
 		}
-		st.replays[key] = ref
+		fr.replay = ref
 	}
 	want := a.Report()
 	if !reflect.DeepEqual(got, want) || got.String() != want.String() {
@@ -354,7 +361,7 @@ func replayCases(st *state, key, src string) map[string]bool {
 	cases := make(map[string]bool)
 	ref := newRefReplay(st)
 	injStart := int64(-1)
-	for _, c := range st.inject[key] {
+	for _, c := range st.injects(key) {
 		if c.rate > 0 {
 			injStart = c.tick
 			break
@@ -364,8 +371,8 @@ func replayCases(st *state, key, src string) map[string]bool {
 		return cases
 	}
 	c0, end := int64(math.MaxInt64), injStart
-	for _, perKey := range st.ruleHist {
-		for _, c := range perKey[key] {
+	for _, sr := range st.switches {
+		for _, c := range st.hist(sr.name, key) {
 			if c.tick > injStart {
 				c0, end = min(c0, c.tick), max(end, c.tick)
 			}
@@ -377,7 +384,7 @@ func replayCases(st *state, key, src string) map[string]bool {
 	// Reachable switches, and whether one of them never holds a rule.
 	reach := map[string]bool{src: true}
 	for queue := []string{src}; len(queue) > 0; queue = queue[1:] {
-		for _, c := range st.ruleHist[queue[0]][key] {
+		for _, c := range st.hist(queue[0], key) {
 			if c.next != "" && c.next != "host" && !reach[c.next] {
 				reach[c.next] = true
 				queue = append(queue, c.next)
@@ -385,7 +392,7 @@ func replayCases(st *state, key, src string) map[string]bool {
 		}
 	}
 	for s := range reach {
-		if len(st.ruleHist[s][key]) == 0 && s != src {
+		if len(st.hist(s, key)) == 0 && s != src {
 			cases["next-no-history"] = true
 		}
 	}
@@ -393,7 +400,7 @@ func replayCases(st *state, key, src string) map[string]bool {
 	// The emissions the window holds before the first change.
 	start := injStart
 	if c0 != math.MaxInt64 {
-		start = max(c0-int64(len(st.ruleHist)+1)*st.maxDelay(), injStart)
+		start = max(c0-int64(historySwitches(st)+1)*st.maxDelay(), injStart)
 	}
 	gap, changed, rate := false, false, int64(0)
 	for t := start; t < c0 && t <= end; t++ {
@@ -424,7 +431,7 @@ func streamCases(evs []obs.Event) map[string]bool {
 	a := New()
 	a.Feed(evs...)
 	a.Report()
-	return replayCases(a.st, "f/0", a.st.source["f/0"])
+	return replayCases(a.st, "f/0", a.st.byFlow["f/0"].source)
 }
 
 // TestReplayMatchesReference holds the compiled, prefix-counting replay

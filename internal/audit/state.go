@@ -29,12 +29,92 @@ type flip struct {
 	sw, key, next string
 }
 
+// ruleRec is one switch's record of one key: every change of its rule,
+// tick-ascending. The last is what the table holds now.
+type ruleRec struct {
+	key  string
+	hist []ruleChange
+}
+
+// switchRec is everything the auditor reconstructs of one switch: its
+// forwarding table, one record per key it ever changed a rule of,
+// ascending by key, the learned delays of its out-links, its
+// control-plane lane, and the last of its sched markers folded.
+type switchRec struct {
+	name    string
+	rules   []ruleRec
+	out     []outLink
+	lane    SwitchLane
+	laned   bool // an event of the lane was folded
+	planned foldPos
+}
+
+// outLink is the learned delay of the link from a switch to the one named
+// to.
+type outLink struct {
+	to    string
+	delay int64
+}
+
+// find returns where the switch's record of key is, or would go, in
+// sr.rules, and whether it is there.
+func (sr *switchRec) find(key string) (int, bool) {
+	i := sort.Search(len(sr.rules), func(i int) bool { return sr.rules[i].key >= key })
+	return i, i < len(sr.rules) && sr.rules[i].key == key
+}
+
+// rule returns the switch's record of key, nil if it never changed a
+// rule of key.
+func (sr *switchRec) rule(key string) *ruleRec {
+	if i, ok := sr.find(key); ok {
+		return &sr.rules[i]
+	}
+	return nil
+}
+
+// timed reports whether the switch's lane saw timed-update activity: a
+// scheduled, received or applied FlowMod.
+func (sr *switchRec) timed() bool {
+	l := &sr.lane
+	return sr.laned && (l.Sched >= 0 || l.Recv >= 0 || l.Apply >= 0)
+}
+
+// delay returns the learned delay of the switch's link to the one named
+// to, 0 if none was learned.
+func (sr *switchRec) delay(to string) int64 {
+	for _, o := range sr.out {
+		if o.to == to {
+			return o.delay
+		}
+	}
+	return 0
+}
+
+// flowRec is everything the auditor reconstructs of one flow key.
+type flowRec struct {
+	key    string
+	inject []rateChange // tick-ascending
+	source string       // the switch that last injected it at a positive rate
+	// changes counts the key's rule and inject changes; replay is its last
+	// emission replay (see replayed), nil before the first.
+	changes int
+	replay  *keyReplay
+}
+
+// band is one key's aggregate rate on a link.
+type band struct {
+	key  string
+	rate int64
+}
+
 // linkState reconstructs one link's utilization from emu.rate events.
 type linkState struct {
+	label  string
 	cap    int64
-	rates  map[string]int64 // key -> aggregate rate
+	delay  int64  // the last learned delay, 0 before one is
+	rates  []band // one per key with a nonzero rate
 	open   *CongestionViolation
-	keys   map[string]bool // keys seen while the open interval ran
+	keys   []string // keys seen while the open interval ran
 	closed []CongestionViolation
 }
 
@@ -58,25 +138,34 @@ var nothingFolded = foldPos{vt: math.MinInt64}
 // events. It is kept between reports and extended by fold.
 type state struct {
 	// Fold frontiers: the last event folded of each class (see classOf).
+	// The frontier of a switch's sched markers is in its record.
 	kernel    foldPos
 	overloads foldPos
-	planned   map[string]*foldPos // switch -> its last sched marker
-	pending   []obs.Event         // fold's sort scratch
+	pending   []obs.Event // fold's sort scratch
 
-	// Forwarding reconstruction.
-	tables   map[string]map[string]string       // switch -> key -> next
-	ruleHist map[string]map[string][]ruleChange // switch -> key -> changes, tick-ascending
-	batchVT  int64
-	batch    []flip
-	cycles   []LoopViolation
+	// switches holds one record per switch, ascending by name; byName
+	// indexes it. ruleSwitches counts those that changed a rule: the
+	// bound of the cycle walk and the replay window's span.
+	switches     []*switchRec
+	byName       map[string]*switchRec
+	ruleSwitches int
 
-	// Utilization reconstruction.
-	links  map[string]*linkState
-	delays map[[2]string]int64
+	// Forwarding reconstruction: the flips of the open same-tick batch and
+	// the configuration cycles of the closed ones. walk is the cycle
+	// walk's path, which is also its visited set.
+	batchVT int64
+	batch   []flip
+	cycles  []LoopViolation
+	walk    []string
 
-	// Injection replay inputs.
-	inject map[string][]rateChange // key -> changes, tick-ascending
-	source map[string]string       // key -> source switch
+	// Utilization reconstruction, links ascending by label; byLabel
+	// indexes them.
+	links   []*linkState
+	byLabel map[string]*linkState
+
+	// flows holds one record per flow key, in the order first seen.
+	flows  []*flowRec
+	byFlow map[string]*flowRec
 
 	// Emulator ground truth, for cross-checks.
 	emuOverloads []CongestionViolation
@@ -84,19 +173,12 @@ type state struct {
 	ttlByKey     map[string]int64    // key -> first ttl-expiry tick
 	ttlDrops     int
 
-	// Control-plane timeline.
-	lanes map[string]*SwitchLane
-
 	// notes are the ones written while ingesting; each report writes its
 	// own on top (see report).
 	notes noteSet
 
-	// The replay cache (see replayed): each injected key's last replay,
-	// and the counters its inputs are checked against — per key, its rule
-	// and inject changes so far, and delayEpoch, bumped whenever a
-	// learned link delay changes.
-	replays    map[string]*keyReplay
-	changes    map[string]int
+	// delayEpoch is bumped whenever a learned link delay changes: every
+	// replay reads the delays (see replayInputs).
 	delayEpoch int
 
 	// The emission replay's tables and scratch, reused from key to key.
@@ -107,22 +189,73 @@ func newState() *state {
 	return &state{
 		kernel:     nothingFolded,
 		overloads:  nothingFolded,
-		planned:    make(map[string]*foldPos),
-		tables:     make(map[string]map[string]string),
-		ruleHist:   make(map[string]map[string][]ruleChange),
+		byName:     make(map[string]*switchRec),
+		byLabel:    make(map[string]*linkState),
 		batchVT:    -1 << 62,
-		links:      make(map[string]*linkState),
-		delays:     make(map[[2]string]int64),
-		inject:     make(map[string][]rateChange),
-		source:     make(map[string]string),
+		byFlow:     make(map[string]*flowRec),
 		dropNoRule: make(map[[2]string]int64),
 		ttlByKey:   make(map[string]int64),
-		lanes:      make(map[string]*SwitchLane),
 		notes:      make(noteSet),
-		replays:    make(map[string]*keyReplay),
-		changes:    make(map[string]int),
-		rp:         replayer{ids: make(map[string]int32), loopAt: make(map[string]int)},
 	}
+}
+
+// sw returns the record of the switch named name, adding an empty one if
+// it has none.
+func (st *state) sw(name string) *switchRec {
+	if sr := st.byName[name]; sr != nil {
+		return sr
+	}
+	sr := &switchRec{name: name, planned: nothingFolded}
+	st.byName[name] = sr
+	i, _ := slices.BinarySearchFunc(st.switches, name, func(sr *switchRec, name string) int { return cmp.Compare(sr.name, name) })
+	st.switches = slices.Insert(st.switches, i, sr)
+	return sr
+}
+
+// flow returns key's record, adding an empty one if it has none.
+func (st *state) flow(key string) *flowRec {
+	if fr := st.byFlow[key]; fr != nil {
+		return fr
+	}
+	fr := &flowRec{key: key}
+	st.byFlow[key] = fr
+	st.flows = append(st.flows, fr)
+	return fr
+}
+
+// hist returns the rule changes sw made for key, tick-ascending.
+func (st *state) hist(sw, key string) []ruleChange {
+	if sr := st.byName[sw]; sr != nil {
+		if r := sr.rule(key); r != nil {
+			return r.hist
+		}
+	}
+	return nil
+}
+
+// injects returns key's injection-rate changes, tick-ascending.
+func (st *state) injects(key string) []rateChange {
+	if fr := st.byFlow[key]; fr != nil {
+		return fr.inject
+	}
+	return nil
+}
+
+// delay returns the learned delay of the link from sw to to, 0 if none was
+// learned.
+func (st *state) delay(sw, to string) int64 {
+	if sr := st.byName[sw]; sr != nil {
+		return sr.delay(to)
+	}
+	return 0
+}
+
+// next returns the next hop sw's table holds for key now, "" if none.
+func (st *state) next(sw, key string) string {
+	if h := st.hist(sw, key); len(h) > 0 {
+		return h[len(h)-1].next
+	}
+	return ""
 }
 
 // noteSet is a set of report notes.
@@ -141,13 +274,14 @@ func (n noteSet) sorted() []string {
 	return out
 }
 
+// lane returns the control-plane lane of the switch named sw.
 func (st *state) lane(sw string) *SwitchLane {
-	l, ok := st.lanes[sw]
-	if !ok {
-		l = &SwitchLane{Switch: sw, Planned: -1, Sent: -1, Sched: -1, Recv: -1, Barrier: -1, Apply: -1, Lead: -1}
-		st.lanes[sw] = l
+	sr := st.sw(sw)
+	if !sr.laned {
+		sr.lane = SwitchLane{Switch: sw, Planned: -1, Sent: -1, Sched: -1, Recv: -1, Barrier: -1, Apply: -1, Lead: -1}
+		sr.laned = true
 	}
-	return l
+	return &sr.lane
 }
 
 // foldClass partitions the events the auditor reads by the state they
@@ -184,13 +318,7 @@ func (st *state) frontier(e *obs.Event) *foldPos {
 	case classOverload:
 		return &st.overloads
 	case classPlanned:
-		sw := e.Attr(obs.KeySwitch)
-		at := st.planned[sw]
-		if at == nil {
-			at = &foldPos{vt: nothingFolded.vt}
-			st.planned[sw] = at
-		}
-		return at
+		return &st.sw(e.Attr(obs.KeySwitch)).planned
 	}
 	return nil
 }
@@ -307,12 +435,12 @@ func (st *state) ingest(e *obs.Event) {
 	case obs.EvSched:
 		st.lane(e.Attr(obs.KeySwitch)).Planned = e.VT
 	case obs.EvEmuInject:
-		key := e.Attr(obs.KeyKey)
+		fr := st.flow(e.Attr(obs.KeyKey))
 		rate := e.AttrInt(obs.KeyRate)
-		st.inject[key] = append(st.inject[key], rateChange{tick: e.VT, rate: rate})
-		st.changes[key]++
+		fr.inject = append(fr.inject, rateChange{tick: e.VT, rate: rate})
+		fr.changes++
 		if rate > 0 {
-			st.source[key] = e.Attr(obs.KeySwitch)
+			fr.source = e.Attr(obs.KeySwitch)
 		}
 	case obs.EvEmuRate:
 		st.linkRate(e)
@@ -352,23 +480,17 @@ func (st *state) applyRule(vt int64, sw, key, cmd, next string) {
 	if cmd == "del" {
 		next = ""
 	}
-	tbl, ok := st.tables[sw]
+	sr := st.sw(sw)
+	i, ok := sr.find(key)
 	if !ok {
-		tbl = make(map[string]string)
-		st.tables[sw] = tbl
+		if len(sr.rules) == 0 {
+			st.ruleSwitches++
+		}
+		sr.rules = slices.Insert(sr.rules, i, ruleRec{key: key})
 	}
-	if next == "" {
-		delete(tbl, key)
-	} else {
-		tbl[key] = next
-	}
-	hist, ok := st.ruleHist[sw]
-	if !ok {
-		hist = make(map[string][]ruleChange)
-		st.ruleHist[sw] = hist
-	}
-	hist[key] = append(hist[key], ruleChange{tick: vt, next: next})
-	st.changes[key]++
+	r := &sr.rules[i]
+	r.hist = append(r.hist, ruleChange{tick: vt, next: next})
+	st.flow(key).changes++
 	st.batch = append(st.batch, flip{sw: sw, key: key, next: next})
 }
 
@@ -387,25 +509,20 @@ func (st *state) flushBatch() {
 // check backward over the active path before accepting a candidate; here
 // it audits what the switches actually installed.)
 func (st *state) checkBatch(dst []LoopViolation) []LoopViolation {
-	if len(st.batch) == 0 {
-		return dst
-	}
-	seen := make(map[string]bool)
+	batch := len(dst) // the batch's cycles are dst[batch:]
 	for _, f := range st.batch {
 		if f.next == "" || f.next == "host" {
 			continue
 		}
-		path := []string{f.sw}
-		visited := map[string]bool{f.sw: true}
+		path := append(st.walk[:0], f.sw)
 		cur := f.next
-		for step := 0; step <= len(st.tables)+1; step++ {
+		for step := 0; step <= st.ruleSwitches+1; step++ {
 			if cur == "" || cur == "host" {
 				break
 			}
 			if cur == f.sw {
 				cyc := canonicalCycle(path)
-				if !seen[cyc] {
-					seen[cyc] = true
+				if !slices.ContainsFunc(dst[batch:], func(l LoopViolation) bool { return l.Cycle == cyc }) {
 					dst = append(dst, LoopViolation{
 						Kind:  "config-cycle",
 						Key:   f.key,
@@ -416,13 +533,13 @@ func (st *state) checkBatch(dst []LoopViolation) []LoopViolation {
 				}
 				break
 			}
-			if visited[cur] {
+			if slices.Contains(path, cur) {
 				break // a cycle not through f.sw; its own flip flags it
 			}
-			visited[cur] = true
 			path = append(path, cur)
-			cur = st.tables[cur][f.key]
+			cur = st.next(cur, f.key)
 		}
+		st.walk = path
 	}
 	return dst
 }
@@ -452,32 +569,35 @@ func joinCycle(parts []string) string {
 	return out
 }
 
-// linkRate processes one emu.rate event: update the per-key rate table,
+// linkRate processes one emu.rate event: update the per-key rate bands,
 // independently recompute the link total, and track overload intervals
 // with the same open/close/blip semantics the emulator uses.
 func (st *state) linkRate(e *obs.Event) {
 	label := e.Attr(obs.KeyLink)
-	ls, ok := st.links[label]
-	if !ok {
-		ls = &linkState{cap: e.AttrInt(obs.KeyCap), rates: make(map[string]int64)}
-		st.links[label] = ls
-	}
-	if from, to, ok := splitLink(label); ok {
-		if d, ok := e.LookupInt(obs.KeyDelay); ok && d > 0 && st.delays[[2]string{from, to}] != d {
-			st.delays[[2]string{from, to}] = d
+	ls := st.link(label, e.AttrInt(obs.KeyCap))
+	if d, ok := e.LookupInt(obs.KeyDelay); ok && d > 0 && ls.delay != d {
+		if from, to, ok := splitLink(label); ok {
+			ls.delay = d
+			st.sw(from).learn(to, d)
 			st.delayEpoch++
 		}
 	}
 	key := e.Attr(obs.KeyKey)
 	rate := e.AttrInt(obs.KeyRate)
-	if rate == 0 {
-		delete(ls.rates, key)
-	} else {
-		ls.rates[key] = rate
+	i := slices.IndexFunc(ls.rates, func(b band) bool { return b.key == key })
+	switch {
+	case i < 0:
+		if rate != 0 {
+			ls.rates = append(ls.rates, band{key: key, rate: rate})
+		}
+	case rate == 0:
+		ls.rates = slices.Delete(ls.rates, i, i+1)
+	default:
+		ls.rates[i].rate = rate
 	}
 	var total int64
-	for _, r := range ls.rates {
-		total += r
+	for _, b := range ls.rates {
+		total += b.rate
 	}
 	if reported, ok := e.LookupInt(obs.KeyTotal); ok && reported != total {
 		st.notes.add("link %s: reconstructed total %d disagrees with emulator total %d at tick %d", label, total, reported, e.VT)
@@ -487,35 +607,65 @@ func (st *state) linkRate(e *obs.Event) {
 	switch {
 	case over && ls.open == nil:
 		ls.open = &CongestionViolation{Link: label, Start: e.VT, End: -1, Peak: total, Cap: ls.cap}
-		ls.keys = make(map[string]bool)
-		for k := range ls.rates {
-			ls.keys[k] = true
-		}
+		ls.keys = ls.keys[:0]
+		ls.keepKeys()
 	case over:
 		if total > ls.open.Peak {
 			ls.open.Peak = total
 		}
-		for k := range ls.rates {
-			ls.keys[k] = true
-		}
+		ls.keepKeys()
 	case ls.open != nil:
 		if ls.open.Start != e.VT {
 			// A zero-length blip (two changes at the same instant) is
 			// discarded, mirroring the emulator's interval recorder.
 			ls.open.End = e.VT
-			ls.open.Keys = sortedKeys(ls.keys)
+			ls.open.Keys = ls.sortedKeys()
 			ls.closed = append(ls.closed, *ls.open)
 		}
-		ls.open, ls.keys = nil, nil
+		ls.open = nil
 	}
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// learn records d as the delay of the switch's link to the one named to.
+func (sr *switchRec) learn(to string, d int64) {
+	for i := range sr.out {
+		if sr.out[i].to == to {
+			sr.out[i].delay = d
+			return
+		}
 	}
-	sort.Strings(out)
+	sr.out = append(sr.out, outLink{to: to, delay: d})
+}
+
+// link returns the link labelled label, adding it with capacity cp if the
+// auditor has not seen it.
+func (st *state) link(label string, cp int64) *linkState {
+	if ls := st.byLabel[label]; ls != nil {
+		return ls
+	}
+	ls := &linkState{label: label, cap: cp}
+	st.byLabel[label] = ls
+	i, _ := slices.BinarySearchFunc(st.links, label, func(l *linkState, label string) int { return cmp.Compare(l.label, label) })
+	st.links = slices.Insert(st.links, i, ls)
+	return ls
+}
+
+// keepKeys adds the keys on the link to those seen while the open
+// interval ran.
+func (ls *linkState) keepKeys() {
+	for _, b := range ls.rates {
+		if !slices.Contains(ls.keys, b.key) {
+			ls.keys = append(ls.keys, b.key)
+		}
+	}
+}
+
+// sortedKeys returns a sorted copy of the keys seen while the open
+// interval ran.
+func (ls *linkState) sortedKeys() []string {
+	out := make([]string, len(ls.keys))
+	copy(out, ls.keys)
+	slices.Sort(out)
 	return out
 }
 
@@ -539,23 +689,17 @@ func (st *state) report(events int, missing uint64, notes noteSet) *Report {
 // finishCongestion collects the reconstructed overload intervals into
 // the report and cross-checks them against the emulator's own spans.
 func (st *state) finishCongestion(r *Report, notes noteSet) {
-	labels := make([]string, 0, len(st.links))
-	for l := range st.links {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
 	var reconstructed []CongestionViolation
-	for _, label := range labels {
-		ls := st.links[label]
+	for _, ls := range st.links {
 		for _, c := range ls.closed {
 			c.Keys = slices.Clone(c.Keys)
 			reconstructed = append(reconstructed, c)
 		}
 		if ls.open != nil {
 			still := *ls.open
-			still.Keys = sortedKeys(ls.keys)
+			still.Keys = ls.sortedKeys()
 			reconstructed = append(reconstructed, still)
-			notes.add("link %s: overload still open when the trace ended", label)
+			notes.add("link %s: overload still open when the trace ended", ls.label)
 		}
 	}
 	sortCongestion(reconstructed)
@@ -604,18 +748,22 @@ func sortCongestion(cs []CongestionViolation) {
 // finishCritical assembles the per-switch control timeline and the
 // critical-path summary.
 func (st *state) finishCritical(r *Report) {
-	names := make([]string, 0, len(st.lanes))
-	for n := range st.lanes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	cp := CriticalPath{Makespan: -1}
+	n := 0
+	for _, sr := range st.switches {
+		if sr.timed() {
+			n++
+		}
+	}
+	if n > 0 {
+		cp.Switches = make([]SwitchLane, 0, n)
+	}
 	minSched, maxApply := int64(-1), int64(-1)
-	for _, n := range names {
-		l := *st.lanes[n]
-		if l.Sched < 0 && l.Recv < 0 && l.Apply < 0 {
+	for _, sr := range st.switches {
+		if !sr.timed() {
 			continue // no timed-update activity; not part of the critical path
 		}
+		l := sr.lane
 		if l.Sched >= 0 && l.Recv >= 0 {
 			l.Lead = l.Sched - l.Recv
 		}

@@ -22,7 +22,7 @@ package clock
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/chronus-sdn/chronus/internal/obs"
@@ -48,6 +48,10 @@ type switchState struct {
 	samples []sample // ring of the last Window fire-skew samples
 	rtts    []int64  // ring of the last rttWindow one-way barrier latencies
 	total   int64    // all-time fire-skew sample count
+
+	// gauges mirror the offset, drift and jitter estimates, looked up on
+	// the first Estimates with a registry.
+	gauges [3]*obs.Gauge
 }
 
 func (st *switchState) push(s sample) {
@@ -116,7 +120,9 @@ type Estimator struct {
 	reg     *obs.Registry
 	cursor  uint64
 	states  map[string]*switchState
+	names   []string            // the keys of states, ascending
 	pending map[string]halfTrip // barrier xid -> the unmatched half
+	sorted  []int64             // estimate's sort scratch
 }
 
 // RegisterMetrics pre-registers the clock gauge families on r so they
@@ -162,7 +168,8 @@ func (e *Estimator) Observe(events []obs.Event) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, ev := range events {
+	for i := range events {
+		ev := &events[i]
 		if ev.Seq > e.cursor {
 			e.cursor = ev.Seq
 		}
@@ -177,7 +184,7 @@ func (e *Estimator) Observe(events []obs.Event) {
 
 // observeApply folds one fire-skew sample. The sw.apply point event
 // carries the switch, the signed skew and the requested tick.
-func (e *Estimator) observeApply(ev obs.Event) {
+func (e *Estimator) observeApply(ev *obs.Event) {
 	sw := ev.Attr(obs.KeySwitch)
 	skew, haveSkew := ev.LookupInt(obs.KeySkew)
 	at, haveAt := ev.LookupInt(obs.KeyAt)
@@ -190,7 +197,7 @@ func (e *Estimator) observeApply(ev obs.Event) {
 // observeSpan pairs barrier ctl.send spans with the switch-side
 // sw.barrier span carrying the same xid, in either order; the
 // virtual-time difference is a one-way control latency sample.
-func (e *Estimator) observeSpan(ev obs.Event) {
+func (e *Estimator) observeSpan(ev *obs.Event) {
 	var half halfTrip
 	switch ev.Attr(obs.KeyOp) {
 	case obs.OpCtlSend:
@@ -233,6 +240,8 @@ func (e *Estimator) state(sw string) *switchState {
 	if !ok {
 		st = &switchState{}
 		e.states[sw] = st
+		i, _ := slices.BinarySearch(e.names, sw)
+		e.names = slices.Insert(e.names, i, sw)
 	}
 	return st
 }
@@ -253,9 +262,10 @@ func (e *Estimator) estimate(sw string) SwitchClock {
 	out.WindowSamples = int64(len(st.samples))
 	out.RTTSamples = int64(len(st.rtts))
 	if len(st.rtts) > 0 {
-		sorted := append([]int64(nil), st.rtts...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		sorted := append(e.sorted[:0], st.rtts...)
+		slices.Sort(sorted)
 		out.RTTTicks = sorted[len(sorted)/2]
+		e.sorted = sorted
 	}
 	n := int64(len(st.samples))
 	if n == 0 {
@@ -265,11 +275,12 @@ func (e *Estimator) estimate(sw string) SwitchClock {
 	out.LastAt = st.samples[n-1].at
 
 	// Median offset in milliticks.
-	skews := make([]int64, n)
-	for i, s := range st.samples {
-		skews[i] = s.skew
+	skews := e.sorted[:0]
+	for _, s := range st.samples {
+		skews = append(skews, s.skew)
 	}
-	sort.Slice(skews, func(i, j int) bool { return skews[i] < skews[j] })
+	slices.Sort(skews)
+	e.sorted = skews
 	if n%2 == 1 {
 		out.OffsetMilliTicks = skews[n/2] * 1000
 	} else {
@@ -344,19 +355,22 @@ func (e *Estimator) Estimates() []SwitchClock {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	names := make([]string, 0, len(e.states))
-	for name := range e.states {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]SwitchClock, 0, len(names))
-	for _, name := range names {
+	out := make([]SwitchClock, 0, len(e.names))
+	for _, name := range e.names {
 		est := e.estimate(name)
 		out = append(out, est)
 		if e.reg != nil {
-			e.reg.Gauge(fmt.Sprintf("chronus_clock_offset_ticks{switch=%q}", name)).Set(roundMilli(est.OffsetMilliTicks))
-			e.reg.Gauge(fmt.Sprintf("chronus_clock_drift_ticks_per_ktick{switch=%q}", name)).Set(roundMilli(est.DriftMilliTicksPerKtick))
-			e.reg.Gauge(fmt.Sprintf("chronus_clock_jitter_ticks{switch=%q}", name)).Set(roundMilli(est.JitterMilliTicks))
+			st := e.states[name]
+			if st.gauges[0] == nil {
+				st.gauges = [3]*obs.Gauge{
+					e.reg.Gauge(fmt.Sprintf("chronus_clock_offset_ticks{switch=%q}", name)),
+					e.reg.Gauge(fmt.Sprintf("chronus_clock_drift_ticks_per_ktick{switch=%q}", name)),
+					e.reg.Gauge(fmt.Sprintf("chronus_clock_jitter_ticks{switch=%q}", name)),
+				}
+			}
+			st.gauges[0].Set(roundMilli(est.OffsetMilliTicks))
+			st.gauges[1].Set(roundMilli(est.DriftMilliTicksPerKtick))
+			st.gauges[2].Set(roundMilli(est.JitterMilliTicks))
 		}
 	}
 	return out

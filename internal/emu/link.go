@@ -64,17 +64,58 @@ type Link struct {
 	total Rate
 	bytes counter
 
+	// fronts are the rate changes in flight on the link, oldest first from
+	// fronts[head]; land, bound once, delivers the oldest. The delay never
+	// changes and the kernel runs same-time events in scheduling order, so
+	// fronts land in the order they were sent.
+	fronts []front
+	head   int
+	land   func()
+
 	timeline  []RatePoint
 	overloads []Overload
 	peak      Rate
 }
 
+// front is one (key, ttl) band's rate change in flight on a link: once
+// it lands, the band arrives downstream at rate with ttl hops left.
+type front struct {
+	key  FlowKey
+	ttl  int
+	rate Rate
+}
+
 func newLink(n *Network, spec graph.Link) *Link {
-	return &Link{
+	l := &Link{
 		net:   n,
 		spec:  spec,
 		label: n.G.Name(spec.From) + ">" + n.G.Name(spec.To),
 	}
+	l.land = l.landOldest
+	return l
+}
+
+// send puts a front on the link at time now, to land one delay later.
+func (l *Link) send(now sim.Time, f front) {
+	l.fronts = append(l.fronts, f)
+	l.net.K.At(now+sim.Time(l.spec.Delay), l.land)
+}
+
+// landOldest delivers the oldest front in flight to the downstream
+// switch. The queue's storage is reused once it drains, and compacted
+// when the landed fronts fill half of it.
+func (l *Link) landOldest() {
+	f := l.fronts[l.head]
+	l.head++
+	switch {
+	case l.head == len(l.fronts):
+		l.fronts, l.head = l.fronts[:0], 0
+	case l.head >= 32 && 2*l.head >= len(l.fronts):
+		l.fronts = l.fronts[:copy(l.fronts, l.fronts[l.head:])]
+		l.head = 0
+	}
+	peer := l.net.switches[l.spec.To]
+	peer.arrive(f.key, peer.state(f.key), l.spec.From, f.ttl, f.rate)
 }
 
 // From returns the upstream switch ID.

@@ -349,13 +349,9 @@ func (sw *Switch) updateHostCounters(now sim.Time, ks *keyState, delivered, drop
 }
 
 // emit changes the (key, ttl) band on link to rate, which moves the link's
-// total by delta and leaves keyRate of key on it, and schedules the
-// arrival front at the downstream switch.
+// total by delta and leaves keyRate of key on it, and sends the front
+// that brings the change to the downstream switch.
 func (sw *Switch) emit(now sim.Time, key FlowKey, name string, link *Link, ttl int, rate, delta, keyRate Rate) {
 	link.change(now, name, delta, keyRate)
-	peer := sw.net.switches[link.spec.To]
-	from := sw.id
-	sw.net.K.At(now+sim.Time(link.spec.Delay), func() {
-		peer.arrive(key, peer.state(key), from, ttl-1, rate)
-	})
+	link.send(now, front{key: key, ttl: ttl - 1, rate: rate})
 }

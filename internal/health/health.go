@@ -253,12 +253,19 @@ type Engine struct {
 	queue       QueueSource
 	drift       DriftSource
 	plan        *Plan
-	slack       map[string]PlanSwitch
+	slack       map[string]planSwitch
 	skews       map[string][]int64 // last SkewWindow absolute skews
 	skewEver    map[string]int64   // all-time max for this plan
 	applies     map[string]int64
 	disconnects int64
 	cursor      uint64
+}
+
+// planSwitch is one switch's promise in the armed plan, with the gauge
+// that mirrors its margin.
+type planSwitch struct {
+	PlanSwitch
+	margin *obs.Gauge
 }
 
 // New builds an engine exporting its gauges on reg (nil disables the
@@ -270,7 +277,7 @@ func New(reg *obs.Registry) *Engine {
 	reg.Help("chronus_health_predicted_worst_margin_ticks", "Smallest forecast slack margin from the clock estimator, extrapolated to each switch's scheduled apply tick.")
 	return &Engine{
 		reg:      reg,
-		slack:    map[string]PlanSwitch{},
+		slack:    map[string]planSwitch{},
 		skews:    map[string][]int64{},
 		skewEver: map[string]int64{},
 		applies:  map[string]int64{},
@@ -323,14 +330,15 @@ func (e *Engine) SetPlan(p Plan) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.plan = &p
-	e.slack = map[string]PlanSwitch{}
+	e.slack = make(map[string]planSwitch, len(p.Switches))
 	e.skews = map[string][]int64{}
 	e.skewEver = map[string]int64{}
 	e.applies = map[string]int64{}
 	e.disconnects = 0
 	for _, s := range p.Switches {
-		e.slack[s.Switch] = s
-		e.reg.Gauge(fmt.Sprintf("chronus_slack_margin_ticks{switch=%q}", s.Switch)).Set(s.SlackTicks)
+		g := e.reg.Gauge(fmt.Sprintf("chronus_slack_margin_ticks{switch=%q}", s.Switch))
+		g.Set(s.SlackTicks)
+		e.slack[s.Switch] = planSwitch{PlanSwitch: s, margin: g}
 	}
 }
 
@@ -355,7 +363,8 @@ func (e *Engine) Observe(events []obs.Event) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, ev := range events {
+	for i := range events {
+		ev := &events[i]
 		if ev.Seq > e.cursor {
 			e.cursor = ev.Seq
 		}
@@ -379,7 +388,7 @@ func (e *Engine) Observe(events []obs.Event) {
 				e.skewEver[sw] = skew
 			}
 			if p, ok := e.slack[sw]; ok {
-				e.reg.Gauge(fmt.Sprintf("chronus_slack_margin_ticks{switch=%q}", sw)).Set(p.SlackTicks - e.windowedSkew(sw))
+				p.margin.Set(p.SlackTicks - e.windowedSkew(sw))
 			}
 		case obs.EvCtlDisconnect:
 			e.disconnects++
@@ -501,6 +510,9 @@ func (e *Engine) Verdict() Verdict {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	if len(names) > 0 {
+		v.Switches = make([]SwitchHealth, 0, len(names))
+	}
 	worstMargin := int64(0)
 	predWorst, anyForecast := int64(0), false
 	first := true

@@ -146,17 +146,15 @@ func (s *Store) classify(u *updIntent, asOf int64) (string, []DriftSwitch) {
 	var applied, pending, missing, clobbered int
 	for _, in := range u.Switches {
 		d := DriftSwitch{Switch: in.Switch, IntendedNext: in.Next, IntendedAt: in.At}
-		st := s.switches[in.Switch]
-		if st != nil {
-			if u.run == s.run {
-				if sm, ok := st.sent[u.Key]; ok && sm.tick <= asOf {
-					d.SentAt = sm.tick
-				}
+		r := s.swByName[in.Switch].rec(u.Key)
+		if r != nil {
+			if u.run == s.run && r.hasSent && r.sent.tick <= asOf {
+				d.SentAt = r.sent.tick
 			}
-			if cur, ok := ruleAsOf(st.rules[u.Key], u.run, asOf); ok {
+			if cur, ok := ruleAsOf(r.rules, u.run, asOf); ok {
 				d.ObservedNext = cur.next
 			}
-			for _, c := range st.rules[u.Key] {
+			for _, c := range r.rules {
 				if c.run == u.run && c.tick >= u.planned && c.tick <= asOf && c.next == in.Next {
 					d.State = "applied"
 					d.AppliedAt = c.tick
@@ -170,7 +168,7 @@ func (s *Store) classify(u *updIntent, asOf int64) (string, []DriftSwitch) {
 			clobbered++
 		case d.State == "applied":
 			applied++
-		case u.run == s.run && (in.At > asOf || holdsPending(st, u.Key, asOf)):
+		case u.run == s.run && (in.At > asOf || r != nil && r.hasPending && r.pending.recv <= asOf):
 			d.State = "pending"
 			pending++
 		default:
@@ -193,14 +191,4 @@ func (s *Store) classify(u *updIntent, asOf int64) (string, []DriftSwitch) {
 		status = "diverged"
 	}
 	return status, sws
-}
-
-// holdsPending reports whether the switch held an unapplied timed
-// FlowMod for the key at tick asOf.
-func holdsPending(st *swState, key string, asOf int64) bool {
-	if st == nil {
-		return false
-	}
-	p, ok := st.pending[key]
-	return ok && p.recv <= asOf
 }

@@ -1,8 +1,9 @@
 package state
 
 import (
+	"cmp"
 	"encoding/json"
-	"sort"
+	"slices"
 )
 
 // Encode renders a snapshot/drift/timeline body exactly the way the
@@ -98,16 +99,15 @@ func (s *Store) StateBody(at int64) StateSnapshot {
 		At:           t,
 		TimeTravel:   t < s.lastTick,
 		MissedEvents: s.missed,
-		Switches:     []SwitchSnap{},
-		Links:        []LinkSnap{},
+		Switches:     make([]SwitchSnap, 0, len(s.switches)),
+		Links:        make([]LinkSnap, 0, len(s.links)),
 		Updates:      []UpdateOverlay{},
 	}
-	for _, name := range sortedKeys(s.switches) {
-		st := s.switches[name]
-		sw := SwitchSnap{Switch: name, Rules: []RuleSnap{}}
-		for _, key := range sortedKeys(st.rules) {
-			if c, ok := ruleAsOf(st.rules[key], s.run, t); ok && c.next != "" {
-				sw.Rules = append(sw.Rules, RuleSnap{Key: key, Next: c.next, Since: c.tick})
+	for _, st := range s.switches {
+		sw := SwitchSnap{Switch: st.name, Rules: make([]RuleSnap, 0, len(st.keys))}
+		for _, r := range st.keys {
+			if c, ok := ruleAsOf(r.rules, s.run, t); ok && c.next != "" {
+				sw.Rules = append(sw.Rules, RuleSnap{Key: r.key, Next: c.next, Since: c.tick})
 			}
 		}
 		sw.Pending = pendingAsOf(st, s.run, t)
@@ -120,12 +120,11 @@ func (s *Store) StateBody(at int64) StateSnapshot {
 			snap.Switches = append(snap.Switches, sw)
 		}
 	}
-	for _, name := range sortedKeys(s.links) {
-		l := s.links[name]
+	for _, l := range s.links {
 		for i := len(l.points) - 1; i >= 0; i-- {
 			p := l.points[i]
 			if p.run == s.run && p.tick <= t {
-				snap.Links = append(snap.Links, LinkSnap{Link: name, Capacity: l.cap, Rate: p.total, Since: p.tick})
+				snap.Links = append(snap.Links, LinkSnap{Link: l.name, Capacity: l.cap, Rate: p.total, Since: p.tick})
 				break
 			}
 		}
@@ -165,27 +164,22 @@ func ruleAsOf(changes []ruleChange, run int, t int64) (ruleChange, bool) {
 // pendingAsOf reconstructs the timed FlowMods a switch held unapplied
 // at tick t: live pending entries received by then, plus already
 // applied changes whose receive/apply window straddles t (that is what
-// makes past-tick snapshots honest about in-flight state).
+// makes past-tick snapshots honest about in-flight state). They are
+// listed by key, then by activation tick.
 func pendingAsOf(st *swState, run int, t int64) []PendingSnap {
 	var out []PendingSnap
-	for key, p := range st.pending {
-		if p.recv <= t {
-			out = append(out, PendingSnap{Key: key, At: p.at, Next: p.next, Received: p.recv})
+	for _, r := range st.keys {
+		from := len(out)
+		if p := r.pending; r.hasPending && p.recv <= t {
+			out = append(out, PendingSnap{Key: r.key, At: p.at, Next: p.next, Received: p.recv})
 		}
-	}
-	for key, changes := range st.rules {
-		for _, c := range changes {
+		for _, c := range r.rules {
 			if c.run == run && c.recv > 0 && c.recv <= t && c.tick > t {
-				out = append(out, PendingSnap{Key: key, At: c.tick, Next: c.next, Received: c.recv})
+				out = append(out, PendingSnap{Key: r.key, At: c.tick, Next: c.next, Received: c.recv})
 			}
 		}
+		slices.SortStableFunc(out[from:], func(a, b PendingSnap) int { return cmp.Compare(a.At, b.At) })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].At < out[j].At
-	})
 	return out
 }
 
@@ -216,9 +210,9 @@ type Timeline struct {
 // valid topology-wise).
 func (s *Store) LinkTimeline(link string, since int64) (Timeline, bool) {
 	s.mu.Lock()
-	l, known := s.links[link]
+	l := s.lkByName[link]
 	tl := Timeline{Link: link, Run: s.run, Since: since, Source: "ring", Points: []TimelinePoint{}}
-	if !known {
+	if l == nil {
 		s.mu.Unlock()
 		return tl, false
 	}
@@ -254,16 +248,4 @@ func (s *Store) LinkTimeline(link string, since int64) (Timeline, bool) {
 		}
 	}
 	return tl, true
-}
-
-// sortedKeys returns a map's keys in ascending order — the snapshot
-// bodies are golden-pinned, so every list must have one canonical
-// order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

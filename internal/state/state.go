@@ -29,6 +29,7 @@
 package state
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,8 +70,7 @@ type ruleChange struct {
 }
 
 // pendingMod is a timed FlowMod a switch has accepted but not yet
-// applied (current run only; a run boundary discards these — nothing
-// pends across a daemon death).
+// applied.
 type pendingMod struct {
 	recv int64
 	at   int64
@@ -78,9 +78,9 @@ type pendingMod struct {
 	cmd  string
 }
 
-// sentMod records the controller-side send of a timed FlowMod (current
-// run only) — evidence that an intent reached the wire even when the
-// switch-side receipt was lost to a crash.
+// sentMod records the controller-side send of a timed FlowMod —
+// evidence that an intent reached the wire even when the switch-side
+// receipt was lost to a crash.
 type sentMod struct {
 	tick int64
 	at   int64
@@ -94,11 +94,55 @@ type dropMark struct {
 	key  string
 }
 
+// keyRec is one switch's record of one flow key: its rule history, and
+// the timed FlowMod the switch holds for it and the controller's last
+// send of one. Those two are of the current run only and valid while
+// their flags are set: a run boundary clears the flags, since nothing
+// pends across a daemon death.
+type keyRec struct {
+	key     string
+	rules   []ruleChange
+	pending pendingMod
+	sent    sentMod
+
+	hasPending, hasSent bool
+}
+
+// swState is one switch's observed state: a record per key it saw a
+// rule change, a timed FlowMod or a send for, ascending by key, and its
+// drops.
 type swState struct {
-	rules   map[string][]ruleChange
-	pending map[string]pendingMod
-	sent    map[string]sentMod
-	drops   []dropMark
+	name  string
+	keys  []keyRec
+	drops []dropMark
+}
+
+// find returns where the switch's record of key is, or would go, in
+// st.keys, and whether it is there.
+func (st *swState) find(key string) (int, bool) {
+	i := sort.Search(len(st.keys), func(i int) bool { return st.keys[i].key >= key })
+	return i, i < len(st.keys) && st.keys[i].key == key
+}
+
+// rec returns the switch's record of key, nil if it has none.
+func (st *swState) rec(key string) *keyRec {
+	if st == nil {
+		return nil
+	}
+	if i, ok := st.find(key); ok {
+		return &st.keys[i]
+	}
+	return nil
+}
+
+// add returns the switch's record of key, adding an empty one if it has
+// none.
+func (st *swState) add(key string) *keyRec {
+	i, ok := st.find(key)
+	if !ok {
+		st.keys = slices.Insert(st.keys, i, keyRec{key: key})
+	}
+	return &st.keys[i]
 }
 
 // point is one link-utilization sample: the link's total rate as of
@@ -110,6 +154,7 @@ type point struct {
 }
 
 type linkState struct {
+	name    string
 	cap     int64
 	points  []point
 	evicted int
@@ -146,8 +191,12 @@ type Store struct {
 	runEnds  []int64 // final lastTick of each completed run
 	lastTick int64   // newest tick of the current run
 
-	switches map[string]*swState
-	links    map[string]*linkState
+	// switches and links are ascending by name, for the bodies; the maps
+	// index them.
+	switches []*swState
+	links    []*linkState
+	swByName map[string]*swState
+	lkByName map[string]*linkState
 	updates  map[updKey]*updIntent
 	order    []updKey
 }
@@ -163,8 +212,8 @@ func New(o Options) *Store {
 	}
 	return &Store{
 		o:        o,
-		switches: map[string]*swState{},
-		links:    map[string]*linkState{},
+		swByName: map[string]*swState{},
+		lkByName: map[string]*linkState{},
 		updates:  map[updKey]*updIntent{},
 	}
 }
@@ -182,7 +231,8 @@ func (s *Store) Cursor() uint64 {
 func (s *Store) Observe(events []obs.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.Seq > s.cursor {
 			s.cursor = e.Seq
 		}
@@ -210,8 +260,8 @@ func (s *Store) NoteSkipped(n uint64) {
 func (s *Store) Prefeed(events []obs.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range events {
-		s.ingest(e)
+	for i := range events {
+		s.ingest(&events[i])
 	}
 }
 
@@ -225,8 +275,9 @@ func (s *Store) BeginRun() {
 }
 
 // beginRunLocked closes the current run and resets the live surfaces:
-// tables' pending/sent maps and link totals die with the run (rule
-// histories and intents are retained — they are the drift evidence).
+// the tables' pending and sent FlowMods and the link totals die with the
+// run (rule histories and intents are retained — they are the drift
+// evidence).
 func (s *Store) beginRunLocked() {
 	if s.run == 0 {
 		return
@@ -236,8 +287,9 @@ func (s *Store) beginRunLocked() {
 	s.lastTick = 0
 	s.lastSeq = 0
 	for _, st := range s.switches {
-		st.pending = map[string]pendingMod{}
-		st.sent = map[string]sentMod{}
+		for i := range st.keys {
+			st.keys[i].hasPending, st.keys[i].hasSent = false, false
+		}
 	}
 	for _, l := range s.links {
 		l.total = 0
@@ -257,30 +309,34 @@ func (s *Store) offset(r int) int64 {
 	return o
 }
 
+// sw returns the switch named name, adding it if the store has not seen
+// it.
 func (s *Store) sw(name string) *swState {
-	st, ok := s.switches[name]
-	if !ok {
-		st = &swState{
-			rules:   map[string][]ruleChange{},
-			pending: map[string]pendingMod{},
-			sent:    map[string]sentMod{},
-		}
-		s.switches[name] = st
+	if st := s.swByName[name]; st != nil {
+		return st
 	}
+	st := &swState{name: name}
+	s.swByName[name] = st
+	i, _ := slices.BinarySearchFunc(s.switches, name, func(st *swState, name string) int { return strings.Compare(st.name, name) })
+	s.switches = slices.Insert(s.switches, i, st)
 	return st
 }
 
+// link returns the link named name, adding it if the store has not seen
+// it.
 func (s *Store) link(name string) *linkState {
-	l, ok := s.links[name]
-	if !ok {
-		l = &linkState{}
-		s.links[name] = l
+	if l := s.lkByName[name]; l != nil {
+		return l
 	}
+	l := &linkState{name: name}
+	s.lkByName[name] = l
+	i, _ := slices.BinarySearchFunc(s.links, name, func(l *linkState, name string) int { return strings.Compare(l.name, name) })
+	s.links = slices.Insert(s.links, i, l)
 	return l
 }
 
 // ingest folds one event. Callers hold s.mu.
-func (s *Store) ingest(e obs.Event) {
+func (s *Store) ingest(e *obs.Event) {
 	if e.Seq <= s.lastSeq {
 		// Sequence numbers are strictly increasing within one daemon
 		// run; a regression means a new run started writing to the same
@@ -303,22 +359,24 @@ func (s *Store) ingest(e obs.Event) {
 		cmd := e.Attr(obs.KeyCmd)
 		next := e.Attr(obs.KeyNext)
 		if e.Attr(obs.KeyKind) == "timed" {
-			st.pending[key] = pendingMod{recv: e.VT, at: e.AttrInt(obs.KeyAt), next: next, cmd: cmd}
+			r := st.add(key)
+			r.pending = pendingMod{recv: e.VT, at: e.AttrInt(obs.KeyAt), next: next, cmd: cmd}
+			r.hasPending = true
 			return
 		}
-		s.applyRule(st, key, cmd, next, e.VT, 0)
+		s.applyRule(st.add(key), cmd, next, e.VT, 0)
 	case obs.EvSwApply:
-		st := s.sw(e.Attr(obs.KeySwitch))
-		key := e.Attr(obs.KeyKey)
+		r := s.sw(e.Attr(obs.KeySwitch)).add(e.Attr(obs.KeyKey))
 		recv := int64(0)
-		if p, ok := st.pending[key]; ok {
-			recv = p.recv
-			delete(st.pending, key)
+		if r.hasPending {
+			recv = r.pending.recv
+			r.hasPending = false
 		}
-		s.applyRule(st, key, e.Attr(obs.KeyCmd), e.Attr(obs.KeyNext), e.VT, recv)
+		s.applyRule(r, e.Attr(obs.KeyCmd), e.Attr(obs.KeyNext), e.VT, recv)
 	case obs.EvCtlFlowMod:
-		st := s.sw(e.Attr(obs.KeySwitch))
-		st.sent[e.Attr(obs.KeyKey)] = sentMod{tick: e.VT, at: e.AttrInt(obs.KeyAt), next: e.Attr(obs.KeyNext)}
+		r := s.sw(e.Attr(obs.KeySwitch)).add(e.Attr(obs.KeyKey))
+		r.sent = sentMod{tick: e.VT, at: e.AttrInt(obs.KeyAt), next: e.Attr(obs.KeyNext)}
+		r.hasSent = true
 	case obs.EvEmuRate:
 		l := s.link(e.Attr(obs.KeyLink))
 		l.cap = e.AttrInt(obs.KeyCap)
@@ -343,18 +401,18 @@ func (s *Store) ingest(e obs.Event) {
 	}
 }
 
-// applyRule appends one observed rule change to the history.
-func (s *Store) applyRule(st *swState, key, cmd, next string, tick, recv int64) {
+// applyRule appends one observed rule change to the key's history.
+func (s *Store) applyRule(r *keyRec, cmd, next string, tick, recv int64) {
 	if cmd == "del" {
 		next = ""
 	}
-	st.rules[key] = append(st.rules[key], ruleChange{run: s.run, tick: tick, next: next, recv: recv})
+	r.rules = append(r.rules, ruleChange{run: s.run, tick: tick, next: next, recv: recv})
 }
 
 // ingestIntent parses a state.intent event: the planner-intended
 // end-state recorded at plan time. The switches attribute packs the
 // per-switch promises as "SW=NEXT@TICK;..." sorted by switch name.
-func (s *Store) ingestIntent(e obs.Event) {
+func (s *Store) ingestIntent(e *obs.Event) {
 	id := e.AttrUint(obs.KeyID)
 	if id == 0 {
 		return
@@ -369,7 +427,10 @@ func (s *Store) ingestIntent(e obs.Event) {
 		Slack:  e.AttrInt(obs.KeySlack),
 	}}
 	if enc := e.Attr(obs.KeySwitches); enc != "" {
-		for _, part := range strings.Split(enc, ";") {
+		u.Switches = make([]IntentSwitch, 0, strings.Count(enc, ";")+1)
+		for rest, more := enc, true; more; {
+			var part string
+			part, rest, more = strings.Cut(rest, ";")
 			eq := strings.IndexByte(part, '=')
 			at := strings.LastIndexByte(part, '@')
 			if eq < 0 || at < eq {
@@ -379,7 +440,7 @@ func (s *Store) ingestIntent(e obs.Event) {
 			u.Switches = append(u.Switches, IntentSwitch{Switch: part[:eq], Next: part[eq+1 : at], At: tick})
 		}
 	}
-	sort.Slice(u.Switches, func(i, j int) bool { return u.Switches[i].Switch < u.Switches[j].Switch })
+	slices.SortStableFunc(u.Switches, func(a, b IntentSwitch) int { return strings.Compare(a.Switch, b.Switch) })
 	k := updKey{run: s.run, id: id}
 	if _, dup := s.updates[k]; !dup {
 		s.order = append(s.order, k)

@@ -3,6 +3,7 @@ package state
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"testing"
 
 	"github.com/chronus-sdn/chronus/internal/dynflow"
@@ -253,6 +254,35 @@ func TestTimeTravelPending(t *testing.T) {
 	}
 	if got := past.Updates[0].PendingSwitches; len(got) != 1 || got[0] != "R3" {
 		t.Fatalf("pending switches = %v", got)
+	}
+}
+
+// TestParkedFlowModShowsNoRule: a key a switch holds only a parked timed
+// FlowMod for, or the controller only sent one for, has no rule in the
+// snapshot; the parked one shows as pending until a run boundary kills
+// it.
+func TestParkedFlowModShowsNoRule(t *testing.T) {
+	s := New(Options{})
+	s.Observe([]obs.Event{
+		ev(1, 5, "sw.flowmod", obs.A("switch", "R1"), obs.A("kind", "immediate"),
+			obs.A("key", "other/0"), obs.A("cmd", "add"), obs.A("next", "R2")),
+		timedFlowmodEv(2, 12, 100, "R1", "R5"),
+		ev(3, 13, "ctl.flowmod", obs.A("switch", "R4"), obs.A("at", int64(100)),
+			obs.A("key", "agg/0"), obs.A("next", "R6")),
+	})
+	snap := s.StateBody(-1)
+	want := []SwitchSnap{{
+		Switch:  "R1",
+		Rules:   []RuleSnap{{Key: "other/0", Next: "R2", Since: 5}},
+		Pending: []PendingSnap{{Key: "agg/0", At: 100, Next: "R5", Received: 12}},
+	}}
+	if !reflect.DeepEqual(snap.Switches, want) {
+		t.Fatalf("switches = %+v, want %+v", snap.Switches, want)
+	}
+	s.BeginRun()
+	s.Observe([]obs.Event{ev(1, 1, "sw.barrier", obs.A("switch", "R1"))})
+	if snap := s.StateBody(-1); len(snap.Switches) != 0 {
+		t.Fatalf("after a run boundary: switches = %+v, want none", snap.Switches)
 	}
 }
 
