@@ -5,8 +5,9 @@
 package admit
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/chronus-sdn/chronus/internal/graph"
@@ -120,7 +121,11 @@ func (l *Ledger) Release(id uint64) {
 func (l *Ledger) Residual(exclude ...uint64) *graph.Graph {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	own := make(map[linkKey]graph.Capacity)
+	links := 0
+	for _, id := range exclude {
+		links += len(l.holds[id])
+	}
+	own := make(map[linkKey]graph.Capacity, links)
 	for _, id := range exclude {
 		for k, d := range l.holds[id] {
 			own[k] += d
@@ -183,11 +188,8 @@ func sortedKeys(fp Footprint) []linkKey {
 	for k := range fp {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+	slices.SortFunc(keys, func(a, b linkKey) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	return keys
 }

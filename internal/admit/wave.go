@@ -10,8 +10,10 @@
 package admit
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/chronus-sdn/chronus/internal/batch"
@@ -43,7 +45,11 @@ type componentResult struct {
 
 // planWaveLocked drains one coalescing window. It returns false when
 // the queue was empty. Callers hold e.planMu.
-func (e *Engine) planWaveLocked() bool {
+func (e *Engine) planWaveLocked() bool { return e.planWave(e.planComponents) }
+
+// planWave is planWaveLocked with the component planner as a parameter:
+// plan returns one result per component, in component order.
+func (e *Engine) planWave(plan func(now int64, comps []component) []componentResult) bool {
 	now := e.o.Now()
 
 	// Pick the window: priority-major, FIFO within a priority.
@@ -91,7 +97,7 @@ func (e *Engine) planWaveLocked() bool {
 	}
 
 	comps := conflictComponents(reserved, fps)
-	results := e.planComponents(now, comps)
+	results := plan(now, comps)
 
 	// Apply results sequentially in component order (components are in
 	// smallest-member-id order, members in id order).
@@ -122,22 +128,42 @@ func (e *Engine) planWaveLocked() bool {
 	return true
 }
 
-// planComponents fans the components out on the par pool. Workers get
-// their residual graphs precomputed (deterministically, before the
-// fan-out) and never touch shared state.
+// planComponents fans the components out on the par pool, every worker
+// reading one residual graph: the ledger's graph less every hold but the
+// wave's own, built once before the fan-out. That is each component's
+// residual on every link its planner reads: conflictComponents joins any
+// two members sharing a link, so on a component's footprint (Init ∪ Fin
+// of its members) the wave's other holds are absent and the two agree.
+// The graph is shared read-only; the batch layer copies before it
+// subtracts a component's own flows.
 func (e *Engine) planComponents(now int64, comps []component) []componentResult {
-	residuals := make([]*graph.Graph, len(comps))
-	for i, c := range comps {
-		ids := make([]uint64, len(c.members))
-		for j, u := range c.members {
-			ids[j] = u.ID
-		}
-		residuals[i] = e.ledger.Residual(ids...)
-	}
+	return e.planOn(now, comps, e.waveResidual(comps))
+}
+
+// planOn plans every component on res, fanned out on the par pool.
+func (e *Engine) planOn(now int64, comps []component, res *graph.Graph) []componentResult {
 	results, _ := par.Map(context.Background(), e.o.Procs, len(comps), func(_ context.Context, i int) (componentResult, error) {
-		return e.planComponent(now, comps[i], residuals[i]), nil
+		return e.planComponent(now, comps[i], res), nil
 	})
 	return results
+}
+
+// waveResidual is the ledger's residual excluding the holds of every
+// reserved wave member, or nil when no member is plan-only (nothing
+// reads it then).
+func (e *Engine) waveResidual(comps []component) *graph.Graph {
+	var ids []uint64
+	plans := false
+	for _, c := range comps {
+		for _, u := range c.members {
+			ids = append(ids, u.ID)
+			plans = plans || !u.Req.Execute
+		}
+	}
+	if !plans {
+		return nil
+	}
+	return e.ledger.Residual(ids...)
 }
 
 // planComponent plans one component's plan-only members jointly on the
@@ -187,57 +213,56 @@ func (e *Engine) planComponent(now int64, c component, res *graph.Graph) compone
 
 // conflictComponents partitions reserved updates by link-footprint
 // overlap (union-find): updates sharing any directed link land in the
-// same component and must be planned jointly.
+// same component and must be planned jointly. The partition does not
+// depend on the order links are visited in; members are sorted by id and
+// components by their smallest member id.
 func conflictComponents(updates []*Update, fps map[uint64]Footprint) []component {
 	parent := make([]int, len(updates))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
+	links := 0
+	for _, u := range updates {
+		links += len(fps[u.ID])
 	}
-	owner := make(map[linkKey]int)
+	owner := make(map[linkKey]int, links)
 	for i, u := range updates {
-		for _, k := range sortedKeys(fps[u.ID]) {
-			if first, seen := owner[k]; seen {
-				union(first, i)
-			} else {
+		for k := range fps[u.ID] {
+			first, seen := owner[k]
+			if !seen {
 				owner[k] = i
+				continue
+			}
+			if ra, rb := find(first), find(i); ra != rb {
+				parent[rb] = ra
 			}
 		}
 	}
-	groups := make(map[int][]int)
-	roots := make([]int, 0)
+	// Updates arrive in pick order; a root's component is numbered when
+	// its first member is met.
+	index := make([]int, len(updates))
+	var comps []component
 	for i := range updates {
 		r := find(i)
-		if _, seen := groups[r]; !seen {
-			roots = append(roots, r)
+		if index[r] == 0 {
+			comps = append(comps, component{})
+			index[r] = len(comps)
 		}
-		groups[r] = append(groups[r], i)
+		c := &comps[index[r]-1]
+		c.members = append(c.members, updates[i])
 	}
-	// Updates arrive in pick order; group members and component order
-	// both follow the smallest member id for determinism.
-	comps := make([]component, 0, len(roots))
-	for _, r := range roots {
-		c := component{}
-		for _, i := range groups[r] {
-			c.members = append(c.members, updates[i])
-		}
-		sort.Slice(c.members, func(a, b int) bool { return c.members[a].ID < c.members[b].ID })
-		comps = append(comps, c)
+	byID := func(a, b *Update) int { return cmp.Compare(a.ID, b.ID) }
+	for _, c := range comps {
+		slices.SortFunc(c.members, byID)
 	}
-	sort.Slice(comps, func(a, b int) bool { return comps[a].members[0].ID < comps[b].members[0].ID })
+	slices.SortFunc(comps, func(a, b component) int { return byID(a.members[0], b.members[0]) })
 	return comps
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/chronus-sdn/chronus/internal/dynflow"
@@ -34,19 +34,33 @@ func (c Chain) Format(g *graph.Graph) string {
 // update to precede vi's: the relation (v̄ ⇒ vi).
 //
 // Relations sharing a common element are merged (the paper's example merges
-// {v1⇒v2} and {v2⇒v3} into {v1⇒v2⇒v3}); the merged structure is a DAG whose
-// weakly connected components are returned in topological order. A cyclic
-// dependency yields ErrDependencyCycle (Algorithm 2 lines 7-8: no
-// congestion-free update order exists under the paper's local reasoning).
-// The node-indexed scratch (pending marks, active-path positions) lives in
-// ws, stamped rather than reallocated per call.
+// {v1⇒v2} and {v2⇒v3} into {v1⇒v2⇒v3}). On a valid instance the merged
+// relation gives every switch at most one predecessor and one successor:
+// vi has one new next hop v, v one upstream v̄ on the active path, and
+// both paths are simple. So each weakly connected component is a chain,
+// returned from its head, or a cycle, which yields ErrDependencyCycle
+// naming the first cyclic component in pending order (Algorithm 2 lines
+// 7-8: no congestion-free update order exists under the paper's local
+// reasoning). Chains are sorted by head; a switch listed twice in
+// pending counts once.
+//
+// Everything lives in ws: the node-indexed scratch (pending marks,
+// active-path positions, the relation) is stamped or initialised for the
+// pending switches only, and the returned chains are windows of
+// ws.chainBuf, valid until the next call on ws. With no relation the
+// chains are the pending switches as singletons in node-ID order, and a
+// warm workspace allocates nothing.
 func dependencyChains(in *dynflow.Instance, s *dynflow.Schedule, pending []graph.NodeID, t dynflow.Tick, ws *workspace) ([]Chain, error) {
 	ws.pendGen++
+	list := ws.pendList[:0]
 	for _, v := range pending {
-		if uint64(v) < uint64(len(ws.pend)) {
+		if ws.pend[v] != ws.pendGen {
 			ws.pend[v] = ws.pendGen
+			ws.succ[v], ws.pred[v] = graph.Invalid, 0
+			list = append(list, v)
 		}
 	}
+	ws.pendList = list
 	isPending := func(v graph.NodeID) bool {
 		return uint64(v) < uint64(len(ws.pend)) && ws.pend[v] == ws.pendGen
 	}
@@ -65,8 +79,7 @@ func dependencyChains(in *dynflow.Instance, s *dynflow.Schedule, pending []graph
 		}
 		return cur[ws.pos[v]-1]
 	}
-	succ := make(map[graph.NodeID][]graph.NodeID)
-	for _, vi := range pending {
+	for _, vi := range list {
 		v := in.NewNext(vi)
 		if v == graph.Invalid || v == in.Dest() {
 			continue
@@ -86,111 +99,43 @@ func dependencyChains(in *dynflow.Instance, s *dynflow.Schedule, pending []graph
 			continue
 		}
 		if out.Cap < 2*in.Demand && vUp != graph.Invalid && isPending(vUp) && vUp != vi {
-			succ[vUp] = append(succ[vUp], vi)
+			ws.succ[vUp], ws.pred[vi] = vi, 1
 		}
 	}
 
-	// Kahn's algorithm per weakly connected component; a residue after the
-	// topological pass is a cycle.
-	comp := components(pending, succ)
-	var chains []Chain
-	for _, members := range comp {
-		chain, ok := Chain(members), true
-		if len(members) > 1 {
-			chain, ok = topoOrder(members, succ)
-		}
-		if !ok {
-			return nil, fmt.Errorf("%w: involving %s", ErrDependencyCycle, Chain(members).Format(in.G))
-		}
-		chains = append(chains, chain)
+	// Walk each chain from its head, heads in ID order; a walked switch
+	// has pred -1. Whatever no walk reached lies on a cycle.
+	heads := append(ws.heads[:0], list...)
+	slices.Sort(heads)
+	ws.heads = heads
+	buf := ws.chainBuf[:0]
+	if cap(buf) < len(list) {
+		buf = make([]graph.NodeID, 0, len(list))
 	}
-	sort.Slice(chains, func(i, j int) bool { return chains[i][0] < chains[j][0] })
-	return chains, nil
-}
-
-// components groups pending switches into weakly connected components of
-// the dependency digraph, each sorted for determinism.
-func components(pending []graph.NodeID, succ map[graph.NodeID][]graph.NodeID) [][]graph.NodeID {
-	adj := make(map[graph.NodeID][]graph.NodeID)
-	for u, vs := range succ {
-		for _, v := range vs {
-			adj[u] = append(adj[u], v)
-			adj[v] = append(adj[v], u)
-		}
-	}
-	seen := make(map[graph.NodeID]bool, len(pending))
-	var out [][]graph.NodeID
-	for _, start := range pending {
-		if seen[start] {
+	chains := ws.chains[:0]
+	for _, h := range heads {
+		if ws.pred[h] != 0 {
 			continue
 		}
-		var members []graph.NodeID
-		stack := []graph.NodeID{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			members = append(members, u)
-			for _, v := range adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
+		first := len(buf)
+		for v := h; v != graph.Invalid; v = ws.succ[v] {
+			buf = append(buf, v)
+			ws.pred[v] = -1
+		}
+		chains = append(chains, buf[first:len(buf):len(buf)])
+	}
+	ws.chainBuf, ws.chains = buf, chains
+	if len(buf) < len(list) {
+		for _, v := range list {
+			if ws.pred[v] == 1 {
+				cyc := Chain{v}
+				for w := ws.succ[v]; w != v; w = ws.succ[w] {
+					cyc = append(cyc, w)
 				}
-			}
-		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		out = append(out, members)
-	}
-	return out
-}
-
-// topoOrder returns members in a topological order of the dependency edges,
-// or ok=false when the component is cyclic. Ties break by node ID.
-func topoOrder(members []graph.NodeID, succ map[graph.NodeID][]graph.NodeID) (Chain, bool) {
-	inComp := make(map[graph.NodeID]bool, len(members))
-	for _, v := range members {
-		inComp[v] = true
-	}
-	indeg := make(map[graph.NodeID]int, len(members))
-	for _, v := range members {
-		indeg[v] = 0
-	}
-	for _, u := range members {
-		for _, v := range succ[u] {
-			if inComp[v] {
-				indeg[v]++
+				slices.Sort(cyc)
+				return nil, fmt.Errorf("%w: involving %s", ErrDependencyCycle, cyc.Format(in.G))
 			}
 		}
 	}
-	var ready []graph.NodeID
-	for _, v := range members {
-		if indeg[v] == 0 {
-			ready = append(ready, v)
-		}
-	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-	var order Chain
-	for len(ready) > 0 {
-		v := ready[0]
-		ready = ready[1:]
-		order = append(order, v)
-		var added bool
-		for _, w := range succ[v] {
-			if !inComp[w] {
-				continue
-			}
-			indeg[w]--
-			if indeg[w] == 0 {
-				ready = append(ready, w)
-				added = true
-			}
-		}
-		if added {
-			sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-		}
-	}
-	if len(order) != len(members) {
-		return nil, false
-	}
-	return order, true
+	return chains, nil
 }

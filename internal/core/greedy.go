@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/chronus-sdn/chronus/internal/dynflow"
@@ -376,29 +378,28 @@ type candidate struct {
 // candidateOrder lists pending switches with chain heads first (in chain
 // order), then the remaining chain members. On a dependency cycle the order
 // falls back to pending sorted by ID; the error is reported so callers can
-// count the event (the paper's Algorithm 2 would abort here).
+// count the event (the paper's Algorithm 2 would abort here). The list
+// lives in ws.order and stays valid until the next call on ws.
 func candidateOrder(in *dynflow.Instance, s *dynflow.Schedule, pending []graph.NodeID, t dynflow.Tick, ws *workspace) ([]candidate, error) {
+	out := ws.order[:0]
 	chains, err := dependencyChains(in, s, pending, t, ws)
 	if err != nil {
-		sorted := append([]graph.NodeID(nil), pending...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		out := make([]candidate, len(sorted))
-		for i, v := range sorted {
-			out[i] = candidate{v: v, head: false}
+		for _, v := range pending {
+			out = append(out, candidate{v: v})
 		}
+		slices.SortFunc(out, func(a, b candidate) int { return cmp.Compare(a.v, b.v) })
+		ws.order = out
 		return out, err
 	}
-	var out []candidate
 	for _, c := range chains {
-		if len(c) > 0 {
-			out = append(out, candidate{v: c[0], head: true})
-		}
+		out = append(out, candidate{v: c[0], head: true})
 	}
 	for _, c := range chains {
 		for _, v := range c[1:] {
-			out = append(out, candidate{v: v, head: false})
+			out = append(out, candidate{v: v})
 		}
 	}
+	ws.order = out
 	return out, nil
 }
 

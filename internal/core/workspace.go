@@ -52,9 +52,21 @@ type workspace struct {
 	sleepGen   uint64
 	sleepCount int
 
-	// pend marks the pending set during dependency analysis.
-	pend    []uint64
-	pendGen uint64
+	// pend marks the pending set during dependency analysis and pendList
+	// holds it deduplicated in first-appearance order. succ and pred are
+	// the relation of dependencyChains (a switch's successor, and whether
+	// it has a predecessor), node-indexed and initialised per call for the
+	// pending switches only; heads, chainBuf and chains back the walk and
+	// the returned chains, order the candidate list built from them.
+	pend     []uint64
+	pendGen  uint64
+	pendList []graph.NodeID
+	succ     []graph.NodeID
+	pred     []int8
+	heads    []graph.NodeID
+	chainBuf []graph.NodeID
+	chains   []Chain
+	order    []candidate
 
 	// pathA holds the loop checker's active path, pathB the dependency
 	// analysis's; two buffers because a live loopChecker must not see its
@@ -83,6 +95,8 @@ func newWorkspace(n int) *workspace {
 		strikes:    make([]uint32, n),
 		sleepStamp: make([]uint64, n),
 		pend:       make([]uint64, n),
+		succ:       make([]graph.NodeID, n),
+		pred:       make([]int8, n),
 		activePos:  make([]int32, n),
 		visit:      make([]uint64, n),
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -278,6 +279,40 @@ func TestPathValidate(t *testing.T) {
 	}
 	if err := (Path{ids[0], ids[1], ids[0]}).Validate(g); err == nil {
 		t.Fatal("non-simple path accepted")
+	}
+}
+
+// TestPathValidateNamesFirstRepeat: on rings of 5, 64, 65 and 600 nodes
+// (the last past the on-stack bitset) a walk that goes round more than
+// once is refused naming the first node seen twice and a simple path is
+// accepted; validating a 64-node simple path allocates nothing.
+func TestPathValidateNamesFirstRepeat(t *testing.T) {
+	for _, n := range []int{5, 64, 65, 600} {
+		g := New()
+		for i := 0; i < n; i++ {
+			g.AddNode(fmt.Sprintf("r%d", i))
+		}
+		for i := 0; i < n; i++ {
+			g.MustAddLink(NodeID(i), NodeID((i+1)%n), 1, 1)
+		}
+		for _, start := range []int{0, n / 2, n - 1} {
+			var walk Path
+			for k := 0; k < n+3; k++ {
+				walk = append(walk, NodeID((start+k)%n))
+			}
+			want := fmt.Sprintf("graph: path is not simple: node r%d repeats", start)
+			if err := walk.Validate(g); err == nil || err.Error() != want || !errors.Is(err, ErrNotSimple) {
+				t.Fatalf("n=%d start %d: %v, want %q", n, start, err, want)
+			}
+			if err := walk[:n].Validate(g); err != nil {
+				t.Fatalf("n=%d start %d: simple path refused: %v", n, start, err)
+			}
+			if n == 64 {
+				if a := testing.AllocsPerRun(20, func() { _ = walk[:n].Validate(g) }); a != 0 {
+					t.Fatalf("Validate allocated %.1f times on a %d-node graph", a, n)
+				}
+			}
+		}
 	}
 }
 

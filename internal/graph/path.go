@@ -22,15 +22,21 @@ func (p Path) Validate(g *Graph) error {
 	if len(p) < 2 {
 		return fmt.Errorf("graph: path too short (%d nodes)", len(p))
 	}
-	seen := make(map[NodeID]struct{}, len(p))
+	// One bit per node of g; graphs of up to 512 nodes use the stack.
+	var small [8]uint64
+	seen := small[:]
+	if words := (g.NumNodes() + 63) / 64; words > len(small) {
+		seen = make([]uint64, words)
+	}
 	for i, v := range p {
 		if !g.HasNode(v) {
 			return fmt.Errorf("%w: node %d", ErrUnknownNode, v)
 		}
-		if _, dup := seen[v]; dup {
+		w, bit := v/64, uint64(1)<<(v%64)
+		if seen[w]&bit != 0 {
 			return fmt.Errorf("%w: node %s repeats", ErrNotSimple, g.Name(v))
 		}
-		seen[v] = struct{}{}
+		seen[w] |= bit
 		if i > 0 {
 			if _, ok := g.Link(p[i-1], v); !ok {
 				return fmt.Errorf("%w: %s->%s", ErrNoLink, g.Name(p[i-1]), g.Name(v))

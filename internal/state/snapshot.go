@@ -122,7 +122,7 @@ func (s *Store) StateBody(at int64) StateSnapshot {
 	}
 	for _, l := range s.links {
 		for i := len(l.points) - 1; i >= 0; i-- {
-			p := l.points[i]
+			p := l.at(i)
 			if p.run == s.run && p.tick <= t {
 				snap.Links = append(snap.Links, LinkSnap{Link: l.name, Capacity: l.cap, Rate: p.total, Since: p.tick})
 				break
@@ -218,7 +218,8 @@ func (s *Store) LinkTimeline(link string, since int64) (Timeline, bool) {
 	}
 	tl.Capacity = l.cap
 	var ringOldest int64 = -1
-	for _, p := range l.points {
+	for i := range l.points {
+		p := l.at(i)
 		if p.run != s.run {
 			continue
 		}

@@ -154,12 +154,38 @@ type point struct {
 }
 
 type linkState struct {
-	name    string
-	cap     int64
+	name string
+	cap  int64
+	// points is the utilization ring: it grows to RingCap points, then
+	// each new point overwrites the oldest, at head. at(i) reads the
+	// i-th oldest; evicted counts the points overwritten.
 	points  []point
+	head    int
 	evicted int
 	total   int64
 	peak    int64
+}
+
+// at returns the i-th oldest point the ring holds.
+func (l *linkState) at(i int) *point {
+	if i += l.head; i >= len(l.points) {
+		i -= len(l.points)
+	}
+	return &l.points[i]
+}
+
+// push adds p as the newest point, overwriting the oldest once the ring
+// holds max points.
+func (l *linkState) push(p point, max int) {
+	if len(l.points) < max {
+		l.points = append(l.points, p)
+		return
+	}
+	l.points[l.head] = p
+	if l.head++; l.head == len(l.points) {
+		l.head = 0
+	}
+	l.evicted++
 }
 
 // updKey identifies an update across runs: admission ids restart at 1
@@ -385,16 +411,13 @@ func (s *Store) ingest(e *obs.Event) {
 		if total > l.peak {
 			l.peak = total
 		}
-		if n := len(l.points); n > 0 && l.points[n-1].run == s.run && l.points[n-1].tick == e.VT {
-			l.points[n-1].total = total
-			return
+		if n := len(l.points); n > 0 {
+			if last := l.at(n - 1); last.run == s.run && last.tick == e.VT {
+				last.total = total
+				return
+			}
 		}
-		l.points = append(l.points, point{run: s.run, tick: e.VT, total: total})
-		if len(l.points) > s.o.RingCap {
-			drop := len(l.points) - s.o.RingCap
-			l.points = append(l.points[:0], l.points[drop:]...)
-			l.evicted += drop
-		}
+		l.push(point{run: s.run, tick: e.VT, total: total}, s.o.RingCap)
 	case obs.EvEmuDrop:
 		st := s.sw(e.Attr(obs.KeySwitch))
 		st.drops = append(st.drops, dropMark{run: s.run, tick: e.VT, key: e.Attr(obs.KeyKey)})

@@ -324,6 +324,38 @@ func TestLinkTimelineRingEviction(t *testing.T) {
 	}
 }
 
+// TestLinkRingKeepsNewestInOrder: after 3×RingCap+1 rate points (a small
+// ring and the default one) the ring holds the newest RingCap in tick
+// order, counts the rest as evicted, reports the newest in StateBody, and
+// folding one more point into the full ring allocates nothing.
+func TestLinkRingKeepsNewestInOrder(t *testing.T) {
+	for _, ringCap := range []int{4, DefaultRingCap} {
+		s := New(Options{RingCap: ringCap})
+		n := 3*ringCap + 1
+		events := make([]obs.Event, n+100)
+		for i := range events {
+			events[i] = rateEv(uint64(i+1), int64(10*(i+1)), int64(100+i))
+		}
+		s.Observe(events[:n])
+		tl, _ := s.LinkTimeline("R1>R2", 0)
+		if len(tl.Points) != ringCap || tl.EvictedPoints != n-ringCap {
+			t.Fatalf("cap %d: %d points, %d evicted; want %d and %d", ringCap, len(tl.Points), tl.EvictedPoints, ringCap, n-ringCap)
+		}
+		for i, p := range tl.Points {
+			if want := int64(10 * (n - ringCap + i + 1)); p.At != want || p.Total != int64(100+n-ringCap+i) {
+				t.Fatalf("cap %d: point %d = %+v, want tick %d", ringCap, i, p, want)
+			}
+		}
+		if links := s.StateBody(-1).Links; len(links) != 1 || links[0].Rate != int64(100+n-1) || links[0].Since != int64(10*n) {
+			t.Fatalf("cap %d: state links %+v, want the newest point", ringCap, links)
+		}
+		next := n
+		if a := testing.AllocsPerRun(99, func() { s.Observe(events[next : next+1]); next++ }); a != 0 {
+			t.Fatalf("cap %d: a point into the full ring allocated %.1f times", ringCap, a)
+		}
+	}
+}
+
 // TestLinkTimelineJournalBackfill: when a journal directory backs the
 // store, timeline reads past the ring replay the evicted points.
 func TestLinkTimelineJournalBackfill(t *testing.T) {
