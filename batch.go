@@ -28,8 +28,6 @@ type BatchOptions struct {
 	// Scheme names the per-flow scheduler in the registry (see Schemes());
 	// it must produce timed schedules. Empty means "chronus".
 	Scheme string
-	// Gap inserts idle ticks between consecutive flows' migrations.
-	Gap Tick
 }
 
 // SolveBatch schedules updates for several flows on one topology: flows
@@ -41,7 +39,7 @@ type BatchOptions struct {
 // residual topology, or a mixed configuration saturates a needed link (in
 // which case reordering the flows may help).
 func SolveBatch(g *Network, flows []BatchFlow, o BatchOptions) (*BatchPlan, error) {
-	return batch.Solve(g, flows, batch.Options{Start: o.Start, Scheme: o.Scheme, Gap: o.Gap})
+	return batch.Solve(g, flows, batch.Options{Start: o.Start, Scheme: o.Scheme})
 }
 
 // ValidateJoint checks several flows' updates together: per-flow loop- and

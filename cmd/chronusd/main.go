@@ -68,7 +68,6 @@ func main() {
 	journalDir := flag.String("journal-dir", "", "directory for the durable trace journal (empty disables)")
 	journalFsync := flag.String("journal-fsync", "rotate", "journal fsync policy: rotate, never, always")
 	queueCap := flag.Int("queue-cap", 0, "admission queue bound (0 = default 256)")
-	window := flag.Int("window", 0, "admission coalescing window per planning wave (0 = default 64)")
 	execHeadroom := flag.Int64("exec-headroom", 0, "ticks of headroom before a timed schedule's first activation (0 = default 50)")
 	logLevel := flag.String("log-level", "info", "slog level: debug, info, warn, error")
 	version := flag.Bool("version", false, "print version and exit")
@@ -94,7 +93,7 @@ func main() {
 	srv, err := newServer(serverOptions{
 		Seed: *seed, Virtual: *virtual, Wall: true, Log: log,
 		JournalDir: *journalDir, JournalFsync: fsync,
-		QueueCap: *queueCap, Window: *window,
+		QueueCap:     *queueCap,
 		ExecHeadroom: *execHeadroom,
 	})
 	if err != nil {

@@ -59,9 +59,6 @@ type serverOptions struct {
 	// QueueCap bounds the admission queue (0 = the admit engine's
 	// default of 256).
 	QueueCap int
-	// Window is the admission coalescing window: how many queued
-	// updates one planning wave covers (0 = the default of 64).
-	Window int
 	// StateRing bounds the observed-state store's per-link timeline
 	// ring (0 = the store's default). Tests use tiny rings to exercise
 	// journal backfill.
@@ -245,7 +242,6 @@ func newServer(o serverOptions) (*server, error) {
 	}
 	srv.admit = admit.New(in.G, admit.Options{
 		QueueCap: o.QueueCap,
-		Window:   o.Window,
 		Procs:    procs,
 		Obs:      reg,
 		Trace:    tracer,
@@ -617,7 +613,7 @@ func (s *server) handleTopology(w http.ResponseWriter, r *http.Request) {
 // the current tick, "peak" the highest total ever observed on the
 // link. ?at=<tick> serves a time-travel snapshot and ?since=<tick> the
 // per-link history, both folded from the observed-state store (the
-// HTTP surface over emu.Link.Timeline()); the two are mutually
+// emulator keeps no history of its own); the two are mutually
 // exclusive.
 func (s *server) handleLinks(w http.ResponseWriter, r *http.Request) {
 	atQ, sinceQ := r.URL.Query().Get("at"), r.URL.Query().Get("since")
@@ -683,7 +679,7 @@ func (s *server) handleLinks(w http.ResponseWriter, r *http.Request) {
 				Rate:      int64(l.Rate()),
 				Peak:      int64(l.Peak()),
 				Bytes:     l.Bytes(),
-				Overloads: len(l.Overloads()),
+				Overloads: l.OverloadCount(),
 			})
 		}
 	})
@@ -731,6 +727,13 @@ func (s *server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 	if samples <= 0 || samples > 1000 {
 		samples = 10
 	}
+	// Sampling advances virtual time by interval × samples; bound it as
+	// POST /advance bounds a step (interval > max/samples is the
+	// product's overflow-free form).
+	if interval > maxAdvanceTicks/samples {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("interval × samples must be at most %d ticks", maxAdvanceTicks))
+		return
+	}
 	out, err := s.ctl.SampleLink(from, to, chronus.SimTime(interval), samples)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -739,11 +742,14 @@ func (s *server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// maxAdvanceTicks bounds how far one request may advance virtual time.
+const maxAdvanceTicks = 1_000_000
+
 func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Ticks int64 `json:"ticks"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Ticks <= 0 || req.Ticks > 1_000_000 {
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Ticks <= 0 || req.Ticks > maxAdvanceTicks {
 		writeErr(w, http.StatusBadRequest, errors.New("body must be {\"ticks\": 1..1000000}"))
 		return
 	}

@@ -132,6 +132,39 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBandwidthBoundsAdvance: GET /bandwidth advances virtual time by
+// interval × samples, so it is refused, with the clock unmoved, past the
+// 1 000 000 ticks POST /advance allows, and when the product overflows.
+func TestBandwidthBoundsAdvance(t *testing.T) {
+	_, ts := newTestServerOpts(t, serverOptions{Seed: 1, Virtual: true})
+	var before map[string]any
+	getJSON(t, ts.URL+"/status", &before)
+	for _, q := range []string{
+		"interval=9223372036854775000&samples=2",
+		"interval=500001&samples=2",
+		"interval=1000001",
+	} {
+		resp, err := http.Get(ts.URL + "/bandwidth?from=R1&to=R2&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %s, want 400", q, resp.Status)
+		}
+	}
+	var after map[string]any
+	getJSON(t, ts.URL+"/status", &after)
+	if after["now"] != before["now"] {
+		t.Fatalf("refused samplings moved now from %v to %v", before["now"], after["now"])
+	}
+	var samples []map[string]any
+	getJSON(t, ts.URL+"/bandwidth?from=R1&to=R2&interval=500000&samples=2", &samples)
+	if len(samples) != 2 {
+		t.Fatalf("samples at the bound = %v", samples)
+	}
+}
+
 // expositionLine matches the Prometheus text format 0.0.4: comment
 // lines (HELP, TYPE, and the registry's EXEMPLAR annotations), blank
 // lines, or `name{labels} value`.

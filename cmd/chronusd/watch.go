@@ -23,8 +23,11 @@ import (
 // Only events that are in neither — journal-disabled daemons, or events
 // the journal itself had to drop — surface as a "gap" frame carrying the
 // skipped count, the same accounting /trace pages report. Each poll
-// reads everything after the cursor unpaged: the journal has no index,
-// so a bounded page would re-read this life's segments for every batch.
+// reads everything after the cursor unpaged: a bounded page per poll
+// interval would cap the stream's rate, so a tracer emitting faster
+// would leave the watcher behind until eviction turned its backlog into
+// gaps. The ring's events come as windows, and the journal's seek index
+// keeps a backfill read proportional to the gap.
 const (
 	watchPollInterval = 25 * time.Millisecond
 	watchPingInterval = 15 * time.Second

@@ -182,7 +182,6 @@ type Engine struct {
 	waves     uint64
 	satStreak int
 	tenants   map[string]*tenantStats
-	order     []uint64 // ids in submission order (bounded reporting)
 
 	planMu sync.Mutex
 }
@@ -264,7 +263,6 @@ func (e *Engine) Submit(req Request) (uint64, error) {
 		done:       make(chan struct{}),
 	}
 	e.updates[u.ID] = u
-	e.order = append(e.order, u.ID)
 	e.queue = append(e.queue, u)
 	ts := e.tenant(req.Tenant)
 	ts.Submitted++

@@ -45,9 +45,6 @@ type Options struct {
 	// every flow (round-based and decision-only schemes cannot be
 	// sequentially composed).
 	Scheme string
-	// Gap adds idle ticks between consecutive flows' updates on top of the
-	// computed drain spacing.
-	Gap dynflow.Tick
 	// Obs receives the per-flow solves' counters; nil disables them.
 	Obs *obs.Registry
 }
@@ -158,7 +155,7 @@ func compose(g *graph.Graph, flows []Flow, opts Options, s scheme.Scheme, name s
 
 		// Next flow starts after this one's transients have drained.
 		drain := dynflow.Tick(f.Init.Delay(g) + f.Fin.Delay(g))
-		start = res.Schedule.End() + drain + 1 + opts.Gap
+		start = res.Schedule.End() + drain + 1
 	}
 	return plan, clean, nil
 }

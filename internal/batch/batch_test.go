@@ -100,13 +100,17 @@ func TestBatchEmpty(t *testing.T) {
 
 func TestBatchGapAndMode(t *testing.T) {
 	g, flows := twoFlowNet(t)
-	plan, err := Solve(g, flows, Options{Gap: 25, Scheme: "chronus-fast"})
+	plan, err := Solve(g, flows, Options{Scheme: "chronus-fast"})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
+	// The second flow starts the tick after the first one's transients
+	// drained from both of its paths.
 	first, second := plan.Updates[0], plan.Updates[1]
-	if second.S.Start < first.S.End()+25 {
-		t.Fatalf("gap not honored: %d after %d", second.S.Start, first.S.End())
+	drain := dynflow.Tick(flows[0].Init.Delay(g) + flows[0].Fin.Delay(g))
+	if want := first.S.End() + drain + 1; second.S.Start != want {
+		t.Fatalf("second flow starts at %d, want %d (first ends at %d, drain %d)",
+			second.S.Start, want, first.S.End(), drain)
 	}
 }
 

@@ -181,9 +181,7 @@ const hostPort graph.NodeID = -2
 func (n *Network) TotalOverloadTicks() sim.Time {
 	var total sim.Time
 	for _, l := range n.links {
-		for _, iv := range l.overloads {
-			total += iv.Duration(n.K.Now())
-		}
+		total += l.OverloadTicks()
 	}
 	return total
 }
@@ -202,7 +200,7 @@ func (n *Network) TotalDrops() float64 {
 func (n *Network) CongestedLinks() int {
 	count := 0
 	for _, l := range n.links {
-		if len(l.overloads) > 0 {
+		if l.OverloadCount() > 0 {
 			count++
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/chronus-sdn/chronus/internal/core"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
 	"github.com/chronus-sdn/chronus/internal/graph"
+	"github.com/chronus-sdn/chronus/internal/obs"
 	"github.com/chronus-sdn/chronus/internal/sim"
 	"github.com/chronus-sdn/chronus/internal/topo"
 )
@@ -25,6 +26,18 @@ func lineNet(t *testing.T) (*Network, *sim.Kernel, []graph.NodeID) {
 	return n, k, ids
 }
 
+// overloadSpans returns the emu.overload spans tr recorded on the link
+// labelled link ("from>to"), or on every link when link is empty.
+func overloadSpans(tr *obs.Tracer, link string) []obs.Event {
+	var out []obs.Event
+	for _, e := range tr.Events(0) {
+		if e.Name == obs.EvEmuOverload && (link == "" || e.Attr(obs.KeyLink) == link) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestSteadyDelivery(t *testing.T) {
 	n, k, ids := lineNet(t)
 	key := FlowKey{Flow: "f", Tag: 0}
@@ -41,7 +54,7 @@ func TestSteadyDelivery(t *testing.T) {
 		if l.Rate() != 80 {
 			t.Fatalf("link %d->%d rate = %d, want 80", l.From(), l.To(), l.Rate())
 		}
-		if len(l.Overloads()) != 0 {
+		if l.OverloadCount() != 0 {
 			t.Fatalf("unexpected overload on %d->%d", l.From(), l.To())
 		}
 	}
@@ -111,8 +124,8 @@ func TestForwardingLoopDiesByTTL(t *testing.T) {
 	if drops == 0 {
 		t.Fatal("no TTL-expiry drops recorded")
 	}
-	// The overload recorder sees it: capacity is 10, loop carries ~4×31.
-	if len(n.Link(b, c).Overloads()) == 0 {
+	// The overload counters see it: capacity is 10, loop carries ~4×31.
+	if n.Link(b, c).OverloadCount() == 0 {
 		t.Fatal("loop did not register overload")
 	}
 }
@@ -139,7 +152,7 @@ func TestRetagIngress(t *testing.T) {
 		t.Fatalf("delivered = %f, want %f", got, 30.0*(300-10))
 	}
 	for _, l := range n.Links() {
-		if len(l.Overloads()) != 0 {
+		if l.OverloadCount() != 0 {
 			t.Fatal("retagging must not overload")
 		}
 		if l.Rate() != 30 {
@@ -159,6 +172,8 @@ func TestTransientOverlapOverloads(t *testing.T) {
 	g.MustAddLink(s, m, 100, 5)
 	k := sim.NewKernel()
 	n := New(g, k)
+	tr := obs.NewTracer(obs.TracerOptions{})
+	n.SetObs(nil, tr)
 	key := FlowKey{Flow: "f", Tag: 0}
 	n.Switch(s).InstallRule(key, Action{NextHop: a})
 	n.Switch(a).InstallRule(key, Action{NextHop: m})
@@ -168,17 +183,20 @@ func TestTransientOverlapOverloads(t *testing.T) {
 	k.At(200, func() { n.Switch(s).InstallRule(key, Action{NextHop: m}) })
 	k.RunUntil(400)
 
-	ovs := n.Link(m, d).Overloads()
-	if len(ovs) != 1 {
-		t.Fatalf("overloads = %+v, want exactly one", ovs)
+	ovs := overloadSpans(tr, "")
+	if len(ovs) != 1 || ovs[0].Attr(obs.KeyLink) != "m>d" {
+		t.Fatalf("overloads = %+v, want exactly one, on m>d", ovs)
 	}
 	ov := ovs[0]
-	if ov.Peak != 200 {
-		t.Fatalf("peak = %d, want 200", ov.Peak)
+	if peak := ov.AttrInt(obs.KeyPeak); peak != 200 {
+		t.Fatalf("peak = %d, want 200", peak)
 	}
 	// New traffic reaches m at 205; old keeps arriving until 220.
-	if ov.Start != 205 || ov.End != 220 {
-		t.Fatalf("overload window = [%d, %d], want [205, 220]", ov.Start, ov.End)
+	if start, end := ov.VT, ov.VT+ov.Dur; start != 205 || end != 220 {
+		t.Fatalf("overload window = [%d, %d], want [205, 220]", start, end)
+	}
+	if got := n.Link(m, d).OverloadCount(); got != 1 {
+		t.Fatalf("overload count = %d, want 1", got)
 	}
 	if n.TotalOverloadTicks() != 15 {
 		t.Fatalf("total overload = %d, want 15", n.TotalOverloadTicks())
@@ -194,9 +212,10 @@ func TestTransientOverlapOverloads(t *testing.T) {
 // agree on the running example.
 func TestEmuAgreesWithDynflowOnFig1(t *testing.T) {
 	in := topo.Fig1Example()
-	run := func(s *dynflow.Schedule) *Network {
+	run := func(s *dynflow.Schedule, tr *obs.Tracer) *Network {
 		k := sim.NewKernel()
 		n := New(in.G, k)
+		n.SetObs(nil, tr)
 		key := FlowKey{Flow: "f", Tag: 0}
 		// Old rules + destination delivery.
 		for i := 0; i+1 < len(in.Init); i++ {
@@ -216,9 +235,9 @@ func TestEmuAgreesWithDynflowOnFig1(t *testing.T) {
 		return n
 	}
 
-	clean := run(topo.PaperSchedule(in))
+	clean := run(topo.PaperSchedule(in), nil)
 	for _, l := range clean.Links() {
-		if len(l.Overloads()) != 0 {
+		if l.OverloadCount() != 0 {
 			t.Fatalf("paper schedule overloaded link %d->%d in the emulator", l.From(), l.To())
 		}
 	}
@@ -239,14 +258,14 @@ func TestEmuAgreesWithDynflowOnFig1(t *testing.T) {
 	naive := dynflow.NewSchedule(0)
 	naive.Set(in.G.Lookup("v1"), 0)
 	naive.Set(in.G.Lookup("v2"), 0)
-	bad := run(naive)
-	l56 := bad.Link(in.G.Lookup("v5"), in.G.Lookup("v6"))
-	ovs := l56.Overloads()
+	tr := obs.NewTracer(obs.TracerOptions{})
+	run(naive, tr)
+	ovs := overloadSpans(tr, "v5>v6")
 	if len(ovs) == 0 {
 		t.Fatal("v1+v2 flip showed no overload on (v5,v6) in the emulator")
 	}
-	if ovs[0].Peak != 2 {
-		t.Fatalf("overload peak = %d, want 2 (old + new demand)", ovs[0].Peak)
+	if peak := ovs[0].AttrInt(obs.KeyPeak); peak != 2 {
+		t.Fatalf("overload peak = %d, want 2 (old + new demand)", peak)
 	}
 }
 
@@ -307,9 +326,9 @@ func TestEmuAgreesOnRandomSchedules(t *testing.T) {
 		}
 		k.RunUntil(off + 500)
 		for _, l := range n.Links() {
-			if ovs := l.Overloads(); len(ovs) > 0 {
-				t.Fatalf("instance %d: emulator overloaded %d->%d: %+v (schedule %s)",
-					i, l.From(), l.To(), ovs, res.Schedule.Format(in))
+			if c := l.OverloadCount(); c > 0 {
+				t.Fatalf("instance %d: emulator overloaded %d->%d %d times (schedule %s)",
+					i, l.From(), l.To(), c, res.Schedule.Format(in))
 			}
 		}
 		var drops float64

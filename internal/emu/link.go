@@ -28,34 +28,12 @@ func (c *counter) at(now sim.Time) float64 {
 	return c.total + float64(c.rate)*float64(now-c.since)
 }
 
-// RatePoint is one step of a link's total-rate timeline.
-type RatePoint struct {
-	At   sim.Time
-	Rate Rate
-}
-
-// Overload is a maximal interval during which a link's total rate exceeded
-// its capacity. End is -1 while the overload is still open.
-type Overload struct {
-	Start sim.Time
-	End   sim.Time
-	Peak  Rate
-}
-
-// Duration returns the overload's length, treating an open interval as
-// running until now.
-func (o Overload) Duration(now sim.Time) sim.Time {
-	end := o.End
-	if end < 0 {
-		end = now
-	}
-	return end - o.Start
-}
-
 // Link is an emulated unidirectional link: capacity, propagation delay,
-// the total offered rate, a byte counter and an overload recorder. The
-// per-key contributions live with the upstream switch, the only sender
-// onto the link (keyState.out).
+// the total offered rate, a byte counter and overload counters. It keeps
+// live state only; the history of its rate changes and overload intervals
+// is the trace's (emu.rate and emu.overload). The per-key contributions
+// live with the upstream switch, the only sender onto the link
+// (keyState.out).
 type Link struct {
 	net   *Network
 	spec  graph.Link
@@ -72,9 +50,17 @@ type Link struct {
 	head   int
 	land   func()
 
-	timeline  []RatePoint
-	overloads []Overload
-	peak      Rate
+	peak       Rate
+	lastChange sim.Time // tick of the last total-rate change
+
+	// Overload counters: closed counts the over-capacity intervals that
+	// ended, closedTicks their total length; while the link is over
+	// capacity, overStart and overPeak describe the open interval.
+	closed      int
+	closedTicks sim.Time
+	over        bool
+	overStart   sim.Time
+	overPeak    Rate
 }
 
 // front is one (key, ttl) band's rate change in flight on a link: once
@@ -136,14 +122,26 @@ func (l *Link) Peak() Rate { return l.peak }
 // Bytes returns the integrated traffic volume at time now (unit·ticks).
 func (l *Link) Bytes() float64 { return l.bytes.at(l.net.K.Now()) }
 
-// Timeline returns the total-rate change points in order.
-func (l *Link) Timeline() []RatePoint {
-	return append([]RatePoint(nil), l.timeline...)
+// LastChange returns the tick of the last total-rate change (0 if the
+// rate never changed).
+func (l *Link) LastChange() sim.Time { return l.lastChange }
+
+// OverloadCount returns the number of over-capacity intervals so far, the
+// open one included.
+func (l *Link) OverloadCount() int {
+	if l.over {
+		return l.closed + 1
+	}
+	return l.closed
 }
 
-// Overloads returns the over-capacity intervals recorded so far.
-func (l *Link) Overloads() []Overload {
-	return append([]Overload(nil), l.overloads...)
+// OverloadTicks returns the time spent above capacity by now, the open
+// interval included.
+func (l *Link) OverloadTicks() sim.Time {
+	if l.over {
+		return l.closedTicks + l.net.K.Now() - l.overStart
+	}
+	return l.closedTicks
 }
 
 // change records that one (ttl) band of the key named key changed on the
@@ -175,33 +173,20 @@ func (l *Link) setTotal(now sim.Time, total Rate) {
 	if total > l.peak {
 		l.peak = total
 	}
-	// Compress the timeline: a same-time change overwrites.
-	if n := len(l.timeline); n > 0 && l.timeline[n-1].At == now {
-		l.timeline[n-1].Rate = total
-	} else {
-		l.timeline = append(l.timeline, RatePoint{At: now, Rate: total})
-	}
-	over := total > l.Capacity()
-	openIdx := -1
-	if n := len(l.overloads); n > 0 && l.overloads[n-1].End < 0 {
-		openIdx = n - 1
-	}
-	switch {
-	case over && openIdx < 0:
-		l.overloads = append(l.overloads, Overload{Start: now, End: -1, Peak: total})
-	case over && openIdx >= 0:
-		if total > l.overloads[openIdx].Peak {
-			l.overloads[openIdx].Peak = total
-		}
-	case !over && openIdx >= 0:
-		o := l.overloads[openIdx]
-		l.overloads[openIdx].End = now
-		if o.Start == now {
-			// Zero-length blip (rate changed twice at the same instant):
-			// discard.
-			l.overloads = l.overloads[:openIdx]
-		} else {
-			l.net.overloadClosed(l, o.Start, now, o.Peak)
+	l.lastChange = now
+	switch over := total > l.Capacity(); {
+	case over && !l.over:
+		l.over, l.overStart, l.overPeak = true, now, total
+	case over:
+		l.overPeak = max(l.overPeak, total)
+	case l.over:
+		l.over = false
+		// A zero-length blip (the rate changed twice at the same instant)
+		// is discarded.
+		if l.overStart != now {
+			l.closed++
+			l.closedTicks += now - l.overStart
+			l.net.overloadClosed(l, l.overStart, now, l.overPeak)
 		}
 	}
 }

@@ -37,8 +37,8 @@ func (n *Network) SetObs(r *obs.Registry, tr *obs.Tracer) {
 
 // overloadClosed records a completed link overload interval. It fires at
 // interval close rather than open so zero-length blips — which the
-// emulator discards from Overloads() — never reach the telemetry, and
-// the counter agrees with CongestedLinks().
+// emulator discards from its overload counters — never reach the
+// telemetry, and the counter agrees with CongestedLinks().
 func (n *Network) overloadClosed(l *Link, start, end sim.Time, peak Rate) {
 	n.met.overloads.Inc()
 	if n.trace != nil {

@@ -3,6 +3,7 @@ package emu
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -104,12 +105,39 @@ func TestEmuTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestLinkTimelineMatchesCounter: integrating a link's rate timeline equals
-// its byte counter at any sampled instant.
+// rateStep is one total-rate change of a link, read from its emu.rate
+// trace records.
+type rateStep struct {
+	at    sim.Time
+	total Rate
+}
+
+// rateSteps returns the total-rate steps tr recorded for l in order; a
+// later same-tick record overwrites an earlier one.
+func rateSteps(tr *obs.Tracer, l *Link) []rateStep {
+	var out []rateStep
+	for _, e := range tr.Events(0) {
+		if e.Name != obs.EvEmuRate || e.Attr(obs.KeyLink) != l.label {
+			continue
+		}
+		st := rateStep{at: sim.Time(e.VT), total: Rate(e.AttrInt(obs.KeyTotal))}
+		if n := len(out); n > 0 && out[n-1].at == st.at {
+			out[n-1] = st
+		} else {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// TestLinkTimelineMatchesCounter: integrating a link's total rate, as its
+// emu.rate trace records give it, equals its byte counter.
 func TestLinkTimelineMatchesCounter(t *testing.T) {
 	g, ids := topo.Line(4, 50, 7)
 	k := sim.NewKernel()
 	net := New(g, k)
+	tr := obs.NewTracer(obs.TracerOptions{})
+	net.SetObs(nil, tr)
 	key := FlowKey{Flow: "f", Tag: 0}
 	for i := 0; i+1 < len(ids); i++ {
 		net.Switch(ids[i]).InstallRule(key, Action{NextHop: ids[i+1]})
@@ -122,27 +150,33 @@ func TestLinkTimelineMatchesCounter(t *testing.T) {
 
 	l := net.Link(ids[1], ids[2])
 	var integral float64
-	tl := l.Timeline()
-	for i, p := range tl {
+	steps := rateSteps(tr, l)
+	if len(steps) != 3 {
+		t.Fatalf("rate steps = %+v, want 3", steps)
+	}
+	for i, p := range steps {
 		end := sim.Time(400)
-		if i+1 < len(tl) {
-			end = tl[i+1].At
+		if i+1 < len(steps) {
+			end = steps[i+1].at
 		}
-		integral += float64(p.Rate) * float64(end-p.At)
+		integral += float64(p.total) * float64(end-p.at)
 	}
 	if counter := l.Bytes(); counter != integral {
-		t.Fatalf("counter %f != timeline integral %f", counter, integral)
+		t.Fatalf("counter %f != traced rate integral %f", counter, integral)
 	}
 }
 
-// TestOverloadAccountingProperty: a link's overload intervals exactly cover
-// the times its timeline exceeds capacity.
+// TestOverloadAccountingProperty: a link's emu.overload spans exactly
+// cover the times its traced total rate exceeds capacity, and its
+// counters agree with them, an interval still open at the end included.
 func TestOverloadAccountingProperty(t *testing.T) {
 	g := graph.New()
 	a, b := g.AddNode("a"), g.AddNode("b")
 	g.MustAddLink(a, b, 10, 1)
 	k := sim.NewKernel()
 	net := New(g, k)
+	tr := obs.NewTracer(obs.TracerOptions{})
+	net.SetObs(nil, tr)
 	net.Switch(b).InstallRule(FlowKey{Flow: "x", Tag: 0}, Action{ToHost: true})
 	net.Switch(b).InstallRule(FlowKey{Flow: "y", Tag: 0}, Action{ToHost: true})
 	net.Switch(a).InstallRule(FlowKey{Flow: "x", Tag: 0}, Action{NextHop: b})
@@ -153,20 +187,96 @@ func TestOverloadAccountingProperty(t *testing.T) {
 	k.At(80, func() { net.Inject(a, FlowKey{Flow: "x", Tag: 0}, 0) })
 	k.At(120, func() { net.Inject(a, FlowKey{Flow: "y", Tag: 0}, 12) }) // 12 > 10
 	k.At(150, func() { net.Inject(a, FlowKey{Flow: "y", Tag: 0}, 0) })
+	k.At(250, func() { net.Inject(a, FlowKey{Flow: "y", Tag: 0}, 12) }) // open at 300
 	k.RunUntil(300)
 
 	l := net.Link(a, b)
-	ovs := l.Overloads()
-	if len(ovs) != 2 {
-		t.Fatalf("overloads = %+v, want 2 intervals", ovs)
+	ovs := overloadSpans(tr, l.label)
+	type interval struct {
+		start, end sim.Time
+		peak       Rate
 	}
-	if ovs[0].Start != 50 || ovs[0].End != 80 || ovs[0].Peak != 16 {
-		t.Fatalf("first overload = %+v", ovs[0])
+	var got []interval
+	for _, e := range ovs {
+		got = append(got, interval{sim.Time(e.VT), sim.Time(e.VT + e.Dur), Rate(e.AttrInt(obs.KeyPeak))})
 	}
-	if ovs[1].Start != 120 || ovs[1].End != 150 || ovs[1].Peak != 12 {
-		t.Fatalf("second overload = %+v", ovs[1])
+	want := []interval{{50, 80, 16}, {120, 150, 12}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("overload spans = %+v, want %+v", got, want)
 	}
-	if got := ovs[0].Duration(300) + ovs[1].Duration(300); got != 60 {
-		t.Fatalf("total overload = %d, want 60", got)
+	// The same intervals, derived from the traced totals, and the open one.
+	want = append(want, interval{250, -1, 12})
+	var derived []interval
+	for _, st := range rateSteps(tr, l) {
+		n := len(derived)
+		open := n > 0 && derived[n-1].end < 0
+		switch over := st.total > l.Capacity(); {
+		case over && !open:
+			derived = append(derived, interval{st.at, -1, st.total})
+		case over:
+			derived[n-1].peak = max(derived[n-1].peak, st.total)
+		case open:
+			derived[n-1].end = st.at
+		}
+	}
+	if !slices.Equal(derived, want) {
+		t.Fatalf("intervals over capacity in the traced totals = %+v, want %+v", derived, want)
+	}
+	if l.OverloadCount() != 3 || l.OverloadTicks() != 110 || net.TotalOverloadTicks() != 110 {
+		t.Fatalf("overload count %d, ticks %d (network %d), want 3 and 110",
+			l.OverloadCount(), l.OverloadTicks(), net.TotalOverloadTicks())
+	}
+	if l.LastChange() != 250 {
+		t.Fatalf("last change at %d, want 250", l.LastChange())
+	}
+}
+
+// TestLinkKeepsNoHistory: a link's memory does not grow with the rate
+// changes it sees. After 1 000 change/revert pairs that take the link
+// over capacity and back, 1 000 more allocate nothing. The count is the
+// total over the 1 000 pairs, not testing.AllocsPerRun's integer average
+// per pair, which reads 0 for a slice that grows by amortized doubling.
+// Both keys keep arriving throughout: a key that stops arriving
+// everywhere gives up its cached name, and formats it again on return.
+func TestLinkKeepsNoHistory(t *testing.T) {
+	g := graph.New()
+	a, b := g.AddNode("a"), g.AddNode("b")
+	g.MustAddLink(a, b, 10, 1)
+	k := sim.NewKernel()
+	net := New(g, k)
+	x, y := FlowKey{Flow: "x", Tag: 0}, FlowKey{Flow: "y", Tag: 0}
+	for _, key := range []FlowKey{x, y} {
+		net.Switch(a).InstallRule(key, Action{NextHop: b})
+		net.Switch(b).InstallRule(key, Action{ToHost: true})
+	}
+	k.At(0, func() {
+		net.Inject(a, x, 4)
+		net.Inject(a, y, 4)
+	})
+	k.RunUntil(10)
+
+	up := func() { net.Inject(a, y, 8) }   // 12 > 10
+	down := func() { net.Inject(a, y, 4) } // back to 8
+	pair := func() {
+		now := k.Now()
+		k.At(now+1, up)
+		k.At(now+3, down)
+		k.RunUntil(now + 5)
+	}
+	pairs := func() {
+		for range 1000 {
+			pair()
+		}
+	}
+	// AllocsPerRun runs pairs once to warm up, then once measured.
+	if allocs := testing.AllocsPerRun(1, pairs); allocs != 0 {
+		t.Fatalf("1 000 rate change/revert pairs allocated %v times, want 0", allocs)
+	}
+	l := net.Link(a, b)
+	if got := l.OverloadCount(); got != 2000 {
+		t.Fatalf("overload count = %d, want 2000", got)
+	}
+	if got := l.OverloadTicks(); got != 4000 {
+		t.Fatalf("overload ticks = %d, want 4000", got)
 	}
 }

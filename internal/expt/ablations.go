@@ -220,10 +220,7 @@ func AblationExecutionMode(cfg Config) ([]ExecModePoint, error) {
 		// Transition duration: last rate change on any link.
 		var last sim.Time
 		for _, l := range h.Net.Links() {
-			tl := l.Timeline()
-			if len(tl) > 0 && tl[len(tl)-1].At > last {
-				last = tl[len(tl)-1].At
-			}
+			last = max(last, l.LastChange())
 		}
 		return ExecModePoint{
 			Scheme:        label,

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/chronus-sdn/chronus/internal/controller"
 	"github.com/chronus-sdn/chronus/internal/emu"
@@ -41,14 +42,16 @@ const fig6UpdateAt = 500
 // derives the monitored link's bandwidth series from its byte counters:
 // counter delta over each sampling interval divided by the interval —
 // the measurement method of the paper's prototype (which polls the
-// Floodlight statistics module), reconstructed deterministically from the
-// counter timeline after the run.
+// Floodlight statistics module). The counters are read at each sampling
+// boundary by kernel events scheduled before the run, so the series is
+// exact and deterministic.
 func Fig6Bandwidth(cfg Config) (*Fig6Result, error) {
 	in := topo.EmulationTopo()
 	res := &Fig6Result{}
 
-	windowStart := sim.Time(fig6UpdateAt - 2*cfg.Fig6Interval)
-	windowEnd := windowStart + sim.Time(int64(cfg.Fig6Samples)*cfg.Fig6Interval)
+	interval := sim.Time(cfg.Fig6Interval)
+	windowStart := fig6UpdateAt - 2*interval
+	windowEnd := windowStart + sim.Time(cfg.Fig6Samples)*interval
 
 	// Each series runs on a fresh network (and its own instance copy:
 	// Instance carries lazy caches, so concurrent runs must not share
@@ -60,6 +63,8 @@ func Fig6Bandwidth(cfg Config) (*Fig6Result, error) {
 		scheme  string
 		monitor bool
 		h       *controller.Harness
+		// series holds every link's samples, indexed like h.Net.Links().
+		series [][]controller.Sample
 	}
 
 	run := func(label string, execute executor) (runState, error) {
@@ -68,12 +73,13 @@ func Fig6Bandwidth(cfg Config) (*Fig6Result, error) {
 		if err != nil {
 			return runState{}, fmt.Errorf("%s: provision: %w", label, err)
 		}
+		series := pollCounters(h, windowStart, interval, cfg.Fig6Samples)
 		h.AdvanceTo(fig6UpdateAt)
 		if err := execute(in, c, h, f); err != nil {
 			return runState{}, fmt.Errorf("%s: execute: %w", label, err)
 		}
 		h.AdvanceTo(windowEnd + 10)
-		return runState{scheme: label, h: h}, nil
+		return runState{scheme: label, h: h, series: series}, nil
 	}
 
 	// The figure's cast: Chronus plans via the registry and executes
@@ -104,29 +110,28 @@ func Fig6Bandwidth(cfg Config) (*Fig6Result, error) {
 	// on the link where OR's spike is visible, which is a link that keeps
 	// carrying steady traffic while misrouted traffic piles on. Fall back
 	// to the final route's egress hop when OR happened to stay clean.
-	from, to := in.Fin[len(in.Fin)-2], in.Fin[len(in.Fin)-1]
+	links := runs[0].h.Net.Links() // the same order in every run
+	monitored := slices.IndexFunc(links, func(l *emu.Link) bool {
+		return l.From() == in.Fin[len(in.Fin)-2] && l.To() == in.Fin[len(in.Fin)-1]
+	})
 	bestPeak := 0.0
 	for _, st := range runs {
 		if !st.monitor {
 			continue
 		}
-		for _, l := range st.h.Net.Links() {
-			for _, smp := range sampleTimeline(l.Timeline(), windowStart, sim.Time(cfg.Fig6Interval), cfg.Fig6Samples) {
+		for j, samples := range st.series {
+			for _, smp := range samples {
 				if smp.Rate > bestPeak {
 					bestPeak = smp.Rate
-					from, to = l.From(), l.To()
+					monitored = j
 				}
 			}
 		}
 	}
-	res.Link = [2]string{in.G.Name(from), in.G.Name(to)}
+	res.Link = [2]string{in.G.Name(links[monitored].From()), in.G.Name(links[monitored].To())}
 
 	for _, st := range runs {
-		link := st.h.Net.Link(from, to)
-		s := Fig6Series{
-			Scheme:  st.scheme,
-			Samples: sampleTimeline(link.Timeline(), windowStart, sim.Time(cfg.Fig6Interval), cfg.Fig6Samples),
-		}
+		s := Fig6Series{Scheme: st.scheme, Samples: st.series[monitored]}
 		for _, smp := range s.Samples {
 			if smp.Rate > s.Peak {
 				s.Peak = smp.Rate
@@ -139,35 +144,35 @@ func Fig6Bandwidth(cfg Config) (*Fig6Result, error) {
 	return res, nil
 }
 
-// sampleTimeline converts a rate-step timeline into per-interval average
-// rates: exactly the byte-counter-delta measurement, evaluated offline.
-func sampleTimeline(points []emu.RatePoint, start, interval sim.Time, count int) []controller.Sample {
-	integrate := func(a, b sim.Time) float64 {
-		total := 0.0
-		var rate emu.Rate
-		prev := a
-		for _, p := range points {
-			if p.At <= a {
-				rate = p.Rate
-				continue
+// pollCounters schedules, before the run, a reading of every link's byte
+// counter at each of the count+1 sampling boundaries from start on, the
+// way the paper's prototype polls port statistics. Each reading after the
+// first appends the counter delta over the interval to series[j], link j
+// of Net.Links().
+func pollCounters(h *controller.Harness, start, interval sim.Time, count int) (series [][]controller.Sample) {
+	links := h.Net.Links()
+	series = make([][]controller.Sample, len(links))
+	prev := make([]float64, len(links))
+	for j := range series {
+		series[j] = make([]controller.Sample, 0, count)
+	}
+	first := true
+	poll := func() {
+		for j, l := range links {
+			b := l.Bytes()
+			if !first {
+				series[j] = append(series[j], controller.Sample{At: h.K.Now(), Rate: (b - prev[j]) / float64(interval)})
 			}
-			if p.At >= b {
-				break
-			}
-			total += float64(rate) * float64(p.At-prev)
-			rate = p.Rate
-			prev = p.At
+			prev[j] = b
 		}
-		total += float64(rate) * float64(b-prev)
-		return total
+		first = false
 	}
-	out := make([]controller.Sample, 0, count)
-	for i := 0; i < count; i++ {
-		a := start + sim.Time(i)*interval
-		b := a + interval
-		out = append(out, controller.Sample{At: b, Rate: integrate(a, b) / float64(interval)})
-	}
-	return out
+	h.Do(func() {
+		for i := 0; i <= count; i++ {
+			h.K.At(start+sim.Time(i)*interval, poll)
+		}
+	})
+	return series
 }
 
 // Table renders the series side by side: one row per sampling instant.
