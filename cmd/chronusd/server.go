@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -59,10 +60,6 @@ type serverOptions struct {
 	// QueueCap bounds the admission queue (0 = the admit engine's
 	// default of 256).
 	QueueCap int
-	// StateRing bounds the observed-state store's per-link timeline
-	// ring (0 = the store's default). Tests use tiny rings to exercise
-	// journal backfill.
-	StateRing int
 	// ExecHeadroom is how many ticks past "now" a timed schedule's
 	// first activation is shifted to clear the control latency
 	// (0 = controller.Headroom). Crash tests raise it so a kill lands
@@ -184,7 +181,6 @@ func newServer(o serverOptions) (*server, error) {
 	}
 	srv.state = state.New(state.Options{
 		JournalDir: o.JournalDir,
-		RingCap:    o.StateRing,
 		Obs:        reg,
 	})
 	if len(bootEvents) > 0 {
@@ -719,13 +715,15 @@ func (s *server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("unknown from/to switch"))
 		return
 	}
-	interval, _ := strconv.Atoi(q.Get("interval"))
-	if interval <= 0 {
-		interval = 50
+	interval, err := parseCount(q, "interval", 50, maxAdvanceTicks)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
-	samples, _ := strconv.Atoi(q.Get("samples"))
-	if samples <= 0 || samples > 1000 {
-		samples = 10
+	samples, err := parseCount(q, "samples", 10, 1000)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	// Sampling advances virtual time by interval × samples; bound it as
 	// POST /advance bounds a step (interval > max/samples is the
@@ -744,6 +742,19 @@ func (s *server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 
 // maxAdvanceTicks bounds how far one request may advance virtual time.
 const maxAdvanceTicks = 1_000_000
+
+// parseCount reads one positive integer query parameter of at most max;
+// absent yields the def value.
+func parseCount(q url.Values, name string, def, max int) (int, error) {
+	if !q.Has(name) {
+		return def, nil
+	}
+	v, err := strconv.Atoi(q.Get(name))
+	if err != nil || v <= 0 || v > max {
+		return 0, fmt.Errorf("bad %s: want an integer in 1..%d", name, max)
+	}
+	return v, nil
+}
 
 func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req struct {

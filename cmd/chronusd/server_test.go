@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	chronus "github.com/chronus-sdn/chronus"
+	"github.com/chronus-sdn/chronus/internal/topo"
 )
 
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
@@ -162,6 +163,67 @@ func TestBandwidthBoundsAdvance(t *testing.T) {
 	getJSON(t, ts.URL+"/bandwidth?from=R1&to=R2&interval=500000&samples=2", &samples)
 	if len(samples) != 2 {
 		t.Fatalf("samples at the bound = %v", samples)
+	}
+}
+
+// TestBandwidthRefusesMalformedQuery: a present interval or samples that
+// is not a positive integer, or samples past 1000, is a 400 with the clock
+// unmoved; an absent one keeps its default.
+func TestBandwidthRefusesMalformedQuery(t *testing.T) {
+	_, ts := newTestServerOpts(t, serverOptions{Seed: 1, Virtual: true})
+	var before map[string]any
+	getJSON(t, ts.URL+"/status", &before)
+	for _, q := range []string{
+		"interval=abc&samples=5000",
+		"interval=abc",
+		"interval=",
+		"interval=0",
+		"interval=-50",
+		"interval=50x",
+		"samples=abc",
+		"samples=1.5",
+		"samples=0",
+		"samples=1001",
+	} {
+		resp, err := http.Get(ts.URL + "/bandwidth?from=R1&to=R2&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %s, want 400", q, resp.Status)
+		}
+	}
+	var after map[string]any
+	getJSON(t, ts.URL+"/status", &after)
+	if after["now"] != before["now"] {
+		t.Fatalf("refused samplings moved now from %v to %v", before["now"], after["now"])
+	}
+	var samples []struct{ At int64 }
+	getJSON(t, ts.URL+"/bandwidth?from=R1&to=R2", &samples)
+	if len(samples) != 10 || samples[1].At-samples[0].At != 50 {
+		t.Fatalf("defaults: samples = %v, want 10 samples 50 ticks apart", samples)
+	}
+}
+
+// TestBandwidthSaturatedLinkReadsCapacity: R1>R2 carries exactly its
+// capacity from boot, and every sample reads exactly that, never more,
+// though each counter read lands a jittered control latency after its
+// sampling instant.
+func TestBandwidthSaturatedLinkReadsCapacity(t *testing.T) {
+	_, ts := newTestServerOpts(t, serverOptions{Seed: 1, Virtual: true})
+	var samples []struct {
+		At   int64
+		Rate float64
+	}
+	getJSON(t, ts.URL+"/bandwidth?from=R1&to=R2&interval=50&samples=20", &samples)
+	if len(samples) != 20 {
+		t.Fatalf("samples = %v", samples)
+	}
+	for _, s := range samples {
+		if s.Rate != topo.EmulationCapacityMbps {
+			t.Fatalf("sample at %d reads %v on a link carrying its capacity %d", s.At, s.Rate, topo.EmulationCapacityMbps)
+		}
 	}
 }
 

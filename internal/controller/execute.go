@@ -242,19 +242,22 @@ func (c *Controller) DeleteFlow(flow string, ids ...graph.NodeID) (err error) {
 // Sample is one bandwidth measurement of a link.
 type Sample struct {
 	At   sim.Time
-	Rate float64 // units per tick, averaged over the sampling interval
+	Rate float64 // units per tick, averaged over the span between two counter reads
 }
 
 // SampleLink measures the bandwidth consumption of link (from → to) the way
 // the paper's prototype does: it polls the upstream switch's port byte
 // counters over the control channel every interval ticks and divides the
-// counter delta by the interval. It advances virtual time as it runs and
-// returns count samples.
+// counter delta by the span between the two reads. The switch reads its
+// counters when the request arrives, a control latency after the sampling
+// instant, so that span is the interval give or take the latencies'
+// difference. It advances virtual time as it runs and returns count
+// samples.
 func (c *Controller) SampleLink(from, to graph.NodeID, interval sim.Time, count int) ([]Sample, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("controller: non-positive sampling interval %d", interval)
 	}
-	prev, err := c.portBytes(from, to)
+	prev, prevAt, err := c.portBytes(from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -262,38 +265,41 @@ func (c *Controller) SampleLink(from, to graph.NodeID, interval sim.Time, count 
 	var out []Sample
 	for i := 0; i < count; i++ {
 		c.h.AdvanceTo(prevT + interval)
-		cur, err := c.portBytes(from, to)
+		cur, at, err := c.portBytes(from, to)
 		if err != nil {
 			return nil, err
 		}
 		now := prevT + interval
-		out = append(out, Sample{At: now, Rate: (cur - prev) / float64(interval)})
-		prev, prevT = cur, now
+		// Each request leaves at its sampling instant, or once the
+		// previous reply is in if that is later, so at > prevAt.
+		out = append(out, Sample{At: now, Rate: (cur - prev) / float64(at-prevAt)})
+		prev, prevAt, prevT = cur, at, now
 	}
 	return out, nil
 }
 
-// portBytes fetches the byte counter of the port on `from` facing `to`.
-func (c *Controller) portBytes(from, to graph.NodeID) (float64, error) {
+// portBytes fetches the byte counter of the port on `from` facing `to`,
+// with the tick the switch read it at.
+func (c *Controller) portBytes(from, to graph.NodeID) (bytes float64, at sim.Time, err error) {
 	x, err := c.send(from, &ofp.StatsRequest{Kind: ofp.StatsPorts})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	replies, err := c.await([]uint32{x})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if err := checkErrors(replies); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	reply, ok := replies[x].(*ofp.StatsReply)
 	if !ok {
-		return 0, fmt.Errorf("controller: unexpected stats reply %T", replies[x])
+		return 0, 0, fmt.Errorf("controller: unexpected stats reply %T", replies[x])
 	}
 	for _, p := range reply.Ports {
 		if graph.NodeID(p.PeerID) == to {
-			return float64(p.Bytes), nil
+			return float64(p.Bytes), sim.Time(reply.At), nil
 		}
 	}
-	return 0, fmt.Errorf("controller: switch %s reported no port toward %s", c.h.G.Name(from), c.h.G.Name(to))
+	return 0, 0, fmt.Errorf("controller: switch %s reported no port toward %s", c.h.G.Name(from), c.h.G.Name(to))
 }

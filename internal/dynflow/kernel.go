@@ -227,7 +227,7 @@ func (k *Kernel) Release() {
 func (x *scratch) hops(r run) []traceHop { return x.arena[r.lo : r.lo+r.nh] }
 
 // traceRuns carries the units of p on from p.cur to their terminal status
-// and stores them as runs, appended to x.runs: follow over a group of
+// and stores them as runs, appended to x.runs: trace over a group of
 // units. Where a switch's activation falls inside the group's arrival
 // interval there, and its two rules differ, the group splits; the later
 // units go on as a piece of their own, after the same hops. It returns the

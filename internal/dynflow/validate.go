@@ -182,55 +182,109 @@ func (r *Report) Summary() string {
 func Validate(in *Instance, s *Schedule) *Report {
 	tr := tracerFor(in)
 	start := s.Start - Tick(in.Init.Delay(in.G))
-	end := s.End()
 	r := &Report{WindowStart: start}
-
-	// Departure ticks stay within end + 2 × (max trace duration): the last
-	// traced emission is at latestArrival <= end + maxTrace, and its own
-	// trace lasts at most maxTrace more.
 	x := getScratch()
 	defer putScratch(x)
-	lw := &x.lw
-	lw.begin(len(tr.links), start, int64(end-start)+2*int64(tr.maxTrace)+1, in.Demand)
-	defer lw.end()
-
-	times := tr.view(&tr.times, s)
-	record := func(e Tick) Tick {
-		status, at, arrive := tr.trace(times, e, lw, nil)
-		switch status {
-		case Looped:
+	flow := [1]flowWindow{{tr: tr, s: s, demand: in.Demand, start: start, end: s.End()}}
+	x.validateFlows(flow[:], tr.links, func(_ int, e Tick, status TraceStatus, at graph.NodeID, arrive Tick) {
+		if status == Looped {
 			r.Loops = append(r.Loops, LoopEvent{Emit: e, At: at, Tick: arrive})
-		case Blackholed:
+		} else {
 			r.Blackholes = append(r.Blackholes, BlackholeEvent{Emit: e, At: at, Tick: arrive})
 		}
-		return arrive
+	}, func(l graph.Link, depart Tick, load graph.Capacity) {
+		li := LinkInstance{From: l.From, To: l.To, Depart: depart}
+		r.Congestion = append(r.Congestion, CongestionEvent{Link: li, Load: load, Cap: l.Cap})
+	})
+	r.WindowEnd, r.LatestArrival = flow[0].latest, flow[0].latest
+	tr.countRun(in.Obs, flow[0].latest-start+1)
+	sort.Slice(r.Congestion, func(i, j int) bool { return r.Congestion[i].Link.before(r.Congestion[j].Link) })
+	sort.Slice(r.Loops, func(i, j int) bool { return r.Loops[i].Emit < r.Loops[j].Emit })
+	sort.Slice(r.Blackholes, func(i, j int) bool { return r.Blackholes[i].Emit < r.Blackholes[j].Emit })
+	return r
+}
+
+// flowWindow is one flow of a validation run: its tracer and schedule,
+// the load rows its link ordinals map to (nil: the ordinals themselves),
+// its demand, and its own emission window from start (Start − φ(p_init))
+// to end (the schedule's End). validateFlows sets latest, the latest
+// arrival of those emissions.
+type flowWindow struct {
+	tr                 *tracer
+	s                  *Schedule
+	rowOf              []int32
+	demand             graph.Capacity
+	start, end, latest Tick
+}
+
+// validateFlows is the one emission loop of Validate and ValidateJoint: it
+// traces each flow's emissions into x.lw, each tick once. A flow's own
+// window runs from start to its latest arrival, and its loops and
+// blackholes there go to event with the flow's index. Beyond it emissions
+// only load, out to the joint window from the earliest start to the latest
+// tail (the latest arrival among a flow's last φ(p_init) emissions up to
+// end): a steady flow keeps loading its links while another migrates. One
+// flow's joint window lies inside its own. links[row] is the link of load
+// row row; each over-capacity link instance goes to over.
+func (x *scratch) validateFlows(flows []flowWindow, links []graph.Link,
+	event func(flow int, e Tick, status TraceStatus, at graph.NodeID, arrive Tick),
+	over func(l graph.Link, depart Tick, load graph.Capacity)) {
+	lo, endMax, drain := flows[0].start, flows[0].end, Tick(0)
+	for _, f := range flows {
+		lo, endMax, drain = min(lo, f.start), max(endMax, f.end), max(drain, f.tr.maxTrace)
 	}
-	latestArrival := end
-	for e := start; e <= end; e++ {
-		if a := record(e); a > latestArrival {
-			latestArrival = a
+	// Departures stay within endMax + 2 × drain: no flow emits past its own
+	// latest arrival or the latest tail, both at most end + maxTrace, and
+	// a trace lasts at most maxTrace more.
+	lw := &x.lw
+	lw.begin(len(links), lo, int64(endMax-lo)+2*int64(drain)+1)
+	defer lw.end()
+
+	hi := lo
+	for i := range flows {
+		f := &flows[i]
+		times := f.tr.view(&f.tr.times, f.s)
+		lw.demand, lw.rowOf = f.demand, f.rowOf
+		tailFrom := f.end - (f.s.Start - f.start)
+		f.latest = f.end
+		tail := f.end
+		for e := f.start; e <= f.latest; e++ {
+			status, at, arrive := f.tr.trace(times, e, lw)
+			if e <= f.end {
+				f.latest = max(f.latest, arrive)
+				if e >= tailFrom {
+					tail = max(tail, arrive)
+				}
+			}
+			if status != Delivered {
+				event(i, e, status, at, arrive)
+			}
+		}
+		hi = max(hi, tail)
+	}
+	for i := range flows {
+		f := &flows[i]
+		if f.start == lo && f.latest >= hi {
+			continue
+		}
+		// The view again: flows of one Instance share a tracer.
+		times := f.tr.view(&f.tr.times, f.s)
+		lw.demand, lw.rowOf = f.demand, f.rowOf
+		for e := lo; e < f.start; e++ {
+			f.tr.trace(times, e, lw)
+		}
+		for e := f.latest + 1; e <= hi; e++ {
+			f.tr.trace(times, e, lw)
 		}
 	}
-	// Pure-final emissions that can still overlap the in-flight tail.
-	for e := end + 1; e <= latestArrival; e++ {
-		record(e)
-	}
-	r.WindowEnd = latestArrival
-	r.LatestArrival = latestArrival
-	tr.countRun(in.Obs, latestArrival-start+1)
 
 	for _, key := range lw.touched {
 		load := lw.m[key]
 		if lw.dense {
 			load = lw.val[key]
 		}
-		if l := tr.links[key/lw.span]; load > l.Cap {
-			li := LinkInstance{From: l.From, To: l.To, Depart: Tick(key%lw.span) + start}
-			r.Congestion = append(r.Congestion, CongestionEvent{Link: li, Load: load, Cap: l.Cap})
+		if l := links[key%lw.rows]; load > l.Cap {
+			over(l, lo+Tick(key/lw.rows), load)
 		}
 	}
-	sort.Slice(r.Congestion, func(i, j int) bool { return r.Congestion[i].Link.before(r.Congestion[j].Link) })
-	sort.Slice(r.Loops, func(i, j int) bool { return r.Loops[i].Emit < r.Loops[j].Emit })
-	sort.Slice(r.Blackholes, func(i, j int) bool { return r.Blackholes[i].Emit < r.Blackholes[j].Emit })
-	return r
 }

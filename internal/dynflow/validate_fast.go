@@ -16,7 +16,7 @@ import (
 // that footprint: the links the two paths use, numbered by ordinal, and per
 // switch the ordinals its two rules depart on. Its per-switch tables span
 // the footprint's node ids (see pathIndex), not the graph. Load accounting
-// is keyed by (link ordinal, departure tick) packed into one integer, and
+// is keyed by (departure tick, link ordinal) packed into one integer, and
 // per-trace visited sets are stamps. One tracer belongs to one Instance and
 // is valid for one state of its graph and paths (see tracerFor).
 type tracer struct {
@@ -49,29 +49,33 @@ type tracer struct {
 	vmReg *obs.Registry
 }
 
-// loadWindow is Validate's load accounting: the demand departing on each
-// footprint link ordinal at each tick offset past base. When the
-// (links × window) product is small the dense array is used, all zero
-// between uses; otherwise loads fall back to a map. It lives in the pooled
-// scratch (see getScratch), so a fresh Instance does not allocate one.
+// loadWindow is the load accounting of Validate and ValidateJoint: the
+// demand departing on each load row (a footprint link) at each tick offset
+// past base, keyed tick-major as offset × rows + row. A flow's link
+// ordinals map onto rows through rowOf, or are the rows themselves when
+// rowOf is nil. When the (rows × window) product is small the dense array
+// is used, all zero between uses; otherwise loads fall back to a map. It
+// lives in the pooled scratch (see getScratch), so a fresh Instance does
+// not allocate one.
 type loadWindow struct {
-	demand  graph.Capacity
-	base    Tick
-	span    int64
-	val     []graph.Capacity
-	touched []int64
-	m       map[int64]graph.Capacity
-	dense   bool
+	demand     graph.Capacity
+	rowOf      []int32
+	base       Tick
+	rows, span int64
+	val        []graph.Capacity
+	touched    []int64
+	m          map[int64]graph.Capacity
+	dense      bool
 }
 
 // denseLoadLimit caps the dense scratch size (entries).
 const denseLoadLimit = 1 << 22
 
 // begin prepares accounting of rows links over span ticks from base.
-func (lw *loadWindow) begin(rows int, base Tick, span int64, demand graph.Capacity) {
-	lw.demand, lw.base, lw.span = demand, base, span
+func (lw *loadWindow) begin(rows int, base Tick, span int64) {
+	lw.base, lw.rows, lw.span = base, int64(rows), span
 	lw.touched = lw.touched[:0]
-	need := int64(rows) * span
+	need := lw.rows * span
 	lw.dense = need > 0 && need <= denseLoadLimit
 	if !lw.dense {
 		lw.m = make(map[int64]graph.Capacity, 1024)
@@ -91,7 +95,11 @@ func (lw *loadWindow) add(ordinal int32, t Tick) {
 		// built from maxTrace so that this cannot happen.
 		panic(fmt.Sprintf("dynflow: departure at offset %d outside the %d-tick load window", offset, lw.span))
 	}
-	key := int64(ordinal)*lw.span + offset
+	row := int64(ordinal)
+	if lw.rowOf != nil {
+		row = int64(lw.rowOf[ordinal])
+	}
+	key := offset*lw.rows + row
 	if lw.dense {
 		if lw.val[key] == 0 {
 			lw.touched = append(lw.touched, key)
@@ -112,7 +120,7 @@ func (lw *loadWindow) end() {
 			lw.val[key] = 0
 		}
 	}
-	lw.m = nil
+	lw.m, lw.rowOf = nil, nil
 }
 
 const (
@@ -223,24 +231,14 @@ type traceHop struct {
 	tick Tick
 }
 
-// trace follows the unit emitted at tick emit from the source (see follow
-// for lw and hops) and returns the terminal status with its location and
-// tick.
-func (tr *tracer) trace(times []Tick, emit Tick, lw *loadWindow, hops *[]traceHop) (status TraceStatus, at graph.NodeID, end Tick) {
-	src := tr.in.Source()
+// trace is the one forwarding loop of Validate and ValidateJoint: it
+// carries the unit emitted at tick emit from the source to its terminal
+// status, accounting each departure in lw, and returns the status with its
+// location and tick.
+func (tr *tracer) trace(times []Tick, emit Tick, lw *loadWindow) (status TraceStatus, at graph.NodeID, end Tick) {
+	cur, t, dest := tr.in.Source(), emit, tr.in.Dest()
 	tr.stamp++
-	tr.visit[src-tr.lo] = tr.stamp
-	return tr.follow(times, src, emit, lw, hops)
-}
-
-// follow is the one forwarding loop: it carries a unit that is at cur at
-// tick t to its terminal status. cur must be in the tracer's span, as the
-// source and every link end are. Switches stamped with the current
-// tr.stamp count as already visited, so a caller resuming a trace
-// mid-path stamps its prefix first. The decisions taken are appended to
-// *hops when hops is non-nil, and accounted in lw otherwise.
-func (tr *tracer) follow(times []Tick, cur graph.NodeID, t Tick, lw *loadWindow, hops *[]traceHop) (status TraceStatus, at graph.NodeID, end Tick) {
-	dest := tr.in.Dest()
+	tr.visit[cur-tr.lo] = tr.stamp
 	for step := 0; step <= len(tr.visit); step++ {
 		if cur == dest {
 			return Delivered, graph.Invalid, t
@@ -255,11 +253,7 @@ func (tr *tracer) follow(times []Tick, cur graph.NodeID, t Tick, lw *loadWindow,
 		if ord < 0 {
 			return Blackholed, cur, t
 		}
-		if hops != nil {
-			*hops = append(*hops, traceHop{node: int32(cur), ord: ord, tick: t})
-		} else {
-			lw.add(ord, t)
-		}
+		lw.add(ord, t)
 		t += Tick(tr.links[ord].Delay)
 		cur = tr.links[ord].To
 		if tr.visit[cur-tr.lo] == tr.stamp {

@@ -248,10 +248,12 @@ type FlowStat struct {
 	Bytes uint64
 }
 
-// StatsReply answers a StatsRequest.
+// StatsReply answers a StatsRequest. At is the tick the switch read its
+// counters at, so a poller divides a counter delta by the span it covers.
 type StatsReply struct {
 	XID   uint32
 	Kind  StatsKind
+	At    int64
 	Ports []PortStat
 	Flows []FlowStat
 }
@@ -263,6 +265,7 @@ func (*StatsReply) Type() MsgType { return TypeStatsReply }
 func (m *StatsReply) Xid() uint32 { return m.XID }
 func (m *StatsReply) encodeBody(w *writer) {
 	w.u8(uint8(m.Kind))
+	w.i64(m.At)
 	w.u16(uint16(len(m.Ports)))
 	for _, p := range m.Ports {
 		w.u32(p.PeerID)
@@ -281,6 +284,9 @@ func (m *StatsReply) decodeBody(r *reader) error {
 		return err
 	}
 	m.Kind = StatsKind(k)
+	if m.At, err = r.i64(); err != nil {
+		return err
+	}
 	np, err := r.u16()
 	if err != nil {
 		return err

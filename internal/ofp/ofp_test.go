@@ -36,7 +36,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&BarrierRequest{XID: 8},
 		&BarrierReply{XID: 9},
 		&StatsRequest{XID: 10, Kind: StatsPorts},
-		&StatsReply{XID: 11, Kind: StatsPorts,
+		&StatsReply{XID: 11, Kind: StatsPorts, At: 1234,
 			Ports: []PortStat{{PeerID: 3, Bytes: 999}, {PeerID: 4, Bytes: 0}},
 		},
 		&StatsReply{XID: 12, Kind: StatsFlows,

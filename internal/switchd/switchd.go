@@ -207,7 +207,7 @@ func (a *Agent) flowMod(m *ofp.FlowMod) error {
 }
 
 func (a *Agent) stats(req *ofp.StatsRequest) ofp.Msg {
-	reply := &ofp.StatsReply{XID: req.XID, Kind: req.Kind}
+	reply := &ofp.StatsReply{XID: req.XID, Kind: req.Kind, At: int64(a.net.K.Now())}
 	switch req.Kind {
 	case ofp.StatsPorts:
 		for _, l := range a.net.Links() {

@@ -178,6 +178,9 @@ func TestStatsReplies(t *testing.T) {
 	k.RunUntil(100)
 	r := a.Handle(&ofp.StatsRequest{XID: 1, Kind: ofp.StatsPorts})
 	reply := r[0].(*ofp.StatsReply)
+	if reply.At != 100 {
+		t.Fatalf("counters read at %d, want the agent's now, 100", reply.At)
+	}
 	if len(reply.Ports) != 1 || reply.Ports[0].PeerID != uint32(g.Lookup("v3")) {
 		t.Fatalf("ports = %+v", reply.Ports)
 	}
