@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	chronus "github.com/chronus-sdn/chronus"
 	"github.com/chronus-sdn/chronus/internal/baseline"
@@ -418,6 +419,50 @@ func BenchmarkGraphClone192(b *testing.B) {
 			b.Fatal("clone lost links")
 		}
 	}
+}
+
+// TestResidualAllocs: a residual costs the rows it edits, not the
+// topology. Cloning merged192 and occupying one unit along a pod's
+// initial path allocates the clone's Graph value, its row table and
+// borrowed bits, and one row per edited source node — in bytes, the
+// table plus those rows. A clone copying every row reads about 14.4 kB
+// and fails the byte bound.
+func TestResidualAllocs(t *testing.T) {
+	g, pods := merged192()
+	path := pods[5].Init
+	var rowBytes uint64
+	for _, v := range path[:len(path)-1] {
+		rowBytes += uint64(len(g.Out(v))) * uint64(unsafe.Sizeof(graph.Link{}))
+	}
+	residual := func() {
+		r := g.Clone()
+		for k := 1; k < len(path); k++ {
+			if _, ok := r.Occupy(path[k-1], path[k], 1); !ok {
+				t.Fatalf("no link %d->%d", path[k-1], path[k])
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	residual()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		residual()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	n := uint64(g.NumNodes())
+	tableBytes := n*uint64(unsafe.Sizeof([]graph.Link(nil))) + (n+63)/64*8
+	if want := uint64(3 + len(path) - 1); allocs > want {
+		t.Errorf("%d allocations per residual, want at most %d (Graph, table, bits, %d rows)", allocs, want, len(path)-1)
+	}
+	// Size classes round each allocation up by at most a quarter.
+	if limit := (tableBytes + rowBytes + 128) * 5 / 4; bytes > limit {
+		t.Errorf("%d bytes per residual, want at most %d (table %d B, rows %d B)", bytes, limit, tableBytes, rowBytes)
+	}
+	t.Logf("%d allocations, %d B per residual over %d edited rows", allocs, bytes, len(path)-1)
 }
 
 // BenchmarkScheduleSlack is the layer number for slack certification: one

@@ -298,12 +298,14 @@ func flowUsesLink(f Flow, from, to graph.NodeID) bool {
 // reported violation is deterministic.
 func checkSteadyState(g *graph.Graph, flows []Flow, final bool) error {
 	// One entry per (link, flow) use, sorted by link: flows stay in batch
-	// order within a link, and the links in the fixed report order.
+	// order within a link, and the links in the fixed report order. An
+	// ordinary component's uses fit on the stack.
 	type use struct {
 		key  [2]graph.NodeID
 		flow int
 	}
-	var uses []use
+	var buf [64]use
+	uses := buf[:0]
 	for i, f := range flows {
 		p := f.Init
 		if final {

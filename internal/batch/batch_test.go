@@ -90,6 +90,35 @@ func TestBatchRejectsOversubscribedSteadyState(t *testing.T) {
 	}
 }
 
+// TestCheckSteadyStateAllocs: the steady checks of an ordinary component
+// allocate nothing, and a batch with more uses than the stack holds
+// reports the same first violation.
+func TestCheckSteadyStateAllocs(t *testing.T) {
+	g, flows := twoFlowNet(t)
+	for _, final := range []bool{false, true} {
+		if a := testing.AllocsPerRun(100, func() {
+			if err := checkSteadyState(g, flows, final); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("final=%v: %.0f allocations per check, want 0", final, a)
+		}
+	}
+	line := graph.New()
+	var p graph.Path
+	for i := 0; i < 40; i++ {
+		p = append(p, line.AddNode(fmt.Sprintf("n%d", i)))
+		if i > 0 {
+			line.MustAddLink(p[i-1], p[i], 1, 1)
+		}
+	}
+	long := []Flow{{Name: "a", Demand: 1, Init: p, Fin: p}, {Name: "b", Demand: 1, Init: p, Fin: p}} // 78 uses
+	want := `link n0->n1 oversubscribed by flow(s) "a", "b": 2 > 1`
+	if err := checkSteadyState(line, long, true); err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %s", err, want)
+	}
+}
+
 func TestBatchEmpty(t *testing.T) {
 	g, _ := twoFlowNet(t)
 	plan, err := Solve(g, nil, Options{})

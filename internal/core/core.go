@@ -102,7 +102,7 @@ func snapshotNext(in *dynflow.Instance, s *dynflow.Schedule, v graph.NodeID, t d
 // switch at most once with bounded per-hop delay.
 func autoMaxTicks(in *dynflow.Instance) dynflow.Tick {
 	drain := dynflow.Tick(int64(maxLinkDelay(in.G)) * int64(in.G.NumNodes()+1))
-	n := dynflow.Tick(len(in.UpdateSet()) + 1)
+	n := dynflow.Tick(in.NumUpdates() + 1)
 	return n*drain + dynflow.Tick(in.Init.Delay(in.G)) + 4
 }
 

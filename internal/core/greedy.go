@@ -64,7 +64,7 @@ func Greedy(in *dynflow.Instance, opts Options) (*Result, error) {
 	sm := newSchedMetrics(opts.Obs)
 	sm.runs.Inc()
 	res := &Result{Schedule: dynflow.NewSchedule(opts.Start)}
-	if len(in.UpdateSet()) == 0 {
+	if in.NumUpdates() == 0 {
 		if mode == ModeExact {
 			res.Report = dynflow.Validate(in, res.Schedule)
 			res.Validations++

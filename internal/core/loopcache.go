@@ -41,7 +41,10 @@ type resolveResult struct {
 	pos  int // active-path index for resolvePath
 }
 
-func newLoopChecker(in *dynflow.Instance, s *dynflow.Schedule, t dynflow.Tick, ws *workspace) *loopChecker {
+// newLoopChecker snapshots the configuration at tick t. It returns a
+// value, so the checker Greedy rebuilds after every acceptance lives on
+// its caller's stack.
+func newLoopChecker(in *dynflow.Instance, s *dynflow.Schedule, t dynflow.Tick, ws *workspace) loopChecker {
 	cur := activePathInto(ws.pathA[:0], in, s, t, ws)
 	ws.pathA = cur
 	ws.posGen++
@@ -52,7 +55,7 @@ func newLoopChecker(in *dynflow.Instance, s *dynflow.Schedule, t dynflow.Tick, w
 			ws.posStamp[u] = ws.posGen
 		}
 	}
-	return &loopChecker{in: in, s: s, t: t, cur: cur, ws: ws}
+	return loopChecker{in: in, s: s, t: t, cur: cur, ws: ws}
 }
 
 // ok reports whether updating v at the snapshot tick is loop-free

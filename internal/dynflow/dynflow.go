@@ -195,13 +195,28 @@ func (in *Instance) NeedsUpdate(v graph.NodeID) bool {
 
 // UpdateSet returns, in final-path order, the switches that require updates.
 func (in *Instance) UpdateSet() []graph.NodeID {
-	var out []graph.NodeID
+	n := in.NumUpdates()
+	if n == 0 {
+		return nil
+	}
+	out := make([]graph.NodeID, 0, n)
 	for _, v := range in.Fin[:len(in.Fin)-1] {
 		if in.NeedsUpdate(v) {
 			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// NumUpdates returns len(in.UpdateSet()) without building the set.
+func (in *Instance) NumUpdates() int {
+	n := 0
+	for _, v := range in.Fin[:len(in.Fin)-1] {
+		if in.NeedsUpdate(v) {
+			n++
+		}
+	}
+	return n
 }
 
 // Schedule assigns each updated switch an absolute activation tick. A switch

@@ -47,7 +47,15 @@ type Graph struct {
 	// out is the only link store: out[v] holds v's outgoing links in
 	// insertion order, and every lookup scans one row (out-degrees are
 	// small, so the scan is shorter than a hash of the node pair).
+	// Clone shares the table and its rows copy-on-write: shared says a
+	// clone or its source may hold out, so the next mutation copies the
+	// table first, and borrowed marks the rows still held in common with
+	// the table it was copied from, each copied on its first mutation.
+	// Clone sets shared from any goroutine holding the graph, hence the
+	// atomic; borrowed is written only by g's own mutations.
 	out      [][]Link
+	shared   atomic.Bool
+	borrowed []uint64
 	numLinks int
 	// edits counts successful mutations; see Edits.
 	edits uint64
@@ -65,28 +73,57 @@ func New() *Graph {
 	return &Graph{}
 }
 
-// Clone returns a deep copy of g: mutating either graph never shows
-// through the other. The links are copied into one backing array; each
-// row is capped at its length, so appending to a row of the copy
-// reallocates that row instead of running into its neighbour. The name
-// tables are shared copy-on-write.
+// Clone returns a copy of g: mutating either graph never shows through
+// the other. It allocates only the new Graph: both share the row table
+// and every row until one of them mutates (see Graph.out), so a clone
+// costs what its mutations change, not what g holds. Clones of one graph
+// may be taken from several goroutines at once. The name tables are
+// shared copy-on-write as well.
 func (g *Graph) Clone() *Graph {
-	rows, backing := make([][]Link, len(g.out)), make([]Link, 0, g.numLinks)
-	for i, ls := range g.out {
-		lo := len(backing)
-		backing = append(backing, ls...)
-		rows[i] = backing[lo:len(backing):len(backing)]
-	}
+	g.shared.Store(true)
 	if g.index != nil {
 		g.index.shared.Store(true)
 	}
-	return &Graph{
+	c := &Graph{
 		names:    g.names[:len(g.names):len(g.names)],
 		index:    g.index,
-		out:      rows,
+		out:      g.out,
 		numLinks: g.numLinks,
 		edits:    g.edits,
 	}
+	c.shared.Store(true)
+	return c
+}
+
+// ownTable gives g a row table of its own: a shared one is copied, with
+// every row marked borrowed from it.
+func (g *Graph) ownTable() {
+	if !g.shared.Load() {
+		return
+	}
+	g.out = slices.Clone(g.out)
+	n, words := len(g.out), (len(g.out)+63)/64
+	g.borrowed = slices.Grow(g.borrowed[:0], words)[:words]
+	for i := range g.borrowed {
+		g.borrowed[i] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		g.borrowed[n/64] = 1<<(n%64) - 1 // rows added later are g's own
+	}
+	g.shared.Store(false)
+}
+
+// ownRow makes out[v] g's own before a mutation of the row: a borrowed
+// row is copied, with room for extra more links.
+func (g *Graph) ownRow(v NodeID, extra int) {
+	g.ownTable()
+	w, bit := int(v)/64, uint64(1)<<(uint(v)%64)
+	if w >= len(g.borrowed) || g.borrowed[w]&bit == 0 {
+		return
+	}
+	g.borrowed[w] &^= bit
+	row := g.out[v]
+	g.out[v] = append(make([]Link, 0, len(row)+extra), row...)
 }
 
 // AddNode adds a node with the given name and returns its ID. Adding an
@@ -101,6 +138,7 @@ func (g *Graph) AddNode(name string) NodeID {
 	case g.index.shared.Load():
 		g.index = &nameIndex{byName: maps.Clone(g.index.byName)}
 	}
+	g.ownTable()
 	id := NodeID(len(g.names))
 	g.names = append(g.names, name)
 	g.index.byName[name] = id
@@ -143,6 +181,7 @@ func (g *Graph) AddLink(from, to NodeID, cap Capacity, delay Delay) error {
 	if g.find(from, to) != nil {
 		return fmt.Errorf("%w: %s->%s", ErrDuplicateLink, g.Name(from), g.Name(to))
 	}
+	g.ownRow(from, 1)
 	g.out[from] = append(g.out[from], Link{From: from, To: to, Cap: cap, Delay: delay})
 	g.numLinks++
 	g.edits++
@@ -150,7 +189,8 @@ func (g *Graph) AddLink(from, to NodeID, cap Capacity, delay Delay) error {
 }
 
 // find returns the stored link (from, to), or nil. The pointer is into
-// from's adjacency row and is good until the next AddLink or RemoveLink.
+// from's adjacency row, which clones may share: it is for reading (edit
+// is for writing), and good until the next mutation of g.
 func (g *Graph) find(from, to NodeID) *Link {
 	if !g.HasNode(from) {
 		return nil
@@ -162,6 +202,13 @@ func (g *Graph) find(from, to NodeID) *Link {
 		}
 	}
 	return nil
+}
+
+// edit returns the existing link (from, to) for writing, in g's own copy
+// of from's row.
+func (g *Graph) edit(from, to NodeID) *Link {
+	g.ownRow(from, 0)
+	return g.find(from, to)
 }
 
 // MustAddLink is AddLink but panics on error; intended for tests and
@@ -178,6 +225,7 @@ func (g *Graph) RemoveLink(from, to NodeID) bool {
 	if g.find(from, to) == nil {
 		return false
 	}
+	g.ownRow(from, 0)
 	g.out[from] = slices.DeleteFunc(g.out[from], func(l Link) bool { return l.To == to })
 	g.numLinks--
 	g.edits++
@@ -186,28 +234,26 @@ func (g *Graph) RemoveLink(from, to NodeID) bool {
 
 // SetCapacity updates the capacity of an existing link.
 func (g *Graph) SetCapacity(from, to NodeID, cap Capacity) error {
-	l := g.find(from, to)
-	if l == nil {
+	if g.find(from, to) == nil {
 		return fmt.Errorf("graph: no link %s->%s", g.Name(from), g.Name(to))
 	}
 	if cap <= 0 {
 		return fmt.Errorf("graph: non-positive capacity %d", cap)
 	}
-	l.Cap = cap
+	g.edit(from, to).Cap = cap
 	g.edits++
 	return nil
 }
 
 // SetDelay updates the delay of an existing link.
 func (g *Graph) SetDelay(from, to NodeID, delay Delay) error {
-	l := g.find(from, to)
-	if l == nil {
+	if g.find(from, to) == nil {
 		return fmt.Errorf("graph: no link %s->%s", g.Name(from), g.Name(to))
 	}
 	if delay < 0 {
 		return fmt.Errorf("graph: negative delay %d", delay)
 	}
-	l.Delay = delay
+	g.edit(from, to).Delay = delay
 	g.edits++
 	return nil
 }
@@ -227,7 +273,7 @@ func (g *Graph) Occupy(from, to NodeID, d Capacity) (left Capacity, ok bool) {
 		g.RemoveLink(from, to)
 		return left, true
 	}
-	l.Cap = left
+	g.edit(from, to).Cap = left
 	g.edits++
 	return left, true
 }

@@ -174,9 +174,9 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 // TestCloneIndependence: nothing shows through between a clone and its
-// original — AddLink (an append into an adjacency row that sits in one backing array
-// with its neighbours), RemoveLink, SetCapacity, SetDelay and AddNode on
-// either never show through the other, whichever side mutates.
+// original — AddLink (an append into a row both share), RemoveLink,
+// SetCapacity, SetDelay and AddNode on either never show through the
+// other, whichever side mutates.
 func TestCloneIndependence(t *testing.T) {
 	describe := func(g *Graph) string {
 		var b strings.Builder
@@ -262,6 +262,77 @@ func TestCloneSharedNamesConcurrent(t *testing.T) {
 	}
 	if g.NumNodes() != 4 || g.Lookup("w0.0") != Invalid {
 		t.Fatalf("a clone's nodes showed through: %v", g)
+	}
+}
+
+// TestCloneRowsConcurrent: goroutines clone one graph while each edits
+// its clone, a clone of that clone, and the clone again after the second
+// fork, on rows of both bitset words (70 nodes). Each must read exactly
+// what the same edits give on a freshly built graph, and the shared
+// source must not move. CI runs it under -race.
+func TestCloneRowsConcurrent(t *testing.T) {
+	g, ids := buildLine(t, 70)
+	for i := 0; i+2 < len(ids); i += 3 {
+		g.MustAddLink(ids[i+2], ids[i], 5, 2)
+	}
+	before := fmt.Sprint(g.Links())
+	// first edits rows of worker w; second and third run on the two sides
+	// of the fork that follows.
+	first := func(x *Graph, w int) {
+		x.Occupy(ids[w], ids[w+1], Capacity(w+1))
+		x.SetDelay(ids[w+62], ids[w+63], 3)
+		x.MustAddLink(ids[w+1], ids[w+60], 7, 1)
+	}
+	second := func(x *Graph, w int) {
+		x.Occupy(ids[w], ids[w+1], 10) // the whole link: the row shrinks
+		x.RemoveLink(ids[67], ids[68])
+		x.MustAddLink(ids[w+60], ids[w+3], 1, 1)
+	}
+	third := func(x *Graph, w int) {
+		x.SetCapacity(ids[w+1], ids[w+2], 99)
+		x.RemoveLink(ids[w+2], ids[w])
+	}
+	const workers = 6
+	want := make([][2]string, workers)
+	for w := range want {
+		x, _ := buildLine(t, 70)
+		for i := 0; i+2 < len(ids); i += 3 {
+			x.MustAddLink(ids[i+2], ids[i], 5, 2)
+		}
+		first(x, w)
+		y := x.Clone()
+		second(y, w)
+		third(x, w)
+		want[w] = [2]string{fmt.Sprint(x.Links()), fmt.Sprint(y.Links())}
+	}
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for round := 0; round < 30; round++ {
+				c := g.Clone()
+				first(c, w)
+				cc := c.Clone()
+				second(cc, w)
+				third(c, w)
+				if got := fmt.Sprint(c.Links()); got != want[w][0] {
+					errs <- fmt.Errorf("worker %d round %d: clone reads %s, want %s", w, round, got, want[w][0])
+					return
+				}
+				if got := fmt.Sprint(cc.Links()); got != want[w][1] {
+					errs <- fmt.Errorf("worker %d round %d: clone of the clone reads %s, want %s", w, round, got, want[w][1])
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if after := fmt.Sprint(g.Links()); after != before {
+		t.Fatalf("the shared source moved:\nbefore %s\nafter  %s", before, after)
 	}
 }
 

@@ -71,24 +71,32 @@ func (m *graphModel) check(t *testing.T, g *Graph, step string) {
 // TestGraphAgainstModel drives seeded random edit sequences — duplicates,
 // self-loops, unknown ids and non-positive values included — through a
 // Graph and the model side by side and compares every accessor after
-// every step. A Clone forks the run: it continues on either side while
-// the other is held to the model it was forked at.
+// every step. A Clone forks the run, and every step edits one of up to
+// six live graphs drawn at random, so sources keep mutating after their
+// clones, clones of clones mutate, and both sides of one fork take turns;
+// every live graph is checked against its own model after every step.
 func TestGraphAgainstModel(t *testing.T) {
-	type frozen struct {
-		g    *Graph
-		m    *graphModel
-		what string
+	type side struct {
+		g      *Graph
+		m      *graphModel
+		depth  int  // clones between this graph and the run's first
+		forked bool // cloned from at least once
+		what   string
 	}
+	var afterFork, deep int // successful edits of a forked source, of a clone of a clone
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g, m := New(), &graphModel{links: make(map[[2]NodeID]Link)}
+		first := &side{g: New(), m: &graphModel{links: make(map[[2]NodeID]Link)}, what: "first graph"}
 		if seed%2 == 0 {
-			g = &Graph{} // the zero value is a ready graph too
+			first.g = &Graph{} // the zero value is a ready graph too
 		}
-		var held []frozen
-		// id draws from one below to one above the valid range.
-		id := func() NodeID { return NodeID(rng.Intn(len(m.names)+2) - 1) }
-		for i := 0; i < 200; i++ {
+		live := []*side{first}
+		for i := 0; i < 300; i++ {
+			cur := live[rng.Intn(len(live))]
+			g, m := cur.g, cur.m
+			editsBefore := m.edits
+			// id draws from one below to one above the valid range.
+			id := func() NodeID { return NodeID(rng.Intn(len(m.names)+2) - 1) }
 			from, to := id(), id()
 			k := [2]NodeID{from, to}
 			old, exists := m.links[k]
@@ -168,18 +176,32 @@ func TestGraphAgainstModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: %s = (%d, %v), model (%d, %v)", seed, i, step, left, ok, wantLeft, exists)
 				}
 			case 9:
-				step = "Clone"
-				c, cm := g.Clone(), m.clone()
-				if rng.Intn(2) == 0 {
-					step = "Clone, continue on the clone"
-					g, c = c, g
+				step = fmt.Sprintf("Clone of the %s", cur.what)
+				c := &side{g: g.Clone(), m: m.clone(), depth: cur.depth + 1, what: fmt.Sprintf("clone %d deep, taken at step %d", cur.depth+1, i)}
+				cur.forked = true
+				if len(live) < 6 {
+					live = append(live, c)
+				} else {
+					live[rng.Intn(len(live))] = c // a dropped graph leaves its clones live
 				}
-				held = append(held, frozen{c, cm, fmt.Sprintf("side held at step %d (%s)", i, step)})
 			}
-			m.check(t, g, fmt.Sprintf("seed %d step %d: %s", seed, i, step))
-			for _, h := range held {
-				h.m.check(t, h.g, fmt.Sprintf("seed %d step %d: %s: %s", seed, i, step, h.what))
+			if m.edits != editsBefore {
+				if cur.forked {
+					afterFork++
+				}
+				if cur.depth >= 2 {
+					deep++
+				}
+			}
+			for _, s := range live {
+				s.m.check(t, s.g, fmt.Sprintf("seed %d step %d: %s: %s", seed, i, step, s.what))
 			}
 		}
 	}
+	// Too tame to show sharing bugs if few edits land on a source after
+	// its clone, or on a clone of a clone.
+	if afterFork < 200 || deep < 200 {
+		t.Fatalf("edits after a fork %d, on clones of clones %d; want at least 200 each", afterFork, deep)
+	}
+	t.Logf("edits after a fork %d, on clones of clones %d", afterFork, deep)
 }
