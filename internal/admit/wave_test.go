@@ -48,8 +48,8 @@ type waveTally struct {
 // checkedPlanner plans each wave both ways on e's ledger and applies the
 // oracle's results. Before that it requires, per component, equal
 // capacities on every footprint link of the shared and the per-component
-// residual, the same results from both, and a shared residual whose
-// Edits() planning did not move.
+// residual, the same results from both, and a shared residual that
+// planning left as it was, every link and capacity.
 func checkedPlanner(t *testing.T, e *Engine, tally *waveTally) func(int64, []component) []componentResult {
 	return func(now int64, comps []component) []componentResult {
 		t.Helper()
@@ -83,10 +83,10 @@ func checkedPlanner(t *testing.T, e *Engine, tally *waveTally) func(int64, []com
 				}
 			}
 		}
-		edits := shared.Edits()
+		before := fmt.Sprint(shared, shared.Links())
 		got := e.planOn(now, comps, shared)
-		if shared.Edits() != edits {
-			t.Fatalf("planning edited the shared residual: %d edits, %d before", shared.Edits(), edits)
+		if fmt.Sprint(shared, shared.Links()) != before {
+			t.Fatalf("wave at %d: planning edited the shared residual", now)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shared residual planned %+v, per-component residuals %+v", got, want)

@@ -8,10 +8,10 @@ import (
 	"github.com/chronus-sdn/chronus/internal/timesync"
 )
 
-// The one run recipe every executed update follows: Boot the testbed,
-// arm the health engine with TimedPlan (after folding the trace recorded
-// so far into it), execute the schedule shifted Headroom ticks past now,
-// and settle by advancing past the last apply plus a drain of both paths.
+// The pieces executed updates share: Boot the testbed, arm the health
+// engine with TimedPlan (after folding the trace recorded so far into
+// it), and execute the schedule shifted Headroom ticks past now. Each
+// caller settles with its own advance of the testbed.
 
 // Headroom is the control headroom in ticks: how far past "now" a timed
 // schedule's first activation is placed so that every timed FlowMod

@@ -39,12 +39,11 @@ type Instance struct {
 	// test.
 	Obs *obs.Registry
 
-	// idx caches O(1) next-hop lookups; it is rebuilt whenever the paths
-	// it was derived from change (see ensureIndex).
+	// idx caches O(1) next-hop lookups, the Instance's one lazily built
+	// table; it is rebuilt whenever the paths it was derived from change
+	// (see ensureIndex). The validator compiles the rest per call (see
+	// tracer).
 	idx *pathIndex
-	// trc caches the validator's adjacency tables; rebuilt whenever the
-	// graph changes (see tracerFor).
-	trc *tracer
 }
 
 // pathIndex holds per-switch next hops as dense arrays for O(1) lookup on

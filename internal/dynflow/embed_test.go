@@ -105,10 +105,10 @@ func TestValidateEmbeddingInvariance(t *testing.T) {
 	}
 }
 
-// TestValidateSeesFootprintChanges: the tracer is cached per (graph state,
-// paths), so after a first Validate the next one must see swapped paths, a
-// changed capacity and a removed link on the footprint — each checked
-// against a fresh instance, which has no cache to go stale.
+// TestValidateSeesFootprintChanges: an Instance keeps its path index
+// between calls, so after a first Validate the next one must see swapped
+// paths, a changed capacity and a removed link on the footprint — each
+// checked against a fresh instance, which has nothing built yet.
 func TestValidateSeesFootprintChanges(t *testing.T) {
 	_, on, _ := embeddedPods(rand.New(rand.NewSource(42)))
 	for p, in := range on {
@@ -126,7 +126,7 @@ func TestValidateSeesFootprintChanges(t *testing.T) {
 			t.Helper()
 			s := flip()
 			if got, want := dynflow.Validate(in, s), fresh(s); !reflect.DeepEqual(got, want) {
-				t.Fatalf("pod %d after %s: cached %s, fresh %s", p, what, got.Summary(), want.Summary())
+				t.Fatalf("pod %d after %s: reused instance %s, fresh %s", p, what, got.Summary(), want.Summary())
 			}
 		}
 		check("the first validation")
@@ -172,4 +172,29 @@ func delaySlack(in *dynflow.Instance, s *dynflow.Schedule, vs []graph.NodeID, ho
 		out[i] = k.Slack(v, s.Times[v], horizon)
 	}
 	return out
+}
+
+// TestValidateFreshInstanceAllocs: the validator compiles a flow's
+// footprint into pooled scratch, so Validate on a fresh Instance of a pod
+// inside a sixteen-pod graph allocates the Instance itself, its Report and
+// the path index (the index and its two next-hop arrays): five in all.
+func TestValidateFreshInstanceAllocs(t *testing.T) {
+	_, on, _ := embeddedPods(rand.New(rand.NewSource(42)))
+	for _, in := range on {
+		res, err := core.Greedy(in, core.Options{})
+		if err != nil {
+			continue
+		}
+		if r := dynflow.Validate(in, res.Schedule); !r.OK() {
+			t.Fatalf("greedy schedule does not validate: %s", r.Summary())
+		}
+		a := testing.AllocsPerRun(100, func() {
+			dynflow.Validate(&dynflow.Instance{G: in.G, Demand: in.Demand, Init: in.Init, Fin: in.Fin}, res.Schedule)
+		})
+		if a > 5 {
+			t.Fatalf("%.0f allocations per Validate on a fresh Instance, want at most 5", a)
+		}
+		return
+	}
+	t.Fatal("no pod has a greedy schedule")
 }

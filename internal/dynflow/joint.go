@@ -74,13 +74,17 @@ func ValidateJoint(updates []FlowUpdate) (*JointReport, error) {
 		}
 	}
 
+	x := getScratch()
+	defer putScratch(x)
 	var (
+		trs   = x.tracers(len(updates))
 		flows = make([]flowWindow, len(updates))
 		links []graph.Link
 		rows  = make(map[[2]graph.NodeID]int32)
 	)
 	for i, u := range updates {
-		tr := tracerFor(u.In)
+		tr := &trs[i]
+		tr.compile(u.In)
 		f := flowWindow{tr: tr, s: u.S, rowOf: make([]int32, len(tr.links)), demand: u.In.Demand,
 			start: u.S.Start - Tick(u.In.Init.Delay(g)), end: u.S.End()}
 		for ord, l := range tr.links {
@@ -95,8 +99,6 @@ func ValidateJoint(updates []FlowUpdate) (*JointReport, error) {
 		flows[i] = f
 	}
 
-	x := getScratch()
-	defer putScratch(x)
 	x.validateFlows(flows, links, func(i int, _ Tick, status TraceStatus, at graph.NodeID, arrive Tick) {
 		r.Events = append(r.Events, JointEvent{Kind: status, Flow: updates[i].Name, At: at, Tick: arrive})
 	}, func(l graph.Link, depart Tick, load graph.Capacity) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/chronus-sdn/chronus/internal/graph"
+	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
 // Kernel is the incremental validator under Alg. 2 and slack
@@ -115,11 +116,17 @@ type hit struct {
 	at, n Tick
 }
 
-// scratch is the working memory of Validate and Kernel, recycled through
-// a bounded freelist, so a solve on a fresh Instance allocates none of it.
+// scratch is the working memory of Validate, ValidateJoint and Kernel,
+// their compiled tracers included, recycled through a bounded freelist,
+// so a solve on a fresh Instance allocates none of it.
 type scratch struct {
-	lw    loadWindow
-	times []Tick
+	lw loadWindow
+	// trs are the call's compiled flows (see tracers): one for Validate
+	// and a Kernel, one per flow for ValidateJoint.
+	trs []tracer
+	// vm are the validator's instruments on registry vmReg.
+	vm    validatorMetrics
+	vmReg *obs.Registry
 	// runs cover the emissions start .. top, each once; arena holds their
 	// hops (arena2 is the spare a commit compacts them into).
 	runs, savedRuns []run
@@ -178,6 +185,9 @@ func getScratch() *scratch {
 }
 
 func putScratch(x *scratch) {
+	for i := range x.trs {
+		x.trs[i].in = nil // the pool keeps no graph alive
+	}
 	if max(cap(x.lw.val), cap(x.arena), cap(x.arena2), cap(x.byLink)) > scratchKeep {
 		return
 	}
@@ -188,13 +198,33 @@ func putScratch(x *scratch) {
 	}
 }
 
+// tracers returns n tracers of x's storage, for the call to compile.
+func (x *scratch) tracers(n int) []tracer {
+	x.trs = slices.Grow(x.trs[:0], n)[:n]
+	return x.trs
+}
+
+// countRun records one full validation of a window of the given ticks on
+// r, with the instruments built once per (scratch, registry).
+func (x *scratch) countRun(r *obs.Registry, ticks Tick) {
+	if r == nil {
+		return
+	}
+	if x.vmReg != r {
+		x.vm, x.vmReg = newValidatorMetrics(r), r
+	}
+	x.vm.runs.Inc()
+	x.vm.traces.Add(int64(ticks))
+}
+
 // NewKernel traces s's validation window once, one unit per run, and
 // stores it.
 func NewKernel(in *Instance, s *Schedule) *Kernel {
-	tr := tracerFor(in)
-	k := &Kernel{in: in, tr: tr, x: getScratch(), start: s.Start - Tick(in.Init.Delay(in.G))}
-	x := k.x
-	tr.view(&x.times, s)
+	x := getScratch()
+	tr := &x.tracers(1)[0]
+	tr.compile(in)
+	k := &Kernel{in: in, tr: tr, x: x, start: s.Start - Tick(in.Init.Delay(in.G))}
+	tr.view(s)
 	x.head = slices.Grow(x.head[:0], len(tr.links))[:len(tr.links)]
 	for o := range x.head {
 		x.head[o] = -1
@@ -220,7 +250,7 @@ func (k *Kernel) Release() {
 	if statsSink != nil {
 		statsSink(k.stats)
 	}
-	k.x = nil
+	k.x, k.tr = nil, nil
 	putScratch(x)
 }
 
@@ -258,7 +288,7 @@ func (k *Kernel) traceRuns(first piece) (splits int) {
 			s := cur - tr.lo
 			ord := tr.rules[s][0]
 			if nw := tr.rules[s][1]; nw != noRule && nw != ord {
-				if act := x.times[s]; act <= t {
+				if act := tr.times[s]; act <= t {
 					ord = nw
 				} else if act < t+n {
 					off := act - t
@@ -460,7 +490,7 @@ func (k *Kernel) reindex() {
 	if len(x.arena) > 2*hops+64 {
 		k.compact()
 	}
-	slots := len(x.times)
+	slots := len(k.tr.times)
 	off := slices.Grow(x.indexOff[:0], slots+2)[:slots+2]
 	lo := slices.Grow(x.byLinkOff[:0], len(k.tr.links)+2)[:len(k.tr.links)+2]
 	clear(off)
@@ -523,10 +553,10 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 	}
 	x := k.x
 	slot := int(v - k.tr.lo)
-	onPath := slot >= 0 && slot < len(x.times)
+	onPath := slot >= 0 && slot < len(k.tr.times)
 	act := never
 	if onPath {
-		act = x.times[slot]
+		act = k.tr.times[slot]
 	}
 	switch {
 	case !k.moving:
@@ -560,7 +590,7 @@ func (k *Kernel) Move(v graph.NodeID, t Tick) {
 		k.w.end = t
 	}
 	if onPath {
-		x.times[slot] = t
+		k.tr.times[slot] = t
 		// Units reaching v in [lo, hi) take the other rule there now; a run
 		// meets that interval in one stretch of its units.
 		lo, hi := min(act, t), max(act, t)
@@ -695,7 +725,7 @@ func (k *Kernel) continued(r run, j int, m, lo Tick) int {
 		if nw := tr.rules[s][1]; nw != noRule && nw != tr.rules[s][0] {
 			// o's last unit reaches the switch at last, r's units after it.
 			last := h.tick + o.shift + d - 1
-			if act := x.times[s]; act > last && act <= last+m {
+			if act := tr.times[s]; act > last && act <= last+m {
 				return -1
 			}
 		}
@@ -781,7 +811,7 @@ func (k *Kernel) Check() (ok bool, latest Tick) {
 	if k.moving {
 		return k.clean(), k.w.latest
 	}
-	k.tr.countRun(k.in.Obs, k.w.latest-k.start+1)
+	k.x.countRun(k.in.Obs, k.w.latest-k.start+1)
 	return k.ok, k.w.latest
 }
 
@@ -793,8 +823,8 @@ func (k *Kernel) Undo() {
 	x := k.x
 	x.runs = append(x.runs[:0], x.savedRuns...)
 	x.arena = x.arena[:k.savedArena]
-	if slot := int(k.mv - k.tr.lo); slot >= 0 && slot < len(x.times) {
-		x.times[slot] = k.savedAct
+	if slot := int(k.mv - k.tr.lo); slot >= 0 && slot < len(k.tr.times) {
+		k.tr.times[slot] = k.savedAct
 	}
 	k.w = k.saved
 	k.endMove()
@@ -835,7 +865,7 @@ func (k *Kernel) Slack(v graph.NodeID, tv, horizon Tick) Tick {
 	}()
 	x := k.x
 	others := k.start
-	for slot, t := range x.times {
+	for slot, t := range k.tr.times {
 		if t != never && slot != int(v-k.tr.lo) {
 			others = max(others, t)
 		}

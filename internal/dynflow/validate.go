@@ -180,11 +180,12 @@ func (r *Report) Summary() string {
 // emissions depart each final-path link at strictly increasing ticks), so
 // the window is sufficient as well as finite.
 func Validate(in *Instance, s *Schedule) *Report {
-	tr := tracerFor(in)
-	start := s.Start - Tick(in.Init.Delay(in.G))
-	r := &Report{WindowStart: start}
 	x := getScratch()
 	defer putScratch(x)
+	tr := &x.tracers(1)[0]
+	tr.compile(in)
+	start := s.Start - Tick(in.Init.Delay(in.G))
+	r := &Report{WindowStart: start}
 	flow := [1]flowWindow{{tr: tr, s: s, demand: in.Demand, start: start, end: s.End()}}
 	x.validateFlows(flow[:], tr.links, func(_ int, e Tick, status TraceStatus, at graph.NodeID, arrive Tick) {
 		if status == Looped {
@@ -197,7 +198,7 @@ func Validate(in *Instance, s *Schedule) *Report {
 		r.Congestion = append(r.Congestion, CongestionEvent{Link: li, Load: load, Cap: l.Cap})
 	})
 	r.WindowEnd, r.LatestArrival = flow[0].latest, flow[0].latest
-	tr.countRun(in.Obs, flow[0].latest-start+1)
+	x.countRun(in.Obs, flow[0].latest-start+1)
 	sort.Slice(r.Congestion, func(i, j int) bool { return r.Congestion[i].Link.before(r.Congestion[j].Link) })
 	sort.Slice(r.Loops, func(i, j int) bool { return r.Loops[i].Emit < r.Loops[j].Emit })
 	sort.Slice(r.Blackholes, func(i, j int) bool { return r.Blackholes[i].Emit < r.Blackholes[j].Emit })
@@ -243,13 +244,13 @@ func (x *scratch) validateFlows(flows []flowWindow, links []graph.Link,
 	hi := lo
 	for i := range flows {
 		f := &flows[i]
-		times := f.tr.view(&f.tr.times, f.s)
+		f.tr.view(f.s)
 		lw.demand, lw.rowOf = f.demand, f.rowOf
 		tailFrom := f.end - (f.s.Start - f.start)
 		f.latest = f.end
 		tail := f.end
 		for e := f.start; e <= f.latest; e++ {
-			status, at, arrive := f.tr.trace(times, e, lw)
+			status, at, arrive := f.tr.trace(e, lw)
 			if e <= f.end {
 				f.latest = max(f.latest, arrive)
 				if e >= tailFrom {
@@ -267,14 +268,12 @@ func (x *scratch) validateFlows(flows []flowWindow, links []graph.Link,
 		if f.start == lo && f.latest >= hi {
 			continue
 		}
-		// The view again: flows of one Instance share a tracer.
-		times := f.tr.view(&f.tr.times, f.s)
 		lw.demand, lw.rowOf = f.demand, f.rowOf
 		for e := lo; e < f.start; e++ {
-			f.tr.trace(times, e, lw)
+			f.tr.trace(e, lw)
 		}
 		for e := f.latest + 1; e <= hi; e++ {
-			f.tr.trace(times, e, lw)
+			f.tr.trace(e, lw)
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/chronus-sdn/chronus/internal/graph"
-	"github.com/chronus-sdn/chronus/internal/obs"
 )
 
 // tracer is the allocation-light engine behind Validate, ValidateJoint and
@@ -17,15 +16,12 @@ import (
 // switch the ordinals its two rules depart on. Its per-switch tables span
 // the footprint's node ids (see pathIndex), not the graph. Load accounting
 // is keyed by (departure tick, link ordinal) packed into one integer, and
-// per-trace visited sets are stamps. One tracer belongs to one Instance and
-// is valid for one state of its graph and paths (see tracerFor).
+// per-trace visited sets are stamps. A tracer is per-call state: it lives
+// in the pooled scratch and each call compiles it afresh (see compile), so
+// it reflects the graph and the paths as they are, and one Instance can be
+// validated from several goroutines at once.
 type tracer struct {
 	in *Instance
-	// g, edits and idx identify the graph state and the paths the tables
-	// were built from.
-	g     *graph.Graph
-	edits uint64
-	idx   *pathIndex
 	// lo is the node id of slot 0 of the per-switch tables.
 	lo graph.NodeID
 	// links are the footprint links by ordinal: the initial path's in
@@ -39,14 +35,12 @@ type tracer struct {
 	// switch at most once, so it crosses distinct footprint links, and
 	// this is the sum of their delays.
 	maxTrace Tick
-	// visit stamps detect revisits without a per-trace map.
+	// visit stamps detect revisits without a per-trace map. The stamp
+	// only grows, so entries left by an earlier call are stale.
 	visit []uint64
 	stamp uint64
-	// times backs the dense schedule view (see view).
+	// times is the dense schedule view traces run against (see view).
 	times []Tick
-	// vm are the validator's instruments on registry vmReg.
-	vm    validatorMetrics
-	vmReg *obs.Registry
 }
 
 // loadWindow is the load accounting of Validate and ValidateJoint: the
@@ -128,22 +122,16 @@ const (
 	noLink
 )
 
-// newTracer resolves the instance's two paths against the current state
-// of its graph: one table entry per switch of the footprint's id span, one
-// link lookup per path hop.
-func newTracer(in *Instance) *tracer {
+// compile resolves in's two paths against the current state of its graph
+// into tr, reusing tr's storage: one table entry per switch of the
+// footprint's id span, one link lookup per path hop.
+func (tr *tracer) compile(in *Instance) {
 	g, idx := in.G, in.ensureIndex()
 	span := len(idx.oldNext)
-	tr := &tracer{
-		in:    in,
-		g:     g,
-		edits: g.Edits(),
-		idx:   idx,
-		lo:    idx.lo,
-		links: make([]graph.Link, 0, len(in.Init)+len(in.Fin)),
-		rules: make([][2]int32, span),
-		visit: make([]uint64, span),
-	}
+	tr.in, tr.lo, tr.maxTrace = in, idx.lo, 0
+	tr.links = tr.links[:0]
+	tr.rules = slices.Grow(tr.rules[:0], span)[:span]
+	tr.visit = slices.Grow(tr.visit[:0], span)[:span]
 	for k := range tr.rules {
 		tr.rules[k] = [2]int32{noRule, noRule}
 	}
@@ -172,45 +160,18 @@ func newTracer(in *Instance) *tracer {
 			tr.rules[k][1] = resolve(v, idx.newNext[k])
 		}
 	}
-	return tr
-}
-
-// tracerFor returns the instance's cached tracer, rebuilding it when
-// in.G was replaced or edited in place, or the paths were swapped, since
-// the tracer was built. The (pointer, edit count, path index) comparison
-// is exact: the tracer keeps its graph and index alive, so neither address
-// can be reused, every mutator bumps the count, and ensureIndex builds a
-// new index for new paths.
-func tracerFor(in *Instance) *tracer {
-	if tr := in.trc; tr != nil && tr.g == in.G && tr.edits == in.G.Edits() && tr.idx == in.ensureIndex() {
-		return tr
-	}
-	in.trc = newTracer(in)
-	return in.trc
-}
-
-// countRun records one full validation of a window of the given ticks on
-// r, with the instruments built once per (tracer, registry).
-func (tr *tracer) countRun(r *obs.Registry, ticks Tick) {
-	if r == nil {
-		return
-	}
-	if tr.vmReg != r {
-		tr.vm, tr.vmReg = newValidatorMetrics(r), r
-	}
-	tr.vm.runs.Inc()
-	tr.vm.traces.Add(int64(ticks))
 }
 
 // never is the activation tick of a switch the schedule does not touch.
 const never = Tick(math.MaxInt64)
 
-// view resolves s into *times, a dense schedule view of the tracer's span
-// that traces run against: activation ticks by slot, with never standing
-// in for unscheduled switches. Switches outside the span have no rule for
-// the flow, so their entries only matter to the window (Schedule.End).
-func (tr *tracer) view(times *[]Tick, s *Schedule) []Tick {
-	v := slices.Grow((*times)[:0], len(tr.rules))[:len(tr.rules)]
+// view resolves s into tr.times, a dense schedule view of the tracer's
+// span that traces run against: activation ticks by slot, with never
+// standing in for unscheduled switches. Switches outside the span have no
+// rule for the flow, so their entries only matter to the window
+// (Schedule.End).
+func (tr *tracer) view(s *Schedule) {
+	v := slices.Grow(tr.times[:0], len(tr.rules))[:len(tr.rules)]
 	for k := range v {
 		v[k] = never
 	}
@@ -219,8 +180,7 @@ func (tr *tracer) view(times *[]Tick, s *Schedule) []Tick {
 			v[k] = t
 		}
 	}
-	*times = v
-	return v
+	tr.times = v
 }
 
 // traceHop is one forwarding decision of a stored trace: the unit reached
@@ -235,8 +195,8 @@ type traceHop struct {
 // carries the unit emitted at tick emit from the source to its terminal
 // status, accounting each departure in lw, and returns the status with its
 // location and tick.
-func (tr *tracer) trace(times []Tick, emit Tick, lw *loadWindow) (status TraceStatus, at graph.NodeID, end Tick) {
-	cur, t, dest := tr.in.Source(), emit, tr.in.Dest()
+func (tr *tracer) trace(emit Tick, lw *loadWindow) (status TraceStatus, at graph.NodeID, end Tick) {
+	cur, t, dest, times := tr.in.Source(), emit, tr.in.Dest(), tr.times
 	tr.stamp++
 	tr.visit[cur-tr.lo] = tr.stamp
 	for step := 0; step <= len(tr.visit); step++ {

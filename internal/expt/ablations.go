@@ -41,8 +41,9 @@ func AblationClockSkew(cfg Config) ([]ClockSkewPoint, error) {
 	samples, err := fanout(cfg, len(errorsNs)*runs, func(i int) (clockSkewSample, error) {
 		errNs, seed := errorsNs[i/runs], int64(i%runs)
 		var smp clockSkewSample
-		// Each run builds its own instance: Instance carries lazily-built
-		// lookup caches, so concurrent tasks must not share one.
+		// Each run builds its own instance: an Instance builds its path
+		// index, its one lazily built table, on first use, so concurrent
+		// tasks must not share one.
 		in := topo.EmulationTopo()
 		var ens *timesync.Ensemble
 		if errNs > 0 {
@@ -200,10 +201,11 @@ type ExecModePoint struct {
 // control-latency jitter, can break the timing the schedule relies on —
 // the paper's core argument for timed SDNs.
 func AblationExecutionMode(cfg Config) ([]ExecModePoint, error) {
-	// Each scheme runs on its own instance copy (Instance carries lazy
-	// caches, so concurrent executions must not share one); the topology
-	// and the greedy schedule are deterministic, so both schemes still
-	// execute the identical update plan.
+	// Each scheme runs on its own instance copy (an Instance builds its
+	// path index, its one lazily built table, on first use, so concurrent
+	// executions must not share one); the topology and the greedy
+	// schedule are deterministic, so both schemes still execute the
+	// identical update plan.
 	run := func(label string, exec executor) (ExecModePoint, error) {
 		in := topo.EmulationTopo()
 		h, c, f, err := controller.Boot(in, "agg", nil, controller.Options{Seed: cfg.Seed})

@@ -22,8 +22,9 @@ type instCtx struct {
 }
 
 // newInstCtx draws one random instance from rng and precomputes its shared
-// steady-state context (this also warms the instance's lazy caches, so the
-// per-scheme solves that follow race on nothing).
+// steady-state context (this also builds the instance's path index, its one
+// lazily built table, so the per-scheme solves that follow race on
+// nothing).
 func newInstCtx(rng *rand.Rand, p topo.RandomParams) *instCtx {
 	in := topo.RandomInstance(rng, p)
 	return &instCtx{

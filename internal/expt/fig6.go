@@ -53,12 +53,12 @@ func Fig6Bandwidth(cfg Config) (*Fig6Result, error) {
 	windowStart := fig6UpdateAt - 2*interval
 	windowEnd := windowStart + sim.Time(cfg.Fig6Samples)*interval
 
-	// Each series runs on a fresh network (and its own instance copy:
-	// Instance carries lazy caches, so concurrent runs must not share
-	// one); the monitored link is chosen after the fact as the one OR
-	// overloads hardest (relative to its capacity), which is the link the
-	// paper's figure zooms in on. All three series then read the same
-	// link's counters.
+	// Each series runs on a fresh network (and its own instance copy: an
+	// Instance builds its path index, its one lazily built table, on
+	// first use, so concurrent runs must not share one); the monitored
+	// link is chosen after the fact as the one OR overloads hardest
+	// (relative to its capacity), which is the link the paper's figure
+	// zooms in on. All three series then read the same link's counters.
 	type runState struct {
 		scheme  string
 		monitor bool

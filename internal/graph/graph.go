@@ -57,8 +57,6 @@ type Graph struct {
 	shared   atomic.Bool
 	borrowed []uint64
 	numLinks int
-	// edits counts successful mutations; see Edits.
-	edits uint64
 }
 
 // nameIndex maps node names to ids. Once shared by Clone it is never
@@ -89,7 +87,6 @@ func (g *Graph) Clone() *Graph {
 		index:    g.index,
 		out:      g.out,
 		numLinks: g.numLinks,
-		edits:    g.edits,
 	}
 	c.shared.Store(true)
 	return c
@@ -143,7 +140,6 @@ func (g *Graph) AddNode(name string) NodeID {
 	g.names = append(g.names, name)
 	g.index.byName[name] = id
 	g.out = append(g.out, nil)
-	g.edits++
 	return id
 }
 
@@ -184,7 +180,6 @@ func (g *Graph) AddLink(from, to NodeID, cap Capacity, delay Delay) error {
 	g.ownRow(from, 1)
 	g.out[from] = append(g.out[from], Link{From: from, To: to, Cap: cap, Delay: delay})
 	g.numLinks++
-	g.edits++
 	return nil
 }
 
@@ -228,7 +223,6 @@ func (g *Graph) RemoveLink(from, to NodeID) bool {
 	g.ownRow(from, 0)
 	g.out[from] = slices.DeleteFunc(g.out[from], func(l Link) bool { return l.To == to })
 	g.numLinks--
-	g.edits++
 	return true
 }
 
@@ -241,7 +235,6 @@ func (g *Graph) SetCapacity(from, to NodeID, cap Capacity) error {
 		return fmt.Errorf("graph: non-positive capacity %d", cap)
 	}
 	g.edit(from, to).Cap = cap
-	g.edits++
 	return nil
 }
 
@@ -254,7 +247,6 @@ func (g *Graph) SetDelay(from, to NodeID, delay Delay) error {
 		return fmt.Errorf("graph: negative delay %d", delay)
 	}
 	g.edit(from, to).Delay = delay
-	g.edits++
 	return nil
 }
 
@@ -274,15 +266,8 @@ func (g *Graph) Occupy(from, to NodeID, d Capacity) (left Capacity, ok bool) {
 		return left, true
 	}
 	g.edit(from, to).Cap = left
-	g.edits++
 	return left, true
 }
-
-// Edits returns how many mutations (AddNode, AddLink, RemoveLink,
-// SetCapacity, SetDelay, Occupy) g has seen. Anything derived from g
-// stays valid for as long as it holds the same *Graph and the count it was
-// built at.
-func (g *Graph) Edits() uint64 { return g.edits }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.names) }

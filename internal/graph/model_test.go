@@ -38,9 +38,8 @@ func (m *graphModel) remove(k [2]NodeID) {
 func (m *graphModel) check(t *testing.T, g *Graph, step string) {
 	t.Helper()
 	n := NodeID(len(m.names))
-	if g.NumNodes() != int(n) || g.NumLinks() != len(m.links) || g.Edits() != m.edits {
-		t.Fatalf("%s: n=%d m=%d edits=%d, model n=%d m=%d edits=%d",
-			step, g.NumNodes(), g.NumLinks(), g.Edits(), n, len(m.links), m.edits)
+	if g.NumNodes() != int(n) || g.NumLinks() != len(m.links) {
+		t.Fatalf("%s: n=%d m=%d, model n=%d m=%d", step, g.NumNodes(), g.NumLinks(), n, len(m.links))
 	}
 	var sorted []Link
 	for from := NodeID(-1); from <= n; from++ {
